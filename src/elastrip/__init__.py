@@ -14,15 +14,13 @@ from .geometry import (CoefficientLaw, CutoffFn, HarmonicTerm, SurfaceProfile,
                        transform_map)
 from .sources import BumpSource
 from .mesh import StripMesh
-from .solver import (DiscreteField, LinearSystem, ModeFieldSmooth,
-                     StripOperator, TransformCoefficients,
-                     assemble_flat_blocks, assemble_rhs, assemble_system,
+from .solver import (DiscreteField, ModeFieldSmooth, StripOperator,
+                     TransformCoefficients, assemble_flat_blocks, assemble_rhs,
                      coercivity_probe, energy_balance, flat_mode_oracle,
                      poincare_slack, rellich_identity_residual,
-                     rellich_residual, solve_field, solve_flat, solve_system,
-                     vh_norm)
+                     rellich_residual, solve_field, solve_flat)
 from .config import RunConfig, from_dict, load_config
 from .harness import (McReport, RunReport, deterministic_run, monte_carlo,
-                      parameter_sweep, pushforward_check)
+                      parameter_sweep, pushforward_check, solve_surface)
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ failure, 3 diagnostic invariant violation.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import harness
 from .config import RunConfig, dump_config, load_config
-from .dtn import SpectralGrid, verify_symbol_suite
+from .dtn import BoundaryTrace, SpectralGrid, extend_field, verify_symbol_suite
 from .errors import (ConfigError, ConstraintError, DiagnosticError,
                      ElastripError, NonConvergenceError, SingularTransformError)
 from .params import bound_constants, stability_constants, total_bound_stochastic
@@ -27,13 +28,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_DIAGNOSTIC = 3
-
-
-def _prepare_out(out_dir: str, cfg: RunConfig | None = None) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    if cfg is not None:
-        dump_config(cfg, os.path.join(out_dir, "config.yaml"))
-    return out_dir
 
 
 def _write_error(out_dir: str, exc: Exception, code: int) -> None:
@@ -73,6 +67,7 @@ def _load(config_path: str | None, seed: int | None, omega: float | None,
 
 
 def _common(fn):
+    fn = click.option("--omega", type=float, default=None)(fn)
     fn = click.option("--config", "config_path", type=click.Path(), default=None,
                       help="YAML config file")(fn)
     fn = click.option("--out", "out_dir", type=click.Path(), default=None,
@@ -87,10 +82,12 @@ def main():
     """Elastic wave scattering above rough rigid surfaces: solver and checks."""
 
 
-def _run_guarded(cfg: RunConfig, out_dir: str, body) -> int:
+def _run_guarded(cfg: RunConfig, out_dir: str, body, opts: dict) -> int:
+    """Write the config echo, run the body; map ElastripErrors to exit codes."""
     try:
-        _prepare_out(out_dir, cfg)
-        return body(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
+        dump_config(cfg, os.path.join(out_dir, "config.yaml"))
+        return body(cfg, out_dir, **opts)
     except ElastripError as exc:
         code = _classify(exc)
         click.echo(f"error: {exc}", err=True)
@@ -98,65 +95,69 @@ def _run_guarded(cfg: RunConfig, out_dir: str, body) -> int:
         return code
 
 
-@main.command("constants")
-@_common
-@click.option("--omega", type=float, default=None)
-def constants_cmd(config_path, out_dir, seed, threads, omega):
+def _subcommand(name, *options, prepare=None):
+    """Register ``body(cfg, out, **opts)`` as the subcommand ``name``.
+
+    Every subcommand takes the :func:`_common` options ahead of its own
+    ``options``.  The config is loaded with the command-line overrides and
+    ``prepare(**opts)``, when given, turns the raw option values into the
+    body's keyword arguments; an ElastripError in either step exits 1
+    before anything is written.  The body then runs under
+    :func:`_run_guarded`.
+    """
+    def register(body):
+        def command(config_path, out_dir, seed, threads, omega, **opts):
+            try:
+                cfg = _load(config_path, seed, omega, opts.pop("n_samples", None), threads)
+                if prepare is not None:
+                    opts = prepare(**opts)
+            except ElastripError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_CONFIG)
+            sys.exit(_run_guarded(cfg, out_dir or cfg.run.out_dir, body, opts))
+
+        command.__doc__ = body.__doc__
+        for option in reversed(options):
+            command = option(command)
+        return main.command(name)(_common(command))
+
+    return register
+
+
+@_subcommand("constants")
+def constants_cmd(cfg, out):
     """Print the stability and a priori bound constants for the config."""
-    try:
-        cfg = _load(config_path, seed, omega, None, threads)
-    except ElastripError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out_dir = out_dir or cfg.run.out_dir
-
-    def body(out):
-        params = cfg.elastic_params()
-        geom = cfg.strip_geometry()
-        sc = stability_constants(params)
-        L = 0.0
-        if cfg.surface.terms:
-            from .geometry import make_profile
-            L = make_profile(cfg.surface.f0_offset, cfg.surface.terms, geom).L
-        br = bound_constants(params, geom, L=L, generic_C=cfg.run.generic_C)
-        payload = {"K": sc.K, "C_K": sc.C_K, "c_K": sc.c_K, "L": L,
-                   **br.as_dict(),
-                   "stochastic_bound": total_bound_stochastic(
-                       bound_constants(params, geom, L=cfg.surface.M0 + L,
-                                       generic_C=cfg.run.generic_C), geom)}
-        for k, v in payload.items():
-            click.echo(f"{k} = {v:.12g}")
-        harness.write_json(os.path.join(out, "constants.json"), payload)
-        return EXIT_OK
-
-    sys.exit(_run_guarded(cfg, out_dir, body))
+    params = cfg.elastic_params()
+    geom = cfg.strip_geometry()
+    sc = stability_constants(params)
+    L = 0.0
+    if cfg.surface.terms:
+        from .geometry import make_profile
+        L = make_profile(cfg.surface.f0_offset, cfg.surface.terms, geom).L
+    br = bound_constants(params, geom, L=L, generic_C=cfg.run.generic_C)
+    payload = {"K": sc.K, "C_K": sc.C_K, "c_K": sc.c_K, "L": L,
+               **br.as_dict(),
+               "stochastic_bound": total_bound_stochastic(
+                   bound_constants(params, geom, L=cfg.surface.M0 + L,
+                                   generic_C=cfg.run.generic_C), geom)}
+    for k, v in payload.items():
+        click.echo(f"{k} = {v:.12g}")
+    harness.write_json(os.path.join(out, "constants.json"), payload)
+    return EXIT_OK
 
 
-@main.command("verify-dtn")
-@_common
-@click.option("--omega", type=float, default=None)
-@click.option("--n-xi", type=int, default=10000, help="xi samples per material")
-@click.option("--n-materials", type=int, default=10)
-def verify_dtn_cmd(config_path, out_dir, seed, threads, omega, n_xi, n_materials):
+@_subcommand("verify-dtn",
+             click.option("--n-xi", type=int, default=10000, help="xi samples per material"),
+             click.option("--n-materials", type=int, default=10))
+def verify_dtn_cmd(cfg, out, n_xi, n_materials):
     """Sample the boundary-symbol sign and bound properties over parameters."""
-    try:
-        cfg = _load(config_path, seed, omega, None, threads)
-    except ElastripError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out_dir = out_dir or cfg.run.out_dir
-
-    def body(out):
-        report = verify_symbol_suite(seed=cfg.run.seed, n_materials=n_materials,
-                                     n_xi=n_xi)
-        harness.write_json(os.path.join(out, "verify_dtn.json"), report)
-        n_viol = report["n_violations"]
-        click.echo(f"{n_viol} violations in {report['n_checks']} checks")
-        if n_viol:
-            raise DiagnosticError(f"symbol property violated {n_viol} times")
-        return EXIT_OK
-
-    sys.exit(_run_guarded(cfg, out_dir, body))
+    report = verify_symbol_suite(seed=cfg.run.seed, n_materials=n_materials, n_xi=n_xi)
+    harness.write_json(os.path.join(out, "verify_dtn.json"), report)
+    n_viol = report["n_violations"]
+    click.echo(f"{n_viol} violations in {report['n_checks']} checks")
+    if n_viol:
+        raise DiagnosticError(f"symbol property violated {n_viol} times")
+    return EXIT_OK
 
 
 def _check_diagnostics(rep) -> None:
@@ -169,127 +170,78 @@ def _check_diagnostics(rep) -> None:
         raise DiagnosticError(f"Poincare slack negative: {d['poincare_slack']:.3e}")
 
 
-@main.command("solve")
-@_common
-@click.option("--omega", type=float, default=None)
-def solve_cmd(config_path, out_dir, seed, threads, omega):
+@_subcommand("solve")
+def solve_cmd(cfg, out):
     """One deterministic solve with full diagnostics and the bound ratio."""
+    rep, _ = harness.deterministic_run(cfg)
+    harness.write_json(os.path.join(out, "report.json"), rep.as_dict())
+    harness.write_run_csv(os.path.join(out, "runs.csv"), [rep])
+    click.echo(f"|u|_Vh = {rep.u_vh:.6e}  measured_ratio = "
+               f"{rep.bound['measured_ratio']:.6e}")
+    _check_diagnostics(rep)
+    return EXIT_OK
+
+
+def _parse_sweep_values(axis, values):
     try:
-        cfg = _load(config_path, seed, omega, None, threads)
-    except ElastripError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out_dir = out_dir or cfg.run.out_dir
-
-    def body(out):
-        rep, _ = harness.deterministic_run(cfg)
-        harness.write_json(os.path.join(out, "report.json"), rep.as_dict())
-        harness.write_run_csv(os.path.join(out, "runs.csv"), [rep])
-        click.echo(f"|u|_Vh = {rep.u_vh:.6e}  measured_ratio = "
-                   f"{rep.bound['measured_ratio']:.6e}")
-        _check_diagnostics(rep)
-        return EXIT_OK
-
-    sys.exit(_run_guarded(cfg, out_dir, body))
-
-
-@main.command("sweep")
-@_common
-@click.option("--omega", type=float, default=None)
-@click.option("--axis", type=click.Choice(["omega", "h", "L_amplitude"]),
-              required=True)
-@click.option("--values", required=True, help="comma-separated values")
-def sweep_cmd(config_path, out_dir, seed, threads, omega, axis, values):
-    """Run the deterministic experiment along one parameter axis."""
-    try:
-        cfg = _load(config_path, seed, omega, None, threads)
         vals = [float(v) for v in values.split(",")]
-    except (ElastripError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out_dir = out_dir or cfg.run.out_dir
-
-    def body(out):
-        rows = harness.parameter_sweep(cfg, axis, vals)
-        harness.write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
-        harness.write_json(os.path.join(out, "sweep.json"), {
-            "axis": axis, "points": [
-                {"value": r["value"], "error": r["error"],
-                 "report": r["report"].as_dict() if r["report"] else None}
-                for r in rows]})
-        n_fail = sum(r["report"] is None for r in rows)
-        click.echo(f"{len(rows) - n_fail}/{len(rows)} sweep points succeeded")
-        for r in rows:
-            if r["report"] is not None:
-                _check_diagnostics(r["report"])
-        return EXIT_OK
-
-    sys.exit(_run_guarded(cfg, out_dir, body))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    bad = [v for v in vals if not math.isfinite(v)]
+    if bad:
+        raise ConfigError(f"sweep values must be finite, got {bad[0]}")
+    return {"axis": axis, "values": vals}
 
 
-@main.command("mc")
-@_common
-@click.option("--omega", type=float, default=None)
-@click.option("--n-samples", type=int, default=None)
-def mc_cmd(config_path, out_dir, seed, threads, omega, n_samples):
+@_subcommand("sweep",
+             click.option("--axis", type=click.Choice(["omega", "h", "L_amplitude"]),
+                          required=True),
+             click.option("--values", required=True, help="comma-separated values"),
+             prepare=_parse_sweep_values)
+def sweep_cmd(cfg, out, axis, values):
+    """Run the deterministic experiment along one parameter axis."""
+    rows = harness.parameter_sweep(cfg, axis, values)
+    harness.write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
+    harness.write_json(os.path.join(out, "sweep.json"), {
+        "axis": axis, "points": [
+            {"value": r["value"], "error": r["error"],
+             "report": r["report"].as_dict() if r["report"] else None}
+            for r in rows]})
+    n_fail = sum(r["report"] is None for r in rows)
+    click.echo(f"{len(rows) - n_fail}/{len(rows)} sweep points succeeded")
+    for r in rows:
+        if r["report"] is not None:
+            _check_diagnostics(r["report"])
+    return EXIT_OK
+
+
+@_subcommand("mc", click.option("--n-samples", type=int, default=None))
+def mc_cmd(cfg, out):
     """Monte Carlo over the configured random-surface ensemble."""
-    try:
-        cfg = _load(config_path, seed, omega, n_samples, threads)
-    except ElastripError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out_dir = out_dir or cfg.run.out_dir
-
-    def body(out):
-        rep = harness.monte_carlo(cfg)
-        harness.write_json(os.path.join(out, "mc.json"), rep.as_dict())
-        harness.write_mc_csv(os.path.join(out, "mc_samples.csv"), rep)
-        click.echo(f"completed {rep.n_completed}/{rep.n_samples}  "
-                   f"ratio = {rep.ratio:.6e}")
-        bad = [r for r in rep.sample_rows
-               if r["energy_residual"] > harness.ENERGY_TOL
-               or r["radiated_power"] < harness.POWER_TOL]
-        if bad:
-            raise DiagnosticError(f"{len(bad)} samples violate the energy balance")
-        return EXIT_OK
-
-    sys.exit(_run_guarded(cfg, out_dir, body))
+    rep = harness.monte_carlo(cfg)
+    harness.write_json(os.path.join(out, "mc.json"), rep.as_dict())
+    harness.write_mc_csv(os.path.join(out, "mc_samples.csv"), rep)
+    click.echo(f"completed {rep.n_completed}/{rep.n_samples}  "
+               f"ratio = {rep.ratio:.6e}")
+    bad = [r for r in rep.sample_rows
+           if r["energy_residual"] > harness.ENERGY_TOL
+           or r["radiated_power"] < harness.POWER_TOL]
+    if bad:
+        raise DiagnosticError(f"{len(bad)} samples violate the energy balance")
+    return EXIT_OK
 
 
-@main.command("pushforward")
-@_common
-@click.option("--omega", type=float, default=None)
-@click.option("--n-z", type=int, default=None)
-def pushforward_cmd(config_path, out_dir, seed, threads, omega, n_z):
+@_subcommand("pushforward", click.option("--n-z", type=int, default=None))
+def pushforward_cmd(cfg, out, n_z):
     """Cross-check two flattening routes of the configured rough surface."""
+    res = harness.pushforward_check(cfg, n_z=n_z)
+    harness.write_json(os.path.join(out, "pushforward.json"), res)
+    click.echo(f"rel_l2 = {res['rel_l2']:.6e}  rel_vh = {res['rel_vh']:.6e}")
+    return EXIT_OK
+
+
+def _read_trace(trace_path, height):
     try:
-        cfg = _load(config_path, seed, omega, None, threads)
-    except ElastripError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out_dir = out_dir or cfg.run.out_dir
-
-    def body(out):
-        res = harness.pushforward_check(cfg, n_z=n_z)
-        harness.write_json(os.path.join(out, "pushforward.json"), res)
-        click.echo(f"rel_l2 = {res['rel_l2']:.6e}  rel_vh = {res['rel_vh']:.6e}")
-        return EXIT_OK
-
-    sys.exit(_run_guarded(cfg, out_dir, body))
-
-
-@main.command("extend")
-@_common
-@click.option("--omega", type=float, default=None)
-@click.option("--trace", "trace_path", type=click.Path(exists=True), required=True,
-              help="JSON file with a boundary trace: N1, N2, cell, values (3 x n1 x n2, re/im)")
-@click.option("--height", type=float, default=0.5, help="offset above the plane")
-def extend_cmd(config_path, out_dir, seed, threads, omega, trace_path, height):
-    """Propagate a stored boundary trace upward by the angular spectrum."""
-    from .dtn import BoundaryTrace, extend_field
-
-    try:
-        cfg = _load(config_path, seed, omega, None, threads)
         with open(trace_path) as fh:
             data = json.load(fh)
         grid = SpectralGrid(N1=int(data["N1"]), N2=int(data["N2"]),
@@ -297,23 +249,27 @@ def extend_cmd(config_path, out_dir, seed, threads, omega, trace_path, height):
         vals = np.array(data["values_re"]) + 1j * np.array(data["values_im"])
         trace = BoundaryTrace(values=vals, grid=grid)
     except (KeyError, ValueError, OSError) as exc:
-        click.echo(f"error: bad trace file: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except ElastripError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out_dir = out_dir or cfg.run.out_dir
+        raise ConfigError(f"bad trace file: {exc}") from None
+    return {"trace": trace, "height": height}
 
-    def body(out):
-        ext = extend_field(trace, height, cfg.elastic_params())
-        harness.write_json(os.path.join(out, "extend.json"), {
-            "height": height,
-            "values_re": ext.real.tolist(),
-            "values_im": ext.imag.tolist()})
-        click.echo(f"extended trace written (max |u| = {np.abs(ext).max():.6e})")
-        return EXIT_OK
 
-    sys.exit(_run_guarded(cfg, out_dir, body))
+@_subcommand("extend",
+             click.option("--trace", "trace_path", type=click.Path(exists=True),
+                          required=True,
+                          help="JSON file with a boundary trace: N1, N2, cell, "
+                               "values (3 x n1 x n2, re/im)"),
+             click.option("--height", type=float, default=0.5,
+                          help="offset above the plane"),
+             prepare=_read_trace)
+def extend_cmd(cfg, out, trace, height):
+    """Propagate a stored boundary trace upward by the angular spectrum."""
+    ext = extend_field(trace, height, cfg.elastic_params())
+    harness.write_json(os.path.join(out, "extend.json"), {
+        "height": height,
+        "values_re": ext.real.tolist(),
+        "values_im": ext.imag.tolist()})
+    click.echo(f"extended trace written (max |u| = {np.abs(ext).max():.6e})")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

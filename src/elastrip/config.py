@@ -157,6 +157,8 @@ def load_config(path: str) -> RunConfig:
             data = yaml.safe_load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     return from_dict(data or {})

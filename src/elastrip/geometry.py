@@ -249,7 +249,6 @@ class RandomSample:
     surface: SurfaceProfile
     source: "object"
     sample_id: int
-    rng_stream: tuple[int, int]
 
 
 def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
@@ -266,7 +265,6 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
 
     if n <= 0:
         raise ConstraintError("ensemble size must be positive")
-    source_spec = source_spec or SourceSpec()
     samples = []
     for sample_id in range(n):
         rng = _sample_rng(seed, sample_id)
@@ -286,6 +284,5 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
                 f"sample {sample_id}: no admissible surface in {max_retries} retries"
             )
         source = BumpSource.random(rng, geom, f0, spec=source_spec)
-        samples.append(RandomSample(surface=surface, source=source,
-                                    sample_id=sample_id, rng_stream=(seed, sample_id)))
+        samples.append(RandomSample(surface=surface, source=source, sample_id=sample_id))
     return samples

@@ -25,7 +25,8 @@ from .mesh import StripMesh
 from .params import (ElasticParams, StripGeometry, bound_constants,
                      total_bound_stochastic)
 from .solver import (DiscreteField, TransformCoefficients, assemble_rhs,
-                     energy_balance, poincare_slack, solve_field)
+                     energy_balance, physical_quad_fields, poincare_slack,
+                     quad_points, quad_weights, solve_field)
 from .sources import BumpSource
 
 ENERGY_TOL = 1e-8
@@ -131,30 +132,30 @@ def build_setup(cfg: RunConfig):
     return params, geom, grid, mesh, f0, profile, cutoff, source
 
 
-def _quad_heights(mesh: StripMesh, coeffs: TransformCoefficients | None):
-    if coeffs is None:
-        return mesh.zq[None, None, :, :]
-    return coeffs.x3
+def solve_surface(mesh: StripMesh, params: ElasticParams, f0: SurfaceProfile,
+                  surface: SurfaceProfile, cutoff: CutoffFn, source, *,
+                  physical: bool, tol: float):
+    """Transform, load vector and solve for one surface: (field, info, rhs, coeffs).
+
+    This is the one place that decides whether a surface needs the
+    flattening transform.  ``coeffs`` is None exactly when surface - f0 is
+    identically zero (same offset, no nonzero term on either), and the
+    solve is then the direct per-mode one.  ``physical`` evaluates the
+    source at the physical heights of the transformed strip.
+    """
+    coeffs = None
+    if not (surface.offset == f0.offset and surface.is_flat() and f0.is_flat()):
+        coeffs = TransformCoefficients(mesh, f0, surface, cutoff)
+    rhs = assemble_rhs(mesh, source, coeffs, physical=physical)
+    field, info = solve_field(mesh, params, rhs, coeffs, tol=tol)
+    return field, info, rhs, coeffs
 
 
 def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | None):
     """(L2^2, grad^2) of the field over the physical strip (change of variables)."""
-    from .solver import _physical_gradient
-
     mesh = field.mesh
-    g = mesh.grid
-    xi1, xi2 = g.frequencies()
-    ixi1 = 1j * xi1[None, :, None, None, None]
-    ixi2 = 1j * xi2[None, None, :, None, None]
-    Uq = mesh.eval_at_quad(field.coeff)
-    dUq = mesh.deriv_at_quad(field.coeff)
-    Gy_hat = np.stack([ixi1 * Uq, ixi2 * Uq, dUq], axis=1)
-    u_phys = mesh.to_physical(Uq, ax1=1, ax2=2)
-    Gy = mesh.to_physical(Gy_hat, ax1=2, ax2=3)
-    Gx = _physical_gradient(Gy, None if (coeffs is None or coeffs.is_identity) else coeffs)
-    wgt = mesh.wq[None, None, :, :] * mesh.point_weight
-    if coeffs is not None and not coeffs.is_identity:
-        wgt = wgt * coeffs.det
+    u_phys, Gx = physical_quad_fields(mesh, field.coeff, coeffs)
+    wgt = quad_weights(mesh, coeffs)
     l2 = float(np.sum(wgt * np.abs(u_phys) ** 2))
     grad = float(np.sum(wgt * np.abs(Gx) ** 2))
     return l2, grad
@@ -163,15 +164,11 @@ def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | N
 def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
                  physical: bool = False):
     """(||g||_L2, ||g||_H1) over the strip by the solver's quadrature."""
-    x1, x2 = mesh.collocation_padded()
-    X1 = x1[:, None, None, None]
-    X2 = x2[None, :, None, None]
-    Z = _quad_heights(mesh, coeffs) if physical else mesh.zq[None, None, :, :]
-    vals = source.values(X1, X2, Z)
-    grads = source.gradients(X1, X2, Z)
-    wgt = mesh.wq[None, None, :, :] * mesh.point_weight
-    if physical and coeffs is not None and not coeffs.is_identity:
-        wgt = wgt * coeffs.det
+    coeffs = coeffs if physical else None
+    points = quad_points(mesh, coeffs)
+    vals = source.values(*points)
+    grads = source.gradients(*points)
+    wgt = quad_weights(mesh, coeffs)
     l2_sq = float(np.sum(wgt * vals ** 2))
     h1_sq = l2_sq + float(np.sum(wgt * grads ** 2))
     return np.sqrt(l2_sq), np.sqrt(h1_sq)
@@ -201,12 +198,9 @@ def deterministic_run(cfg: RunConfig, label: str = "run") -> tuple[RunReport, Di
     """One full solve with the configured surface; bound ratio in physical norms."""
     t0 = time.perf_counter()
     params, geom, grid, mesh, f0, profile, cutoff, source = build_setup(cfg)
-    coeffs = None
-    if not profile.is_flat():
-        coeffs = TransformCoefficients(mesh, f0, profile, cutoff)
-    rhs = assemble_rhs(mesh, source, coeffs, physical=True)
-    field, info = solve_field(mesh, params, rhs, coeffs,
-                              tol=cfg.discretization.solver_tol)
+    field, info, rhs, coeffs = solve_surface(mesh, params, f0, profile, cutoff, source,
+                                             physical=True,
+                                             tol=cfg.discretization.solver_tol)
     l2_sq, grad_sq = field_physical_norms(field, coeffs)
     u_vh = float(np.sqrt(l2_sq + grad_sq))
     g_l2, g_h1 = source_norms(source, mesh, coeffs, physical=True)
@@ -253,6 +247,25 @@ def parameter_sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
     return rows
 
 
+def _solve_sample(mesh: StripMesh, params: ElasticParams, f0: SurfaceProfile,
+                  cutoff: CutoffFn, sample, *, tol: float):
+    """(|u|_H1^2, |g|_H1^2, report row) of one ensemble sample.
+
+    Every array of the sample is released on return, before the next
+    sample's transform is built.
+    """
+    field, info, rhs, _ = solve_surface(mesh, params, f0, sample.surface, cutoff,
+                                        sample.source, physical=False, tol=tol)
+    u_sq = field.vh_norm() ** 2
+    _, g_h1 = source_norms(sample.source, mesh, None)
+    g_sq = g_h1 ** 2
+    res, power = energy_balance(field, rhs, params)
+    return u_sq, g_sq, {"sample_id": sample.sample_id, "u_h1_sq": u_sq,
+                        "g_h1_sq": g_sq, "energy_residual": res,
+                        "radiated_power": power, "surface_L": sample.surface.L,
+                        "iterations": info.iterations}
+
+
 def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -> McReport:
     """Ensemble of transformed solves; stochastic bound ratio with L0 = M0 + L.
 
@@ -273,25 +286,15 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     u_sqs, g_sqs, rows, failures = [], [], [], []
     for sample in samples:
         try:
-            coeffs = None
-            if not sample.surface.is_flat():
-                coeffs = TransformCoefficients(mesh, f0, sample.surface, cutoff)
-            rhs = assemble_rhs(mesh, sample.source, coeffs)
-            field, info = solve_field(mesh, params, rhs, coeffs,
-                                      tol=cfg.discretization.solver_tol)
-            u_sq = field.vh_norm() ** 2
-            _, g_h1 = source_norms(sample.source, mesh, None)
-            g_sq = g_h1 ** 2
-            res, power = energy_balance(field, rhs, params)
-            u_sqs.append(u_sq)
-            g_sqs.append(g_sq)
-            rows.append({"sample_id": sample.sample_id, "u_h1_sq": u_sq,
-                         "g_h1_sq": g_sq, "energy_residual": res,
-                         "radiated_power": power, "surface_L": sample.surface.L,
-                         "iterations": info.iterations})
+            u_sq, g_sq, row = _solve_sample(mesh, params, f0, cutoff, sample,
+                                            tol=cfg.discretization.solver_tol)
         except ElastripError as exc:
             failures.append({"sample_id": sample.sample_id,
                              "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        u_sqs.append(u_sq)
+        g_sqs.append(g_sq)
+        rows.append(row)
 
     if not u_sqs:
         raise ElastripError("all Monte Carlo samples failed")
@@ -331,10 +334,8 @@ def pushforward_check(cfg: RunConfig, profile: SurfaceProfile | None = None,
 
     fields = []
     for cutoff in (cutoff_a, cutoff_b):
-        coeffs = TransformCoefficients(mesh, f0, profile, cutoff)
-        rhs = assemble_rhs(mesh, source, coeffs, physical=True)
-        fld, _ = solve_field(mesh, params, rhs, coeffs,
-                             tol=cfg.discretization.solver_tol)
+        fld, _, _, _ = solve_surface(mesh, params, f0, profile, cutoff, source,
+                                     physical=True, tol=cfg.discretization.solver_tol)
         fields.append((fld, cutoff))
 
     # shared physical sample points: horizontal lattice x heights above the

@@ -97,45 +97,26 @@ class StripMesh:
 
     # -- padded pseudospectral transforms ------------------------------------
 
-    def pad_spectrum(self, C: np.ndarray, ax1: int, ax2: int) -> np.ndarray:
-        """Zero-pad FFT-ordered spectrum from (n1, n2) to (P1, P2)."""
-        n1, n2, N1, N2 = self.grid.n1, self.grid.n2, self.grid.N1, self.grid.N2
+    def _copy_spectrum(self, C: np.ndarray, ax1: int, ax2: int, pad: bool) -> np.ndarray:
+        """Move an FFT-ordered spectrum between (n1, n2) and padded (P1, P2).
+
+        Modes 0..N sit at the front of both layouts and the negative modes at
+        the tail; ``pad`` zero-fills the extra padded slots, otherwise they
+        are dropped.
+        """
+        g = self.grid
+        segments = [[(slice(0, N + 1), slice(0, N + 1)), (slice(N + 1, n), slice(P - N, P))]
+                    for n, N, P in ((g.n1, g.N1, self.P1), (g.n2, g.N2, self.P2))]
         shape = list(C.shape)
-        shape[ax1], shape[ax2] = self.P1, self.P2
+        shape[ax1], shape[ax2] = (self.P1, self.P2) if pad else (g.n1, g.n2)
         out = np.zeros(shape, dtype=complex)
-        sl = [slice(None)] * C.ndim
-
-        def seg(ax, n, N, P):
-            # positive modes 0..N stay, negative modes map to the tail
-            return [(slice(0, N + 1), slice(0, N + 1)),
-                    (slice(N + 1, n), slice(P - N, P))]
-
-        for s1_src, s1_dst in seg(ax1, n1, N1, self.P1):
-            for s2_src, s2_dst in seg(ax2, n2, N2, self.P2):
-                src = list(sl)
-                dst = list(sl)
-                src[ax1], src[ax2] = s1_src, s2_src
-                dst[ax1], dst[ax2] = s1_dst, s2_dst
-                out[tuple(dst)] = C[tuple(src)]
-        return out
-
-    def unpad_spectrum(self, C: np.ndarray, ax1: int, ax2: int) -> np.ndarray:
-        n1, n2, N1, N2 = self.grid.n1, self.grid.n2, self.grid.N1, self.grid.N2
-        shape = list(C.shape)
-        shape[ax1], shape[ax2] = n1, n2
-        out = np.zeros(shape, dtype=complex)
-        sl = [slice(None)] * C.ndim
-
-        def seg(n, N, P):
-            return [(slice(0, N + 1), slice(0, N + 1)),
-                    (slice(N + 1, n), slice(P - N, P))]
-
-        for s1_dst, s1_src in seg(n1, N1, self.P1):
-            for s2_dst, s2_src in seg(n2, N2, self.P2):
-                src = list(sl)
-                dst = list(sl)
-                src[ax1], src[ax2] = s1_src, s2_src
-                dst[ax1], dst[ax2] = s1_dst, s2_dst
+        for s1_small, s1_big in segments[0]:
+            for s2_small, s2_big in segments[1]:
+                small = [slice(None)] * C.ndim
+                big = list(small)
+                small[ax1], small[ax2] = s1_small, s2_small
+                big[ax1], big[ax2] = s1_big, s2_big
+                dst, src = (big, small) if pad else (small, big)
                 out[tuple(dst)] = C[tuple(src)]
         return out
 
@@ -143,7 +124,7 @@ class StripMesh:
         """Mode coefficients -> values on the padded collocation grid."""
         ax1 = ax1 % C.ndim
         ax2 = ax2 % C.ndim
-        padded = self.pad_spectrum(C, ax1, ax2)
+        padded = self._copy_spectrum(C, ax1, ax2, pad=True)
         return np.fft.ifft2(padded, axes=(ax1, ax2)) * (self.P1 * self.P2)
 
     def to_modes_adjoint(self, W: np.ndarray, ax1: int = -4, ax2: int = -3) -> np.ndarray:
@@ -151,7 +132,7 @@ class StripMesh:
         ax1 = ax1 % W.ndim
         ax2 = ax2 % W.ndim
         spec = np.fft.fft2(W, axes=(ax1, ax2))
-        return self.unpad_spectrum(spec, ax1, ax2)
+        return self._copy_spectrum(spec, ax1, ax2, pad=False)
 
     def collocation_padded(self):
         x1 = self.grid.cell[0] * np.arange(self.P1) / self.P1

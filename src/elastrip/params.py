@@ -43,11 +43,6 @@ class ElasticParams:
         object.__setattr__(self, "k_s", self.omega / math.sqrt(self.mu))
 
 
-def validate_params(lam: float, mu: float, omega: float) -> ElasticParams:
-    """Validate raw inputs and return parameters with derived wavenumbers."""
-    return ElasticParams(lam=float(lam), mu=float(mu), omega=float(omega))
-
-
 @dataclass(frozen=True)
 class StripGeometry:
     """Truncated computational strip: surface slab bounds and artificial plane.
@@ -73,13 +68,6 @@ class StripGeometry:
     @property
     def H(self) -> float:
         return self.h + 1.0
-
-    def gap_ratio(self, f0_sup: float) -> float:
-        """(M_sup - m) / (h - sup f0); the transform needs this < 1."""
-        gamma_gap = self.h - f0_sup
-        if gamma_gap <= 0:
-            raise ConstraintError(f"reference surface reaches the plane h={self.h}")
-        return (self.M_sup - self.m) / gamma_gap
 
 
 def vertical_wavenumber(k: float, xi) -> complex:

@@ -18,7 +18,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .dtn import BoundaryTrace, SpectralGrid, dtn_symbol_grid, energy_flux
-from .errors import ConstraintError, ElastripError, NonConvergenceError
+from .errors import ConstraintError, NonConvergenceError
 from .geometry import CutoffFn, SurfaceProfile, transform_fields
 from .mesh import StripMesh
 from .params import ElasticParams
@@ -118,11 +118,6 @@ class DiscreteField:
         return np.einsum("cabp,ap,bp->cp", modes, ph, ph2)
 
 
-def vh_norm(field: DiscreteField) -> float:
-    """Energy norm (||grad u||^2 + ||u||^2)^{1/2} of a discrete field."""
-    return field.vh_norm()
-
-
 # ---------------------------------------------------------------------------
 # per-mode coefficient matrices of the flat sesquilinear form
 # ---------------------------------------------------------------------------
@@ -206,11 +201,7 @@ class TransformCoefficients:
 
     def __init__(self, mesh: StripMesh, f0: SurfaceProfile, f: SurfaceProfile,
                  cutoff: CutoffFn):
-        x1, x2 = mesh.collocation_padded()
-        X1 = x1[:, None, None, None]
-        X2 = x2[None, :, None, None]
-        Z = mesh.zq[None, None, :, :]
-        _x3, J1, J2, J3 = transform_fields(X1, X2, Z, f0, f, cutoff)
+        _x3, J1, J2, J3 = transform_fields(*quad_points(mesh), f0, f, cutoff)
         if np.abs(J3).max() >= 1:
             from .errors import SingularTransformError
             raise SingularTransformError(
@@ -223,10 +214,6 @@ class TransformCoefficients:
             np.shape(_x3), J3.shape)).copy()
         self.mesh = mesh
         self.f0, self.f, self.cutoff = f0, f, cutoff
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.all(self.J1 == 0) and np.all(self.J2 == 0) and np.all(self.J3 == 0))
 
 
 def _physical_gradient(Gy, coeffs: TransformCoefficients | None):
@@ -253,24 +240,60 @@ def _dual_gradient(Sx, coeffs: TransformCoefficients | None):
     return Sy
 
 
+def quad_points(mesh: StripMesh, coeffs: TransformCoefficients | None = None):
+    """Padded collocation x Gauss points (X1, X2, Z), broadcastable.
+
+    With ``coeffs`` the heights are the physical ones, x3 = H(y)_3.
+    """
+    x1, x2 = mesh.collocation_padded()
+    Z = mesh.zq[None, None, :, :] if coeffs is None else coeffs.x3
+    return x1[:, None, None, None], x2[None, :, None, None], Z
+
+
+def quad_weights(mesh: StripMesh, coeffs: TransformCoefficients | None = None):
+    """Weights of the points of :func:`quad_points`, times det J under ``coeffs``."""
+    wgt = mesh.wq[None, None, :, :] * mesh.point_weight
+    if coeffs is not None:
+        wgt = wgt * coeffs.det
+    return wgt
+
+
+def physical_quad_fields(mesh: StripMesh, U: np.ndarray,
+                         coeffs: TransformCoefficients | None = None):
+    """Values and physical gradient of nodal modes U at the quad points.
+
+    Returns (u, Gx) with u[c] and Gx[c, j] = d_j u_c on the padded
+    collocation x Gauss grid; the gradient is pulled through the chain rule
+    of ``coeffs``.
+    """
+    xi1, xi2 = mesh.grid.frequencies()
+    Uq = mesh.eval_at_quad(U)            # (3, n1, n2, e, q)
+    dUq = mesh.deriv_at_quad(U)
+    Gy_hat = np.stack([1j * xi1[None, :, None, None, None] * Uq,
+                       1j * xi2[None, None, :, None, None] * Uq, dUq], axis=1)
+    u = mesh.to_physical(Uq, ax1=1, ax2=2)
+    Gy = mesh.to_physical(Gy_hat, ax1=2, ax2=3)
+    return u, _physical_gradient(Gy, coeffs)
+
+
 class StripOperator(scipy.sparse.linalg.LinearOperator):
     """Matrix-free action of the (possibly transformed) sesquilinear form.
 
     The volume terms are evaluated pseudospectrally at quadrature points with
     Jacobian-weighted physical gradients; the DtN term is mode-diagonal at the
-    top node.  With an identity transform this action coincides with the
-    assembled flat blocks to roundoff.
+    top node.  Without a transform this action coincides with the assembled
+    flat blocks to roundoff.
     """
 
     def __init__(self, mesh: StripMesh, params: ElasticParams,
                  coeffs: TransformCoefficients | None = None):
         self.mesh = mesh
         self.params = params
-        self.coeffs = coeffs if (coeffs is None or not coeffs.is_identity) else None
+        self.coeffs = coeffs
         g = mesh.grid
         xi1, xi2 = g.frequencies()
-        self._ixi1 = 1j * xi1[None, :, None, None, None]
-        self._ixi2 = 1j * xi2[None, None, :, None, None]
+        self._ixi1 = 1j * xi1[:, None, None, None]
+        self._ixi2 = 1j * xi2[None, :, None, None]
         XI1, XI2, _ = g.frequency_mesh()
         self._Msym = dtn_symbol_grid(XI1, XI2, params)
         n = 3 * g.n1 * g.n2 * (mesh.n_nodes - 1)
@@ -281,12 +304,7 @@ class StripOperator(scipy.sparse.linalg.LinearOperator):
         g = mesh.grid
         field = DiscreteField.from_free_vector(np.asarray(vec).ravel(), mesh)
         U = field.coeff
-        Uq = mesh.eval_at_quad(U)            # (3, n1, n2, e, q)
-        dUq = mesh.deriv_at_quad(U)
-        Gy_hat = np.stack([self._ixi1 * Uq, self._ixi2 * Uq, dUq], axis=1)
-        u_phys = mesh.to_physical(Uq, ax1=1, ax2=2)
-        Gy = mesh.to_physical(Gy_hat, ax1=2, ax2=3)
-        Gx = _physical_gradient(Gy, self.coeffs)
+        u_phys, Gx = physical_quad_fields(mesh, U, self.coeffs)
 
         lam, mu, w = params.lam, params.mu, params.omega
         trG = Gx[0, 0] + Gx[1, 1] + Gx[2, 2]
@@ -302,16 +320,14 @@ class StripOperator(scipy.sparse.linalg.LinearOperator):
         Sx[1, 0] -= mu * curl[2]
         Sx[0, 1] += mu * curl[2]
 
-        wgt = mesh.wq[None, None, :, :] * mesh.point_weight
-        if self.coeffs is not None:
-            wgt = wgt * self.coeffs.det
+        wgt = quad_weights(mesh, self.coeffs)
         Sy = _dual_gradient(Sx, self.coeffs) * wgt
         mass_dual = -(w * w) * u_phys * wgt
 
         Sy_hat = mesh.to_modes_adjoint(Sy, ax1=2, ax2=3)
         mass_hat = mesh.to_modes_adjoint(mass_dual, ax1=1, ax2=2)
         # duals of the value DOFs: mass + conj(i xi) pullback of horizontal grads
-        Wq = mass_hat - self._ixi1[0] * Sy_hat[:, 0] - self._ixi2[0] * Sy_hat[:, 1]
+        Wq = mass_hat - self._ixi1 * Sy_hat[:, 0] - self._ixi2 * Sy_hat[:, 1]
         Wdq = Sy_hat[:, 2]
         R = mesh.scatter_from_quad(Wq, Wdq)
 
@@ -330,16 +346,9 @@ def assemble_rhs(mesh: StripMesh, source,
     (evaluated at the physical height), so two different transforms of the
     same physical problem assemble consistent data.
     """
-    x1, x2 = mesh.collocation_padded()
-    X1 = x1[:, None, None, None]
-    X2 = x2[None, :, None, None]
-    Z = mesh.zq[None, None, :, :]
-    if physical and coeffs is not None:
-        Z = coeffs.x3
-    gvals = source.values(X1, X2, Z).astype(complex)  # (3, P1, P2, e, q)
-    wgt = mesh.wq[None, None, :, :] * mesh.point_weight
-    if coeffs is not None and not coeffs.is_identity:
-        wgt = wgt * coeffs.det
+    points = quad_points(mesh, coeffs if physical else None)
+    gvals = source.values(*points).astype(complex)  # (3, P1, P2, e, q)
+    wgt = quad_weights(mesh, coeffs)
     Wq = mesh.to_modes_adjoint(-gvals * wgt, ax1=1, ax2=2)
     R = mesh.scatter_from_quad(Wq)
     return R[:, :, :, 1:].ravel()
@@ -354,36 +363,6 @@ class SolveInfo:
     residual: float
     iterations: int
     method: str
-
-
-@dataclass
-class LinearSystem:
-    """Assembled variational system: flat systems are mode-decoupled."""
-
-    mesh: StripMesh
-    params: ElasticParams
-    rhs: np.ndarray
-    coeffs: TransformCoefficients | None
-
-    @property
-    def mode_coupling(self) -> bool:
-        return self.coeffs is not None and not self.coeffs.is_identity
-
-
-def assemble_system(mesh: StripMesh, params: ElasticParams, f0: SurfaceProfile,
-                    f: SurfaceProfile, cutoff: CutoffFn, source,
-                    physical: bool = True) -> LinearSystem:
-    """Full assembly for a surface pair: transform data plus load vector."""
-    coeffs = None
-    if f.sup_distance_1inf(f0) > 0:
-        coeffs = TransformCoefficients(mesh, f0, f, cutoff)
-    rhs = assemble_rhs(mesh, source, coeffs, physical=physical)
-    return LinearSystem(mesh=mesh, params=params, rhs=rhs, coeffs=coeffs)
-
-
-def solve_system(system: LinearSystem, tol: float = 1e-9):
-    return solve_field(system.mesh, system.params, system.rhs, system.coeffs,
-                       tol=tol)
 
 
 def solve_flat(mesh: StripMesh, params: ElasticParams, rhs: np.ndarray,
@@ -410,8 +389,9 @@ def solve_flat(mesh: StripMesh, params: ElasticParams, rhs: np.ndarray,
 def solve_field(mesh: StripMesh, params: ElasticParams, rhs: np.ndarray,
                 coeffs: TransformCoefficients | None = None,
                 tol: float = 1e-9) -> tuple[DiscreteField, SolveInfo]:
-    """Solve the variational system; dispatches flat/rough on the transform."""
-    if coeffs is None or coeffs.is_identity:
+    """Solve the variational system: direct per mode without a transform,
+    GMRES preconditioned by the flat blocks with one."""
+    if coeffs is None:
         return solve_flat(mesh, params, rhs)
     op = StripOperator(mesh, params, coeffs)
     g = mesh.grid
@@ -596,6 +576,38 @@ def coercivity_probe(mesh: StripMesh, params: ElasticParams, n_probes: int = 200
             "n_probes": n_probes, "seed": seed}
 
 
+def _gauss_legendre(z_lo: float, z_hi: float, n: int):
+    """n-point Gauss-Legendre nodes and weights on [z_lo, z_hi]."""
+    zq, wq = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (z_hi + z_lo) + 0.5 * (z_hi - z_lo) * zq, 0.5 * (z_hi - z_lo) * wq
+
+
+def _boundary_jump(mf, z_lo: float, z_hi: float, params: ElasticParams) -> float:
+    """Rellich boundary density of one mode field, top minus bottom.
+
+    The density is 2 Re(Tu . d3 conj(u)) - E(u, conj u) + w^2 |u|^2 with the
+    upward traction T.
+    """
+    lam, mu, w = params.lam, params.mu, params.omega
+    ix = 1j * mf.xi
+    jump = 0.0
+    for z, sign in ((z_hi, 1.0), (z_lo, -1.0)):
+        U, dU = mf.fn(z), mf.dfn(z)
+        div = ix[0] * U[0] + ix[1] * U[1] + dU[2]
+        T = np.array([
+            mu * dU[0] + mu * ix[0] * U[2],
+            mu * dU[1] + mu * ix[1] * U[2],
+            (lam + 2 * mu) * dU[2] + lam * (ix[0] * U[0] + ix[1] * U[1]),
+        ])
+        G = np.stack([ix[0] * U, ix[1] * U, dU], axis=1)
+        curl = np.array([G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]])
+        edens = (2 * mu * np.sum(np.abs(G) ** 2) + lam * abs(div) ** 2
+                 - mu * np.sum(np.abs(curl) ** 2))
+        jump += sign * float(2 * np.real(T @ np.conj(dU)) - edens
+                             + w * w * np.sum(np.abs(U) ** 2))
+    return jump
+
+
 def rellich_residual(field: DiscreteField, source, params: ElasticParams,
                      coeffs: TransformCoefficients | None = None,
                      n_quad: int = 400) -> float:
@@ -607,51 +619,26 @@ def rellich_residual(field: DiscreteField, source, params: ElasticParams,
     derivatives of the piecewise-linear field); boundary densities use a
     cubic-spline lift of the mode profiles.  Restricted to flat surfaces.
     """
-    from scipy.interpolate import CubicSpline
-
-    if coeffs is not None and not coeffs.is_identity:
+    if coeffs is not None:
         raise ConstraintError("Rellich diagnostic is only defined on flat surfaces")
     mesh = field.mesh
     g = mesh.grid
-    lam, mu, w = params.lam, params.mu, params.omega
     z_lo, z_hi = mesh.bottom, mesh.top
-    zq, wq = np.polynomial.legendre.leggauss(n_quad)
-    zq = 0.5 * (z_hi + z_lo) + 0.5 * (z_hi - z_lo) * zq
-    wq = 0.5 * (z_hi - z_lo) * wq
+    zq, wq = _gauss_legendre(z_lo, z_hi, n_quad)
 
     # mode coefficients of the source at the quadrature heights
     x1, x2 = g.collocation_points()
     gvals = source.values(x1[:, None, None], x2[None, :, None], zq[None, None, :])
     ghat = np.fft.fft2(gvals, axes=(1, 2)) / (g.n1 * g.n2)   # (3, n1, n2, q)
 
-    nodes = mesh.nodes
-    xi1, xi2 = g.frequencies()
     lhs = 0.0
     rhs = 0.0
     for i1 in range(g.n1):
         for i2 in range(g.n2):
-            sp = [CubicSpline(nodes, field.coeff[c, i1, i2, :]) for c in range(3)]
-            dUq = np.stack([s(zq, 1) for s in sp])
+            mf = ModeFieldSmooth.from_discrete(field, i1, i2)
+            dUq = mf.dfn(zq)
             lhs += 2 * np.sum(wq * np.real(np.sum(ghat[:, i1, i2, :] * np.conj(dUq), axis=0)))
-            ix = 1j * np.array([xi1[i1], xi2[i2]])
-
-            def density(z):
-                U = np.array([s(z) for s in sp])
-                dU = np.array([s(z, 1) for s in sp])
-                div = ix[0] * U[0] + ix[1] * U[1] + dU[2]
-                T = np.array([
-                    mu * dU[0] + mu * ix[0] * U[2],
-                    mu * dU[1] + mu * ix[1] * U[2],
-                    (lam + 2 * mu) * dU[2] + lam * (ix[0] * U[0] + ix[1] * U[1]),
-                ])
-                G = np.stack([ix[0] * U, ix[1] * U, dU], axis=1)
-                curl = np.array([G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]])
-                edens = (2 * mu * np.sum(np.abs(G) ** 2) + lam * abs(div) ** 2
-                         - mu * np.sum(np.abs(curl) ** 2))
-                return float(2 * np.real(T @ np.conj(dU)) - edens
-                             + w * w * np.sum(np.abs(U) ** 2))
-
-            rhs += density(z_hi) - density(z_lo)
+            rhs += _boundary_jump(mf, z_lo, z_hi, params)
     lhs *= g.cell_area
     rhs *= g.cell_area
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _ENERGY_EPS)
@@ -689,9 +676,7 @@ def rellich_identity_residual(mode_fields, params: ElasticParams, z_lo: float,
     the upward traction convention).  Fields must vanish at z_lo.
     """
     lam, mu, w = params.lam, params.mu, params.omega
-    zq, wq = np.polynomial.legendre.leggauss(n_quad)
-    zq = 0.5 * (z_hi + z_lo) + 0.5 * (z_hi - z_lo) * zq
-    wq = 0.5 * (z_hi - z_lo) * wq
+    zq, wq = _gauss_legendre(z_lo, z_hi, n_quad)
     lhs = 0.0
     rhs = 0.0
     for mf in mode_fields:
@@ -706,25 +691,7 @@ def rellich_identity_residual(mode_fields, params: ElasticParams, z_lo: float,
         nav[1] += (lam + mu) * ix[1] * div
         nav[2] += (lam + mu) * ddiv
         lhs += 2 * np.sum(wq * np.real(np.sum(nav * np.conj(dU), axis=0)))
-
-        def boundary_density(z):
-            U, dU = mf.fn(z), mf.dfn(z)
-            div = ix[0] * U[0] + ix[1] * U[1] + dU[2]
-            T = np.array([
-                mu * dU[0] + mu * ix[0] * U[2],
-                mu * dU[1] + mu * ix[1] * U[2],
-                (lam + 2 * mu) * dU[2] + lam * (ix[0] * U[0] + ix[1] * U[1]),
-            ])
-            G = np.zeros((3, 3), dtype=complex)
-            G[:, 0] = ix[0] * U
-            G[:, 1] = ix[1] * U
-            G[:, 2] = dU
-            curl = np.array([G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]])
-            edens = (2 * mu * np.sum(np.abs(G) ** 2) + lam * abs(div) ** 2
-                     - mu * np.sum(np.abs(curl) ** 2))
-            return float(2 * np.real(T @ np.conj(dU)) - edens + w * w * np.sum(np.abs(U) ** 2))
-
-        rhs += boundary_density(z_hi) - boundary_density(z_lo)
+        rhs += _boundary_jump(mf, z_lo, z_hi, params)
     lhs *= cell_area
     rhs *= cell_area
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _ENERGY_EPS)

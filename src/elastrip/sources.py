@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError
+from .geometry import SourceSpec
 from .params import StripGeometry
 
 
@@ -102,26 +103,24 @@ class BumpSource:
 
     @classmethod
     def random(cls, rng: np.random.Generator, geom: StripGeometry, f0,
-               spec=None) -> "BumpSource":
+               spec: SourceSpec | None = None) -> "BumpSource":
         """Random member of the family, supported above sup f-range of the slab.
 
         The support margin is taken against M_sup so the bump stays inside the
         physical strip for every admissible surface of the ensemble.
         """
-        n_terms = getattr(spec, "n_terms", 2)
-        max_mode = getattr(spec, "max_mode", 1)
-        amplitude = getattr(spec, "amplitude", 1.0)
+        spec = spec or SourceSpec()
         lo = geom.M_sup + 0.05 * (geom.h - geom.M_sup)
         hi = geom.h - 0.05 * (geom.h - geom.M_sup)
         z0 = rng.uniform(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo))
         sigma = min(z0 - lo, hi - z0)
         factors = []
-        for _ in range(n_terms):
+        for _ in range(spec.n_terms):
             factors.append(HarmonicFactor(
                 component=int(rng.integers(0, 3)),
-                j1=int(rng.integers(-max_mode, max_mode + 1)),
-                j2=int(rng.integers(-max_mode, max_mode + 1)),
-                amplitude=float(amplitude * rng.uniform(0.2, 1.0)),
+                j1=int(rng.integers(-spec.max_mode, spec.max_mode + 1)),
+                j2=int(rng.integers(-spec.max_mode, spec.max_mode + 1)),
+                amplitude=float(spec.amplitude * rng.uniform(0.2, 1.0)),
                 phase=float(rng.uniform(0, 2 * np.pi)),
             ))
         return cls(factors=tuple(factors), z0=z0, sigma=sigma, cell=geom.cell)

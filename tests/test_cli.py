@@ -78,6 +78,42 @@ def test_missing_config_file_exits_1(runner, tmp_path):
     assert res.exit_code == 1
 
 
+def write_trace(tmp_path):
+    vals = np.random.default_rng(0).standard_normal((3, 3, 3))
+    trace = {"N1": 1, "N2": 1, "cell": [2 * np.pi, 2 * np.pi],
+             "values_re": vals.tolist(), "values_im": (0 * vals).tolist()}
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(trace))
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [
+    ["constants"], ["verify-dtn"], ["solve"],
+    ["sweep", "--axis", "omega", "--values", "1.0"], ["mc"], ["pushforward"],
+    ["extend", "--trace", None],
+])
+def test_every_subcommand_rejects_bad_config_path(runner, tmp_path, args):
+    args = [a if a is not None else write_trace(tmp_path) for a in args]
+    out = tmp_path / "out"
+    for config, message in ((tmp_path / "nope.yaml", "error: config file not found"),
+                            (tmp_path, "error: cannot read config")):
+        res = runner.invoke(main, args + ["--config", str(config), "--out", str(out)])
+        assert res.exit_code == 1
+        assert message in res.output
+        assert not out.exists()
+
+
+def test_sweep_rejects_non_finite_values(runner, tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out),
+                               "--axis", "omega", "--values", "1,nan"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert any(line.startswith("error:") for line in res.output.splitlines())
+    assert not out.exists()
+
+
 def test_sweep_csv(runner, tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -133,14 +169,8 @@ def test_pushforward_command(runner, tmp_path):
 
 
 def test_extend_command(runner, tmp_path):
-    rng = np.random.default_rng(0)
-    vals = rng.standard_normal((3, 3, 3))
-    trace = {"N1": 1, "N2": 1, "cell": [2 * np.pi, 2 * np.pi],
-             "values_re": vals.tolist(), "values_im": (0 * vals).tolist()}
-    tr_path = tmp_path / "trace.json"
-    tr_path.write_text(json.dumps(trace))
     out = tmp_path / "out"
-    res = runner.invoke(main, ["extend", "--trace", str(tr_path),
+    res = runner.invoke(main, ["extend", "--trace", write_trace(tmp_path),
                                "--height", "0.3", "--out", str(out)])
     assert res.exit_code == 0
     payload = json.loads((out / "extend.json").read_text())

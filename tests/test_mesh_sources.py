@@ -48,7 +48,7 @@ def test_padded_transform_adjoint_pair():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_physical_roundtrip_is_identity_on_lattice():
+def test_physical_roundtrip_recovers_lattice_modes():
     m = mesh(nz=3, N=2)
     g = m.grid
     rng = np.random.default_rng(1)

@@ -3,7 +3,8 @@ import pytest
 
 from elastrip.dtn import SpectralGrid
 from elastrip.errors import ConstraintError, SingularTransformError
-from elastrip.geometry import CutoffFn, make_profile
+from elastrip.geometry import CutoffFn, SurfaceProfile, make_profile
+from elastrip.harness import solve_surface
 from elastrip.mesh import StripMesh
 from elastrip.params import ElasticParams, StripGeometry
 from elastrip.solver import (
@@ -12,7 +13,6 @@ from elastrip.solver import (
     StripOperator,
     assemble_flat_blocks,
     assemble_rhs,
-    assemble_system,
     coercivity_probe,
     energy_balance,
     flat_mode_oracle,
@@ -20,7 +20,6 @@ from elastrip.solver import (
     rellich_identity_residual,
     rellich_residual,
     solve_flat,
-    solve_system,
     TransformCoefficients,
 )
 from elastrip.sources import BumpSource, HarmonicFactor
@@ -189,36 +188,44 @@ def test_singular_transform_rejected():
         TransformCoefficients(mesh, f0, steep, CutoffFn(0.05, 1.0))
 
 
-def test_assemble_system_flags_mode_coupling():
+def surface_solve(mesh, f):
+    """solve_surface over the flat reference f0 = 0 with the bump source."""
+    return solve_surface(mesh, P, make_profile(0.0, (), GEOM), f, CutoffFn(0.25, 1.0),
+                         bump(), physical=True, tol=1e-9)
+
+
+def test_solve_surface_flags_mode_coupling():
+    """The transform, and with it GMRES, is used exactly when surface - f0 != 0."""
     mesh = flat_mesh(N=1, nz=16)
-    f0 = make_profile(0.0, (), GEOM)
-    cutoff = CutoffFn(0.25, 1.0)
-    flat_sys = assemble_system(mesh, P, f0, f0, cutoff, bump())
-    assert not flat_sys.mode_coupling
-    f = make_profile(0.0, ((1, 0, 0.05, 0.0),), GEOM)
-    rough_sys = assemble_system(mesh, P, f0, f, cutoff, bump())
-    assert rough_sys.mode_coupling
+    cases = [
+        (make_profile(0.0, (), GEOM), True),
+        (make_profile(0.0, ((1, 0, 0.0, 0.0),), GEOM), True),      # zero-amplitude term
+        (make_profile(0.0, ((1, 0, 0.05, 0.0),), GEOM), False),
+        (SurfaceProfile(offset=0.05, terms=(), cell=CELL), False),  # other level, no terms
+    ]
+    for surface, direct in cases:
+        field, info, rhs, coeffs = surface_solve(mesh, surface)
+        assert (coeffs is None) == direct
+        assert info.method == ("direct" if direct else "gmres")
+        res, power = energy_balance(field, rhs, P)
+        assert info.residual < 1e-9 and res < 1e-8 and power >= 0.0
 
 
 def test_rough_solve_energy_balance():
     """GMRES solve over a perturbed surface still satisfies the flux identity."""
     mesh = flat_mesh(N=2, nz=16)
-    f0 = make_profile(0.0, (), GEOM)
     f = make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM)
-    system = assemble_system(mesh, P, f0, f, CutoffFn(0.25, 1.0), bump())
-    field, info = solve_system(system)
+    field, info, rhs, _ = surface_solve(mesh, f)
     assert info.method == "gmres"
     assert info.residual < 1e-9
-    res, power = energy_balance(field, system.rhs, P)
+    res, power = energy_balance(field, rhs, P)
     assert res < 1e-8
     assert power >= 0.0
 
 
 def test_rough_solve_reduces_to_flat_for_identical_surfaces():
     mesh = flat_mesh(N=1, nz=12)
-    f0 = make_profile(0.0, (), GEOM)
-    system = assemble_system(mesh, P, f0, f0, CutoffFn(0.25, 1.0), bump())
-    field_a, info = solve_system(system)
+    field_a, info, _, _ = surface_solve(mesh, make_profile(0.0, (), GEOM))
     assert info.method == "direct"
     rhs = assemble_rhs(mesh, bump())
     field_b, _ = solve_flat(mesh, P, rhs)
