@@ -1,11 +1,12 @@
 """Galerkin discretization and solution of the strip variational problem.
 
-Flat reference surface: Fourier modes decouple, each mode is a dense 1D
-system solved directly.  Rough surface: the flattening transform turns the
-problem into a variable-coefficient one on the same reference strip, applied
-matrix-free (pseudospectral products) and solved with GMRES preconditioned
-by the flat per-mode blocks.  The DtN boundary term is mode-diagonal in both
-cases because the transform is the identity at the top plane.
+Flat reference surface: Fourier modes decouple, each mode is a 3x3-block
+tridiagonal 1D system solved directly by one batched block-LU.  Rough surface:
+the flattening transform turns the problem into a variable-coefficient one on
+the same reference strip, applied matrix-free (pseudospectral products) and
+solved with GMRES preconditioned by the same block-LU.  The DtN boundary term
+is mode-diagonal in both cases because the transform is the identity at the
+top plane.
 """
 
 from __future__ import annotations
@@ -122,12 +123,14 @@ class DiscreteField:
 # per-mode coefficient matrices of the flat sesquilinear form
 # ---------------------------------------------------------------------------
 
-def _mode_density(grid: SpectralGrid, params: ElasticParams) -> np.ndarray:
-    """Density matrix K[(a,k),(b,j)] of the flat integrand per lattice mode.
+def _mode_density(grid: SpectralGrid, grad: float, div: float, curl: float,
+                  mass: float) -> np.ndarray:
+    """Density matrix K[a,k,b,j] of a flat integrand per lattice mode.
 
     a/b index (value, z-derivative) of test/trial, k/j the vector component.
-    The integrand is 2 mu grad:grad + lam div div - mu curl.curl - w^2 u.v,
-    with horizontal derivatives i*xi.
+    The integrand is grad grad:grad + div div div + curl curl.curl + mass u.v,
+    with horizontal derivatives i*xi; the elastic form takes (2 mu, lam, -mu,
+    -w^2), the energy norm (1, 0, 0, 1).
     """
     XI1, XI2, _ = grid.frequency_mesh()
     n1, n2 = grid.n1, grid.n2
@@ -139,57 +142,84 @@ def _mode_density(grid: SpectralGrid, params: ElasticParams) -> np.ndarray:
         G[1, j, j, 2] = 1.0
         U[0, j, j] = 1.0
     tr = G[:, :, 0, 0] + G[:, :, 1, 1] + G[:, :, 2, 2]
-    curl = np.stack([
+    crl = np.stack([
         G[:, :, 2, 1] - G[:, :, 1, 2],
         G[:, :, 0, 2] - G[:, :, 2, 0],
         G[:, :, 1, 0] - G[:, :, 0, 1],
     ], axis=2)  # [a, j, i, m1, m2]
-    lam, mu, w = params.lam, params.mu, params.omega
-    K = (2 * mu * np.einsum("bjcdmn,akcdmn->akbjmn", G, np.conj(G))
-         + lam * np.einsum("bjmn,akmn->akbjmn", tr, np.conj(tr))
-         - mu * np.einsum("bjimn,akimn->akbjmn", curl, np.conj(curl)))
-    K = K - w * w * np.einsum("bjc,akc->akbj", U, np.conj(U))[..., None, None]
+    K = (grad * np.einsum("bjcdmn,akcdmn->akbjmn", G, np.conj(G))
+         + div * np.einsum("bjmn,akmn->akbjmn", tr, np.conj(tr))
+         + curl * np.einsum("bjimn,akimn->akbjmn", crl, np.conj(crl)))
+    K = K + mass * np.einsum("bjc,akc->akbj", U, np.conj(U))[..., None, None]
     return K
 
 
-def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams) -> np.ndarray:
-    """Dense per-mode operator blocks (free DOFs only): shape (n1, n2, 3*Nz, 3*Nz).
+def _band_shifts(nz: int) -> np.ndarray:
+    """S[d, i, i'] = 1 where band d of row i sits in column i' = i + d - 1."""
+    return np.stack([np.eye(nz, k=k) for k in (-1, 0, 1)])
 
-    Each block is the 1D Galerkin matrix of the flat form for its mode,
-    including the DtN boundary term at the top node.
+
+def _assemble_bands(mesh: StripMesh, K: np.ndarray) -> np.ndarray:
+    """Banded 1D Galerkin matrices of density ``K`` on the free nodes.
+
+    P1 elements couple only neighbouring nodes, so each mode's matrix is
+    3x3-block tridiagonal.  Returns bands[d, m1, m2, i, k, j] for d = lower,
+    diagonal, upper: the block coupling free node i to free node i + d - 1
+    (zero where that node is the clamped bottom or beyond the top).
+    """
+    B = np.array([[mesh.Mz, mesh.Dz], [mesh.Dz.T, mesh.Sz]])[..., 1:, 1:]  # [a, b, test, trial]
+    diags = np.einsum("abil,dil->abdi", B, _band_shifts(mesh.n_nodes - 1))
+    return mesh.grid.cell_area * np.einsum("akbjmn,abdi->dmnikj", K, diags)
+
+
+def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams) -> np.ndarray:
+    """Flat per-mode operator as bands: shape (3, n1, n2, n_z, 3, 3).
+
+    bands[d, m1, m2, i] is the lower (d=0), diagonal (1) or upper (2) 3x3
+    block of free node i in the 1D Galerkin matrix of mode (m1, m2),
+    including the DtN boundary term on the top diagonal block.
     """
     g = mesh.grid
-    K = _mode_density(g, params)
+    lam, mu, w = params.lam, params.mu, params.omega
+    bands = _assemble_bands(mesh, _mode_density(g, 2 * mu, lam, -mu, -w * w))
     XI1, XI2, _ = g.frequency_mesh()
-    Msym = dtn_symbol_grid(XI1, XI2, params)
-    nn = mesh.n_nodes
-    base = {(0, 0): mesh.Mz, (0, 1): mesh.Dz, (1, 0): mesh.Dz.T, (1, 1): mesh.Sz}
-    A = np.zeros((g.n1, g.n2, 3 * nn, 3 * nn), dtype=complex)
-    for (a, b), Bmat in base.items():
-        # K[a,k,b,j,m1,m2] x Bmat[m,n] -> block (k,m),(j,n)
-        A += np.einsum("kjmn,pq->mnkpjq", K[a, :, b, :, :, :], Bmat).reshape(
-            g.n1, g.n2, 3 * nn, 3 * nn)
-    top = nn - 1
-    for k in range(3):
-        for j in range(3):
-            A[:, :, k * nn + top, j * nn + top] -= 1j * Msym[k, j]
-    A *= g.cell_area
-    free = np.concatenate([np.arange(c * nn + 1, (c + 1) * nn) for c in range(3)])
-    return A[:, :, free[:, None], free[None, :]]
+    Msym = dtn_symbol_grid(XI1, XI2, params)  # [k, j, m1, m2]
+    bands[1, :, :, -1] -= 1j * g.cell_area * np.moveaxis(Msym, (0, 1), (2, 3))
+    return bands
 
 
-def norm_gram_blocks(mesh: StripMesh) -> np.ndarray:
-    """Per-mode Gram matrices of the energy norm on free DOFs."""
-    g = mesh.grid
-    _, _, xi_sq = g.frequency_mesh()
-    Mf = mesh.Mz[1:, 1:]
-    Sf = mesh.Sz[1:, 1:]
-    nfree = mesh.n_nodes - 1
-    G = np.zeros((g.n1, g.n2, 3 * nfree, 3 * nfree), dtype=complex)
-    for c in range(3):
-        sl = slice(c * nfree, (c + 1) * nfree)
-        G[:, :, sl, sl] = ((1 + xi_sq)[..., None, None] * Mf + Sf)
-    return G * g.cell_area
+def dense_blocks(bands: np.ndarray) -> np.ndarray:
+    """Dense per-mode matrices (n1, n2, 3 n_z, 3 n_z) of bands, in free-vector order."""
+    _, n1, n2, nz = bands.shape[:4]
+    A = np.einsum("dmnikj,dil->mnkijl", bands, _band_shifts(nz))
+    return A.reshape(n1, n2, 3 * nz, 3 * nz)
+
+
+def block_lu_solver(bands: np.ndarray):
+    """Block-LU of every mode's bands at once; returns solve(b) = A^{-1} b on free vectors.
+
+    Block Thomas (Golub & Van Loan, Matrix Computations, 4.5): pivots
+    P_i = D_i - L_i C_{i-1}, C_i = P_i^{-1} U_i, batched over the modes with a
+    Python loop over n_z only.  No pivoting between blocks: check the residual.
+    """
+    lower, diag, upper = np.moveaxis(bands, 3, 1)  # each [i, m1, m2, k, j]
+    nz, n1, n2 = diag.shape[:3]
+    piv = diag.copy()
+    C = np.zeros_like(upper)  # C[-1] and y[-1] below are still zero at i = 0
+    for i in range(nz):
+        piv[i] -= lower[i] @ C[i - 1]
+        C[i] = np.linalg.solve(piv[i], upper[i])
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        b = np.asarray(v).reshape(3, n1, n2, nz).swapaxes(0, 3)[..., None]
+        y = np.zeros_like(b, dtype=complex)  # [i, m1, m2, k, 1]
+        for i in range(nz):
+            y[i] = np.linalg.solve(piv[i], b[i] - lower[i] @ y[i - 1])
+        for i in range(nz - 2, -1, -1):
+            y[i] -= C[i] @ y[i + 1]
+        return y[..., 0].swapaxes(0, 3).ravel()
+
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -365,66 +395,42 @@ class SolveInfo:
     method: str
 
 
-def solve_flat(mesh: StripMesh, params: ElasticParams, rhs: np.ndarray,
-               blocks: np.ndarray | None = None) -> tuple[DiscreteField, SolveInfo]:
-    """Direct per-mode solve of the flat (mode-decoupled) system."""
-    g = mesh.grid
-    nfree = mesh.n_nodes - 1
-    if blocks is None:
-        blocks = assemble_flat_blocks(mesh, params)
-    b = rhs.reshape(3, g.n1, g.n2, nfree)
-    x = np.empty_like(b)
-    for i1 in range(g.n1):
-        for i2 in range(g.n2):
-            bm = b[:, i1, i2, :].reshape(3 * nfree)
-            x[:, i1, i2, :] = np.linalg.solve(blocks[i1, i2], bm).reshape(3, nfree)
-    field = DiscreteField.from_free_vector(x.ravel(), mesh)
-    op = StripOperator(mesh, params)
-    res = np.linalg.norm(op @ field.free_vector() - rhs)
-    scale = np.linalg.norm(rhs)
-    info = SolveInfo(residual=res / scale if scale > 0 else res, iterations=1, method="direct")
-    return field, info
+def solve_flat(mesh: StripMesh, params: ElasticParams,
+               rhs: np.ndarray) -> tuple[DiscreteField, SolveInfo]:
+    """Direct solve of the flat (mode-decoupled) system: :func:`solve_field`
+    without a transform."""
+    return solve_field(mesh, params, rhs)
 
 
 def solve_field(mesh: StripMesh, params: ElasticParams, rhs: np.ndarray,
                 coeffs: TransformCoefficients | None = None,
                 tol: float = 1e-9) -> tuple[DiscreteField, SolveInfo]:
-    """Solve the variational system: direct per mode without a transform,
-    GMRES preconditioned by the flat blocks with one."""
-    if coeffs is None:
-        return solve_flat(mesh, params, rhs)
+    """Solve the variational system with the block-LU of the flat operator:
+    directly without a transform, as the GMRES preconditioner with one.
+
+    Raises :class:`NonConvergenceError` when the relative residual of the
+    result exceeds ``tol`` on either path.
+    """
     op = StripOperator(mesh, params, coeffs)
-    g = mesh.grid
-    nfree = mesh.n_nodes - 1
-    blocks = assemble_flat_blocks(mesh, params)
-    inv_blocks = np.linalg.inv(blocks)
-
-    def precond(v):
-        V = v.reshape(3, g.n1, g.n2, nfree)
-        V = np.moveaxis(V, 0, 2).reshape(g.n1, g.n2, 3 * nfree)
-        out = np.einsum("abij,abj->abi", inv_blocks, V)
-        out = np.moveaxis(out.reshape(g.n1, g.n2, 3, nfree), 2, 0)
-        return out.ravel()
-
-    Mop = scipy.sparse.linalg.LinearOperator(op.shape, matvec=precond, dtype=complex)
-    maxiter = max(50, int(10 * np.sqrt(op.shape[0])))
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    x, code = scipy.sparse.linalg.gmres(op, rhs, rtol=tol / 10, atol=0.0,
-                                        M=Mop, maxiter=maxiter, restart=60,
-                                        callback=count, callback_type="pr_norm")
+    flat_solve = block_lu_solver(assemble_flat_blocks(mesh, params))
+    if coeffs is None:
+        x, code, iters, method = flat_solve(rhs), 0, 1, "direct"
+    else:
+        Mop = scipy.sparse.linalg.LinearOperator(op.shape, matvec=flat_solve, dtype=complex)
+        maxiter = max(50, int(10 * np.sqrt(op.shape[0])))
+        history = []  # preconditioned residual norm per iteration
+        x, code = scipy.sparse.linalg.gmres(op, rhs, rtol=tol / 10, atol=0.0,
+                                            M=Mop, maxiter=maxiter, restart=60,
+                                            callback=history.append, callback_type="pr_norm")
+        iters, method = len(history), "gmres"
     res = np.linalg.norm(op @ x - rhs)
     scale = np.linalg.norm(rhs)
     rel = res / scale if scale > 0 else res
-    if code != 0 or rel > tol:
+    if code != 0 or not rel <= tol:
         raise NonConvergenceError(
-            f"GMRES failed: code={code}, relative residual {rel:.3e} > {tol:.1e}",
+            f"{method} solve failed: code={code}, relative residual {rel:.3e} > {tol:.1e}",
             residual=rel)
-    return DiscreteField.from_free_vector(x, mesh), SolveInfo(rel, iters, "gmres")
+    return DiscreteField.from_free_vector(x, mesh), SolveInfo(rel, iters, method)
 
 
 # ---------------------------------------------------------------------------
@@ -551,27 +557,21 @@ def coercivity_probe(mesh: StripMesh, params: ElasticParams, n_probes: int = 200
     """
     if n_probes <= 0:
         raise ConstraintError("n_probes must be positive")
-    blocks = assemble_flat_blocks(mesh, params)
-    gram = norm_gram_blocks(mesh)
-    g = mesh.grid
+    blocks = dense_blocks(assemble_flat_blocks(mesh, params))
+    gram = dense_blocks(_assemble_bands(mesh, _mode_density(mesh.grid, 1.0, 0.0, 0.0, 1.0)))
     rng = np.random.default_rng(seed)
-    nfree = blocks.shape[-1]
     probe_min = np.inf
     for _ in range(n_probes):
-        val = 0.0
-        nrm = 0.0
-        for i1 in range(g.n1):
-            for i2 in range(g.n2):
-                v = rng.standard_normal(nfree) + 1j * rng.standard_normal(nfree)
-                val += float(np.real(np.vdot(v, blocks[i1, i2] @ v)))
-                nrm += float(np.real(np.vdot(v, gram[i1, i2] @ v)))
+        # per mode, the real then the imaginary part of the probe field
+        R = rng.standard_normal(blocks.shape[:2] + (2, blocks.shape[-1]))
+        v = R[..., 0, :] + 1j * R[..., 1, :]
+        val, nrm = (np.einsum("mni,mnij,mnj->", v.conj(), A, v, optimize=True).real
+                    for A in (blocks, gram))
         probe_min = min(probe_min, val / nrm)
     rayleigh_min = np.inf
-    for i1 in range(g.n1):
-        for i2 in range(g.n2):
-            H = (blocks[i1, i2] + blocks[i1, i2].conj().T) / 2
-            vals = scipy.linalg.eigh(H, gram[i1, i2].real, eigvals_only=True)
-            rayleigh_min = min(rayleigh_min, float(vals[0]))
+    for A, G in zip(blocks.reshape(-1, *blocks.shape[2:]), gram.reshape(-1, *gram.shape[2:])):
+        vals = scipy.linalg.eigh((A + A.conj().T) / 2, G.real, eigvals_only=True)
+        rayleigh_min = min(rayleigh_min, float(vals[0]))
     return {"probe_min": float(probe_min), "rayleigh_min": float(rayleigh_min),
             "n_probes": n_probes, "seed": seed}
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elastrip.dtn import SpectralGrid
-from elastrip.errors import ConstraintError, SingularTransformError
+from elastrip.errors import ConstraintError, NonConvergenceError, SingularTransformError
 from elastrip.geometry import CutoffFn, SurfaceProfile, make_profile
 from elastrip.harness import solve_surface
 from elastrip.mesh import StripMesh
@@ -13,12 +14,15 @@ from elastrip.solver import (
     StripOperator,
     assemble_flat_blocks,
     assemble_rhs,
+    block_lu_solver,
     coercivity_probe,
+    dense_blocks,
     energy_balance,
     flat_mode_oracle,
     poincare_slack,
     rellich_identity_residual,
     rellich_residual,
+    solve_field,
     solve_flat,
     TransformCoefficients,
 )
@@ -40,9 +44,9 @@ def bump(z0=0.55, sigma=0.3):
 
 
 def test_operator_matches_flat_blocks():
-    """Matrix-free application reproduces the per-mode dense blocks."""
+    """Matrix-free application reproduces the dense expansion of the bands."""
     mesh = flat_mesh(N=2, nz=5)
-    blocks = assemble_flat_blocks(mesh, P)
+    blocks = dense_blocks(assemble_flat_blocks(mesh, P))
     op = StripOperator(mesh, P)
     g = mesh.grid
     nfree = mesh.n_nodes - 1
@@ -56,6 +60,43 @@ def test_operator_matches_flat_blocks():
         for i2 in range(g.n2):
             ref[:, i1, i2, :] = (blocks[i1, i2] @ V[:, i1, i2, :].ravel()).reshape(3, nfree)
     np.testing.assert_allclose(direct, ref.ravel(), rtol=1e-11, atol=1e-11)
+
+
+def test_flat_blocks_storage_is_linear_in_nz():
+    """Bands of shape (3, n1, n2, n_z, 3, 3): doubling n_z doubles the bytes."""
+    small = assemble_flat_blocks(flat_mesh(N=1, nz=32), P)
+    large = assemble_flat_blocks(flat_mesh(N=1, nz=64), P)
+    assert small.shape == (3, 3, 3, 32, 3, 3)
+    assert large.nbytes == 2 * small.nbytes
+
+
+def test_direct_solve_raises_above_tolerance():
+    """The direct path checks its residual like GMRES does."""
+    mesh = flat_mesh(N=1, nz=8)
+    with pytest.raises(NonConvergenceError):
+        solve_field(mesh, P, assemble_rhs(mesh, bump()), tol=1e-30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       depth=st.floats(0.2, 3.0), cell=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
+       N=st.integers(0, 2), nz=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_block_lu_matches_dense_solve(mu, lam_frac, omega, depth, cell, N, nz, seed):
+    """Banded solve = dense solve of the expanded bands, and it inverts the operator."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    mesh = StripMesh(grid=SpectralGrid(N1=N, N2=N, cell=cell),
+                     bottom=-depth, top=0.0, n_elements=nz)
+    bands = assemble_flat_blocks(mesh, params)
+    op = StripOperator(mesh, params)
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+    x = block_lu_solver(bands)(rhs)
+    blocks = dense_blocks(bands)
+    n1, n2, n = blocks.shape[:3]
+    R = np.moveaxis(rhs.reshape(3, n1, n2, nz), 0, 2).reshape(n1, n2, n, 1)
+    ref = np.moveaxis(np.linalg.solve(blocks, R).reshape(n1, n2, 3, nz), 2, 0).ravel()
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert np.linalg.norm(op @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_zero_source_gives_zero_field():
