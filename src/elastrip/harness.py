@@ -154,10 +154,10 @@ def solve_surface(mesh: StripMesh, params: ElasticParams, f0: SurfaceProfile,
 def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | None):
     """(L2^2, grad^2) of the field over the physical strip (change of variables)."""
     mesh = field.mesh
-    u_phys, Gx = physical_quad_fields(mesh, field.coeff, coeffs)
+    F = physical_quad_fields(mesh, field.coeff, coeffs)
     wgt = quad_weights(mesh, coeffs)
-    l2 = float(np.sum(wgt * np.abs(u_phys) ** 2))
-    grad = float(np.sum(wgt * np.abs(Gx) ** 2))
+    l2 = float(np.sum(wgt * np.abs(F[:, 0]) ** 2))
+    grad = float(np.sum(wgt * np.abs(F[:, 1:]) ** 2))
     return l2, grad
 
 

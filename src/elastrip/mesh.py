@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import fft2, ifft2, next_fast_len
 
 from .dtn import SpectralGrid
 from .errors import ConstraintError
@@ -72,14 +72,18 @@ class StripMesh:
 
     def eval_at_quad(self, U: np.ndarray) -> np.ndarray:
         """Nodal field (..., n_nodes) -> values at quad points (..., e, q)."""
-        lo = U[..., :-1, None]
-        hi = U[..., 1:, None]
-        return lo * self.phi[0] + hi * self.phi[1]
+        return self._at_quad(U, self.phi[:, None, :])
 
     def deriv_at_quad(self, U: np.ndarray) -> np.ndarray:
-        lo = U[..., :-1, None]
-        hi = U[..., 1:, None]
-        return lo * self.dphi[0] + hi * self.dphi[1]
+        return self._at_quad(U, self.dphi)
+
+    def _at_quad(self, U: np.ndarray, shape_fns: np.ndarray) -> np.ndarray:
+        """sum_a U[..., e + a] shape_fns[a, e, k]; the loop over Gauss points k
+        keeps the long element axis innermost in the products."""
+        out = np.empty(U.shape[:-1] + self.zq.shape, dtype=np.result_type(U, shape_fns))
+        for k in range(out.shape[-1]):
+            out[..., k] = U[..., :-1] * shape_fns[0, :, k] + U[..., 1:] * shape_fns[1, :, k]
+        return out
 
     def scatter_from_quad(self, Wq: np.ndarray, Wdq: np.ndarray | None = None) -> np.ndarray:
         """Adjoint of evaluation: quad-point duals -> nodal functional values.
@@ -125,13 +129,13 @@ class StripMesh:
         ax1 = ax1 % C.ndim
         ax2 = ax2 % C.ndim
         padded = self._copy_spectrum(C, ax1, ax2, pad=True)
-        return np.fft.ifft2(padded, axes=(ax1, ax2)) * (self.P1 * self.P2)
+        return ifft2(padded, axes=(ax1, ax2), norm="forward", overwrite_x=True)
 
     def to_modes_adjoint(self, W: np.ndarray, ax1: int = -4, ax2: int = -3) -> np.ndarray:
         """Adjoint of :meth:`to_physical` under the plain point sum."""
         ax1 = ax1 % W.ndim
         ax2 = ax2 % W.ndim
-        spec = np.fft.fft2(W, axes=(ax1, ax2))
+        spec = fft2(W, axes=(ax1, ax2))
         return self._copy_spectrum(spec, ax1, ax2, pad=False)
 
     def collocation_padded(self):

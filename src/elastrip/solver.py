@@ -3,8 +3,10 @@
 Flat reference surface: Fourier modes decouple, each mode is a 3x3-block
 tridiagonal 1D system solved directly by one batched block-LU.  Rough surface:
 the flattening transform turns the problem into a variable-coefficient one on
-the same reference strip, applied matrix-free (pseudospectral products) and
-solved with GMRES preconditioned by the same block-LU.  The DtN boundary term
+the same reference strip, applied matrix-free and solved with GMRES
+preconditioned by the same block-LU.  Each application is one inverse FFT of
+the stacked values and gradients, the symmetric stress at the quadrature
+points, and one forward FFT of the stacked duals.  The DtN boundary term
 is mode-diagonal in both cases because the transform is the identity at the
 top plane.
 """
@@ -75,9 +77,9 @@ class DiscreteField:
         g = self.mesh.grid
         _, _, xi_sq = g.frequency_mesh()
         c = self.coeff
-        M, S = self.mesh.Mz, self.mesh.Sz
-        l2 = np.einsum("cabm,mn,cabn->ab", np.conj(c), M, c).real
-        dz = np.einsum("cabm,mn,cabn->ab", np.conj(c), S, c).real
+        # Mz and Sz are symmetric, so c @ M applies them along the node axis
+        l2, dz = (np.real(np.sum(np.conj(c) * (c @ M), axis=(0, 3)))
+                  for M in (self.mesh.Mz, self.mesh.Sz))
         horiz = xi_sq * l2
         return l2, dz, horiz
 
@@ -200,21 +202,23 @@ def block_lu_solver(bands: np.ndarray):
 
     Block Thomas (Golub & Van Loan, Matrix Computations, 4.5): pivots
     P_i = D_i - L_i C_{i-1}, C_i = P_i^{-1} U_i, batched over the modes with a
-    Python loop over n_z only.  No pivoting between blocks: check the residual.
+    Python loop over n_z only.  The 3x3 pivots are inverted once, so an apply
+    is batched matmuls only.  No pivoting between blocks: check the residual.
     """
     lower, diag, upper = np.moveaxis(bands, 3, 1)  # each [i, m1, m2, k, j]
     nz, n1, n2 = diag.shape[:3]
-    piv = diag.copy()
+    piv = diag.copy()  # holds the inverted pivots after the loop
     C = np.zeros_like(upper)  # C[-1] and y[-1] below are still zero at i = 0
     for i in range(nz):
         piv[i] -= lower[i] @ C[i - 1]
-        C[i] = np.linalg.solve(piv[i], upper[i])
+        piv[i] = np.linalg.inv(piv[i])
+        C[i] = piv[i] @ upper[i]
 
     def solve(v: np.ndarray) -> np.ndarray:
         b = np.asarray(v).reshape(3, n1, n2, nz).swapaxes(0, 3)[..., None]
         y = np.zeros_like(b, dtype=complex)  # [i, m1, m2, k, 1]
         for i in range(nz):
-            y[i] = np.linalg.solve(piv[i], b[i] - lower[i] @ y[i - 1])
+            y[i] = piv[i] @ (b[i] - lower[i] @ y[i - 1])
         for i in range(nz - 2, -1, -1):
             y[i] -= C[i] @ y[i + 1]
         return y[..., 0].swapaxes(0, 3).ravel()
@@ -240,34 +244,11 @@ class TransformCoefficients:
             )
         self.J1, self.J2, self.J3 = J1, J2, J3
         self.det = 1.0 + J3
+        self.inv_det = 1.0 / self.det
         self.x3 = np.broadcast_to(np.asarray(_x3), np.broadcast_shapes(
             np.shape(_x3), J3.shape)).copy()
         self.mesh = mesh
         self.f0, self.f, self.cutoff = f0, f, cutoff
-
-
-def _physical_gradient(Gy, coeffs: TransformCoefficients | None):
-    """Chain rule: Gx[c, j] = sum_a Gy[c, a] Jinv[a, j] (rank-one structure)."""
-    if coeffs is None:
-        return Gy
-    J1, J2, det = coeffs.J1, coeffs.J2, coeffs.det
-    Gx = np.empty_like(Gy)
-    Gx[:, 0] = Gy[:, 0] - Gy[:, 2] * (J1 / det)
-    Gx[:, 1] = Gy[:, 1] - Gy[:, 2] * (J2 / det)
-    Gx[:, 2] = Gy[:, 2] / det
-    return Gx
-
-
-def _dual_gradient(Sx, coeffs: TransformCoefficients | None):
-    """Adjoint of the chain rule: Sy[c, a] = sum_j Sx[c, j] Jinv[a, j]."""
-    if coeffs is None:
-        return Sx
-    J1, J2, det = coeffs.J1, coeffs.J2, coeffs.det
-    Sy = np.empty_like(Sx)
-    Sy[:, 0] = Sx[:, 0]
-    Sy[:, 1] = Sx[:, 1]
-    Sy[:, 2] = (-J1 * Sx[:, 0] - J2 * Sx[:, 1] + Sx[:, 2]) / det
-    return Sy
 
 
 def quad_points(mesh: StripMesh, coeffs: TransformCoefficients | None = None):
@@ -288,29 +269,43 @@ def quad_weights(mesh: StripMesh, coeffs: TransformCoefficients | None = None):
     return wgt
 
 
+def _ixi(grid: SpectralGrid):
+    """i xi1, i xi2 shaped to broadcast against (n1, n2, e, q) mode arrays."""
+    xi1, xi2 = grid.frequencies()
+    return 1j * xi1[:, None, None, None], 1j * xi2[None, :, None, None]
+
+
 def physical_quad_fields(mesh: StripMesh, U: np.ndarray,
-                         coeffs: TransformCoefficients | None = None):
+                         coeffs: TransformCoefficients | None = None) -> np.ndarray:
     """Values and physical gradient of nodal modes U at the quad points.
 
-    Returns (u, Gx) with u[c] and Gx[c, j] = d_j u_c on the padded
-    collocation x Gauss grid; the gradient is pulled through the chain rule
-    of ``coeffs``.
+    Returns one stacked array F of shape (3, 4, P1, P2, e, q) on the padded
+    collocation x Gauss grid: F[c, 0] = u_c and F[c, 1 + j] = d_j u_c.  The
+    mode-space values and gradients (u, i xi1 u, i xi2 u, du/dz) go through
+    one inverse FFT; the gradient is then pulled through the chain rule of
+    ``coeffs`` in place.
     """
-    xi1, xi2 = mesh.grid.frequencies()
+    ixi1, ixi2 = _ixi(mesh.grid)
     Uq = mesh.eval_at_quad(U)            # (3, n1, n2, e, q)
-    dUq = mesh.deriv_at_quad(U)
-    Gy_hat = np.stack([1j * xi1[None, :, None, None, None] * Uq,
-                       1j * xi2[None, None, :, None, None] * Uq, dUq], axis=1)
-    u = mesh.to_physical(Uq, ax1=1, ax2=2)
-    Gy = mesh.to_physical(Gy_hat, ax1=2, ax2=3)
-    return u, _physical_gradient(Gy, coeffs)
+    hat = np.stack([Uq, ixi1 * Uq, ixi2 * Uq, mesh.deriv_at_quad(U)], axis=1)
+    F = mesh.to_physical(hat, ax1=2, ax2=3)
+    if coeffs is not None:
+        # Gx[:, j] = Gy[:, j] - J_j Gx[:, 2] for j < 2, Gx[:, 2] = Gy[:, 2] / det
+        F[:, 3] *= coeffs.inv_det
+        F[:, 1] -= coeffs.J1 * F[:, 3]
+        F[:, 2] -= coeffs.J2 * F[:, 3]
+    return F
 
 
 class StripOperator(scipy.sparse.linalg.LinearOperator):
     """Matrix-free action of the (possibly transformed) sesquilinear form.
 
-    The volume terms are evaluated pseudospectrally at quadrature points with
-    Jacobian-weighted physical gradients; the DtN term is mode-diagonal at the
+    The volume terms are evaluated pseudospectrally at quadrature points:
+    one inverse FFT of the stacked values and gradients
+    (:func:`physical_quad_fields`), the symmetric stress
+    sigma = mu (Gx + Gx^T) + lam tr(Gx) I and the mass term written in
+    place, weighted and pulled back through the adjoint chain rule, and one
+    forward FFT of the stacked duals.  The DtN term is mode-diagonal at the
     top node.  Without a transform this action coincides with the assembled
     flat blocks to roundoff.
     """
@@ -321,49 +316,47 @@ class StripOperator(scipy.sparse.linalg.LinearOperator):
         self.params = params
         self.coeffs = coeffs
         g = mesh.grid
-        xi1, xi2 = g.frequencies()
-        self._ixi1 = 1j * xi1[:, None, None, None]
-        self._ixi2 = 1j * xi2[None, :, None, None]
+        self._ixi1, self._ixi2 = _ixi(g)
         XI1, XI2, _ = g.frequency_mesh()
         self._Msym = dtn_symbol_grid(XI1, XI2, params)
+        # the dual of dz u is weighted by wgt / det, the plain quadrature weight
+        self._wgt = quad_weights(mesh, coeffs)
+        self._wgt_per_det = quad_weights(mesh)
+        self._mass_wgt = -(params.omega * params.omega) * self._wgt
         n = 3 * g.n1 * g.n2 * (mesh.n_nodes - 1)
         super().__init__(dtype=complex, shape=(n, n))
 
     def _matvec(self, vec: np.ndarray) -> np.ndarray:
-        mesh, params = self.mesh, self.params
-        g = mesh.grid
-        field = DiscreteField.from_free_vector(np.asarray(vec).ravel(), mesh)
-        U = field.coeff
-        u_phys, Gx = physical_quad_fields(mesh, U, self.coeffs)
+        mesh, coeffs = self.mesh, self.coeffs
+        lam, mu = self.params.lam, self.params.mu
+        U = DiscreteField.from_free_vector(np.asarray(vec).ravel(), mesh).coeff
+        F = physical_quad_fields(mesh, U, coeffs)
 
-        lam, mu, w = params.lam, params.mu, params.omega
-        trG = Gx[0, 0] + Gx[1, 1] + Gx[2, 2]
-        curl = np.stack([Gx[2, 1] - Gx[1, 2], Gx[0, 2] - Gx[2, 0], Gx[1, 0] - Gx[0, 1]])
-        Sx = 2 * mu * Gx
+        # F[:, 1:] <- sigma = mu (Gx + Gx^T) + lam tr(Gx) I, in place
+        G = F[:, 1:]
+        lam_tr = lam * (G[0, 0] + G[1, 1] + G[2, 2])
         for c in range(3):
-            Sx[c, c] += lam * trG
-        # -mu curl.curl contribution to the gradient dual
-        Sx[2, 1] -= mu * curl[0]
-        Sx[1, 2] += mu * curl[0]
-        Sx[0, 2] -= mu * curl[1]
-        Sx[2, 0] += mu * curl[1]
-        Sx[1, 0] -= mu * curl[2]
-        Sx[0, 1] += mu * curl[2]
+            for j in range(c + 1, 3):
+                G[c, j] += G[j, c]
+                G[c, j] *= mu
+                G[j, c] = G[c, j]
+            G[c, c] *= 2 * mu
+            G[c, c] += lam_tr
+        # weighted duals: mass in slot 0, adjoint chain rule on sigma
+        F[:, 0] *= self._mass_wgt
+        if coeffs is not None:
+            F[:, 3] -= coeffs.J1 * F[:, 1] + coeffs.J2 * F[:, 2]
+        F[:, 1:3] *= self._wgt
+        F[:, 3] *= self._wgt_per_det
 
-        wgt = quad_weights(mesh, self.coeffs)
-        Sy = _dual_gradient(Sx, self.coeffs) * wgt
-        mass_dual = -(w * w) * u_phys * wgt
-
-        Sy_hat = mesh.to_modes_adjoint(Sy, ax1=2, ax2=3)
-        mass_hat = mesh.to_modes_adjoint(mass_dual, ax1=1, ax2=2)
-        # duals of the value DOFs: mass + conj(i xi) pullback of horizontal grads
-        Wq = mass_hat - self._ixi1 * Sy_hat[:, 0] - self._ixi2 * Sy_hat[:, 1]
-        Wdq = Sy_hat[:, 2]
-        R = mesh.scatter_from_quad(Wq, Wdq)
+        hat = mesh.to_modes_adjoint(F, ax1=2, ax2=3)
+        # duals of the value DOFs: mass + conj(i xi) pullback of horizontal stresses
+        Wq = hat[:, 0] - self._ixi1 * hat[:, 1] - self._ixi2 * hat[:, 2]
+        R = mesh.scatter_from_quad(Wq, hat[:, 3])
 
         # DtN boundary term at the top node
         top = U[:, :, :, -1]
-        R[:, :, :, -1] -= g.cell_area * 1j * np.einsum("kjab,jab->kab", self._Msym, top)
+        R[:, :, :, -1] -= mesh.grid.cell_area * 1j * np.einsum("kjab,jab->kab", self._Msym, top)
         return R[:, :, :, 1:].ravel()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elastrip.dtn import SpectralGrid
+from elastrip.dtn import SpectralGrid, dtn_symbol_grid
 from elastrip.errors import ConstraintError, NonConvergenceError, SingularTransformError
 from elastrip.geometry import CutoffFn, SurfaceProfile, make_profile
 from elastrip.harness import solve_surface
@@ -19,7 +19,9 @@ from elastrip.solver import (
     dense_blocks,
     energy_balance,
     flat_mode_oracle,
+    physical_quad_fields,
     poincare_slack,
+    quad_weights,
     rellich_identity_residual,
     rellich_residual,
     solve_field,
@@ -60,6 +62,59 @@ def test_operator_matches_flat_blocks():
         for i2 in range(g.n2):
             ref[:, i1, i2, :] = (blocks[i1, i2] @ V[:, i1, i2, :].ravel()).reshape(3, nfree)
     np.testing.assert_allclose(direct, ref.ravel(), rtol=1e-11, atol=1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       terms=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                                st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+                      min_size=1, max_size=3),
+       N=st.integers(1, 2), nz=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_rough_operator_matches_its_form(mu, lam_frac, omega, terms, N, nz, seed):
+    """vdot(y, op @ x) = B(u_x, u_y), the curl-form density at the quad points."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    mesh = flat_mesh(N=N, nz=nz)
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM),
+                                   make_profile(0.0, terms, GEOM), CutoffFn(0.25, 1.0))
+    op = StripOperator(mesh, params, coeffs)
+    rng = np.random.default_rng(seed)
+    x, y = (rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+            for _ in range(2))
+    fx, fy = (DiscreteField.from_free_vector(v, mesh) for v in (x, y))
+
+    def curl(G):
+        return np.stack([G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]])
+
+    Fx, Fy = (physical_quad_fields(mesh, f.coeff, coeffs) for f in (fx, fy))
+    (ux, Gx), (uy, Gy) = ((F[:, 0], F[:, 1:]) for F in (Fx, Fy))
+    density = (2 * mu * np.sum(Gx * np.conj(Gy), axis=(0, 1))
+               + params.lam * np.trace(Gx) * np.conj(np.trace(Gy))
+               - mu * np.sum(curl(Gx) * np.conj(curl(Gy)), axis=0)
+               - omega ** 2 * np.sum(ux * np.conj(uy), axis=0))
+    XI1, XI2, _ = mesh.grid.frequency_mesh()
+    Msym = dtn_symbol_grid(XI1, XI2, params)
+    top_x, top_y = fx.coeff[..., -1], fy.coeff[..., -1]
+    dtn = 1j * mesh.grid.cell_area * np.einsum("kab,kjab,jab->", np.conj(top_y), Msym, top_x)
+    form = np.sum(quad_weights(mesh, coeffs) * density) - dtn
+    Ax = op @ x
+    assert abs(np.vdot(y, Ax) - form) <= 1e-10 * np.linalg.norm(y) * np.linalg.norm(Ax)
+
+
+def test_rough_matvec_transforms_once(monkeypatch):
+    """One rough matvec is one inverse and one forward stacked transform."""
+    mesh = flat_mesh(N=2, nz=6)
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM),
+                                   make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM),
+                                   CutoffFn(0.25, 1.0))
+    op = StripOperator(mesh, P, coeffs)
+    calls = {"to_physical": 0, "to_modes_adjoint": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _fn=getattr(StripMesh, name), **kwargs):
+            calls[_name] += 1
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(StripMesh, name, counted)
+    op @ np.ones(op.shape[0], dtype=complex)
+    assert calls == {"to_physical": 1, "to_modes_adjoint": 1}
 
 
 def test_flat_blocks_storage_is_linear_in_nz():
@@ -153,6 +208,13 @@ def test_vh_norm_exact_for_linear_mode_profile():
     # |grad|^2 adds |xi|^2 |u|^2 with |xi| = 1
     assert field.grad_norm_sq() == pytest.approx(area * (1 + 1 / 3), rel=1e-13)
     assert field.vh_norm() == pytest.approx(np.sqrt(area * (1 + 2 / 3)), rel=1e-13)
+    # a random field: the per-mode quadratics match the dense contraction
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal(field.coeff.shape) + 1j * rng.standard_normal(field.coeff.shape)
+    field.coeff[:] = c
+    for norm_sq, M in ((field.l2_norm_sq, mesh.Mz), (field.dz_norm_sq, mesh.Sz)):
+        dense = area * np.einsum("cabm,mn,cabn->ab", np.conj(c), M, c).real.sum()
+        assert norm_sq() == pytest.approx(dense, rel=1e-13)
 
 
 def test_energy_balance_and_poincare_flat():
