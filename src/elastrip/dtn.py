@@ -138,22 +138,24 @@ def decomposition_matrices(xi, params: ElasticParams):
     D_tilde stacks the mode-superposition rows against the orthogonality row;
     D solves D_tilde @ (D @ v) = (v, 0) for every 3-vector v.  D is obtained
     by a numerical 4x4 solve rather than transcribing the closed form (the
-    printed closed form has an ambiguous entry).
+    printed closed form has an ambiguous entry).  ``xi`` of shape (..., 2)
+    gives D_tilde (..., 4, 4) and D (..., 4, 3).
     """
     xi = np.asarray(xi, dtype=float)
-    beta, gamma = _beta_gamma(xi, params)
-    xi1, xi2 = float(xi[0]), float(xi[1])
-    D_tilde = np.array([
-        [xi1, 1, 0, 0],
-        [xi2, 0, 1, 0],
-        [beta, 0, 0, 1],
-        [0, xi1, xi2, gamma],
-    ], dtype=complex)
-    rho = xi1**2 + xi2**2 + beta * gamma
-    if abs(rho) < 1e-14 * max(1.0, params.k_s**2):
-        raise ElastripError(f"decomposition matrix singular at xi={tuple(xi)}")
-    rhs = np.vstack([np.eye(3, dtype=complex), np.zeros((1, 3), dtype=complex)])
-    D = np.linalg.solve(D_tilde, rhs)
+    xi1, xi2 = xi[..., 0], xi[..., 1]
+    xi_sq = xi1**2 + xi2**2
+    beta = vertical_wavenumber_grid(params.k_p, xi_sq)
+    gamma = vertical_wavenumber_grid(params.k_s, xi_sq)
+    D_tilde = np.zeros(xi.shape[:-1] + (4, 4), dtype=complex)
+    for row, col, val in ((0, 0, xi1), (0, 1, 1), (1, 0, xi2), (1, 2, 1), (2, 0, beta),
+                          (2, 3, 1), (3, 1, xi1), (3, 2, xi2), (3, 3, gamma)):
+        D_tilde[..., row, col] = val
+    singular = np.abs(xi_sq + beta * gamma) < 1e-14 * max(1.0, params.k_s**2)
+    if singular.any():
+        bad = xi.reshape(-1, 2)[np.argmax(singular.ravel())]
+        raise ElastripError(f"decomposition matrix singular at xi={tuple(map(float, bad))}")
+    rhs = np.eye(4, 3, dtype=complex)
+    D = np.linalg.solve(D_tilde, np.broadcast_to(rhs, D_tilde.shape[:-1] + (3,)))
     return D_tilde, D
 
 
@@ -197,23 +199,13 @@ def dtn_symbol_grid(XI1: np.ndarray, XI2: np.ndarray, params: ElasticParams) -> 
 def decompose_trace(trace: BoundaryTrace, params: ElasticParams) -> ModeAmplitudes:
     """Split a boundary trace into P and S amplitudes per lattice mode."""
     grid = trace.grid
-    coeff = trace.coefficients
-    xi1, xi2 = grid.frequencies()
-    A_p = np.zeros((grid.n1, grid.n2), dtype=complex)
-    A_s = np.zeros((3, grid.n1, grid.n2), dtype=complex)
-    A_st = np.zeros((3, grid.n1, grid.n2), dtype=complex)
-    ks2 = params.k_s**2
-    for i1 in range(grid.n1):
-        for i2 in range(grid.n2):
-            xi = (xi1[i1], xi2[i2])
-            _, D = decomposition_matrices(xi, params)
-            A = D @ coeff[:, i1, i2]
-            A_p[i1, i2] = A[0]
-            A_s[:, i1, i2] = A[1:]
-            _, gamma = _beta_gamma(np.asarray(xi), params)
-            kvec = np.array([xi[0], xi[1], gamma], dtype=complex)
-            A_st[:, i1, i2] = -np.cross(kvec, A[1:]) / ks2
-    return ModeAmplitudes(A_p=A_p, A_s=A_s, A_s_tilde=A_st, grid=grid)
+    XI1, XI2, xi_sq = grid.frequency_mesh()
+    XI1, XI2 = np.broadcast_arrays(XI1, XI2)
+    _, D = decomposition_matrices(np.stack([XI1, XI2], axis=-1), params)  # (n1, n2, 4, 3)
+    A = np.einsum("abij,jab->iab", D, trace.coefficients)
+    kvec = np.stack([XI1, XI2, vertical_wavenumber_grid(params.k_s, xi_sq)])
+    A_st = -np.cross(kvec, A[1:], axis=0) / params.k_s**2
+    return ModeAmplitudes(A_p=A[0], A_s=A[1:], A_s_tilde=A_st, grid=grid)
 
 
 def reconstruct_trace(amps: ModeAmplitudes, params: ElasticParams) -> BoundaryTrace:

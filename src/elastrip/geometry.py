@@ -44,12 +44,7 @@ class SurfaceProfile:
 
     def __post_init__(self):
         self.terms = tuple(self.terms)
-        n = 256
-        x1 = self.cell[0] * np.arange(n) / n
-        x2 = self.cell[1] * np.arange(n) / n
-        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        f = self.values(X1, X2)
-        g1, g2 = self.gradients(X1, X2)
+        f, g1, g2 = self._grid_fields()
         self.f_min = float(f.min())
         self.f_max = float(f.max())
         sup_grad = float(np.sqrt(g1**2 + g2**2).max())
@@ -61,32 +56,39 @@ class SurfaceProfile:
                                   + t.j2 * np.asarray(x2) / self.cell[1])
 
     def values(self, x1, x2):
-        out = np.full(np.broadcast_shapes(np.shape(x1), np.shape(x2)), self.offset, dtype=float)
-        for t, ph in self._phases(x1, x2):
-            out = out + t.c * np.cos(ph) + t.s * np.sin(ph)
-        return out
+        return self._fields(x1, x2)[0]
 
     def gradients(self, x1, x2):
+        return self._fields(x1, x2)[1:]
+
+    def _fields(self, x1, x2):
+        """(f, df/dx1, df/dx2) at the points, from one cos and one sin per term."""
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+        f = np.full(shape, self.offset, dtype=float)
         g1 = np.zeros(shape)
         g2 = np.zeros(shape)
         for t, ph in self._phases(x1, x2):
-            d = -t.c * np.sin(ph) + t.s * np.cos(ph)
+            cos, sin = np.cos(ph), np.sin(ph)
+            f = f + t.c * cos + t.s * sin
+            d = -t.c * sin + t.s * cos
             g1 = g1 + d * 2 * np.pi * t.j1 / self.cell[0]
             g2 = g2 + d * 2 * np.pi * t.j2 / self.cell[1]
-        return g1, g2
+        return f, g1, g2
+
+    def _grid_fields(self, n: int = 256):
+        """:meth:`_fields` on the n x n evaluation grid of the cell."""
+        x1 = self.cell[0] * np.arange(n) / n
+        x2 = self.cell[1] * np.arange(n) / n
+        return self._fields(*np.meshgrid(x1, x2, indexing="ij"))
 
     def is_flat(self) -> bool:
         return all(t.c == 0 and t.s == 0 for t in self.terms)
 
     def sup_distance_1inf(self, other: "SurfaceProfile", n: int = 256) -> float:
         """sup|f - f0| + sup|grad f - grad f0| on an evaluation grid."""
-        x1 = self.cell[0] * np.arange(n) / n
-        x2 = self.cell[1] * np.arange(n) / n
-        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        dv = np.abs(self.values(X1, X2) - other.values(X1, X2)).max()
-        g1a, g2a = self.gradients(X1, X2)
-        g1b, g2b = other.gradients(X1, X2)
+        fa, g1a, g2a = self._grid_fields(n)
+        fb, g1b, g2b = other._grid_fields(n)
+        dv = np.abs(fa - fb).max()
         dg = np.sqrt((g1a - g1b) ** 2 + (g2a - g2b) ** 2).max()
         return float(dv + dg)
 
@@ -157,14 +159,12 @@ def transform_fields(y1, y2, y3, f0: SurfaceProfile, f: SurfaceProfile, cutoff: 
     H(y) = y + alpha(y3 - f0(y')) * (f(y') - f0(y')) * e3; the Jacobian is
     I + e3 (J1, J2, J3) with det = 1 + J3.
     """
-    f0v = f0.values(y1, y2)
-    fv = f.values(y1, y2)
+    f0v, g01, g02 = f0._fields(y1, y2)
+    fv, g1, g2 = f._fields(y1, y2)
     df = fv - f0v
     arg = np.asarray(y3) - f0v
     a = cutoff(arg)
     ap = cutoff.derivative(arg)
-    g01, g02 = f0.gradients(y1, y2)
-    g1, g2 = f.gradients(y1, y2)
     J1 = a * (g1 - g01) - ap * g01 * df
     J2 = a * (g2 - g02) - ap * g02 * df
     J3 = ap * df

@@ -4,15 +4,19 @@ The horizontal directions use the symmetric frequency lattice of
 :class:`~elastrip.dtn.SpectralGrid`; the vertical direction uses linear finite
 elements on [bottom, h] with 2-point Gauss quadrature per element.  Variable
 coefficients are handled pseudospectrally on a padded collocation grid
-(3/2-rule dealiasing).
+(3/2-rule dealiasing).  The transforms to and from that grid are products
+with small dense DFT matrices built once per mesh (a matrix multiplication
+transform; Boyd, Chebyshev and Fourier Spectral Methods, ch. 10), which at
+these lengths beat padding plus FFT and leave the zero padding implicit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft2, ifft2, next_fast_len
+from scipy.fft import next_fast_len
 
 from .dtn import SpectralGrid
 from .errors import ConstraintError
@@ -46,9 +50,18 @@ class StripMesh:
         self.phi = np.stack([(1 - _GAUSS_X) / 2, (1 + _GAUSS_X) / 2])       # (2, q)
         self.dphi = np.stack([-1 / dz, 1 / dz])[:, :, None] * np.ones(2)     # (2, e, q)
         self._build_1d_matrices()
-        # dealiased collocation sizes
+        # dealiased collocation sizes; they set the quadrature, so they keep
+        # the FFT-friendly lengths although the transforms are matrix products
         self.P1 = next_fast_len(max((3 * self.grid.n1 + 1) // 2, self.grid.n1))
         self.P2 = next_fast_len(max((3 * self.grid.n2 + 1) // 2, self.grid.n2))
+        # padded DFT matrices E[x, k] = exp(2 pi i x j_k / P), j_k in FFT order,
+        # stacked with E diag(i xi) for the horizontal derivatives
+        j1, j2 = self.grid.mode_indices()
+        xi1, xi2 = self.grid.frequencies()
+        self._E1, self._E1d = _dft_matrices(j1, xi1, self.P1)
+        self._E2, self._E2d = _dft_matrices(j2, xi2, self.P2)
+        self._E1H, self._E1dH, self._E2H, self._E2dH = (
+            E.conj().T.copy() for E in (self._E1, self._E1d, self._E2, self._E2d))
 
     # -- vertical FEM pieces -------------------------------------------------
 
@@ -101,42 +114,54 @@ class StripMesh:
 
     # -- padded pseudospectral transforms ------------------------------------
 
-    def _copy_spectrum(self, C: np.ndarray, ax1: int, ax2: int, pad: bool) -> np.ndarray:
-        """Move an FFT-ordered spectrum between (n1, n2) and padded (P1, P2).
+    def to_physical(self, C: np.ndarray, ax1: int = -4, ax2: int = -3,
+                    gradient: bool = False) -> np.ndarray:
+        """Mode coefficients -> values on the padded collocation grid.
 
-        Modes 0..N sit at the front of both layouts and the negative modes at
-        the tail; ``pad`` zero-fills the extra padded slots, otherwise they
-        are dropped.
+        Two DFT-matrix products, along ax2 then ax1; the padded modes are
+        zero implicitly.  With ``gradient`` the horizontal axes must be
+        adjacent and axis ax1 - 1 lists fields (C0, C1, ...); the result
+        lists (C0, d1 C0, d2 C0, C1, ...) there, the horizontal derivatives
+        coming from the stacked matrices [E; E diag(i xi)].
         """
-        g = self.grid
-        segments = [[(slice(0, N + 1), slice(0, N + 1)), (slice(N + 1, n), slice(P - N, P))]
-                    for n, N, P in ((g.n1, g.N1, self.P1), (g.n2, g.N2, self.P2))]
-        shape = list(C.shape)
-        shape[ax1], shape[ax2] = (self.P1, self.P2) if pad else (g.n1, g.n2)
-        out = np.zeros(shape, dtype=complex)
-        for s1_small, s1_big in segments[0]:
-            for s2_small, s2_big in segments[1]:
-                small = [slice(None)] * C.ndim
-                big = list(small)
-                small[ax1], small[ax2] = s1_small, s2_small
-                big[ax1], big[ax2] = s1_big, s2_big
-                dst, src = (big, small) if pad else (small, big)
-                out[tuple(dst)] = C[tuple(src)]
-        return out
+        ax1, ax2 = ax1 % C.ndim, ax2 % C.ndim
+        if not gradient:
+            return _along(self._E1, _along(self._E2, C, ax2), ax1)
+        A, s, n1, n2, R = _field_stack(C.shape, ax1, ax2)
+        P1, P2R = self.P1, self.P2 * R
+        out_shape = C.shape[:ax1 - 1] + (s + 2, P1, self.P2) + C.shape[ax2 + 1:]
+        C = C.reshape(A, s, n1, n2, R)
+        Z = np.matmul(self._E2d, C[:, 0]).reshape(A, n1, 2 * P2R)  # E2 C0 | E2 i xi2 C0
+        F = np.empty((A, s + 2, P1, P2R), dtype=complex)
+        Fm = F.reshape(A, (s + 2) * P1, P2R)
+        np.matmul(self._E1d, Z[:, :, :P2R], out=Fm[:, :2 * P1])
+        np.matmul(self._E1, Z[:, :, P2R:], out=Fm[:, 2 * P1:3 * P1])
+        np.matmul(self._E1, np.matmul(self._E2, C[:, 1:]).reshape(A, s - 1, n1, P2R),
+                  out=F[:, 3:])
+        return F.reshape(out_shape)
 
-    def to_physical(self, C: np.ndarray, ax1: int = -4, ax2: int = -3) -> np.ndarray:
-        """Mode coefficients -> values on the padded collocation grid."""
-        ax1 = ax1 % C.ndim
-        ax2 = ax2 % C.ndim
-        padded = self._copy_spectrum(C, ax1, ax2, pad=True)
-        return ifft2(padded, axes=(ax1, ax2), norm="forward", overwrite_x=True)
+    def to_modes_adjoint(self, W: np.ndarray, ax1: int = -4, ax2: int = -3,
+                         gradient: bool = False) -> np.ndarray:
+        """Adjoint of :meth:`to_physical` under the plain point sum.
 
-    def to_modes_adjoint(self, W: np.ndarray, ax1: int = -4, ax2: int = -3) -> np.ndarray:
-        """Adjoint of :meth:`to_physical` under the plain point sum."""
-        ax1 = ax1 % W.ndim
-        ax2 = ax2 % W.ndim
-        spec = fft2(W, axes=(ax1, ax2))
-        return self._copy_spectrum(spec, ax1, ax2, pad=False)
+        The conjugate-transposed DFT matrices, applied in the reverse order;
+        with ``gradient`` the field axis ax1 - 1 shrinks from s + 2 back to s.
+        """
+        ax1, ax2 = ax1 % W.ndim, ax2 % W.ndim
+        if not gradient:
+            return _along(self._E2H, _along(self._E1H, W, ax1), ax2)
+        A, s2, P1, P2, R = _field_stack(W.shape, ax1, ax2)
+        n1, n2, P2R = self.grid.n1, self.grid.n2, P2 * R
+        out_shape = W.shape[:ax1 - 1] + (s2 - 2, n1, n2) + W.shape[ax2 + 1:]
+        W = W.reshape(A, s2 * P1, P2R)
+        Y = np.empty((A, n1, 2 * P2R), dtype=complex)
+        np.matmul(self._E1dH, W[:, :2 * P1], out=Y[:, :, :P2R])
+        np.matmul(self._E1H, W[:, 2 * P1:3 * P1], out=Y[:, :, P2R:])
+        out = np.empty((A, s2 - 2, n1, n2, R), dtype=complex)
+        np.matmul(self._E2dH, Y.reshape(A, n1, 2 * P2, R), out=out[:, 0])
+        rest = np.matmul(self._E1H, W[:, 3 * P1:].reshape(A, s2 - 3, P1, P2R))
+        np.matmul(self._E2H, rest.reshape(A, s2 - 3, n1, P2, R), out=out[:, 1:])
+        return out.reshape(out_shape)
 
     def collocation_padded(self):
         x1 = self.grid.cell[0] * np.arange(self.P1) / self.P1
@@ -147,3 +172,25 @@ class StripMesh:
     def point_weight(self) -> float:
         """Horizontal quadrature weight |cell| / (P1 P2) of one collocation point."""
         return self.grid.cell_area / (self.P1 * self.P2)
+
+
+def _dft_matrices(j: np.ndarray, xi: np.ndarray, P: int):
+    """E[x, k] = exp(2 pi i x j_k / P) on the P padded points, and [E; E diag(i xi)]."""
+    E = np.exp(2j * np.pi * (np.outer(np.arange(P), j) % P) / P)
+    return E, np.concatenate([E, E * (1j * xi)])
+
+
+def _along(E: np.ndarray, X: np.ndarray, ax: int) -> np.ndarray:
+    """The matrix E (rows, n) applied along axis ``ax`` of X, as one batched matmul."""
+    shape = X.shape
+    Y = np.matmul(E, X.reshape(math.prod(shape[:ax]), shape[ax], math.prod(shape[ax + 1:])))
+    return Y.reshape(shape[:ax] + (E.shape[0],) + shape[ax + 1:])
+
+
+def _field_stack(shape: tuple, ax1: int, ax2: int):
+    """(A, s, m1, m2, R): a field axis before adjacent horizontal axes, the rest merged."""
+    if ax1 < 1 or ax2 != ax1 + 1:
+        raise ConstraintError("gradient transforms need a field axis before adjacent "
+                              f"horizontal axes, got ax1={ax1}, ax2={ax2}")
+    return (math.prod(shape[:ax1 - 1]), shape[ax1 - 1], shape[ax1], shape[ax2],
+            math.prod(shape[ax2 + 1:]))

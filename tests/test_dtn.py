@@ -9,7 +9,7 @@ from elastrip.dtn import (BoundaryTrace, SpectralGrid, apply_dtn,
                           mode_traction, propagation_matrices,
                           reconstruct_trace, verify_symbol_properties,
                           verify_symbol_suite)
-from elastrip.errors import ConstraintError
+from elastrip.errors import ConstraintError, ElastripError
 from elastrip.params import ElasticParams
 
 P = ElasticParams(lam=1.0, mu=1.0, omega=2.0)
@@ -62,6 +62,39 @@ def test_decomposition_inverse_relation():
         DtD = Dt @ D
         np.testing.assert_allclose(DtD[:3], np.eye(3), atol=1e-11)
         np.testing.assert_allclose(DtD[3], 0.0, atol=1e-11)
+
+
+def test_decomposition_matrices_broadcast_over_xi(monkeypatch):
+    """One call over an xi array = the per-xi systems; decompose_trace = a per-mode loop."""
+    from elastrip.dtn import _beta_gamma
+    rng = np.random.default_rng(8)
+    XI = rng.normal(scale=2.5, size=(4, 5, 2))
+    Dt, D = decomposition_matrices(XI, P)
+    assert Dt.shape == (4, 5, 4, 4) and D.shape == (4, 5, 4, 3)
+    for idx in np.ndindex(4, 5):
+        (x1, x2), (beta, gamma) = XI[idx], _beta_gamma(XI[idx], P)
+        Dt1 = np.array([[x1, 1, 0, 0], [x2, 0, 1, 0], [beta, 0, 0, 1], [0, x1, x2, gamma]])
+        np.testing.assert_allclose(Dt[idx], Dt1, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(D[idx], np.linalg.solve(Dt1, np.eye(4, 3)), atol=1e-13)
+
+    grid = SpectralGrid(N1=3, N2=2, cell=(3.0, 5.0))
+    trace = random_trace(grid, seed=4)
+    amps = decompose_trace(trace, P)
+    xi1, xi2 = grid.frequencies()
+    for i1, i2 in np.ndindex(grid.n1, grid.n2):
+        xi = np.array([xi1[i1], xi2[i2]])
+        A = decomposition_matrices(xi, P)[1] @ trace.coefficients[:, i1, i2]
+        kvec = np.array([xi[0], xi[1], _beta_gamma(xi, P)[1]])
+        np.testing.assert_allclose(amps.A_p[i1, i2], A[0], rtol=1e-13)
+        np.testing.assert_allclose(amps.A_s[:, i1, i2], A[1:], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(amps.A_s_tilde[:, i1, i2], -np.cross(kvec, A[1:]) / P.k_s**2,
+                                   rtol=1e-13, atol=1e-15)
+
+    # with both wavenumbers forced to 0, rho = |xi|^2 vanishes at xi = 0 only
+    monkeypatch.setattr("elastrip.dtn.vertical_wavenumber_grid", lambda k, xi_sq: 0 * xi_sq)
+    XI[2, 3] = 0.0
+    with pytest.raises(ElastripError, match=r"xi=\(0\.0, 0\.0\)"):
+        decomposition_matrices(XI, P)
 
 
 def test_decompose_reconstruct_roundtrip():

@@ -32,6 +32,28 @@ def test_profile_extrema_and_lipschitz():
     assert flat().is_flat() and not f.is_flat()
 
 
+def test_profile_fields_bit_identical_to_separate_passes():
+    """One cos/sin pass per term gives the bits of separate value and gradient passes."""
+    prof = SurfaceProfile(offset=0.02, terms=(HarmonicTerm(1, 0, 0.08, -0.01),
+                                              HarmonicTerm(2, -1, 0.0, 0.05),
+                                              HarmonicTerm(0, 3, 0.01, 0.02)), cell=(2.0, 3.5))
+    n = 64
+    X1, X2 = np.meshgrid(2.0 * np.arange(n) / n, 3.5 * np.arange(n) / n, indexing="ij")
+    f = np.full(X1.shape, prof.offset)
+    g1 = np.zeros(X1.shape)
+    g2 = np.zeros(X1.shape)
+    for t in prof.terms:
+        ph = 2 * np.pi * (t.j1 * X1 / 2.0 + t.j2 * X2 / 3.5)
+        f = f + t.c * np.cos(ph) + t.s * np.sin(ph)
+    for t in prof.terms:
+        ph = 2 * np.pi * (t.j1 * X1 / 2.0 + t.j2 * X2 / 3.5)
+        d = -t.c * np.sin(ph) + t.s * np.cos(ph)
+        g1 = g1 + d * 2 * np.pi * t.j1 / 2.0
+        g2 = g2 + d * 2 * np.pi * t.j2 / 3.5
+    for got in (prof._grid_fields(n), (prof.values(X1, X2),) + prof.gradients(X1, X2)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, (f, g1, g2)))
+
+
 def test_make_profile_slab_violation_names_point():
     with pytest.raises(ConstraintError, match=r"f\("):
         make_profile(0.0, [(1, 0, 0.5, 0.0)], GEOM)

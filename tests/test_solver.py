@@ -14,6 +14,7 @@ from elastrip.solver import (
     StripOperator,
     assemble_flat_blocks,
     assemble_rhs,
+    banded_matvec,
     block_lu_solver,
     coercivity_probe,
     dense_blocks,
@@ -130,6 +131,37 @@ def test_direct_solve_raises_above_tolerance():
     mesh = flat_mesh(N=1, nz=8)
     with pytest.raises(NonConvergenceError):
         solve_field(mesh, P, assemble_rhs(mesh, bump()), tol=1e-30)
+
+
+@settings(max_examples=20, deadline=None)
+@given(N1=st.integers(0, 2), N2=st.integers(0, 2), nz=st.integers(1, 10),
+       seed=st.integers(0, 2**32 - 1))
+def test_banded_matvec_matches_dense_and_operator(N1, N2, nz, seed):
+    """The direct path's residual multiply: bands = dense expansion = flat operator."""
+    mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=(2.0, 3.0)),
+                     bottom=-0.5, top=0.5, n_elements=nz)
+    bands = assemble_flat_blocks(mesh, P)
+    op = StripOperator(mesh, P)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+    y = banded_matvec(bands, x)
+    blocks = dense_blocks(bands)
+    n1, n2, n = blocks.shape[:3]
+    X = np.moveaxis(x.reshape(3, n1, n2, nz), 0, 2).reshape(n1, n2, n, 1)
+    ref = np.moveaxis((blocks @ X).reshape(n1, n2, 3, nz), 2, 0).ravel()
+    assert np.linalg.norm(y - ref) <= 1e-11 * np.linalg.norm(ref)
+    assert np.linalg.norm(y - op @ x) <= 1e-11 * np.linalg.norm(y)
+
+
+def test_direct_solve_builds_no_operator(monkeypatch):
+    """The flat residual comes from the bands, not from a matrix-free operator."""
+    def no_operator(*args, **kwargs):
+        raise AssertionError("StripOperator built on the direct path")
+
+    monkeypatch.setattr("elastrip.solver.StripOperator", no_operator)
+    mesh = flat_mesh(N=1, nz=8)
+    _, info = solve_field(mesh, P, assemble_rhs(mesh, bump()))
+    assert info.method == "direct" and 0 < info.residual <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
