@@ -10,15 +10,13 @@ from .dtn import (BoundaryTrace, DtnSymbol, SpectralGrid, decompose_trace,
                   dtn_symbol, energy_flux, extend_field, mode_traction,
                   verify_symbol_properties, verify_symbol_suite)
 from .geometry import (CoefficientLaw, CutoffFn, HarmonicTerm, SurfaceProfile,
-                       invert_vertical, make_profile, sample_ensemble,
-                       transform_map)
+                       invert_vertical, make_profile, sample_ensemble)
 from .sources import BumpSource
 from .mesh import StripMesh
-from .solver import (DiscreteField, ModeFieldSmooth, StripOperator,
-                     TransformCoefficients, assemble_flat_blocks, assemble_rhs,
-                     coercivity_probe, energy_balance, flat_mode_oracle,
-                     poincare_slack, rellich_identity_residual,
-                     rellich_residual, solve_field, solve_flat)
+from .solver import (DiscreteField, StripOperator, TransformCoefficients,
+                     assemble_flat_blocks, assemble_rhs, coercivity_probe,
+                     energy_balance, flat_mode_oracle, poincare_slack,
+                     solve_field, solve_flat)
 from .config import RunConfig, from_dict, load_config
 from .harness import (McReport, RunReport, deterministic_run, monte_carlo,
                       parameter_sweep, pushforward_check, solve_surface)

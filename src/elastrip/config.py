@@ -46,7 +46,6 @@ class DiscretizationConfig:
     N1: int = 4
     N2: int = 4
     n_z: int = 32
-    quad_order: int = 2
     solver_tol: float = 1e-9
 
 
@@ -79,8 +78,6 @@ class RunConfig:
 
     def __post_init__(self):
         d = self.discretization
-        if d.quad_order != 2:
-            raise ConfigError(f"only 2-point Gauss quadrature is supported, got {d.quad_order}")
         if d.N1 < 0 or d.N2 < 0 or d.n_z < 1:
             raise ConfigError("discretization sizes must be positive")
         if not 0 <= self.source.component <= 2:

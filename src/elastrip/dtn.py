@@ -1,4 +1,4 @@
-"""Angular-spectrum machinery: mode decomposition, DtN symbol and its FFT application.
+"""Angular-spectrum machinery: mode decomposition and the DtN symbol.
 
 The field above the artificial plane x3 = h is a superposition of upward P and
 S modes.  Per horizontal frequency xi that superposition determines a 3x3
@@ -286,16 +286,6 @@ def mode_traction(xi, amps_p: complex, amps_s: np.ndarray, params: ElasticParams
     t_p = traction_of(amps_p * kp_vec, beta)
     t_s = traction_of(np.asarray(amps_s, dtype=complex), gamma)
     return t_p + t_s
-
-
-def apply_dtn(trace: BoundaryTrace, params: ElasticParams) -> BoundaryTrace:
-    """Apply the transparent boundary operator: DFT, multiply by i*M(xi), inverse DFT."""
-    grid = trace.grid
-    XI1, XI2, _ = grid.frequency_mesh()
-    M = dtn_symbol_grid(XI1, XI2, params)
-    coeff = trace.coefficients
-    out = 1j * np.einsum("ij...,j...->i...", M, coeff)
-    return BoundaryTrace.from_coefficients(out, grid)
 
 
 def energy_flux(trace: BoundaryTrace, params: ElasticParams) -> tuple[float, float]:

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintError, SingularTransformError
+from .errors import ConstraintError
 from .params import StripGeometry
 
 _LIPSCHITZ_SAFETY = 1.05
+_BISECTION_STEPS = 80     # halvings of [f0, h] in invert_vertical, past double precision
+_MAX_RETRIES = 100        # surface redraws per ensemble sample
 
 
 @dataclass(frozen=True)
@@ -93,23 +95,20 @@ class SurfaceProfile:
         return float(dv + dg)
 
 
-def make_profile(offset: float, terms, geom: StripGeometry,
-                 eval_factor: int = 8, solver_n: int = 32) -> SurfaceProfile:
-    """Build a profile and verify slab containment on a fine evaluation grid."""
+def make_profile(offset: float, terms, geom: StripGeometry) -> SurfaceProfile:
+    """Build a profile and verify slab containment on its evaluation grid."""
     prof = SurfaceProfile(offset=float(offset),
                           terms=tuple(HarmonicTerm(*t) if not isinstance(t, HarmonicTerm) else t
                                       for t in terms),
                           cell=geom.cell)
-    n = max(256, eval_factor * solver_n)
-    x1 = geom.cell[0] * np.arange(n) / n
-    x2 = geom.cell[1] * np.arange(n) / n
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    f = prof.values(X1, X2)
-    if f.min() <= geom.m or f.max() >= geom.M_sup:
+    if prof.f_min <= geom.m or prof.f_max >= geom.M_sup:
+        # evaluated again only to name the point furthest outside the slab
+        f = prof._grid_fields()[0]
         k = np.unravel_index(int(np.argmax(np.maximum(geom.m - f, f - geom.M_sup))), f.shape)
         raise ConstraintError(
             f"profile leaves the slab ({geom.m}, {geom.M_sup}): "
-            f"f({x1[k[0]]:.4f}, {x2[k[1]]:.4f}) = {f[k]:.6f}"
+            f"f({geom.cell[0] * k[0] / f.shape[0]:.4f}, "
+            f"{geom.cell[1] * k[1] / f.shape[1]:.4f}) = {f[k]:.6f}"
         )
     return prof
 
@@ -143,16 +142,6 @@ class CutoffFn:
         return np.where(inside, -1.0 / (self.gamma_gap - self.delta), 0.0)
 
 
-@dataclass
-class TransformData:
-    """Pointwise transform data: image, Jacobian, determinant, inverse."""
-
-    x: np.ndarray
-    J: np.ndarray
-    det_J: float
-    J_inv: np.ndarray
-
-
 def transform_fields(y1, y2, y3, f0: SurfaceProfile, f: SurfaceProfile, cutoff: CutoffFn):
     """Vectorized transform: x3, J-row (J1, J2, J3) and det at broadcastable points.
 
@@ -172,31 +161,8 @@ def transform_fields(y1, y2, y3, f0: SurfaceProfile, f: SurfaceProfile, cutoff: 
     return x3, J1, J2, J3
 
 
-def transform_map(y, f0: SurfaceProfile, f: SurfaceProfile, cutoff: CutoffFn) -> TransformData:
-    """Transform one point; raises if the Jacobian is singular (|J3| >= 1)."""
-    y = np.asarray(y, dtype=float)
-    x3, J1, J2, J3 = transform_fields(y[0], y[1], y[2], f0, f, cutoff)
-    J1, J2, J3 = float(J1), float(J2), float(J3)
-    if abs(J3) >= 1:
-        raise SingularTransformError(
-            f"|J3| = {abs(J3):.4f} >= 1 at y = {tuple(y)}; "
-            "surface amplitude too large for this cutoff"
-        )
-    J = np.eye(3)
-    J[2, 0] += J1
-    J[2, 1] += J2
-    J[2, 2] += J3
-    det = 1.0 + J3
-    J_inv = np.eye(3)
-    J_inv[2, 0] -= J1 / det
-    J_inv[2, 1] -= J2 / det
-    J_inv[2, 2] = 1.0 / det
-    x = np.array([y[0], y[1], float(x3)])
-    return TransformData(x=x, J=J, det_J=det, J_inv=J_inv)
-
-
 def invert_vertical(x3, y1, y2, f0: SurfaceProfile, f: SurfaceProfile,
-                    cutoff: CutoffFn, h: float, n_iter: int = 80):
+                    cutoff: CutoffFn, h: float):
     """Solve x3 = y3 + alpha(y3 - f0)(f - f0) for y3 by monotone bisection.
 
     Vectorized over broadcastable point arrays; the map is strictly
@@ -205,7 +171,7 @@ def invert_vertical(x3, y1, y2, f0: SurfaceProfile, f: SurfaceProfile,
     f0v = f0.values(y1, y2)
     lo = np.broadcast_to(f0v, np.shape(x3)).copy()
     hi = np.full(np.shape(x3), h, dtype=float)
-    for _ in range(n_iter):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         x_mid, _, _, _ = transform_fields(y1, y2, mid, f0, f, cutoff)
         go_up = x_mid < np.asarray(x3)
@@ -235,11 +201,9 @@ class CoefficientLaw:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Random-source family parameters: vertical bump position band and scale."""
+    """Random-source family parameters: the amplitude scale of its factors."""
 
     amplitude: float = 1.0
-    n_terms: int = 2
-    max_mode: int = 1
 
 
 @dataclass
@@ -258,8 +222,7 @@ def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
 
 def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
                     geom: StripGeometry, f0: SurfaceProfile,
-                    source_spec: SourceSpec | None = None,
-                    max_retries: int = 100) -> list[RandomSample]:
+                    source_spec: SourceSpec | None = None) -> list[RandomSample]:
     """Draw n admissible samples; rejection-resample out-of-class surfaces."""
     from .sources import BumpSource  # local import to avoid a cycle
 
@@ -269,7 +232,7 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
     for sample_id in range(n):
         rng = _sample_rng(seed, sample_id)
         surface = None
-        for _ in range(max_retries):
+        for _ in range(_MAX_RETRIES):
             terms = []
             for j1, j2, amp in law.bands:
                 c, s = rng.uniform(-amp, amp, size=2)
@@ -281,7 +244,7 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
                 break
         if surface is None:
             raise ConstraintError(
-                f"sample {sample_id}: no admissible surface in {max_retries} retries"
+                f"sample {sample_id}: no admissible surface in {_MAX_RETRIES} retries"
             )
         source = BumpSource.random(rng, geom, f0, spec=source_spec)
         samples.append(RandomSample(surface=surface, source=source, sample_id=sample_id))

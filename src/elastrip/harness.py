@@ -31,6 +31,7 @@ from .sources import BumpSource
 
 ENERGY_TOL = 1e-8
 POWER_TOL = -1e-12
+_PUSHFORWARD_POINTS = 12   # sample points per axis of the pushforward comparison
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +60,15 @@ class RunReport:
             "omega": self.config_echo["physics"]["omega"],
             "h": self.config_echo["geometry"]["h"],
             "L": self.diagnostics["surface_L"],
-            "u_vh": repr(self.u_vh),
-            "g_l2": repr(self.g_l2),
-            "g_h1": repr(self.g_h1),
-            "total_bound": repr(self.bound["total_bound"]),
-            "measured_ratio": repr(self.bound["measured_ratio"]),
-            "energy_residual": repr(self.diagnostics["energy_residual"]),
-            "radiated_power": repr(self.diagnostics["radiated_power"]),
-            "poincare_slack": repr(self.diagnostics["poincare_slack"]),
-            "solve_residual": repr(self.diagnostics["solve_residual"]),
+            "u_vh": self.u_vh,
+            "g_l2": self.g_l2,
+            "g_h1": self.g_h1,
+            "total_bound": self.bound["total_bound"],
+            "measured_ratio": self.bound["measured_ratio"],
+            "energy_residual": self.diagnostics["energy_residual"],
+            "radiated_power": self.diagnostics["radiated_power"],
+            "poincare_slack": self.diagnostics["poincare_slack"],
+            "solve_residual": self.diagnostics["solve_residual"],
             "solve_iterations": self.diagnostics["solve_iterations"],
         }
 
@@ -314,8 +315,7 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
                     failures=failures, sample_rows=rows)
 
 
-def pushforward_check(cfg: RunConfig, profile: SurfaceProfile | None = None,
-                      n_z: int | None = None, n_pts: int = 12) -> dict:
+def pushforward_check(cfg: RunConfig, n_z: int | None = None) -> dict:
     """Cross-check two flattening routes of the same physical problem.
 
     The same rough surface is solved through two different transforms (the
@@ -325,8 +325,7 @@ def pushforward_check(cfg: RunConfig, profile: SurfaceProfile | None = None,
     L2 discrepancy over those points is returned together with a V_h-norm
     comparison of the two reference-strip fields.
     """
-    params, geom, grid, mesh, f0, cfg_profile, cutoff_a, source = build_setup(cfg)
-    profile = profile if profile is not None else cfg_profile
+    params, geom, grid, mesh, f0, profile, cutoff_a, source = build_setup(cfg)
     if n_z is not None:
         mesh = StripMesh(grid=grid, bottom=mesh.bottom, top=mesh.top, n_elements=n_z)
     gap = geom.h - cfg.surface.f0_offset
@@ -340,11 +339,12 @@ def pushforward_check(cfg: RunConfig, profile: SurfaceProfile | None = None,
 
     # shared physical sample points: horizontal lattice x heights above the
     # surface maximum (both transforms are invertible there)
-    x1 = geom.cell[0] * (np.arange(n_pts) + 0.3) / n_pts
-    x2 = geom.cell[1] * (np.arange(n_pts) + 0.7) / n_pts
+    n = _PUSHFORWARD_POINTS
+    x1 = geom.cell[0] * (np.arange(n) + 0.3) / n
+    x2 = geom.cell[1] * (np.arange(n) + 0.7) / n
     z_lo = profile.f_max + 0.05 * (geom.h - profile.f_max)
     z_hi = geom.h - 0.05 * (geom.h - profile.f_max)
-    x3 = np.linspace(z_lo, z_hi, n_pts)
+    x3 = np.linspace(z_lo, z_hi, n)
     X1, X2, X3 = np.meshgrid(x1, x2, x3, indexing="ij")
     if X3.min() <= profile.f_max or X3.max() >= geom.h:
         raise ElastripError("pushforward sample points leave the strip")
@@ -368,43 +368,40 @@ def pushforward_check(cfg: RunConfig, profile: SurfaceProfile | None = None,
 # report files
 # ---------------------------------------------------------------------------
 
-def write_run_csv(path, reports) -> None:
+def _csv_cell(v):
+    """Floats, numpy ones too, as repr(float(v)); ints and strings as they are."""
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else v
+
+
+def _write_csv(path, fields, rows) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=RunReport.CSV_FIELDS)
+        w = csv.DictWriter(fh, fieldnames=fields)
         w.writeheader()
-        for r in reports:
-            w.writerow(r.csv_row())
+        w.writerows({k: _csv_cell(v) for k, v in row.items()} for row in rows)
+
+
+def write_run_csv(path, reports) -> None:
+    _write_csv(path, RunReport.CSV_FIELDS, (r.csv_row() for r in reports))
 
 
 def write_sweep_csv(path, rows) -> None:
-    fields = ("axis", "value", "status", "u_vh", "g_h1", "total_bound",
-              "measured_ratio", "energy_residual")
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for row in rows:
-            rep = row["report"]
-            if rep is None:
-                w.writerow({"axis": row["axis"], "value": repr(row["value"]),
-                            "status": row["error"]})
-            else:
-                w.writerow({"axis": row["axis"], "value": repr(row["value"]),
-                            "status": "ok", "u_vh": repr(rep.u_vh),
-                            "g_h1": repr(rep.g_h1),
-                            "total_bound": repr(rep.bound["total_bound"]),
-                            "measured_ratio": repr(rep.bound["measured_ratio"]),
-                            "energy_residual": repr(rep.diagnostics["energy_residual"])})
+    def cells(row):
+        rep = row["report"]
+        if rep is None:
+            return {"axis": row["axis"], "value": row["value"], "status": row["error"]}
+        return {"axis": row["axis"], "value": row["value"], "status": "ok",
+                "u_vh": rep.u_vh, "g_h1": rep.g_h1,
+                "total_bound": rep.bound["total_bound"],
+                "measured_ratio": rep.bound["measured_ratio"],
+                "energy_residual": rep.diagnostics["energy_residual"]}
+
+    _write_csv(path, ("axis", "value", "status", "u_vh", "g_h1", "total_bound",
+                      "measured_ratio", "energy_residual"), map(cells, rows))
 
 
 def write_mc_csv(path, report: McReport) -> None:
-    fields = ("sample_id", "u_h1_sq", "g_h1_sq", "energy_residual",
-              "radiated_power", "surface_L", "iterations")
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for row in report.sample_rows:
-            w.writerow({k: (repr(v) if isinstance(v, float) else v)
-                        for k, v in row.items()})
+    _write_csv(path, ("sample_id", "u_h1_sq", "g_h1_sq", "energy_residual",
+                      "radiated_power", "surface_L", "iterations"), report.sample_rows)
 
 
 def write_json(path, payload: dict) -> None:

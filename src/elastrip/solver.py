@@ -21,8 +21,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .dtn import BoundaryTrace, SpectralGrid, dtn_symbol_grid, energy_flux
-from .errors import ConstraintError, NonConvergenceError
+from .dtn import BoundaryTrace, SpectralGrid, dtn_symbol, dtn_symbol_grid, energy_flux
+from .errors import ConstraintError, NonConvergenceError, SingularTransformError
 from .geometry import CutoffFn, SurfaceProfile, transform_fields
 from .mesh import StripMesh
 from .params import ElasticParams
@@ -68,9 +68,6 @@ class DiscreteField:
 
     def top_trace(self) -> BoundaryTrace:
         return BoundaryTrace.from_coefficients(self.coeff[:, :, :, -1], self.mesh.grid)
-
-    def bottom_trace_zero(self) -> bool:
-        return bool(np.all(self.coeff[:, :, :, 0] == 0))
 
     # -- norms (exact quadrature of the piecewise-linear field) --------------
 
@@ -257,18 +254,15 @@ class TransformCoefficients:
                  cutoff: CutoffFn):
         _x3, J1, J2, J3 = transform_fields(*quad_points(mesh), f0, f, cutoff)
         if np.abs(J3).max() >= 1:
-            from .errors import SingularTransformError
             raise SingularTransformError(
                 f"max |J3| = {np.abs(J3).max():.4f} >= 1; "
                 "surface amplitude too large for cutoff margins"
             )
-        self.J1, self.J2, self.J3 = J1, J2, J3
+        self.J1, self.J2 = J1, J2
         self.det = 1.0 + J3
         self.inv_det = 1.0 / self.det
         self.x3 = np.broadcast_to(np.asarray(_x3), np.broadcast_shapes(
             np.shape(_x3), J3.shape)).copy()
-        self.mesh = mesh
-        self.f0, self.f, self.cutoff = f0, f, cutoff
 
 
 def quad_points(mesh: StripMesh, coeffs: TransformCoefficients | None = None):
@@ -453,75 +447,59 @@ def flat_mode_oracle(xi, params: ElasticParams, g_profile, h: float, m_ref: floa
     Second-order central differences for the interior Navier system,
     u(m_ref) = 0 and the Robin top condition T u = i M(xi) u with a
     second-order one-sided derivative.  Independent of the Galerkin path.
+    Every interior node has the same 3x3 stencil blocks, so the matrix is
+    their Kronecker product with the node shifts, plus the two boundary rows.
     """
-    from .dtn import dtn_symbol
-
     xi = np.asarray(xi, dtype=float)
     lam, mu, w = params.lam, params.mu, params.omega
     n = n_fine
     z = np.linspace(m_ref, h, n + 1)
     dz = z[1] - z[0]
     ix = 1j * xi
-    N = 3 * (n + 1)
-    A = scipy.sparse.lil_matrix((N, N), dtype=complex)
-    b = np.zeros(N, dtype=complex)
-
-    def I(node, comp):
-        return 3 * node + comp
-
+    lm = lam + mu
     xi_sq = float(xi @ xi)
-    for i in range(1, n):
-        gi = np.asarray(g_profile(z[i]), dtype=complex)
-        for c in range(3):
-            # mu u'' - mu |xi|^2 u + w^2 u
-            A[I(i, c), I(i - 1, c)] += mu / dz**2
-            A[I(i, c), I(i, c)] += -2 * mu / dz**2 - mu * xi_sq + w * w
-            A[I(i, c), I(i + 1, c)] += mu / dz**2
-            b[I(i, c)] = gi[c]
-        # (lam + mu) grad(div u):  div = i xi1 u1 + i xi2 u2 + u3'
-        lm = lam + mu
-        for c in range(2):
-            # component c: i xi_c * div
-            A[I(i, c), I(i, 0)] += lm * ix[c] * ix[0]
-            A[I(i, c), I(i, 1)] += lm * ix[c] * ix[1]
-            A[I(i, c), I(i + 1, 2)] += lm * ix[c] / (2 * dz)
-            A[I(i, c), I(i - 1, 2)] += -lm * ix[c] / (2 * dz)
-        # component 3: d/dz(div)
-        for j in range(2):
-            A[I(i, 2), I(i + 1, j)] += lm * ix[j] / (2 * dz)
-            A[I(i, 2), I(i - 1, j)] += -lm * ix[j] / (2 * dz)
-        A[I(i, 2), I(i + 1, 2)] += lm / dz**2
-        A[I(i, 2), I(i, 2)] += -2 * lm / dz**2
-        A[I(i, 2), I(i - 1, 2)] += lm / dz**2
 
-    # bottom Dirichlet
-    for c in range(3):
-        A[I(0, c), I(0, c)] = 1.0
-
-    # top Robin: T u - i M u = 0, one-sided second-order u'(h)
-    Msym = dtn_symbol(xi, params).M
-
-    def add_deriv(row, comp, factor):
-        A[row, I(n, comp)] += factor * 1.5 / dz
-        A[row, I(n - 1, comp)] += factor * (-2.0) / dz
-        A[row, I(n - 2, comp)] += factor * 0.5 / dz
-
-    # T1 = mu u1' + mu i xi1 u3 ; T2 = mu u2' + mu i xi2 u3
+    # interior stencil on nodes i-1, i, i+1:
+    # mu u'' - mu |xi|^2 u + w^2 u + (lam + mu) grad(div u), div = i xi.u' + u3'
+    lower = np.diag(np.full(3, mu / dz**2 + 0j))
+    diag = np.diag(np.full(3, -2 * mu / dz**2 - mu * xi_sq + w * w + 0j))
+    upper = lower.copy()
     for c in range(2):
-        row = I(n, c)
-        add_deriv(row, c, mu)
-        A[row, I(n, 2)] += mu * ix[c]
-        for j in range(3):
-            A[row, I(n, j)] += -1j * Msym[c, j]
-    # T3 = (lam+2mu) u3' + lam (i xi1 u1 + i xi2 u2)
-    row = I(n, 2)
-    add_deriv(row, 2, lam + 2 * mu)
-    A[row, I(n, 0)] += lam * ix[0]
-    A[row, I(n, 1)] += lam * ix[1]
-    for j in range(3):
-        A[row, I(n, j)] += -1j * Msym[2, j]
+        diag[c, :2] += lm * ix[c] * ix[:2]
+        lower[c, 2] += -lm * ix[c] / (2 * dz)
+        upper[c, 2] += lm * ix[c] / (2 * dz)
+        lower[2, c] += -lm * ix[c] / (2 * dz)
+        upper[2, c] += lm * ix[c] / (2 * dz)
+    lower[2, 2] += lm / dz**2
+    diag[2, 2] += -2 * lm / dz**2
+    upper[2, 2] += lm / dz**2
 
-    sol = scipy.sparse.linalg.spsolve(A.tocsr(), b)
+    # top Robin: T u - i M u = 0 with the one-sided second-order u'(h);
+    # T1,2 = mu u1,2' + mu i xi1,2 u3, T3 = (lam + 2 mu) u3' + lam i xi.u
+    d = np.diag([mu, mu, lam + 2 * mu])
+    top = d * 1.5 / dz - 1j * dtn_symbol(xi, params).M
+    top[:2, 2] += mu * ix
+    top[2, :2] += lam * ix
+
+    def node_block(rows, k, block):
+        """kron(S, block) where S has ones at (i, i + k) for nodes i in rows."""
+        rows = np.asarray(rows)
+        S = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, rows + k)),
+                                    shape=(n + 1, n + 1))
+        # coo keeps no zero of block: stored zeros would change spsolve's ordering
+        return scipy.sparse.kron(S, block, format="coo")
+
+    interior = np.arange(1, n)
+    A = (node_block(interior, -1, lower) + node_block(interior, 0, diag)
+         + node_block(interior, 1, upper)
+         + node_block([0], 0, np.eye(3))                      # bottom Dirichlet
+         + node_block([n], 0, top) + node_block([n], -1, d * (-2.0) / dz)
+         + node_block([n], -2, d * 0.5 / dz))
+    b = np.zeros((n + 1, 3), dtype=complex)
+    for i in interior:  # one call per node: g_profile need only take a scalar height
+        b[i] = np.asarray(g_profile(z[i]), dtype=complex)
+
+    sol = scipy.sparse.linalg.spsolve(A.tocsr(), b.ravel())
     return z, sol.reshape(n + 1, 3).T
 
 
@@ -553,7 +531,9 @@ def energy_balance(field: DiscreteField, rhs: np.ndarray, params: ElasticParams)
 def poincare_slack(field: DiscreteField) -> float:
     """(h - bottom) * ||d3 u||^2 - ||u||^2; nonnegative for admissible fields."""
     depth = field.mesh.top - field.mesh.bottom
-    return depth * field.dz_norm_sq() - field.l2_norm_sq()
+    l2, dz, _ = field._mode_quadratics()
+    area = field.mesh.grid.cell_area
+    return depth * float(area * dz.sum()) - float(area * l2.sum())
 
 
 def coercivity_probe(mesh: StripMesh, params: ElasticParams, n_probes: int = 200,
@@ -583,124 +563,3 @@ def coercivity_probe(mesh: StripMesh, params: ElasticParams, n_probes: int = 200
         rayleigh_min = min(rayleigh_min, float(vals[0]))
     return {"probe_min": float(probe_min), "rayleigh_min": float(rayleigh_min),
             "n_probes": n_probes, "seed": seed}
-
-
-def _gauss_legendre(z_lo: float, z_hi: float, n: int):
-    """n-point Gauss-Legendre nodes and weights on [z_lo, z_hi]."""
-    zq, wq = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (z_hi + z_lo) + 0.5 * (z_hi - z_lo) * zq, 0.5 * (z_hi - z_lo) * wq
-
-
-def _boundary_jump(mf, z_lo: float, z_hi: float, params: ElasticParams) -> float:
-    """Rellich boundary density of one mode field, top minus bottom.
-
-    The density is 2 Re(Tu . d3 conj(u)) - E(u, conj u) + w^2 |u|^2 with the
-    upward traction T.
-    """
-    lam, mu, w = params.lam, params.mu, params.omega
-    ix = 1j * mf.xi
-    jump = 0.0
-    for z, sign in ((z_hi, 1.0), (z_lo, -1.0)):
-        U, dU = mf.fn(z), mf.dfn(z)
-        div = ix[0] * U[0] + ix[1] * U[1] + dU[2]
-        T = np.array([
-            mu * dU[0] + mu * ix[0] * U[2],
-            mu * dU[1] + mu * ix[1] * U[2],
-            (lam + 2 * mu) * dU[2] + lam * (ix[0] * U[0] + ix[1] * U[1]),
-        ])
-        G = np.stack([ix[0] * U, ix[1] * U, dU], axis=1)
-        curl = np.array([G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]])
-        edens = (2 * mu * np.sum(np.abs(G) ** 2) + lam * abs(div) ** 2
-                 - mu * np.sum(np.abs(curl) ** 2))
-        jump += sign * float(2 * np.real(T @ np.conj(dU)) - edens
-                             + w * w * np.sum(np.abs(U) ** 2))
-    return jump
-
-
-def rellich_residual(field: DiscreteField, source, params: ElasticParams,
-                     coeffs: TransformCoefficients | None = None,
-                     n_quad: int = 400) -> float:
-    """Integration-by-parts consistency of a flat-surface solve.
-
-    Both sides of the identity pairing the Navier operator with d3(conj u)
-    are evaluated per mode.  On the volume side the operator is replaced by
-    the source (they agree for the solution, and this avoids second
-    derivatives of the piecewise-linear field); boundary densities use a
-    cubic-spline lift of the mode profiles.  Restricted to flat surfaces.
-    """
-    if coeffs is not None:
-        raise ConstraintError("Rellich diagnostic is only defined on flat surfaces")
-    mesh = field.mesh
-    g = mesh.grid
-    z_lo, z_hi = mesh.bottom, mesh.top
-    zq, wq = _gauss_legendre(z_lo, z_hi, n_quad)
-
-    # mode coefficients of the source at the quadrature heights
-    x1, x2 = g.collocation_points()
-    gvals = source.values(x1[:, None, None], x2[None, :, None], zq[None, None, :])
-    ghat = np.fft.fft2(gvals, axes=(1, 2)) / (g.n1 * g.n2)   # (3, n1, n2, q)
-
-    lhs = 0.0
-    rhs = 0.0
-    for i1 in range(g.n1):
-        for i2 in range(g.n2):
-            mf = ModeFieldSmooth.from_discrete(field, i1, i2)
-            dUq = mf.dfn(zq)
-            lhs += 2 * np.sum(wq * np.real(np.sum(ghat[:, i1, i2, :] * np.conj(dUq), axis=0)))
-            rhs += _boundary_jump(mf, z_lo, z_hi, params)
-    lhs *= g.cell_area
-    rhs *= g.cell_area
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _ENERGY_EPS)
-
-
-class ModeFieldSmooth:
-    """Analytic single-mode field z -> (U, U', U'') for the Rellich diagnostic."""
-
-    def __init__(self, xi, fn, dfn, d2fn):
-        self.xi = np.asarray(xi, dtype=float)
-        self.fn, self.dfn, self.d2fn = fn, dfn, d2fn
-
-    @classmethod
-    def from_discrete(cls, field: DiscreteField, i1: int, i2: int):
-        from scipy.interpolate import CubicSpline
-
-        xi1, xi2 = field.mesh.grid.frequencies()
-        nodes = field.mesh.nodes
-        splines = [CubicSpline(nodes, field.coeff[c, i1, i2, :]) for c in range(3)]
-
-        def stack(der):
-            return lambda z: np.stack([s(z, der) for s in splines])
-
-        return cls((xi1[i1], xi2[i2]), stack(0), stack(1), stack(2))
-
-
-def rellich_identity_residual(mode_fields, params: ElasticParams, z_lo: float,
-                              z_hi: float, cell_area: float,
-                              n_quad: int = 400) -> float:
-    """Normalized mismatch of the Rellich integration-by-parts identity.
-
-    Both sides are evaluated per mode on [z_lo, z_hi]: the volume pairing of
-    the Navier operator with d3(conj u) against the boundary density
-    2 Re(Tu . d3 conj(u)) - E(u, conj u) + w^2 |u|^2 (top minus bottom, with
-    the upward traction convention).  Fields must vanish at z_lo.
-    """
-    lam, mu, w = params.lam, params.mu, params.omega
-    zq, wq = _gauss_legendre(z_lo, z_hi, n_quad)
-    lhs = 0.0
-    rhs = 0.0
-    for mf in mode_fields:
-        xi = mf.xi
-        ix = 1j * xi
-        xi_sq = float(xi @ xi)
-        U, dU, d2U = mf.fn(zq), mf.dfn(zq), mf.d2fn(zq)
-        div = ix[0] * U[0] + ix[1] * U[1] + dU[2]
-        ddiv = ix[0] * dU[0] + ix[1] * dU[1] + d2U[2]
-        nav = mu * (d2U - xi_sq * U) + w * w * U
-        nav[0] += (lam + mu) * ix[0] * div
-        nav[1] += (lam + mu) * ix[1] * div
-        nav[2] += (lam + mu) * ddiv
-        lhs += 2 * np.sum(wq * np.real(np.sum(nav * np.conj(dU), axis=0)))
-        rhs += _boundary_jump(mf, z_lo, z_hi, params)
-    lhs *= cell_area
-    rhs *= cell_area
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _ENERGY_EPS)

@@ -15,6 +15,9 @@ from .errors import ConstraintError
 from .geometry import SourceSpec
 from .params import StripGeometry
 
+_RANDOM_FACTORS = 2   # harmonic factors of a random source
+_RANDOM_MAX_MODE = 1  # each factor's |j1|, |j2| is at most this
+
 
 def _bump(w):
     """C-infinity bump on (-1, 1): exp(1 - 1/(1 - w^2)), 0 outside."""
@@ -115,11 +118,11 @@ class BumpSource:
         z0 = rng.uniform(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo))
         sigma = min(z0 - lo, hi - z0)
         factors = []
-        for _ in range(spec.n_terms):
+        for _ in range(_RANDOM_FACTORS):
             factors.append(HarmonicFactor(
                 component=int(rng.integers(0, 3)),
-                j1=int(rng.integers(-spec.max_mode, spec.max_mode + 1)),
-                j2=int(rng.integers(-spec.max_mode, spec.max_mode + 1)),
+                j1=int(rng.integers(-_RANDOM_MAX_MODE, _RANDOM_MAX_MODE + 1)),
+                j2=int(rng.integers(-_RANDOM_MAX_MODE, _RANDOM_MAX_MODE + 1)),
                 amplitude=float(spec.amplitude * rng.uniform(0.2, 1.0)),
                 phase=float(rng.uniform(0, 2 * np.pi)),
             ))

@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ BASE_CFG = {
     "source": {"amplitude": 1.0, "component": 2, "j1": 1, "j2": 0},
     "run": {"seed": 0, "n_samples": 2},
 }
+
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "csv_schema.md"
 
 
 @pytest.fixture
@@ -177,3 +182,40 @@ def test_extend_command(runner, tmp_path):
     ext = np.array(payload["values_re"]) + 1j * np.array(payload["values_im"])
     assert ext.shape == (3, 3, 3)
     assert np.isfinite(ext).all()
+
+
+def schema_columns():
+    """{csv name: [(column, type), ...]} read from the tables of docs/csv_schema.md."""
+    tables, name = {}, None
+    for line in SCHEMA.read_text().splitlines():
+        if line.startswith("## "):
+            name = line.split()[1]
+            tables[name] = []
+        elif name and line.startswith("|") and not set(line) <= set("|- "):
+            column, kind = (c.strip() for c in line.strip("|").split("|")[:2])
+            if column != "column":
+                tables[name].append((column, kind))
+    return tables
+
+
+def test_csv_cells_are_plain_numbers_under_schema_headers(runner, tmp_path):
+    """Each CSV's header is its schema table; every numeric cell parses with float()."""
+    cfg = write_cfg(tmp_path, {"surface": {"terms": [[1, 0, 0.05, 0.0]],
+                                           "law_bands": [[1, 0, 0.05]], "M0": 0.3}})
+    schema = schema_columns()
+    for args, name in ((["solve"], "runs.csv"),
+                       (["sweep", "--axis", "omega", "--values", "0.5,1.0"], "sweep.csv"),
+                       (["mc", "--n-samples", "2"], "mc_samples.csv")):
+        out = tmp_path / name
+        res = runner.invoke(main, args + ["--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        with open(out / name, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == [column for column, _ in schema[name]]
+        assert rows
+        for row in rows:
+            for cell, (column, kind) in zip(row, schema[name], strict=True):
+                if kind in ("float", "int"):
+                    assert np.isfinite(float(cell)), (name, column, cell)
+                if kind == "int":
+                    int(cell)

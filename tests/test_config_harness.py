@@ -40,7 +40,8 @@ def test_unknown_section_and_key_rejected_by_name():
 
 
 def test_quadrature_order_pinned():
-    with pytest.raises(ConfigError, match="quadrature"):
+    """The 2-point Gauss rule is fixed; the config has no key to change it."""
+    with pytest.raises(ConfigError, match=r"unknown key.*'discretization'.*quad_order"):
         cfg_with(discretization={"quad_order": 3})
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from elastrip.dtn import (BoundaryTrace, SpectralGrid, apply_dtn,
+from elastrip.dtn import (BoundaryTrace, SpectralGrid,
                           decompose_trace, decomposition_matrices, dtn_symbol,
                           dtn_symbol_grid, energy_flux, extend_field,
                           mode_traction, propagation_matrices,
@@ -157,17 +157,6 @@ def test_extend_field_evanescent_decay():
     n1 = np.abs(extend_field(trace, 0.5, params)).max()
     n2 = np.abs(extend_field(trace, 1.0, params)).max()
     assert n0 > n1 > n2
-
-
-def test_apply_dtn_matches_symbol_per_mode():
-    grid = SpectralGrid(N1=2, N2=2, cell=CELL)
-    trace = random_trace(grid, seed=17)
-    out = apply_dtn(trace, P)
-    coeff = trace.coefficients
-    XI1, XI2, _ = grid.frequency_mesh()
-    M = dtn_symbol_grid(XI1, XI2, P)
-    expect = 1j * np.einsum("ij...,j...->i...", M, coeff)
-    np.testing.assert_allclose(out.coefficients, expect, atol=1e-12)
 
 
 def test_traction_oracle_equivalence():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from elastrip.dtn import SpectralGrid
 from elastrip.errors import ConstraintError, SingularTransformError
 from elastrip.geometry import (CoefficientLaw, CutoffFn, HarmonicTerm,
                                SourceSpec, SurfaceProfile, invert_vertical,
-                               make_profile, sample_ensemble, transform_fields,
-                               transform_map)
+                               make_profile, sample_ensemble, transform_fields)
+from elastrip.mesh import StripMesh
 from elastrip.params import StripGeometry
+from elastrip.solver import TransformCoefficients
 
 CELL = (2 * np.pi, 2 * np.pi)
 GEOM = StripGeometry(m=-0.2, M_sup=0.25, h=1.0, cell=CELL)
@@ -84,26 +86,32 @@ def test_transform_surface_and_top():
     assert J1 == J2 == J3 == 0.0
 
 
-def test_transform_map_jacobian_consistency():
-    f0, f = flat(), wavy()
+def test_transform_jacobian_matches_finite_differences():
+    """(J1, J2, 1 + J3) of transform_fields are the y1, y2, y3 derivatives of x3."""
+    f0 = SurfaceProfile(offset=0.0, terms=(HarmonicTerm(1, 1, 0.03, 0.02),), cell=CELL)
+    f = wavy()
     cut = CutoffFn(delta=0.2, gamma_gap=1.0)
-    td = transform_map(np.array([0.7, 1.9, 0.45]), f0, f, cut)
-    assert td.det_J == pytest.approx(np.linalg.det(td.J), rel=1e-12)
-    np.testing.assert_allclose(td.J @ td.J_inv, np.eye(3), atol=1e-13)
-    # finite-difference check of the vertical derivative
+    rng = np.random.default_rng(1)
+    # heights on the plateau and on the slope of the cutoff, away from its kinks
+    y3 = np.concatenate([rng.uniform(-0.1, 0.1, 10), rng.uniform(0.3, 0.9, 10)])
+    y = [rng.uniform(0, CELL[0], 20), rng.uniform(0, CELL[1], 20), y3]
+    _, J1, J2, J3 = transform_fields(*y, f0, f, cut)
     eps = 1e-6
-    up = transform_map(np.array([0.7, 1.9, 0.45 + eps]), f0, f, cut)
-    dn = transform_map(np.array([0.7, 1.9, 0.45 - eps]), f0, f, cut)
-    fd = (up.x[2] - dn.x[2]) / (2 * eps)
-    assert fd == pytest.approx(td.J[2, 2], rel=1e-6)
+    for k, expect in enumerate((J1, J2, 1 + J3)):
+        up, dn = list(y), list(y)
+        up[k], dn[k] = y[k] + eps, y[k] - eps
+        fd = (transform_fields(*up, f0, f, cut)[0]
+              - transform_fields(*dn, f0, f, cut)[0]) / (2 * eps)
+        np.testing.assert_allclose(fd, expect, rtol=1e-6, atol=1e-9)
 
 
 def test_transform_singular_amplitude_raises():
-    f0 = flat()
+    """An amplitude below the gap still folds the map where the cutoff is steep."""
+    mesh = StripMesh(grid=SpectralGrid(N1=2, N2=2, cell=CELL), bottom=0.0, top=1.0,
+                     n_elements=8)
     f = SurfaceProfile(offset=0.0, terms=(HarmonicTerm(1, 0, 0.9, 0.0),), cell=CELL)
-    cut = CutoffFn(delta=0.2, gamma_gap=1.0)
     with pytest.raises(SingularTransformError):
-        transform_map(np.array([0.0, 0.0, 0.5]), f0, f, cut)
+        TransformCoefficients(mesh, flat(), f, CutoffFn(delta=0.2, gamma_gap=1.0))
 
 
 def test_invert_vertical_roundtrip():
