@@ -20,9 +20,10 @@ class SingularTransformError(ElastripError):
 class NonConvergenceError(ElastripError):
     """Linear solver failed to reach the requested residual."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, history=None):
         super().__init__(message)
         self.residual = residual
+        self.history = history
 
 
 class DiagnosticError(ElastripError):

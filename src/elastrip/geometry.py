@@ -11,7 +11,7 @@ near the top plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -35,27 +35,27 @@ class HarmonicTerm:
 
 @dataclass
 class SurfaceProfile:
-    """Periodized Lipschitz graph built from a finite trigonometric series."""
+    """Periodized Lipschitz graph built from a finite trigonometric series.
+
+    ``grid`` passes in :meth:`_grid_fields` when the caller has evaluated it
+    already; the bounds are taken from it and it is not kept.
+    """
 
     offset: float
     terms: tuple[HarmonicTerm, ...]
     cell: tuple[float, float]
+    grid: InitVar[tuple | None] = None
     L: float = field(init=False)
     f_min: float = field(init=False)
     f_max: float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, grid):
         self.terms = tuple(self.terms)
-        f, g1, g2 = self._grid_fields()
+        f, g1, g2 = self._grid_fields() if grid is None else grid
         self.f_min = float(f.min())
         self.f_max = float(f.max())
         sup_grad = float(np.sqrt(g1**2 + g2**2).max())
         self.L = _LIPSCHITZ_SAFETY * sup_grad if sup_grad > 0 else 0.0
-
-    def _phases(self, x1, x2):
-        for t in self.terms:
-            yield t, 2 * np.pi * (t.j1 * np.asarray(x1) / self.cell[0]
-                                  + t.j2 * np.asarray(x2) / self.cell[1])
 
     def values(self, x1, x2):
         return self._fields(x1, x2)[0]
@@ -64,35 +64,50 @@ class SurfaceProfile:
         return self._fields(x1, x2)[1:]
 
     def _fields(self, x1, x2):
-        """(f, df/dx1, df/dx2) at the points, from one cos and one sin per term."""
-        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-        f = np.full(shape, self.offset, dtype=float)
-        g1 = np.zeros(shape)
-        g2 = np.zeros(shape)
-        for t, ph in self._phases(x1, x2):
-            cos, sin = np.cos(ph), np.sin(ph)
-            f = f + t.c * cos + t.s * sin
-            d = -t.c * sin + t.s * cos
-            g1 = g1 + d * 2 * np.pi * t.j1 / self.cell[0]
-            g2 = g2 + d * 2 * np.pi * t.j2 / self.cell[1]
-        return f, g1, g2
+        return _series_fields(self.offset, self.terms, self.cell, x1, x2)
 
     def _grid_fields(self, n: int = 256):
         """:meth:`_fields` on the n x n evaluation grid of the cell."""
-        x1 = self.cell[0] * np.arange(n) / n
-        x2 = self.cell[1] * np.arange(n) / n
-        return self._fields(*np.meshgrid(x1, x2, indexing="ij"))
+        return _series_grid(self.offset, self.terms, self.cell, n)
 
     def is_flat(self) -> bool:
         return all(t.c == 0 and t.s == 0 for t in self.terms)
 
     def sup_distance_1inf(self, other: "SurfaceProfile", n: int = 256) -> float:
         """sup|f - f0| + sup|grad f - grad f0| on an evaluation grid."""
-        fa, g1a, g2a = self._grid_fields(n)
-        fb, g1b, g2b = other._grid_fields(n)
-        dv = np.abs(fa - fb).max()
-        dg = np.sqrt((g1a - g1b) ** 2 + (g2a - g2b) ** 2).max()
-        return float(dv + dg)
+        return _distance_1inf(self._grid_fields(n), other._grid_fields(n))
+
+
+def _series_fields(offset, terms, cell, x1, x2):
+    """(f, df/dx1, df/dx2) of a series at the points, from one cos and one sin per term."""
+    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+    f = np.full(shape, offset, dtype=float)
+    g1 = np.zeros(shape)
+    g2 = np.zeros(shape)
+    for t in terms:
+        ph = 2 * np.pi * (t.j1 * np.asarray(x1) / cell[0] + t.j2 * np.asarray(x2) / cell[1])
+        cos, sin = np.cos(ph), np.sin(ph)
+        f = f + t.c * cos + t.s * sin
+        d = -t.c * sin + t.s * cos
+        g1 = g1 + d * 2 * np.pi * t.j1 / cell[0]
+        g2 = g2 + d * 2 * np.pi * t.j2 / cell[1]
+    return f, g1, g2
+
+
+def _series_grid(offset, terms, cell, n: int = 256):
+    """:func:`_series_fields` on the n x n evaluation grid of the cell."""
+    x1 = cell[0] * np.arange(n) / n
+    x2 = cell[1] * np.arange(n) / n
+    return _series_fields(offset, terms, cell, *np.meshgrid(x1, x2, indexing="ij"))
+
+
+def _distance_1inf(a, b) -> float:
+    """sup|f - f0| + sup|grad f - grad f0| of two (f, df/dx1, df/dx2) grids."""
+    fa, g1a, g2a = a
+    fb, g1b, g2b = b
+    dv = np.abs(fa - fb).max()
+    dg = np.sqrt((g1a - g1b) ** 2 + (g2a - g2b) ** 2).max()
+    return float(dv + dg)
 
 
 def make_profile(offset: float, terms, geom: StripGeometry) -> SurfaceProfile:
@@ -228,6 +243,7 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
 
     if n <= 0:
         raise ConstraintError("ensemble size must be positive")
+    f0_grid = f0._grid_fields()
     samples = []
     for sample_id in range(n):
         rng = _sample_rng(seed, sample_id)
@@ -237,9 +253,11 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
             for j1, j2, amp in law.bands:
                 c, s = rng.uniform(-amp, amp, size=2)
                 terms.append(HarmonicTerm(j1, j2, c, s))
-            cand = SurfaceProfile(offset=f0.offset, terms=tuple(terms), cell=geom.cell)
+            # one grid evaluation per candidate: its bounds and its distance to f0
+            grid = _series_grid(f0.offset, terms, geom.cell)
+            cand = SurfaceProfile(offset=f0.offset, terms=tuple(terms), cell=geom.cell, grid=grid)
             in_slab = geom.m < cand.f_min and cand.f_max < geom.M_sup
-            if in_slab and cand.sup_distance_1inf(f0) <= M0:
+            if in_slab and _distance_1inf(grid, f0_grid) <= M0:
                 surface = cand
                 break
         if surface is None:

@@ -3,13 +3,13 @@
 Flat reference surface: Fourier modes decouple, each mode is a 3x3-block
 tridiagonal 1D system solved directly by one batched block-LU.  Rough surface:
 the flattening transform turns the problem into a variable-coefficient one on
-the same reference strip, applied matrix-free and solved with GMRES
-preconditioned by the same block-LU.  Each application is one transform of
-the values and z-derivatives to the padded collocation grid by DFT-matrix
-products that also give the horizontal derivatives, the symmetric stress at
-the quadrature points, and the adjoint products on the duals.  The DtN term
-is mode-diagonal in both cases because the transform is the identity at the
-top plane.
+the same reference strip, applied matrix-free and solved with the module's
+own GMRES, right-preconditioned by the same block-LU.  Each application is
+one transform of the values and z-derivatives to the padded collocation
+grid by DFT-matrix products that also give the horizontal derivatives, the
+symmetric stress at the quadrature points, and the adjoint products on the
+duals.  The DtN term is mode-diagonal in both cases because the transform
+is the identity at the top plane.
 """
 
 from __future__ import annotations
@@ -28,6 +28,13 @@ from .mesh import StripMesh
 from .params import ElasticParams
 
 _ENERGY_EPS = 1e-14
+# Arnoldi steps before GMRES gives up; the flat preconditioner needs about 10
+# at every size measured.  Each step keeps one more basis vector.
+_GMRES_MAX_ITER = 50
+# A GMRES step whose new direction is below this share of A M^{-1} v_k found
+# an invariant Krylov space (a happy breakdown): exhausting the space leaves
+# 1e-30 and less, while a working step keeps 1e-4 and more.
+_BREAKDOWN = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +395,92 @@ def assemble_rhs(mesh: StripMesh, source,
 
 @dataclass
 class SolveInfo:
-    residual: float
-    iterations: int
+    residual: float         # true relative residual ||b - A x|| / ||b|| of x
+    iterations: int         # Arnoldi steps; 1 for the direct solve
     method: str
+    history: list[float]    # relative residual per iteration, the true one last
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> complex:
+    """conj(a) . b by numpy's pairwise sum, not a BLAS reduction: the same
+    bits at any BLAS thread count."""
+    return np.sum(np.conj(a) * b)
+
+
+def _norm(a: np.ndarray) -> float:
+    return float(np.sqrt(_dot(a, a).real))
+
+
+def gmres(matvec, b: np.ndarray, precond, tol: float) -> tuple[np.ndarray, SolveInfo]:
+    """Right-preconditioned GMRES for A x = b from x0 = 0, without restart.
+
+    Arnoldi on A M^{-1} (Saad, Iterative Methods for Sparse Linear Systems,
+    9.3.2) with classical Gram-Schmidt and one reorthogonalization.  Givens
+    rotations keep the Hessenberg least-squares problem triangular as it
+    grows one row and column per step, so its residual, the Arnoldi estimate
+    of ||b - A x|| / ||b||, is known at every step.  Right preconditioning
+    makes that the unpreconditioned residual.  When the estimate reaches
+    ``tol``, x = M^{-1} V y is formed and its true residual taken with one
+    matvec; that check is the gate, and if it misses, the iteration goes on
+    in the same Krylov space.  Inner products and norms are numpy sums, so
+    the result does not depend on the BLAS thread count.
+
+    A step that finds an invariant space (zero subdiagonal, to roundoff)
+    ends the iteration with the exact solution in that space.  Returns x and
+    its :class:`SolveInfo`.  Raises :class:`NonConvergenceError` with the
+    residual history after ``_GMRES_MAX_ITER`` steps, or when the space is
+    exhausted without meeting ``tol``.
+    """
+    beta = _norm(b)
+    if beta == 0:
+        return np.zeros_like(b), SolveInfo(0.0, 0, "gmres", [0.0])
+    V = [b / beta]      # orthonormal basis of the Krylov space of A M^{-1}
+    R = []              # columns of the rotated, upper-triangular Hessenberg matrix
+    rotations = []      # Givens (c, s) of each step
+    g = [beta]          # rotated beta e1; |g[-1]| is the residual norm
+    history = []
+    for k in range(_GMRES_MAX_ITER):
+        w = matvec(precond(V[k]))
+        w_norm = _norm(w)
+        h = np.zeros(k + 2, dtype=complex)
+        for _ in range(2):  # classical Gram-Schmidt, then once more
+            proj = [_dot(v, w) for v in V]
+            for p, v in zip(proj, V):
+                w -= p * v
+            h[:k + 1] += proj
+        h_next = _norm(w)
+        breakdown = h_next <= _BREAKDOWN * w_norm
+        if not breakdown:
+            V.append(w / h_next)
+        h[k + 1] = h_next
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], -np.conj(s) * h[i] + c * h[i + 1]
+        a, r = abs(h[k]), np.hypot(abs(h[k]), h_next)
+        c, s = (a / r, h[k] / a * h_next / r) if a > 0 else (0.0, 1.0)
+        rotations.append((c, s))
+        h[k] = c * h[k] + s * h_next
+        R.append(h[:k + 1])
+        g.append(-np.conj(s) * g[k])
+        g[k] = c * g[k]
+        estimate = float(abs(g[k + 1]) / beta)
+        history.append(estimate)
+        stuck = breakdown or k + 1 == _GMRES_MAX_ITER or not np.isfinite(estimate)
+        if estimate <= tol or stuck:
+            y = np.zeros(k + 1, dtype=complex)
+            for i in range(k, -1, -1):  # back substitution, R[j][i] is row i of column j
+                y[i] = (g[i] - sum(R[j][i] * y[j] for j in range(i + 1, k + 1))) / R[i][i]
+            z = np.zeros_like(V[0])
+            for yi, v in zip(y, V):
+                z += yi * v
+            x = precond(z)
+            rel = _norm(b - matvec(x)) / beta
+            if rel <= tol:
+                return x, SolveInfo(rel, k + 1, "gmres", history + [rel])
+            if stuck:
+                raise NonConvergenceError(
+                    f"gmres solve failed after {k + 1} iterations: "
+                    f"relative residual {rel:.3e} > {tol:.1e}",
+                    residual=rel, history=history + [rel])
 
 
 def solve_flat(mesh: StripMesh, params: ElasticParams,
@@ -404,9 +494,9 @@ def solve_field(mesh: StripMesh, params: ElasticParams, rhs: np.ndarray,
                 coeffs: TransformCoefficients | None = None,
                 tol: float = 1e-9) -> tuple[DiscreteField, SolveInfo]:
     """Solve the variational system with the block-LU of the flat operator:
-    directly without a transform, as the GMRES preconditioner with one.
-    The residual is checked with the bands on the direct path and with the
-    matrix-free operator under a transform.
+    directly without a transform, as the right preconditioner of
+    :func:`gmres` with one.  The direct path checks its residual with the
+    bands, GMRES with the matrix-free operator.
 
     Raises :class:`NonConvergenceError` when the relative residual of the
     result exceeds ``tol`` on either path.
@@ -414,26 +504,17 @@ def solve_field(mesh: StripMesh, params: ElasticParams, rhs: np.ndarray,
     bands = assemble_flat_blocks(mesh, params)
     flat_solve = block_lu_solver(bands)
     if coeffs is None:
-        x, code, iters, method = flat_solve(rhs), 0, 1, "direct"
-        Ax = banded_matvec(bands, x)
+        x = flat_solve(rhs)
+        res, scale = _norm(banded_matvec(bands, x) - rhs), _norm(rhs)
+        rel = res / scale if scale > 0 else res
+        if not rel <= tol:
+            raise NonConvergenceError(
+                f"direct solve failed: relative residual {rel:.3e} > {tol:.1e}",
+                residual=rel, history=[rel])
+        info = SolveInfo(rel, 1, "direct", [rel])
     else:
-        op = StripOperator(mesh, params, coeffs)
-        Mop = scipy.sparse.linalg.LinearOperator(op.shape, matvec=flat_solve, dtype=complex)
-        maxiter = max(50, int(10 * np.sqrt(op.shape[0])))
-        history = []  # preconditioned residual norm per iteration
-        x, code = scipy.sparse.linalg.gmres(op, rhs, rtol=tol / 10, atol=0.0,
-                                            M=Mop, maxiter=maxiter, restart=60,
-                                            callback=history.append, callback_type="pr_norm")
-        iters, method = len(history), "gmres"
-        Ax = op @ x
-    res = np.linalg.norm(Ax - rhs)
-    scale = np.linalg.norm(rhs)
-    rel = res / scale if scale > 0 else res
-    if code != 0 or not rel <= tol:
-        raise NonConvergenceError(
-            f"{method} solve failed: code={code}, relative residual {rel:.3e} > {tol:.1e}",
-            residual=rel)
-    return DiscreteField.from_free_vector(x, mesh), SolveInfo(rel, iters, method)
+        x, info = gmres(StripOperator(mesh, params, coeffs).matvec, rhs, flat_solve, tol)
+    return DiscreteField.from_free_vector(x, mesh), info
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +598,7 @@ def energy_balance(field: DiscreteField, rhs: np.ndarray, params: ElasticParams)
     non-radiating configurations (Im cancels exactly) stay well-scaled.
     """
     flux, power = energy_flux(field.top_trace(), params)
-    src_im = -float(np.imag(np.vdot(field.free_vector(), rhs)))
+    src_im = -float(np.imag(_dot(field.free_vector(), rhs)))
     g = field.mesh.grid
     XI1, XI2, _ = g.frequency_mesh()
     Msym = dtn_symbol_grid(XI1, XI2, params)

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import elastrip
+from elastrip import solver
 from elastrip.dtn import SpectralGrid, dtn_symbol_grid
 from elastrip.errors import ConstraintError, NonConvergenceError, SingularTransformError
 from elastrip.geometry import CutoffFn, SurfaceProfile, make_profile
@@ -19,6 +26,7 @@ from elastrip.solver import (
     dense_blocks,
     energy_balance,
     flat_mode_oracle,
+    gmres,
     physical_quad_fields,
     poincare_slack,
     quad_weights,
@@ -368,3 +376,118 @@ def test_values_at_points_match_mode_sum():
         for i2 in range(3):
             ref += modes[:, i1, i2] * np.exp(1j * (xi1[i1] * x1 + xi2[i2] * x2))
     np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=1e-14)
+
+
+def rough_system(N=2, nz=16):
+    """Mesh, load vector and transform of a one-term rough surface."""
+    mesh = flat_mesh(N=N, nz=nz)
+    f0, f = make_profile(0.0, (), GEOM), make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM)
+    coeffs = TransformCoefficients(mesh, f0, f, CutoffFn(0.25, 1.0))
+    return mesh, assemble_rhs(mesh, bump(), coeffs, physical=True), coeffs
+
+
+def count_matvecs(monkeypatch):
+    calls = []
+    matvec = StripOperator._matvec
+
+    def counted(self, v):
+        calls.append(1)
+        return matvec(self, v)
+
+    monkeypatch.setattr(StripOperator, "_matvec", counted)
+    return calls
+
+
+def test_gmres_history_ends_with_true_residual(monkeypatch):
+    """One matvec per Arnoldi step plus the final check, whose residual ends the history."""
+    mesh, rhs, coeffs = rough_system()
+    calls = count_matvecs(monkeypatch)
+    field, info = solve_field(mesh, P, rhs, coeffs)
+    assert info.method == "gmres" and len(calls) == info.iterations + 1
+    assert len(info.history) == info.iterations + 1
+    assert info.history[-1] == info.residual <= 1e-9 < info.history[-3]
+    assert info.history[-2] <= 1e-9
+    true = np.linalg.norm(StripOperator(mesh, P, coeffs) @ field.free_vector() - rhs)
+    assert true / np.linalg.norm(rhs) == pytest.approx(info.residual, rel=1e-6)
+    _, direct = solve_field(mesh, P, assemble_rhs(mesh, bump()))
+    assert direct.history == [direct.residual] and direct.iterations == 1
+
+
+def test_gmres_zero_source_needs_no_matvec(monkeypatch):
+    mesh, rhs, coeffs = rough_system()
+    calls = count_matvecs(monkeypatch)
+    field, info = solve_field(mesh, P, np.zeros_like(rhs), coeffs)
+    assert not calls and np.all(field.coeff == 0)
+    assert (info.residual, info.iterations, info.history) == (0.0, 0, [0.0])
+
+
+def test_gmres_raises_at_the_iteration_cap(monkeypatch):
+    """Past the cap the error carries the estimates and the true residual."""
+    mesh, rhs, coeffs = rough_system()
+    monkeypatch.setattr(solver, "_GMRES_MAX_ITER", 2)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_field(mesh, P, rhs, coeffs)
+    history = err.value.history
+    assert len(history) == 3 and history[-1] == err.value.residual > 1e-9
+
+
+def test_gmres_happy_breakdown_is_exact():
+    """b an eigenvector: the first step spans an invariant space, x = b / 2 exactly."""
+    A = np.diag([2.0, 3.0, 5.0]).astype(complex)
+    b = np.array([1.0, 0.0, 0.0], dtype=complex)
+    x, info = gmres(lambda v: A @ v, b, lambda v: v, 1e-12)
+    assert np.array_equal(x, b / 2)
+    assert (info.iterations, info.residual, info.history) == (1, 0.0, [0.0, 0.0])
+
+
+def test_gmres_raises_when_the_krylov_space_is_exhausted():
+    """A tolerance below roundoff cannot be met once the space is invariant."""
+    A = np.diag([3.0, 7.0]).astype(complex)
+    b = np.array([1.0, 1.0], dtype=complex) / 3
+    with pytest.raises(NonConvergenceError) as err:
+        gmres(lambda v: A @ v, b, lambda v: v, 0.0)
+    assert len(err.value.history) == 3 and err.value.history[1] < 1e-30
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_gmres_matches_dense_solve(n, seed):
+    """Right preconditioning by a perturbed inverse: x = A^{-1} b, history = true residuals."""
+    rng = np.random.default_rng(seed)
+    A = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    Minv = np.linalg.inv(A + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x, info = gmres(lambda v: A @ v, b, lambda v: Minv @ v, 1e-10)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert info.residual == info.history[-1] <= 1e-10 and info.iterations <= n
+    np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-7, atol=1e-9 * np.linalg.norm(x))
+
+
+# A rough solve at N=4, n_z=64 and a 3-sample ensemble at N=6, n_z=32: large
+# enough that BLAS reductions there would be split across threads.
+_THREAD_PROBE = """
+from elastrip import harness
+from elastrip.config import from_dict
+cfg = from_dict({"surface": {"terms": [[1, 0, 0.06, 0.0], [0, 1, 0.0, 0.05], [1, 1, 0.02, 0.02]],
+                             "delta": 0.25},
+                 "discretization": {"N1": 4, "N2": 4, "n_z": 64}})
+report, _ = harness.deterministic_run(cfg)
+print(report.diagnostics["solve_method"], repr(report.u_vh))
+mc = harness.monte_carlo(from_dict({
+    "surface": {"law_bands": [[1, 0, 0.05], [0, 1, 0.05], [1, 1, 0.03]], "M0": 0.3, "delta": 0.25},
+    "discretization": {"N1": 6, "N2": 6, "n_z": 32}}), n=3, seed=0)
+print([(repr(r["u_h1_sq"]), repr(r["energy_residual"])) for r in mc.sample_rows])
+"""
+
+
+def test_rough_solve_is_bit_identical_across_blas_threads():
+    """Rough u_vh and Monte Carlo rows have the same bits at 1 and 2 BLAS threads."""
+    src = str(Path(elastrip.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        out.append(run.stdout)
+    assert out[0].startswith("gmres ") and out[0] == out[1]
