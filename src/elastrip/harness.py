@@ -25,8 +25,8 @@ from .mesh import StripMesh
 from .params import (ElasticParams, StripGeometry, bound_constants,
                      total_bound_stochastic)
 from .solver import (DiscreteField, TransformCoefficients, assemble_rhs,
-                     energy_balance, physical_quad_fields, poincare_slack,
-                     quad_points, quad_weights, solve_field)
+                     energy_balance, factor_flat, physical_quad_fields,
+                     poincare_slack, quad_points, quad_weights, solve_field)
 from .sources import BumpSource
 
 ENERGY_TOL = 1e-8
@@ -135,20 +135,21 @@ def build_setup(cfg: RunConfig):
 
 def solve_surface(mesh: StripMesh, params: ElasticParams, f0: SurfaceProfile,
                   surface: SurfaceProfile, cutoff: CutoffFn, source, *,
-                  physical: bool, tol: float):
+                  physical: bool, tol: float, flat=None):
     """Transform, load vector and solve for one surface: (field, info, rhs, coeffs).
 
     This is the one place that decides whether a surface needs the
     flattening transform.  ``coeffs`` is None exactly when surface - f0 is
     identically zero (same offset, no nonzero term on either), and the
     solve is then the direct per-mode one.  ``physical`` evaluates the
-    source at the physical heights of the transformed strip.
+    source at the physical heights of the transformed strip.  ``flat`` is
+    passed on to :func:`solve_field`.
     """
     coeffs = None
     if not (surface.offset == f0.offset and surface.is_flat() and f0.is_flat()):
         coeffs = TransformCoefficients(mesh, f0, surface, cutoff)
     rhs = assemble_rhs(mesh, source, coeffs, physical=physical)
-    field, info = solve_field(mesh, params, rhs, coeffs, tol=tol)
+    field, info = solve_field(mesh, params, rhs, coeffs, tol=tol, flat=flat)
     return field, info, rhs, coeffs
 
 
@@ -249,14 +250,16 @@ def parameter_sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
 
 
 def _solve_sample(mesh: StripMesh, params: ElasticParams, f0: SurfaceProfile,
-                  cutoff: CutoffFn, sample, *, tol: float):
-    """(|u|_H1^2, |g|_H1^2, report row) of one ensemble sample.
+                  cutoff: CutoffFn, sample, *, tol: float, flat):
+    """(|u|_H1^2, |g|_H1^2, report row) of one ensemble sample, solved with
+    the ensemble's flat factor ``flat``.
 
     Every array of the sample is released on return, before the next
     sample's transform is built.
     """
     field, info, rhs, _ = solve_surface(mesh, params, f0, sample.surface, cutoff,
-                                        sample.source, physical=False, tol=tol)
+                                        sample.source, physical=False, tol=tol,
+                                        flat=flat)
     u_sq = field.vh_norm() ** 2
     _, g_h1 = source_norms(sample.source, mesh, None)
     g_sq = g_h1 ** 2
@@ -271,8 +274,10 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     """Ensemble of transformed solves; stochastic bound ratio with L0 = M0 + L.
 
     Sources are drawn per sample on the reference strip; norms are plain
-    reference-strip H1 quantities.  Failed samples are recorded and skipped,
-    the means run over completed samples only.
+    reference-strip H1 quantities.  The flat operator and its block-LU
+    depend on the mesh and the material only and are built once for the
+    ensemble.  Failed samples are recorded and skipped, the means run over
+    completed samples only.
     """
     n = cfg.run.n_samples if n is None else int(n)
     seed = cfg.run.seed if seed is None else int(seed)
@@ -283,12 +288,13 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     law = CoefficientLaw(bands=tuple(tuple(b) for b in s.law_bands))
     spec = SourceSpec(amplitude=cfg.source.amplitude)
     samples = sample_ensemble(seed, n, s.M0, law, geom, f0, source_spec=spec)
+    flat = factor_flat(mesh, params)
 
     u_sqs, g_sqs, rows, failures = [], [], [], []
     for sample in samples:
         try:
             u_sq, g_sq, row = _solve_sample(mesh, params, f0, cutoff, sample,
-                                            tol=cfg.discretization.solver_tol)
+                                            tol=cfg.discretization.solver_tol, flat=flat)
         except ElastripError as exc:
             failures.append({"sample_id": sample.sample_id,
                              "error": f"{type(exc).__name__}: {exc}"})

@@ -1,7 +1,9 @@
 """Galerkin discretization and solution of the strip variational problem.
 
 Flat reference surface: Fourier modes decouple, each mode is a 3x3-block
-tridiagonal 1D system solved directly by one batched block-LU.  Rough surface:
+tridiagonal 1D system solved directly by one batched block-LU.  The block-LU
+runs on mode-last views of the bands and inverts its 3x3 pivots in closed
+form, so it makes no LAPACK or BLAS call.  Rough surface:
 the flattening transform turns the problem into a variable-coefficient one on
 the same reference strip, applied matrix-free and solved with the module's
 own GMRES, right-preconditioned by the same block-LU.  Each application is
@@ -213,13 +215,56 @@ def banded_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
     return y[..., 0].swapaxes(0, 3).ravel()
 
 
+# With rows and columns taken cyclically, cofactor (k, j) of a 3x3 matrix is
+# a[k+1, j+1] a[k+2, j+2] - a[k+1, j+2] a[k+2, j+1], sign included.  One
+# gather by these indices takes the four factors of every cofactor.
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
+_COFACTOR_ROWS = np.array([_NEXT, _AFTER, _NEXT, _AFTER])[:, :, None]
+_COFACTOR_COLS = np.array([_NEXT, _AFTER, _AFTER, _NEXT])[:, None, :]
+# Cancellation sum |a_0j cof_0j| / |det| of a row expansion above which the
+# determinant is fitted instead (see _adjugate3).  Block-LU pivots of flat
+# strips over random materials, depths and modes measured up to 3.6.
+_CANCELLATION = 4.0
+
+
+def _cofactors3(a: np.ndarray) -> np.ndarray:
+    g = a[_COFACTOR_ROWS, _COFACTOR_COLS]
+    return g[0] * g[1] - g[2] * g[3]
+
+
+def _adjugate3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugates and determinants of the 3x3 matrices a[k, j, ...], batched
+    over the trailing axes by elementwise products: a^{-1} = adj / det.
+
+    The determinant is the expansion along row 0, except where its terms
+    cancel by more than ``_CANCELLATION``.  On a matrix with two small
+    singular values the expansion loses a relative cond^2 eps; there the
+    determinant is instead fitted to cof(cof(a)) = det(a) a by least
+    squares, which keeps about cond eps, as LAPACK's LU does.
+    """
+    cof = _cofactors3(a)
+    terms = a[0] * cof[0]
+    det = terms.sum(axis=0)
+    cancels = abs(terms).sum(axis=0) > _CANCELLATION * abs(det)
+    if cancels.any():
+        w = a.conj()
+        fit = (_cofactors3(cof) * w).sum(axis=(0, 1)) / (a * w).sum(axis=(0, 1))
+        det = np.where(cancels, fit, det)
+    return cof.swapaxes(0, 1), det
+
+
 def block_lu_solver(bands: np.ndarray):
     """Block-LU of every mode's bands at once; returns solve(b) = A^{-1} b on free vectors.
 
     Block Thomas (Golub & Van Loan, Matrix Computations, 4.5): pivots
     P_i = D_i - L_i C_{i-1}, C_i = P_i^{-1} U_i, batched over the modes with a
-    Python loop over n_z only.  The 3x3 pivots are inverted once, so an apply
-    is batched matmuls only.  No pivoting between blocks: check the residual.
+    Python loop over n_z only.  The loops work on mode-last views of the
+    bands, [node, k, j, mode], reshaped and transposed without a copy; only
+    the inverted pivots and C are allocated.  Each pivot is inverted in
+    closed form, its adjugate over its determinant, and every 3x3 block
+    product is a broadcast product summed over j, so neither the factor nor
+    an apply calls LAPACK or BLAS, and the result does not depend on the
+    BLAS thread count.  No pivoting between blocks: check the residual.
 
     The elimination runs from the top node down.  Each pivot is then the
     Schur complement of a trailing block, the strip above a clamped node
@@ -227,25 +272,34 @@ def block_lu_solver(bands: np.ndarray):
     clamped at both ends, which pass near resonances of propagating modes:
     on one such case (mu = 0.2, omega = 5, condition number 800) bottom-up
     elimination was accurate to 2.5e-9 relative, top-down to 9e-15.
+
+    Raises :class:`NonConvergenceError` naming the mode (j1, j2) and the
+    mesh node of the first pivot whose determinant is zero or not finite.
     """
+    _, n1, n2, nz = bands.shape[:4]
     # node i of the loops below is free node nz - 1 - i, so lower and upper swap
-    upper, diag, lower = np.moveaxis(bands[:, :, :, ::-1], 3, 1)  # each [i, m1, m2, k, j]
-    nz, n1, n2 = diag.shape[:3]
-    piv = diag.copy()  # holds the inverted pivots after the loop
-    C = np.zeros_like(upper)  # C[-1] and y[-1] below are still zero at i = 0
-    for i in range(nz):
-        piv[i] -= lower[i] @ C[i - 1]
-        piv[i] = np.linalg.inv(piv[i])
-        C[i] = piv[i] @ upper[i]
+    upper, diag, lower = bands.reshape(3, n1 * n2, nz, 3, 3)[:, :, ::-1].transpose(0, 2, 3, 4, 1)
+    piv = np.empty_like(diag, order="C")  # the inverted pivots, [i, k, j, mode]
+    C = np.zeros_like(piv)  # C[-1] and y[-1] below are still zero at i = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # caught by the det check
+        for i in range(nz):
+            adj, det = _adjugate3(diag[i] - (lower[i][:, :, None] * C[i - 1]).sum(axis=1))
+            if not (np.isfinite(det).all() and det.all()):
+                m1, m2 = divmod(int(np.flatnonzero(~np.isfinite(det) | (det == 0))[0]), n2)
+                j1, j2 = (m1 + n1 // 2) % n1 - n1 // 2, (m2 + n2 // 2) % n2 - n2 // 2  # FFT order
+                raise NonConvergenceError(
+                    f"block-LU: singular pivot at mode ({j1}, {j2}), mesh node {nz - i} of {nz}")
+            np.divide(adj, det, out=piv[i])
+            (piv[i][:, :, None] * upper[i]).sum(axis=1, out=C[i])
 
     def solve(v: np.ndarray) -> np.ndarray:
-        b = np.asarray(v).reshape(3, n1, n2, nz)[..., ::-1].swapaxes(0, 3)[..., None]
-        y = np.zeros_like(b, dtype=complex)  # [i, m1, m2, k, 1]
+        b = np.asarray(v).reshape(3, n1 * n2, nz)[:, :, ::-1].transpose(2, 0, 1)
+        y = np.zeros(b.shape, dtype=complex)  # [i, k, mode]
         for i in range(nz):
-            y[i] = piv[i] @ (b[i] - lower[i] @ y[i - 1])
+            (piv[i] * (b[i] - (lower[i] * y[i - 1]).sum(axis=1))).sum(axis=1, out=y[i])
         for i in range(nz - 2, -1, -1):
-            y[i] -= C[i] @ y[i + 1]
-        return y[..., 0].swapaxes(0, 3)[..., ::-1].ravel()
+            y[i] -= (C[i] * y[i + 1]).sum(axis=1)
+        return y.transpose(1, 2, 0)[:, :, ::-1].ravel()
 
     return solve
 
@@ -490,19 +544,28 @@ def solve_flat(mesh: StripMesh, params: ElasticParams,
     return solve_field(mesh, params, rhs)
 
 
+def factor_flat(mesh: StripMesh, params: ElasticParams):
+    """The flat operator's bands and their block-LU solve, (bands, solve):
+    all that :func:`solve_field` needs of the flat operator.  It depends on
+    the mesh and the material only, so solves that share both can share it."""
+    bands = assemble_flat_blocks(mesh, params)
+    return bands, block_lu_solver(bands)
+
+
 def solve_field(mesh: StripMesh, params: ElasticParams, rhs: np.ndarray,
                 coeffs: TransformCoefficients | None = None,
-                tol: float = 1e-9) -> tuple[DiscreteField, SolveInfo]:
+                tol: float = 1e-9, flat=None) -> tuple[DiscreteField, SolveInfo]:
     """Solve the variational system with the block-LU of the flat operator:
     directly without a transform, as the right preconditioner of
     :func:`gmres` with one.  The direct path checks its residual with the
-    bands, GMRES with the matrix-free operator.
+    bands, GMRES with the matrix-free operator.  ``flat`` is the
+    :func:`factor_flat` of ``mesh`` and ``params``, built here when None.
 
     Raises :class:`NonConvergenceError` when the relative residual of the
-    result exceeds ``tol`` on either path.
+    result exceeds ``tol`` on either path, or when the block-LU meets a
+    singular pivot.
     """
-    bands = assemble_flat_blocks(mesh, params)
-    flat_solve = block_lu_solver(bands)
+    bands, flat_solve = factor_flat(mesh, params) if flat is None else flat
     if coeffs is None:
         x = flat_solve(rhs)
         res, scale = _norm(banded_matvec(bands, x) - rhs), _norm(rhs)

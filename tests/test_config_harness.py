@@ -3,15 +3,20 @@ import copy
 import numpy as np
 import pytest
 
+from elastrip import harness, solver
 from elastrip.config import RunConfig, dump_config, from_dict, load_config
 from elastrip.errors import ConfigError
+from elastrip.geometry import CoefficientLaw, SourceSpec, sample_ensemble
 from elastrip.harness import (
     RunReport,
+    build_setup,
     deterministic_run,
     monte_carlo,
     parameter_sweep,
     pushforward_check,
+    solve_surface,
 )
+from elastrip.solver import block_lu_solver, energy_balance
 
 BASE = {
     "physics": {"omega": 1.0},
@@ -150,6 +155,57 @@ def test_monte_carlo_sample_order_independence():
     large = monte_carlo(cfg, n=4, seed=3)
     assert small.sample_rows[0] == large.sample_rows[0]
     assert small.sample_rows[1] == large.sample_rows[1]
+
+
+def test_monte_carlo_factors_the_flat_operator_once(monkeypatch):
+    """One flat assembly for the ensemble; rows equal those of separate solves."""
+    cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3},
+                   run={"n_samples": 3, "seed": 5})
+    calls = []
+    real = solver.assemble_flat_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "assemble_flat_blocks", counted)
+    rep = monte_carlo(cfg)
+    assert len(calls) == 1 and rep.n_completed == 3
+
+    params, geom, _, mesh, f0, _, cutoff, _ = build_setup(cfg)
+    law = CoefficientLaw(bands=((1, 0, 0.05), (0, 1, 0.04)))
+    samples = sample_ensemble(5, 3, 0.3, law, geom, f0,
+                              source_spec=SourceSpec(amplitude=cfg.source.amplitude))
+    for sample, row in zip(samples, rep.sample_rows):
+        field, info, rhs, _ = solve_surface(mesh, params, f0, sample.surface, cutoff,
+                                            sample.source, physical=False,
+                                            tol=cfg.discretization.solver_tol)
+        assert row["u_h1_sq"] == field.vh_norm() ** 2
+        assert row["energy_residual"] == energy_balance(field, rhs, params)[0]
+        assert row["iterations"] == info.iterations
+    assert len(calls) == 4
+
+
+def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch):
+    """A sample whose block-LU meets a singular pivot is recorded as failed;
+    the ensemble goes on."""
+    real = harness.solve_surface
+    calls = []
+
+    def singular_second(*args, flat, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            zero = np.zeros_like(flat[0])
+            flat = zero, block_lu_solver(zero)
+        return real(*args, flat=flat, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_surface", singular_second)
+    rep = monte_carlo(cfg_with(surface={"law_bands": [[1, 0, 0.05]], "M0": 0.3}), n=3, seed=2)
+    assert rep.n_completed == 2
+    assert [r["sample_id"] for r in rep.sample_rows] == [0, 2]
+    (failure,) = rep.failures
+    assert failure["sample_id"] == 1
+    assert failure["error"].startswith("NonConvergenceError: block-LU: singular pivot")
 
 
 # -- pushforward -------------------------------------------------------------

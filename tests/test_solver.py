@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +192,70 @@ def test_block_lu_matches_dense_solve(mu, lam_frac, omega, depth, cell, N, nz, s
     ref = np.moveaxis(np.linalg.solve(blocks, R).reshape(n1, n2, 3, nz), 2, 0).ravel()
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
     assert np.linalg.norm(op @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_cond=st.floats(0.0, 6.0), middle=st.floats(0.0, 1.0),
+       log_scale=st.floats(-4.0, 4.0), batch=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_pivot_inverse_matches_lapack(log_cond, middle, log_scale, batch, seed):
+    """Adjugate over determinant = np.linalg.inv to a few cond eps, for
+    condition numbers up to 1e6, also with two small singular values."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        z = rng.standard_normal((batch, 3, 3)) + 1j * rng.standard_normal((batch, 3, 3))
+        return np.linalg.qr(z)[0]
+
+    sv = 10.0 ** (log_scale - log_cond * np.array([0.0, middle, 1.0]))
+    A = (unitary() * sv) @ unitary().conj().swapaxes(1, 2)
+    adj, det = solver._adjugate3(np.moveaxis(A, 0, -1))
+    X = np.moveaxis(adj / det, -1, 0)
+    ref = np.linalg.inv(A)
+    err = np.linalg.norm(X - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert np.all(err <= 10 * np.linalg.cond(A) * np.finfo(float).eps)
+
+
+def test_block_lu_calls_no_lapack_or_matmul_and_copies_no_band(monkeypatch):
+    """Factor and apply run with np.linalg.inv/solve and np.matmul disabled;
+    the factor allocates the pivots and C (2/3 of the bands), no band copy."""
+    mesh = flat_mesh(N=2, nz=128)
+    bands = assemble_flat_blocks(mesh, P)
+    rhs = assemble_rhs(mesh, bump())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK or matmul call in the block-LU")
+
+    for owner, name in ((np.linalg, "inv"), (np.linalg, "solve"), (np, "matmul")):
+        monkeypatch.setattr(owner, name, forbidden)
+    tracemalloc.start()
+    try:
+        solve = block_lu_solver(bands)
+        factor_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        x = solve(rhs)
+        apply_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    assert factor_peak < 0.75 * bands.nbytes
+    assert apply_peak < 0.3 * bands.nbytes
+    assert np.linalg.norm(banded_matvec(bands, x) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_singular_pivot_raises_typed_error_naming_mode_and_node():
+    """A zero or non-finite pivot determinant raises NonConvergenceError,
+    without a RuntimeWarning, at the first mode and node the top-down
+    elimination meets."""
+    bands = assemble_flat_blocks(flat_mesh(N=1, nz=8), P)
+    bad = bands.copy()
+    bad[:, 2, 1, 3] = np.inf  # mode (j1, j2) = (-1, 1) in FFT order, free node 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match=r"mode \(0, 0\), mesh node 8 of 8"):
+            block_lu_solver(np.zeros_like(bands))
+        with pytest.raises(NonConvergenceError, match=r"mode \(-1, 1\), mesh node 4 of 8"):
+            block_lu_solver(bad)
 
 
 def test_zero_source_gives_zero_field():
@@ -463,8 +529,8 @@ def test_gmres_matches_dense_solve(n, seed):
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-7, atol=1e-9 * np.linalg.norm(x))
 
 
-# A rough solve at N=4, n_z=64 and a 3-sample ensemble at N=6, n_z=32: large
-# enough that BLAS reductions there would be split across threads.
+# A rough and a flat solve at N=4, n_z=64 and a 3-sample ensemble at N=6,
+# n_z=32: large enough that BLAS reductions there would be split across threads.
 _THREAD_PROBE = """
 from elastrip import harness
 from elastrip.config import from_dict
@@ -473,6 +539,9 @@ cfg = from_dict({"surface": {"terms": [[1, 0, 0.06, 0.0], [0, 1, 0.0, 0.05], [1,
                  "discretization": {"N1": 4, "N2": 4, "n_z": 64}})
 report, _ = harness.deterministic_run(cfg)
 print(report.diagnostics["solve_method"], repr(report.u_vh))
+flat, _ = harness.deterministic_run(from_dict({"surface": {"delta": 0.25},
+                                               "discretization": {"N1": 4, "N2": 4, "n_z": 64}}))
+print(flat.diagnostics["solve_method"], repr(flat.u_vh))
 mc = harness.monte_carlo(from_dict({
     "surface": {"law_bands": [[1, 0, 0.05], [0, 1, 0.05], [1, 1, 0.03]], "M0": 0.3, "delta": 0.25},
     "discretization": {"N1": 6, "N2": 6, "n_z": 32}}), n=3, seed=0)
@@ -481,7 +550,7 @@ print([(repr(r["u_h1_sq"]), repr(r["energy_residual"])) for r in mc.sample_rows]
 
 
 def test_rough_solve_is_bit_identical_across_blas_threads():
-    """Rough u_vh and Monte Carlo rows have the same bits at 1 and 2 BLAS threads."""
+    """Rough and flat u_vh and Monte Carlo rows have the same bits at 1 and 2 BLAS threads."""
     src = str(Path(elastrip.__file__).resolve().parents[1])
     out = []
     for threads in ("1", "2"):
@@ -490,4 +559,4 @@ def test_rough_solve_is_bit_identical_across_blas_threads():
         run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
                              capture_output=True, text=True, check=True)
         out.append(run.stdout)
-    assert out[0].startswith("gmres ") and out[0] == out[1]
+    assert out[0].startswith("gmres ") and "\ndirect " in out[0] and out[0] == out[1]
