@@ -14,9 +14,8 @@ from .geometry import (CoefficientLaw, CutoffFn, HarmonicTerm, SurfaceProfile,
 from .sources import BumpSource
 from .mesh import StripMesh
 from .solver import (DiscreteField, StripOperator, TransformCoefficients,
-                     assemble_flat_blocks, assemble_rhs, coercivity_probe,
-                     energy_balance, flat_mode_oracle, poincare_slack,
-                     solve_field, solve_flat)
+                     assemble_flat_blocks, assemble_rhs, energy_balance,
+                     poincare_slack, solve_field, solve_flat)
 from .config import RunConfig, from_dict, load_config
 from .harness import (McReport, RunReport, deterministic_run, monte_carlo,
                       parameter_sweep, pushforward_check, solve_surface)

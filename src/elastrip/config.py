@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
-import yaml
-
 from .errors import ConfigError
 from .params import ElasticParams, StripGeometry
 
@@ -149,6 +147,8 @@ def from_dict(data: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    import yaml  # here, not at module level: a run built by from_dict needs no parser
+
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -162,5 +162,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def dump_config(cfg: RunConfig, path: str) -> None:
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(cfg.as_dict(), fh, sort_keys=True)

@@ -338,9 +338,11 @@ def pushforward_check(cfg: RunConfig, n_z: int | None = None) -> dict:
     cutoff_b = CutoffFn(delta=0.5 * cutoff_a.delta, gamma_gap=gap)
 
     fields = []
+    flat = factor_flat(mesh, params)  # the two routes share mesh and material
     for cutoff in (cutoff_a, cutoff_b):
         fld, _, _, _ = solve_surface(mesh, params, f0, profile, cutoff, source,
-                                     physical=True, tol=cfg.discretization.solver_tol)
+                                     physical=True, tol=cfg.discretization.solver_tol,
+                                     flat=flat)
         fields.append((fld, cutoff))
 
     # shared physical sample points: horizontal lattice x heights above the

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .dtn import SpectralGrid
 from .errors import ConstraintError
@@ -50,10 +49,11 @@ class StripMesh:
         self.phi = np.stack([(1 - _GAUSS_X) / 2, (1 + _GAUSS_X) / 2])       # (2, q)
         self.dphi = np.stack([-1 / dz, 1 / dz])[:, :, None] * np.ones(2)     # (2, e, q)
         self._build_1d_matrices()
-        # dealiased collocation sizes; they set the quadrature, so they keep
-        # the FFT-friendly lengths although the transforms are matrix products
-        self.P1 = next_fast_len(max((3 * self.grid.n1 + 1) // 2, self.grid.n1))
-        self.P2 = next_fast_len(max((3 * self.grid.n2 + 1) // 2, self.grid.n2))
+        # dealiased collocation sizes.  They set the horizontal quadrature, so
+        # they keep the 11-smooth lengths an FFT would pick although the
+        # transforms are matrix products: another rule would change the numbers.
+        self.P1 = _next_fast_len(max((3 * self.grid.n1 + 1) // 2, self.grid.n1))
+        self.P2 = _next_fast_len(max((3 * self.grid.n2 + 1) // 2, self.grid.n2))
         # padded DFT matrices E[x, k] = exp(2 pi i x j_k / P), j_k in FFT order,
         # stacked with E diag(i xi) for the horizontal derivatives
         j1, j2 = self.grid.mode_indices()
@@ -172,6 +172,20 @@ class StripMesh:
     def point_weight(self) -> float:
         """Horizontal quadrature weight |cell| / (P1 P2) of one collocation point."""
         return self.grid.cell_area / (self.P1 * self.P2)
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest m >= n with no prime factor above 11, scipy.fft's rule for
+    complex transforms."""
+    m = max(n, 1)
+    while True:
+        k = m
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
 def _dft_matrices(j: np.ndarray, xi: np.ndarray, P: int):

@@ -19,11 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .dtn import BoundaryTrace, SpectralGrid, dtn_symbol, dtn_symbol_grid, energy_flux
+from .dtn import BoundaryTrace, SpectralGrid, dtn_symbol_grid, energy_flux
 from .errors import ConstraintError, NonConvergenceError, SingularTransformError
 from .geometry import CutoffFn, SurfaceProfile, transform_fields
 from .mesh import StripMesh
@@ -197,13 +194,6 @@ def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams) -> np.ndarray:
     return bands
 
 
-def dense_blocks(bands: np.ndarray) -> np.ndarray:
-    """Dense per-mode matrices (n1, n2, 3 n_z, 3 n_z) of bands, in free-vector order."""
-    _, n1, n2, nz = bands.shape[:4]
-    A = np.einsum("dmnikj,dil->mnkijl", bands, _band_shifts(nz))
-    return A.reshape(n1, n2, 3 * nz, 3 * nz)
-
-
 def banded_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The bands' operator on a free vector: (A v)_i = L_i v_{i-1} + D_i v_i + U_i v_{i+1}."""
     lower, diag, upper = np.moveaxis(bands, 3, 1)  # each [i, m1, m2, k, j]
@@ -364,7 +354,7 @@ def physical_quad_fields(mesh: StripMesh, U: np.ndarray,
     return F
 
 
-class StripOperator(scipy.sparse.linalg.LinearOperator):
+class StripOperator:
     """Matrix-free action of the (possibly transformed) sesquilinear form.
 
     The volume terms are evaluated pseudospectrally at quadrature points:
@@ -391,7 +381,13 @@ class StripOperator(scipy.sparse.linalg.LinearOperator):
         self._wgt_per_det = quad_weights(mesh)
         self._mass_wgt = -(params.omega * params.omega) * self._wgt
         n = 3 * g.n1 * g.n2 * (mesh.n_nodes - 1)
-        super().__init__(dtype=complex, shape=(n, n))
+        self.shape, self.dtype = (n, n), np.dtype(complex)
+
+    def matvec(self, vec: np.ndarray) -> np.ndarray:
+        return self._matvec(vec)
+
+    def __matmul__(self, vec: np.ndarray) -> np.ndarray:
+        return self._matvec(vec)
 
     def _matvec(self, vec: np.ndarray) -> np.ndarray:
         mesh, coeffs = self.mesh, self.coeffs
@@ -581,73 +577,6 @@ def solve_field(mesh: StripMesh, params: ElasticParams, rhs: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# independent flat-mode oracle (finite differences)
-# ---------------------------------------------------------------------------
-
-def flat_mode_oracle(xi, params: ElasticParams, g_profile, h: float, m_ref: float,
-                     n_fine: int = 2048):
-    """Dense FD solve of the per-mode two-point boundary value problem.
-
-    Second-order central differences for the interior Navier system,
-    u(m_ref) = 0 and the Robin top condition T u = i M(xi) u with a
-    second-order one-sided derivative.  Independent of the Galerkin path.
-    Every interior node has the same 3x3 stencil blocks, so the matrix is
-    their Kronecker product with the node shifts, plus the two boundary rows.
-    """
-    xi = np.asarray(xi, dtype=float)
-    lam, mu, w = params.lam, params.mu, params.omega
-    n = n_fine
-    z = np.linspace(m_ref, h, n + 1)
-    dz = z[1] - z[0]
-    ix = 1j * xi
-    lm = lam + mu
-    xi_sq = float(xi @ xi)
-
-    # interior stencil on nodes i-1, i, i+1:
-    # mu u'' - mu |xi|^2 u + w^2 u + (lam + mu) grad(div u), div = i xi.u' + u3'
-    lower = np.diag(np.full(3, mu / dz**2 + 0j))
-    diag = np.diag(np.full(3, -2 * mu / dz**2 - mu * xi_sq + w * w + 0j))
-    upper = lower.copy()
-    for c in range(2):
-        diag[c, :2] += lm * ix[c] * ix[:2]
-        lower[c, 2] += -lm * ix[c] / (2 * dz)
-        upper[c, 2] += lm * ix[c] / (2 * dz)
-        lower[2, c] += -lm * ix[c] / (2 * dz)
-        upper[2, c] += lm * ix[c] / (2 * dz)
-    lower[2, 2] += lm / dz**2
-    diag[2, 2] += -2 * lm / dz**2
-    upper[2, 2] += lm / dz**2
-
-    # top Robin: T u - i M u = 0 with the one-sided second-order u'(h);
-    # T1,2 = mu u1,2' + mu i xi1,2 u3, T3 = (lam + 2 mu) u3' + lam i xi.u
-    d = np.diag([mu, mu, lam + 2 * mu])
-    top = d * 1.5 / dz - 1j * dtn_symbol(xi, params).M
-    top[:2, 2] += mu * ix
-    top[2, :2] += lam * ix
-
-    def node_block(rows, k, block):
-        """kron(S, block) where S has ones at (i, i + k) for nodes i in rows."""
-        rows = np.asarray(rows)
-        S = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, rows + k)),
-                                    shape=(n + 1, n + 1))
-        # coo keeps no zero of block: stored zeros would change spsolve's ordering
-        return scipy.sparse.kron(S, block, format="coo")
-
-    interior = np.arange(1, n)
-    A = (node_block(interior, -1, lower) + node_block(interior, 0, diag)
-         + node_block(interior, 1, upper)
-         + node_block([0], 0, np.eye(3))                      # bottom Dirichlet
-         + node_block([n], 0, top) + node_block([n], -1, d * (-2.0) / dz)
-         + node_block([n], -2, d * 0.5 / dz))
-    b = np.zeros((n + 1, 3), dtype=complex)
-    for i in interior:  # one call per node: g_profile need only take a scalar height
-        b[i] = np.asarray(g_profile(z[i]), dtype=complex)
-
-    sol = scipy.sparse.linalg.spsolve(A.tocsr(), b.ravel())
-    return z, sol.reshape(n + 1, 3).T
-
-
-# ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
 
@@ -678,32 +607,3 @@ def poincare_slack(field: DiscreteField) -> float:
     l2, dz, _ = field._mode_quadratics()
     area = field.mesh.grid.cell_area
     return depth * float(area * dz.sum()) - float(area * l2.sum())
-
-
-def coercivity_probe(mesh: StripMesh, params: ElasticParams, n_probes: int = 200,
-                     seed: int = 0) -> dict:
-    """Minimum of Re B(v,v)/||v||_Vh^2 over random fields, plus the exact minimum.
-
-    The exact minimum is the smallest generalized eigenvalue of the Hermitian
-    part of the per-mode operator against the energy-norm Gram matrix; the
-    probe minimum can only lie above it.
-    """
-    if n_probes <= 0:
-        raise ConstraintError("n_probes must be positive")
-    blocks = dense_blocks(assemble_flat_blocks(mesh, params))
-    gram = dense_blocks(_assemble_bands(mesh, _mode_density(mesh.grid, 1.0, 0.0, 0.0, 1.0)))
-    rng = np.random.default_rng(seed)
-    probe_min = np.inf
-    for _ in range(n_probes):
-        # per mode, the real then the imaginary part of the probe field
-        R = rng.standard_normal(blocks.shape[:2] + (2, blocks.shape[-1]))
-        v = R[..., 0, :] + 1j * R[..., 1, :]
-        val, nrm = (np.einsum("mni,mnij,mnj->", v.conj(), A, v, optimize=True).real
-                    for A in (blocks, gram))
-        probe_min = min(probe_min, val / nrm)
-    rayleigh_min = np.inf
-    for A, G in zip(blocks.reshape(-1, *blocks.shape[2:]), gram.reshape(-1, *gram.shape[2:])):
-        vals = scipy.linalg.eigh((A + A.conj().T) / 2, G.real, eigvals_only=True)
-        rayleigh_min = min(rayleigh_min, float(vals[0]))
-    return {"probe_min": float(probe_min), "rayleigh_min": float(rayleigh_min),
-            "n_probes": n_probes, "seed": seed}

@@ -19,13 +19,9 @@ from elastrip.dtn import (
 )
 from elastrip.mesh import StripMesh
 from elastrip.params import ElasticParams
-from elastrip.solver import (
-    assemble_rhs,
-    coercivity_probe,
-    flat_mode_oracle,
-    solve_flat,
-)
+from elastrip.solver import assemble_rhs, solve_flat
 from elastrip.sources import BumpSource, HarmonicFactor
+from flat_oracles import coercivity_probe, flat_mode_oracle
 
 CELL = (2 * np.pi, 2 * np.pi)
 

@@ -28,6 +28,19 @@ BASE = {
 }
 
 
+def count_flat_assemblies(monkeypatch) -> list:
+    """The argument tuples of every later solver.assemble_flat_blocks call."""
+    calls = []
+    real = solver.assemble_flat_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "assemble_flat_blocks", counted)
+    return calls
+
+
 def cfg_with(**changes) -> RunConfig:
     d = copy.deepcopy(BASE)
     for sec, kv in changes.items():
@@ -161,14 +174,7 @@ def test_monte_carlo_factors_the_flat_operator_once(monkeypatch):
     """One flat assembly for the ensemble; rows equal those of separate solves."""
     cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3},
                    run={"n_samples": 3, "seed": 5})
-    calls = []
-    real = solver.assemble_flat_blocks
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(solver, "assemble_flat_blocks", counted)
+    calls = count_flat_assemblies(monkeypatch)
     rep = monte_carlo(cfg)
     assert len(calls) == 1 and rep.n_completed == 3
 
@@ -217,8 +223,12 @@ def test_pushforward_flat_surface_trivial():
     assert out["rel_vh"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_pushforward_small_for_gentle_surface():
+def test_pushforward_small_for_gentle_surface(monkeypatch):
+    """Small discrepancy; both cutoffs' solves share one flat assembly."""
+    calls = count_flat_assemblies(monkeypatch)
     out = pushforward_check(
         cfg_with(surface={"terms": [[1, 0, 0.08, 0.0]]},
                  discretization={"N1": 2, "N2": 2, "n_z": 16}))
     assert out["rel_l2"] < 0.01
+    assert len(calls) == 1
+

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import elastrip
-from elastrip import solver
+from elastrip import harness, solver
 from elastrip.dtn import SpectralGrid, dtn_symbol_grid
 from elastrip.errors import ConstraintError, NonConvergenceError, SingularTransformError
 from elastrip.geometry import CutoffFn, SurfaceProfile, make_profile
@@ -24,10 +24,7 @@ from elastrip.solver import (
     assemble_rhs,
     banded_matvec,
     block_lu_solver,
-    coercivity_probe,
-    dense_blocks,
     energy_balance,
-    flat_mode_oracle,
     gmres,
     physical_quad_fields,
     poincare_slack,
@@ -37,6 +34,7 @@ from elastrip.solver import (
     TransformCoefficients,
 )
 from elastrip.sources import BumpSource, HarmonicFactor
+from flat_oracles import coercivity_probe, dense_blocks, flat_mode_oracle
 from rellich_oracle import ModeFieldSmooth, rellich_identity_residual, rellich_residual
 
 CELL = (2 * np.pi, 2 * np.pi)
@@ -427,6 +425,37 @@ def test_rough_solve_reduces_to_flat_for_identical_surfaces():
     rhs = assemble_rhs(mesh, bump())
     field_b, _ = solve_flat(mesh, P, rhs)
     np.testing.assert_allclose(field_a.coeff, field_b.coeff, rtol=1e-10, atol=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       N=st.integers(1, 2), nz=st.integers(1, 16), z0=st.floats(0.2, 0.8))
+def test_identity_transform_gmres_matches_direct(mu, lam_frac, omega, N, nz, z0):
+    """GMRES through a transform with f = f0 gives the direct flat solve."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    mesh = flat_mesh(N=N, nz=nz)
+    f0 = make_profile(0.0, (), GEOM)
+    coeffs = TransformCoefficients(mesh, f0, f0, CutoffFn(0.25, 1.0))
+    rhs = assemble_rhs(mesh, bump(z0=z0))
+    tol = 1e-9
+    direct, _ = solve_field(mesh, params, rhs, tol=tol)
+    field, info = solve_field(mesh, params, rhs, coeffs, tol=tol)
+    assert info.method == "gmres" and info.residual <= tol
+    assert (np.linalg.norm(field.coeff - direct.coeff)
+            <= tol * np.linalg.norm(direct.coeff))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       N=st.integers(1, 2), nz=st.integers(1, 16), z0=st.floats(0.2, 0.8))
+def test_direct_solve_keeps_the_flux_identity(mu, lam_frac, omega, N, nz, z0):
+    """The discrete flux identity holds to the harness's tolerance for any material."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    mesh = flat_mesh(N=N, nz=nz)
+    rhs = assemble_rhs(mesh, bump(z0=z0))
+    field, _ = solve_field(mesh, params, rhs)
+    res, power = energy_balance(field, rhs, params)
+    assert res <= harness.ENERGY_TOL and power >= 0.0
 
 
 def test_values_at_points_match_mode_sum():
