@@ -21,12 +21,13 @@ from .dtn import SpectralGrid
 from .errors import ElastripError
 from .geometry import (CoefficientLaw, CutoffFn, SourceSpec, SurfaceProfile,
                        invert_vertical, make_profile, sample_ensemble)
-from .mesh import StripMesh
+from .mesh import StripMesh, Workspace
 from .params import (ElasticParams, StripGeometry, bound_constants,
                      total_bound_stochastic)
 from .solver import (DiscreteField, TransformCoefficients, assemble_rhs,
-                     energy_balance, factor_flat, physical_quad_fields,
-                     poincare_slack, quad_points, quad_weights, solve_field)
+                     element_blocks, energy_balance, factor_flat,
+                     physical_quad_fields, poincare_slack, quad_points,
+                     quad_weights, solve_field)
 from .sources import BumpSource
 
 ENERGY_TOL = 1e-8
@@ -154,26 +155,31 @@ def solve_surface(mesh: StripMesh, params: ElasticParams, f0: SurfaceProfile,
 
 
 def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | None):
-    """(L2^2, grad^2) of the field over the physical strip (change of variables)."""
+    """(L2^2, grad^2) of the field over the physical strip (change of
+    variables), summed over the solver's element blocks in order."""
     mesh = field.mesh
-    F = physical_quad_fields(mesh, field.coeff, coeffs)
-    wgt = quad_weights(mesh, coeffs)
-    l2 = float(np.sum(wgt * np.abs(F[:, 0]) ** 2))
-    grad = float(np.sum(wgt * np.abs(F[:, 1:]) ** 2))
-    return l2, grad
+    work = Workspace()
+    sums = np.zeros(4)  # per slot: u, d1 u, d2 u, d3 u
+    for b in element_blocks(mesh):
+        F = physical_quad_fields(mesh, field.coeff, coeffs, b, work)
+        wgt = quad_weights(mesh, coeffs, b)
+        for c, j in np.ndindex(3, 4):  # one field at a time keeps the squares small
+            sums[j] += np.sum(wgt * np.abs(F[c, j]) ** 2)
+    return float(sums[0]), float(sums[1:].sum())
 
 
 def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
                  physical: bool = False):
-    """(||g||_L2, ||g||_H1) over the strip by the solver's quadrature."""
+    """(||g||_L2, ||g||_H1) over the strip by the solver's quadrature,
+    summed over its element blocks in order."""
     coeffs = coeffs if physical else None
-    points = quad_points(mesh, coeffs)
-    vals = source.values(*points)
-    grads = source.gradients(*points)
-    wgt = quad_weights(mesh, coeffs)
-    l2_sq = float(np.sum(wgt * vals ** 2))
-    h1_sq = l2_sq + float(np.sum(wgt * grads ** 2))
-    return np.sqrt(l2_sq), np.sqrt(h1_sq)
+    l2_sq = grad_sq = 0.0
+    for b in element_blocks(mesh):
+        points = quad_points(mesh, coeffs, b)
+        wgt = quad_weights(mesh, coeffs, b)
+        l2_sq += float(np.sum(wgt * source.values(*points) ** 2))
+        grad_sq += float(np.sum(wgt * source.gradients(*points) ** 2))
+    return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
 
 
 def _diagnose(field: DiscreteField, rhs, params: ElasticParams, info, profile):

@@ -83,83 +83,106 @@ class StripMesh:
     def n_nodes(self) -> int:
         return self.n_elements + 1
 
-    def eval_at_quad(self, U: np.ndarray) -> np.ndarray:
-        """Nodal field (..., n_nodes) -> values at quad points (..., e, q)."""
-        return self._at_quad(U, self.phi[:, None, :])
+    def eval_at_quad(self, U: np.ndarray, elements: slice = slice(None),
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Nodal field (..., n_nodes) -> values at the quad points (..., e, q)
+        of the vertical ``elements``, written into ``out`` when given."""
+        return self._at_quad(U, self.phi[:, None, :], elements, out)
 
-    def deriv_at_quad(self, U: np.ndarray) -> np.ndarray:
-        return self._at_quad(U, self.dphi)
+    def deriv_at_quad(self, U: np.ndarray, elements: slice = slice(None),
+                      out: np.ndarray | None = None) -> np.ndarray:
+        return self._at_quad(U, self.dphi, elements, out)
 
-    def _at_quad(self, U: np.ndarray, shape_fns: np.ndarray) -> np.ndarray:
-        """sum_a U[..., e + a] shape_fns[a, e, k]; the loop over Gauss points k
-        keeps the long element axis innermost in the products."""
-        out = np.empty(U.shape[:-1] + self.zq.shape, dtype=np.result_type(U, shape_fns))
+    def _at_quad(self, U: np.ndarray, shape_fns: np.ndarray, elements: slice,
+                 out: np.ndarray | None) -> np.ndarray:
+        """sum_a U[..., e + a] shape_fns[a, e, k] over e in ``elements``; the
+        loop over Gauss points k keeps the long element axis innermost."""
+        fns = np.broadcast_to(shape_fns, (2,) + self.zq.shape)[:, elements]
+        lo, hi = U[..., :-1][..., elements], U[..., 1:][..., elements]
+        if out is None:
+            out = np.empty(U.shape[:-1] + fns.shape[1:], dtype=np.result_type(U, fns))
         for k in range(out.shape[-1]):
-            out[..., k] = U[..., :-1] * shape_fns[0, :, k] + U[..., 1:] * shape_fns[1, :, k]
+            out[..., k] = lo * fns[0, :, k] + hi * fns[1, :, k]
         return out
 
-    def scatter_from_quad(self, Wq: np.ndarray, Wdq: np.ndarray | None = None) -> np.ndarray:
+    def scatter_from_quad(self, Wq: np.ndarray, Wdq: np.ndarray | None = None,
+                          elements: slice = slice(None),
+                          out: np.ndarray | None = None) -> np.ndarray:
         """Adjoint of evaluation: quad-point duals -> nodal functional values.
 
         ``Wq`` pairs with shape-function values, ``Wdq`` with derivatives;
-        quadrature weights must already be folded into the inputs.
+        quadrature weights must already be folded into the inputs.  They
+        hold the vertical ``elements``, whose share is added to ``out``
+        (zeros on all nodes when None), which is returned.  Each element's
+        two nodal shares are summed before they are added, so a node on the
+        seam of two calls gets the bits of one call over both.
         """
-        out = np.zeros(Wq.shape[:-2] + (self.n_nodes,), dtype=complex)
-        out[..., :-1] += Wq[..., :, 0] * self.phi[0, 0] + Wq[..., :, 1] * self.phi[0, 1]
-        out[..., 1:] += Wq[..., :, 0] * self.phi[1, 0] + Wq[..., :, 1] * self.phi[1, 1]
+        if out is None:
+            out = np.zeros(Wq.shape[:-2] + (self.n_nodes,), dtype=complex)
+        lo = Wq[..., 0] * self.phi[0, 0] + Wq[..., 1] * self.phi[0, 1]
+        hi = Wq[..., 0] * self.phi[1, 0] + Wq[..., 1] * self.phi[1, 1]
         if Wdq is not None:
-            out[..., :-1] += Wdq[..., :, 0] * self.dphi[0, :, 0] + Wdq[..., :, 1] * self.dphi[0, :, 1]
-            out[..., 1:] += Wdq[..., :, 0] * self.dphi[1, :, 0] + Wdq[..., :, 1] * self.dphi[1, :, 1]
+            dphi = self.dphi[:, elements]
+            lo += Wdq[..., 0] * dphi[0, :, 0] + Wdq[..., 1] * dphi[0, :, 1]
+            hi += Wdq[..., 0] * dphi[1, :, 0] + Wdq[..., 1] * dphi[1, :, 1]
+        out[..., :-1][..., elements] += lo
+        out[..., 1:][..., elements] += hi
         return out
 
     # -- padded pseudospectral transforms ------------------------------------
 
     def to_physical(self, C: np.ndarray, ax1: int = -4, ax2: int = -3,
-                    gradient: bool = False) -> np.ndarray:
+                    gradient: bool = False, work: Workspace | None = None) -> np.ndarray:
         """Mode coefficients -> values on the padded collocation grid.
 
         Two DFT-matrix products, along ax2 then ax1; the padded modes are
         zero implicitly.  With ``gradient`` the horizontal axes must be
         adjacent and axis ax1 - 1 lists fields (C0, C1, ...); the result
         lists (C0, d1 C0, d2 C0, C1, ...) there, the horizontal derivatives
-        coming from the stacked matrices [E; E diag(i xi)].
+        coming from the stacked matrices [E; E diag(i xi)].  The gradient
+        result and the intermediate take buffers of ``work``.
         """
         ax1, ax2 = ax1 % C.ndim, ax2 % C.ndim
         if not gradient:
             return _along(self._E1, _along(self._E2, C, ax2), ax1)
+        work = Workspace() if work is None else work
         A, s, n1, n2, R = _field_stack(C.shape, ax1, ax2)
-        P1, P2R = self.P1, self.P2 * R
-        out_shape = C.shape[:ax1 - 1] + (s + 2, P1, self.P2) + C.shape[ax2 + 1:]
+        P1, P2, P2R = self.P1, self.P2, self.P2 * R
+        out_shape = C.shape[:ax1 - 1] + (s + 2, P1, P2) + C.shape[ax2 + 1:]
         C = C.reshape(A, s, n1, n2, R)
-        Z = np.matmul(self._E2d, C[:, 0]).reshape(A, n1, 2 * P2R)  # E2 C0 | E2 i xi2 C0
-        F = np.empty((A, s + 2, P1, P2R), dtype=complex)
+        Z = np.matmul(self._E2d, C[:, 0], out=work.take("scratch", (A, n1, 2 * P2, R)))
+        Z = Z.reshape(A, n1, 2 * P2R)  # E2 C0 | E2 i xi2 C0
+        F = work.take("fields", (A, s + 2, P1, P2R))
         Fm = F.reshape(A, (s + 2) * P1, P2R)
         np.matmul(self._E1d, Z[:, :, :P2R], out=Fm[:, :2 * P1])
         np.matmul(self._E1, Z[:, :, P2R:], out=Fm[:, 2 * P1:3 * P1])
-        np.matmul(self._E1, np.matmul(self._E2, C[:, 1:]).reshape(A, s - 1, n1, P2R),
-                  out=F[:, 3:])
+        rest = np.matmul(self._E2, C[:, 1:], out=work.take("scratch", (A, s - 1, n1, P2, R)))
+        np.matmul(self._E1, rest.reshape(A, s - 1, n1, P2R), out=F[:, 3:])
         return F.reshape(out_shape)
 
     def to_modes_adjoint(self, W: np.ndarray, ax1: int = -4, ax2: int = -3,
-                         gradient: bool = False) -> np.ndarray:
+                         gradient: bool = False, work: Workspace | None = None) -> np.ndarray:
         """Adjoint of :meth:`to_physical` under the plain point sum.
 
         The conjugate-transposed DFT matrices, applied in the reverse order;
-        with ``gradient`` the field axis ax1 - 1 shrinks from s + 2 back to s.
+        with ``gradient`` the field axis ax1 - 1 shrinks from s + 2 back to s,
+        and the result and the intermediates take buffers of ``work``.
         """
         ax1, ax2 = ax1 % W.ndim, ax2 % W.ndim
         if not gradient:
             return _along(self._E2H, _along(self._E1H, W, ax1), ax2)
+        work = Workspace() if work is None else work
         A, s2, P1, P2, R = _field_stack(W.shape, ax1, ax2)
         n1, n2, P2R = self.grid.n1, self.grid.n2, P2 * R
         out_shape = W.shape[:ax1 - 1] + (s2 - 2, n1, n2) + W.shape[ax2 + 1:]
         W = W.reshape(A, s2 * P1, P2R)
-        Y = np.empty((A, n1, 2 * P2R), dtype=complex)
+        Y = work.take("scratch", (A, n1, 2 * P2R))
         np.matmul(self._E1dH, W[:, :2 * P1], out=Y[:, :, :P2R])
         np.matmul(self._E1H, W[:, 2 * P1:3 * P1], out=Y[:, :, P2R:])
-        out = np.empty((A, s2 - 2, n1, n2, R), dtype=complex)
+        out = work.take("modes", (A, s2 - 2, n1, n2, R))
         np.matmul(self._E2dH, Y.reshape(A, n1, 2 * P2, R), out=out[:, 0])
-        rest = np.matmul(self._E1H, W[:, 3 * P1:].reshape(A, s2 - 3, P1, P2R))
+        rest = np.matmul(self._E1H, W[:, 3 * P1:].reshape(A, s2 - 3, P1, P2R),
+                         out=work.take("scratch", (A, s2 - 3, n1, P2R)))
         np.matmul(self._E2H, rest.reshape(A, s2 - 3, n1, P2, R), out=out[:, 1:])
         return out.reshape(out_shape)
 
@@ -172,6 +195,30 @@ class StripMesh:
     def point_weight(self) -> float:
         """Horizontal quadrature weight |cell| / (P1 P2) of one collocation point."""
         return self.grid.cell_area / (self.P1 * self.P2)
+
+
+class Workspace:
+    """Named flat complex buffers that a blocked stage reuses from block to
+    block and from call to call.
+
+    :meth:`take` returns a view of the head of the named buffer in the
+    asked shape, and grows the buffer when it is too short; a view stays
+    valid until the next ``take`` of its name.  Reused buffers keep a
+    stage's large temporaries out of the allocator after its first block.
+    Allocated afresh, the heap shrinks and regrows between blocks and pays
+    the page faults of every regrowth again (3 us a page measured on a
+    2-core VM).
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype=complex)
+        return buf[:size].reshape(shape)
 
 
 def _next_fast_len(n: int) -> int:

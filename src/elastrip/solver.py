@@ -12,18 +12,29 @@ grid by DFT-matrix products that also give the horizontal derivatives, the
 symmetric stress at the quadrature points, and the adjoint products on the
 duals.  The DtN term is mode-diagonal in both cases because the transform
 is the identity at the top plane.
+
+Everything between a forward and an adjoint transform is pointwise in z, so
+the stages that hold fields on the padded collocation x quadrature grid (the
+matvec, the load vector and the physical norms) run over blocks of vertical
+elements (loop tiling).  :func:`element_blocks` splits the elements evenly
+into the fewest blocks whose stacked fields, 3 x 4 complex values per point,
+fit in ``_BLOCK_BYTES``.  The blocks of a stage reuse the buffers of one
+:class:`~elastrip.mesh.Workspace`, so its working set is about 1.5 times
+that budget at any n_z.  Blocks are visited in a fixed order, so the bits
+depend on the mesh only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .dtn import BoundaryTrace, SpectralGrid, dtn_symbol_grid, energy_flux
 from .errors import ConstraintError, NonConvergenceError, SingularTransformError
 from .geometry import CutoffFn, SurfaceProfile, transform_fields
-from .mesh import StripMesh
+from .mesh import StripMesh, Workspace
 from .params import ElasticParams
 
 _ENERGY_EPS = 1e-14
@@ -34,6 +45,12 @@ _GMRES_MAX_ITER = 50
 # an invariant Krylov space (a happy breakdown): exhausting the space leaves
 # 1e-30 and less, while a working step keeps 1e-4 and more.
 _BREAKDOWN = 1e-14
+# Bytes of one element block's stacked fields (see element_blocks).  A
+# matvec's workspace holds about 1.5 times this at any n_z.  Fewer elements
+# a block narrow the DFT-matrix products: at N=24, n_z=128 (2 elements a
+# block) a matvec took 1.2 s, against 0.92 s at twice this budget and 1.0 s
+# unblocked (2-core VM).
+_BLOCK_BYTES = 6_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -316,56 +333,86 @@ class TransformCoefficients:
             np.shape(_x3), J3.shape)).copy()
 
 
-def quad_points(mesh: StripMesh, coeffs: TransformCoefficients | None = None):
-    """Padded collocation x Gauss points (X1, X2, Z), broadcastable.
+def element_blocks(mesh: StripMesh) -> list[slice]:
+    """The vertical elements as consecutive blocks, in order: the fewest
+    whose stacked fields, 3 x 4 complex values per quad point, take at most
+    ``_BLOCK_BYTES`` each.  Their sizes differ by at most one, the larger
+    first, so the first block sizes a :class:`Workspace` for all."""
+    per_element = 3 * 4 * mesh.P1 * mesh.P2 * mesh.zq.shape[1] * np.dtype(complex).itemsize
+    n_blocks = -(-mesh.n_elements // max(1, _BLOCK_BYTES // per_element))
+    size, larger = divmod(mesh.n_elements, n_blocks)
+    ends = list(accumulate([size + 1] * larger + [size] * (n_blocks - larger), initial=0))
+    return [slice(e0, e1) for e0, e1 in zip(ends[:-1], ends[1:])]
+
+
+def quad_points(mesh: StripMesh, coeffs: TransformCoefficients | None = None,
+                elements: slice = slice(None)):
+    """Padded collocation x Gauss points (X1, X2, Z) of the vertical
+    ``elements``, broadcastable.
 
     With ``coeffs`` the heights are the physical ones, x3 = H(y)_3.
     """
     x1, x2 = mesh.collocation_padded()
-    Z = mesh.zq[None, None, :, :] if coeffs is None else coeffs.x3
+    Z = mesh.zq[None, None, elements] if coeffs is None else coeffs.x3[..., elements, :]
     return x1[:, None, None, None], x2[None, :, None, None], Z
 
 
-def quad_weights(mesh: StripMesh, coeffs: TransformCoefficients | None = None):
+def quad_weights(mesh: StripMesh, coeffs: TransformCoefficients | None = None,
+                 elements: slice = slice(None)):
     """Weights of the points of :func:`quad_points`, times det J under ``coeffs``."""
-    wgt = mesh.wq[None, None, :, :] * mesh.point_weight
+    wgt = mesh.wq[None, None, elements] * mesh.point_weight
     if coeffs is not None:
-        wgt = wgt * coeffs.det
+        wgt = wgt * coeffs.det[..., elements, :]
     return wgt
 
 
 def physical_quad_fields(mesh: StripMesh, U: np.ndarray,
-                         coeffs: TransformCoefficients | None = None) -> np.ndarray:
-    """Values and physical gradient of nodal modes U at the quad points.
+                         coeffs: TransformCoefficients | None = None,
+                         elements: slice = slice(None),
+                         work: Workspace | None = None) -> np.ndarray:
+    """Values and physical gradient of nodal modes U at the quad points of
+    the vertical ``elements``.
 
     Returns one stacked array F of shape (3, 4, P1, P2, e, q) on the padded
     collocation x Gauss grid: F[c, 0] = u_c and F[c, 1 + j] = d_j u_c.  The
-    values and z-derivatives at the quad points go through one gradient
-    transform of DFT-matrix products, which adds the horizontal derivatives;
-    the gradient is then pulled through the chain rule of ``coeffs`` in place.
+    values and z-derivatives at the quad points are written into one buffer
+    and go through one gradient transform of DFT-matrix products, which adds
+    the horizontal derivatives; the gradient is then pulled through the
+    chain rule of ``coeffs`` in place.  F and the temporaries take buffers
+    of ``work``, so F stays valid until the next call with the same ``work``.
     """
-    C = np.stack([mesh.eval_at_quad(U), mesh.deriv_at_quad(U)], axis=1)  # (3, 2, n1, n2, e, q)
-    F = mesh.to_physical(C, ax1=2, ax2=3, gradient=True)
+    work = Workspace() if work is None else work
+    n_e = len(range(mesh.n_elements)[elements])
+    C = work.take("modes", (3, 2) + U.shape[1:-1] + (n_e, mesh.zq.shape[1]))  # (3, 2, n1, n2, e, q)
+    mesh.eval_at_quad(U, elements, out=C[:, 0])
+    mesh.deriv_at_quad(U, elements, out=C[:, 1])
+    F = mesh.to_physical(C, ax1=2, ax2=3, gradient=True, work=work)
     if coeffs is not None:
         # Gx[:, j] = Gy[:, j] - J_j Gx[:, 2] for j < 2, Gx[:, 2] = Gy[:, 2] / det
-        F[:, 3] *= coeffs.inv_det
-        F[:, 1] -= coeffs.J1 * F[:, 3]
-        F[:, 2] -= coeffs.J2 * F[:, 3]
+        F[:, 3] *= coeffs.inv_det[..., elements, :]
+        prod = work.take("scratch", F[:, 3].shape)
+        for j, J in ((1, coeffs.J1), (2, coeffs.J2)):
+            F[:, j] -= np.multiply(J[..., elements, :], F[:, 3], out=prod)
     return F
 
 
 class StripOperator:
     """Matrix-free action of the (possibly transformed) sesquilinear form.
 
-    The volume terms are evaluated pseudospectrally at quadrature points:
-    one gradient transform of DFT-matrix products to values and gradients
+    The volume terms are evaluated pseudospectrally at quadrature points,
+    one block of vertical elements (:func:`element_blocks`) at a time: one
+    gradient transform of DFT-matrix products to values and gradients
     (:func:`physical_quad_fields`), the symmetric stress
     sigma = mu (Gx + Gx^T) + lam tr(Gx) I and the mass term written in
-    place, weighted and pulled back through the adjoint chain rule, and the
+    place, weighted and pulled back through the adjoint chain rule, the
     adjoint transform, which folds the horizontal stresses back into the
-    value duals.  The DtN term is mode-diagonal at the top node.  Without a
-    transform this action coincides with the assembled flat blocks to
-    roundoff.
+    value duals, and the scatter of the block's duals onto its nodes.  The
+    stacked fields of one block take at most ``_BLOCK_BYTES``, and the
+    blocks are added in mesh order.  All blocks and calls reuse the
+    operator's one :class:`~elastrip.mesh.Workspace`, so an operator serves
+    one thread at a time.  The DtN term is mode-diagonal at the top node.
+    Without a transform this action coincides with the assembled flat
+    blocks to roundoff.
     """
 
     def __init__(self, mesh: StripMesh, params: ElasticParams,
@@ -380,6 +427,8 @@ class StripOperator:
         self._wgt = quad_weights(mesh, coeffs)
         self._wgt_per_det = quad_weights(mesh)
         self._mass_wgt = -(params.omega * params.omega) * self._wgt
+        self._blocks = element_blocks(mesh)
+        self._work = Workspace()
         n = 3 * g.n1 * g.n2 * (mesh.n_nodes - 1)
         self.shape, self.dtype = (n, n), np.dtype(complex)
 
@@ -393,28 +442,34 @@ class StripOperator:
         mesh, coeffs = self.mesh, self.coeffs
         lam, mu = self.params.lam, self.params.mu
         U = DiscreteField.from_free_vector(np.asarray(vec).ravel(), mesh).coeff
-        F = physical_quad_fields(mesh, U, coeffs)
+        R, work = np.zeros_like(U), self._work
+        for b in self._blocks:
+            F = physical_quad_fields(mesh, U, coeffs, b, work)
 
-        # F[:, 1:] <- sigma = mu (Gx + Gx^T) + lam tr(Gx) I, in place
-        G = F[:, 1:]
-        lam_tr = lam * (G[0, 0] + G[1, 1] + G[2, 2])
-        for c in range(3):
-            for j in range(c + 1, 3):
-                G[c, j] += G[j, c]
-                G[c, j] *= mu
-                G[j, c] = G[c, j]
-            G[c, c] *= 2 * mu
-            G[c, c] += lam_tr
-        # weighted duals: mass in slot 0, adjoint chain rule on sigma
-        F[:, 0] *= self._mass_wgt
-        if coeffs is not None:
-            F[:, 3] -= coeffs.J1 * F[:, 1] + coeffs.J2 * F[:, 2]
-        F[:, 1:3] *= self._wgt
-        F[:, 3] *= self._wgt_per_det
+            # F[:, 1:] <- sigma = mu (Gx + Gx^T) + lam tr(Gx) I, in place
+            G = F[:, 1:]
+            lam_tr = np.add(G[0, 0], G[1, 1], out=work.take("scratch", G[0, 0].shape))
+            lam_tr += G[2, 2]
+            lam_tr *= lam
+            for c in range(3):
+                for j in range(c + 1, 3):
+                    G[c, j] += G[j, c]
+                    G[c, j] *= mu
+                    G[j, c] = G[c, j]
+                G[c, c] *= 2 * mu
+                G[c, c] += lam_tr
+            # weighted duals: mass in slot 0, adjoint chain rule on sigma
+            F[:, 0] *= self._mass_wgt[..., b, :]
+            if coeffs is not None:
+                prod = work.take("scratch", F[:, 3].shape)
+                for j, J in ((1, coeffs.J1), (2, coeffs.J2)):
+                    F[:, 3] -= np.multiply(J[..., b, :], F[:, j], out=prod)
+            F[:, 1:3] *= self._wgt[..., b, :]
+            F[:, 3] *= self._wgt_per_det[..., b, :]
 
-        # duals of the values (mass + pulled-back horizontal stresses) and of dz
-        W = mesh.to_modes_adjoint(F, ax1=2, ax2=3, gradient=True)
-        R = mesh.scatter_from_quad(W[:, 0], W[:, 1])
+            # duals of the values (mass + pulled-back horizontal stresses) and of dz
+            W = mesh.to_modes_adjoint(F, ax1=2, ax2=3, gradient=True, work=work)
+            mesh.scatter_from_quad(W[:, 0], W[:, 1], b, out=R)
 
         # DtN boundary term at the top node
         top = U[:, :, :, -1]
@@ -429,13 +484,15 @@ def assemble_rhs(mesh: StripMesh, source,
 
     With ``physical=True`` the source is composed with the flattening map
     (evaluated at the physical height), so two different transforms of the
-    same physical problem assemble consistent data.
+    same physical problem assemble consistent data.  The source is
+    evaluated, weighted and transformed one element block at a time.
     """
-    points = quad_points(mesh, coeffs if physical else None)
-    gvals = source.values(*points).astype(complex)  # (3, P1, P2, e, q)
-    wgt = quad_weights(mesh, coeffs)
-    Wq = mesh.to_modes_adjoint(-gvals * wgt, ax1=1, ax2=2)
-    R = mesh.scatter_from_quad(Wq)
+    g = mesh.grid
+    R = np.zeros((3, g.n1, g.n2, mesh.n_nodes), dtype=complex)
+    for b in element_blocks(mesh):
+        gvals = source.values(*quad_points(mesh, coeffs if physical else None, b))
+        Wq = mesh.to_modes_adjoint(-gvals * quad_weights(mesh, coeffs, b), ax1=1, ax2=2)
+        mesh.scatter_from_quad(Wq, elements=b, out=R)
     return R[:, :, :, 1:].ravel()
 
 
@@ -531,13 +588,6 @@ def gmres(matvec, b: np.ndarray, precond, tol: float) -> tuple[np.ndarray, Solve
                     f"gmres solve failed after {k + 1} iterations: "
                     f"relative residual {rel:.3e} > {tol:.1e}",
                     residual=rel, history=history + [rel])
-
-
-def solve_flat(mesh: StripMesh, params: ElasticParams,
-               rhs: np.ndarray) -> tuple[DiscreteField, SolveInfo]:
-    """Direct solve of the flat (mode-decoupled) system: :func:`solve_field`
-    without a transform."""
-    return solve_field(mesh, params, rhs)
 
 
 def factor_flat(mesh: StripMesh, params: ElasticParams):

@@ -30,7 +30,6 @@ from elastrip.solver import (
     poincare_slack,
     quad_weights,
     solve_field,
-    solve_flat,
     TransformCoefficients,
 )
 from elastrip.sources import BumpSource, HarmonicFactor
@@ -122,6 +121,64 @@ def test_rough_matvec_transforms_once(monkeypatch):
         monkeypatch.setattr(StripMesh, name, counted)
     op @ np.ones(op.shape[0], dtype=complex)
     assert calls == {"to_physical": 1, "to_modes_adjoint": 1}
+
+
+def _rough_setup(N, nz, amplitude=0.08):
+    mesh = flat_mesh(N=N, nz=nz)
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM),
+                                   make_profile(0.0, ((1, 0, amplitude, 0.0), (1, 1, 0.0, 0.03)),
+                                                GEOM),
+                                   CutoffFn(0.25, 1.0))
+    return mesh, coeffs
+
+
+def test_element_blocks_do_not_change_results(monkeypatch):
+    """A matvec, the physical norms, the source norms and the load vector
+    give the one-block results to 1e-13 when the budget splits the
+    elements into uneven blocks."""
+    mesh, coeffs = _rough_setup(N=2, nz=10)
+    src = bump()
+    rng = np.random.default_rng(5)
+    n = 3 * mesh.grid.n1 * mesh.grid.n2 * mesh.n_elements
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    field = DiscreteField.from_free_vector(x, mesh)
+
+    def stages():
+        return [StripOperator(mesh, P, coeffs) @ x,
+                np.array(harness.field_physical_norms(field, coeffs)),
+                np.array(harness.source_norms(src, mesh, coeffs, physical=True)),
+                assemble_rhs(mesh, src, coeffs, physical=True)]
+
+    assert solver.element_blocks(mesh) == [slice(0, 10)]
+    one_block = stages()
+    per_element = 3 * 4 * mesh.P1 * mesh.P2 * 2 * 16
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 3 * per_element + 1)
+    assert [b.stop - b.start for b in solver.element_blocks(mesh)] == [3, 3, 2, 2]
+    for blocked, ref in zip(stages(), one_block):
+        assert np.linalg.norm(blocked - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_blocked_stages_hold_a_bounded_working_set():
+    """The memory a rough matvec and the physical norms allocate grows by
+    less than 2x from n_z = 32 to 128 at N=8: they hold one block of
+    elements on the collocation grid at a time, not the whole strip."""
+    peaks = []
+    for nz in (32, 128):
+        mesh, coeffs = _rough_setup(N=8, nz=nz, amplitude=0.05)
+        op = StripOperator(mesh, P, coeffs)
+        x = np.ones(op.shape[0], dtype=complex)
+        field = DiscreteField.from_free_vector(x, mesh)
+        row = []
+        for stage in (lambda: op @ x, lambda: harness.field_physical_norms(field, coeffs)):
+            tracemalloc.start()
+            try:
+                stage()
+                row.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks.append(row)
+    small, large = peaks
+    assert all(b < 2 * a for a, b in zip(small, large)), peaks
 
 
 def test_flat_blocks_storage_is_linear_in_nz():
@@ -258,7 +315,7 @@ def test_singular_pivot_raises_typed_error_naming_mode_and_node():
 
 def test_zero_source_gives_zero_field():
     mesh = flat_mesh(N=1, nz=6)
-    field, info = solve_flat(mesh, P, np.zeros(3 * 9 * (mesh.n_nodes - 1), dtype=complex))
+    field, info = solve_field(mesh, P, np.zeros(3 * 9 * (mesh.n_nodes - 1), dtype=complex))
     assert np.all(field.coeff == 0)
     assert info.residual == 0.0
 
@@ -266,8 +323,8 @@ def test_zero_source_gives_zero_field():
 def test_solution_is_linear_in_data():
     mesh = flat_mesh(N=1, nz=10)
     rhs = assemble_rhs(mesh, bump())
-    u1, _ = solve_flat(mesh, P, rhs)
-    u2, _ = solve_flat(mesh, P, 2.0 * rhs)
+    u1, _ = solve_field(mesh, P, rhs)
+    u2, _ = solve_field(mesh, P, 2.0 * rhs)
     np.testing.assert_allclose(u2.coeff, 2.0 * u1.coeff, rtol=1e-10, atol=1e-13)
 
 
@@ -289,7 +346,7 @@ def test_flat_solve_matches_independent_oracle():
     for nz in (16, 32):
         mesh = flat_mesh(N=1, nz=nz)
         rhs = assemble_rhs(mesh, src)
-        field, _ = solve_flat(mesh, P, rhs)
+        field, _ = solve_field(mesh, P, rhs)
         u_mode = field.coeff[:, 1, 0, :]            # +(1, 0) in FFT order
         u_orc = np.stack([np.interp(mesh.nodes, z_ref, u_ref[c].real)
                           + 1j * np.interp(mesh.nodes, z_ref, u_ref[c].imag)
@@ -322,7 +379,7 @@ def test_vh_norm_exact_for_linear_mode_profile():
 def test_energy_balance_and_poincare_flat():
     mesh = flat_mesh(N=1, nz=24)
     rhs = assemble_rhs(mesh, bump())
-    field, _ = solve_flat(mesh, P, rhs)
+    field, _ = solve_field(mesh, P, rhs)
     res, power = energy_balance(field, rhs, P)
     assert res < 1e-10
     assert power >= 0.0
@@ -365,7 +422,7 @@ def test_rellich_residual_second_order_on_flat_solve():
     for nz in (16, 32):
         mesh = flat_mesh(N=1, nz=nz)
         rhs = assemble_rhs(mesh, src)
-        field, _ = solve_flat(mesh, P, rhs)
+        field, _ = solve_field(mesh, P, rhs)
         res.append(rellich_residual(field, src, P))
     assert res[1] < res[0] / 2.5
     assert res[1] < 1e-3
@@ -423,7 +480,7 @@ def test_rough_solve_reduces_to_flat_for_identical_surfaces():
     field_a, info, _, _ = surface_solve(mesh, make_profile(0.0, (), GEOM))
     assert info.method == "direct"
     rhs = assemble_rhs(mesh, bump())
-    field_b, _ = solve_flat(mesh, P, rhs)
+    field_b, _ = solve_field(mesh, P, rhs)
     np.testing.assert_allclose(field_a.coeff, field_b.coeff, rtol=1e-10, atol=1e-13)
 
 
@@ -461,7 +518,7 @@ def test_direct_solve_keeps_the_flux_identity(mu, lam_frac, omega, N, nz, z0):
 def test_values_at_points_match_mode_sum():
     mesh = flat_mesh(N=1, nz=10)
     rhs = assemble_rhs(mesh, bump())
-    field, _ = solve_flat(mesh, P, rhs)
+    field, _ = solve_field(mesh, P, rhs)
     x1, x2, z = 0.7, 2.1, 0.63
     vals = field.values_at_points(x1, x2, z)[:, 0]
     xi1, xi2 = mesh.grid.frequencies()
