@@ -155,9 +155,22 @@ def solve_surface(mesh: StripMesh, params: ElasticParams, f0: SurfaceProfile,
 
 
 def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | None):
-    """(L2^2, grad^2) of the field over the physical strip (change of
-    variables), summed over the solver's element blocks in order."""
+    """(L2^2, grad^2) of the field over the physical strip.
+
+    Without ``coeffs`` (a flat strip) they are the exact mode-space
+    quadratics of :class:`DiscreteField`, with no transform.  The
+    collocation quadrature would give the same values to roundoff: |u|^2
+    and |grad u|^2 are trigonometric polynomials of degree at most 2N per
+    horizontal axis, which the point sum over P >= 3(2N + 1)/2 > 2N points
+    integrates exactly, and quadratic on each element, which 2-point Gauss
+    integrates exactly.  With ``coeffs`` the change of variables is summed
+    at the quadrature points over the solver's element blocks in order.
+    """
     mesh = field.mesh
+    if coeffs is None:
+        l2, dz, horiz = field._mode_quadratics()
+        area = mesh.grid.cell_area
+        return float(area * l2.sum()), float(area * (dz.sum() + horiz.sum()))
     work = Workspace()
     sums = np.zeros(4)  # per slot: u, d1 u, d2 u, d3 u
     for b in element_blocks(mesh):

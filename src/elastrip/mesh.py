@@ -66,17 +66,21 @@ class StripMesh:
     # -- vertical FEM pieces -------------------------------------------------
 
     def _build_1d_matrices(self):
+        """Mz = int phi_m phi_n, Sz = int phi_m' phi_n', Dz = int phi_m phi_n'.
+
+        Each local pair (a, b) is added for all elements at once; within a
+        pair the element's entries (e + a, e + b) are distinct, and each
+        matrix entry sums at most two element terms from zero.
+        """
         n = self.n_nodes
-        Mz = np.zeros((n, n))
-        Sz = np.zeros((n, n))
-        Dz = np.zeros((n, n))  # Dz[m, n] = int phi_m phi_n'
-        for e in range(self.n_elements):
-            idx = (e, e + 1)
-            for a in range(2):
-                for b in range(2):
-                    Mz[idx[a], idx[b]] += np.sum(self.wq[e] * self.phi[a] * self.phi[b])
-                    Sz[idx[a], idx[b]] += np.sum(self.wq[e] * self.dphi[a, e] * self.dphi[b, e])
-                    Dz[idx[a], idx[b]] += np.sum(self.wq[e] * self.phi[a] * self.dphi[b, e])
+        Mz, Sz, Dz = (np.zeros((n, n)) for _ in range(3))
+        e = np.arange(self.n_elements)
+        for a in range(2):
+            for b in range(2):
+                idx = (e + a, e + b)
+                Mz[idx] += np.sum(self.wq * self.phi[a] * self.phi[b], axis=1)
+                Sz[idx] += np.sum(self.wq * self.dphi[a] * self.dphi[b], axis=1)
+                Dz[idx] += np.sum(self.wq * self.phi[a] * self.dphi[b], axis=1)
         self.Mz, self.Sz, self.Dz = Mz, Sz, Dz
 
     @property

@@ -95,14 +95,20 @@ class DiscreteField:
     # -- norms (exact quadrature of the piecewise-linear field) --------------
 
     def _mode_quadratics(self):
-        g = self.mesh.grid
-        _, _, xi_sq = g.frequency_mesh()
-        c = self.coeff
-        # Mz and Sz are symmetric, so c @ M applies them along the node axis
-        l2, dz = (np.real(np.sum(np.conj(c) * (c @ M), axis=(0, 3)))
-                  for M in (self.mesh.Mz, self.mesh.Sz))
-        horiz = xi_sq * l2
-        return l2, dz, horiz
+        """Per mode, summed over components: (c^H Mz c, c^H Sz c, |xi|^2 c^H Mz c)."""
+        _, _, xi_sq = self.mesh.grid.frequency_mesh()
+        c, Mz, Sz = self.coeff, self.mesh.Mz, self.mesh.Sz
+        # Mz is symmetric tridiagonal: c^H Mz c = sum d0 |c_n|^2
+        # + 2 Re sum d1 conj(c_n) c_{n+1} along the node axis.  Sz also has
+        # zero row sums, so c^H Sz c = sum -d1 |c_{n+1} - c_n|^2; its
+        # two-diagonal form cancels and, on a smooth field at n_z = 96, loses
+        # about 1e-12 relative.  Numpy sums, not BLAS reductions: thread-independent bits.
+        cross = (np.conj(c[..., :-1]) * c[..., 1:]).real
+        l2 = (np.sum(np.diagonal(Mz) * (c.real ** 2 + c.imag ** 2), axis=(0, 3))
+              + 2 * np.sum(np.diagonal(Mz, 1) * cross, axis=(0, 3)))
+        jump = np.diff(c)
+        dz = np.sum(-np.diagonal(Sz, 1) * (jump.real ** 2 + jump.imag ** 2), axis=(0, 3))
+        return l2, dz, xi_sq * l2
 
     def l2_norm_sq(self) -> float:
         l2, _, _ = self._mode_quadratics()
@@ -177,11 +183,6 @@ def _mode_density(grid: SpectralGrid, grad: float, div: float, curl: float,
     return K
 
 
-def _band_shifts(nz: int) -> np.ndarray:
-    """S[d, i, i'] = 1 where band d of row i sits in column i' = i + d - 1."""
-    return np.stack([np.eye(nz, k=k) for k in (-1, 0, 1)])
-
-
 def _assemble_bands(mesh: StripMesh, K: np.ndarray) -> np.ndarray:
     """Banded 1D Galerkin matrices of density ``K`` on the free nodes.
 
@@ -189,10 +190,30 @@ def _assemble_bands(mesh: StripMesh, K: np.ndarray) -> np.ndarray:
     3x3-block tridiagonal.  Returns bands[d, m1, m2, i, k, j] for d = lower,
     diagonal, upper: the block coupling free node i to free node i + d - 1
     (zero where that node is the clamped bottom or beyond the top).
+
+    The bands are one real product, D[(d, i), (a, b)] times K's float view
+    [(a, b), (k, j, mode, re/im)], where D holds the three diagonals of the
+    1D matrix of each (a, b) pair; the cell area then scales the product in
+    place.  The product runs in np.einsum's own loop, one 4-term sum an
+    entry in (a, b) order, not in BLAS: a BLAS product splits the columns
+    among its threads, and at some sizes (N=12, n_z=40) its edge tiles then
+    round differently.  It is stored as [d, i, k, j, m1, m2] and returned as a
+    transposed view, mode axes innermost: the block-LU of
+    :func:`block_lu_solver` reads its mode-last views from this layout
+    without a copy.
     """
+    nz, (n1, n2) = mesh.n_nodes - 1, K.shape[-2:]
     B = np.array([[mesh.Mz, mesh.Dz], [mesh.Dz.T, mesh.Sz]])[..., 1:, 1:]  # [a, b, test, trial]
-    diags = np.einsum("abil,dil->abdi", B, _band_shifts(mesh.n_nodes - 1))
-    return mesh.grid.cell_area * np.einsum("akbjmn,abdi->dmnikj", K, diags)
+    D = np.zeros((3, nz, 4))
+    D[0, 1:] = np.diagonal(B, -1, 2, 3).reshape(4, -1).T
+    D[1] = np.diagonal(B, 0, 2, 3).reshape(4, -1).T
+    D[2, :-1] = np.diagonal(B, 1, 2, 3).reshape(4, -1).T
+    Kab = np.ascontiguousarray(K.transpose(0, 2, 1, 3, 4, 5)).view(float)  # [a, b, k, j, m1, 2 m2]
+    bands = np.empty((3, nz, 3, 3, n1, n2), dtype=complex)
+    product = bands.view(float).reshape(3 * nz, -1)
+    np.einsum("rs,sc->rc", D.reshape(3 * nz, 4), Kab.reshape(4, -1), out=product)
+    product *= mesh.grid.cell_area
+    return bands.transpose(0, 4, 5, 1, 2, 3)
 
 
 def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams) -> np.ndarray:
@@ -267,11 +288,14 @@ def block_lu_solver(bands: np.ndarray):
     P_i = D_i - L_i C_{i-1}, C_i = P_i^{-1} U_i, batched over the modes with a
     Python loop over n_z only.  The loops work on mode-last views of the
     bands, [node, k, j, mode], reshaped and transposed without a copy; only
-    the inverted pivots and C are allocated.  Each pivot is inverted in
-    closed form, its adjugate over its determinant, and every 3x3 block
-    product is a broadcast product summed over j, so neither the factor nor
-    an apply calls LAPACK or BLAS, and the result does not depend on the
-    BLAS thread count.  No pivoting between blocks: check the residual.
+    the inverted pivots and C are allocated.  This relies on the layout of
+    :func:`_assemble_bands`, whose bands hold the mode axes innermost; on
+    other strides the views read each 3x3 block's modes far apart.  Each
+    pivot is inverted in closed form, its adjugate over its determinant,
+    and every 3x3 block product is a broadcast product summed over j, so
+    neither the factor nor an apply calls LAPACK or BLAS, and the result
+    does not depend on the BLAS thread count.  No pivoting between blocks:
+    check the residual.
 
     The elimination runs from the top node down.  Each pivot is then the
     Schur complement of a trailing block, the strip above a clamped node

@@ -3,7 +3,8 @@
 A test helper, not a test module: pytest does not collect it.  The finite-
 difference mode solve and the coercivity probe's eigenvalues use scipy,
 which no run path imports.  ``dense_blocks`` expands the solver's bands
-into the dense per-mode matrices that the probe and the operator tests use.
+into the dense per-mode matrices that the probe and the operator tests use,
+and ``einsum_bands`` contracts the bands from the dense 1D matrices.
 """
 
 import numpy as np
@@ -15,7 +16,12 @@ from elastrip.dtn import dtn_symbol
 from elastrip.errors import ConstraintError
 from elastrip.mesh import StripMesh
 from elastrip.params import ElasticParams
-from elastrip.solver import _assemble_bands, _band_shifts, _mode_density, assemble_flat_blocks
+from elastrip.solver import _assemble_bands, _mode_density, assemble_flat_blocks
+
+
+def _band_shifts(nz: int) -> np.ndarray:
+    """S[d, i, i'] = 1 where band d of row i sits in column i' = i + d - 1."""
+    return np.stack([np.eye(nz, k=k) for k in (-1, 0, 1)])
 
 
 def dense_blocks(bands: np.ndarray) -> np.ndarray:
@@ -23,6 +29,13 @@ def dense_blocks(bands: np.ndarray) -> np.ndarray:
     _, n1, n2, nz = bands.shape[:4]
     A = np.einsum("dmnikj,dil->mnkijl", bands, _band_shifts(nz))
     return A.reshape(n1, n2, 3 * nz, 3 * nz)
+
+
+def einsum_bands(mesh: StripMesh, K: np.ndarray) -> np.ndarray:
+    """The bands of ``_assemble_bands``, contracted from the dense 1D matrices."""
+    B = np.array([[mesh.Mz, mesh.Dz], [mesh.Dz.T, mesh.Sz]])[..., 1:, 1:]  # [a, b, test, trial]
+    diags = np.einsum("abil,dil->abdi", B, _band_shifts(mesh.n_nodes - 1))
+    return mesh.grid.cell_area * np.einsum("akbjmn,abdi->dmnikj", K, diags)
 
 
 def flat_mode_oracle(xi, params: ElasticParams, g_profile, h: float, m_ref: float,

@@ -33,7 +33,7 @@ from elastrip.solver import (
     TransformCoefficients,
 )
 from elastrip.sources import BumpSource, HarmonicFactor
-from flat_oracles import coercivity_probe, dense_blocks, flat_mode_oracle
+from flat_oracles import coercivity_probe, dense_blocks, einsum_bands, flat_mode_oracle
 from rellich_oracle import ModeFieldSmooth, rellich_identity_residual, rellich_residual
 
 CELL = (2 * np.pi, 2 * np.pi)
@@ -187,6 +187,40 @@ def test_flat_blocks_storage_is_linear_in_nz():
     large = assemble_flat_blocks(flat_mesh(N=1, nz=64), P)
     assert small.shape == (3, 3, 3, 32, 3, 3)
     assert large.nbytes == 2 * small.nbytes
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       N1=st.integers(0, 3), N2=st.integers(0, 3), nz=st.integers(1, 12))
+def test_flat_bands_are_stored_mode_last(mu, lam_frac, omega, N1, N2, nz):
+    """The bands are a view of [d, i, k, j, m1, m2] storage, the layout the
+    block-LU's mode-last views read, and equal the dense einsum assembly."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=(2.0, 3.0)),
+                     bottom=-0.5, top=0.5, n_elements=nz)
+    assert assemble_flat_blocks(mesh, params).transpose(0, 3, 4, 5, 1, 2).flags.c_contiguous
+    K = solver._mode_density(mesh.grid, 2 * mu, params.lam, -mu, -omega * omega)
+    bands, ref = solver._assemble_bands(mesh, K), einsum_bands(mesh, K)
+    assert bands.shape == ref.shape
+    assert np.abs(bands - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_1d_matrices_match_the_element_loop():
+    """The pair-at-a-time assembly of Mz, Sz, Dz has the bits of a loop over elements."""
+    for nz in (1, 7, 96):
+        mesh = StripMesh(grid=SpectralGrid(N1=1, N2=1, cell=CELL), bottom=-0.37, top=1.3,
+                         n_elements=nz)
+        n = mesh.n_nodes
+        Mz, Sz, Dz = (np.zeros((n, n)) for _ in range(3))
+        for e in range(nz):
+            idx = (e, e + 1)
+            for a in range(2):
+                for b in range(2):
+                    Mz[idx[a], idx[b]] += np.sum(mesh.wq[e] * mesh.phi[a] * mesh.phi[b])
+                    Sz[idx[a], idx[b]] += np.sum(mesh.wq[e] * mesh.dphi[a, e] * mesh.dphi[b, e])
+                    Dz[idx[a], idx[b]] += np.sum(mesh.wq[e] * mesh.phi[a] * mesh.dphi[b, e])
+        for got, want in ((mesh.Mz, Mz), (mesh.Sz, Sz), (mesh.Dz, Dz)):
+            assert np.array_equal(got, want)
 
 
 def test_direct_solve_raises_above_tolerance():
@@ -357,23 +391,54 @@ def test_flat_solve_matches_independent_oracle():
 
 
 def test_vh_norm_exact_for_linear_mode_profile():
-    """Single mode (1, 0) with u3(z) = z: norm integrals are exact."""
-    mesh = flat_mesh(N=1, nz=9)
-    field = DiscreteField.zeros(mesh)
-    field.coeff[2, 1, 0, :] = mesh.nodes
-    area = mesh.grid.cell_area
-    assert field.l2_norm_sq() == pytest.approx(area / 3, rel=1e-13)
-    assert field.dz_norm_sq() == pytest.approx(area, rel=1e-13)
-    # |grad|^2 adds |xi|^2 |u|^2 with |xi| = 1
-    assert field.grad_norm_sq() == pytest.approx(area * (1 + 1 / 3), rel=1e-13)
-    assert field.vh_norm() == pytest.approx(np.sqrt(area * (1 + 2 / 3)), rel=1e-13)
-    # a random field: the per-mode quadratics match the dense contraction
-    rng = np.random.default_rng(4)
-    c = rng.standard_normal(field.coeff.shape) + 1j * rng.standard_normal(field.coeff.shape)
-    field.coeff[:] = c
-    for norm_sq, M in ((field.l2_norm_sq, mesh.Mz), (field.dz_norm_sq, mesh.Sz)):
-        dense = area * np.einsum("cabm,mn,cabn->ab", np.conj(c), M, c).real.sum()
-        assert norm_sq() == pytest.approx(dense, rel=1e-13)
+    """One mode with u3(z) = z: norm integrals are exact, also with one
+    element (one off-diagonal entry) and one mode.  At n_z = 400 the
+    stiffness quadratic's two-diagonal form would lose 1.5e-11 to
+    cancellation, the dense product 7e-13."""
+    for N, nz in ((1, 9), (0, 1), (0, 400)):
+        mesh = flat_mesh(N=N, nz=nz)
+        field = DiscreteField.zeros(mesh)
+        xi_sq = 1.0 if N else 0.0  # mode (1, 0), or (0, 0) alone
+        field.coeff[2, N, 0, :] = mesh.nodes
+        area = mesh.grid.cell_area
+        assert field.l2_norm_sq() == pytest.approx(area / 3, rel=1e-13)
+        assert field.dz_norm_sq() == pytest.approx(area, rel=1e-13)
+        # |grad|^2 adds |xi|^2 |u|^2
+        assert field.grad_norm_sq() == pytest.approx(area * (1 + xi_sq / 3), rel=1e-13)
+        assert field.vh_norm() == pytest.approx(np.sqrt(area * (4 + xi_sq) / 3), rel=1e-13)
+        # a random field: the per-mode quadratics match the dense contraction
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal(field.coeff.shape) + 1j * rng.standard_normal(field.coeff.shape)
+        field.coeff[:] = c
+        for norm_sq, M in ((field.l2_norm_sq, mesh.Mz), (field.dz_norm_sq, mesh.Sz)):
+            dense = area * np.einsum("cabm,mn,cabn->ab", np.conj(c), M, c).real.sum()
+            assert norm_sq() == pytest.approx(dense, rel=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(N1=st.integers(0, 3), N2=st.integers(0, 3), nz=st.integers(1, 12),
+       cell=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_flat_physical_norms_need_no_transform(N1, N2, nz, cell, seed):
+    """Flat physical norms are the mode-space quadratics: no transform to the
+    collocation grid, and the pseudospectral quadrature's values to 1e-13."""
+    mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell),
+                     bottom=-0.4, top=0.6, n_elements=nz)
+    rng = np.random.default_rng(seed)
+    shape = (3, mesh.grid.n1, mesh.grid.n2, mesh.n_nodes)
+    field = DiscreteField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), mesh)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        def counted(self, *args, _fn=StripMesh.to_physical, **kwargs):
+            calls.append(1)
+            return _fn(self, *args, **kwargs)
+        mp.setattr(StripMesh, "to_physical", counted)
+        norms = harness.field_physical_norms(field, None)
+    assert not calls
+    F = physical_quad_fields(mesh, field.coeff, None)
+    sums = [np.sum(quad_weights(mesh) * np.abs(F[:, j]) ** 2) for j in range(4)]
+    ref = (sums[0], sum(sums[1:]))
+    assert norms == pytest.approx(ref, rel=1e-13)
 
 
 def test_energy_balance_and_poincare_flat():
