@@ -288,18 +288,19 @@ def mode_traction(xi, amps_p: complex, amps_s: np.ndarray, params: ElasticParams
     return t_p + t_s
 
 
-def energy_flux(trace: BoundaryTrace, params: ElasticParams) -> tuple[float, float]:
+def energy_flux(trace: BoundaryTrace, params: ElasticParams,
+                symbol: np.ndarray) -> tuple[float, float]:
     """Both sides of the boundary power identity for a trace.
 
     Returns (flux, power): flux = Im of the cell integral of conj(u).(DtN u),
     power = w^2 * sum over propagating modes of (beta|A_p|^2 + gamma|A_s~|^2)
-    times the cell area.  The two agree mode by mode.
+    times the cell area.  The two agree mode by mode.  ``symbol`` is the
+    :func:`dtn_symbol_grid` of the trace's frequency mesh.
     """
     grid = trace.grid
     coeff = trace.coefficients
-    XI1, XI2, xi_sq = grid.frequency_mesh()
-    M = dtn_symbol_grid(XI1, XI2, params)
-    tcoef = 1j * np.einsum("ij...,j...->i...", M, coeff)
+    _, _, xi_sq = grid.frequency_mesh()
+    tcoef = 1j * np.einsum("ij...,j...->i...", symbol, coeff)
     flux = grid.cell_area * float(np.imag(np.sum(np.conj(coeff) * tcoef)))
     amps = decompose_trace(trace, params)
     beta = vertical_wavenumber_grid(params.k_p, xi_sq)

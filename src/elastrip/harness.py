@@ -22,10 +22,9 @@ from .errors import ElastripError
 from .geometry import (CoefficientLaw, CutoffFn, SourceSpec, SurfaceProfile,
                        invert_vertical, make_profile, sample_ensemble)
 from .mesh import StripMesh, Workspace
-from .params import (ElasticParams, StripGeometry, bound_constants,
-                     total_bound_stochastic)
-from .solver import (DiscreteField, TransformCoefficients, assemble_rhs,
-                     element_blocks, energy_balance, factor_flat,
+from .params import bound_constants, total_bound_stochastic
+from .solver import (DiscreteField, SolverContext, TransformCoefficients,
+                     assemble_rhs, element_blocks, energy_balance,
                      physical_quad_fields, poincare_slack, quad_points,
                      quad_weights, solve_field)
 from .sources import BumpSource
@@ -134,27 +133,27 @@ def build_setup(cfg: RunConfig):
     return params, geom, grid, mesh, f0, profile, cutoff, source
 
 
-def solve_surface(mesh: StripMesh, params: ElasticParams, f0: SurfaceProfile,
-                  surface: SurfaceProfile, cutoff: CutoffFn, source, *,
-                  physical: bool, tol: float, flat=None):
-    """Transform, load vector and solve for one surface: (field, info, rhs, coeffs).
+def solve_surface(ctx: SolverContext, f0: SurfaceProfile, surface: SurfaceProfile,
+                  cutoff: CutoffFn, source, *, physical: bool, tol: float):
+    """Transform, load vector and solve for one surface on the mesh and
+    material of ``ctx``: (field, info, rhs, coeffs).
 
     This is the one place that decides whether a surface needs the
     flattening transform.  ``coeffs`` is None exactly when surface - f0 is
     identically zero (same offset, no nonzero term on either), and the
     solve is then the direct per-mode one.  ``physical`` evaluates the
-    source at the physical heights of the transformed strip.  ``flat`` is
-    passed on to :func:`solve_field`.
+    source at the physical heights of the transformed strip.
     """
     coeffs = None
     if not (surface.offset == f0.offset and surface.is_flat() and f0.is_flat()):
-        coeffs = TransformCoefficients(mesh, f0, surface, cutoff)
-    rhs = assemble_rhs(mesh, source, coeffs, physical=physical)
-    field, info = solve_field(mesh, params, rhs, coeffs, tol=tol, flat=flat)
+        coeffs = TransformCoefficients(ctx.mesh, f0, surface, cutoff)
+    rhs = assemble_rhs(ctx.mesh, source, coeffs, physical=physical)
+    field, info = solve_field(ctx, rhs, coeffs, tol=tol)
     return field, info, rhs, coeffs
 
 
-def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | None):
+def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | None,
+                         work: Workspace):
     """(L2^2, grad^2) of the field over the physical strip.
 
     Without ``coeffs`` (a flat strip) they are the exact mode-space
@@ -164,14 +163,14 @@ def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | N
     horizontal axis, which the point sum over P >= 3(2N + 1)/2 > 2N points
     integrates exactly, and quadratic on each element, which 2-point Gauss
     integrates exactly.  With ``coeffs`` the change of variables is summed
-    at the quadrature points over the solver's element blocks in order.
+    at the quadrature points over the solver's element blocks in order, in
+    the buffers of ``work``.
     """
     mesh = field.mesh
     if coeffs is None:
         l2, dz, horiz = field._mode_quadratics()
         area = mesh.grid.cell_area
         return float(area * l2.sum()), float(area * (dz.sum() + horiz.sum()))
-    work = Workspace()
     sums = np.zeros(4)  # per slot: u, d1 u, d2 u, d3 u
     for b in element_blocks(mesh):
         F = physical_quad_fields(mesh, field.coeff, coeffs, b, work)
@@ -195,8 +194,8 @@ def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
     return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
 
 
-def _diagnose(field: DiscreteField, rhs, params: ElasticParams, info, profile):
-    res, power = energy_balance(field, rhs, params)
+def _diagnose(field: DiscreteField, rhs, ctx: SolverContext, info, profile):
+    res, power = energy_balance(field, rhs, ctx)
     diag = {
         "energy_residual": res,
         "radiated_power": power,
@@ -219,16 +218,16 @@ def deterministic_run(cfg: RunConfig, label: str = "run") -> tuple[RunReport, Di
     """One full solve with the configured surface; bound ratio in physical norms."""
     t0 = time.perf_counter()
     params, geom, grid, mesh, f0, profile, cutoff, source = build_setup(cfg)
-    field, info, rhs, coeffs = solve_surface(mesh, params, f0, profile, cutoff, source,
-                                             physical=True,
+    ctx = SolverContext(mesh, params)
+    field, info, rhs, coeffs = solve_surface(ctx, f0, profile, cutoff, source, physical=True,
                                              tol=cfg.discretization.solver_tol)
-    l2_sq, grad_sq = field_physical_norms(field, coeffs)
+    l2_sq, grad_sq = field_physical_norms(field, coeffs, ctx.work)
     u_vh = float(np.sqrt(l2_sq + grad_sq))
     g_l2, g_h1 = source_norms(source, mesh, coeffs, physical=True)
     report = bound_constants(params, geom, L=profile.L, generic_C=cfg.run.generic_C)
     ratio = u_vh / (report.total_bound * g_h1) if g_h1 > 0 else 0.0
     report = report.with_ratio(ratio)
-    diag = _diagnose(field, rhs, params, info, profile)
+    diag = _diagnose(field, rhs, ctx, info, profile)
     run = RunReport(config_echo=cfg.as_dict(), u_vh=u_vh, g_l2=g_l2, g_h1=g_h1,
                     bound=report.as_dict(), diagnostics=diag,
                     wall_time=time.perf_counter() - t0, label=label)
@@ -268,21 +267,20 @@ def parameter_sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
     return rows
 
 
-def _solve_sample(mesh: StripMesh, params: ElasticParams, f0: SurfaceProfile,
-                  cutoff: CutoffFn, sample, *, tol: float, flat):
-    """(|u|_H1^2, |g|_H1^2, report row) of one ensemble sample, solved with
-    the ensemble's flat factor ``flat``.
+def _solve_sample(ctx: SolverContext, f0: SurfaceProfile, cutoff: CutoffFn, sample, *,
+                  tol: float):
+    """(|u|_H1^2, |g|_H1^2, report row) of one ensemble sample, solved in
+    the ensemble's context ``ctx``.
 
     Every array of the sample is released on return, before the next
     sample's transform is built.
     """
-    field, info, rhs, _ = solve_surface(mesh, params, f0, sample.surface, cutoff,
-                                        sample.source, physical=False, tol=tol,
-                                        flat=flat)
+    field, info, rhs, _ = solve_surface(ctx, f0, sample.surface, cutoff, sample.source,
+                                        physical=False, tol=tol)
     u_sq = field.vh_norm() ** 2
-    _, g_h1 = source_norms(sample.source, mesh, None)
+    _, g_h1 = source_norms(sample.source, ctx.mesh, None)
     g_sq = g_h1 ** 2
-    res, power = energy_balance(field, rhs, params)
+    res, power = energy_balance(field, rhs, ctx)
     return u_sq, g_sq, {"sample_id": sample.sample_id, "u_h1_sq": u_sq,
                         "g_h1_sq": g_sq, "energy_residual": res,
                         "radiated_power": power, "surface_L": sample.surface.L,
@@ -293,10 +291,10 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     """Ensemble of transformed solves; stochastic bound ratio with L0 = M0 + L.
 
     Sources are drawn per sample on the reference strip; norms are plain
-    reference-strip H1 quantities.  The flat operator and its block-LU
-    depend on the mesh and the material only and are built once for the
-    ensemble.  Failed samples are recorded and skipped, the means run over
-    completed samples only.
+    reference-strip H1 quantities.  All samples share one
+    :class:`SolverContext`, so the DtN symbol, the workspace and the flat
+    factor are built once for the ensemble.  Failed samples are recorded
+    and skipped, the means run over completed samples only.
     """
     n = cfg.run.n_samples if n is None else int(n)
     seed = cfg.run.seed if seed is None else int(seed)
@@ -307,13 +305,13 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     law = CoefficientLaw(bands=tuple(tuple(b) for b in s.law_bands))
     spec = SourceSpec(amplitude=cfg.source.amplitude)
     samples = sample_ensemble(seed, n, s.M0, law, geom, f0, source_spec=spec)
-    flat = factor_flat(mesh, params)
+    ctx = SolverContext(mesh, params)
 
     u_sqs, g_sqs, rows, failures = [], [], [], []
     for sample in samples:
         try:
-            u_sq, g_sq, row = _solve_sample(mesh, params, f0, cutoff, sample,
-                                            tol=cfg.discretization.solver_tol, flat=flat)
+            u_sq, g_sq, row = _solve_sample(ctx, f0, cutoff, sample,
+                                            tol=cfg.discretization.solver_tol)
         except ElastripError as exc:
             failures.append({"sample_id": sample.sample_id,
                              "error": f"{type(exc).__name__}: {exc}"})
@@ -357,11 +355,10 @@ def pushforward_check(cfg: RunConfig, n_z: int | None = None) -> dict:
     cutoff_b = CutoffFn(delta=0.5 * cutoff_a.delta, gamma_gap=gap)
 
     fields = []
-    flat = factor_flat(mesh, params)  # the two routes share mesh and material
+    ctx = SolverContext(mesh, params)  # the two routes share mesh and material
     for cutoff in (cutoff_a, cutoff_b):
-        fld, _, _, _ = solve_surface(mesh, params, f0, profile, cutoff, source,
-                                     physical=True, tol=cfg.discretization.solver_tol,
-                                     flat=flat)
+        fld, _, _, _ = solve_surface(ctx, f0, profile, cutoff, source, physical=True,
+                                     tol=cfg.discretization.solver_tol)
         fields.append((fld, cutoff))
 
     # shared physical sample points: horizontal lattice x heights above the

@@ -211,7 +211,8 @@ class Workspace:
     stage's large temporaries out of the allocator after its first block.
     Allocated afresh, the heap shrinks and regrows between blocks and pays
     the page faults of every regrowth again (3 us a page measured on a
-    2-core VM).
+    2-core VM).  A workspace serves one thread at a time; the solver's
+    ``SolverContext`` owns one for all the solves on its mesh and material.
     """
 
     def __init__(self):

@@ -18,15 +18,16 @@ the stages that hold fields on the padded collocation x quadrature grid (the
 matvec, the load vector and the physical norms) run over blocks of vertical
 elements (loop tiling).  :func:`element_blocks` splits the elements evenly
 into the fewest blocks whose stacked fields, 3 x 4 complex values per point,
-fit in ``_BLOCK_BYTES``.  The blocks of a stage reuse the buffers of one
-:class:`~elastrip.mesh.Workspace`, so its working set is about 1.5 times
-that budget at any n_z.  Blocks are visited in a fixed order, so the bits
-depend on the mesh only.
+fit in ``_BLOCK_BYTES``.  The blocks of a stage reuse the buffers of the
+:class:`~elastrip.mesh.Workspace` of its :class:`SolverContext`, so its
+working set is about 1.5 times that budget at any n_z.  Blocks are visited
+in a fixed order, so the bits depend on the mesh only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -45,8 +46,8 @@ _GMRES_MAX_ITER = 50
 # an invariant Krylov space (a happy breakdown): exhausting the space leaves
 # 1e-30 and less, while a working step keeps 1e-4 and more.
 _BREAKDOWN = 1e-14
-# Bytes of one element block's stacked fields (see element_blocks).  A
-# matvec's workspace holds about 1.5 times this at any n_z.  Fewer elements
+# Bytes of one element block's stacked fields (see element_blocks).  The
+# context's workspace holds about 1.5 times this at any n_z.  Fewer elements
 # a block narrow the DFT-matrix products: at N=24, n_z=128 (2 elements a
 # block) a matvec took 1.2 s, against 0.92 s at twice this budget and 1.0 s
 # unblocked (2-core VM).
@@ -433,28 +434,21 @@ class StripOperator:
     value duals, and the scatter of the block's duals onto its nodes.  The
     stacked fields of one block take at most ``_BLOCK_BYTES``, and the
     blocks are added in mesh order.  All blocks and calls reuse the
-    operator's one :class:`~elastrip.mesh.Workspace`, so an operator serves
-    one thread at a time.  The DtN term is mode-diagonal at the top node.
-    Without a transform this action coincides with the assembled flat
-    blocks to roundoff.
+    workspace of ``ctx``, and the DtN term, mode-diagonal at the top node,
+    takes its symbol.  Without a transform this action coincides with the
+    assembled flat blocks to roundoff.
     """
 
-    def __init__(self, mesh: StripMesh, params: ElasticParams,
-                 coeffs: TransformCoefficients | None = None):
-        self.mesh = mesh
-        self.params = params
-        self.coeffs = coeffs
-        g = mesh.grid
-        XI1, XI2, _ = g.frequency_mesh()
-        self._Msym = dtn_symbol_grid(XI1, XI2, params)
+    def __init__(self, ctx: SolverContext, coeffs: TransformCoefficients | None = None):
+        self.ctx, self.coeffs = ctx, coeffs
+        mesh, params = ctx.mesh, ctx.params
         # the dual of dz u is weighted by wgt / det, the plain quadrature weight
         self._wgt = quad_weights(mesh, coeffs)
         self._wgt_per_det = quad_weights(mesh)
         self._mass_wgt = -(params.omega * params.omega) * self._wgt
         self._blocks = element_blocks(mesh)
-        self._work = Workspace()
-        n = 3 * g.n1 * g.n2 * (mesh.n_nodes - 1)
-        self.shape, self.dtype = (n, n), np.dtype(complex)
+        n = 3 * mesh.grid.n1 * mesh.grid.n2 * (mesh.n_nodes - 1)
+        self.shape = (n, n)
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         return self._matvec(vec)
@@ -463,10 +457,10 @@ class StripOperator:
         return self._matvec(vec)
 
     def _matvec(self, vec: np.ndarray) -> np.ndarray:
-        mesh, coeffs = self.mesh, self.coeffs
-        lam, mu = self.params.lam, self.params.mu
+        ctx, coeffs = self.ctx, self.coeffs
+        mesh, lam, mu = ctx.mesh, ctx.params.lam, ctx.params.mu
         U = DiscreteField.from_free_vector(np.asarray(vec).ravel(), mesh).coeff
-        R, work = np.zeros_like(U), self._work
+        R, work = np.zeros_like(U), ctx.work
         for b in self._blocks:
             F = physical_quad_fields(mesh, U, coeffs, b, work)
 
@@ -497,7 +491,7 @@ class StripOperator:
 
         # DtN boundary term at the top node
         top = U[:, :, :, -1]
-        R[:, :, :, -1] -= mesh.grid.cell_area * 1j * np.einsum("kjab,jab->kab", self._Msym, top)
+        R[:, :, :, -1] -= mesh.grid.cell_area * 1j * np.einsum("kjab,jab->kab", ctx.symbol, top)
         return R[:, :, :, 1:].ravel()
 
 
@@ -614,31 +608,47 @@ def gmres(matvec, b: np.ndarray, precond, tol: float) -> tuple[np.ndarray, Solve
                     residual=rel, history=history + [rel])
 
 
-def factor_flat(mesh: StripMesh, params: ElasticParams):
-    """The flat operator's bands and their block-LU solve, (bands, solve):
-    all that :func:`solve_field` needs of the flat operator.  It depends on
-    the mesh and the material only, so solves that share both can share it."""
-    bands = assemble_flat_blocks(mesh, params)
-    return bands, block_lu_solver(bands)
+class SolverContext:
+    """What the solves on one mesh and material share, whatever the surface.
+
+    ``symbol`` is the DtN symbol grid [k, j, m1, m2] and ``work`` the one
+    :class:`~elastrip.mesh.Workspace` of the blocked stages, both built
+    here.  The flat operator's ``bands`` and their block-LU ``solve`` are
+    built at the first access, so a context made only for matvecs never
+    assembles them.  The workspace makes a context serve one thread at a
+    time.
+    """
+
+    def __init__(self, mesh: StripMesh, params: ElasticParams):
+        self.mesh, self.params = mesh, params
+        XI1, XI2, _ = mesh.grid.frequency_mesh()
+        self.symbol = dtn_symbol_grid(XI1, XI2, params)
+        self.work = Workspace()
+
+    @cached_property
+    def bands(self) -> np.ndarray:
+        return assemble_flat_blocks(self.mesh, self.params)
+
+    @cached_property
+    def solve(self):
+        return block_lu_solver(self.bands)
 
 
-def solve_field(mesh: StripMesh, params: ElasticParams, rhs: np.ndarray,
+def solve_field(ctx: SolverContext, rhs: np.ndarray,
                 coeffs: TransformCoefficients | None = None,
-                tol: float = 1e-9, flat=None) -> tuple[DiscreteField, SolveInfo]:
-    """Solve the variational system with the block-LU of the flat operator:
-    directly without a transform, as the right preconditioner of
-    :func:`gmres` with one.  The direct path checks its residual with the
-    bands, GMRES with the matrix-free operator.  ``flat`` is the
-    :func:`factor_flat` of ``mesh`` and ``params``, built here when None.
+                tol: float = 1e-9) -> tuple[DiscreteField, SolveInfo]:
+    """Solve the variational system with the block-LU of the flat operator
+    of ``ctx``: directly without a transform, as the right preconditioner
+    of :func:`gmres` with one.  The direct path checks its residual with
+    the bands, GMRES with the matrix-free operator.
 
     Raises :class:`NonConvergenceError` when the relative residual of the
     result exceeds ``tol`` on either path, or when the block-LU meets a
     singular pivot.
     """
-    bands, flat_solve = factor_flat(mesh, params) if flat is None else flat
     if coeffs is None:
-        x = flat_solve(rhs)
-        res, scale = _norm(banded_matvec(bands, x) - rhs), _norm(rhs)
+        x = ctx.solve(rhs)
+        res, scale = _norm(banded_matvec(ctx.bands, x) - rhs), _norm(rhs)
         rel = res / scale if scale > 0 else res
         if not rel <= tol:
             raise NonConvergenceError(
@@ -646,15 +656,15 @@ def solve_field(mesh: StripMesh, params: ElasticParams, rhs: np.ndarray,
                 residual=rel, history=[rel])
         info = SolveInfo(rel, 1, "direct", [rel])
     else:
-        x, info = gmres(StripOperator(mesh, params, coeffs).matvec, rhs, flat_solve, tol)
-    return DiscreteField.from_free_vector(x, mesh), info
+        x, info = gmres(StripOperator(ctx, coeffs).matvec, rhs, ctx.solve, tol)
+    return DiscreteField.from_free_vector(x, ctx.mesh), info
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def energy_balance(field: DiscreteField, rhs: np.ndarray, params: ElasticParams):
+def energy_balance(field: DiscreteField, rhs: np.ndarray, ctx: SolverContext):
     """Discrete flux identity: Im of boundary flux vs Im of the source pairing.
 
     Returns (residual, power): residual is the normalized mismatch between
@@ -663,13 +673,11 @@ def energy_balance(field: DiscreteField, rhs: np.ndarray, params: ElasticParams)
     mismatch is normalized by the per-mode absolute boundary pairing, so
     non-radiating configurations (Im cancels exactly) stay well-scaled.
     """
-    flux, power = energy_flux(field.top_trace(), params)
+    flux, power = energy_flux(field.top_trace(), ctx.params, ctx.symbol)
     src_im = -float(np.imag(_dot(field.free_vector(), rhs)))
     g = field.mesh.grid
-    XI1, XI2, _ = g.frequency_mesh()
-    Msym = dtn_symbol_grid(XI1, XI2, params)
     top = field.coeff[:, :, :, -1]
-    pair = np.einsum("kab,kjab,jab->ab", np.conj(top), 1j * Msym, top)
+    pair = np.einsum("kab,kjab,jab->ab", np.conj(top), 1j * ctx.symbol, top)
     scale_abs = g.cell_area * float(np.sum(np.abs(pair)))
     denom = max(abs(src_im), abs(flux), scale_abs, _ENERGY_EPS)
     return abs(flux - src_im) / denom, power

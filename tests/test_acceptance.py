@@ -19,7 +19,7 @@ from elastrip.dtn import (
 )
 from elastrip.mesh import StripMesh
 from elastrip.params import ElasticParams
-from elastrip.solver import assemble_rhs, solve_field
+from elastrip.solver import SolverContext, assemble_rhs, solve_field
 from elastrip.sources import BumpSource, HarmonicFactor
 from flat_oracles import coercivity_probe, flat_mode_oracle
 
@@ -141,7 +141,7 @@ def test_03_flat_solver_vs_brute_force_oracle():
     errs = []
     for nz in (32, 64, 128):
         mesh = StripMesh(grid=grid, bottom=0.0, top=1.0, n_elements=nz)
-        field, _ = solve_field(mesh, p, assemble_rhs(mesh, src))
+        field, _ = solve_field(SolverContext(mesh, p), assemble_rhs(mesh, src))
         num = den = 0.0
         for jj, (zf, U) in oracles.items():
             i1, i2 = j1.index(jj[0]), j2.index(jj[1])

@@ -3,9 +3,9 @@ import copy
 import numpy as np
 import pytest
 
-from elastrip import harness, solver
+from elastrip import dtn, harness, solver
 from elastrip.config import RunConfig, dump_config, from_dict, load_config
-from elastrip.errors import ConfigError
+from elastrip.errors import ConfigError, NonConvergenceError
 from elastrip.geometry import CoefficientLaw, SourceSpec, sample_ensemble
 from elastrip.harness import (
     RunReport,
@@ -16,7 +16,7 @@ from elastrip.harness import (
     pushforward_check,
     solve_surface,
 )
-from elastrip.solver import block_lu_solver, energy_balance
+from elastrip.solver import SolverContext, block_lu_solver, energy_balance
 
 BASE = {
     "physics": {"omega": 1.0},
@@ -38,6 +38,19 @@ def count_flat_assemblies(monkeypatch) -> list:
         return real(*args)
 
     monkeypatch.setattr(solver, "assemble_flat_blocks", counted)
+    return calls
+
+
+def count_symbol_grids(monkeypatch) -> list:
+    """One entry per later dtn_symbol_grid call, through the solver's name
+    or the dtn module's."""
+    calls = []
+    for module in (solver, dtn):
+        def counted(*args, _real=module.dtn_symbol_grid):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(module, "dtn_symbol_grid", counted)
     return calls
 
 
@@ -171,23 +184,29 @@ def test_monte_carlo_sample_order_independence():
 
 
 def test_monte_carlo_factors_the_flat_operator_once(monkeypatch):
-    """One flat assembly for the ensemble; rows equal those of separate solves."""
+    """One flat assembly for the ensemble, and as many DtN symbol grids for
+    three samples as for one; rows equal those of separate solves."""
     cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3},
                    run={"n_samples": 3, "seed": 5})
+    symbols = count_symbol_grids(monkeypatch)
+    monte_carlo(cfg, n=1)
+    symbols_one = len(symbols)
+    symbols.clear()
     calls = count_flat_assemblies(monkeypatch)
     rep = monte_carlo(cfg)
     assert len(calls) == 1 and rep.n_completed == 3
+    assert len(symbols) == symbols_one
 
     params, geom, _, mesh, f0, _, cutoff, _ = build_setup(cfg)
     law = CoefficientLaw(bands=((1, 0, 0.05), (0, 1, 0.04)))
     samples = sample_ensemble(5, 3, 0.3, law, geom, f0,
                               source_spec=SourceSpec(amplitude=cfg.source.amplitude))
     for sample, row in zip(samples, rep.sample_rows):
-        field, info, rhs, _ = solve_surface(mesh, params, f0, sample.surface, cutoff,
-                                            sample.source, physical=False,
-                                            tol=cfg.discretization.solver_tol)
+        ctx = SolverContext(mesh, params)
+        field, info, rhs, _ = solve_surface(ctx, f0, sample.surface, cutoff, sample.source,
+                                            physical=False, tol=cfg.discretization.solver_tol)
         assert row["u_h1_sq"] == field.vh_norm() ** 2
-        assert row["energy_residual"] == energy_balance(field, rhs, params)[0]
+        assert row["energy_residual"] == energy_balance(field, rhs, ctx)[0]
         assert row["iterations"] == info.iterations
     assert len(calls) == 4
 
@@ -198,12 +217,11 @@ def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch):
     real = harness.solve_surface
     calls = []
 
-    def singular_second(*args, flat, **kwargs):
+    def singular_second(ctx, *args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
-            zero = np.zeros_like(flat[0])
-            flat = zero, block_lu_solver(zero)
-        return real(*args, flat=flat, **kwargs)
+            block_lu_solver(np.zeros_like(ctx.bands))
+        return real(ctx, *args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_surface", singular_second)
     rep = monte_carlo(cfg_with(surface={"law_bands": [[1, 0, 0.05]], "M0": 0.3}), n=3, seed=2)
@@ -212,6 +230,34 @@ def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch):
     (failure,) = rep.failures
     assert failure["sample_id"] == 1
     assert failure["error"].startswith("NonConvergenceError: block-LU: singular pivot")
+
+
+def test_a_failed_sample_leaves_nothing_in_the_shared_workspace(monkeypatch):
+    """A sample that fails after three matvecs on scaled vectors leaves the
+    ensemble's workspace dirty; the next sample's row keeps the bits of a
+    clean run, so no stage reads a workspace buffer before writing it.  The
+    elements are split into uneven blocks, as on large meshes."""
+    cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3})
+    mesh = build_setup(cfg)[3]
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 3 * 4 * mesh.P1 * mesh.P2 * 2 * 16 * 3 + 1)
+    assert [b.stop - b.start for b in solver.element_blocks(mesh)] == [3, 3, 3, 3, 2, 2]
+    clean = monte_carlo(cfg, n=3, seed=4)
+    real = solver.gmres
+    calls = []
+
+    def fails_second(matvec, b, precond, tol):
+        calls.append(1)
+        if len(calls) == 2:
+            for scale in (1e6, -3.0, 1e-6j):
+                matvec(scale * b)
+            raise NonConvergenceError("failed after 3 matvecs")
+        return real(matvec, b, precond, tol)
+
+    monkeypatch.setattr(solver, "gmres", fails_second)
+    rep = monte_carlo(cfg, n=3, seed=4)
+    assert [f["sample_id"] for f in rep.failures] == [1] and len(calls) == 3
+    assert clean.n_completed == 3
+    assert rep.sample_rows == [clean.sample_rows[0], clean.sample_rows[2]]
 
 
 # -- pushforward -------------------------------------------------------------

@@ -178,9 +178,11 @@ def test_traction_oracle_equivalence():
 def test_energy_flux_two_evaluations_agree():
     """Symbol pairing and propagating mode sum give the same boundary power."""
     grid = SpectralGrid(N1=3, N2=3, cell=CELL)
+    XI1, XI2, _ = grid.frequency_mesh()
+    symbol = dtn_symbol_grid(XI1, XI2, P)
     for seed in range(5):
         trace = random_trace(grid, seed=seed)
-        flux, power = energy_flux(trace, P)
+        flux, power = energy_flux(trace, P, symbol)
         assert power >= -1e-12
         assert flux == pytest.approx(power, rel=1e-10, abs=1e-10)
 

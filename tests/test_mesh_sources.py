@@ -7,7 +7,7 @@ from elastrip.errors import ConstraintError
 from elastrip.geometry import CutoffFn, make_profile
 from elastrip.mesh import StripMesh
 from elastrip.params import ElasticParams, StripGeometry
-from elastrip.solver import StripOperator, TransformCoefficients
+from elastrip.solver import SolverContext, StripOperator, TransformCoefficients
 from elastrip.sources import BumpSource, HarmonicFactor
 
 CELL = (2 * np.pi, 2 * np.pi)
@@ -158,7 +158,7 @@ def test_rough_matvec_repeats_bit_for_bit(N1, N2, nz, seed):
     coeffs = TransformCoefficients(mesh, make_profile(0.0, (), geom),
                                    make_profile(0.0, ((1, 1, 0.05, 0.02),), geom),
                                    CutoffFn(0.25, 1.0))
-    op = StripOperator(mesh, ElasticParams(lam=1.0, mu=1.0, omega=2.0), coeffs)
+    op = StripOperator(SolverContext(mesh, ElasticParams(lam=1.0, mu=1.0, omega=2.0)), coeffs)
     x = _random(np.random.default_rng(seed), op.shape[0])
     assert np.array_equal(op @ x, op @ x)
 

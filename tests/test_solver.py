@@ -15,7 +15,7 @@ from elastrip.dtn import SpectralGrid, dtn_symbol_grid
 from elastrip.errors import ConstraintError, NonConvergenceError, SingularTransformError
 from elastrip.geometry import CutoffFn, SurfaceProfile, make_profile
 from elastrip.harness import solve_surface
-from elastrip.mesh import StripMesh
+from elastrip.mesh import StripMesh, Workspace
 from elastrip.params import ElasticParams, StripGeometry
 from elastrip.solver import (
     DiscreteField,
@@ -30,6 +30,7 @@ from elastrip.solver import (
     poincare_slack,
     quad_weights,
     solve_field,
+    SolverContext,
     TransformCoefficients,
 )
 from elastrip.sources import BumpSource, HarmonicFactor
@@ -55,7 +56,7 @@ def test_operator_matches_flat_blocks():
     """Matrix-free application reproduces the dense expansion of the bands."""
     mesh = flat_mesh(N=2, nz=5)
     blocks = dense_blocks(assemble_flat_blocks(mesh, P))
-    op = StripOperator(mesh, P)
+    op = StripOperator(SolverContext(mesh, P))
     g = mesh.grid
     nfree = mesh.n_nodes - 1
     rng = np.random.default_rng(3)
@@ -82,7 +83,7 @@ def test_rough_operator_matches_its_form(mu, lam_frac, omega, terms, N, nz, seed
     mesh = flat_mesh(N=N, nz=nz)
     coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM),
                                    make_profile(0.0, terms, GEOM), CutoffFn(0.25, 1.0))
-    op = StripOperator(mesh, params, coeffs)
+    op = StripOperator(SolverContext(mesh, params), coeffs)
     rng = np.random.default_rng(seed)
     x, y = (rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
             for _ in range(2))
@@ -112,7 +113,7 @@ def test_rough_matvec_transforms_once(monkeypatch):
     coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM),
                                    make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM),
                                    CutoffFn(0.25, 1.0))
-    op = StripOperator(mesh, P, coeffs)
+    op = StripOperator(SolverContext(mesh, P), coeffs)
     calls = {"to_physical": 0, "to_modes_adjoint": 0}
     for name in calls:
         def counted(self, *args, _name=name, _fn=getattr(StripMesh, name), **kwargs):
@@ -144,8 +145,9 @@ def test_element_blocks_do_not_change_results(monkeypatch):
     field = DiscreteField.from_free_vector(x, mesh)
 
     def stages():
-        return [StripOperator(mesh, P, coeffs) @ x,
-                np.array(harness.field_physical_norms(field, coeffs)),
+        ctx = SolverContext(mesh, P)
+        return [StripOperator(ctx, coeffs) @ x,
+                np.array(harness.field_physical_norms(field, coeffs, ctx.work)),
                 np.array(harness.source_norms(src, mesh, coeffs, physical=True)),
                 assemble_rhs(mesh, src, coeffs, physical=True)]
 
@@ -165,11 +167,12 @@ def test_blocked_stages_hold_a_bounded_working_set():
     peaks = []
     for nz in (32, 128):
         mesh, coeffs = _rough_setup(N=8, nz=nz, amplitude=0.05)
-        op = StripOperator(mesh, P, coeffs)
+        op = StripOperator(SolverContext(mesh, P), coeffs)
         x = np.ones(op.shape[0], dtype=complex)
         field = DiscreteField.from_free_vector(x, mesh)
         row = []
-        for stage in (lambda: op @ x, lambda: harness.field_physical_norms(field, coeffs)):
+        for stage in (lambda: op @ x,
+                      lambda: harness.field_physical_norms(field, coeffs, Workspace())):
             tracemalloc.start()
             try:
                 stage()
@@ -227,7 +230,7 @@ def test_direct_solve_raises_above_tolerance():
     """The direct path checks its residual like GMRES does."""
     mesh = flat_mesh(N=1, nz=8)
     with pytest.raises(NonConvergenceError):
-        solve_field(mesh, P, assemble_rhs(mesh, bump()), tol=1e-30)
+        solve_field(SolverContext(mesh, P), assemble_rhs(mesh, bump()), tol=1e-30)
 
 
 @settings(max_examples=20, deadline=None)
@@ -238,7 +241,7 @@ def test_banded_matvec_matches_dense_and_operator(N1, N2, nz, seed):
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=(2.0, 3.0)),
                      bottom=-0.5, top=0.5, n_elements=nz)
     bands = assemble_flat_blocks(mesh, P)
-    op = StripOperator(mesh, P)
+    op = StripOperator(SolverContext(mesh, P))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
     y = banded_matvec(bands, x)
@@ -257,7 +260,7 @@ def test_direct_solve_builds_no_operator(monkeypatch):
 
     monkeypatch.setattr("elastrip.solver.StripOperator", no_operator)
     mesh = flat_mesh(N=1, nz=8)
-    _, info = solve_field(mesh, P, assemble_rhs(mesh, bump()))
+    _, info = solve_field(SolverContext(mesh, P), assemble_rhs(mesh, bump()))
     assert info.method == "direct" and 0 < info.residual <= 1e-9
 
 
@@ -271,7 +274,7 @@ def test_block_lu_matches_dense_solve(mu, lam_frac, omega, depth, cell, N, nz, s
     mesh = StripMesh(grid=SpectralGrid(N1=N, N2=N, cell=cell),
                      bottom=-depth, top=0.0, n_elements=nz)
     bands = assemble_flat_blocks(mesh, params)
-    op = StripOperator(mesh, params)
+    op = StripOperator(SolverContext(mesh, params))
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
     x = block_lu_solver(bands)(rhs)
@@ -349,7 +352,8 @@ def test_singular_pivot_raises_typed_error_naming_mode_and_node():
 
 def test_zero_source_gives_zero_field():
     mesh = flat_mesh(N=1, nz=6)
-    field, info = solve_field(mesh, P, np.zeros(3 * 9 * (mesh.n_nodes - 1), dtype=complex))
+    field, info = solve_field(SolverContext(mesh, P),
+                              np.zeros(3 * 9 * (mesh.n_nodes - 1), dtype=complex))
     assert np.all(field.coeff == 0)
     assert info.residual == 0.0
 
@@ -357,8 +361,9 @@ def test_zero_source_gives_zero_field():
 def test_solution_is_linear_in_data():
     mesh = flat_mesh(N=1, nz=10)
     rhs = assemble_rhs(mesh, bump())
-    u1, _ = solve_field(mesh, P, rhs)
-    u2, _ = solve_field(mesh, P, 2.0 * rhs)
+    ctx = SolverContext(mesh, P)
+    u1, _ = solve_field(ctx, rhs)
+    u2, _ = solve_field(ctx, 2.0 * rhs)
     np.testing.assert_allclose(u2.coeff, 2.0 * u1.coeff, rtol=1e-10, atol=1e-13)
 
 
@@ -380,7 +385,7 @@ def test_flat_solve_matches_independent_oracle():
     for nz in (16, 32):
         mesh = flat_mesh(N=1, nz=nz)
         rhs = assemble_rhs(mesh, src)
-        field, _ = solve_field(mesh, P, rhs)
+        field, _ = solve_field(SolverContext(mesh, P), rhs)
         u_mode = field.coeff[:, 1, 0, :]            # +(1, 0) in FFT order
         u_orc = np.stack([np.interp(mesh.nodes, z_ref, u_ref[c].real)
                           + 1j * np.interp(mesh.nodes, z_ref, u_ref[c].imag)
@@ -433,7 +438,7 @@ def test_flat_physical_norms_need_no_transform(N1, N2, nz, cell, seed):
             calls.append(1)
             return _fn(self, *args, **kwargs)
         mp.setattr(StripMesh, "to_physical", counted)
-        norms = harness.field_physical_norms(field, None)
+        norms = harness.field_physical_norms(field, None, Workspace())
     assert not calls
     F = physical_quad_fields(mesh, field.coeff, None)
     sums = [np.sum(quad_weights(mesh) * np.abs(F[:, j]) ** 2) for j in range(4)]
@@ -444,8 +449,9 @@ def test_flat_physical_norms_need_no_transform(N1, N2, nz, cell, seed):
 def test_energy_balance_and_poincare_flat():
     mesh = flat_mesh(N=1, nz=24)
     rhs = assemble_rhs(mesh, bump())
-    field, _ = solve_field(mesh, P, rhs)
-    res, power = energy_balance(field, rhs, P)
+    ctx = SolverContext(mesh, P)
+    field, _ = solve_field(ctx, rhs)
+    res, power = energy_balance(field, rhs, ctx)
     assert res < 1e-10
     assert power >= 0.0
     assert poincare_slack(field) > 0.0
@@ -487,7 +493,7 @@ def test_rellich_residual_second_order_on_flat_solve():
     for nz in (16, 32):
         mesh = flat_mesh(N=1, nz=nz)
         rhs = assemble_rhs(mesh, src)
-        field, _ = solve_field(mesh, P, rhs)
+        field, _ = solve_field(SolverContext(mesh, P), rhs)
         res.append(rellich_residual(field, src, P))
     assert res[1] < res[0] / 2.5
     assert res[1] < 1e-3
@@ -505,15 +511,15 @@ def test_singular_transform_rejected():
         TransformCoefficients(mesh, f0, steep, CutoffFn(0.05, 1.0))
 
 
-def surface_solve(mesh, f):
+def surface_solve(ctx, f):
     """solve_surface over the flat reference f0 = 0 with the bump source."""
-    return solve_surface(mesh, P, make_profile(0.0, (), GEOM), f, CutoffFn(0.25, 1.0),
+    return solve_surface(ctx, make_profile(0.0, (), GEOM), f, CutoffFn(0.25, 1.0),
                          bump(), physical=True, tol=1e-9)
 
 
 def test_solve_surface_flags_mode_coupling():
     """The transform, and with it GMRES, is used exactly when surface - f0 != 0."""
-    mesh = flat_mesh(N=1, nz=16)
+    ctx = SolverContext(flat_mesh(N=1, nz=16), P)
     cases = [
         (make_profile(0.0, (), GEOM), True),
         (make_profile(0.0, ((1, 0, 0.0, 0.0),), GEOM), True),      # zero-amplitude term
@@ -521,31 +527,32 @@ def test_solve_surface_flags_mode_coupling():
         (SurfaceProfile(offset=0.05, terms=(), cell=CELL), False),  # other level, no terms
     ]
     for surface, direct in cases:
-        field, info, rhs, coeffs = surface_solve(mesh, surface)
+        field, info, rhs, coeffs = surface_solve(ctx, surface)
         assert (coeffs is None) == direct
         assert info.method == ("direct" if direct else "gmres")
-        res, power = energy_balance(field, rhs, P)
+        res, power = energy_balance(field, rhs, ctx)
         assert info.residual < 1e-9 and res < 1e-8 and power >= 0.0
 
 
 def test_rough_solve_energy_balance():
     """GMRES solve over a perturbed surface still satisfies the flux identity."""
-    mesh = flat_mesh(N=2, nz=16)
+    ctx = SolverContext(flat_mesh(N=2, nz=16), P)
     f = make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM)
-    field, info, rhs, _ = surface_solve(mesh, f)
+    field, info, rhs, _ = surface_solve(ctx, f)
     assert info.method == "gmres"
     assert info.residual < 1e-9
-    res, power = energy_balance(field, rhs, P)
+    res, power = energy_balance(field, rhs, ctx)
     assert res < 1e-8
     assert power >= 0.0
 
 
 def test_rough_solve_reduces_to_flat_for_identical_surfaces():
     mesh = flat_mesh(N=1, nz=12)
-    field_a, info, _, _ = surface_solve(mesh, make_profile(0.0, (), GEOM))
+    ctx = SolverContext(mesh, P)
+    field_a, info, _, _ = surface_solve(ctx, make_profile(0.0, (), GEOM))
     assert info.method == "direct"
     rhs = assemble_rhs(mesh, bump())
-    field_b, _ = solve_field(mesh, P, rhs)
+    field_b, _ = solve_field(ctx, rhs)
     np.testing.assert_allclose(field_a.coeff, field_b.coeff, rtol=1e-10, atol=1e-13)
 
 
@@ -560,8 +567,9 @@ def test_identity_transform_gmres_matches_direct(mu, lam_frac, omega, N, nz, z0)
     coeffs = TransformCoefficients(mesh, f0, f0, CutoffFn(0.25, 1.0))
     rhs = assemble_rhs(mesh, bump(z0=z0))
     tol = 1e-9
-    direct, _ = solve_field(mesh, params, rhs, tol=tol)
-    field, info = solve_field(mesh, params, rhs, coeffs, tol=tol)
+    ctx = SolverContext(mesh, params)
+    direct, _ = solve_field(ctx, rhs, tol=tol)
+    field, info = solve_field(ctx, rhs, coeffs, tol=tol)
     assert info.method == "gmres" and info.residual <= tol
     assert (np.linalg.norm(field.coeff - direct.coeff)
             <= tol * np.linalg.norm(direct.coeff))
@@ -575,15 +583,16 @@ def test_direct_solve_keeps_the_flux_identity(mu, lam_frac, omega, N, nz, z0):
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = flat_mesh(N=N, nz=nz)
     rhs = assemble_rhs(mesh, bump(z0=z0))
-    field, _ = solve_field(mesh, params, rhs)
-    res, power = energy_balance(field, rhs, params)
+    ctx = SolverContext(mesh, params)
+    field, _ = solve_field(ctx, rhs)
+    res, power = energy_balance(field, rhs, ctx)
     assert res <= harness.ENERGY_TOL and power >= 0.0
 
 
 def test_values_at_points_match_mode_sum():
     mesh = flat_mesh(N=1, nz=10)
     rhs = assemble_rhs(mesh, bump())
-    field, _ = solve_field(mesh, P, rhs)
+    field, _ = solve_field(SolverContext(mesh, P), rhs)
     x1, x2, z = 0.7, 2.1, 0.63
     vals = field.values_at_points(x1, x2, z)[:, 0]
     xi1, xi2 = mesh.grid.frequencies()
@@ -619,21 +628,22 @@ def test_gmres_history_ends_with_true_residual(monkeypatch):
     """One matvec per Arnoldi step plus the final check, whose residual ends the history."""
     mesh, rhs, coeffs = rough_system()
     calls = count_matvecs(monkeypatch)
-    field, info = solve_field(mesh, P, rhs, coeffs)
+    ctx = SolverContext(mesh, P)
+    field, info = solve_field(ctx, rhs, coeffs)
     assert info.method == "gmres" and len(calls) == info.iterations + 1
     assert len(info.history) == info.iterations + 1
     assert info.history[-1] == info.residual <= 1e-9 < info.history[-3]
     assert info.history[-2] <= 1e-9
-    true = np.linalg.norm(StripOperator(mesh, P, coeffs) @ field.free_vector() - rhs)
+    true = np.linalg.norm(StripOperator(ctx, coeffs) @ field.free_vector() - rhs)
     assert true / np.linalg.norm(rhs) == pytest.approx(info.residual, rel=1e-6)
-    _, direct = solve_field(mesh, P, assemble_rhs(mesh, bump()))
+    _, direct = solve_field(ctx, assemble_rhs(mesh, bump()))
     assert direct.history == [direct.residual] and direct.iterations == 1
 
 
 def test_gmres_zero_source_needs_no_matvec(monkeypatch):
     mesh, rhs, coeffs = rough_system()
     calls = count_matvecs(monkeypatch)
-    field, info = solve_field(mesh, P, np.zeros_like(rhs), coeffs)
+    field, info = solve_field(SolverContext(mesh, P), np.zeros_like(rhs), coeffs)
     assert not calls and np.all(field.coeff == 0)
     assert (info.residual, info.iterations, info.history) == (0.0, 0, [0.0])
 
@@ -643,7 +653,7 @@ def test_gmres_raises_at_the_iteration_cap(monkeypatch):
     mesh, rhs, coeffs = rough_system()
     monkeypatch.setattr(solver, "_GMRES_MAX_ITER", 2)
     with pytest.raises(NonConvergenceError) as err:
-        solve_field(mesh, P, rhs, coeffs)
+        solve_field(SolverContext(mesh, P), rhs, coeffs)
     history = err.value.history
     assert len(history) == 3 and history[-1] == err.value.residual > 1e-9
 
