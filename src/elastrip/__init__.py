@@ -5,10 +5,9 @@ from .errors import (ConfigError, ConstraintError, DiagnosticError,
                      ElastripError, NonConvergenceError, SingularTransformError)
 from .params import (BoundReport, ElasticParams, StabilityConstants,
                      StripGeometry, bound_constants, stability_constants,
-                     total_bound_stochastic, vertical_wavenumber)
-from .dtn import (BoundaryTrace, DtnSymbol, SpectralGrid, decompose_trace,
-                  dtn_symbol, energy_flux, extend_field, mode_traction,
-                  verify_symbol_properties, verify_symbol_suite)
+                     total_bound_stochastic)
+from .dtn import (BoundaryTrace, SpectralGrid, decompose_trace, energy_flux,
+                  extend_field, verify_symbol_properties, verify_symbol_suite)
 from .geometry import (CoefficientLaw, CutoffFn, HarmonicTerm, SurfaceProfile,
                        invert_vertical, make_profile, sample_ensemble)
 from .sources import BumpSource

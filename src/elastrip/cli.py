@@ -248,7 +248,7 @@ def _read_trace(trace_path, height):
                             cell=tuple(data["cell"]))
         vals = np.array(data["values_re"]) + 1j * np.array(data["values_im"])
         trace = BoundaryTrace(values=vals, grid=grid)
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"bad trace file: {exc}") from None
     return {"trace": trace, "height": height}
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError, ElastripError
-from .params import (ElasticParams, StabilityConstants, stability_constants,
-                     vertical_wavenumber, vertical_wavenumber_grid)
+from .params import ElasticParams, stability_constants, vertical_wavenumber_grid
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,9 @@ class SpectralGrid:
     def __post_init__(self):
         if self.N1 < 0 or self.N2 < 0:
             raise ConstraintError("mode counts must be nonnegative")
+        if len(self.cell) != 2 or not all(math.isfinite(L) and L > 0 for L in self.cell):
+            raise ConstraintError(
+                f"cell lengths must be two finite positive numbers, got {self.cell}")
 
     @property
     def n1(self) -> int:
@@ -117,21 +119,6 @@ class ModeAmplitudes:
     grid: SpectralGrid
 
 
-@dataclass(frozen=True)
-class DtnSymbol:
-    """The 3x3 DtN matrix at one frequency, with rho = |xi|^2 + beta*gamma."""
-
-    M: np.ndarray
-    xi: tuple[float, float]
-    rho: complex
-
-
-def _beta_gamma(xi, params: ElasticParams):
-    beta = vertical_wavenumber(params.k_p, xi)
-    gamma = vertical_wavenumber(params.k_s, xi)
-    return beta, gamma
-
-
 def decomposition_matrices(xi, params: ElasticParams):
     """The 4x4 system matrix D_tilde and its restricted inverse D (4x3).
 
@@ -159,18 +146,10 @@ def decomposition_matrices(xi, params: ElasticParams):
     return D_tilde, D
 
 
-def dtn_symbol(xi, params: ElasticParams) -> DtnSymbol:
-    """Evaluate the DtN symbol M(xi); traction coefficients are i*M(xi)*u_hat."""
-    xi = np.asarray(xi, dtype=float)
-    M = dtn_symbol_grid(np.array([[xi[0]]]), np.array([[xi[1]]]), params)[:, :, 0, 0]
-    beta, gamma = _beta_gamma(xi, params)
-    rho = complex(xi @ xi) + beta * gamma
-    return DtnSymbol(M=M, xi=(float(xi[0]), float(xi[1])), rho=rho)
-
-
 def dtn_symbol_grid(XI1: np.ndarray, XI2: np.ndarray, params: ElasticParams) -> np.ndarray:
     """DtN symbol on broadcastable frequency arrays; returns shape (3, 3, ...).
 
+    Traction coefficients are i*M(xi)*u_hat; numpy scalars give one 3x3 M.
     Entry structure: symmetric in the upper-left 2x2 block, antisymmetric in
     the third row/column pair, gamma*omega^2/rho in the corner.
     """
@@ -208,84 +187,29 @@ def decompose_trace(trace: BoundaryTrace, params: ElasticParams) -> ModeAmplitud
     return ModeAmplitudes(A_p=A[0], A_s=A[1:], A_s_tilde=A_st, grid=grid)
 
 
-def reconstruct_trace(amps: ModeAmplitudes, params: ElasticParams) -> BoundaryTrace:
-    """Inverse of decompose_trace: boundary values from (A_p, A_s)."""
-    grid = amps.grid
-    xi1, xi2 = grid.frequencies()
-    _, _, xi_sq = grid.frequency_mesh()
-    beta = vertical_wavenumber_grid(params.k_p, xi_sq)
-    coeff = np.empty((3, grid.n1, grid.n2), dtype=complex)
-    coeff[0] = amps.A_p * xi1[:, None] + amps.A_s[0]
-    coeff[1] = amps.A_p * xi2[None, :] + amps.A_s[1]
-    coeff[2] = amps.A_p * beta + amps.A_s[2]
-    return BoundaryTrace.from_coefficients(coeff, grid)
-
-
-def propagation_matrices(xi, params: ElasticParams):
-    """M_p(xi), M_s(xi) of the upward representation, and rho."""
-    xi = np.asarray(xi, dtype=float)
-    beta, gamma = _beta_gamma(xi, params)
-    xi1, xi2 = float(xi[0]), float(xi[1])
-    rho = xi1**2 + xi2**2 + beta * gamma
-    Mp = np.array([
-        [xi1 * xi1, xi1 * xi2, xi1 * gamma],
-        [xi1 * xi2, xi2 * xi2, xi2 * gamma],
-        [xi1 * beta, xi2 * beta, beta * gamma],
-    ], dtype=complex)
-    Ms = np.array([
-        [beta * gamma + xi2 * xi2, -xi1 * xi2, -gamma * xi1],
-        [-xi1 * xi2, beta * gamma + xi1 * xi1, -gamma * xi2],
-        [-xi1 * beta, -xi2 * beta, xi1 * xi1 + xi2 * xi2],
-    ], dtype=complex)
-    return Mp, Ms, rho
-
-
 def extend_field(trace: BoundaryTrace, x3: float, params: ElasticParams) -> np.ndarray:
     """Evaluate the upward representation at height x3 >= h (relative offset).
 
-    ``x3`` is the offset above the boundary plane (x3 - h >= 0).  Returns the
-    3-vector field on the collocation grid.
+    ``x3`` is the offset t = x3 - h above the boundary plane; it must be finite
+    and nonnegative.  Per mode the coefficients c propagate by
+    (M_p e^{i beta t} + M_s e^{i gamma t}) c / rho, where M_p = a b^T with
+    a = (xi, beta), b = (xi, gamma) and M_s = rho I - M_p, so they become
+    e^{i gamma t} c + (e^{i beta t} - e^{i gamma t}) a (b . c) / rho, evaluated
+    on the whole frequency mesh at once.  Returns the 3-vector field on the
+    collocation grid.
     """
-    if x3 < 0:
-        raise ConstraintError(f"extension only valid above the plane, offset={x3}")
-    grid = trace.grid
-    coeff = trace.coefficients
-    xi1, xi2 = grid.frequencies()
-    out = np.empty_like(coeff)
-    for i1 in range(grid.n1):
-        for i2 in range(grid.n2):
-            xi = np.array([xi1[i1], xi2[i2]])
-            beta, gamma = _beta_gamma(xi, params)
-            Mp, Ms, rho = propagation_matrices(xi, params)
-            prop = (Mp * np.exp(1j * beta * x3) + Ms * np.exp(1j * gamma * x3)) / rho
-            out[:, i1, i2] = prop @ coeff[:, i1, i2]
-    return np.fft.ifft2(out, axes=(1, 2)) * (grid.n1 * grid.n2)
-
-
-def mode_traction(xi, amps_p: complex, amps_s: np.ndarray, params: ElasticParams) -> np.ndarray:
-    """Surface traction of a single upward mode, by analytic differentiation.
-
-    The mode field is u = [A_p (xi, beta)^T e^{i beta t} + A_s e^{i gamma t}]
-    e^{i xi.x'} with t = x3 - h; traction with nu = e3 is
-    T u = 2 mu d3 u + lam (div u) e3 + mu e3 x (curl u), evaluated at t = 0
-    with d_j -> i xi_j and d3 -> i beta (P part) or i gamma (S part).
-    """
-    xi = np.asarray(xi, dtype=float)
-    beta, gamma = _beta_gamma(xi, params)
-    lam, mu = params.lam, params.mu
-    kp_vec = np.array([xi[0], xi[1], beta], dtype=complex)
-
-    def traction_of(U, d3):
-        # U: amplitude 3-vector, derivative d_j = i*q_j with q = (xi1, xi2, d3)
-        q = np.array([xi[0], xi[1], d3], dtype=complex)
-        div = 1j * (q @ U)
-        curl = 1j * np.cross(q, U)
-        e3 = np.array([0, 0, 1.0])
-        return 2 * mu * 1j * d3 * U + lam * div * e3 + mu * np.cross(e3, curl)
-
-    t_p = traction_of(amps_p * kp_vec, beta)
-    t_s = traction_of(np.asarray(amps_s, dtype=complex), gamma)
-    return t_p + t_s
+    if not (math.isfinite(x3) and x3 >= 0):
+        raise ConstraintError(f"extension needs a finite offset >= 0 above the plane, got {x3}")
+    XI1, XI2, xi_sq = trace.grid.frequency_mesh()
+    beta = vertical_wavenumber_grid(params.k_p, xi_sq)
+    gamma = vertical_wavenumber_grid(params.k_s, xi_sq)
+    a = np.stack(np.broadcast_arrays(XI1, XI2, beta))
+    c = trace.coefficients
+    e_s = np.exp(1j * gamma * x3)
+    p = ((np.exp(1j * beta * x3) - e_s) * (XI1 * c[0] + XI2 * c[1] + gamma * c[2])
+         / (xi_sq + beta * gamma))
+    out = e_s * c + a * p
+    return BoundaryTrace.from_coefficients(out, trace.grid).values
 
 
 def energy_flux(trace: BoundaryTrace, params: ElasticParams,

@@ -7,7 +7,6 @@ the Lame constants, the branch functions beta/gamma, the symbol-band constants
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -70,23 +69,9 @@ class StripGeometry:
         return self.h + 1.0
 
 
-def vertical_wavenumber(k: float, xi) -> complex:
-    """Branch sqrt(k^2 - |xi|^2): real for propagating, i*sqrt(..) evanescent.
-
-    Both real and imaginary parts of the result are nonnegative; the branch
-    point |xi| = k maps to exactly 0.
-    """
-    xi = np.asarray(xi, dtype=float)
-    s = k * k - float(xi @ xi)
-    if s > 0:
-        return complex(math.sqrt(s))
-    if s < 0:
-        return complex(0.0, math.sqrt(-s))
-    return 0j
-
-
 def vertical_wavenumber_grid(k: float, xi_sq: np.ndarray) -> np.ndarray:
-    """Vectorized branch function on an array of |xi|^2 values."""
+    """Branch sqrt(k^2 - |xi|^2) on an array of |xi|^2 values: real for
+    propagating, i*sqrt(|xi|^2 - k^2) for evanescent; |xi| = k maps to exactly 0."""
     s = k * k - xi_sq
     out = np.where(s >= 0, np.sqrt(np.maximum(s, 0.0)) + 0j,
                    1j * np.sqrt(np.maximum(-s, 0.0)))

@@ -12,7 +12,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from elastrip.dtn import dtn_symbol
+from elastrip.dtn import dtn_symbol_grid
 from elastrip.errors import ConstraintError
 from elastrip.mesh import StripMesh
 from elastrip.params import ElasticParams
@@ -75,7 +75,7 @@ def flat_mode_oracle(xi, params: ElasticParams, g_profile, h: float, m_ref: floa
     # top Robin: T u - i M u = 0 with the one-sided second-order u'(h);
     # T1,2 = mu u1,2' + mu i xi1,2 u3, T3 = (lam + 2 mu) u3' + lam i xi.u
     d = np.diag([mu, mu, lam + 2 * mu])
-    top = d * 1.5 / dz - 1j * dtn_symbol(xi, params).M
+    top = d * 1.5 / dz - 1j * dtn_symbol_grid(xi[0], xi[1], params)
     top[:2, 2] += mu * ix
     top[2, :2] += lam * ix
 

@@ -119,6 +119,35 @@ def test_sweep_rejects_non_finite_values(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("height", ["nan", "inf"])
+def test_extend_rejects_non_finite_height(runner, tmp_path, height):
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["extend", "--trace", write_trace(tmp_path),
+                               "--height", height, "--out", str(out)])
+    assert res.exit_code == 1
+    err = json.loads((out / "error.json").read_text())
+    assert (err["error"], err["exit_code"]) == ("ConstraintError", 1)
+    assert not (out / "extend.json").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: {**t, "cell": [0.0, 1.0]},
+    lambda t: {**t, "cell": [float("inf"), 1.0]},
+    lambda t: {**t, "cell": 5.0},
+    lambda t: [t],
+], ids=["zero_cell", "infinite_cell", "scalar_cell", "top_level_list"])
+def test_extend_rejects_malformed_trace(runner, tmp_path, edit):
+    """A trace file that does not describe a grid is a read error, not a traceback."""
+    path = Path(write_trace(tmp_path))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["extend", "--trace", str(path), "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert any(line.startswith("error:") for line in res.output.splitlines())
+    assert not out.exists()
+
+
 def test_sweep_csv(runner, tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

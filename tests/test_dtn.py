@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from elastrip.dtn import (BoundaryTrace, SpectralGrid,
-                          decompose_trace, decomposition_matrices, dtn_symbol,
+                          decompose_trace, decomposition_matrices,
                           dtn_symbol_grid, energy_flux, extend_field,
-                          mode_traction, propagation_matrices,
-                          reconstruct_trace, verify_symbol_properties,
-                          verify_symbol_suite)
+                          verify_symbol_properties, verify_symbol_suite)
 from elastrip.errors import ConstraintError, ElastripError
-from elastrip.params import ElasticParams
+from elastrip.params import ElasticParams, vertical_wavenumber_grid
+from mode_oracles import mode_traction, reconstruct_trace
 
 P = ElasticParams(lam=1.0, mu=1.0, omega=2.0)
 CELL = (2 * np.pi, 2 * np.pi)
@@ -25,32 +24,41 @@ def random_trace(grid, seed=0):
 
 def test_symbol_at_zero_frequency():
     """M(0) is diagonal with the two wave impedances."""
-    sym = dtn_symbol(np.zeros(2), P)
+    M = dtn_symbol_grid(np.float64(0.0), np.float64(0.0), P)
     w, lam, mu = P.omega, P.lam, P.mu
     expect = np.diag([w * math.sqrt(mu), w * math.sqrt(mu),
                       w * math.sqrt(lam + 2 * mu)])
-    np.testing.assert_allclose(sym.M, expect, atol=1e-13)
+    np.testing.assert_allclose(M, expect, atol=1e-13)
 
 
 def test_symbol_entry_structure():
     rng = np.random.default_rng(3)
     for _ in range(20):
         xi = rng.normal(scale=2.0, size=2)
-        M = dtn_symbol(xi, P).M
+        M = dtn_symbol_grid(xi[0], xi[1], P)
         assert M[0, 1] == pytest.approx(M[1, 0], rel=1e-13)
         assert M[0, 2] == pytest.approx(-M[2, 0], rel=1e-13)
         assert M[1, 2] == pytest.approx(-M[2, 1], rel=1e-13)
 
 
 def test_symbol_grid_matches_pointwise():
-    grid = SpectralGrid(N1=2, N2=1, cell=CELL)
-    XI1, XI2, _ = grid.frequency_mesh()
+    """i M(xi) e_j on the lattice = the hand-differentiated traction of D(xi) e_j.
+
+    omega = 2, mu = 1 and cell 2 pi put (+-2, 0) and (0, +-2) exactly on
+    |xi| = k_s, where gamma = 0.
+    """
+    grid = SpectralGrid(N1=2, N2=2, cell=CELL)
+    XI1, XI2, xi_sq = grid.frequency_mesh()
+    assert np.count_nonzero(xi_sq == P.k_s**2) == 4
     Mg = dtn_symbol_grid(XI1, XI2, P)
     xi1, xi2 = grid.frequencies()
-    for i1 in range(grid.n1):
-        for i2 in range(grid.n2):
-            M = dtn_symbol(np.array([xi1[i1], xi2[i2]]), P).M
-            np.testing.assert_allclose(Mg[:, :, i1, i2], M, atol=1e-13)
+    for i1, i2 in np.ndindex(grid.n1, grid.n2):
+        xi = np.array([xi1[i1], xi2[i2]])
+        _, D = decomposition_matrices(xi, P)
+        for j in range(3):
+            t_sym = 1j * Mg[:, j, i1, i2]
+            t_dir = mode_traction(xi, D[0, j], D[1:, j], P)
+            np.testing.assert_allclose(t_sym, t_dir, rtol=1e-13, atol=1e-13)
 
 
 def test_decomposition_inverse_relation():
@@ -66,13 +74,14 @@ def test_decomposition_inverse_relation():
 
 def test_decomposition_matrices_broadcast_over_xi(monkeypatch):
     """One call over an xi array = the per-xi systems; decompose_trace = a per-mode loop."""
-    from elastrip.dtn import _beta_gamma
     rng = np.random.default_rng(8)
     XI = rng.normal(scale=2.5, size=(4, 5, 2))
     Dt, D = decomposition_matrices(XI, P)
     assert Dt.shape == (4, 5, 4, 4) and D.shape == (4, 5, 4, 3)
     for idx in np.ndindex(4, 5):
-        (x1, x2), (beta, gamma) = XI[idx], _beta_gamma(XI[idx], P)
+        x1, x2 = XI[idx]
+        beta = vertical_wavenumber_grid(P.k_p, x1**2 + x2**2)
+        gamma = vertical_wavenumber_grid(P.k_s, x1**2 + x2**2)
         Dt1 = np.array([[x1, 1, 0, 0], [x2, 0, 1, 0], [beta, 0, 0, 1], [0, x1, x2, gamma]])
         np.testing.assert_allclose(Dt[idx], Dt1, rtol=1e-15, atol=0)
         np.testing.assert_allclose(D[idx], np.linalg.solve(Dt1, np.eye(4, 3)), atol=1e-13)
@@ -84,7 +93,7 @@ def test_decomposition_matrices_broadcast_over_xi(monkeypatch):
     for i1, i2 in np.ndindex(grid.n1, grid.n2):
         xi = np.array([xi1[i1], xi2[i2]])
         A = decomposition_matrices(xi, P)[1] @ trace.coefficients[:, i1, i2]
-        kvec = np.array([xi[0], xi[1], _beta_gamma(xi, P)[1]])
+        kvec = np.array([xi[0], xi[1], vertical_wavenumber_grid(P.k_s, xi @ xi)])
         np.testing.assert_allclose(amps.A_p[i1, i2], A[0], rtol=1e-13)
         np.testing.assert_allclose(amps.A_s[:, i1, i2], A[1:], rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(amps.A_s_tilde[:, i1, i2], -np.cross(kvec, A[1:]) / P.k_s**2,
@@ -110,11 +119,10 @@ def test_shear_amplitude_identities():
     grid = SpectralGrid(N1=2, N2=2, cell=CELL)
     amps = decompose_trace(random_trace(grid, seed=11), P)
     xi1, xi2 = grid.frequencies()
-    from elastrip.dtn import _beta_gamma
     for i1 in range(grid.n1):
         for i2 in range(grid.n2):
             xi = np.array([xi1[i1], xi2[i2]])
-            _, gamma = _beta_gamma(xi, P)
+            gamma = vertical_wavenumber_grid(P.k_s, xi @ xi)
             kvec = np.array([xi[0], xi[1], gamma])
             As = amps.A_s[:, i1, i2]
             Ast = amps.A_s_tilde[:, i1, i2]
@@ -123,26 +131,36 @@ def test_shear_amplitude_identities():
             np.testing.assert_allclose(np.cross(kvec, Ast), As, atol=1e-10)
 
 
-def test_propagation_matrices_partition():
-    """M_p + M_s = rho * I: the two projectors tile the identity at t = 0."""
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        xi = rng.normal(scale=3.0, size=2)
-        Mp, Ms, rho = propagation_matrices(xi, P)
-        np.testing.assert_allclose(Mp + Ms, rho * np.eye(3), atol=1e-11)
-
-
 def test_extend_field_at_zero_offset():
-    grid = SpectralGrid(N1=1, N2=2, cell=CELL)
+    """At t = 0 the propagator is the identity, so only the FFT pair's roundoff is left."""
+    grid = SpectralGrid(N1=24, N2=24, cell=CELL)
     trace = random_trace(grid, seed=2)
-    vals = extend_field(trace, 0.0, P)
-    np.testing.assert_allclose(vals, trace.values, atol=1e-10)
+    vals = extend_field(trace, 0.0, ElasticParams(lam=1.0, mu=1.0, omega=1.0))
+    assert np.abs(vals - trace.values).max() <= 2e-15 * np.abs(trace.values).max()
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0])
+def test_extend_field_matches_mode_superposition(t):
+    """Closed form = decompose, then A_p (xi, beta) e^{i beta t} + A_s e^{i gamma t}."""
+    grid = SpectralGrid(N1=4, N2=3, cell=(5.0, 7.0))
+    trace = random_trace(grid, seed=6)
+    amps = decompose_trace(trace, P)
+    XI1, XI2, xi_sq = grid.frequency_mesh()
+    beta = vertical_wavenumber_grid(P.k_p, xi_sq)
+    gamma = vertical_wavenumber_grid(P.k_s, xi_sq)
+    a = np.stack(np.broadcast_arrays(XI1, XI2, beta))
+    coeff = amps.A_p * a * np.exp(1j * beta * t) + amps.A_s * np.exp(1j * gamma * t)
+    expect = BoundaryTrace.from_coefficients(coeff, grid).values
+    vals = extend_field(trace, t, P)
+    assert np.abs(vals - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_extend_field_rejects_downward():
-    grid = SpectralGrid(N1=1, N2=1, cell=CELL)
-    with pytest.raises(ConstraintError):
-        extend_field(random_trace(grid), -0.1, P)
+    """Below the plane, and at a non-finite offset, extension is a typed error."""
+    trace = random_trace(SpectralGrid(N1=1, N2=1, cell=CELL))
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConstraintError, match="finite offset"):
+            extend_field(trace, t, P)
 
 
 def test_extend_field_evanescent_decay():
@@ -168,7 +186,7 @@ def test_traction_oracle_equivalence():
         params = ElasticParams(lam=lam, mu=mu, omega=rng.uniform(0.2, 5.0))
         xi = rng.normal(size=2) * params.omega
         u = rng.normal(size=3) + 1j * rng.normal(size=3)
-        t_sym = 1j * dtn_symbol(xi, params).M @ u
+        t_sym = 1j * dtn_symbol_grid(xi[0], xi[1], params) @ u
         _, D = decomposition_matrices(xi, params)
         amps = D @ u
         t_dir = mode_traction(xi, amps[0], amps[1:], params)

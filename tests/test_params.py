@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from elastrip.errors import ConstraintError
 from elastrip.params import (ElasticParams, StripGeometry, bound_constants,
                              stability_constants, total_bound_stochastic,
-                             vertical_wavenumber)
+                             vertical_wavenumber_grid)
 
 
 def test_wavenumber_ordering():
@@ -47,10 +47,10 @@ def test_ck_floor_property(mu, lam_ratio):
 
 def test_vertical_wavenumber_branches():
     k = 2.0
-    assert vertical_wavenumber(k, np.array([1.0, 0.0])) == pytest.approx(math.sqrt(3.0))
-    ev = vertical_wavenumber(k, np.array([3.0, 0.0]))
+    assert vertical_wavenumber_grid(k, 1.0) == pytest.approx(math.sqrt(3.0))
+    ev = vertical_wavenumber_grid(k, 9.0)
     assert ev == pytest.approx(1j * math.sqrt(5.0))
-    assert vertical_wavenumber(k, np.array([2.0, 0.0])) == pytest.approx(0.0)
+    assert vertical_wavenumber_grid(k, 4.0) == 0
 
 
 def _unit_geom(m=0.0, h=1.0):
