@@ -70,12 +70,6 @@ class SpectralGrid:
         XI2 = xi2[None, :]
         return XI1, XI2, XI1**2 + XI2**2
 
-    def collocation_points(self):
-        """Physical grid x1[n1], x2[n2] matching the DFT convention."""
-        x1 = self.cell[0] * np.arange(self.n1) / self.n1
-        x2 = self.cell[1] * np.arange(self.n2) / self.n2
-        return x1, x2
-
 
 @dataclass
 class BoundaryTrace:

@@ -153,11 +153,12 @@ def solve_surface(ctx: SolverContext, f0: SurfaceProfile, surface: SurfaceProfil
 
 
 def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | None,
-                         work: Workspace):
+                         work: Workspace, quadratics=None):
     """(L2^2, grad^2) of the field over the physical strip.
 
     Without ``coeffs`` (a flat strip) they are the exact mode-space
-    quadratics of :class:`DiscreteField`, with no transform.  The
+    quadratics of :class:`DiscreteField`, with no transform; ``quadratics``
+    passes them on when the caller has evaluated them already.  The
     collocation quadrature would give the same values to roundoff: |u|^2
     and |grad u|^2 are trigonometric polynomials of degree at most 2N per
     horizontal axis, which the point sum over P >= 3(2N + 1)/2 > 2N points
@@ -168,7 +169,7 @@ def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | N
     """
     mesh = field.mesh
     if coeffs is None:
-        l2, dz, horiz = field._mode_quadratics()
+        l2, dz, horiz = field.mode_quadratics() if quadratics is None else quadratics
         area = mesh.grid.cell_area
         return float(area * l2.sum()), float(area * (dz.sum() + horiz.sum()))
     sums = np.zeros(4)  # per slot: u, d1 u, d2 u, d3 u
@@ -182,9 +183,30 @@ def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | N
 
 def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
                  physical: bool = False):
-    """(||g||_L2, ||g||_H1) over the strip by the solver's quadrature,
-    summed over its element blocks in order."""
+    """(||g||_L2, ||g||_H1) over the strip by the solver's quadrature.
+
+    On the reference strip (no ``coeffs``, or not ``physical``) they are
+    taken in mode space: by Parseval, the point sum of g_c^2 over the P1 x P2
+    padded grid is P1 P2 sum_r |S[0, c, r]|^2 v(z)^2 for the source's folded
+    spectra S, so ||g||^2 = |cell| sum_q w_q v(z_q)^2 ||S[0]||^2, and the
+    gradient adds ||S[1]||^2 + ||S[2]||^2 against v^2 and ||S[0]||^2 against
+    v'^2.  The folding and the Gauss rule are those of the grid, so this is
+    the pseudospectral quadrature to roundoff, aliased harmonics included;
+    unlike the load vector, a harmonic whose residue is no lattice mode
+    still counts.  Under ``coeffs`` with ``physical`` the points move with
+    the flattening map, and the sums run at them over the solver's element
+    blocks in order.
+    """
     coeffs = coeffs if physical else None
+    if coeffs is None:
+        S = source.folded_spectra(mesh.P1, mesh.P2)
+        power = np.sum(S.real ** 2 + S.imag ** 2, axis=(1, 2, 3))  # per value, d1, d2
+        v_sq = float(np.sum(mesh.wq * source.vertical(mesh.zq) ** 2))
+        dv_sq = float(np.sum(mesh.wq * source.vertical_d(mesh.zq) ** 2))
+        area = mesh.grid.cell_area
+        l2_sq = area * v_sq * power[0]
+        grad_sq = area * (v_sq * (power[1] + power[2]) + dv_sq * power[0])
+        return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
     l2_sq = grad_sq = 0.0
     for b in element_blocks(mesh):
         points = quad_points(mesh, coeffs, b)
@@ -194,12 +216,12 @@ def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
     return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
 
 
-def _diagnose(field: DiscreteField, rhs, ctx: SolverContext, info, profile):
+def _diagnose(field: DiscreteField, rhs, ctx: SolverContext, info, profile, quadratics):
     res, power = energy_balance(field, rhs, ctx)
     diag = {
         "energy_residual": res,
         "radiated_power": power,
-        "poincare_slack": poincare_slack(field),
+        "poincare_slack": poincare_slack(field, quadratics),
         "solve_residual": info.residual,
         "solve_iterations": info.iterations,
         "solve_method": info.method,
@@ -221,13 +243,15 @@ def deterministic_run(cfg: RunConfig, label: str = "run") -> tuple[RunReport, Di
     ctx = SolverContext(mesh, params)
     field, info, rhs, coeffs = solve_surface(ctx, f0, profile, cutoff, source, physical=True,
                                              tol=cfg.discretization.solver_tol)
-    l2_sq, grad_sq = field_physical_norms(field, coeffs, ctx.work)
+    # one evaluation of the mode quadratics serves the flat norms and the slack
+    quadratics = field.mode_quadratics()
+    l2_sq, grad_sq = field_physical_norms(field, coeffs, ctx.work, quadratics)
     u_vh = float(np.sqrt(l2_sq + grad_sq))
     g_l2, g_h1 = source_norms(source, mesh, coeffs, physical=True)
     report = bound_constants(params, geom, L=profile.L, generic_C=cfg.run.generic_C)
     ratio = u_vh / (report.total_bound * g_h1) if g_h1 > 0 else 0.0
     report = report.with_ratio(ratio)
-    diag = _diagnose(field, rhs, ctx, info, profile)
+    diag = _diagnose(field, rhs, ctx, info, profile, quadratics)
     run = RunReport(config_echo=cfg.as_dict(), u_vh=u_vh, g_l2=g_l2, g_h1=g_h1,
                     bound=report.as_dict(), diagnostics=diag,
                     wall_time=time.perf_counter() - t0, label=label)

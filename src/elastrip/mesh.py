@@ -68,20 +68,23 @@ class StripMesh:
     def _build_1d_matrices(self):
         """Mz = int phi_m phi_n, Sz = int phi_m' phi_n', Dz = int phi_m phi_n'.
 
-        Each local pair (a, b) is added for all elements at once; within a
-        pair the element's entries (e + a, e + b) are distinct, and each
-        matrix entry sums at most two element terms from zero.
+        Linear elements couple only neighbouring nodes, so each matrix is
+        stored as its three diagonals, row-aligned in ``Mz_diags``,
+        ``Sz_diags`` and ``Dz_diags``: X[d, m] is the entry (m, m + d - 1),
+        zero where that column is off the matrix, 3 n_nodes numbers rather
+        than n_nodes^2.  Each local pair (a, b) is added for all elements at
+        once, in (a, b) order; each entry sums at most two element terms
+        from zero.
         """
-        n = self.n_nodes
-        Mz, Sz, Dz = (np.zeros((n, n)) for _ in range(3))
         e = np.arange(self.n_elements)
-        for a in range(2):
-            for b in range(2):
-                idx = (e + a, e + b)
-                Mz[idx] += np.sum(self.wq * self.phi[a] * self.phi[b], axis=1)
-                Sz[idx] += np.sum(self.wq * self.dphi[a] * self.dphi[b], axis=1)
-                Dz[idx] += np.sum(self.wq * self.phi[a] * self.dphi[b], axis=1)
-        self.Mz, self.Sz, self.Dz = Mz, Sz, Dz
+        diags = []
+        for left, right in ((self.phi, self.phi), (self.dphi, self.dphi), (self.phi, self.dphi)):
+            X = np.zeros((3, self.n_nodes))
+            for a in range(2):
+                for b in range(2):
+                    X[1 + b - a, e + a] += np.sum(self.wq * left[a] * right[b], axis=1)
+            diags.append(X)
+        self.Mz_diags, self.Sz_diags, self.Dz_diags = diags
 
     @property
     def n_nodes(self) -> int:

@@ -95,36 +95,36 @@ class DiscreteField:
 
     # -- norms (exact quadrature of the piecewise-linear field) --------------
 
-    def _mode_quadratics(self):
+    def mode_quadratics(self):
         """Per mode, summed over components: (c^H Mz c, c^H Sz c, |xi|^2 c^H Mz c)."""
         _, _, xi_sq = self.mesh.grid.frequency_mesh()
-        c, Mz, Sz = self.coeff, self.mesh.Mz, self.mesh.Sz
+        c, Mz, Sz = self.coeff, self.mesh.Mz_diags, self.mesh.Sz_diags
         # Mz is symmetric tridiagonal: c^H Mz c = sum d0 |c_n|^2
         # + 2 Re sum d1 conj(c_n) c_{n+1} along the node axis.  Sz also has
         # zero row sums, so c^H Sz c = sum -d1 |c_{n+1} - c_n|^2; its
         # two-diagonal form cancels and, on a smooth field at n_z = 96, loses
         # about 1e-12 relative.  Numpy sums, not BLAS reductions: thread-independent bits.
         cross = (np.conj(c[..., :-1]) * c[..., 1:]).real
-        l2 = (np.sum(np.diagonal(Mz) * (c.real ** 2 + c.imag ** 2), axis=(0, 3))
-              + 2 * np.sum(np.diagonal(Mz, 1) * cross, axis=(0, 3)))
+        l2 = (np.sum(Mz[1] * (c.real ** 2 + c.imag ** 2), axis=(0, 3))
+              + 2 * np.sum(Mz[2, :-1] * cross, axis=(0, 3)))
         jump = np.diff(c)
-        dz = np.sum(-np.diagonal(Sz, 1) * (jump.real ** 2 + jump.imag ** 2), axis=(0, 3))
+        dz = np.sum(-Sz[2, :-1] * (jump.real ** 2 + jump.imag ** 2), axis=(0, 3))
         return l2, dz, xi_sq * l2
 
     def l2_norm_sq(self) -> float:
-        l2, _, _ = self._mode_quadratics()
+        l2, _, _ = self.mode_quadratics()
         return float(self.mesh.grid.cell_area * l2.sum())
 
     def dz_norm_sq(self) -> float:
-        _, dz, _ = self._mode_quadratics()
+        _, dz, _ = self.mode_quadratics()
         return float(self.mesh.grid.cell_area * dz.sum())
 
     def grad_norm_sq(self) -> float:
-        _, dz, horiz = self._mode_quadratics()
+        _, dz, horiz = self.mode_quadratics()
         return float(self.mesh.grid.cell_area * (dz.sum() + horiz.sum()))
 
     def vh_norm(self) -> float:
-        l2, dz, horiz = self._mode_quadratics()
+        l2, dz, horiz = self.mode_quadratics()
         return float(np.sqrt(self.mesh.grid.cell_area * (l2.sum() + dz.sum() + horiz.sum())))
 
     # -- pointwise evaluation -------------------------------------------------
@@ -194,21 +194,22 @@ def _assemble_bands(mesh: StripMesh, K: np.ndarray) -> np.ndarray:
 
     The bands are one real product, D[(d, i), (a, b)] times K's float view
     [(a, b), (k, j, mode, re/im)], where D holds the three diagonals of the
-    1D matrix of each (a, b) pair; the cell area then scales the product in
-    place.  The product runs in np.einsum's own loop, one 4-term sum an
-    entry in (a, b) order, not in BLAS: a BLAS product splits the columns
-    among its threads, and at some sizes (N=12, n_z=40) its edge tiles then
-    round differently.  It is stored as [d, i, k, j, m1, m2] and returned as a
+    1D matrix of each (a, b) pair (Mz, Dz, Dz^T, Sz), read off the mesh's
+    row-aligned diagonals at the free nodes; the cell area then scales the
+    product in place.  The product runs in np.einsum's own loop, one 4-term
+    sum an entry in (a, b) order, not in BLAS: a BLAS product splits the
+    columns among its threads, and at some sizes (N=12, n_z=40) its edge
+    tiles then round differently.  It is stored as [d, i, k, j, m1, m2] and returned as a
     transposed view, mode axes innermost: the block-LU of
     :func:`block_lu_solver` reads its mode-last views from this layout
     without a copy.
     """
     nz, (n1, n2) = mesh.n_nodes - 1, K.shape[-2:]
-    B = np.array([[mesh.Mz, mesh.Dz], [mesh.Dz.T, mesh.Sz]])[..., 1:, 1:]  # [a, b, test, trial]
-    D = np.zeros((3, nz, 4))
-    D[0, 1:] = np.diagonal(B, -1, 2, 3).reshape(4, -1).T
-    D[1] = np.diagonal(B, 0, 2, 3).reshape(4, -1).T
-    D[2, :-1] = np.diagonal(B, 1, 2, 3).reshape(4, -1).T
+    Dz = mesh.Dz_diags
+    DzT = np.zeros_like(Dz)  # Dz^T[m, m + d - 1] = Dz[m + d - 1, m]
+    DzT[0, 1:], DzT[1], DzT[2, :-1] = Dz[2, :-1], Dz[1], Dz[0, 1:]
+    D = np.stack([mesh.Mz_diags, Dz, DzT, mesh.Sz_diags], axis=-1)[:, 1:].copy()  # [d, i, (a, b)]
+    D[0, 0] = 0.0  # free node 0's lower neighbour is the clamped bottom node
     Kab = np.ascontiguousarray(K.transpose(0, 2, 1, 3, 4, 5)).view(float)  # [a, b, k, j, m1, 2 m2]
     bands = np.empty((3, nz, 3, 3, n1, n2), dtype=complex)
     product = bands.view(float).reshape(3 * nz, -1)
@@ -500,12 +501,27 @@ def assemble_rhs(mesh: StripMesh, source,
                  physical: bool = False) -> np.ndarray:
     """Load vector of G(v) = -int g . conj(v) detJ over free DOFs.
 
-    With ``physical=True`` the source is composed with the flattening map
-    (evaluated at the physical height), so two different transforms of the
-    same physical problem assemble consistent data.  The source is
-    evaluated, weighted and transformed one element block at a time.
+    Without ``coeffs`` (a flat strip) it is formed in mode space: the
+    source's folded spectrum at the lattice modes times the nodal scatter
+    of v(z_q) w_q, times -|cell|.  That is the pseudospectral quadrature
+    below to roundoff: the adjoint transform of the point values of
+    cos(xi_t . x' + phi_t) on P points per axis keeps exactly the residues
+    of +-j_t mod P that are lattice modes, with the same Gauss rule in z.
+    A harmonic aliased onto a lattice mode counts there, one whose residue
+    is no lattice mode drops out, on both routes.
+
+    With ``coeffs`` the source is evaluated, weighted by det J and
+    transformed one element block at a time; ``physical=True`` evaluates
+    it at the physical heights of the flattening map, so two different
+    transforms of the same physical problem assemble consistent data.
     """
     g = mesh.grid
+    if coeffs is None:
+        j1, j2 = g.mode_indices()
+        lattice = np.ix_(range(3), j1 % mesh.P1, j2 % mesh.P2)  # C order: ravel copies nothing
+        spectrum = source.folded_spectra(mesh.P1, mesh.P2)[0][lattice]
+        scatter = mesh.scatter_from_quad(source.vertical(mesh.zq) * mesh.wq)[1:]
+        return (-g.cell_area * spectrum[..., None] * scatter).ravel()
     R = np.zeros((3, g.n1, g.n2, mesh.n_nodes), dtype=complex)
     for b in element_blocks(mesh):
         gvals = source.values(*quad_points(mesh, coeffs if physical else None, b))
@@ -683,9 +699,13 @@ def energy_balance(field: DiscreteField, rhs: np.ndarray, ctx: SolverContext):
     return abs(flux - src_im) / denom, power
 
 
-def poincare_slack(field: DiscreteField) -> float:
-    """(h - bottom) * ||d3 u||^2 - ||u||^2; nonnegative for admissible fields."""
+def poincare_slack(field: DiscreteField, quadratics=None) -> float:
+    """(h - bottom) * ||d3 u||^2 - ||u||^2; nonnegative for admissible fields.
+
+    ``quadratics`` passes on the field's mode quadratics when the caller
+    has evaluated them already.
+    """
     depth = field.mesh.top - field.mesh.bottom
-    l2, dz, _ = field._mode_quadratics()
+    l2, dz, _ = field.mode_quadratics() if quadratics is None else quadratics
     area = field.mesh.grid.cell_area
     return depth * float(area * dz.sum()) - float(area * l2.sum())

@@ -56,11 +56,32 @@ class BumpSource:
     sigma: float
     cell: tuple[float, float]
 
-    def _vertical(self, z):
+    def vertical(self, z):
+        """The vertical profile v(z) = bump((z - z0) / sigma)."""
         return _bump((np.asarray(z) - self.z0) / self.sigma)
 
-    def _vertical_d(self, z):
+    def vertical_d(self, z):
+        """v'(z)."""
         return _bump_derivative((np.asarray(z) - self.z0) / self.sigma) / self.sigma
+
+    def folded_spectra(self, P1: int, P2: int) -> np.ndarray:
+        """Horizontal content folded onto the P1 x P2 residues: S[s, c, r1, r2].
+
+        On the points x' = (p1 L1 / P1, p2 L2 / P2) of a padded grid,
+        g_c = v(z) sum_r S[0, c, r] e^{2 pi i (r1 p1 / P1 + r2 p2 / P2)}, and
+        d_1 g_c, d_2 g_c are the same sums over S[1], S[2].  Each factor puts
+        amp/2 e^{+-i phi} at the residue of +-(j1, j2), times +-i k_a in S[a];
+        factors and signs that meet on one residue add, as their point values
+        do on the grid (aliasing).
+        """
+        S = np.zeros((3, 3, P1, P2), dtype=complex)
+        for t in self.factors:
+            ik = 2j * np.pi * np.array([t.j1 / self.cell[0], t.j2 / self.cell[1]])
+            for sign in (1, -1):
+                a = 0.5 * t.amplitude * np.exp(sign * 1j * t.phase)
+                S[:, t.component, sign * t.j1 % P1, sign * t.j2 % P2] += a * np.array(
+                    [1, *(sign * ik)])
+        return S
 
     def support(self) -> tuple[float, float]:
         return self.z0 - self.sigma, self.z0 + self.sigma
@@ -69,7 +90,7 @@ class BumpSource:
         """Real 3-vector field at broadcastable points; shape (3,) + broadcast."""
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(z))
         out = np.zeros((3,) + shape)
-        vz = self._vertical(z)
+        vz = self.vertical(z)
         for t in self.factors:
             ph = 2 * np.pi * (t.j1 * np.asarray(x1) / self.cell[0]
                               + t.j2 * np.asarray(x2) / self.cell[1]) + t.phase
@@ -80,8 +101,8 @@ class BumpSource:
         """d_a g_c at broadcastable points; shape (3, 3) + broadcast (comp, axis)."""
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(z))
         out = np.zeros((3, 3) + shape)
-        vz = self._vertical(z)
-        dvz = self._vertical_d(z)
+        vz = self.vertical(z)
+        dvz = self.vertical_d(z)
         for t in self.factors:
             k1 = 2 * np.pi * t.j1 / self.cell[0]
             k2 = 2 * np.pi * t.j2 / self.cell[1]

@@ -4,7 +4,8 @@ A test helper, not a test module: pytest does not collect it.  The finite-
 difference mode solve and the coercivity probe's eigenvalues use scipy,
 which no run path imports.  ``dense_blocks`` expands the solver's bands
 into the dense per-mode matrices that the probe and the operator tests use,
-and ``einsum_bands`` contracts the bands from the dense 1D matrices.
+``dense_1d`` rebuilds the dense 1D matrices from the mesh's diagonals, and
+``einsum_bands`` contracts the bands from them.
 """
 
 import numpy as np
@@ -31,9 +32,24 @@ def dense_blocks(bands: np.ndarray) -> np.ndarray:
     return A.reshape(n1, n2, 3 * nz, 3 * nz)
 
 
+def dense_1d(mesh: StripMesh):
+    """Dense (n_nodes, n_nodes) Mz, Sz, Dz from the mesh's row-aligned
+    diagonals, X[m, m + d - 1] = diags[d, m]."""
+    n = mesh.n_nodes
+    out = []
+    for diags in (mesh.Mz_diags, mesh.Sz_diags, mesh.Dz_diags):
+        X = np.zeros((n, n))
+        for d in range(3):
+            rows = np.arange(max(0, 1 - d), min(n, n + 1 - d))
+            X[rows, rows + d - 1] = diags[d, rows]
+        out.append(X)
+    return tuple(out)
+
+
 def einsum_bands(mesh: StripMesh, K: np.ndarray) -> np.ndarray:
     """The bands of ``_assemble_bands``, contracted from the dense 1D matrices."""
-    B = np.array([[mesh.Mz, mesh.Dz], [mesh.Dz.T, mesh.Sz]])[..., 1:, 1:]  # [a, b, test, trial]
+    Mz, Sz, Dz = dense_1d(mesh)
+    B = np.array([[Mz, Dz], [Dz.T, Sz]])[..., 1:, 1:]  # [a, b, test, trial]
     diags = np.einsum("abil,dil->abdi", B, _band_shifts(mesh.n_nodes - 1))
     return mesh.grid.cell_area * np.einsum("akbjmn,abdi->dmnikj", K, diags)
 

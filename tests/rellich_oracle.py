@@ -22,6 +22,13 @@ def _gauss_legendre(z_lo: float, z_hi: float, n: int):
     return 0.5 * (z_hi + z_lo) + 0.5 * (z_hi - z_lo) * zq, 0.5 * (z_hi - z_lo) * wq
 
 
+def _collocation_points(g):
+    """Physical grid x1[n1], x2[n2] of the lattice g, matching the DFT convention."""
+    x1 = g.cell[0] * np.arange(g.n1) / g.n1
+    x2 = g.cell[1] * np.arange(g.n2) / g.n2
+    return x1, x2
+
+
 def _boundary_jump(mf, z_lo: float, z_hi: float, params: ElasticParams) -> float:
     """Rellich boundary density of one mode field, top minus bottom.
 
@@ -65,7 +72,7 @@ def rellich_residual(field: DiscreteField, source, params: ElasticParams,
     zq, wq = _gauss_legendre(z_lo, z_hi, n_quad)
 
     # mode coefficients of the source at the quadrature heights
-    x1, x2 = g.collocation_points()
+    x1, x2 = _collocation_points(g)
     gvals = source.values(x1[:, None, None], x2[None, :, None], zq[None, None, :])
     ghat = np.fft.fft2(gvals, axes=(1, 2)) / (g.n1 * g.n2)   # (3, n1, n2, q)
 

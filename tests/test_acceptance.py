@@ -129,7 +129,7 @@ def test_03_flat_solver_vs_brute_force_oracle():
                 if (sgn * t.j1, sgn * t.j2) == jj:
                     out[t.component] += (0.5 * t.amplitude
                                          * np.exp(1j * sgn * t.phase)
-                                         * src._vertical(z))
+                                         * src.vertical(z))
         return out
 
     oracles = {}

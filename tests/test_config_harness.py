@@ -16,7 +16,8 @@ from elastrip.harness import (
     pushforward_check,
     solve_surface,
 )
-from elastrip.solver import SolverContext, block_lu_solver, energy_balance
+from elastrip.mesh import StripMesh
+from elastrip.solver import DiscreteField, SolverContext, block_lu_solver, energy_balance
 
 BASE = {
     "physics": {"omega": 1.0},
@@ -104,6 +105,43 @@ def test_flat_run_diagnostics_clean():
     assert d["poincare_slack"] > 0.0
     assert rep.bound["measured_ratio"] < 1.0
     assert rep.u_vh > 0.0 and rep.g_l2 > 0.0
+
+
+def count_calls(monkeypatch, cls, names) -> dict:
+    """Number of later calls of each method ``names`` of ``cls``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(self, *args, _name=name, _fn=getattr(cls, name), **kwargs):
+            calls[_name] += 1
+            return _fn(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_flat_run_and_sample_source_norms_need_no_transform(monkeypatch):
+    """A flat run takes its load vector and all its norms in mode space, and
+    evaluates the field's mode quadratics once; a Monte Carlo sample's
+    source norms make no transform either."""
+    transforms = count_calls(monkeypatch, StripMesh, ("to_physical", "to_modes_adjoint"))
+    quadratics = count_calls(monkeypatch, DiscreteField, ("mode_quadratics",))
+    deterministic_run(cfg_with())
+    assert transforms == {"to_physical": 0, "to_modes_adjoint": 0}
+    assert quadratics == {"mode_quadratics": 1}
+
+    in_norms = []
+    real = harness.source_norms
+
+    def counted_norms(*args, **kwargs):
+        before = sum(transforms.values())
+        out = real(*args, **kwargs)
+        in_norms.append(sum(transforms.values()) - before)
+        return out
+
+    monkeypatch.setattr(harness, "source_norms", counted_norms)
+    rep = monte_carlo(cfg_with(surface={"law_bands": [[1, 0, 0.05]], "M0": 0.3}), n=2, seed=1)
+    assert rep.n_completed == 2 and in_norms == [0, 0]
+    assert sum(transforms.values()) > 0  # the rough samples' solves do transform
 
 
 def test_zero_amplitude_source_gives_zero_ratio():

@@ -9,6 +9,7 @@ from elastrip.mesh import StripMesh
 from elastrip.params import ElasticParams, StripGeometry
 from elastrip.solver import SolverContext, StripOperator, TransformCoefficients
 from elastrip.sources import BumpSource, HarmonicFactor
+from flat_oracles import dense_1d
 
 CELL = (2 * np.pi, 2 * np.pi)
 
@@ -22,22 +23,24 @@ def test_one_element_mass_matrix():
     """Hand-integrated linear-element mass matrix on a single element."""
     m = StripMesh(grid=SpectralGrid(N1=0, N2=0, cell=CELL),
                   bottom=0.0, top=1.0, n_elements=1)
-    np.testing.assert_allclose(m.Mz, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-14)
-    np.testing.assert_allclose(m.Sz, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-14)
-    np.testing.assert_allclose(m.Dz, [[-0.5, 0.5], [-0.5, 0.5]], atol=1e-14)
+    Mz, Sz, Dz = dense_1d(m)
+    np.testing.assert_allclose(Mz, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-14)
+    np.testing.assert_allclose(Sz, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-14)
+    np.testing.assert_allclose(Dz, [[-0.5, 0.5], [-0.5, 0.5]], atol=1e-14)
 
 
 def test_1d_matrices_exact_on_linears():
     """2-point Gauss is exact for the cubic integrands of linear data."""
     m = mesh(nz=7)
+    Mz, Sz, Dz = dense_1d(m)
     u = 2.0 * m.nodes + 0.3      # u(z) = 2z + 0.3
     v = -m.nodes + 1.1           # v(z) = 1.1 - z
     # int_0^1 u v dz = int (-2z^2 + 1.9z + 0.33) dz
-    assert u @ m.Mz @ v == pytest.approx(-2 / 3 + 0.95 + 0.33, rel=1e-13)
+    assert u @ Mz @ v == pytest.approx(-2 / 3 + 0.95 + 0.33, rel=1e-13)
     # int u' v' dz = 2 * (-1)
-    assert u @ m.Sz @ v == pytest.approx(-2.0, rel=1e-13)
+    assert u @ Sz @ v == pytest.approx(-2.0, rel=1e-13)
     # int u v' dz = -int (2z + 0.3) dz = -1.3
-    assert u @ m.Dz @ v == pytest.approx(-1.3, rel=1e-13)
+    assert u @ Dz @ v == pytest.approx(-1.3, rel=1e-13)
 
 
 def test_padded_transform_adjoint_pair():

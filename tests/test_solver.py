@@ -34,7 +34,7 @@ from elastrip.solver import (
     TransformCoefficients,
 )
 from elastrip.sources import BumpSource, HarmonicFactor
-from flat_oracles import coercivity_probe, dense_blocks, einsum_bands, flat_mode_oracle
+from flat_oracles import coercivity_probe, dense_1d, dense_blocks, einsum_bands, flat_mode_oracle
 from rellich_oracle import ModeFieldSmooth, rellich_identity_residual, rellich_residual
 
 CELL = (2 * np.pi, 2 * np.pi)
@@ -197,19 +197,20 @@ def test_flat_blocks_storage_is_linear_in_nz():
        N1=st.integers(0, 3), N2=st.integers(0, 3), nz=st.integers(1, 12))
 def test_flat_bands_are_stored_mode_last(mu, lam_frac, omega, N1, N2, nz):
     """The bands are a view of [d, i, k, j, m1, m2] storage, the layout the
-    block-LU's mode-last views read, and equal the dense einsum assembly."""
+    block-LU's mode-last views read, and equal the dense einsum assembly
+    bit for bit."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=(2.0, 3.0)),
                      bottom=-0.5, top=0.5, n_elements=nz)
     assert assemble_flat_blocks(mesh, params).transpose(0, 3, 4, 5, 1, 2).flags.c_contiguous
     K = solver._mode_density(mesh.grid, 2 * mu, params.lam, -mu, -omega * omega)
     bands, ref = solver._assemble_bands(mesh, K), einsum_bands(mesh, K)
-    assert bands.shape == ref.shape
-    assert np.abs(bands - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.array_equal(bands, ref)
 
 
 def test_1d_matrices_match_the_element_loop():
-    """The pair-at-a-time assembly of Mz, Sz, Dz has the bits of a loop over elements."""
+    """The pair-at-a-time assembly of the diagonals of Mz, Sz, Dz has the
+    bits of a dense loop over elements, and holds 3 n_nodes numbers each."""
     for nz in (1, 7, 96):
         mesh = StripMesh(grid=SpectralGrid(N1=1, N2=1, cell=CELL), bottom=-0.37, top=1.3,
                          n_elements=nz)
@@ -222,8 +223,9 @@ def test_1d_matrices_match_the_element_loop():
                     Mz[idx[a], idx[b]] += np.sum(mesh.wq[e] * mesh.phi[a] * mesh.phi[b])
                     Sz[idx[a], idx[b]] += np.sum(mesh.wq[e] * mesh.dphi[a, e] * mesh.dphi[b, e])
                     Dz[idx[a], idx[b]] += np.sum(mesh.wq[e] * mesh.phi[a] * mesh.dphi[b, e])
-        for got, want in ((mesh.Mz, Mz), (mesh.Sz, Sz), (mesh.Dz, Dz)):
+        for got, want in zip(dense_1d(mesh), (Mz, Sz, Dz)):
             assert np.array_equal(got, want)
+        assert all(d.shape == (3, n) for d in (mesh.Mz_diags, mesh.Sz_diags, mesh.Dz_diags))
 
 
 def test_direct_solve_raises_above_tolerance():
@@ -415,7 +417,8 @@ def test_vh_norm_exact_for_linear_mode_profile():
         rng = np.random.default_rng(4)
         c = rng.standard_normal(field.coeff.shape) + 1j * rng.standard_normal(field.coeff.shape)
         field.coeff[:] = c
-        for norm_sq, M in ((field.l2_norm_sq, mesh.Mz), (field.dz_norm_sq, mesh.Sz)):
+        Mz, Sz, _ = dense_1d(mesh)
+        for norm_sq, M in ((field.l2_norm_sq, Mz), (field.dz_norm_sq, Sz)):
             dense = area * np.einsum("cabm,mn,cabn->ab", np.conj(c), M, c).real.sum()
             assert norm_sq() == pytest.approx(dense, rel=1e-13)
 
@@ -444,6 +447,58 @@ def test_flat_physical_norms_need_no_transform(N1, N2, nz, cell, seed):
     sums = [np.sum(quad_weights(mesh) * np.abs(F[:, j]) ** 2) for j in range(4)]
     ref = (sums[0], sum(sums[1:]))
     assert norms == pytest.approx(ref, rel=1e-13)
+
+
+@st.composite
+def _source_on_mesh(draw):
+    """A flat mesh and a source on it whose factors hit every folding case
+    of one axis: j = 0, a lattice mode, |j| > N off the lattice (projected
+    out of the load vector) and |j| >= P - N (aliased onto it)."""
+    N1, N2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cell = draw(st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)))
+    mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell),
+                     bottom=-0.4, top=0.6, n_elements=draw(st.integers(1, 12)))
+
+    def index(N, P):
+        sign = draw(st.sampled_from((1, -1)))
+        return sign * draw(st.one_of(st.just(0), st.integers(0, N), st.integers(N + 1, P - N - 1),
+                                     st.integers(P - N, P + N)))
+
+    def factor(amplitude):
+        return HarmonicFactor(component=draw(st.integers(0, 2)), j1=index(N1, mesh.P1),
+                              j2=index(N2, mesh.P2), amplitude=draw(amplitude),
+                              phase=draw(st.floats(0.0, 2 * np.pi)))
+
+    # one lattice factor keeps the load vector from cancelling to roundoff
+    lattice = HarmonicFactor(component=draw(st.integers(0, 2)),
+                             j1=draw(st.integers(-N1, N1)), j2=draw(st.integers(-N2, N2)),
+                             amplitude=draw(st.floats(0.2, 1.0)),
+                             phase=draw(st.floats(0.0, 2 * np.pi)))
+    others = [factor(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
+              for _ in range(draw(st.integers(0, 4)))]
+    # a bump centred near a Gauss point is nonzero at one at least
+    sigma = draw(st.floats(0.05, 0.3))
+    z0 = draw(st.sampled_from(mesh.zq.ravel().tolist())) + draw(st.floats(-0.5, 0.5)) * sigma
+    source = BumpSource(factors=tuple([lattice] + others), z0=z0, sigma=sigma, cell=cell)
+    return mesh, source
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_source_on_mesh())
+def test_flat_load_vector_and_source_norms_match_the_grid(case):
+    """The mode-space load vector and source norms of a flat strip equal the
+    pseudospectral quadrature on the collocation grid, which an identity
+    transform (f = f0) keeps, to 1e-13."""
+    mesh, source = case
+    f0 = SurfaceProfile(offset=mesh.bottom, terms=(), cell=mesh.grid.cell)
+    identity = TransformCoefficients(mesh, f0, f0, CutoffFn(0.25, mesh.top - mesh.bottom))
+    assert np.all(identity.det == 1.0) and np.array_equal(identity.x3[0, 0], mesh.zq)
+    rhs = assemble_rhs(mesh, source)
+    ref = assemble_rhs(mesh, source, identity, physical=True)
+    assert np.linalg.norm(rhs - ref) <= 1e-13 * np.linalg.norm(ref)
+    norms = harness.source_norms(source, mesh, None)
+    ref_norms = harness.source_norms(source, mesh, identity, physical=True)
+    assert norms == pytest.approx(ref_norms, rel=1e-13, abs=0.0)
 
 
 def test_energy_balance_and_poincare_flat():
