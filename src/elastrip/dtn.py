@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,10 +54,18 @@ class SpectralGrid:
         return self.cell[0] * self.cell[1]
 
     def mode_indices(self):
-        """Integer lattice indices (j1, j2) in FFT order."""
-        j1 = np.fft.fftfreq(self.n1, d=1.0 / self.n1).round().astype(int)
-        j2 = np.fft.fftfreq(self.n2, d=1.0 / self.n2).round().astype(int)
-        return j1, j2
+        """Integer lattice indices (j1, j2) in FFT order, read-only.
+
+        The grid is frozen, so they are built once per grid, at the first call.
+        """
+        return self._mode_indices
+
+    @cached_property
+    def _mode_indices(self):
+        out = tuple(np.fft.fftfreq(n, d=1.0 / n).round().astype(int) for n in (self.n1, self.n2))
+        for j in out:
+            j.flags.writeable = False
+        return out
 
     def frequencies(self):
         """xi1[n1], xi2[n2] in FFT order."""

@@ -102,7 +102,8 @@ def _series_grid(offset, terms, cell, n: int = 256):
 
 
 def _distance_1inf(a, b) -> float:
-    """sup|f - f0| + sup|grad f - grad f0| of two (f, df/dx1, df/dx2) grids."""
+    """sup|f - f0| + sup|grad f - grad f0| of two (f, df/dx1, df/dx2) grids;
+    either may hold scalars that broadcast, as a flat surface does."""
     fa, g1a, g2a = a
     fb, g1b, g2b = b
     dv = np.abs(fa - fb).max()
@@ -238,12 +239,19 @@ def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
 def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
                     geom: StripGeometry, f0: SurfaceProfile,
                     source_spec: SourceSpec | None = None) -> list[RandomSample]:
-    """Draw n admissible samples; rejection-resample out-of-class surfaces."""
+    """Draw n admissible samples; rejection-resample out-of-class surfaces.
+
+    The reference surface f0 must be flat, f0 = c, so the distance
+    ||f - f0||_{1,inf} of a candidate is sup|f - c| + sup|grad f| on its
+    own evaluation grid: the same bits as against f0's grid, since
+    f - c and grad f - 0 are exact there.
+    """
     from .sources import BumpSource  # local import to avoid a cycle
 
     if n <= 0:
         raise ConstraintError("ensemble size must be positive")
-    f0_grid = f0._grid_fields()
+    if not f0.is_flat():
+        raise ConstraintError("the ensemble's reference surface f0 must be flat")
     samples = []
     for sample_id in range(n):
         rng = _sample_rng(seed, sample_id)
@@ -257,7 +265,7 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
             grid = _series_grid(f0.offset, terms, geom.cell)
             cand = SurfaceProfile(offset=f0.offset, terms=tuple(terms), cell=geom.cell, grid=grid)
             in_slab = geom.m < cand.f_min and cand.f_max < geom.M_sup
-            if in_slab and _distance_1inf(grid, f0_grid) <= M0:
+            if in_slab and _distance_1inf(grid, (f0.offset, 0.0, 0.0)) <= M0:
                 surface = cand
                 break
         if surface is None:

@@ -58,10 +58,11 @@ class StripMesh:
         # stacked with E diag(i xi) for the horizontal derivatives
         j1, j2 = self.grid.mode_indices()
         xi1, xi2 = self.grid.frequencies()
-        self._E1, self._E1d = _dft_matrices(j1, xi1, self.P1)
-        self._E2, self._E2d = _dft_matrices(j2, xi2, self.P2)
-        self._E1H, self._E1dH, self._E2H, self._E2dH = (
-            E.conj().T.copy() for E in (self._E1, self._E1d, self._E2, self._E2d))
+        E1, E1d = _dft_matrices(j1, xi1, self.P1)
+        E2, E2d = _dft_matrices(j2, xi2, self.P2)
+        forward = (E1, E1d, E2, E2d)
+        # per complex dtype: (E1, E1d, E2, E2d) and their conjugate transposes
+        self._dft = {np.dtype(complex): forward + tuple(E.conj().T.copy() for E in forward)}
 
     # -- vertical FEM pieces -------------------------------------------------
 
@@ -103,8 +104,11 @@ class StripMesh:
     def _at_quad(self, U: np.ndarray, shape_fns: np.ndarray, elements: slice,
                  out: np.ndarray | None) -> np.ndarray:
         """sum_a U[..., e + a] shape_fns[a, e, k] over e in ``elements``; the
-        loop over Gauss points k keeps the long element axis innermost."""
+        loop over Gauss points k keeps the long element axis innermost.  The
+        shape functions take the real dtype of U, so a complex64 field stays
+        complex64."""
         fns = np.broadcast_to(shape_fns, (2,) + self.zq.shape)[:, elements]
+        fns = fns.astype(U.real.dtype, copy=False)
         lo, hi = U[..., :-1][..., elements], U[..., 1:][..., elements]
         if out is None:
             out = np.empty(U.shape[:-1] + fns.shape[1:], dtype=np.result_type(U, fns))
@@ -122,14 +126,18 @@ class StripMesh:
         hold the vertical ``elements``, whose share is added to ``out``
         (zeros on all nodes when None), which is returned.  Each element's
         two nodal shares are summed before they are added, so a node on the
-        seam of two calls gets the bits of one call over both.
+        seam of two calls gets the bits of one call over both.  The shape
+        functions take the real dtype of ``Wq``, and ``out`` defaults to the
+        complex dtype of its precision.
         """
+        real = Wq.real.dtype
         if out is None:
-            out = np.zeros(Wq.shape[:-2] + (self.n_nodes,), dtype=complex)
-        lo = Wq[..., 0] * self.phi[0, 0] + Wq[..., 1] * self.phi[0, 1]
-        hi = Wq[..., 0] * self.phi[1, 0] + Wq[..., 1] * self.phi[1, 1]
+            out = np.zeros(Wq.shape[:-2] + (self.n_nodes,), dtype=_complex_dtype(real))
+        phi = self.phi.astype(real, copy=False)
+        lo = Wq[..., 0] * phi[0, 0] + Wq[..., 1] * phi[0, 1]
+        hi = Wq[..., 0] * phi[1, 0] + Wq[..., 1] * phi[1, 1]
         if Wdq is not None:
-            dphi = self.dphi[:, elements]
+            dphi = self.dphi[:, elements].astype(real, copy=False)
             lo += Wdq[..., 0] * dphi[0, :, 0] + Wdq[..., 1] * dphi[0, :, 1]
             hi += Wdq[..., 0] * dphi[1, :, 0] + Wdq[..., 1] * dphi[1, :, 1]
         out[..., :-1][..., elements] += lo
@@ -147,24 +155,27 @@ class StripMesh:
         adjacent and axis ax1 - 1 lists fields (C0, C1, ...); the result
         lists (C0, d1 C0, d2 C0, C1, ...) there, the horizontal derivatives
         coming from the stacked matrices [E; E diag(i xi)].  The gradient
-        result and the intermediate take buffers of ``work``.
+        result and the intermediate take buffers of ``work``.  The matrices
+        are those of the precision of C: a complex64 or float32 field is
+        transformed in complex64.
         """
         ax1, ax2 = ax1 % C.ndim, ax2 % C.ndim
+        E1, E1d, E2, E2d = self._dft_of(C.dtype)[:4]
         if not gradient:
-            return _along(self._E1, _along(self._E2, C, ax2), ax1)
+            return _along(E1, _along(E2, C, ax2), ax1)
         work = Workspace() if work is None else work
         A, s, n1, n2, R = _field_stack(C.shape, ax1, ax2)
         P1, P2, P2R = self.P1, self.P2, self.P2 * R
         out_shape = C.shape[:ax1 - 1] + (s + 2, P1, P2) + C.shape[ax2 + 1:]
-        C = C.reshape(A, s, n1, n2, R)
-        Z = np.matmul(self._E2d, C[:, 0], out=work.take("scratch", (A, n1, 2 * P2, R)))
+        C, dtype = C.reshape(A, s, n1, n2, R), E1.dtype
+        Z = np.matmul(E2d, C[:, 0], out=work.take("scratch", (A, n1, 2 * P2, R), dtype))
         Z = Z.reshape(A, n1, 2 * P2R)  # E2 C0 | E2 i xi2 C0
-        F = work.take("fields", (A, s + 2, P1, P2R))
+        F = work.take("fields", (A, s + 2, P1, P2R), dtype)
         Fm = F.reshape(A, (s + 2) * P1, P2R)
-        np.matmul(self._E1d, Z[:, :, :P2R], out=Fm[:, :2 * P1])
-        np.matmul(self._E1, Z[:, :, P2R:], out=Fm[:, 2 * P1:3 * P1])
-        rest = np.matmul(self._E2, C[:, 1:], out=work.take("scratch", (A, s - 1, n1, P2, R)))
-        np.matmul(self._E1, rest.reshape(A, s - 1, n1, P2R), out=F[:, 3:])
+        np.matmul(E1d, Z[:, :, :P2R], out=Fm[:, :2 * P1])
+        np.matmul(E1, Z[:, :, P2R:], out=Fm[:, 2 * P1:3 * P1])
+        rest = np.matmul(E2, C[:, 1:], out=work.take("scratch", (A, s - 1, n1, P2, R), dtype))
+        np.matmul(E1, rest.reshape(A, s - 1, n1, P2R), out=F[:, 3:])
         return F.reshape(out_shape)
 
     def to_modes_adjoint(self, W: np.ndarray, ax1: int = -4, ax2: int = -3,
@@ -173,25 +184,35 @@ class StripMesh:
 
         The conjugate-transposed DFT matrices, applied in the reverse order;
         with ``gradient`` the field axis ax1 - 1 shrinks from s + 2 back to s,
-        and the result and the intermediates take buffers of ``work``.
+        and the result and the intermediates take buffers of ``work``.  Like
+        :meth:`to_physical`, it runs in the precision of W.
         """
         ax1, ax2 = ax1 % W.ndim, ax2 % W.ndim
+        E1H, E1dH, E2H, E2dH = self._dft_of(W.dtype)[4:]
         if not gradient:
-            return _along(self._E2H, _along(self._E1H, W, ax1), ax2)
+            return _along(E2H, _along(E1H, W, ax1), ax2)
         work = Workspace() if work is None else work
         A, s2, P1, P2, R = _field_stack(W.shape, ax1, ax2)
         n1, n2, P2R = self.grid.n1, self.grid.n2, P2 * R
         out_shape = W.shape[:ax1 - 1] + (s2 - 2, n1, n2) + W.shape[ax2 + 1:]
-        W = W.reshape(A, s2 * P1, P2R)
-        Y = work.take("scratch", (A, n1, 2 * P2R))
-        np.matmul(self._E1dH, W[:, :2 * P1], out=Y[:, :, :P2R])
-        np.matmul(self._E1H, W[:, 2 * P1:3 * P1], out=Y[:, :, P2R:])
-        out = work.take("modes", (A, s2 - 2, n1, n2, R))
-        np.matmul(self._E2dH, Y.reshape(A, n1, 2 * P2, R), out=out[:, 0])
-        rest = np.matmul(self._E1H, W[:, 3 * P1:].reshape(A, s2 - 3, P1, P2R),
-                         out=work.take("scratch", (A, s2 - 3, n1, P2R)))
-        np.matmul(self._E2H, rest.reshape(A, s2 - 3, n1, P2, R), out=out[:, 1:])
+        W, dtype = W.reshape(A, s2 * P1, P2R), E1H.dtype
+        Y = work.take("scratch", (A, n1, 2 * P2R), dtype)
+        np.matmul(E1dH, W[:, :2 * P1], out=Y[:, :, :P2R])
+        np.matmul(E1H, W[:, 2 * P1:3 * P1], out=Y[:, :, P2R:])
+        out = work.take("modes", (A, s2 - 2, n1, n2, R), dtype)
+        np.matmul(E2dH, Y.reshape(A, n1, 2 * P2, R), out=out[:, 0])
+        rest = np.matmul(E1H, W[:, 3 * P1:].reshape(A, s2 - 3, P1, P2R),
+                         out=work.take("scratch", (A, s2 - 3, n1, P2R), dtype))
+        np.matmul(E2H, rest.reshape(A, s2 - 3, n1, P2, R), out=out[:, 1:])
         return out.reshape(out_shape)
+
+    def _dft_of(self, dtype) -> tuple:
+        """(E1, E1d, E2, E2d, E1H, E1dH, E2H, E2dH) at the complex dtype of
+        a field of ``dtype``, cast from the complex128 ones once per mesh."""
+        key = _complex_dtype(dtype)
+        if key not in self._dft:
+            self._dft[key] = tuple(E.astype(key) for E in self._dft[np.dtype(complex)])
+        return self._dft[key]
 
     def collocation_padded(self):
         x1 = self.grid.cell[0] * np.arange(self.P1) / self.P1
@@ -205,12 +226,14 @@ class StripMesh:
 
 
 class Workspace:
-    """Named flat complex buffers that a blocked stage reuses from block to
-    block and from call to call.
+    """Named flat buffers that a blocked stage reuses from block to block
+    and from call to call.
 
     :meth:`take` returns a view of the head of the named buffer in the
-    asked shape, and grows the buffer when it is too short; a view stays
-    valid until the next ``take`` of its name.  Reused buffers keep a
+    asked shape and dtype, and grows the buffer when it is too short; a
+    view stays valid until the next ``take`` of its name.  A name holds one
+    set of bytes whatever the dtype, so the complex64 and complex128
+    operators of a solve share the same memory.  Reused buffers keep a
     stage's large temporaries out of the allocator after its first block.
     Allocated afresh, the heap shrinks and regrows between blocks and pays
     the page faults of every regrowth again (3 us a page measured on a
@@ -221,12 +244,14 @@ class Workspace:
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, shape: tuple) -> np.ndarray:
+    def take(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+        dtype = np.dtype(dtype)
         size = math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, dtype=complex)
-        return buf[:size].reshape(shape)
+        if buf is None or buf.nbytes < size * dtype.itemsize:
+            # complex128 storage keeps every view aligned
+            buf = self._buffers[name] = np.empty(-(-size * dtype.itemsize // 16), dtype=complex)
+        return buf.view(dtype)[:size].reshape(shape)
 
 
 def _next_fast_len(n: int) -> int:
@@ -241,6 +266,11 @@ def _next_fast_len(n: int) -> int:
         if k == 1:
             return m
         m += 1
+
+
+def _complex_dtype(dtype) -> np.dtype:
+    """complex64 for float32 and complex64 data, complex128 for the rest."""
+    return np.result_type(dtype, np.complex64)
 
 
 def _dft_matrices(j: np.ndarray, xi: np.ndarray, P: int):

@@ -6,7 +6,8 @@ runs on mode-last views of the bands and inverts its 3x3 pivots in closed
 form, so it makes no LAPACK or BLAS call.  Rough surface:
 the flattening transform turns the problem into a variable-coefficient one on
 the same reference strip, applied matrix-free and solved with the module's
-own GMRES, right-preconditioned by the same block-LU.  Each application is
+own GMRES, right-preconditioned by the same block-LU, with its Arnoldi
+steps in complex64 and its residual gate in complex128.  Each application is
 one transform of the values and z-derivatives to the padded collocation
 grid by DFT-matrix products that also give the horizontal derivatives, the
 symmetric stress at the quadrature points, and the adjoint products on the
@@ -26,6 +27,7 @@ in a fixed order, so the bits depend on the mesh only.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -46,6 +48,15 @@ _GMRES_MAX_ITER = 50
 # an invariant Krylov space (a happy breakdown): exhausting the space leaves
 # 1e-30 and less, while a working step keeps 1e-4 and more.
 _BREAKDOWN = 1e-14
+# A refinement round of the rough solve runs Arnoldi on the complex64
+# operator until its estimate is this share of the round's starting residual
+# (see gmres).  At N=8, n_z=64 the complex64 matvec differs from the
+# complex128 one by 1.2e-7 of |A x| on a random x, and by 9e-5 on the smooth
+# first Krylov vector M^{-1} b, whose A x cancels; that error caps what one
+# round gains.  At 1e-5 a solve to 1e-9 takes two rounds: the seed-0
+# rough_solve ran 6 + 5 complex64 steps, its true residuals 1.2e-4, then
+# 7.3e-10.  At 1e-4 and looser, solves took three rounds; at 1e-6, a step more.
+_INNER_TOL = 1e-5
 # Bytes of one element block's stacked fields (see element_blocks).  The
 # context's workspace holds about 1.5 times this at any n_z.  Fewer elements
 # a block narrow the DFT-matrix products: at N=24, n_z=128 (2 elements a
@@ -358,13 +369,23 @@ class TransformCoefficients:
         self.x3 = np.broadcast_to(np.asarray(_x3), np.broadcast_shapes(
             np.shape(_x3), J3.shape)).copy()
 
+    def astype(self, dtype) -> "TransformCoefficients":
+        """A copy whose chain-rule fields J1, J2 and inv_det are cast to the
+        real ``dtype``, det and x3 shared; self when they have it already."""
+        if self.J1.dtype == dtype:
+            return self
+        out = copy.copy(self)
+        out.J1, out.J2, out.inv_det = (a.astype(dtype) for a in (self.J1, self.J2, self.inv_det))
+        return out
 
-def element_blocks(mesh: StripMesh) -> list[slice]:
+
+def element_blocks(mesh: StripMesh, dtype=complex) -> list[slice]:
     """The vertical elements as consecutive blocks, in order: the fewest
-    whose stacked fields, 3 x 4 complex values per quad point, take at most
-    ``_BLOCK_BYTES`` each.  Their sizes differ by at most one, the larger
-    first, so the first block sizes a :class:`Workspace` for all."""
-    per_element = 3 * 4 * mesh.P1 * mesh.P2 * mesh.zq.shape[1] * np.dtype(complex).itemsize
+    whose stacked fields, 3 x 4 values of ``dtype`` per quad point, take at
+    most ``_BLOCK_BYTES`` each.  Their sizes differ by at most one, the
+    larger first, so the first block sizes a :class:`Workspace` for all; a
+    complex64 block holds twice the elements in the same bytes."""
+    per_element = 3 * 4 * mesh.P1 * mesh.P2 * mesh.zq.shape[1] * np.dtype(dtype).itemsize
     n_blocks = -(-mesh.n_elements // max(1, _BLOCK_BYTES // per_element))
     size, larger = divmod(mesh.n_elements, n_blocks)
     ends = list(accumulate([size + 1] * larger + [size] * (n_blocks - larger), initial=0))
@@ -406,17 +427,19 @@ def physical_quad_fields(mesh: StripMesh, U: np.ndarray,
     the horizontal derivatives; the gradient is then pulled through the
     chain rule of ``coeffs`` in place.  F and the temporaries take buffers
     of ``work``, so F stays valid until the next call with the same ``work``.
+    Everything runs in the precision of U; ``coeffs`` should match it.
     """
     work = Workspace() if work is None else work
     n_e = len(range(mesh.n_elements)[elements])
-    C = work.take("modes", (3, 2) + U.shape[1:-1] + (n_e, mesh.zq.shape[1]))  # (3, 2, n1, n2, e, q)
+    C = work.take("modes", (3, 2) + U.shape[1:-1] + (n_e, mesh.zq.shape[1]),  # (3, 2, n1, n2, e, q)
+                  U.dtype)
     mesh.eval_at_quad(U, elements, out=C[:, 0])
     mesh.deriv_at_quad(U, elements, out=C[:, 1])
     F = mesh.to_physical(C, ax1=2, ax2=3, gradient=True, work=work)
     if coeffs is not None:
         # Gx[:, j] = Gy[:, j] - J_j Gx[:, 2] for j < 2, Gx[:, 2] = Gy[:, 2] / det
         F[:, 3] *= coeffs.inv_det[..., elements, :]
-        prod = work.take("scratch", F[:, 3].shape)
+        prod = work.take("scratch", F[:, 3].shape, F.dtype)
         for j, J in ((1, coeffs.J1), (2, coeffs.J2)):
             F[:, j] -= np.multiply(J[..., elements, :], F[:, 3], out=prod)
     return F
@@ -438,36 +461,45 @@ class StripOperator:
     workspace of ``ctx``, and the DtN term, mode-diagonal at the top node,
     takes its symbol.  Without a transform this action coincides with the
     assembled flat blocks to roundoff.
+
+    ``dtype`` is the complex precision of the work between the free
+    vectors, which are complex128 in and out.  At complex64 the chain-rule
+    fields, the weights and the Lame constants are cast to float32 once,
+    here, so no product mixes in a float64 operand: numpy 1.x and 2.x
+    (NEP 50) promote a float32 array times a float64 scalar differently,
+    and a silent upcast keeps the numbers but loses the speed.
     """
 
-    def __init__(self, ctx: SolverContext, coeffs: TransformCoefficients | None = None):
-        self.ctx, self.coeffs = ctx, coeffs
-        mesh, params = ctx.mesh, ctx.params
+    def __init__(self, ctx: SolverContext, coeffs: TransformCoefficients | None = None,
+                 dtype=complex):
+        self.ctx, self.dtype = ctx, np.dtype(dtype)
+        mesh, params, real = ctx.mesh, ctx.params, np.finfo(self.dtype).dtype
+        self.coeffs = coeffs if coeffs is None else coeffs.astype(real)
         # the dual of dz u is weighted by wgt / det, the plain quadrature weight
-        self._wgt = quad_weights(mesh, coeffs)
-        self._wgt_per_det = quad_weights(mesh)
-        self._mass_wgt = -(params.omega * params.omega) * self._wgt
-        self._blocks = element_blocks(mesh)
+        wgt = quad_weights(mesh, coeffs)
+        self._wgt = wgt.astype(real, copy=False)
+        self._wgt_per_det = quad_weights(mesh).astype(real, copy=False)
+        self._mass_wgt = (-(params.omega * params.omega) * wgt).astype(real, copy=False)
+        self._lam, self._mu = real.type(params.lam), real.type(params.mu)
+        self._blocks = element_blocks(mesh, self.dtype)
         n = 3 * mesh.grid.n1 * mesh.grid.n2 * (mesh.n_nodes - 1)
         self.shape = (n, n)
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         return self._matvec(vec)
 
-    def __matmul__(self, vec: np.ndarray) -> np.ndarray:
-        return self._matvec(vec)
-
     def _matvec(self, vec: np.ndarray) -> np.ndarray:
         ctx, coeffs = self.ctx, self.coeffs
-        mesh, lam, mu = ctx.mesh, ctx.params.lam, ctx.params.mu
-        U = DiscreteField.from_free_vector(np.asarray(vec).ravel(), mesh).coeff
+        mesh, lam, mu = ctx.mesh, self._lam, self._mu
+        U = np.zeros((3, mesh.grid.n1, mesh.grid.n2, mesh.n_nodes), dtype=self.dtype)
+        U[..., 1:] = np.asarray(vec).reshape(U[..., 1:].shape)
         R, work = np.zeros_like(U), ctx.work
         for b in self._blocks:
             F = physical_quad_fields(mesh, U, coeffs, b, work)
 
             # F[:, 1:] <- sigma = mu (Gx + Gx^T) + lam tr(Gx) I, in place
             G = F[:, 1:]
-            lam_tr = np.add(G[0, 0], G[1, 1], out=work.take("scratch", G[0, 0].shape))
+            lam_tr = np.add(G[0, 0], G[1, 1], out=work.take("scratch", G[0, 0].shape, G.dtype))
             lam_tr += G[2, 2]
             lam_tr *= lam
             for c in range(3):
@@ -480,7 +512,7 @@ class StripOperator:
             # weighted duals: mass in slot 0, adjoint chain rule on sigma
             F[:, 0] *= self._mass_wgt[..., b, :]
             if coeffs is not None:
-                prod = work.take("scratch", F[:, 3].shape)
+                prod = work.take("scratch", F[:, 3].shape, F.dtype)
                 for j, J in ((1, coeffs.J1), (2, coeffs.J2)):
                     F[:, 3] -= np.multiply(J[..., b, :], F[:, j], out=prod)
             F[:, 1:3] *= self._wgt[..., b, :]
@@ -493,7 +525,7 @@ class StripOperator:
         # DtN boundary term at the top node
         top = U[:, :, :, -1]
         R[:, :, :, -1] -= mesh.grid.cell_area * 1j * np.einsum("kjab,jab->kab", ctx.symbol, top)
-        return R[:, :, :, 1:].ravel()
+        return R[:, :, :, 1:].astype(complex).ravel()
 
 
 def assemble_rhs(mesh: StripMesh, source,
@@ -537,9 +569,9 @@ def assemble_rhs(mesh: StripMesh, source,
 @dataclass
 class SolveInfo:
     residual: float         # true relative residual ||b - A x|| / ||b|| of x
-    iterations: int         # Arnoldi steps; 1 for the direct solve
+    iterations: int         # Arnoldi steps summed over rounds; 1 for the direct solve
     method: str
-    history: list[float]    # relative residual per iteration, the true one last
+    history: list[float]    # per round, the estimate of each step, then the true residual
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -552,37 +584,91 @@ def _norm(a: np.ndarray) -> float:
     return float(np.sqrt(_dot(a, a).real))
 
 
-def gmres(matvec, b: np.ndarray, precond, tol: float) -> tuple[np.ndarray, SolveInfo]:
-    """Right-preconditioned GMRES for A x = b from x0 = 0, without restart.
+def gmres(matvec, b: np.ndarray, precond, tol: float,
+          residual=None) -> tuple[np.ndarray, SolveInfo]:
+    """Right-preconditioned GMRES for A x = b from x0 = 0, restarted as
+    iterative refinement.
 
-    Arnoldi on A M^{-1} (Saad, Iterative Methods for Sparse Linear Systems,
-    9.3.2) with classical Gram-Schmidt and one reorthogonalization.  Givens
-    rotations keep the Hessenberg least-squares problem triangular as it
-    grows one row and column per step, so its residual, the Arnoldi estimate
-    of ||b - A x|| / ||b||, is known at every step.  Right preconditioning
-    makes that the unpreconditioned residual.  When the estimate reaches
-    ``tol``, x = M^{-1} V y is formed and its true residual taken with one
-    matvec; that check is the gate, and if it misses, the iteration goes on
-    in the same Krylov space.  Inner products and norms are numpy sums, so
-    the result does not depend on the BLAS thread count.
+    Each round is one GMRES cycle (Saad, Iterative Methods for Sparse
+    Linear Systems, 9.3.2) for the correction A d = r of the current
+    residual r, Arnoldi on ``matvec`` M^{-1} with classical Gram-Schmidt and
+    one reorthogonalization.  Givens rotations keep the Hessenberg
+    least-squares problem triangular as it grows one row and column per
+    step, so its residual, the Arnoldi estimate, is known at every step;
+    right preconditioning makes that the unpreconditioned residual.  At the
+    end of a round x += M^{-1} V y, and one ``residual`` matvec takes the
+    true relative residual ||b - A x|| / ||b||.  That check is the gate; if
+    it misses, the next round starts from that residual.
+
+    ``residual`` is the exact operator A.  When it is given, ``matvec`` may
+    be a cheaper approximation of it, the complex64 operator of a rough
+    solve: GMRES-based iterative refinement (Carson & Higham, SIAM J. Sci.
+    Comput. 40 (2018) A817).  A round on the approximation stops when its
+    estimate reaches ``_INNER_TOL`` times the residual it started from, or
+    ``tol`` when that is larger.  A round that does not halve the true
+    residual hands the remaining rounds to ``residual``.  Without
+    ``residual`` every round runs on ``matvec`` to ``tol``.  The basis, the Gram-Schmidt sums and
+    the correction stay in the precision of b, and inner products and norms
+    are numpy sums, so the result does not depend on the BLAS thread count.
 
     A step that finds an invariant space (zero subdiagonal, to roundoff)
-    ends the iteration with the exact solution in that space.  Returns x and
-    its :class:`SolveInfo`.  Raises :class:`NonConvergenceError` with the
-    residual history after ``_GMRES_MAX_ITER`` steps, or when the space is
-    exhausted without meeting ``tol``.
+    ends its round with the exact solution in that space.  Returns x and
+    its :class:`SolveInfo`: ``iterations`` sums the Arnoldi steps of all
+    rounds, ``history`` lists each round's estimates followed by its true
+    residual.  Raises :class:`NonConvergenceError` with that history when
+    the steps reach ``_GMRES_MAX_ITER``, or when a round on the exact
+    operator exhausts its space or overflows without meeting ``tol``.
     """
     beta = _norm(b)
     if beta == 0:
         return np.zeros_like(b), SolveInfo(0.0, 0, "gmres", [0.0])
-    V = [b / beta]      # orthonormal basis of the Krylov space of A M^{-1}
+    residual = matvec if residual is None else residual
+    x, r, rel = np.zeros_like(b), b, 1.0
+    history, steps = [], 0
+    while True:
+        exact = matvec is residual
+        target = tol if exact else max(tol, _INNER_TOL * rel)
+        d, estimates, stuck = _gmres_cycle(matvec, r, precond, target * beta,
+                                           _GMRES_MAX_ITER - steps)
+        steps += len(estimates)
+        candidate = np.add(d, x, out=d)
+        r_new = b - residual(candidate)
+        rel_new = _norm(r_new) / beta
+        history += [e / beta for e in estimates] + [rel_new]
+        if rel_new <= tol:
+            return candidate, SolveInfo(rel_new, steps, "gmres", history)
+        if steps == _GMRES_MAX_ITER or (exact and stuck):
+            raise NonConvergenceError(
+                f"gmres solve failed after {steps} iterations: "
+                f"relative residual {rel_new:.3e} > {tol:.1e}",
+                residual=rel_new, history=history)
+        if not rel_new <= rel / 2:
+            matvec = residual
+        x, r, rel = candidate, r_new, rel_new
+
+
+def _gmres_cycle(matvec, r: np.ndarray, precond, target: float, max_steps: int):
+    """One GMRES cycle for A d = r from d0 = 0 (see :func:`gmres`).
+
+    Runs until the estimate of ||r - A d|| reaches ``target``, a step finds
+    an invariant space, or ``max_steps`` steps.  A matvec that is not
+    finite ends the cycle; its step counts, with the estimate inf, and d
+    comes from the steps before it.  Returns d, the estimate of every step,
+    and whether the cycle ended by breakdown or overflow.
+    """
+    r_norm = _norm(r)
+    V = [r / r_norm]    # orthonormal basis of the Krylov space of A M^{-1}
     R = []              # columns of the rotated, upper-triangular Hessenberg matrix
     rotations = []      # Givens (c, s) of each step
-    g = [beta]          # rotated beta e1; |g[-1]| is the residual norm
-    history = []
-    for k in range(_GMRES_MAX_ITER):
+    g = [r_norm]        # rotated r_norm e1; |g[-1]| is the residual norm
+    estimates, stuck = [], False
+    for k in range(max_steps):
         w = matvec(precond(V[k]))
         w_norm = _norm(w)
+        if not np.isfinite(w_norm):  # overflow: d from the steps before this one
+            estimates.append(np.inf)
+            stuck = True
+            break
         h = np.zeros(k + 2, dtype=complex)
         for _ in range(2):  # classical Gram-Schmidt, then once more
             proj = [_dot(v, w) for v in V]
@@ -596,32 +682,25 @@ def gmres(matvec, b: np.ndarray, precond, tol: float) -> tuple[np.ndarray, Solve
         h[k + 1] = h_next
         for i, (c, s) in enumerate(rotations):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], -np.conj(s) * h[i] + c * h[i + 1]
-        a, r = abs(h[k]), np.hypot(abs(h[k]), h_next)
-        c, s = (a / r, h[k] / a * h_next / r) if a > 0 else (0.0, 1.0)
+        a, rho = abs(h[k]), np.hypot(abs(h[k]), h_next)
+        c, s = (a / rho, h[k] / a * h_next / rho) if a > 0 else (0.0, 1.0)
         rotations.append((c, s))
         h[k] = c * h[k] + s * h_next
         R.append(h[:k + 1])
         g.append(-np.conj(s) * g[k])
         g[k] = c * g[k]
-        estimate = float(abs(g[k + 1]) / beta)
-        history.append(estimate)
-        stuck = breakdown or k + 1 == _GMRES_MAX_ITER or not np.isfinite(estimate)
-        if estimate <= tol or stuck:
-            y = np.zeros(k + 1, dtype=complex)
-            for i in range(k, -1, -1):  # back substitution, R[j][i] is row i of column j
-                y[i] = (g[i] - sum(R[j][i] * y[j] for j in range(i + 1, k + 1))) / R[i][i]
-            z = np.zeros_like(V[0])
-            for yi, v in zip(y, V):
-                z += yi * v
-            x = precond(z)
-            rel = _norm(b - matvec(x)) / beta
-            if rel <= tol:
-                return x, SolveInfo(rel, k + 1, "gmres", history + [rel])
-            if stuck:
-                raise NonConvergenceError(
-                    f"gmres solve failed after {k + 1} iterations: "
-                    f"relative residual {rel:.3e} > {tol:.1e}",
-                    residual=rel, history=history + [rel])
+        estimates.append(float(abs(g[k + 1])))
+        stuck = breakdown
+        if estimates[-1] <= target or stuck:
+            break
+    n = len(R)
+    y = np.zeros(n, dtype=complex)
+    for i in range(n - 1, -1, -1):  # back substitution, R[j][i] is row i of column j
+        y[i] = (g[i] - sum(R[j][i] * y[j] for j in range(i + 1, n))) / R[i][i]
+    z = np.zeros_like(V[0])
+    for yi, v in zip(y, V):
+        z += yi * v
+    return precond(z), estimates, stuck
 
 
 class SolverContext:
@@ -656,7 +735,8 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     """Solve the variational system with the block-LU of the flat operator
     of ``ctx``: directly without a transform, as the right preconditioner
     of :func:`gmres` with one.  The direct path checks its residual with
-    the bands, GMRES with the matrix-free operator.
+    the bands.  GMRES runs its Arnoldi steps on the complex64 operator and
+    checks every round's residual with the complex128 one.
 
     Raises :class:`NonConvergenceError` when the relative residual of the
     result exceeds ``tol`` on either path, or when the block-LU meets a
@@ -672,7 +752,8 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
                 residual=rel, history=[rel])
         info = SolveInfo(rel, 1, "direct", [rel])
     else:
-        x, info = gmres(StripOperator(ctx, coeffs).matvec, rhs, ctx.solve, tol)
+        x, info = gmres(StripOperator(ctx, coeffs, np.complex64).matvec, rhs, ctx.solve, tol,
+                        residual=StripOperator(ctx, coeffs).matvec)
     return DiscreteField.from_free_vector(x, ctx.mesh), info
 
 

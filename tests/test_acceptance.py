@@ -24,6 +24,8 @@ from flat_oracles import coercivity_probe, flat_mode_oracle
 from mode_oracles import mode_traction
 
 CELL = (2 * np.pi, 2 * np.pi)
+# np.trapezoid is numpy >= 2.0; on the numpy 1.24 that pyproject allows it is np.trapz
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 # nine deterministic configurations: flat reference plus eight perturbations
 PERTURBATIONS = [
@@ -146,8 +148,8 @@ def test_03_flat_solver_vs_brute_force_oracle():
         for jj, (zf, U) in oracles.items():
             i1, i2 = j1.index(jj[0]), j2.index(jj[1])
             prof = field.modes_at_z(zf)[:, i1, i2, :]
-            num += np.trapezoid(np.sum(np.abs(prof - U) ** 2, 0), zf)
-            den += np.trapezoid(np.sum(np.abs(U) ** 2, 0), zf)
+            num += _trapezoid(np.sum(np.abs(prof - U) ** 2, 0), zf)
+            den += _trapezoid(np.sum(np.abs(U) ** 2, 0), zf)
         errs.append(float(np.sqrt(num / den)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9

@@ -16,7 +16,7 @@ from elastrip.harness import (
     pushforward_check,
     solve_surface,
 )
-from elastrip.mesh import StripMesh
+from elastrip.mesh import StripMesh, Workspace
 from elastrip.solver import DiscreteField, SolverContext, block_lu_solver, energy_balance
 
 BASE = {
@@ -271,27 +271,38 @@ def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch):
 
 
 def test_a_failed_sample_leaves_nothing_in_the_shared_workspace(monkeypatch):
-    """A sample that fails after three matvecs on scaled vectors leaves the
-    ensemble's workspace dirty; the next sample's row keeps the bits of a
-    clean run, so no stage reads a workspace buffer before writing it.  The
-    elements are split into uneven blocks, as on large meshes."""
+    """A sample that fails after three matvecs on scaled vectors in each
+    precision leaves the ensemble's workspace dirty, its buffers last
+    written as complex64 and as complex128 views; the next sample's row
+    keeps the bits of a clean run, so no stage reads a workspace buffer
+    before writing it.  The elements are split into uneven blocks, as on
+    large meshes."""
     cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3})
     mesh = build_setup(cfg)[3]
     monkeypatch.setattr(solver, "_BLOCK_BYTES", 3 * 4 * mesh.P1 * mesh.P2 * 2 * 16 * 3 + 1)
     assert [b.stop - b.start for b in solver.element_blocks(mesh)] == [3, 3, 3, 3, 2, 2]
     clean = monte_carlo(cfg, n=3, seed=4)
     real = solver.gmres
-    calls = []
+    calls, dtypes = [], []
+    take = Workspace.take
 
-    def fails_second(matvec, b, precond, tol):
+    def spied_take(self, name, shape, dtype=complex):
+        dtypes.append(np.dtype(dtype))
+        return take(self, name, shape, dtype)
+
+    def fails_second(matvec, b, precond, tol, residual):
         calls.append(1)
         if len(calls) == 2:
-            for scale in (1e6, -3.0, 1e-6j):
-                matvec(scale * b)
-            raise NonConvergenceError("failed after 3 matvecs")
-        return real(matvec, b, precond, tol)
+            for operator, dtype in ((residual, np.complex128), (matvec, np.complex64)):
+                dtypes.clear()
+                for scale in (1e6, -3.0, 1e-6j):
+                    operator(scale * b)
+                assert set(dtypes) == {np.dtype(dtype)}
+            raise NonConvergenceError("failed after 3 matvecs in each precision")
+        return real(matvec, b, precond, tol, residual=residual)
 
     monkeypatch.setattr(solver, "gmres", fails_second)
+    monkeypatch.setattr(Workspace, "take", spied_take)
     rep = monte_carlo(cfg, n=3, seed=4)
     assert [f["sample_id"] for f in rep.failures] == [1] and len(calls) == 3
     assert clean.n_completed == 3

@@ -216,3 +216,28 @@ def test_symbol_suite_runs_clean():
     rep = verify_symbol_suite(seed=3, n_materials=3, n_xi=500)
     assert rep["n_violations"] == 0
     assert rep["n_checks"] == 12
+
+
+def test_mode_indices_are_built_once_per_grid(monkeypatch):
+    """A flat run builds the FFT-order indices of its one grid once, two
+    fftfreq calls, however often the frequencies are asked for; the arrays
+    are read-only and equal fftfreq's."""
+    from elastrip import harness
+    from elastrip.config import from_dict
+
+    fftfreq, calls = np.fft.fftfreq, []
+
+    def counted(n, d=1.0):
+        calls.append(n)
+        return fftfreq(n, d)
+
+    monkeypatch.setattr(np.fft, "fftfreq", counted)
+    harness.deterministic_run(from_dict({"surface": {"delta": 0.25},
+                                         "discretization": {"N1": 2, "N2": 3, "n_z": 8}}))
+    assert calls == [5, 7]
+    grid = SpectralGrid(N1=1, N2=2, cell=CELL)
+    j1, j2 = grid.mode_indices()
+    assert grid.mode_indices()[0] is j1
+    assert j1.tolist() == [0, 1, -1] and j2.tolist() == [0, 1, 2, -2, -1]
+    with pytest.raises(ValueError):
+        j1[0] = 5

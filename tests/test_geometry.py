@@ -6,8 +6,9 @@ import pytest
 from elastrip.dtn import SpectralGrid
 from elastrip.errors import ConstraintError, SingularTransformError
 from elastrip.geometry import (CoefficientLaw, CutoffFn, HarmonicTerm,
-                               SourceSpec, SurfaceProfile, invert_vertical,
-                               make_profile, sample_ensemble, transform_fields)
+                               SourceSpec, SurfaceProfile, _distance_1inf, _series_grid,
+                               invert_vertical, make_profile, sample_ensemble,
+                               transform_fields)
 from elastrip.mesh import StripMesh
 from elastrip.params import StripGeometry
 from elastrip.solver import TransformCoefficients
@@ -172,6 +173,25 @@ def test_ensemble_draws_are_pinned(M0):
                           [(f.component, f.j1, f.j2, f.amplitude, f.phase) for f in src.factors],
                           float(src.z0), float(src.sigma)))
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == ENSEMBLE_DIGESTS[M0]
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.07, -0.13])
+def test_distance_to_a_flat_f0_needs_no_f0_grid(offset):
+    """Against flat f0 = c the candidate's own grid gives the distance with
+    the bits of the comparison against f0's 256^2 grid."""
+    rng = np.random.default_rng(3)
+    law = ((1, 0, 0.05), (0, 1, 0.05), (1, 1, 0.03), (2, 1, 0.02))
+    f0_grid = flat(offset)._grid_fields()
+    for _ in range(20):
+        terms = [HarmonicTerm(j1, j2, *rng.uniform(-a, a, size=2)) for j1, j2, a in law]
+        grid = _series_grid(offset, terms, CELL)
+        assert _distance_1inf(grid, (offset, 0.0, 0.0)) == _distance_1inf(grid, f0_grid)
+
+
+def test_ensemble_needs_a_flat_reference():
+    law = CoefficientLaw(bands=((1, 0, 0.04),))
+    with pytest.raises(ConstraintError, match="flat"):
+        sample_ensemble(0, 1, 0.3, law, GEOM, wavy())
 
 
 def test_law_worst_case_dominates_samples():

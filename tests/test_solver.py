@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import elastrip
 from elastrip import harness, solver
+from elastrip.config import from_dict
 from elastrip.dtn import SpectralGrid, dtn_symbol_grid
 from elastrip.errors import ConstraintError, NonConvergenceError, SingularTransformError
 from elastrip.geometry import CutoffFn, SurfaceProfile, make_profile
@@ -62,7 +63,7 @@ def test_operator_matches_flat_blocks():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(3 * g.n1 * g.n2 * nfree) + \
         1j * rng.standard_normal(3 * g.n1 * g.n2 * nfree)
-    direct = op @ v
+    direct = op.matvec(v)
     V = v.reshape(3, g.n1, g.n2, nfree)
     ref = np.empty_like(V)
     for i1 in range(g.n1):
@@ -78,7 +79,7 @@ def test_operator_matches_flat_blocks():
                       min_size=1, max_size=3),
        N=st.integers(1, 2), nz=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_rough_operator_matches_its_form(mu, lam_frac, omega, terms, N, nz, seed):
-    """vdot(y, op @ x) = B(u_x, u_y), the curl-form density at the quad points."""
+    """vdot(y, op.matvec(x)) = B(u_x, u_y), the curl-form density at the quad points."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = flat_mesh(N=N, nz=nz)
     coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM),
@@ -103,7 +104,7 @@ def test_rough_operator_matches_its_form(mu, lam_frac, omega, terms, N, nz, seed
     top_x, top_y = fx.coeff[..., -1], fy.coeff[..., -1]
     dtn = 1j * mesh.grid.cell_area * np.einsum("kab,kjab,jab->", np.conj(top_y), Msym, top_x)
     form = np.sum(quad_weights(mesh, coeffs) * density) - dtn
-    Ax = op @ x
+    Ax = op.matvec(x)
     assert abs(np.vdot(y, Ax) - form) <= 1e-10 * np.linalg.norm(y) * np.linalg.norm(Ax)
 
 
@@ -120,7 +121,7 @@ def test_rough_matvec_transforms_once(monkeypatch):
             calls[_name] += 1
             return _fn(self, *args, **kwargs)
         monkeypatch.setattr(StripMesh, name, counted)
-    op @ np.ones(op.shape[0], dtype=complex)
+    op.matvec(np.ones(op.shape[0], dtype=complex))
     assert calls == {"to_physical": 1, "to_modes_adjoint": 1}
 
 
@@ -146,7 +147,7 @@ def test_element_blocks_do_not_change_results(monkeypatch):
 
     def stages():
         ctx = SolverContext(mesh, P)
-        return [StripOperator(ctx, coeffs) @ x,
+        return [StripOperator(ctx, coeffs).matvec(x),
                 np.array(harness.field_physical_norms(field, coeffs, ctx.work)),
                 np.array(harness.source_norms(src, mesh, coeffs, physical=True)),
                 assemble_rhs(mesh, src, coeffs, physical=True)]
@@ -171,7 +172,7 @@ def test_blocked_stages_hold_a_bounded_working_set():
         x = np.ones(op.shape[0], dtype=complex)
         field = DiscreteField.from_free_vector(x, mesh)
         row = []
-        for stage in (lambda: op @ x,
+        for stage in (lambda: op.matvec(x),
                       lambda: harness.field_physical_norms(field, coeffs, Workspace())):
             tracemalloc.start()
             try:
@@ -252,7 +253,7 @@ def test_banded_matvec_matches_dense_and_operator(N1, N2, nz, seed):
     X = np.moveaxis(x.reshape(3, n1, n2, nz), 0, 2).reshape(n1, n2, n, 1)
     ref = np.moveaxis((blocks @ X).reshape(n1, n2, 3, nz), 2, 0).ravel()
     assert np.linalg.norm(y - ref) <= 1e-11 * np.linalg.norm(ref)
-    assert np.linalg.norm(y - op @ x) <= 1e-11 * np.linalg.norm(y)
+    assert np.linalg.norm(y - op.matvec(x)) <= 1e-11 * np.linalg.norm(y)
 
 
 def test_direct_solve_builds_no_operator(monkeypatch):
@@ -285,7 +286,7 @@ def test_block_lu_matches_dense_solve(mu, lam_frac, omega, depth, cell, N, nz, s
     R = np.moveaxis(rhs.reshape(3, n1, n2, nz), 0, 2).reshape(n1, n2, n, 1)
     ref = np.moveaxis(np.linalg.solve(blocks, R).reshape(n1, n2, 3, nz), 2, 0).ravel()
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
-    assert np.linalg.norm(op @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert np.linalg.norm(op.matvec(x) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -668,11 +669,12 @@ def rough_system(N=2, nz=16):
 
 
 def count_matvecs(monkeypatch):
+    """The precision of every matvec, in call order."""
     calls = []
     matvec = StripOperator._matvec
 
     def counted(self, v):
-        calls.append(1)
+        calls.append(self.dtype)
         return matvec(self, v)
 
     monkeypatch.setattr(StripOperator, "_matvec", counted)
@@ -680,17 +682,29 @@ def count_matvecs(monkeypatch):
 
 
 def test_gmres_history_ends_with_true_residual(monkeypatch):
-    """One matvec per Arnoldi step plus the final check, whose residual ends the history."""
+    """Each refinement round is complex64 Arnoldi steps, then one complex128
+    true residual; the history lists the same sequence, so the last round's
+    true residual ends it, and a fresh complex128 residual repeats it."""
     mesh, rhs, coeffs = rough_system()
     calls = count_matvecs(monkeypatch)
     ctx = SolverContext(mesh, P)
     field, info = solve_field(ctx, rhs, coeffs)
-    assert info.method == "gmres" and len(calls) == info.iterations + 1
-    assert len(info.history) == info.iterations + 1
-    assert info.history[-1] == info.residual <= 1e-9 < info.history[-3]
-    assert info.history[-2] <= 1e-9
-    true = np.linalg.norm(StripOperator(ctx, coeffs) @ field.free_vector() - rhs)
-    assert true / np.linalg.norm(rhs) == pytest.approx(info.residual, rel=1e-6)
+    rounds = calls.count(np.complex128)
+    assert info.method == "gmres" and rounds >= 2 and calls[-1] == np.complex128
+    assert calls.count(np.complex64) == info.iterations
+    assert len(calls) == len(info.history) == info.iterations + rounds
+    true = [h for h, dtype in zip(info.history, calls) if dtype == np.complex128]
+    assert true[-1] == info.history[-1] == info.residual <= 1e-9 < true[-2]
+    assert all(later <= earlier / 2 for earlier, later in zip(true, true[1:]))
+    # a round stops at its first estimate within 1e-5 of the residual it started from (or tol)
+    ends = [i for i, dtype in enumerate(calls) if dtype == np.complex128]
+    for start, first, end in zip([1.0] + true, [0] + [i + 1 for i in ends], ends):
+        estimates = info.history[first:end]
+        target = max(1e-9, solver._INNER_TOL * start)
+        assert estimates[-1] <= target < min(estimates[:-1], default=np.inf)
+    x = field.free_vector()
+    fresh = solver._norm(rhs - StripOperator(ctx, coeffs).matvec(x)) / solver._norm(rhs)
+    assert fresh == info.residual
     _, direct = solve_field(ctx, assemble_rhs(mesh, bump()))
     assert direct.history == [direct.residual] and direct.iterations == 1
 
@@ -704,13 +718,129 @@ def test_gmres_zero_source_needs_no_matvec(monkeypatch):
 
 
 def test_gmres_raises_at_the_iteration_cap(monkeypatch):
-    """Past the cap the error carries the estimates and the true residual."""
+    """The cap counts the Arnoldi steps of all rounds: two steps past the
+    first round, the error carries both rounds' estimates and true residuals."""
     mesh, rhs, coeffs = rough_system()
-    monkeypatch.setattr(solver, "_GMRES_MAX_ITER", 2)
+    calls = count_matvecs(monkeypatch)
+    solve_field(SolverContext(mesh, P), rhs, coeffs)
+    cap = calls.index(np.complex128) + 2
+    calls.clear()
+    monkeypatch.setattr(solver, "_GMRES_MAX_ITER", cap)
     with pytest.raises(NonConvergenceError) as err:
         solve_field(SolverContext(mesh, P), rhs, coeffs)
     history = err.value.history
-    assert len(history) == 3 and history[-1] == err.value.residual > 1e-9
+    assert calls.count(np.complex64) == cap and calls.count(np.complex128) == 2
+    assert len(history) == cap + 2 and history[-1] == err.value.residual > 1e-9
+    first_round_residual = history[cap - 2]
+    assert first_round_residual < 1e-3 and f"after {cap} iterations" in str(err.value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       N=st.integers(1, 3), nz=st.integers(1, 12),
+       terms=st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2),
+                                st.floats(-0.06, 0.06), st.floats(-0.06, 0.06)),
+                      min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_complex64_operator_matches_complex128(mu, lam_frac, omega, N, nz, terms, seed):
+    """On random materials and surfaces in the slab (|J3| < 0.3 / 0.75 < 1)
+    the complex64 operator agrees with the complex128 one to 1e-6 relative,
+    takes and returns complex128 vectors, and transforms in complex64 both
+    ways: an upcast inside would keep these numbers but lose the speed."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    mesh = flat_mesh(N=N, nz=nz)
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM),
+                                   make_profile(0.0, terms, GEOM), CutoffFn(0.25, 1.0))
+    ctx = SolverContext(mesh, params)
+    rng = np.random.default_rng(seed)
+    n = 3 * mesh.grid.n1 * mesh.grid.n2 * nz
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    exact = StripOperator(ctx, coeffs).matvec(x)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("to_physical", "to_modes_adjoint"):
+            def spied(self, C, *args, _name=name, _fn=getattr(StripMesh, name), **kwargs):
+                out = _fn(self, C, *args, **kwargs)
+                seen.append((_name, C.dtype, out.dtype))
+                return out
+            mp.setattr(StripMesh, name, spied)
+        fast = StripOperator(ctx, coeffs, np.complex64).matvec(x)
+    assert fast.dtype == np.complex128
+    assert np.linalg.norm(fast - exact) <= 1e-6 * np.linalg.norm(exact)
+    assert {name for name, _, _ in seen} == {"to_physical", "to_modes_adjoint"}
+    assert all(i == o == np.complex64 for _, i, o in seen), seen
+
+
+def _wrong_complex64(wrong):
+    """StripOperator._matvec with the complex64 operator replaced by ``wrong``."""
+    matvec = StripOperator._matvec
+
+    def patched(self, v):
+        exact = matvec(self, v)
+        return wrong(exact) if self.dtype == np.complex64 else exact
+
+    return patched
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("negated", lambda y: -y),
+    ("not finite", lambda y: np.full_like(y, np.nan)),
+    ("scaled by 1e-12", lambda y: 1e-12 * y),
+    ("off by 50 %", lambda y: 1.5 * y),
+])
+def test_a_wrong_complex64_operator_cannot_pass_the_gate(monkeypatch, name, wrong):
+    """Whatever the complex64 operator returns, the solve either meets tol
+    by the complex128 true residual, through the complex128 fallback when
+    a round fails to halve the residual, or raises at the step cap with
+    its history.  A negated, NaN or scaled-down operator makes no progress
+    and falls back; after the scaled one's 1e12-fold correction the
+    complex128 rounds restart from the true residual until x is back.  One
+    off by 50 % gains 3x a round and runs into the cap."""
+    mesh, rhs, coeffs = rough_system()
+    calls = count_matvecs(monkeypatch)
+    monkeypatch.setattr(StripOperator, "_matvec", _wrong_complex64(wrong))
+    calls.clear()
+    ctx = SolverContext(mesh, P)
+    try:
+        field, info = solve_field(ctx, rhs, coeffs)
+    except NonConvergenceError as err:
+        assert name == "off by 50 %"
+        assert len(err.history) - calls.count(np.complex128) == solver._GMRES_MAX_ITER
+        assert err.history[-1] == err.residual > 1e-9
+        return
+    assert name != "off by 50 %"
+    x = field.free_vector()
+    fresh = solver._norm(rhs - StripOperator(ctx, coeffs).matvec(x)) / solver._norm(rhs)
+    assert fresh == info.residual == info.history[-1] <= 1e-9
+    exact_rounds = len(info.history) - info.iterations
+    assert calls.count(np.complex128) > exact_rounds  # Arnoldi steps ran in complex128
+    direct, _ = gmres(StripOperator(ctx, coeffs).matvec, rhs, ctx.solve, 1e-9)
+    assert np.linalg.norm(x - direct) <= 1e-6 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("physics", [{"mu": 0.2, "omega": 5.0},
+                                     {"mu": 1.0, "omega": 1.0}])  # |xi| = k_s at (1, 0)
+def test_refined_solve_matches_a_complex128_solve(monkeypatch, physics):
+    """u_vh of the mixed-precision solve equals that of a GMRES solve all in
+    complex128 to 1e-8 relative, near a resonance of the clamped strip
+    (mu = 0.2, omega = 5) and on the Rayleigh-Wood anomaly of the default
+    material, where modes (+-1, 0) and (0, +-1) lie on the k_s circle."""
+    cfg = from_dict({"physics": physics,
+                     "surface": {"terms": [[1, 0, 0.06, 0.0], [0, 1, 0.0, 0.04]],
+                                 "delta": 0.25},
+                     "discretization": {"N1": 2, "N2": 2, "n_z": 16}})
+    calls = count_matvecs(monkeypatch)
+    refined, _ = harness.deterministic_run(cfg)
+    assert np.complex64 in calls
+    calls.clear()
+    real = solver.gmres
+    monkeypatch.setattr(solver, "gmres", lambda matvec, b, precond, tol, residual:
+                        real(residual, b, precond, tol))
+    plain, _ = harness.deterministic_run(cfg)
+    assert set(calls) == {np.dtype(np.complex128)}
+    for report in (refined, plain):
+        assert report.diagnostics["solve_residual"] <= 1e-9
+    assert refined.u_vh == pytest.approx(plain.u_vh, rel=1e-8)
 
 
 def test_gmres_happy_breakdown_is_exact():
