@@ -38,7 +38,9 @@ class SurfaceProfile:
     """Periodized Lipschitz graph built from a finite trigonometric series.
 
     ``grid`` passes in :meth:`_grid_fields` when the caller has evaluated it
-    already; the bounds are taken from it and it is not kept.
+    already; the bounds are taken from it and it is not kept.  A flat
+    profile needs no grid: f_min = f_max = offset and L = 0 are the values
+    its grid gives.
     """
 
     offset: float
@@ -51,6 +53,10 @@ class SurfaceProfile:
 
     def __post_init__(self, grid):
         self.terms = tuple(self.terms)
+        if grid is None and self.is_flat():
+            self.f_min = self.f_max = float(self.offset)
+            self.L = 0.0
+            return
         f, g1, g2 = self._grid_fields() if grid is None else grid
         self.f_min = float(f.min())
         self.f_max = float(f.max())
@@ -78,15 +84,25 @@ class SurfaceProfile:
         return _distance_1inf(self._grid_fields(n), other._grid_fields(n))
 
 
-def _series_fields(offset, terms, cell, x1, x2):
-    """(f, df/dx1, df/dx2) of a series at the points, from one cos and one sin per term."""
+def _harmonic(j1: int, j2: int, cell, x1, x2):
+    """(cos, sin) of the phase 2 pi (j1 x1 / Lambda1 + j2 x2 / Lambda2) at the points."""
+    ph = 2 * np.pi * (j1 * np.asarray(x1) / cell[0] + j2 * np.asarray(x2) / cell[1])
+    return np.cos(ph), np.sin(ph)
+
+
+def _series_fields(offset, terms, cell, x1, x2, harmonics=None):
+    """(f, df/dx1, df/dx2) of a series at the points, from one cos and one sin per term.
+
+    ``harmonics`` passes in each term's :func:`_harmonic` at the points
+    when the caller has evaluated them already.
+    """
     shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+    if harmonics is None:
+        harmonics = (_harmonic(t.j1, t.j2, cell, x1, x2) for t in terms)
     f = np.full(shape, offset, dtype=float)
     g1 = np.zeros(shape)
     g2 = np.zeros(shape)
-    for t in terms:
-        ph = 2 * np.pi * (t.j1 * np.asarray(x1) / cell[0] + t.j2 * np.asarray(x2) / cell[1])
-        cos, sin = np.cos(ph), np.sin(ph)
+    for t, (cos, sin) in zip(terms, harmonics):
         f = f + t.c * cos + t.s * sin
         d = -t.c * sin + t.s * cos
         g1 = g1 + d * 2 * np.pi * t.j1 / cell[0]
@@ -94,11 +110,14 @@ def _series_fields(offset, terms, cell, x1, x2):
     return f, g1, g2
 
 
+def _grid_points(cell, n: int = 256):
+    """The n x n evaluation grid of the cell, (X1, X2) indexed [i1, i2]."""
+    return np.meshgrid(cell[0] * np.arange(n) / n, cell[1] * np.arange(n) / n, indexing="ij")
+
+
 def _series_grid(offset, terms, cell, n: int = 256):
     """:func:`_series_fields` on the n x n evaluation grid of the cell."""
-    x1 = cell[0] * np.arange(n) / n
-    x2 = cell[1] * np.arange(n) / n
-    return _series_fields(offset, terms, cell, *np.meshgrid(x1, x2, indexing="ij"))
+    return _series_fields(offset, terms, cell, *_grid_points(cell, n))
 
 
 def _distance_1inf(a, b) -> float:
@@ -244,7 +263,9 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
     The reference surface f0 must be flat, f0 = c, so the distance
     ||f - f0||_{1,inf} of a candidate is sup|f - c| + sup|grad f| on its
     own evaluation grid: the same bits as against f0's grid, since
-    f - c and grad f - 0 are exact there.
+    f - c and grad f - 0 are exact there.  Every candidate has one term
+    per law band, so the cos and sin grids of each band are evaluated once
+    per ensemble and each candidate only sums them with its amplitudes.
     """
     from .sources import BumpSource  # local import to avoid a cycle
 
@@ -252,6 +273,8 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
         raise ConstraintError("ensemble size must be positive")
     if not f0.is_flat():
         raise ConstraintError("the ensemble's reference surface f0 must be flat")
+    points = _grid_points(geom.cell)
+    harmonics = [_harmonic(j1, j2, geom.cell, *points) for j1, j2, _ in law.bands]
     samples = []
     for sample_id in range(n):
         rng = _sample_rng(seed, sample_id)
@@ -261,8 +284,8 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
             for j1, j2, amp in law.bands:
                 c, s = rng.uniform(-amp, amp, size=2)
                 terms.append(HarmonicTerm(j1, j2, c, s))
-            # one grid evaluation per candidate: its bounds and its distance to f0
-            grid = _series_grid(f0.offset, terms, geom.cell)
+            # one sum of the band grids per candidate: its bounds and its distance to f0
+            grid = _series_fields(f0.offset, terms, geom.cell, *points, harmonics)
             cand = SurfaceProfile(offset=f0.offset, terms=tuple(terms), cell=geom.cell, grid=grid)
             in_slab = geom.m < cand.f_min and cand.f_max < geom.M_sup
             if in_slab and _distance_1inf(grid, (f0.offset, 0.0, 0.0)) <= M0:

@@ -1,9 +1,12 @@
 """Galerkin discretization and solution of the strip variational problem.
 
 Flat reference surface: Fourier modes decouple, each mode is a 3x3-block
-tridiagonal 1D system solved directly by one batched block-LU.  The block-LU
-runs on mode-last views of the bands and inverts its 3x3 pivots in closed
-form, so it makes no LAPACK or BLAS call.  Rough surface:
+tridiagonal 1D system solved directly by one batched block-LU.  The modes
+(+-j1, +-j2) share one matrix up to the signs of the u1 and u2 rows and
+columns, so the bands are stored and factored once per mirror class
+(|j1|, |j2|).  The block-LU runs on class-last views of the bands and
+inverts its 3x3 pivots in closed form, so it makes no LAPACK or BLAS call.
+Rough surface:
 the flattening transform turns the problem into a variable-coefficient one on
 the same reference strip, applied matrix-free and solved with the module's
 own GMRES, right-preconditioned by the same block-LU, with its Arnoldi
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -164,17 +167,17 @@ class DiscreteField:
 # per-mode coefficient matrices of the flat sesquilinear form
 # ---------------------------------------------------------------------------
 
-def _mode_density(grid: SpectralGrid, grad: float, div: float, curl: float,
+def _mode_density(XI1: np.ndarray, XI2: np.ndarray, grad: float, div: float, curl: float,
                   mass: float) -> np.ndarray:
-    """Density matrix K[a,k,b,j] of a flat integrand per lattice mode.
+    """Density matrix K[a,k,b,j, m1, m2] of a flat integrand at the
+    frequencies XI1[m1, 1] x XI2[1, m2].
 
     a/b index (value, z-derivative) of test/trial, k/j the vector component.
     The integrand is grad grad:grad + div div div + curl curl.curl + mass u.v,
     with horizontal derivatives i*xi; the elastic form takes (2 mu, lam, -mu,
     -w^2), the energy norm (1, 0, 0, 1).
     """
-    XI1, XI2, _ = grid.frequency_mesh()
-    n1, n2 = grid.n1, grid.n2
+    n1, n2 = np.broadcast_shapes(np.shape(XI1), np.shape(XI2))
     G = np.zeros((2, 3, 3, 3, n1, n2), dtype=complex)  # [a, j, comp, dim, m1, m2]
     U = np.zeros((2, 3, 3), dtype=complex)
     for j in range(3):
@@ -229,31 +232,123 @@ def _assemble_bands(mesh: StripMesh, K: np.ndarray) -> np.ndarray:
     return bands.transpose(0, 4, 5, 1, 2, 3)
 
 
-def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams) -> np.ndarray:
-    """Flat per-mode operator as bands: shape (3, n1, n2, n_z, 3, 3).
+def _class_frequencies(grid: SpectralGrid):
+    """XI1[c1, 1], XI2[1, c2] of the mirror classes c = 0..N: the first
+    N + 1 frequencies in FFT order, which starts 0, 1, ..., N."""
+    XI1, XI2, _ = grid.frequency_mesh()
+    return XI1[:grid.N1 + 1], XI2[:, :grid.N2 + 1]
 
-    bands[d, m1, m2, i] is the lower (d=0), diagonal (1) or upper (2) 3x3
-    block of free node i in the 1D Galerkin matrix of mode (m1, m2),
-    including the DtN boundary term on the top diagonal block.
+
+def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams) -> np.ndarray:
+    """Flat operator as bands, one per mirror class: shape (3, N1 + 1, N2 + 1, n_z, 3, 3).
+
+    bands[d, c1, c2, i] is the lower (d=0), diagonal (1) or upper (2) 3x3
+    block of free node i in the 1D Galerkin matrix of mode (c1, c2),
+    including the DtN boundary term on the top diagonal block.  The
+    isotropic Navier operator and the half-space DtN map are unchanged by
+    the reflections x1 -> -x1 and x2 -> -x2, so mode (s1 c1, s2 c2), s = +-1,
+    has the matrix S A S of its class (c1, c2), S = diag(s1, s2, 1): the
+    u1 rows and columns change sign with s1, the u2 ones with s2.  A sign
+    flip is exact, so those are the bits an assembly of every mode gives.
+    Only the (N1 + 1)(N2 + 1) classes, the non-negative FFT half of the
+    frequencies, are assembled; :func:`block_lu_solver` and
+    :func:`banded_matvec` apply the signs.
     """
     g = mesh.grid
     lam, mu, w = params.lam, params.mu, params.omega
-    bands = _assemble_bands(mesh, _mode_density(g, 2 * mu, lam, -mu, -w * w))
-    XI1, XI2, _ = g.frequency_mesh()
-    Msym = dtn_symbol_grid(XI1, XI2, params)  # [k, j, m1, m2]
+    XI1, XI2 = _class_frequencies(g)
+    bands = _assemble_bands(mesh, _mode_density(XI1, XI2, 2 * mu, lam, -mu, -w * w))
+    Msym = dtn_symbol_grid(XI1, XI2, params)  # [k, j, c1, c2]
     bands[1, :, :, -1] -= 1j * g.cell_area * np.moveaxis(Msym, (0, 1), (2, 3))
     return bands
 
 
+# The sign slots of a mirror class (c1, c2): modes (c1, c2), (c1, -c2),
+# (-c1, -c2), (-c1, c2).  u1 changes sign in slots 2:4, u2 in slots 1:3.
+_SLOT_SIGNS = ((1, 1), (1, -1), (-1, -1), (-1, 1))
+
+
+@lru_cache(maxsize=4)
+def _mirror_maps(N1: int, N2: int, nz: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index maps between free vectors and the class layout of the flat solves.
+
+    Returns (gather, scatter) for :func:`_to_classes` and
+    :func:`_from_classes`.  The class layout is [i, k, slot, class]: i runs
+    over the free nodes top-down, class c1 (N2 + 1) + c2 is (|j1|, |j2|),
+    and the slots hold the modes of ``_SLOT_SIGNS``.  A slot of c = 0 with
+    the minus sign holds the mode itself again.  ``gather`` is the
+    free-vector position of every class-layout entry, ``scatter`` the
+    class-layout position of every free-vector entry.  The arrays are
+    read-only and shared between calls.
+    """
+    n1, n2, n_cls = 2 * N1 + 1, 2 * N2 + 1, (N1 + 1) * (N2 + 1)
+    c1, c2, k = np.arange(N1 + 1), np.arange(N2 + 1), np.arange(3)
+    mode = np.stack([((s1 * c1) % n1)[:, None] * n2 + ((s2 * c2) % n2)[None, :]
+                     for s1, s2 in _SLOT_SIGNS]).reshape(4, n_cls)  # FFT order, [slot, class]
+    flip_nodes = np.arange(nz)[::-1]  # free node of layout node i, and layout node of free node
+    gather = (k[:, None, None] * (n1 * n2) + mode) * nz + flip_nodes[:, None, None, None]
+    j1, j2 = ((np.arange(n) + N) % n - N for n, N in ((n1, N1), (n2, N2)))  # FFT order
+    minus1, minus2 = (j1 < 0)[:, None], (j2 < 0)[None, :]
+    slot = np.where(minus1, np.where(minus2, 2, 3), np.where(minus2, 1, 0))  # see _SLOT_SIGNS
+    cls = abs(j1)[:, None] * (N2 + 1) + abs(j2)[None, :]
+    scatter = (((flip_nodes * 3 + k[:, None, None, None]) * 4 + slot[..., None]) * n_cls
+               + cls[..., None]).ravel()
+    for arr in (gather, scatter):
+        arr.flags.writeable = False
+    return gather, scatter
+
+
+def _flip(y: np.ndarray) -> np.ndarray:
+    """Negate u1 and u2 of y[i, k, slot, class] in place where the slot's
+    sign is -1, on the float view: exact, zeros included."""
+    f = y.view(float)
+    f[:, 0, 2:] *= -1.0
+    f[:, 1, 1:3] *= -1.0
+    return y
+
+
+def _to_classes(v: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """Free vector v in the class layout of :func:`_mirror_maps`, each slot
+    turned into the image of its class by :func:`_flip`; one gather."""
+    return _flip(np.asarray(v, dtype=complex)[gather])
+
+
+def _from_classes(y: np.ndarray, scatter: np.ndarray) -> np.ndarray:
+    """The free vector of class-layout y, whose slots :func:`_flip` turns
+    back into their modes in place; one gather."""
+    return _flip(y).ravel()[scatter]
+
+
+def _class_views(bands: np.ndarray):
+    """Views [i, k, j, class] of the three bands of :func:`assemble_flat_blocks`,
+    nodes top-down, reshaped and transposed without a copy.  Node i is free
+    node nz - 1 - i, so the returned blocks couple node i to i + 1 (the
+    bands' lower blocks), to itself and to i - 1 (upper)."""
+    _, c1n, c2n, nz = bands.shape[:4]
+    return bands.reshape(3, c1n * c2n, nz, 3, 3)[:, :, ::-1].transpose(0, 2, 3, 4, 1)
+
+
 def banded_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The bands' operator on a free vector: (A v)_i = L_i v_{i-1} + D_i v_i + U_i v_{i+1}."""
-    lower, diag, upper = np.moveaxis(bands, 3, 1)  # each [i, m1, m2, k, j]
-    nz, n1, n2 = diag.shape[:3]
-    x = np.asarray(v).reshape(3, n1, n2, nz).swapaxes(0, 3)[..., None]  # [i, m1, m2, k, 1]
+    """The bands' operator on a free vector: (A v)_i = L_i v_{i-1} + D_i v_i + U_i v_{i+1}.
+
+    Runs on the class layout of :func:`_mirror_maps`.  The block products
+    are matmuls of [class, k, j] blocks, broadcast over the sign slots, on
+    [slot, class, j, 1] vectors, which numpy runs in its own loop (strided
+    views are not BLAS operands): one running sum over j an entry, added in
+    the order above.  Those are the bits of the same multiply mode by mode;
+    a matmul on all four slots as one [j, slot] matrix vectorizes over them
+    and rounds differently.
+    """
+    _, c1n, c2n, nz = bands.shape[:4]
+    gather, scatter = _mirror_maps(c1n - 1, c2n - 1, nz)
+    # nodes top-down: the lower blocks couple node i to i + 1, the upper ones to i - 1;
+    # each is [i, 1, class, k, j]
+    below, diag, above = _class_views(bands).transpose(0, 1, 4, 2, 3)[:, :, None]
+    x = _to_classes(v, gather).transpose(0, 2, 3, 1)[..., None]  # [i, slot, class, j, 1]
     y = diag @ x
-    y[1:] += lower[1:] @ x[:-1]
-    y[:-1] += upper[:-1] @ x[1:]
-    return y[..., 0].swapaxes(0, 3).ravel()
+    y[:-1] += below[:-1] @ x[1:]
+    y[1:] += above[1:] @ x[:-1]
+    return _from_classes(np.ascontiguousarray(y[..., 0].transpose(0, 3, 1, 2)), scatter)
 
 
 # With rows and columns taken cyclically, cofactor (k, j) of a 3x3 matrix is
@@ -295,20 +390,30 @@ def _adjugate3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def block_lu_solver(bands: np.ndarray):
-    """Block-LU of every mode's bands at once; returns solve(b) = A^{-1} b on free vectors.
+    """Block-LU of every class's bands at once; returns solve(b) = A^{-1} b on free vectors.
 
     Block Thomas (Golub & Van Loan, Matrix Computations, 4.5): pivots
-    P_i = D_i - L_i C_{i-1}, C_i = P_i^{-1} U_i, batched over the modes with a
-    Python loop over n_z only.  The loops work on mode-last views of the
-    bands, [node, k, j, mode], reshaped and transposed without a copy; only
-    the inverted pivots and C are allocated.  This relies on the layout of
+    P_i = D_i - L_i C_{i-1}, C_i = P_i^{-1} U_i, batched over the mirror
+    classes of :func:`assemble_flat_blocks` with a Python loop over n_z
+    only.  The factor works on class-last views of the bands,
+    [node, k, j, class], reshaped and transposed without a copy; only the
+    inverted pivots and C are allocated.  This relies on the layout of
     :func:`_assemble_bands`, whose bands hold the mode axes innermost; on
-    other strides the views read each 3x3 block's modes far apart.  Each
+    other strides the views read each 3x3 block's classes far apart.  Each
     pivot is inverted in closed form, its adjugate over its determinant,
     and every 3x3 block product is a broadcast product summed over j, so
     neither the factor nor an apply calls LAPACK or BLAS, and the result
     does not depend on the BLAS thread count.  No pivoting between blocks:
     check the residual.
+
+    A mirror mode's pivots, C and solution are those of its class with the
+    signs of S = diag(s1, s2, 1) on rows and columns, exactly.  An apply
+    therefore takes b into the class layout of :func:`_mirror_maps` by one
+    gather, negating u1 and u2 of the mirror slots in place
+    (:func:`_to_classes`), sweeps all four sign slots of a class with its
+    pivots, and takes the result back the same way
+    (:func:`_from_classes`): every mode gets the bits of a factor of its
+    own matrix.
 
     The elimination runs from the top node down.  Each pivot is then the
     Schur complement of a trailing block, the strip above a clamped node
@@ -317,33 +422,37 @@ def block_lu_solver(bands: np.ndarray):
     on one such case (mu = 0.2, omega = 5, condition number 800) bottom-up
     elimination was accurate to 2.5e-9 relative, top-down to 9e-15.
 
-    Raises :class:`NonConvergenceError` naming the mode (j1, j2) and the
-    mesh node of the first pivot whose determinant is zero or not finite.
+    Raises :class:`NonConvergenceError` naming the class (+-|j1|, +-|j2|)
+    and the mesh node of the first pivot whose determinant is zero or not
+    finite.
     """
-    _, n1, n2, nz = bands.shape[:4]
+    _, c1n, c2n, nz = bands.shape[:4]
     # node i of the loops below is free node nz - 1 - i, so lower and upper swap
-    upper, diag, lower = bands.reshape(3, n1 * n2, nz, 3, 3)[:, :, ::-1].transpose(0, 2, 3, 4, 1)
-    piv = np.empty_like(diag, order="C")  # the inverted pivots, [i, k, j, mode]
-    C = np.zeros_like(piv)  # C[-1] and y[-1] below are still zero at i = 0
+    upper, diag, lower = _class_views(bands)
+    piv = np.empty_like(diag, order="C")  # the inverted pivots, [i, k, j, class]
+    C = np.zeros_like(piv)  # C[-1] is still zero at i = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # caught by the det check
         for i in range(nz):
             adj, det = _adjugate3(diag[i] - (lower[i][:, :, None] * C[i - 1]).sum(axis=1))
             if not (np.isfinite(det).all() and det.all()):
-                m1, m2 = divmod(int(np.flatnonzero(~np.isfinite(det) | (det == 0))[0]), n2)
-                j1, j2 = (m1 + n1 // 2) % n1 - n1 // 2, (m2 + n2 // 2) % n2 - n2 // 2  # FFT order
-                raise NonConvergenceError(
-                    f"block-LU: singular pivot at mode ({j1}, {j2}), mesh node {nz - i} of {nz}")
+                c1, c2 = divmod(int(np.flatnonzero(~np.isfinite(det) | (det == 0))[0]), c2n)
+                raise NonConvergenceError(f"block-LU: singular pivot at mode "
+                                          f"(±{c1}, ±{c2}), mesh node {nz - i} of {nz}")
             np.divide(adj, det, out=piv[i])
             (piv[i][:, :, None] * upper[i]).sum(axis=1, out=C[i])
+    gather, scatter = _mirror_maps(c1n - 1, c2n - 1, nz)
+    # the class blocks, broadcast over the sign slots: [i, k, j, 1, class]
+    piv, lower, C = (a[:, :, :, None] for a in (piv, lower, C))
 
     def solve(v: np.ndarray) -> np.ndarray:
-        b = np.asarray(v).reshape(3, n1 * n2, nz)[:, :, ::-1].transpose(2, 0, 1)
-        y = np.zeros(b.shape, dtype=complex)  # [i, k, mode]
-        for i in range(nz):
-            (piv[i] * (b[i] - (lower[i] * y[i - 1]).sum(axis=1))).sum(axis=1, out=y[i])
-        for i in range(nz - 2, -1, -1):
-            y[i] -= (C[i] * y[i + 1]).sum(axis=1)
-        return y.transpose(1, 2, 0)[:, :, ::-1].ravel()
+        y = _to_classes(v, gather)  # [i, k, slot, class]
+        (piv[0] * y[0]).sum(axis=1, out=y[0])  # node 0 has no node above it
+        for p, low, y_i, y_above in zip(piv[1:], lower[1:], y[1:], y[:-1]):
+            y_i -= (low * y_above).sum(axis=1)
+            (p * y_i).sum(axis=1, out=y_i)
+        for c, y_i, y_below in zip(C[-2::-1], y[-2::-1], y[:0:-1]):
+            y_i -= (c * y_below).sum(axis=1)
+        return _from_classes(y, scatter)
 
     return solve
 

@@ -2,10 +2,15 @@
 
 A test helper, not a test module: pytest does not collect it.  The finite-
 difference mode solve and the coercivity probe's eigenvalues use scipy,
-which no run path imports.  ``dense_blocks`` expands the solver's bands
-into the dense per-mode matrices that the probe and the operator tests use,
-``dense_1d`` rebuilds the dense 1D matrices from the mesh's diagonals, and
-``einsum_bands`` contracts the bands from them.
+which no run path imports.  ``expand_mirrors`` expands the solver's bands,
+stored once per mirror class (|j1|, |j2|), to every lattice mode, and
+``dense_blocks`` expands them further into the dense per-mode matrices
+that the probe and the operator tests use.  ``dense_1d`` rebuilds the dense
+1D matrices from the mesh's diagonals, and ``einsum_bands`` contracts the
+bands from them.  ``mode_flat_blocks``, ``mode_block_lu_solver`` and
+``mode_banded_matvec`` are the assembly, factor and residual multiply
+over every mode, without the mirror classes: the solver's class versions
+must give their bits.
 """
 
 import numpy as np
@@ -13,11 +18,12 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from elastrip.dtn import dtn_symbol_grid
+from elastrip.dtn import SpectralGrid, dtn_symbol_grid
 from elastrip.errors import ConstraintError
 from elastrip.mesh import StripMesh
 from elastrip.params import ElasticParams
-from elastrip.solver import _assemble_bands, _mode_density, assemble_flat_blocks
+from elastrip.solver import (_adjugate3, _assemble_bands, _class_frequencies, _mode_density,
+                             assemble_flat_blocks)
 
 
 def _band_shifts(nz: int) -> np.ndarray:
@@ -25,8 +31,24 @@ def _band_shifts(nz: int) -> np.ndarray:
     return np.stack([np.eye(nz, k=k) for k in (-1, 0, 1)])
 
 
-def dense_blocks(bands: np.ndarray) -> np.ndarray:
-    """Dense per-mode matrices (n1, n2, 3 n_z, 3 n_z) of bands, in free-vector order."""
+def expand_mirrors(bands: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Per-mode bands (3, n1, n2, n_z, 3, 3), FFT order, of class bands
+    (3, N1 + 1, N2 + 1, n_z, 3, 3): mode (j1, j2) takes class (|j1|, |j2|)
+    with the u1 rows and columns negated where j1 < 0 and the u2 ones where
+    j2 < 0.  The signs go on the float view, so they are exact."""
+    j1, j2 = grid.mode_indices()
+    out = bands[:, abs(j1)[:, None], abs(j2)[None, :]]
+    s = np.ones((grid.n1, grid.n2, 3))
+    s[..., 0] = np.where(j1 < 0, -1.0, 1.0)[:, None]
+    s[..., 1] = np.where(j2 < 0, -1.0, 1.0)[None, :]
+    sign = s[:, :, None, :, None] * s[:, :, None, None, :]  # [m1, m2, 1, k, j]
+    out.view(float).__imul__(np.repeat(sign, 2, axis=-1))
+    return out
+
+
+def dense_blocks(bands: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Dense per-mode matrices (n1, n2, 3 n_z, 3 n_z) of class bands, in free-vector order."""
+    bands = expand_mirrors(bands, grid)
     _, n1, n2, nz = bands.shape[:4]
     A = np.einsum("dmnikj,dil->mnkijl", bands, _band_shifts(nz))
     return A.reshape(n1, n2, 3 * nz, 3 * nz)
@@ -127,8 +149,10 @@ def coercivity_probe(mesh: StripMesh, params: ElasticParams, n_probes: int = 200
     """
     if n_probes <= 0:
         raise ConstraintError("n_probes must be positive")
-    blocks = dense_blocks(assemble_flat_blocks(mesh, params))
-    gram = dense_blocks(_assemble_bands(mesh, _mode_density(mesh.grid, 1.0, 0.0, 0.0, 1.0)))
+    grid = mesh.grid
+    blocks = dense_blocks(assemble_flat_blocks(mesh, params), grid)
+    gram = dense_blocks(_assemble_bands(mesh, _mode_density(*_class_frequencies(grid),
+                                                            1.0, 0.0, 0.0, 1.0)), grid)
     rng = np.random.default_rng(seed)
     probe_min = np.inf
     for _ in range(n_probes):
@@ -144,3 +168,55 @@ def coercivity_probe(mesh: StripMesh, params: ElasticParams, n_probes: int = 200
         rayleigh_min = min(rayleigh_min, float(vals[0]))
     return {"probe_min": float(probe_min), "rayleigh_min": float(rayleigh_min),
             "n_probes": n_probes, "seed": seed}
+
+
+# ---------------------------------------------------------------------------
+# the flat operator over every lattice mode
+# ---------------------------------------------------------------------------
+
+def mode_flat_blocks(mesh: StripMesh, params: ElasticParams) -> np.ndarray:
+    """Bands of every lattice mode, (3, n1, n2, n_z, 3, 3) in FFT order,
+    assembled mode by mode like ``assemble_flat_blocks`` assembles a class."""
+    g = mesh.grid
+    lam, mu, w = params.lam, params.mu, params.omega
+    XI1, XI2, _ = g.frequency_mesh()
+    bands = _assemble_bands(mesh, _mode_density(XI1, XI2, 2 * mu, lam, -mu, -w * w))
+    Msym = dtn_symbol_grid(XI1, XI2, params)  # [k, j, m1, m2]
+    bands[1, :, :, -1] -= 1j * g.cell_area * np.moveaxis(Msym, (0, 1), (2, 3))
+    return bands
+
+
+def mode_banded_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-mode bands on a free vector by batched (3, 3) @ (3, 1) matmuls:
+    (A v)_i = L_i v_{i-1} + D_i v_i + U_i v_{i+1}."""
+    lower, diag, upper = np.moveaxis(bands, 3, 1)  # each [i, m1, m2, k, j]
+    nz, n1, n2 = diag.shape[:3]
+    x = np.asarray(v).reshape(3, n1, n2, nz).swapaxes(0, 3)[..., None]  # [i, m1, m2, k, 1]
+    y = diag @ x
+    y[1:] += lower[1:] @ x[:-1]
+    y[:-1] += upper[:-1] @ x[1:]
+    return y[..., 0].swapaxes(0, 3).ravel()
+
+
+def mode_block_lu_solver(bands: np.ndarray):
+    """Top-down block Thomas of every mode's bands, each mode its own pivots:
+    solve(b) = A^{-1} b on free vectors."""
+    _, n1, n2, nz = bands.shape[:4]
+    upper, diag, lower = bands.reshape(3, n1 * n2, nz, 3, 3)[:, :, ::-1].transpose(0, 2, 3, 4, 1)
+    piv = np.empty_like(diag, order="C")  # [i, k, j, mode]
+    C = np.zeros_like(piv)
+    for i in range(nz):
+        adj, det = _adjugate3(diag[i] - (lower[i][:, :, None] * C[i - 1]).sum(axis=1))
+        np.divide(adj, det, out=piv[i])
+        (piv[i][:, :, None] * upper[i]).sum(axis=1, out=C[i])
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        b = np.asarray(v).reshape(3, n1 * n2, nz)[:, :, ::-1].transpose(2, 0, 1)
+        y = np.zeros(b.shape, dtype=complex)  # [i, k, mode]
+        for i in range(nz):
+            (piv[i] * (b[i] - (lower[i] * y[i - 1]).sum(axis=1))).sum(axis=1, out=y[i])
+        for i in range(nz - 2, -1, -1):
+            y[i] -= (C[i] * y[i + 1]).sum(axis=1)
+        return y.transpose(1, 2, 0)[:, :, ::-1].ravel()
+
+    return solve

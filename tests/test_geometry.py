@@ -3,12 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from elastrip import geometry
 from elastrip.dtn import SpectralGrid
 from elastrip.errors import ConstraintError, SingularTransformError
 from elastrip.geometry import (CoefficientLaw, CutoffFn, HarmonicTerm,
-                               SourceSpec, SurfaceProfile, _distance_1inf, _series_grid,
-                               invert_vertical, make_profile, sample_ensemble,
-                               transform_fields)
+                               SourceSpec, SurfaceProfile, _distance_1inf, _grid_points,
+                               _harmonic, _series_fields, _series_grid, invert_vertical,
+                               make_profile, sample_ensemble, transform_fields)
 from elastrip.mesh import StripMesh
 from elastrip.params import StripGeometry
 from elastrip.solver import TransformCoefficients
@@ -57,6 +58,20 @@ def test_profile_fields_bit_identical_to_separate_passes():
         g2 = g2 + d * 2 * np.pi * t.j2 / 3.5
     for got in (prof._grid_fields(n), (prof.values(X1, X2),) + prof.gradients(X1, X2)):
         assert all(np.array_equal(a, b) for a, b in zip(got, (f, g1, g2)))
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.07, -0.13])
+@pytest.mark.parametrize("terms", [(), (HarmonicTerm(1, 0), HarmonicTerm(2, -1, 0.0, 0.0))])
+def test_flat_profile_bounds_need_no_grid(monkeypatch, offset, terms):
+    """A flat profile (no terms, or terms of zero amplitude) takes its
+    bounds and Lipschitz constant without evaluating a grid, and they are
+    the values its grid gives."""
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_series_fields", lambda *a, **k: pytest.fail("grid evaluated"))
+        prof = SurfaceProfile(offset=offset, terms=terms, cell=(2.0, 3.5))
+    f, g1, g2 = _series_grid(offset, terms, (2.0, 3.5))
+    assert np.array_equal(prof.f_min, f.min()) and np.array_equal(prof.f_max, f.max())
+    assert np.array_equal(prof.L, np.sqrt(g1**2 + g2**2).max()) and prof.L == 0.0
 
 
 def test_make_profile_slab_violation_names_point():
@@ -186,6 +201,29 @@ def test_distance_to_a_flat_f0_needs_no_f0_grid(offset):
         terms = [HarmonicTerm(j1, j2, *rng.uniform(-a, a, size=2)) for j1, j2, a in law]
         grid = _series_grid(offset, terms, CELL)
         assert _distance_1inf(grid, (offset, 0.0, 0.0)) == _distance_1inf(grid, f0_grid)
+
+
+def test_ensemble_evaluates_each_band_harmonic_once(monkeypatch):
+    """The band grids summed per candidate give the bits of the candidate's
+    own grid, and one ensemble evaluates each band's cos and sin once, also
+    when it rejects candidates."""
+    law = CoefficientLaw(bands=((1, 0, 0.05), (0, 1, 0.05), (1, 1, 0.03)))
+    points = _grid_points(CELL)
+    harmonics = [_harmonic(j1, j2, CELL, *points) for j1, j2, _ in law.bands]
+    rng = np.random.default_rng(5)
+    for offset in (0.0, 0.07):
+        for _ in range(5):
+            terms = [HarmonicTerm(j1, j2, *rng.uniform(-a, a, size=2)) for j1, j2, a in law.bands]
+            got = _series_fields(offset, terms, CELL, *points, harmonics)
+            assert all(np.array_equal(a, b) for a, b in zip(got, _series_grid(offset, terms, CELL)))
+    calls = []
+    real = geometry._harmonic
+    monkeypatch.setattr(geometry, "_harmonic", lambda *a: calls.append(a[:2]) or real(*a))
+    samples = sample_ensemble(0, 8, 0.2, law, GEOM, flat())
+    assert calls == [(j1, j2) for j1, j2, _ in law.bands]
+    for s in samples:
+        ref = SurfaceProfile(offset=0.0, terms=s.surface.terms, cell=CELL)
+        assert (s.surface.f_min, s.surface.f_max, s.surface.L) == (ref.f_min, ref.f_max, ref.L)
 
 
 def test_ensemble_needs_a_flat_reference():

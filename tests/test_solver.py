@@ -35,7 +35,9 @@ from elastrip.solver import (
     TransformCoefficients,
 )
 from elastrip.sources import BumpSource, HarmonicFactor
-from flat_oracles import coercivity_probe, dense_1d, dense_blocks, einsum_bands, flat_mode_oracle
+from flat_oracles import (coercivity_probe, dense_1d, dense_blocks, einsum_bands,
+                          expand_mirrors, flat_mode_oracle, mode_banded_matvec,
+                          mode_block_lu_solver, mode_flat_blocks)
 from rellich_oracle import ModeFieldSmooth, rellich_identity_residual, rellich_residual
 
 CELL = (2 * np.pi, 2 * np.pi)
@@ -56,7 +58,7 @@ def bump(z0=0.55, sigma=0.3):
 def test_operator_matches_flat_blocks():
     """Matrix-free application reproduces the dense expansion of the bands."""
     mesh = flat_mesh(N=2, nz=5)
-    blocks = dense_blocks(assemble_flat_blocks(mesh, P))
+    blocks = dense_blocks(assemble_flat_blocks(mesh, P), mesh.grid)
     op = StripOperator(SolverContext(mesh, P))
     g = mesh.grid
     nfree = mesh.n_nodes - 1
@@ -186,10 +188,11 @@ def test_blocked_stages_hold_a_bounded_working_set():
 
 
 def test_flat_blocks_storage_is_linear_in_nz():
-    """Bands of shape (3, n1, n2, n_z, 3, 3): doubling n_z doubles the bytes."""
+    """Bands of shape (3, N1 + 1, N2 + 1, n_z, 3, 3), one per mirror class:
+    doubling n_z doubles the bytes."""
     small = assemble_flat_blocks(flat_mesh(N=1, nz=32), P)
     large = assemble_flat_blocks(flat_mesh(N=1, nz=64), P)
-    assert small.shape == (3, 3, 3, 32, 3, 3)
+    assert small.shape == (3, 2, 2, 32, 3, 3)
     assert large.nbytes == 2 * small.nbytes
 
 
@@ -197,16 +200,41 @@ def test_flat_blocks_storage_is_linear_in_nz():
 @given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
        N1=st.integers(0, 3), N2=st.integers(0, 3), nz=st.integers(1, 12))
 def test_flat_bands_are_stored_mode_last(mu, lam_frac, omega, N1, N2, nz):
-    """The bands are a view of [d, i, k, j, m1, m2] storage, the layout the
-    block-LU's mode-last views read, and equal the dense einsum assembly
-    bit for bit."""
+    """The class bands are a view of [d, i, k, j, c1, c2] storage, the
+    layout the block-LU's class-last views read, and equal the dense einsum
+    assembly bit for bit."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=(2.0, 3.0)),
                      bottom=-0.5, top=0.5, n_elements=nz)
-    assert assemble_flat_blocks(mesh, params).transpose(0, 3, 4, 5, 1, 2).flags.c_contiguous
-    K = solver._mode_density(mesh.grid, 2 * mu, params.lam, -mu, -omega * omega)
+    bands = assemble_flat_blocks(mesh, params)
+    assert bands.shape == (3, N1 + 1, N2 + 1, nz, 3, 3)
+    assert bands.transpose(0, 3, 4, 5, 1, 2).flags.c_contiguous
+    K = solver._mode_density(*solver._class_frequencies(mesh.grid), 2 * mu, params.lam, -mu,
+                             -omega * omega)
     bands, ref = solver._assemble_bands(mesh, K), einsum_bands(mesh, K)
     assert np.array_equal(bands, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       cell=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
+       N1=st.integers(0, 4), N2=st.integers(0, 4), nz=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_mirror_classes_give_the_bits_of_every_mode(mu, lam_frac, omega, cell, N1, N2, nz, seed):
+    """The class bands, expanded with their mirror signs, equal the bands
+    assembled mode by mode, and the class solve and residual multiply equal
+    the per-mode block-LU and matmul multiply, all bit for bit."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell),
+                     bottom=-1.0, top=0.0, n_elements=nz)
+    bands, mode_bands = assemble_flat_blocks(mesh, params), mode_flat_blocks(mesh, params)
+    assert np.array_equal(expand_mirrors(bands, mesh.grid), mode_bands)
+    rng = np.random.default_rng(seed)
+    n = 3 * mesh.grid.n1 * mesh.grid.n2 * nz
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = block_lu_solver(bands)(rhs)
+    assert np.array_equal(x, mode_block_lu_solver(mode_bands)(rhs))
+    assert np.array_equal(banded_matvec(bands, x), mode_banded_matvec(mode_bands, x))
 
 
 def test_1d_matrices_match_the_element_loop():
@@ -248,7 +276,7 @@ def test_banded_matvec_matches_dense_and_operator(N1, N2, nz, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
     y = banded_matvec(bands, x)
-    blocks = dense_blocks(bands)
+    blocks = dense_blocks(bands, mesh.grid)
     n1, n2, n = blocks.shape[:3]
     X = np.moveaxis(x.reshape(3, n1, n2, nz), 0, 2).reshape(n1, n2, n, 1)
     ref = np.moveaxis((blocks @ X).reshape(n1, n2, 3, nz), 2, 0).ravel()
@@ -281,7 +309,7 @@ def test_block_lu_matches_dense_solve(mu, lam_frac, omega, depth, cell, N, nz, s
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
     x = block_lu_solver(bands)(rhs)
-    blocks = dense_blocks(bands)
+    blocks = dense_blocks(bands, mesh.grid)
     n1, n2, n = blocks.shape[:3]
     R = np.moveaxis(rhs.reshape(3, n1, n2, nz), 0, 2).reshape(n1, n2, n, 1)
     ref = np.moveaxis(np.linalg.solve(blocks, R).reshape(n1, n2, 3, nz), 2, 0).ravel()
@@ -312,10 +340,14 @@ def test_closed_form_pivot_inverse_matches_lapack(log_cond, middle, log_scale, b
 
 def test_block_lu_calls_no_lapack_or_matmul_and_copies_no_band(monkeypatch):
     """Factor and apply run with np.linalg.inv/solve and np.matmul disabled;
-    the factor allocates the pivots and C (2/3 of the bands), no band copy."""
+    the factor allocates the pivots and C (2/3 of the class bands) and the
+    mirror index maps, no band copy.  The bounds are shares of the bands of
+    every mode, which the factor stored before the mirror classes."""
     mesh = flat_mesh(N=2, nz=128)
     bands = assemble_flat_blocks(mesh, P)
+    mode_bytes = expand_mirrors(bands, mesh.grid).nbytes
     rhs = assemble_rhs(mesh, bump())
+    solver._mirror_maps.cache_clear()  # the factor's peak includes the index maps
 
     def forbidden(*args, **kwargs):
         raise AssertionError("LAPACK or matmul call in the block-LU")
@@ -333,23 +365,23 @@ def test_block_lu_calls_no_lapack_or_matmul_and_copies_no_band(monkeypatch):
     finally:
         tracemalloc.stop()
         monkeypatch.undo()
-    assert factor_peak < 0.75 * bands.nbytes
-    assert apply_peak < 0.3 * bands.nbytes
+    assert factor_peak < 0.75 * mode_bytes
+    assert apply_peak < 0.3 * mode_bytes
     assert np.linalg.norm(banded_matvec(bands, x) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_singular_pivot_raises_typed_error_naming_mode_and_node():
     """A zero or non-finite pivot determinant raises NonConvergenceError,
-    without a RuntimeWarning, at the first mode and node the top-down
-    elimination meets."""
+    without a RuntimeWarning, at the first mirror class (+-|j1|, +-|j2|)
+    and node the top-down elimination meets."""
     bands = assemble_flat_blocks(flat_mesh(N=1, nz=8), P)
     bad = bands.copy()
-    bad[:, 2, 1, 3] = np.inf  # mode (j1, j2) = (-1, 1) in FFT order, free node 3
+    bad[:, 1, 1, 3] = np.inf  # class (|j1|, |j2|) = (1, 1), free node 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonConvergenceError, match=r"mode \(0, 0\), mesh node 8 of 8"):
+        with pytest.raises(NonConvergenceError, match=r"mode \(±0, ±0\), mesh node 8 of 8"):
             block_lu_solver(np.zeros_like(bands))
-        with pytest.raises(NonConvergenceError, match=r"mode \(-1, 1\), mesh node 4 of 8"):
+        with pytest.raises(NonConvergenceError, match=r"mode \(±1, ±1\), mesh node 4 of 8"):
             block_lu_solver(bad)
 
 
