@@ -2,15 +2,14 @@
 
 A profile is a finite real trigonometric series on the periodic cell,
 confined to the slab m < f < M_sup.  The flattening map H sends the
-reference strip (surface f0) to the sampled strip (surface f): it shifts
-only the vertical coordinate, by a cutoff-weighted multiple of f - f0, so
-its Jacobian is a rank-one update of the identity and it is the identity
-near the top plane.
+reference strip, whose bottom is the flat level c, to the sampled strip
+(surface f): it shifts only the vertical coordinate, by a cutoff-weighted
+multiple of f - c, so its Jacobian is a rank-one update of the identity and
+it is the identity near the top plane.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -19,7 +18,6 @@ from .errors import ConstraintError
 from .params import StripGeometry
 
 _LIPSCHITZ_SAFETY = 1.05
-_BISECTION_STEPS = 80     # halvings of [f0, h] in invert_vertical, past double precision
 _MAX_RETRIES = 100        # surface redraws per ensemble sample
 
 
@@ -78,10 +76,6 @@ class SurfaceProfile:
 
     def is_flat(self) -> bool:
         return all(t.c == 0 and t.s == 0 for t in self.terms)
-
-    def sup_distance_1inf(self, other: "SurfaceProfile", n: int = 256) -> float:
-        """sup|f - f0| + sup|grad f - grad f0| on an evaluation grid."""
-        return _distance_1inf(self._grid_fields(n), other._grid_fields(n))
 
 
 def _harmonic(j1: int, j2: int, cell, x1, x2):
@@ -177,61 +171,55 @@ class CutoffFn:
         return np.where(inside, -1.0 / (self.gamma_gap - self.delta), 0.0)
 
 
-def transform_fields(y1, y2, y3, f0: SurfaceProfile, f: SurfaceProfile, cutoff: CutoffFn):
-    """Vectorized transform: x3, J-row (J1, J2, J3) and det at broadcastable points.
-
-    H(y) = y + alpha(y3 - f0(y')) * (f(y') - f0(y')) * e3; the Jacobian is
-    I + e3 (J1, J2, J3) with det = 1 + J3.
-    """
-    f0v, g01, g02 = f0._fields(y1, y2)
+def transform_factors(y1, y2, y3, c: float, f: SurfaceProfile, cutoff: CutoffFn):
+    """The separable factors of the flattening map over the flat reference
+    level c: ((f - c, d1 f, d2 f) at the horizontal points (y1, y2),
+    (alpha, alpha') of y3 - c at the heights y3)."""
     fv, g1, g2 = f._fields(y1, y2)
-    df = fv - f0v
-    arg = np.asarray(y3) - f0v
-    a = cutoff(arg)
-    ap = cutoff.derivative(arg)
-    J1 = a * (g1 - g01) - ap * g01 * df
-    J2 = a * (g2 - g02) - ap * g02 * df
-    J3 = ap * df
-    x3 = np.asarray(y3) + a * df
-    return x3, J1, J2, J3
+    arg = np.asarray(y3) - c
+    return (fv - c, g1, g2), (cutoff(arg), cutoff.derivative(arg))
 
 
-def invert_vertical(x3, y1, y2, f0: SurfaceProfile, f: SurfaceProfile,
-                    cutoff: CutoffFn, h: float):
-    """Solve x3 = y3 + alpha(y3 - f0)(f - f0) for y3 by monotone bisection.
+def transform_fields(y1, y2, y3, c: float, f: SurfaceProfile, cutoff: CutoffFn):
+    """Vectorized transform over the flat reference level c: x3 and the
+    J-row (J1, J2, J3) at broadcastable points.
 
-    Vectorized over broadcastable point arrays; the map is strictly
-    increasing in y3 because |J3| < 1.
+    H(y) = y + alpha(y3 - c) * (f(y') - c) * e3; the Jacobian is
+    I + e3 (J1, J2, J3) with det = 1 + J3, and each entry is a horizontal
+    factor times a vertical one: J1 = alpha d1 f, J2 = alpha d2 f,
+    J3 = alpha' (f - c).
     """
-    f0v = f0.values(y1, y2)
-    lo = np.broadcast_to(f0v, np.shape(x3)).copy()
-    hi = np.full(np.shape(x3), h, dtype=float)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        x_mid, _, _, _ = transform_fields(y1, y2, mid, f0, f, cutoff)
-        go_up = x_mid < np.asarray(x3)
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-    return 0.5 * (lo + hi)
+    (df, g1, g2), (a, ap) = transform_factors(y1, y2, y3, c, f, cutoff)
+    return np.asarray(y3) + a * df, a * g1, a * g2, ap * df
+
+
+def invert_vertical(x3, y1, y2, c: float, f: SurfaceProfile, cutoff: CutoffFn):
+    """Solve x3 = y3 + alpha(y3 - c)(f - c) for y3, in closed form.
+
+    Vectorized over broadcastable point arrays.  With alpha piecewise
+    linear, x3 is piecewise linear in y3 with the same kinks: on the
+    plateau (y3 - c <= delta) x3 = y3 + (f - c); on the slope its slope is
+    1 + alpha'(f - c) > 0, since |J3| < 1; past gamma_gap it is y3.  Each
+    piece is inverted by its own formula, chosen by where x3 falls
+    against the images of the kinks.
+    """
+    d = f.values(y1, y2) - c
+    t = np.asarray(x3, dtype=float) - c  # x3 - c
+    gap, delta = cutoff.gamma_gap, cutoff.delta
+    # on the slope, t = s + d (gap - s) / (gap - delta) with s = y3 - c
+    slope = (t * (gap - delta) - d * gap) / (gap - delta - d)
+    s = np.where(t <= delta + d, t - d, np.where(t < gap, slope, t))
+    return c + s
 
 
 @dataclass(frozen=True)
 class CoefficientLaw:
     """Uniform law on surface harmonics: amplitudes in [-amp_j, amp_j] per term.
 
-    ``bands`` lists (j1, j2, max_amplitude).  The analytic worst case of
-    ||f - f0||_{1,inf} over the law's support is
-    sum_j 2*|a_j| (1 + 2 pi |j| / Lambda) (cos and sin parts both drawn).
+    ``bands`` lists (j1, j2, max_amplitude).
     """
 
     bands: tuple[tuple[int, int, float], ...]
-
-    def worst_case_1inf(self, cell) -> float:
-        total = 0.0
-        for j1, j2, amp in self.bands:
-            kmag = 2 * np.pi * math.hypot(j1 / cell[0], j2 / cell[1])
-            total += 2 * amp * (1 + kmag)
-        return total
 
 
 @dataclass(frozen=True)
@@ -256,14 +244,13 @@ def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
 
 
 def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
-                    geom: StripGeometry, f0: SurfaceProfile,
+                    geom: StripGeometry, c: float,
                     source_spec: SourceSpec | None = None) -> list[RandomSample]:
-    """Draw n admissible samples; rejection-resample out-of-class surfaces.
+    """Draw n admissible samples over the flat reference level c;
+    rejection-resample out-of-class surfaces.
 
-    The reference surface f0 must be flat, f0 = c, so the distance
-    ||f - f0||_{1,inf} of a candidate is sup|f - c| + sup|grad f| on its
-    own evaluation grid: the same bits as against f0's grid, since
-    f - c and grad f - 0 are exact there.  Every candidate has one term
+    The distance ||f - c||_{1,inf} of a candidate is sup|f - c| + sup|grad f|
+    on its own evaluation grid.  Every candidate has offset c and one term
     per law band, so the cos and sin grids of each band are evaluated once
     per ensemble and each candidate only sums them with its amplitudes.
     """
@@ -271,8 +258,6 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
 
     if n <= 0:
         raise ConstraintError("ensemble size must be positive")
-    if not f0.is_flat():
-        raise ConstraintError("the ensemble's reference surface f0 must be flat")
     points = _grid_points(geom.cell)
     harmonics = [_harmonic(j1, j2, geom.cell, *points) for j1, j2, _ in law.bands]
     samples = []
@@ -282,19 +267,19 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
         for _ in range(_MAX_RETRIES):
             terms = []
             for j1, j2, amp in law.bands:
-                c, s = rng.uniform(-amp, amp, size=2)
-                terms.append(HarmonicTerm(j1, j2, c, s))
-            # one sum of the band grids per candidate: its bounds and its distance to f0
-            grid = _series_fields(f0.offset, terms, geom.cell, *points, harmonics)
-            cand = SurfaceProfile(offset=f0.offset, terms=tuple(terms), cell=geom.cell, grid=grid)
+                a_cos, a_sin = rng.uniform(-amp, amp, size=2)
+                terms.append(HarmonicTerm(j1, j2, a_cos, a_sin))
+            # one sum of the band grids per candidate: its bounds and its distance to c
+            grid = _series_fields(c, terms, geom.cell, *points, harmonics)
+            cand = SurfaceProfile(offset=c, terms=tuple(terms), cell=geom.cell, grid=grid)
             in_slab = geom.m < cand.f_min and cand.f_max < geom.M_sup
-            if in_slab and _distance_1inf(grid, (f0.offset, 0.0, 0.0)) <= M0:
+            if in_slab and _distance_1inf(grid, (c, 0.0, 0.0)) <= M0:
                 surface = cand
                 break
         if surface is None:
             raise ConstraintError(
                 f"sample {sample_id}: no admissible surface in {_MAX_RETRIES} retries"
             )
-        source = BumpSource.random(rng, geom, f0, spec=source_spec)
+        source = BumpSource.random(rng, geom, spec=source_spec)
         samples.append(RandomSample(surface=surface, source=source, sample_id=sample_id))
     return samples

@@ -26,7 +26,7 @@ from .params import bound_constants, total_bound_stochastic
 from .solver import (DiscreteField, SolverContext, TransformCoefficients,
                      assemble_rhs, element_blocks, energy_balance,
                      physical_quad_fields, poincare_slack, quad_points,
-                     quad_weights, solve_field)
+                     solve_field)
 from .sources import BumpSource
 
 ENERGY_TOL = 1e-8
@@ -111,7 +111,10 @@ class McReport:
 # ---------------------------------------------------------------------------
 
 def build_setup(cfg: RunConfig):
-    """Instantiate typed objects for one run (flat reference, optional bumps)."""
+    """Instantiate typed objects for one run: (params, geom, grid, mesh,
+    profile, cutoff, source).  The mesh bottom is the flat reference level
+    c = ``surface.f0_offset``; a config without terms gives the flat
+    profile f = c."""
     params = cfg.elastic_params()
     geom = cfg.strip_geometry()
     d = cfg.discretization
@@ -121,33 +124,34 @@ def build_setup(cfg: RunConfig):
         from .errors import ConfigError
         raise ConfigError(
             f"reference level {s.f0_offset} outside the slab ({geom.m}, {geom.M_sup})")
-    f0 = SurfaceProfile(offset=s.f0_offset, terms=(), cell=geom.cell)
     mesh = StripMesh(grid=grid, bottom=s.f0_offset, top=geom.h, n_elements=d.n_z)
-    profile = make_profile(s.f0_offset, s.terms, geom) if s.terms else f0
+    profile = (make_profile(s.f0_offset, s.terms, geom) if s.terms
+               else SurfaceProfile(offset=s.f0_offset, terms=(), cell=geom.cell))
     cutoff = CutoffFn(delta=s.delta, gamma_gap=geom.h - s.f0_offset)
     src_bottom = geom.M_sup + 0.1 * (geom.h - geom.M_sup)
     sc = cfg.source
     source = BumpSource.centered(geom, src_bottom, amplitude=sc.amplitude,
                                  component=sc.component, j1=sc.j1, j2=sc.j2,
                                  phase=sc.phase)
-    return params, geom, grid, mesh, f0, profile, cutoff, source
+    return params, geom, grid, mesh, profile, cutoff, source
 
 
-def solve_surface(ctx: SolverContext, f0: SurfaceProfile, surface: SurfaceProfile,
+def solve_surface(ctx: SolverContext, surface: SurfaceProfile,
                   cutoff: CutoffFn, source, *, physical: bool, tol: float):
     """Transform, load vector and solve for one surface on the mesh and
     material of ``ctx``: (field, info, rhs, coeffs).
 
     This is the one place that decides whether a surface needs the
-    flattening transform.  ``coeffs`` is None exactly when surface - f0 is
-    identically zero (same offset, no nonzero term on either), and the
-    solve is then the direct per-mode one.  ``physical`` evaluates the
-    source at the physical heights of the transformed strip.
+    flattening transform.  The reference is the flat mesh bottom c, and
+    ``coeffs`` is None exactly when surface - c is identically zero (offset
+    c, no nonzero term); the solve is then the direct per-mode one.
+    ``physical`` evaluates the source at the physical heights of the
+    transformed strip.
     """
     coeffs = None
-    if not (surface.offset == f0.offset and surface.is_flat() and f0.is_flat()):
-        coeffs = TransformCoefficients(ctx.mesh, f0, surface, cutoff)
-    rhs = assemble_rhs(ctx.mesh, source, coeffs, physical=physical)
+    if not (surface.offset == ctx.mesh.bottom and surface.is_flat()):
+        coeffs = TransformCoefficients(ctx.mesh, surface, cutoff)
+    rhs = assemble_rhs(ctx.mesh, source, coeffs, physical=physical, work=ctx.work)
     field, info = solve_field(ctx, rhs, coeffs, tol=tol)
     return field, info, rhs, coeffs
 
@@ -164,8 +168,8 @@ def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | N
     horizontal axis, which the point sum over P >= 3(2N + 1)/2 > 2N points
     integrates exactly, and quadratic on each element, which 2-point Gauss
     integrates exactly.  With ``coeffs`` the change of variables is summed
-    at the quadrature points over the solver's element blocks in order, in
-    the buffers of ``work``.
+    at the quadrature points over the solver's element blocks in order,
+    each block's planes and fields in the buffers of ``work``.
     """
     mesh = field.mesh
     if coeffs is None:
@@ -174,15 +178,15 @@ def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | N
         return float(area * l2.sum()), float(area * (dz.sum() + horiz.sum()))
     sums = np.zeros(4)  # per slot: u, d1 u, d2 u, d3 u
     for b in element_blocks(mesh):
-        F = physical_quad_fields(mesh, field.coeff, coeffs, b, work)
-        wgt = quad_weights(mesh, coeffs, b)
+        planes = coeffs.block(b, work)
+        F = physical_quad_fields(mesh, field.coeff, planes, b, work)
         for c, j in np.ndindex(3, 4):  # one field at a time keeps the squares small
-            sums[j] += np.sum(wgt * np.abs(F[c, j]) ** 2)
+            sums[j] += np.sum(planes.wgt * np.abs(F[c, j]) ** 2)
     return float(sums[0]), float(sums[1:].sum())
 
 
 def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
-                 physical: bool = False):
+                 physical: bool = False, work: Workspace | None = None):
     """(||g||_L2, ||g||_H1) over the strip by the solver's quadrature.
 
     On the reference strip (no ``coeffs``, or not ``physical``) they are
@@ -195,7 +199,7 @@ def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
     unlike the load vector, a harmonic whose residue is no lattice mode
     still counts.  Under ``coeffs`` with ``physical`` the points move with
     the flattening map, and the sums run at them over the solver's element
-    blocks in order.
+    blocks in order, each block's planes in the buffers of ``work``.
     """
     coeffs = coeffs if physical else None
     if coeffs is None:
@@ -208,9 +212,10 @@ def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
         grad_sq = area * (v_sq * (power[1] + power[2]) + dv_sq * power[0])
         return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
     l2_sq = grad_sq = 0.0
+    work = Workspace() if work is None else work
     for b in element_blocks(mesh):
-        points = quad_points(mesh, coeffs, b)
-        wgt = quad_weights(mesh, coeffs, b)
+        points = quad_points(mesh, coeffs, b, work)
+        wgt = coeffs.block(b, work).wgt
         l2_sq += float(np.sum(wgt * source.values(*points) ** 2))
         grad_sq += float(np.sum(wgt * source.gradients(*points) ** 2))
     return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
@@ -236,18 +241,23 @@ def _diagnose(field: DiscreteField, rhs, ctx: SolverContext, info, profile, quad
 # experiments
 # ---------------------------------------------------------------------------
 
-def deterministic_run(cfg: RunConfig, label: str = "run") -> tuple[RunReport, DiscreteField]:
-    """One full solve with the configured surface; bound ratio in physical norms."""
+def deterministic_run(cfg: RunConfig, label: str = "run",
+                      ctx: SolverContext | None = None) -> tuple[RunReport, DiscreteField]:
+    """One full solve with the configured surface; bound ratio in physical norms.
+
+    ``ctx`` is a context of the config's mesh and material to solve in
+    (:func:`parameter_sweep` shares one); without it one is built here.
+    """
     t0 = time.perf_counter()
-    params, geom, grid, mesh, f0, profile, cutoff, source = build_setup(cfg)
-    ctx = SolverContext(mesh, params)
-    field, info, rhs, coeffs = solve_surface(ctx, f0, profile, cutoff, source, physical=True,
+    params, geom, grid, mesh, profile, cutoff, source = build_setup(cfg)
+    ctx = SolverContext(mesh, params) if ctx is None else ctx
+    field, info, rhs, coeffs = solve_surface(ctx, profile, cutoff, source, physical=True,
                                              tol=cfg.discretization.solver_tol)
     # one evaluation of the mode quadratics serves the flat norms and the slack
     quadratics = field.mode_quadratics()
     l2_sq, grad_sq = field_physical_norms(field, coeffs, ctx.work, quadratics)
     u_vh = float(np.sqrt(l2_sq + grad_sq))
-    g_l2, g_h1 = source_norms(source, mesh, coeffs, physical=True)
+    g_l2, g_h1 = source_norms(source, ctx.mesh, coeffs, physical=True, work=ctx.work)
     report = bound_constants(params, geom, L=profile.L, generic_C=cfg.run.generic_C)
     ratio = u_vh / (report.total_bound * g_h1) if g_h1 > 0 else 0.0
     report = report.with_ratio(ratio)
@@ -275,15 +285,24 @@ def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
 
 
 def parameter_sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
-    """One deterministic run per value; per-point failures recorded, not raised."""
-    rows = []
+    """One deterministic run per value; per-point failures recorded, not raised.
+
+    Along ``L_amplitude`` the mesh and the material stay, so the points
+    share one :class:`SolverContext`, built at the first point whose setup
+    succeeds: the DtN symbol, the workspace and the flat factor are built
+    once.  Along ``omega`` and ``h`` each point builds its own.
+    """
+    rows, ctx = [], None
     for v in values:
         v = float(v)
         if not np.isfinite(v):
             raise ValueError(f"sweep value must be finite, got {v}")
         try:
             point_cfg = _with_axis(cfg, axis, v)
-            rep, _ = deterministic_run(point_cfg, label=f"{axis}={v:g}")
+            if axis == "L_amplitude" and ctx is None:
+                params, _, _, mesh, *_ = build_setup(point_cfg)
+                ctx = SolverContext(mesh, params)
+            rep, _ = deterministic_run(point_cfg, label=f"{axis}={v:g}", ctx=ctx)
             rows.append({"axis": axis, "value": v, "report": rep, "error": None})
         except ElastripError as exc:
             rows.append({"axis": axis, "value": v, "report": None,
@@ -291,15 +310,14 @@ def parameter_sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
     return rows
 
 
-def _solve_sample(ctx: SolverContext, f0: SurfaceProfile, cutoff: CutoffFn, sample, *,
-                  tol: float):
+def _solve_sample(ctx: SolverContext, cutoff: CutoffFn, sample, *, tol: float):
     """(|u|_H1^2, |g|_H1^2, report row) of one ensemble sample, solved in
     the ensemble's context ``ctx``.
 
     Every array of the sample is released on return, before the next
     sample's transform is built.
     """
-    field, info, rhs, _ = solve_surface(ctx, f0, sample.surface, cutoff, sample.source,
+    field, info, rhs, _ = solve_surface(ctx, sample.surface, cutoff, sample.source,
                                         physical=False, tol=tol)
     u_sq = field.vh_norm() ** 2
     _, g_h1 = source_norms(sample.source, ctx.mesh, None)
@@ -322,19 +340,19 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     """
     n = cfg.run.n_samples if n is None else int(n)
     seed = cfg.run.seed if seed is None else int(seed)
-    params, geom, grid, mesh, f0, _, cutoff, _ = build_setup(cfg)
+    params, geom, grid, mesh, _, cutoff, _ = build_setup(cfg)
     s = cfg.surface
     if not s.law_bands:
         raise ElastripError("monte_carlo needs surface.law_bands in the config")
     law = CoefficientLaw(bands=tuple(tuple(b) for b in s.law_bands))
     spec = SourceSpec(amplitude=cfg.source.amplitude)
-    samples = sample_ensemble(seed, n, s.M0, law, geom, f0, source_spec=spec)
+    samples = sample_ensemble(seed, n, s.M0, law, geom, mesh.bottom, source_spec=spec)
     ctx = SolverContext(mesh, params)
 
     u_sqs, g_sqs, rows, failures = [], [], [], []
     for sample in samples:
         try:
-            u_sq, g_sq, row = _solve_sample(ctx, f0, cutoff, sample,
+            u_sq, g_sq, row = _solve_sample(ctx, cutoff, sample,
                                             tol=cfg.discretization.solver_tol)
         except ElastripError as exc:
             failures.append({"sample_id": sample.sample_id,
@@ -347,7 +365,7 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     if not u_sqs:
         raise ElastripError("all Monte Carlo samples failed")
     u_arr, g_arr = np.array(u_sqs), np.array(g_sqs)
-    L0 = s.M0 + f0.L
+    L0 = s.M0  # the flat reference has Lipschitz constant 0
     rep = bound_constants(params, geom, L=L0, generic_C=cfg.run.generic_C)
     sbound = total_bound_stochastic(rep, geom)
     ratio = float(u_arr.mean() / (sbound * g_arr.mean()))
@@ -372,7 +390,7 @@ def pushforward_check(cfg: RunConfig, n_z: int | None = None) -> dict:
     L2 discrepancy over those points is returned together with a V_h-norm
     comparison of the two reference-strip fields.
     """
-    params, geom, grid, mesh, f0, profile, cutoff_a, source = build_setup(cfg)
+    params, geom, grid, mesh, profile, cutoff_a, source = build_setup(cfg)
     if n_z is not None:
         mesh = StripMesh(grid=grid, bottom=mesh.bottom, top=mesh.top, n_elements=n_z)
     gap = geom.h - cfg.surface.f0_offset
@@ -381,7 +399,7 @@ def pushforward_check(cfg: RunConfig, n_z: int | None = None) -> dict:
     fields = []
     ctx = SolverContext(mesh, params)  # the two routes share mesh and material
     for cutoff in (cutoff_a, cutoff_b):
-        fld, _, _, _ = solve_surface(ctx, f0, profile, cutoff, source, physical=True,
+        fld, _, _, _ = solve_surface(ctx, profile, cutoff, source, physical=True,
                                      tol=cfg.discretization.solver_tol)
         fields.append((fld, cutoff))
 
@@ -399,7 +417,7 @@ def pushforward_check(cfg: RunConfig, n_z: int | None = None) -> dict:
 
     pulled = []
     for fld, cutoff in fields:
-        Y3 = invert_vertical(X3, X1, X2, f0, profile, cutoff, geom.h)
+        Y3 = invert_vertical(X3, X1, X2, mesh.bottom, profile, cutoff)
         vals = fld.values_at_points(X1.ravel(), X2.ravel(), Y3.ravel())
         pulled.append(vals)
     diff = np.linalg.norm(pulled[0] - pulled[1])

@@ -30,16 +30,16 @@ in a fixed order, so the bits depend on the mesh only.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .dtn import BoundaryTrace, SpectralGrid, dtn_symbol_grid, energy_flux
 from .errors import ConstraintError, NonConvergenceError, SingularTransformError
-from .geometry import CutoffFn, SurfaceProfile, transform_fields
+from .geometry import CutoffFn, SurfaceProfile, transform_factors
 from .mesh import StripMesh, Workspace
 from .params import ElasticParams
 
@@ -124,18 +124,6 @@ class DiscreteField:
         jump = np.diff(c)
         dz = np.sum(-Sz[2, :-1] * (jump.real ** 2 + jump.imag ** 2), axis=(0, 3))
         return l2, dz, xi_sq * l2
-
-    def l2_norm_sq(self) -> float:
-        l2, _, _ = self.mode_quadratics()
-        return float(self.mesh.grid.cell_area * l2.sum())
-
-    def dz_norm_sq(self) -> float:
-        _, dz, _ = self.mode_quadratics()
-        return float(self.mesh.grid.cell_area * dz.sum())
-
-    def grad_norm_sq(self) -> float:
-        _, dz, horiz = self.mode_quadratics()
-        return float(self.mesh.grid.cell_area * (dz.sum() + horiz.sum()))
 
     def vh_norm(self) -> float:
         l2, dz, horiz = self.mode_quadratics()
@@ -461,31 +449,100 @@ def block_lu_solver(bands: np.ndarray):
 # transformed (rough-surface) operator
 # ---------------------------------------------------------------------------
 
-class TransformCoefficients:
-    """Flattening-map data sampled at the padded collocation x quad grid."""
+class BlockPlanes(NamedTuple):
+    """The chain-rule fields and weights of one block of vertical elements
+    on the padded collocation x quad grid, (P1, P2, e, q) each (see
+    :meth:`TransformCoefficients.block`)."""
 
-    def __init__(self, mesh: StripMesh, f0: SurfaceProfile, f: SurfaceProfile,
-                 cutoff: CutoffFn):
-        _x3, J1, J2, J3 = transform_fields(*quad_points(mesh), f0, f, cutoff)
-        if np.abs(J3).max() >= 1:
+    J1: np.ndarray
+    J2: np.ndarray
+    inv_det: np.ndarray
+    wgt: np.ndarray
+    mass_wgt: np.ndarray
+
+
+class TransformCoefficients:
+    """The flattening map of a rough surface f over the strip's flat bottom
+    c = ``mesh.bottom``, stored as separable factors.
+
+    Over a flat reference level every coefficient of the transformed
+    operator is a horizontal field times a vertical profile:
+    J1 = alpha(z - c) d1 f, J2 = alpha d2 f, J3 = alpha'(z - c) (f - c) and
+    x3 = z + alpha (f - c).  So this holds ``df`` = f - c, ``g1`` = d1 f and
+    ``g2`` = d2 f on the padded collocation grid, (P1, P2) each, and
+    ``alpha`` and ``alpha_d`` = alpha' at the quad points, (n_z, 2) each.
+    :meth:`block` and :meth:`heights` form the planes of one element block
+    at a time, in buffers of a workspace that the next call overwrites.
+    Each plane is formed in float64 by the operations of
+    :func:`~elastrip.geometry.transform_fields` and of the quadrature
+    weights, in their order, and a float32 plane is cast from that
+    product: a plane equals the same points of full-size arrays bit for
+    bit, but for the sign of a zero, which no sum or product with a nonzero
+    number shows.  A horizontal x vertical product is one outer product of
+    the raveled factors (np.einsum), whose rows are as long as the block's
+    quad points.
+
+    Raises :class:`SingularTransformError` when max |J3| >= 1.
+    """
+
+    def __init__(self, mesh: StripMesh, f: SurfaceProfile, cutoff: CutoffFn):
+        x1, x2 = mesh.collocation_padded()
+        (self.df, self.g1, self.g2), (self.alpha, self.alpha_d) = transform_factors(
+            x1[:, None], x2[None, :], mesh.zq, mesh.bottom, f, cutoff)
+        self.mesh = mesh
+        # rounding is monotone, so this is the largest |J3| of the planes
+        j3_max = np.abs(self.alpha_d).max() * np.abs(self.df).max()
+        if j3_max >= 1:
             raise SingularTransformError(
-                f"max |J3| = {np.abs(J3).max():.4f} >= 1; "
+                f"max |J3| = {j3_max:.4f} >= 1; "
                 "surface amplitude too large for cutoff margins"
             )
-        self.J1, self.J2 = J1, J2
-        self.det = 1.0 + J3
-        self.inv_det = 1.0 / self.det
-        self.x3 = np.broadcast_to(np.asarray(_x3), np.broadcast_shapes(
-            np.shape(_x3), J3.shape)).copy()
 
-    def astype(self, dtype) -> "TransformCoefficients":
-        """A copy whose chain-rule fields J1, J2 and inv_det are cast to the
-        real ``dtype``, det and x3 shared; self when they have it already."""
-        if self.J1.dtype == dtype:
-            return self
-        out = copy.copy(self)
-        out.J1, out.J2, out.inv_det = (a.astype(dtype) for a in (self.J1, self.J2, self.inv_det))
-        return out
+    def _plane_shapes(self, elements: slice) -> tuple[tuple, tuple]:
+        """The shapes of a plane of the vertical ``elements``: [point, quad
+        point] for the products, (P1, P2, e, q) for the caller."""
+        mesh = self.mesh
+        shape = (mesh.P1, mesh.P2, len(range(mesh.n_elements)[elements]), mesh.zq.shape[1])
+        return (shape[0] * shape[1], shape[2] * shape[3]), shape
+
+    def block(self, elements: slice, work: Workspace, dtype=np.float64,
+              omega: float = 0.0) -> BlockPlanes:
+        """J1, J2, 1/det and the weights wgt = w_q |cell| / (P1 P2) det and
+        mass_wgt = -omega^2 wgt of the vertical ``elements``, at the real
+        ``dtype``, in buffers of ``work``.  det = 1 + alpha' (f - c) is
+        formed in float64 and then turned into the weights in place."""
+        mesh, real = self.mesh, np.dtype(dtype)
+        planes, shape = self._plane_shapes(elements)
+        a, a_d, wq = (v[elements].ravel() for v in (self.alpha, self.alpha_d, mesh.wq))
+        cast = real != np.float64  # a float32 plane is cast from ``tmp``
+        tmp = work.take("plane64", planes, np.float64) if cast else None
+
+        def outer(name, h, v):
+            out = work.take(name, planes, real)
+            np.einsum("i,j->ij", h, v, out=tmp if cast else out)
+            if cast:
+                out[...] = tmp
+            return out
+
+        J1, J2 = outer("J1", self.g1.ravel(), a), outer("J2", self.g2.ravel(), a)
+        wgt = work.take("wgt", planes, real)
+        det = np.einsum("i,j->ij", self.df.ravel(), a_d, out=tmp if cast else wgt)
+        det += 1.0
+        inv_det = np.divide(1.0, det, out=work.take("inv_det", planes, real))
+        wgt64 = np.multiply(det, wq * mesh.point_weight, out=det)
+        if cast:
+            wgt[...] = wgt64
+        mass_wgt = np.multiply(-(omega * omega), wgt64, out=work.take("mass_wgt", planes, real))
+        return BlockPlanes(*(p.reshape(shape) for p in (J1, J2, inv_det, wgt, mass_wgt)))
+
+    def heights(self, elements: slice, work: Workspace) -> np.ndarray:
+        """The physical heights x3 = z + alpha (f - c) of the vertical
+        ``elements``, float64, in a buffer of ``work``."""
+        planes, shape = self._plane_shapes(elements)
+        x3 = np.einsum("i,j->ij", self.df.ravel(), self.alpha[elements].ravel(),
+                       out=work.take("x3", planes, np.float64))
+        x3 += self.mesh.zq[elements].ravel()
+        return x3.reshape(shape)
 
 
 def element_blocks(mesh: StripMesh, dtype=complex) -> list[slice]:
@@ -502,28 +559,30 @@ def element_blocks(mesh: StripMesh, dtype=complex) -> list[slice]:
 
 
 def quad_points(mesh: StripMesh, coeffs: TransformCoefficients | None = None,
-                elements: slice = slice(None)):
+                elements: slice = slice(None), work: Workspace | None = None):
     """Padded collocation x Gauss points (X1, X2, Z) of the vertical
     ``elements``, broadcastable.
 
-    With ``coeffs`` the heights are the physical ones, x3 = H(y)_3.
+    With ``coeffs`` the heights are the physical ones, x3 = H(y)_3, in a
+    buffer of ``work``.
     """
     x1, x2 = mesh.collocation_padded()
-    Z = mesh.zq[None, None, elements] if coeffs is None else coeffs.x3[..., elements, :]
+    if coeffs is None:
+        Z = mesh.zq[None, None, elements]
+    else:
+        Z = coeffs.heights(elements, Workspace() if work is None else work)
     return x1[:, None, None, None], x2[None, :, None, None], Z
 
 
-def quad_weights(mesh: StripMesh, coeffs: TransformCoefficients | None = None,
-                 elements: slice = slice(None)):
-    """Weights of the points of :func:`quad_points`, times det J under ``coeffs``."""
-    wgt = mesh.wq[None, None, elements] * mesh.point_weight
-    if coeffs is not None:
-        wgt = wgt * coeffs.det[..., elements, :]
-    return wgt
+def quad_weights(mesh: StripMesh, elements: slice = slice(None)):
+    """Weights of the reference points of :func:`quad_points` of the
+    vertical ``elements``, w_q |cell| / (P1 P2); a block's planes hold them
+    times det J (``BlockPlanes.wgt``)."""
+    return mesh.wq[None, None, elements] * mesh.point_weight
 
 
 def physical_quad_fields(mesh: StripMesh, U: np.ndarray,
-                         coeffs: TransformCoefficients | None = None,
+                         planes: BlockPlanes | None = None,
                          elements: slice = slice(None),
                          work: Workspace | None = None) -> np.ndarray:
     """Values and physical gradient of nodal modes U at the quad points of
@@ -534,9 +593,10 @@ def physical_quad_fields(mesh: StripMesh, U: np.ndarray,
     values and z-derivatives at the quad points are written into one buffer
     and go through one gradient transform of DFT-matrix products, which adds
     the horizontal derivatives; the gradient is then pulled through the
-    chain rule of ``coeffs`` in place.  F and the temporaries take buffers
-    of ``work``, so F stays valid until the next call with the same ``work``.
-    Everything runs in the precision of U; ``coeffs`` should match it.
+    chain rule of the elements' ``planes`` in place.  F and the temporaries
+    take buffers of ``work``, so F stays valid until the next call with the
+    same ``work``.  Everything runs in the precision of U; ``planes``
+    should match it.
     """
     work = Workspace() if work is None else work
     n_e = len(range(mesh.n_elements)[elements])
@@ -545,12 +605,12 @@ def physical_quad_fields(mesh: StripMesh, U: np.ndarray,
     mesh.eval_at_quad(U, elements, out=C[:, 0])
     mesh.deriv_at_quad(U, elements, out=C[:, 1])
     F = mesh.to_physical(C, ax1=2, ax2=3, gradient=True, work=work)
-    if coeffs is not None:
+    if planes is not None:
         # Gx[:, j] = Gy[:, j] - J_j Gx[:, 2] for j < 2, Gx[:, 2] = Gy[:, 2] / det
-        F[:, 3] *= coeffs.inv_det[..., elements, :]
+        F[:, 3] *= planes.inv_det
         prod = work.take("scratch", F[:, 3].shape, F.dtype)
-        for j, J in ((1, coeffs.J1), (2, coeffs.J2)):
-            F[:, j] -= np.multiply(J[..., elements, :], F[:, 3], out=prod)
+        for j, J in ((1, planes.J1), (2, planes.J2)):
+            F[:, j] -= np.multiply(J, F[:, 3], out=prod)
     return F
 
 
@@ -566,30 +626,33 @@ class StripOperator:
     adjoint transform, which folds the horizontal stresses back into the
     value duals, and the scatter of the block's duals onto its nodes.  The
     stacked fields of one block take at most ``_BLOCK_BYTES``, and the
-    blocks are added in mesh order.  All blocks and calls reuse the
+    blocks are added in mesh order.  Under a transform each block first
+    forms its chain-rule fields and weights from the separable factors of
+    ``coeffs`` (:meth:`TransformCoefficients.block`), so the operator holds
+    no array the size of the quad grid.  All blocks and calls reuse the
     workspace of ``ctx``, and the DtN term, mode-diagonal at the top node,
     takes its symbol.  Without a transform this action coincides with the
     assembled flat blocks to roundoff.
 
     ``dtype`` is the complex precision of the work between the free
-    vectors, which are complex128 in and out.  At complex64 the chain-rule
-    fields, the weights and the Lame constants are cast to float32 once,
-    here, so no product mixes in a float64 operand: numpy 1.x and 2.x
-    (NEP 50) promote a float32 array times a float64 scalar differently,
-    and a silent upcast keeps the numbers but loses the speed.
+    vectors, which are complex128 in and out.  At complex64 the block
+    planes, the plain weights and the Lame constants are float32, so no
+    product mixes in a float64 operand: numpy 1.x and 2.x (NEP 50)
+    promote a float32 array times a float64 scalar differently, and a
+    silent upcast keeps the numbers but loses the speed.
     """
 
     def __init__(self, ctx: SolverContext, coeffs: TransformCoefficients | None = None,
                  dtype=complex):
-        self.ctx, self.dtype = ctx, np.dtype(dtype)
-        mesh, params, real = ctx.mesh, ctx.params, np.finfo(self.dtype).dtype
-        self.coeffs = coeffs if coeffs is None else coeffs.astype(real)
-        # the dual of dz u is weighted by wgt / det, the plain quadrature weight
-        wgt = quad_weights(mesh, coeffs)
-        self._wgt = wgt.astype(real, copy=False)
-        self._wgt_per_det = quad_weights(mesh).astype(real, copy=False)
-        self._mass_wgt = (-(params.omega * params.omega) * wgt).astype(real, copy=False)
-        self._lam, self._mu = real.type(params.lam), real.type(params.mu)
+        self.ctx, self.coeffs, self.dtype = ctx, coeffs, np.dtype(dtype)
+        mesh, params = ctx.mesh, ctx.params
+        self._real = np.finfo(self.dtype).dtype
+        # the plain quadrature weights weight the dual of dz u (wgt / det
+        # under a transform) and, without one, every dual
+        wgt = quad_weights(mesh)
+        self._wgt_per_det = wgt.astype(self._real, copy=False)
+        self._flat_mass_wgt = (-(params.omega * params.omega) * wgt).astype(self._real, copy=False)
+        self._lam, self._mu = self._real.type(params.lam), self._real.type(params.mu)
         self._blocks = element_blocks(mesh, self.dtype)
         n = 3 * mesh.grid.n1 * mesh.grid.n2 * (mesh.n_nodes - 1)
         self.shape = (n, n)
@@ -604,7 +667,13 @@ class StripOperator:
         U[..., 1:] = np.asarray(vec).reshape(U[..., 1:].shape)
         R, work = np.zeros_like(U), ctx.work
         for b in self._blocks:
-            F = physical_quad_fields(mesh, U, coeffs, b, work)
+            if coeffs is None:
+                planes, wgt = None, self._wgt_per_det[..., b, :]
+                mass_wgt = self._flat_mass_wgt[..., b, :]
+            else:
+                planes = coeffs.block(b, work, self._real, ctx.params.omega)
+                wgt, mass_wgt = planes.wgt, planes.mass_wgt
+            F = physical_quad_fields(mesh, U, planes, b, work)
 
             # F[:, 1:] <- sigma = mu (Gx + Gx^T) + lam tr(Gx) I, in place
             G = F[:, 1:]
@@ -619,12 +688,12 @@ class StripOperator:
                 G[c, c] *= 2 * mu
                 G[c, c] += lam_tr
             # weighted duals: mass in slot 0, adjoint chain rule on sigma
-            F[:, 0] *= self._mass_wgt[..., b, :]
-            if coeffs is not None:
+            F[:, 0] *= mass_wgt
+            if planes is not None:
                 prod = work.take("scratch", F[:, 3].shape, F.dtype)
-                for j, J in ((1, coeffs.J1), (2, coeffs.J2)):
-                    F[:, 3] -= np.multiply(J[..., b, :], F[:, j], out=prod)
-            F[:, 1:3] *= self._wgt[..., b, :]
+                for j, J in ((1, planes.J1), (2, planes.J2)):
+                    F[:, 3] -= np.multiply(J, F[:, j], out=prod)
+            F[:, 1:3] *= wgt
             F[:, 3] *= self._wgt_per_det[..., b, :]
 
             # duals of the values (mass + pulled-back horizontal stresses) and of dz
@@ -639,7 +708,7 @@ class StripOperator:
 
 def assemble_rhs(mesh: StripMesh, source,
                  coeffs: TransformCoefficients | None = None,
-                 physical: bool = False) -> np.ndarray:
+                 physical: bool = False, work: Workspace | None = None) -> np.ndarray:
     """Load vector of G(v) = -int g . conj(v) detJ over free DOFs.
 
     Without ``coeffs`` (a flat strip) it is formed in mode space: the
@@ -652,9 +721,10 @@ def assemble_rhs(mesh: StripMesh, source,
     is no lattice mode drops out, on both routes.
 
     With ``coeffs`` the source is evaluated, weighted by det J and
-    transformed one element block at a time; ``physical=True`` evaluates
-    it at the physical heights of the flattening map, so two different
-    transforms of the same physical problem assemble consistent data.
+    transformed one element block at a time, the block's planes in buffers
+    of ``work``; ``physical=True`` evaluates it at the physical heights of
+    the flattening map, so two different transforms of the same physical
+    problem assemble consistent data.
     """
     g = mesh.grid
     if coeffs is None:
@@ -664,9 +734,10 @@ def assemble_rhs(mesh: StripMesh, source,
         scatter = mesh.scatter_from_quad(source.vertical(mesh.zq) * mesh.wq)[1:]
         return (-g.cell_area * spectrum[..., None] * scatter).ravel()
     R = np.zeros((3, g.n1, g.n2, mesh.n_nodes), dtype=complex)
+    work = Workspace() if work is None else work
     for b in element_blocks(mesh):
-        gvals = source.values(*quad_points(mesh, coeffs if physical else None, b))
-        Wq = mesh.to_modes_adjoint(-gvals * quad_weights(mesh, coeffs, b), ax1=1, ax2=2)
+        gvals = source.values(*quad_points(mesh, coeffs if physical else None, b, work))
+        Wq = mesh.to_modes_adjoint(-gvals * coeffs.block(b, work).wgt, ax1=1, ax2=2)
         mesh.scatter_from_quad(Wq, elements=b, out=R)
     return R[:, :, :, 1:].ravel()
 

@@ -126,7 +126,7 @@ class BumpSource:
                    z0=z0, sigma=sigma, cell=geom.cell)
 
     @classmethod
-    def random(cls, rng: np.random.Generator, geom: StripGeometry, f0,
+    def random(cls, rng: np.random.Generator, geom: StripGeometry,
                spec: SourceSpec | None = None) -> "BumpSource":
         """Random member of the family, supported above sup f-range of the slab.
 

@@ -10,7 +10,8 @@ that the probe and the operator tests use.  ``dense_1d`` rebuilds the dense
 bands from them.  ``mode_flat_blocks``, ``mode_block_lu_solver`` and
 ``mode_banded_matvec`` are the assembly, factor and residual multiply
 over every mode, without the mirror classes: the solver's class versions
-must give their bits.
+must give their bits.  ``norms_sq`` sums a field's mode quadratics into
+its squared L2, dz and gradient norms.
 """
 
 import numpy as np
@@ -220,3 +221,11 @@ def mode_block_lu_solver(bands: np.ndarray):
         return y.transpose(1, 2, 0)[:, :, ::-1].ravel()
 
     return solve
+
+
+def norms_sq(field) -> tuple[float, float, float]:
+    """(||u||^2, ||dz u||^2, ||grad u||^2) of a DiscreteField over the strip,
+    from its exact mode quadratics."""
+    l2, dz, horiz = field.mode_quadratics()
+    area = field.mesh.grid.cell_area
+    return float(area * l2.sum()), float(area * dz.sum()), float(area * (dz.sum() + horiz.sum()))

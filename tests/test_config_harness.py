@@ -188,6 +188,27 @@ def test_amplitude_sweep_zero_matches_flat():
     assert rows[0]["report"].u_vh == pytest.approx(flat_rep.u_vh, rel=1e-9)
 
 
+def test_amplitude_sweep_shares_one_context(monkeypatch):
+    """Along L_amplitude the points share one solver context, so the sweep
+    assembles the flat operator once, also past a point whose surface
+    leaves the slab, and every row keeps the bits of a run on its own.
+    Along omega every point assembles its own."""
+    cfg = cfg_with(surface={"terms": [[1, 0, 0.1, 0.0], [0, 1, 0.0, 0.05]]})
+    values = [0.0, 0.5, 30.0, 1.0]
+    alone = [deterministic_run(harness._with_axis(cfg, "L_amplitude", v),
+                               label=f"L_amplitude={v:g}")[0] for v in values if v != 30.0]
+    calls = count_flat_assemblies(monkeypatch)
+    rows = parameter_sweep(cfg, "L_amplitude", values)
+    assert len(calls) == 1
+    assert rows[2]["report"] is None and rows[2]["error"].startswith("ConstraintError")
+    ok = [row["report"] for row in rows if row["report"] is not None]
+    assert [r.csv_row() for r in ok] == [r.csv_row() for r in alone]
+    assert [r.diagnostics["solve_method"] for r in ok] == ["direct", "gmres", "gmres"]
+    calls.clear()
+    parameter_sweep(cfg, "omega", [0.5, 1.0])
+    assert len(calls) == 2
+
+
 def test_unknown_sweep_axis_rejected():
     with pytest.raises(Exception):
         parameter_sweep(cfg_with(), "bogus", [1.0])
@@ -235,13 +256,13 @@ def test_monte_carlo_factors_the_flat_operator_once(monkeypatch):
     assert len(calls) == 1 and rep.n_completed == 3
     assert len(symbols) == symbols_one
 
-    params, geom, _, mesh, f0, _, cutoff, _ = build_setup(cfg)
+    params, geom, _, mesh, _, cutoff, _ = build_setup(cfg)
     law = CoefficientLaw(bands=((1, 0, 0.05), (0, 1, 0.04)))
-    samples = sample_ensemble(5, 3, 0.3, law, geom, f0,
+    samples = sample_ensemble(5, 3, 0.3, law, geom, mesh.bottom,
                               source_spec=SourceSpec(amplitude=cfg.source.amplitude))
     for sample, row in zip(samples, rep.sample_rows):
         ctx = SolverContext(mesh, params)
-        field, info, rhs, _ = solve_surface(ctx, f0, sample.surface, cutoff, sample.source,
+        field, info, rhs, _ = solve_surface(ctx, sample.surface, cutoff, sample.source,
                                             physical=False, tol=cfg.discretization.solver_tol)
         assert row["u_h1_sq"] == field.vh_norm() ** 2
         assert row["energy_residual"] == energy_balance(field, rhs, ctx)[0]
@@ -272,11 +293,11 @@ def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch):
 
 def test_a_failed_sample_leaves_nothing_in_the_shared_workspace(monkeypatch):
     """A sample that fails after three matvecs on scaled vectors in each
-    precision leaves the ensemble's workspace dirty, its buffers last
-    written as complex64 and as complex128 views; the next sample's row
-    keeps the bits of a clean run, so no stage reads a workspace buffer
-    before writing it.  The elements are split into uneven blocks, as on
-    large meshes."""
+    precision leaves the ensemble's workspace dirty, its field buffers last
+    written as complex64 and as complex128 views and its transform planes
+    as float32 and float64 ones; the next sample's row keeps the bits of a
+    clean run, so no stage reads a workspace buffer before writing it.  The
+    elements are split into uneven blocks, as on large meshes."""
     cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3})
     mesh = build_setup(cfg)[3]
     monkeypatch.setattr(solver, "_BLOCK_BYTES", 3 * 4 * mesh.P1 * mesh.P2 * 2 * 16 * 3 + 1)
@@ -297,7 +318,10 @@ def test_a_failed_sample_leaves_nothing_in_the_shared_workspace(monkeypatch):
                 dtypes.clear()
                 for scale in (1e6, -3.0, 1e-6j):
                     operator(scale * b)
-                assert set(dtypes) == {np.dtype(dtype)}
+                # the fields at the operator's precision, its planes at the
+                # real one, cast from float64 products
+                assert set(dtypes) == {np.dtype(dtype), np.finfo(dtype).dtype,
+                                       np.dtype(np.float64)}
             raise NonConvergenceError("failed after 3 matvecs in each precision")
         return real(matvec, b, precond, tol, residual=residual)
 

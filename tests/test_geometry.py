@@ -13,6 +13,7 @@ from elastrip.geometry import (CoefficientLaw, CutoffFn, HarmonicTerm,
 from elastrip.mesh import StripMesh
 from elastrip.params import StripGeometry
 from elastrip.solver import TransformCoefficients
+from geometry_oracles import sup_distance_1inf, worst_case_1inf
 
 CELL = (2 * np.pi, 2 * np.pi)
 GEOM = StripGeometry(m=-0.2, M_sup=0.25, h=1.0, cell=CELL)
@@ -94,32 +95,35 @@ def test_cutoff_shape():
 def test_transform_surface_and_top():
     """The flattening map takes the reference level to the rough surface and
     is the identity at the artificial plane."""
-    f0, f = flat(), wavy()
+    f = wavy()
     cut = CutoffFn(delta=0.2, gamma_gap=1.0)
     y1, y2 = 1.3, 2.1
-    x3, _, _, _ = transform_fields(y1, y2, 0.0, f0, f, cut)
+    x3, _, _, _ = transform_fields(y1, y2, 0.0, 0.0, f, cut)
     assert float(x3) == pytest.approx(float(f.values(y1, y2)), abs=1e-14)
-    x3_top, J1, J2, J3 = transform_fields(y1, y2, 1.0, f0, f, cut)
+    x3_top, J1, J2, J3 = transform_fields(y1, y2, 1.0, 0.0, f, cut)
     assert float(x3_top) == pytest.approx(1.0)
     assert J1 == J2 == J3 == 0.0
 
 
 def test_transform_jacobian_matches_finite_differences():
-    """(J1, J2, 1 + J3) of transform_fields are the y1, y2, y3 derivatives of x3."""
-    f0 = SurfaceProfile(offset=0.0, terms=(HarmonicTerm(1, 1, 0.03, 0.02),), cell=CELL)
-    f = wavy()
+    """(J1, J2, 1 + J3) of transform_fields are the y1, y2, y3 derivatives of
+    x3, over a flat reference at a nonzero level c."""
+    c = 0.07
+    f = SurfaceProfile(offset=c + 0.01, terms=(HarmonicTerm(1, 0, 0.08, 0.0),
+                                               HarmonicTerm(1, 1, 0.03, 0.02)), cell=CELL)
     cut = CutoffFn(delta=0.2, gamma_gap=1.0)
     rng = np.random.default_rng(1)
     # heights on the plateau and on the slope of the cutoff, away from its kinks
-    y3 = np.concatenate([rng.uniform(-0.1, 0.1, 10), rng.uniform(0.3, 0.9, 10)])
+    y3 = c + np.concatenate([rng.uniform(-0.1, 0.1, 10), rng.uniform(0.3, 0.9, 10)])
     y = [rng.uniform(0, CELL[0], 20), rng.uniform(0, CELL[1], 20), y3]
-    _, J1, J2, J3 = transform_fields(*y, f0, f, cut)
+    _, J1, J2, J3 = transform_fields(*y, c, f, cut)
+    assert np.all(J3[:10] == 0.0) and np.all(J3[10:] != 0.0)
     eps = 1e-6
     for k, expect in enumerate((J1, J2, 1 + J3)):
         up, dn = list(y), list(y)
         up[k], dn[k] = y[k] + eps, y[k] - eps
-        fd = (transform_fields(*up, f0, f, cut)[0]
-              - transform_fields(*dn, f0, f, cut)[0]) / (2 * eps)
+        fd = (transform_fields(*up, c, f, cut)[0]
+              - transform_fields(*dn, c, f, cut)[0]) / (2 * eps)
         np.testing.assert_allclose(fd, expect, rtol=1e-6, atol=1e-9)
 
 
@@ -129,38 +133,48 @@ def test_transform_singular_amplitude_raises():
                      n_elements=8)
     f = SurfaceProfile(offset=0.0, terms=(HarmonicTerm(1, 0, 0.9, 0.0),), cell=CELL)
     with pytest.raises(SingularTransformError):
-        TransformCoefficients(mesh, flat(), f, CutoffFn(delta=0.2, gamma_gap=1.0))
+        TransformCoefficients(mesh, f, CutoffFn(delta=0.2, gamma_gap=1.0))
 
 
 def test_invert_vertical_roundtrip():
-    f0, f = flat(), wavy()
+    """The closed-form inverse undoes the map on the plateau, on the slope,
+    above the cutoff, at both kinks and at the bottom, over flat
+    references at levels c = 0 and c = -0.13."""
     cut = CutoffFn(delta=0.2, gamma_gap=1.0)
     rng = np.random.default_rng(0)
-    y1 = rng.uniform(0, CELL[0], 50)
-    y2 = rng.uniform(0, CELL[1], 50)
-    y3 = rng.uniform(0.0, 1.0, 50)
-    x3, _, _, _ = transform_fields(y1, y2, y3, f0, f, cut)
-    back = invert_vertical(x3, y1, y2, f0, f, cut, h=1.0)
-    np.testing.assert_allclose(back, y3, atol=1e-12)
+    n = 50
+    for c in (0.0, -0.13):
+        f = SurfaceProfile(offset=c, terms=wavy().terms, cell=CELL)
+        y1 = rng.uniform(0, CELL[0], 4 * n)
+        y2 = rng.uniform(0, CELL[1], 4 * n)
+        y3 = c + np.concatenate([rng.uniform(0.0, cut.delta, n),
+                                 rng.uniform(cut.delta, cut.gamma_gap, n),
+                                 rng.uniform(cut.gamma_gap, cut.gamma_gap + 0.3, n),
+                                 np.resize([0.0, cut.delta, cut.gamma_gap], n)])
+        x3, _, _, J3 = transform_fields(y1, y2, y3, c, f, cut)
+        assert np.all(J3[:n] == 0.0) and np.all(J3[n:2 * n] != 0.0)
+        assert np.array_equal(x3[2 * n:3 * n], y3[2 * n:3 * n])
+        back = invert_vertical(x3, y1, y2, c, f, cut)
+        np.testing.assert_allclose(back, y3, atol=1e-12)
 
 
 def test_ensemble_deterministic_and_admissible():
     law = CoefficientLaw(bands=((1, 0, 0.05), (0, 1, 0.05)))
-    a = sample_ensemble(123, 6, 0.3, law, GEOM, flat())
-    b = sample_ensemble(123, 6, 0.3, law, GEOM, flat())
+    a = sample_ensemble(123, 6, 0.3, law, GEOM, 0.0)
+    b = sample_ensemble(123, 6, 0.3, law, GEOM, 0.0)
     for sa, sb in zip(a, b):
         assert sa.surface.terms == sb.surface.terms
         assert sa.source == sb.source
     for s in a:
         assert GEOM.m < s.surface.f_min and s.surface.f_max < GEOM.M_sup
-        assert s.surface.sup_distance_1inf(flat()) <= 0.3
+        assert sup_distance_1inf(s.surface, flat()) <= 0.3
 
 
 def test_ensemble_counter_based_streams():
     """Sample k is identical no matter how many samples are drawn around it."""
     law = CoefficientLaw(bands=((1, 1, 0.04),))
-    few = sample_ensemble(9, 3, 0.3, law, GEOM, flat())
-    many = sample_ensemble(9, 8, 0.3, law, GEOM, flat())
+    few = sample_ensemble(9, 3, 0.3, law, GEOM, 0.0)
+    many = sample_ensemble(9, 8, 0.3, law, GEOM, 0.0)
     for k in range(3):
         assert few[k].surface.terms == many[k].surface.terms
 
@@ -181,7 +195,7 @@ def test_ensemble_draws_are_pinned(M0):
     law = CoefficientLaw(bands=((1, 0, 0.05), (0, 1, 0.05), (1, 1, 0.03)))
     draws = []
     for seed in range(10):
-        for s in sample_ensemble(seed, 8, M0, law, GEOM, flat(), SourceSpec()):
+        for s in sample_ensemble(seed, 8, M0, law, GEOM, 0.0, SourceSpec()):
             surf, src = s.surface, s.source
             draws.append((s.sample_id, [(t.j1, t.j2, float(t.c), float(t.s)) for t in surf.terms],
                           surf.L, surf.f_min, surf.f_max,
@@ -219,30 +233,23 @@ def test_ensemble_evaluates_each_band_harmonic_once(monkeypatch):
     calls = []
     real = geometry._harmonic
     monkeypatch.setattr(geometry, "_harmonic", lambda *a: calls.append(a[:2]) or real(*a))
-    samples = sample_ensemble(0, 8, 0.2, law, GEOM, flat())
+    samples = sample_ensemble(0, 8, 0.2, law, GEOM, 0.0)
     assert calls == [(j1, j2) for j1, j2, _ in law.bands]
     for s in samples:
         ref = SurfaceProfile(offset=0.0, terms=s.surface.terms, cell=CELL)
         assert (s.surface.f_min, s.surface.f_max, s.surface.L) == (ref.f_min, ref.f_max, ref.L)
 
 
-def test_ensemble_needs_a_flat_reference():
-    law = CoefficientLaw(bands=((1, 0, 0.04),))
-    with pytest.raises(ConstraintError, match="flat"):
-        sample_ensemble(0, 1, 0.3, law, GEOM, wavy())
-
-
 def test_law_worst_case_dominates_samples():
     law = CoefficientLaw(bands=((1, 0, 0.05), (2, 1, 0.03)))
-    bound = law.worst_case_1inf(CELL)
-    f0 = flat()
-    for s in sample_ensemble(4, 10, bound, law, GEOM, f0):
-        assert s.surface.sup_distance_1inf(f0) <= bound + 1e-12
+    bound = worst_case_1inf(law, CELL)
+    for s in sample_ensemble(4, 10, bound, law, GEOM, 0.0):
+        assert sup_distance_1inf(s.surface, flat()) <= bound + 1e-12
 
 
 def test_source_spec_support_above_slab():
     law = CoefficientLaw(bands=((1, 0, 0.04),))
-    for s in sample_ensemble(1, 5, 0.3, law, GEOM, flat(), source_spec=SourceSpec()):
+    for s in sample_ensemble(1, 5, 0.3, law, GEOM, 0.0, source_spec=SourceSpec()):
         lo, hi = s.source.support()
         assert lo >= GEOM.M_sup
         assert hi <= GEOM.h
@@ -251,4 +258,4 @@ def test_source_spec_support_above_slab():
 def test_ensemble_rejects_bad_sizes():
     law = CoefficientLaw(bands=((1, 0, 0.04),))
     with pytest.raises(ConstraintError):
-        sample_ensemble(0, 0, 0.3, law, GEOM, flat())
+        sample_ensemble(0, 0, 0.3, law, GEOM, 0.0)

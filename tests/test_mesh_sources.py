@@ -158,8 +158,7 @@ def test_rough_matvec_repeats_bit_for_bit(N1, N2, nz, seed):
     geom = StripGeometry(m=-0.3, M_sup=0.3, h=1.0, cell=CELL)
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=CELL), bottom=0.0, top=1.0,
                      n_elements=4 * nz)
-    coeffs = TransformCoefficients(mesh, make_profile(0.0, (), geom),
-                                   make_profile(0.0, ((1, 1, 0.05, 0.02),), geom),
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, ((1, 1, 0.05, 0.02),), geom),
                                    CutoffFn(0.25, 1.0))
     op = StripOperator(SolverContext(mesh, ElasticParams(lam=1.0, mu=1.0, omega=2.0)), coeffs)
     x = _random(np.random.default_rng(seed), op.shape[0])

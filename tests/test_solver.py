@@ -14,7 +14,7 @@ from elastrip import harness, solver
 from elastrip.config import from_dict
 from elastrip.dtn import SpectralGrid, dtn_symbol_grid
 from elastrip.errors import ConstraintError, NonConvergenceError, SingularTransformError
-from elastrip.geometry import CutoffFn, SurfaceProfile, make_profile
+from elastrip.geometry import CutoffFn, HarmonicTerm, SurfaceProfile, make_profile
 from elastrip.harness import solve_surface
 from elastrip.mesh import StripMesh, Workspace
 from elastrip.params import ElasticParams, StripGeometry
@@ -37,7 +37,8 @@ from elastrip.solver import (
 from elastrip.sources import BumpSource, HarmonicFactor
 from flat_oracles import (coercivity_probe, dense_1d, dense_blocks, einsum_bands,
                           expand_mirrors, flat_mode_oracle, mode_banded_matvec,
-                          mode_block_lu_solver, mode_flat_blocks)
+                          mode_block_lu_solver, mode_flat_blocks, norms_sq)
+from geometry_oracles import full_coefficients
 from rellich_oracle import ModeFieldSmooth, rellich_identity_residual, rellich_residual
 
 CELL = (2 * np.pi, 2 * np.pi)
@@ -84,8 +85,7 @@ def test_rough_operator_matches_its_form(mu, lam_frac, omega, terms, N, nz, seed
     """vdot(y, op.matvec(x)) = B(u_x, u_y), the curl-form density at the quad points."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = flat_mesh(N=N, nz=nz)
-    coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM),
-                                   make_profile(0.0, terms, GEOM), CutoffFn(0.25, 1.0))
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, terms, GEOM), CutoffFn(0.25, 1.0))
     op = StripOperator(SolverContext(mesh, params), coeffs)
     rng = np.random.default_rng(seed)
     x, y = (rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
@@ -95,7 +95,8 @@ def test_rough_operator_matches_its_form(mu, lam_frac, omega, terms, N, nz, seed
     def curl(G):
         return np.stack([G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]])
 
-    Fx, Fy = (physical_quad_fields(mesh, f.coeff, coeffs) for f in (fx, fy))
+    planes = coeffs.block(slice(None), Workspace())
+    Fx, Fy = (physical_quad_fields(mesh, f.coeff, planes) for f in (fx, fy))
     (ux, Gx), (uy, Gy) = ((F[:, 0], F[:, 1:]) for F in (Fx, Fy))
     density = (2 * mu * np.sum(Gx * np.conj(Gy), axis=(0, 1))
                + params.lam * np.trace(Gx) * np.conj(np.trace(Gy))
@@ -105,16 +106,78 @@ def test_rough_operator_matches_its_form(mu, lam_frac, omega, terms, N, nz, seed
     Msym = dtn_symbol_grid(XI1, XI2, params)
     top_x, top_y = fx.coeff[..., -1], fy.coeff[..., -1]
     dtn = 1j * mesh.grid.cell_area * np.einsum("kab,kjab,jab->", np.conj(top_y), Msym, top_x)
-    form = np.sum(quad_weights(mesh, coeffs) * density) - dtn
+    form = np.sum(planes.wgt * density) - dtn
     Ax = op.matvec(x)
     assert abs(np.vdot(y, Ax) - form) <= 1e-10 * np.linalg.norm(y) * np.linalg.norm(Ax)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N1=st.integers(0, 3), N2=st.integers(0, 3), nz=st.integers(2, 12),
+       cell=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
+       c=st.floats(-0.2, 0.2), shift=st.floats(-0.05, 0.05), omega=st.floats(0.1, 15.0),
+       terms=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                                st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)), max_size=3),
+       data=st.data())
+def test_block_planes_equal_the_full_size_arrays(N1, N2, nz, cell, c, shift, omega, terms, data):
+    """Every plane of TransformCoefficients.block, at float64 and float32,
+    and the heights equal (np.array_equal) the full-size array of the
+    general map over the flat reference f0 = c, sliced to the block; a
+    float32 plane is the cast of that array.  The cutoff kink falls between
+    the two Gauss points of an element, and the blocks of both precisions
+    and one arbitrary slice share one workspace."""
+    kink = data.draw(st.integers(0, nz // 2 - 1)) + data.draw(st.floats(0.25, 0.75))
+    mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell), bottom=c, top=c + 1.0,
+                     n_elements=nz)
+    cutoff = CutoffFn(kink / nz, 1.0)
+    f = SurfaceProfile(offset=c + shift, terms=tuple(HarmonicTerm(*t) for t in terms), cell=cell)
+    coeffs = TransformCoefficients(mesh, f, cutoff)
+    full = full_coefficients(mesh, SurfaceProfile(offset=c, terms=(), cell=cell), f, cutoff)
+    full["mass_wgt"] = -(omega * omega) * full["wgt"]
+    start = data.draw(st.integers(0, nz - 1))
+    extra = slice(start, data.draw(st.integers(start + 1, nz)))
+    work = Workspace()
+    for dtype in (np.complex128, np.complex64):
+        real = np.finfo(dtype).dtype
+        for b in solver.element_blocks(mesh, dtype) + [extra]:
+            planes = coeffs.block(b, work, real, omega)
+            for name, plane in planes._asdict().items():
+                assert plane.dtype == real, name
+                assert np.array_equal(plane, full[name][..., b, :].astype(real)), name
+            x3 = coeffs.heights(b, work)
+            assert x3.dtype == np.float64 and np.array_equal(x3, full["x3"][..., b, :])
+
+
+def test_rough_solve_holds_no_full_size_coefficient_array(monkeypatch):
+    """After a rough solve, neither its transform nor either of its
+    operators holds an array with both a horizontal axis (P1 or P2 long)
+    and a quad-point axis (n_z long): the transform keeps (P1, P2) fields
+    and (n_z, 2) profiles, and a block's planes live in the context's
+    workspace."""
+    operators = []
+    init = StripOperator.__init__
+
+    def recorded(self, *args, **kwargs):
+        operators.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StripOperator, "__init__", recorded)
+    mesh = flat_mesh(N=3, nz=16)
+    assert mesh.n_elements not in (mesh.P1, mesh.P2)
+    _, info, _, coeffs = surface_solve(SolverContext(mesh, P),
+                                       make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM))
+    assert info.method == "gmres"
+    assert {op.dtype for op in operators} == {np.dtype(np.complex64), np.dtype(np.complex128)}
+    for holder in [coeffs] + operators:
+        for name, value in vars(holder).items():
+            if isinstance(value, np.ndarray):
+                horizontal = mesh.P1 in value.shape or mesh.P2 in value.shape
+                assert not (horizontal and mesh.n_elements in value.shape), (name, value.shape)
 
 
 def test_rough_matvec_transforms_once(monkeypatch):
     """One rough matvec is one inverse and one forward stacked transform."""
     mesh = flat_mesh(N=2, nz=6)
-    coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM),
-                                   make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM),
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM),
                                    CutoffFn(0.25, 1.0))
     op = StripOperator(SolverContext(mesh, P), coeffs)
     calls = {"to_physical": 0, "to_modes_adjoint": 0}
@@ -129,9 +192,8 @@ def test_rough_matvec_transforms_once(monkeypatch):
 
 def _rough_setup(N, nz, amplitude=0.08):
     mesh = flat_mesh(N=N, nz=nz)
-    coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM),
-                                   make_profile(0.0, ((1, 0, amplitude, 0.0), (1, 1, 0.0, 0.03)),
-                                                GEOM),
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, ((1, 0, amplitude, 0.0),
+                                                            (1, 1, 0.0, 0.03)), GEOM),
                                    CutoffFn(0.25, 1.0))
     return mesh, coeffs
 
@@ -441,19 +503,20 @@ def test_vh_norm_exact_for_linear_mode_profile():
         xi_sq = 1.0 if N else 0.0  # mode (1, 0), or (0, 0) alone
         field.coeff[2, N, 0, :] = mesh.nodes
         area = mesh.grid.cell_area
-        assert field.l2_norm_sq() == pytest.approx(area / 3, rel=1e-13)
-        assert field.dz_norm_sq() == pytest.approx(area, rel=1e-13)
+        l2_sq, dz_sq, grad_sq = norms_sq(field)
+        assert l2_sq == pytest.approx(area / 3, rel=1e-13)
+        assert dz_sq == pytest.approx(area, rel=1e-13)
         # |grad|^2 adds |xi|^2 |u|^2
-        assert field.grad_norm_sq() == pytest.approx(area * (1 + xi_sq / 3), rel=1e-13)
+        assert grad_sq == pytest.approx(area * (1 + xi_sq / 3), rel=1e-13)
         assert field.vh_norm() == pytest.approx(np.sqrt(area * (4 + xi_sq) / 3), rel=1e-13)
         # a random field: the per-mode quadratics match the dense contraction
         rng = np.random.default_rng(4)
         c = rng.standard_normal(field.coeff.shape) + 1j * rng.standard_normal(field.coeff.shape)
         field.coeff[:] = c
         Mz, Sz, _ = dense_1d(mesh)
-        for norm_sq, M in ((field.l2_norm_sq, Mz), (field.dz_norm_sq, Sz)):
+        for norm_sq, M in zip(norms_sq(field), (Mz, Sz)):
             dense = area * np.einsum("cabm,mn,cabn->ab", np.conj(c), M, c).real.sum()
-            assert norm_sq() == pytest.approx(dense, rel=1e-13)
+            assert norm_sq == pytest.approx(dense, rel=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
@@ -521,11 +584,13 @@ def _source_on_mesh(draw):
 def test_flat_load_vector_and_source_norms_match_the_grid(case):
     """The mode-space load vector and source norms of a flat strip equal the
     pseudospectral quadrature on the collocation grid, which an identity
-    transform (f = f0) keeps, to 1e-13."""
+    transform (f = c, the mesh bottom) keeps, to 1e-13."""
     mesh, source = case
-    f0 = SurfaceProfile(offset=mesh.bottom, terms=(), cell=mesh.grid.cell)
-    identity = TransformCoefficients(mesh, f0, f0, CutoffFn(0.25, mesh.top - mesh.bottom))
-    assert np.all(identity.det == 1.0) and np.array_equal(identity.x3[0, 0], mesh.zq)
+    flat = SurfaceProfile(offset=mesh.bottom, terms=(), cell=mesh.grid.cell)
+    identity = TransformCoefficients(mesh, flat, CutoffFn(0.25, mesh.top - mesh.bottom))
+    work = Workspace()
+    assert np.all(identity.block(slice(None), work).inv_det == 1.0)
+    assert np.array_equal(identity.heights(slice(None), work)[0, 0], mesh.zq)
     rhs = assemble_rhs(mesh, source)
     ref = assemble_rhs(mesh, source, identity, physical=True)
     assert np.linalg.norm(rhs - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -592,21 +657,19 @@ def test_singular_transform_rejected():
     from elastrip.geometry import HarmonicTerm, SurfaceProfile
 
     mesh = flat_mesh(N=2, nz=8)
-    f0 = make_profile(0.0, (), GEOM)
     steep = SurfaceProfile(offset=0.0, terms=(HarmonicTerm(1, 0, 1.2, 0.0),),
                            cell=CELL)
     with pytest.raises(SingularTransformError):
-        TransformCoefficients(mesh, f0, steep, CutoffFn(0.05, 1.0))
+        TransformCoefficients(mesh, steep, CutoffFn(0.05, 1.0))
 
 
 def surface_solve(ctx, f):
-    """solve_surface over the flat reference f0 = 0 with the bump source."""
-    return solve_surface(ctx, make_profile(0.0, (), GEOM), f, CutoffFn(0.25, 1.0),
-                         bump(), physical=True, tol=1e-9)
+    """solve_surface over the flat reference c = 0 with the bump source."""
+    return solve_surface(ctx, f, CutoffFn(0.25, 1.0), bump(), physical=True, tol=1e-9)
 
 
 def test_solve_surface_flags_mode_coupling():
-    """The transform, and with it GMRES, is used exactly when surface - f0 != 0."""
+    """The transform, and with it GMRES, is used exactly when surface - c != 0."""
     ctx = SolverContext(flat_mesh(N=1, nz=16), P)
     cases = [
         (make_profile(0.0, (), GEOM), True),
@@ -648,11 +711,10 @@ def test_rough_solve_reduces_to_flat_for_identical_surfaces():
 @given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
        N=st.integers(1, 2), nz=st.integers(1, 16), z0=st.floats(0.2, 0.8))
 def test_identity_transform_gmres_matches_direct(mu, lam_frac, omega, N, nz, z0):
-    """GMRES through a transform with f = f0 gives the direct flat solve."""
+    """GMRES through a transform with f = c gives the direct flat solve."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = flat_mesh(N=N, nz=nz)
-    f0 = make_profile(0.0, (), GEOM)
-    coeffs = TransformCoefficients(mesh, f0, f0, CutoffFn(0.25, 1.0))
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM), CutoffFn(0.25, 1.0))
     rhs = assemble_rhs(mesh, bump(z0=z0))
     tol = 1e-9
     ctx = SolverContext(mesh, params)
@@ -695,8 +757,8 @@ def test_values_at_points_match_mode_sum():
 def rough_system(N=2, nz=16):
     """Mesh, load vector and transform of a one-term rough surface."""
     mesh = flat_mesh(N=N, nz=nz)
-    f0, f = make_profile(0.0, (), GEOM), make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM)
-    coeffs = TransformCoefficients(mesh, f0, f, CutoffFn(0.25, 1.0))
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM),
+                                   CutoffFn(0.25, 1.0))
     return mesh, assemble_rhs(mesh, bump(), coeffs, physical=True), coeffs
 
 
@@ -781,8 +843,7 @@ def test_complex64_operator_matches_complex128(mu, lam_frac, omega, N, nz, terms
     ways: an upcast inside would keep these numbers but lose the speed."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = flat_mesh(N=N, nz=nz)
-    coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM),
-                                   make_profile(0.0, terms, GEOM), CutoffFn(0.25, 1.0))
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, terms, GEOM), CutoffFn(0.25, 1.0))
     ctx = SolverContext(mesh, params)
     rng = np.random.default_rng(seed)
     n = 3 * mesh.grid.n1 * mesh.grid.n2 * nz
