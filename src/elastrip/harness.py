@@ -199,7 +199,7 @@ def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
     unlike the load vector, a harmonic whose residue is no lattice mode
     still counts.  Under ``coeffs`` with ``physical`` the points move with
     the flattening map, and the sums run at them over the solver's element
-    blocks in order, each block's planes in the buffers of ``work``.
+    blocks in order, each block's weights in a buffer of ``work``.
     """
     coeffs = coeffs if physical else None
     if coeffs is None:
@@ -215,7 +215,7 @@ def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
     work = Workspace() if work is None else work
     for b in element_blocks(mesh):
         points = quad_points(mesh, coeffs, b, work)
-        wgt = coeffs.block(b, work).wgt
+        wgt = coeffs.weights(b, work)
         l2_sq += float(np.sum(wgt * source.values(*points) ** 2))
         grad_sq += float(np.sum(wgt * source.gradients(*points) ** 2))
     return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)

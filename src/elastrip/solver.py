@@ -51,15 +51,31 @@ _GMRES_MAX_ITER = 50
 # an invariant Krylov space (a happy breakdown): exhausting the space leaves
 # 1e-30 and less, while a working step keeps 1e-4 and more.
 _BREAKDOWN = 1e-14
+# The same share for a round whose basis is complex64.  There what is left of
+# an exhausted space is the complex64 operator's own error: 1.4e-7 to
+# 9.3e-6 of |A M^{-1} v_k| on rough strips with N1 = N2 = 0 and n_z <= 3,
+# and up to 9e-5 on a smooth vector (see _INNER_TOL).  The working steps of
+# rough solves of the benchmark's surfaces keep 4e-2 and more (N = 2 to 12,
+# n_z = 16 to 96).  A false breakdown only ends the round early: the
+# complex128 residual still judges its correction.
+_BREAKDOWN_COMPLEX64 = 1e-4
 # A refinement round of the rough solve runs Arnoldi on the complex64
 # operator until its estimate is this share of the round's starting residual
 # (see gmres).  At N=8, n_z=64 the complex64 matvec differs from the
 # complex128 one by 1.2e-7 of |A x| on a random x, and by 9e-5 on the smooth
 # first Krylov vector M^{-1} b, whose A x cancels; that error caps what one
-# round gains.  At 1e-5 a solve to 1e-9 takes two rounds: the seed-0
-# rough_solve ran 6 + 5 complex64 steps, its true residuals 1.2e-4, then
-# 7.3e-10.  At 1e-4 and looser, solves took three rounds; at 1e-6, a step more.
-_INNER_TOL = 1e-5
+# round gains.  A solve to 1e-9 takes two rounds: the seed-0 rough_solve
+# runs 6 + 5 complex64 steps, its true residuals 1.2e-4, then 7.3e-10.
+# Complex64 steps per solve at 1e-5 -> 3e-5, each with 2 complex128
+# residuals at both (benchmark workloads, N=8, n_z=64 and N=6, n_z=32):
+#   rough_solve seeds 0-4:        11, 11, 11, 11, 11 -> 11, 11, 11, 10, 10
+#   mc_ensemble seed 0 (8 solves): 9 11 8 10 11 9 10 9 -> 9 10 8 9 10 8 10 9
+#   mc_ensemble seed 1 (8 solves): 9 each -> 8 9 9 9 9 9 9 9
+# Over seeds 0-9 of both, 23 of 90 solves took a step fewer and none more.
+# The step saved is the first round's last, which the complex64 error above
+# makes useless.  At 1e-4 and looser, solves took three rounds; at 1e-6, a
+# step more.
+_INNER_TOL = 3e-5
 # Bytes of one element block's stacked fields (see element_blocks).  The
 # context's workspace holds about 1.5 times this at any n_z.  Fewer elements
 # a block narrow the DFT-matrix products: at N=24, n_z=128 (2 elements a
@@ -296,9 +312,11 @@ def _flip(y: np.ndarray) -> np.ndarray:
 
 
 def _to_classes(v: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """Free vector v in the class layout of :func:`_mirror_maps`, each slot
-    turned into the image of its class by :func:`_flip`; one gather."""
-    return _flip(np.asarray(v, dtype=complex)[gather])
+    """Free vector v in the class layout of :func:`_mirror_maps`, complex128,
+    each slot turned into the image of its class by :func:`_flip`; one
+    gather, in v's precision, then the exact upcast of a complex64 v, so
+    no complex128 copy of v itself is made."""
+    return _flip(np.asarray(v)[gather].astype(complex, copy=False))
 
 
 def _from_classes(y: np.ndarray, scatter: np.ndarray) -> np.ndarray:
@@ -513,7 +531,7 @@ class TransformCoefficients:
         formed in float64 and then turned into the weights in place."""
         mesh, real = self.mesh, np.dtype(dtype)
         planes, shape = self._plane_shapes(elements)
-        a, a_d, wq = (v[elements].ravel() for v in (self.alpha, self.alpha_d, mesh.wq))
+        a, wq = (v[elements].ravel() for v in (self.alpha, mesh.wq))
         cast = real != np.float64  # a float32 plane is cast from ``tmp``
         tmp = work.take("plane64", planes, np.float64) if cast else None
 
@@ -526,14 +544,28 @@ class TransformCoefficients:
 
         J1, J2 = outer("J1", self.g1.ravel(), a), outer("J2", self.g2.ravel(), a)
         wgt = work.take("wgt", planes, real)
-        det = np.einsum("i,j->ij", self.df.ravel(), a_d, out=tmp if cast else wgt)
-        det += 1.0
+        det = self._det(elements, tmp if cast else wgt)
         inv_det = np.divide(1.0, det, out=work.take("inv_det", planes, real))
         wgt64 = np.multiply(det, wq * mesh.point_weight, out=det)
         if cast:
             wgt[...] = wgt64
         mass_wgt = np.multiply(-(omega * omega), wgt64, out=work.take("mass_wgt", planes, real))
         return BlockPlanes(*(p.reshape(shape) for p in (J1, J2, inv_det, wgt, mass_wgt)))
+
+    def _det(self, elements: slice, out: np.ndarray) -> np.ndarray:
+        """det = 1 + alpha' (f - c) of the vertical ``elements``, float64, in ``out``."""
+        det = np.einsum("i,j->ij", self.df.ravel(), self.alpha_d[elements].ravel(), out=out)
+        det += 1.0
+        return det
+
+    def weights(self, elements: slice, work: Workspace) -> np.ndarray:
+        """The float64 ``wgt`` plane of :meth:`block` alone, with its bits,
+        in the same buffer of ``work``: what the load vector and the source
+        norms read, without the chain-rule planes."""
+        planes, shape = self._plane_shapes(elements)
+        wgt = self._det(elements, work.take("wgt", planes, np.float64))
+        wgt *= self.mesh.wq[elements].ravel() * self.mesh.point_weight
+        return wgt.reshape(shape)
 
     def heights(self, elements: slice, work: Workspace) -> np.ndarray:
         """The physical heights x3 = z + alpha (f - c) of the vertical
@@ -634,12 +666,14 @@ class StripOperator:
     takes its symbol.  Without a transform this action coincides with the
     assembled flat blocks to roundoff.
 
-    ``dtype`` is the complex precision of the work between the free
-    vectors, which are complex128 in and out.  At complex64 the block
-    planes, the plain weights and the Lame constants are float32, so no
-    product mixes in a float64 operand: numpy 1.x and 2.x (NEP 50)
-    promote a float32 array times a float64 scalar differently, and a
-    silent upcast keeps the numbers but loses the speed.
+    ``dtype`` is the complex precision of the work and of the returned
+    free vector; the input vector, of any precision, is rounded to it.
+    At complex64 the block planes, the plain weights and the Lame
+    constants are float32, so no product mixes in a float64 operand:
+    numpy 1.x and 2.x (NEP 50) promote a float32 array times a float64
+    scalar differently, and a silent upcast keeps the numbers but loses
+    the speed.  A complex64 result lets :func:`gmres` keep a complex64
+    Krylov basis.
     """
 
     def __init__(self, ctx: SolverContext, coeffs: TransformCoefficients | None = None,
@@ -703,7 +737,7 @@ class StripOperator:
         # DtN boundary term at the top node
         top = U[:, :, :, -1]
         R[:, :, :, -1] -= mesh.grid.cell_area * 1j * np.einsum("kjab,jab->kab", ctx.symbol, top)
-        return R[:, :, :, 1:].astype(complex).ravel()
+        return R[:, :, :, 1:].ravel()
 
 
 def assemble_rhs(mesh: StripMesh, source,
@@ -721,7 +755,7 @@ def assemble_rhs(mesh: StripMesh, source,
     is no lattice mode drops out, on both routes.
 
     With ``coeffs`` the source is evaluated, weighted by det J and
-    transformed one element block at a time, the block's planes in buffers
+    transformed one element block at a time, the block's weights in a buffer
     of ``work``; ``physical=True`` evaluates it at the physical heights of
     the flattening map, so two different transforms of the same physical
     problem assemble consistent data.
@@ -737,7 +771,7 @@ def assemble_rhs(mesh: StripMesh, source,
     work = Workspace() if work is None else work
     for b in element_blocks(mesh):
         gvals = source.values(*quad_points(mesh, coeffs if physical else None, b, work))
-        Wq = mesh.to_modes_adjoint(-gvals * coeffs.block(b, work).wgt, ax1=1, ax2=2)
+        Wq = mesh.to_modes_adjoint(-gvals * coeffs.weights(b, work), ax1=1, ax2=2)
         mesh.scatter_from_quad(Wq, elements=b, out=R)
     return R[:, :, :, 1:].ravel()
 
@@ -787,17 +821,24 @@ def gmres(matvec, b: np.ndarray, precond, tol: float,
     estimate reaches ``_INNER_TOL`` times the residual it started from, or
     ``tol`` when that is larger.  A round that does not halve the true
     residual hands the remaining rounds to ``residual``.  Without
-    ``residual`` every round runs on ``matvec`` to ``tol``.  The basis, the Gram-Schmidt sums and
-    the correction stay in the precision of b, and inner products and norms
-    are numpy sums, so the result does not depend on the BLAS thread count.
+    ``residual`` every round runs on ``matvec`` to ``tol``.
 
-    A step that finds an invariant space (zero subdiagonal, to roundoff)
-    ends its round with the exact solution in that space.  Returns x and
-    its :class:`SolveInfo`: ``iterations`` sums the Arnoldi steps of all
-    rounds, ``history`` lists each round's estimates followed by its true
-    residual.  Raises :class:`NonConvergenceError` with that history when
-    the steps reach ``_GMRES_MAX_ITER``, or when a round on the exact
-    operator exhausts its space or overflows without meeting ``tol``.
+    A round's basis, its Gram-Schmidt sums and its correction V y take
+    the precision of its matvec's output: complex64 on the complex64
+    operator, half the bytes.  x, the residuals, the Hessenberg matrix and
+    the rotations stay in the precision of b and of ``residual``, whose
+    output takes b - A x in place, and ``precond`` returns that precision.
+    Inner products and norms are numpy sums, so the result does not
+    depend on the BLAS thread count.
+
+    A step that finds an invariant space (a subdiagonal below
+    ``_BREAKDOWN`` of the step's direction, ``_BREAKDOWN_COMPLEX64`` in a
+    complex64 round) ends its round with the solution in that space.
+    Returns x and its :class:`SolveInfo`: ``iterations`` sums the Arnoldi
+    steps of all rounds, ``history`` lists each round's estimates followed
+    by its true residual.  Raises :class:`NonConvergenceError` with that
+    history when the steps reach ``_GMRES_MAX_ITER``, or when a round on the
+    exact operator exhausts its space or overflows without meeting ``tol``.
     """
     beta = _norm(b)
     if beta == 0:
@@ -812,7 +853,8 @@ def gmres(matvec, b: np.ndarray, precond, tol: float,
                                            _GMRES_MAX_ITER - steps)
         steps += len(estimates)
         candidate = np.add(d, x, out=d)
-        r_new = b - residual(candidate)
+        r_new = residual(candidate)
+        np.subtract(b, r_new, out=r_new)  # b - A x in the matvec's own output
         rel_new = _norm(r_new) / beta
         history += [e / beta for e in estimates] + [rel_new]
         if rel_new <= tol:
@@ -837,13 +879,16 @@ def _gmres_cycle(matvec, r: np.ndarray, precond, target: float, max_steps: int):
     and whether the cycle ended by breakdown or overflow.
     """
     r_norm = _norm(r)
-    V = [r / r_norm]    # orthonormal basis of the Krylov space of A M^{-1}
+    V = [r / r_norm]    # orthonormal basis of the Krylov space of A M^{-1}, in w's precision
     R = []              # columns of the rotated, upper-triangular Hessenberg matrix
     rotations = []      # Givens (c, s) of each step
     g = [r_norm]        # rotated r_norm e1; |g[-1]| is the residual norm
     estimates, stuck = [], False
     for k in range(max_steps):
         w = matvec(precond(V[k]))
+        if k == 0:  # the basis takes the precision of the matvec's output
+            V[0] = V[0].astype(w.dtype, copy=False)
+            tiny = _BREAKDOWN_COMPLEX64 if w.dtype == np.complex64 else _BREAKDOWN
         w_norm = _norm(w)
         if not np.isfinite(w_norm):  # overflow: d from the steps before this one
             estimates.append(np.inf)
@@ -856,7 +901,7 @@ def _gmres_cycle(matvec, r: np.ndarray, precond, target: float, max_steps: int):
                 w -= p * v
             h[:k + 1] += proj
         h_next = _norm(w)
-        breakdown = h_next <= _BREAKDOWN * w_norm
+        breakdown = h_next <= tiny * w_norm
         if not breakdown:
             V.append(w / h_next)
         h[k + 1] = h_next
@@ -878,7 +923,7 @@ def _gmres_cycle(matvec, r: np.ndarray, precond, target: float, max_steps: int):
     for i in range(n - 1, -1, -1):  # back substitution, R[j][i] is row i of column j
         y[i] = (g[i] - sum(R[j][i] * y[j] for j in range(i + 1, n))) / R[i][i]
     z = np.zeros_like(V[0])
-    for yi, v in zip(y, V):
+    for yi, v in zip(y.astype(z.dtype), V):  # a complex128 yi would upcast yi * v under NEP 50
         z += yi * v
     return precond(z), estimates, stuck
 

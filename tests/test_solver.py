@@ -122,9 +122,11 @@ def test_block_planes_equal_the_full_size_arrays(N1, N2, nz, cell, c, shift, ome
     """Every plane of TransformCoefficients.block, at float64 and float32,
     and the heights equal (np.array_equal) the full-size array of the
     general map over the flat reference f0 = c, sliced to the block; a
-    float32 plane is the cast of that array.  The cutoff kink falls between
-    the two Gauss points of an element, and the blocks of both precisions
-    and one arbitrary slice share one workspace."""
+    float32 plane is the cast of that array.  The weights-only
+    TransformCoefficients.weights has the bits of the float64 ``wgt`` plane.
+    The cutoff kink falls between the two Gauss points of an element, and
+    the blocks of both precisions and one arbitrary slice share one
+    workspace."""
     kink = data.draw(st.integers(0, nz // 2 - 1)) + data.draw(st.floats(0.25, 0.75))
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell), bottom=c, top=c + 1.0,
                      n_elements=nz)
@@ -143,6 +145,9 @@ def test_block_planes_equal_the_full_size_arrays(N1, N2, nz, cell, c, shift, ome
             for name, plane in planes._asdict().items():
                 assert plane.dtype == real, name
                 assert np.array_equal(plane, full[name][..., b, :].astype(real)), name
+            if real == np.float64:
+                wgt = planes.wgt.copy()
+                assert np.array_equal(coeffs.weights(b, work), wgt)
             x3 = coeffs.heights(b, work)
             assert x3.dtype == np.float64 and np.array_equal(x3, full["x3"][..., b, :])
 
@@ -839,8 +844,9 @@ def test_gmres_raises_at_the_iteration_cap(monkeypatch):
 def test_complex64_operator_matches_complex128(mu, lam_frac, omega, N, nz, terms, seed):
     """On random materials and surfaces in the slab (|J3| < 0.3 / 0.75 < 1)
     the complex64 operator agrees with the complex128 one to 1e-6 relative,
-    takes and returns complex128 vectors, and transforms in complex64 both
-    ways: an upcast inside would keep these numbers but lose the speed."""
+    takes a complex128 vector and returns a complex64 one, and transforms in
+    complex64 both ways: an upcast inside would keep these numbers but lose
+    the speed."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = flat_mesh(N=N, nz=nz)
     coeffs = TransformCoefficients(mesh, make_profile(0.0, terms, GEOM), CutoffFn(0.25, 1.0))
@@ -858,10 +864,76 @@ def test_complex64_operator_matches_complex128(mu, lam_frac, omega, N, nz, terms
                 return out
             mp.setattr(StripMesh, name, spied)
         fast = StripOperator(ctx, coeffs, np.complex64).matvec(x)
-    assert fast.dtype == np.complex128
+    assert fast.dtype == np.complex64 and exact.dtype == np.complex128
     assert np.linalg.norm(fast - exact) <= 1e-6 * np.linalg.norm(exact)
     assert {name for name, _, _ in seen} == {"to_physical", "to_modes_adjoint"}
     assert all(i == o == np.complex64 for _, i, o in seen), seen
+
+
+@pytest.mark.parametrize("wrong", [None, lambda y: -y])
+def test_complex64_rounds_keep_a_complex64_krylov_basis(monkeypatch, wrong):
+    """Every Gram-Schmidt product <v, w> of a round takes the basis vector
+    v and the new direction w in the precision of the round's operator, so
+    a complex64 round keeps a complex64 basis, and x is complex128.  With
+    a negated complex64 operator the first round fails to halve the
+    residual, and the rounds after it, on the complex128 operator, stay
+    complex128."""
+    mesh, rhs, coeffs = rough_system()
+    calls = count_matvecs(monkeypatch)
+    if wrong is not None:
+        monkeypatch.setattr(StripOperator, "_matvec", _wrong_complex64(wrong))
+    products = []  # (latest matvec precision, v, w) of every product of two arrays
+    dot = solver._dot
+
+    def spied(a, b):
+        if a is not b:  # a norm is the dot of an array with itself
+            products.append((calls[-1], a.dtype, b.dtype))
+        return dot(a, b)
+
+    monkeypatch.setattr(solver, "_dot", spied)
+    field, info = solve_field(SolverContext(mesh, P), rhs, coeffs)
+    assert info.residual <= 1e-9 and field.coeff.dtype == np.complex128
+    assert all(v == w == op for op, v, w in products), set(products)
+    rounds = {op for op, _, _ in products}
+    assert rounds == ({np.dtype(np.complex64)} if wrong is None
+                      else {np.dtype(np.complex64), np.dtype(np.complex128)})
+
+
+@pytest.mark.parametrize("nz", [1, 2, 3])
+def test_complex64_round_ends_when_its_krylov_space_is_exhausted(nz):
+    """On a rough strip with the one mode N1 = N2 = 0 (3 n_z unknowns), a
+    complex64 round with an unreachable target ends by breakdown within
+    3 n_z steps instead of running to _GMRES_MAX_ITER: in complex64 an
+    exhausted space leaves roundoff of 1e-7 to 1e-5, far above the
+    complex128 threshold."""
+    mesh = StripMesh(grid=SpectralGrid(N1=0, N2=0, cell=CELL), bottom=0.0, top=1.0,
+                     n_elements=nz)
+    coeffs = TransformCoefficients(mesh, make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM),
+                                   CutoffFn(0.25, 1.0))
+    ctx = SolverContext(mesh, P)
+    rng = np.random.default_rng(nz)
+    r = rng.standard_normal(3 * nz) + 1j * rng.standard_normal(3 * nz)
+    d, estimates, stuck = solver._gmres_cycle(StripOperator(ctx, coeffs, np.complex64).matvec,
+                                              r, ctx.solve, 0.0, solver._GMRES_MAX_ITER)
+    assert stuck and len(estimates) <= 3 * nz and d.dtype == np.complex128
+
+
+def test_warm_rough_solve_peaks_below_twelve_vectors():
+    """A rough solve at N=4, n_z=32 on a warm context (block-LU and
+    workspace built) allocates at most 12 complex128 free vectors at its
+    tracemalloc peak: 11.1 with the complex64 Krylov basis, against 13.1
+    when the basis, its Gram-Schmidt sums and the complex64 matvec's
+    output were complex128."""
+    mesh, rhs, coeffs = rough_system(N=4, nz=32)
+    ctx = SolverContext(mesh, P)
+    solve_field(ctx, rhs, coeffs)
+    tracemalloc.start()
+    try:
+        _, info = solve_field(ctx, rhs, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.method == "gmres" and peak <= 12 * rhs.nbytes, peak / rhs.nbytes
 
 
 def _wrong_complex64(wrong):
