@@ -289,8 +289,9 @@ def parameter_sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
 
     Along ``L_amplitude`` the mesh and the material stay, so the points
     share one :class:`SolverContext`, built at the first point whose setup
-    succeeds: the DtN symbol, the workspace and the flat factor are built
-    once.  Along ``omega`` and ``h`` each point builds its own.
+    succeeds: the DtN symbol, the workspace and the rough points' flat
+    preconditioner are built once; a flat point factors the classes its
+    load reaches.  Along ``omega`` and ``h`` each point builds its own.
     """
     rows, ctx = [], None
     for v in values:

@@ -1,10 +1,12 @@
 """Galerkin discretization and solution of the strip variational problem.
 
 Flat reference surface: Fourier modes decouple, each mode is a 3x3-block
-tridiagonal 1D system solved directly by one batched block-LU.  The modes
-(+-j1, +-j2) share one matrix up to the signs of the u1 and u2 rows and
-columns, so the bands are stored and factored once per mirror class
-(|j1|, |j2|).  The block-LU runs on class-last views of the bands and
+tridiagonal 1D system.  The modes (+-j1, +-j2) share one matrix up to the
+signs of the u1 and u2 rows and columns, so the bands are stored and
+factored once per mirror class (|j1|, |j2|).  A mode with zero load has
+the zero solution, so the direct solve assembles and factors, in one
+batched block-LU, only the classes its load reaches: a few for a source
+of a few harmonics.  The block-LU runs on class-last views of the bands and
 inverts its 3x3 pivots in closed form, so it makes no LAPACK or BLAS call.
 Rough surface:
 the flattening transform turns the problem into a variable-coefficient one on
@@ -31,7 +33,7 @@ in a fixed order, so the bits depend on the mesh only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -206,34 +208,36 @@ def _assemble_bands(mesh: StripMesh, K: np.ndarray) -> np.ndarray:
     """Banded 1D Galerkin matrices of density ``K`` on the free nodes.
 
     P1 elements couple only neighbouring nodes, so each mode's matrix is
-    3x3-block tridiagonal.  Returns bands[d, m1, m2, i, k, j] for d = lower,
+    3x3-block tridiagonal.  ``K`` is K[a, k, b, j, *modes], with any number
+    of mode axes.  Returns bands[d, *modes, i, k, j] for d = lower,
     diagonal, upper: the block coupling free node i to free node i + d - 1
     (zero where that node is the clamped bottom or beyond the top).
 
     The bands are one real product, D[(d, i), (a, b)] times K's float view
-    [(a, b), (k, j, mode, re/im)], where D holds the three diagonals of the
+    [(a, b), (k, j, modes, re/im)], where D holds the three diagonals of the
     1D matrix of each (a, b) pair (Mz, Dz, Dz^T, Sz), read off the mesh's
     row-aligned diagonals at the free nodes; the cell area then scales the
     product in place.  The product runs in np.einsum's own loop, one 4-term
     sum an entry in (a, b) order, not in BLAS: a BLAS product splits the
     columns among its threads, and at some sizes (N=12, n_z=40) its edge
-    tiles then round differently.  It is stored as [d, i, k, j, m1, m2] and returned as a
+    tiles then round differently.  It is stored as [d, i, k, j, *modes] and returned as a
     transposed view, mode axes innermost: the block-LU of
     :func:`block_lu_solver` reads its mode-last views from this layout
     without a copy.
     """
-    nz, (n1, n2) = mesh.n_nodes - 1, K.shape[-2:]
+    nz, modes = mesh.n_nodes - 1, K.shape[4:]
     Dz = mesh.Dz_diags
     DzT = np.zeros_like(Dz)  # Dz^T[m, m + d - 1] = Dz[m + d - 1, m]
     DzT[0, 1:], DzT[1], DzT[2, :-1] = Dz[2, :-1], Dz[1], Dz[0, 1:]
     D = np.stack([mesh.Mz_diags, Dz, DzT, mesh.Sz_diags], axis=-1)[:, 1:].copy()  # [d, i, (a, b)]
     D[0, 0] = 0.0  # free node 0's lower neighbour is the clamped bottom node
-    Kab = np.ascontiguousarray(K.transpose(0, 2, 1, 3, 4, 5)).view(float)  # [a, b, k, j, m1, 2 m2]
-    bands = np.empty((3, nz, 3, 3, n1, n2), dtype=complex)
-    product = bands.view(float).reshape(3 * nz, -1)
-    np.einsum("rs,sc->rc", D.reshape(3 * nz, 4), Kab.reshape(4, -1), out=product)
+    Kab = np.ascontiguousarray(K.swapaxes(1, 2)).view(float)  # [a, b, k, j, *modes, re/im]
+    columns = Kab[0, 0].size  # explicit: a zero-size array cannot infer a -1
+    bands = np.empty((3, nz, 3, 3) + modes, dtype=complex)
+    product = bands.view(float).reshape(3 * nz, columns)
+    np.einsum("rs,sc->rc", D.reshape(3 * nz, 4), Kab.reshape(4, columns), out=product)
     product *= mesh.grid.cell_area
-    return bands.transpose(0, 4, 5, 1, 2, 3)
+    return np.moveaxis(bands, (1, 2, 3), (-3, -2, -1))
 
 
 def _class_frequencies(grid: SpectralGrid):
@@ -243,7 +247,8 @@ def _class_frequencies(grid: SpectralGrid):
     return XI1[:grid.N1 + 1], XI2[:, :grid.N2 + 1]
 
 
-def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams) -> np.ndarray:
+def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams,
+                         classes: np.ndarray | None = None) -> np.ndarray:
     """Flat operator as bands, one per mirror class: shape (3, N1 + 1, N2 + 1, n_z, 3, 3).
 
     bands[d, c1, c2, i] is the lower (d=0), diagonal (1) or upper (2) 3x3
@@ -257,13 +262,21 @@ def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams) -> np.ndarray:
     Only the (N1 + 1)(N2 + 1) classes, the non-negative FFT half of the
     frequencies, are assembled; :func:`block_lu_solver` and
     :func:`banded_matvec` apply the signs.
+
+    ``classes``, a boolean (N1 + 1, N2 + 1) array, keeps only the classes
+    it marks: shape (3, n, n_z, 3, 3) for n marked classes, in row-major
+    order.  Their densities and DtN symbols are picked from those of every
+    class, so each kept band has the bits of the full assembly.
     """
     g = mesh.grid
     lam, mu, w = params.lam, params.mu, params.omega
     XI1, XI2 = _class_frequencies(g)
-    bands = _assemble_bands(mesh, _mode_density(XI1, XI2, 2 * mu, lam, -mu, -w * w))
+    K = _mode_density(XI1, XI2, 2 * mu, lam, -mu, -w * w)
     Msym = dtn_symbol_grid(XI1, XI2, params)  # [k, j, c1, c2]
-    bands[1, :, :, -1] -= 1j * g.cell_area * np.moveaxis(Msym, (0, 1), (2, 3))
+    if classes is not None:
+        K, Msym = K[..., classes], Msym[..., classes]
+    bands = _assemble_bands(mesh, K)
+    bands[1, ..., -1, :, :] -= 1j * g.cell_area * np.moveaxis(Msym, (0, 1), (-2, -1))
     return bands
 
 
@@ -327,34 +340,68 @@ def _from_classes(y: np.ndarray, scatter: np.ndarray) -> np.ndarray:
 
 def _class_views(bands: np.ndarray):
     """Views [i, k, j, class] of the three bands of :func:`assemble_flat_blocks`,
-    nodes top-down, reshaped and transposed without a copy.  Node i is free
-    node nz - 1 - i, so the returned blocks couple node i to i + 1 (the
-    bands' lower blocks), to itself and to i - 1 (upper)."""
-    _, c1n, c2n, nz = bands.shape[:4]
-    return bands.reshape(3, c1n * c2n, nz, 3, 3)[:, :, ::-1].transpose(0, 2, 3, 4, 1)
+    all classes or those of a ``classes`` mask, nodes top-down, reshaped and
+    transposed without a copy.  Node i is free node nz - 1 - i, so the
+    returned blocks couple node i to i + 1 (the bands' lower blocks), to
+    itself and to i - 1 (upper)."""
+    nz, n_cls = bands.shape[-3], int(np.prod(bands.shape[1:-3]))
+    return bands.reshape(3, n_cls, nz, 3, 3)[:, :, ::-1].transpose(0, 2, 3, 4, 1)
 
 
-def banded_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _class_grid(bands: np.ndarray, classes: np.ndarray | None):
+    """(N1, N2, columns): the lattice of ``bands`` with the ``classes`` mask
+    they were assembled on (see :func:`assemble_flat_blocks`), and the
+    class-layout columns they hold, slice(None) for every class."""
+    if classes is None:
+        return bands.shape[1] - 1, bands.shape[2] - 1, slice(None)
+    return classes.shape[0] - 1, classes.shape[1] - 1, np.flatnonzero(classes)
+
+
+def _reached_classes(mesh: StripMesh, v: np.ndarray) -> np.ndarray:
+    """The mirror classes that hold a nonzero (or NaN) entry of the free
+    vector v, as a boolean (N1 + 1, N2 + 1) mask: the classes of its entries'
+    class-layout positions (:func:`_mirror_maps`), taken from the index map
+    without gathering v."""
+    g = mesh.grid
+    _, scatter = _mirror_maps(g.N1, g.N2, mesh.n_nodes - 1)
+    reached = np.zeros((g.N1 + 1, g.N2 + 1), dtype=bool)
+    reached.flat[scatter[np.asarray(v) != 0] % reached.size] = True
+    return reached
+
+
+def banded_matvec(bands: np.ndarray, v: np.ndarray,
+                  classes: np.ndarray | None = None) -> np.ndarray:
     """The bands' operator on a free vector: (A v)_i = L_i v_{i-1} + D_i v_i + U_i v_{i+1}.
 
     Runs on the class layout of :func:`_mirror_maps`.  The block products
     are matmuls of [class, k, j] blocks, broadcast over the sign slots, on
-    [slot, class, j, 1] vectors, which numpy runs in its own loop (strided
-    views are not BLAS operands): one running sum over j an entry, added in
-    the order above.  Those are the bits of the same multiply mode by mode;
-    a matmul on all four slots as one [j, slot] matrix vectorizes over them
-    and rounds differently.
+    [slot, class, j, 1] vectors, in numpy's own loop: one running sum over
+    j an entry, added in the order above.  Those are the bits of the same
+    multiply mode by mode; a matmul on all four slots as one [j, slot]
+    matrix vectorizes over them and rounds differently.  The blocks enter
+    with their rows reversed, and the products' rows are reversed back:
+    numpy hands a block with unit column stride, as the bands of a single
+    class have, to BLAS gemv, which rounds differently, and a negative row
+    stride keeps every block out of BLAS, so the bits do not depend on how
+    many classes the bands hold.
+
+    With ``classes``, the mask the bands were assembled on, only the
+    listed classes are multiplied; the result is zero in the others.
     """
-    _, c1n, c2n, nz = bands.shape[:4]
-    gather, scatter = _mirror_maps(c1n - 1, c2n - 1, nz)
+    N1, N2, columns = _class_grid(bands, classes)
+    nz = bands.shape[-3]
+    gather, scatter = _mirror_maps(N1, N2, nz)
     # nodes top-down: the lower blocks couple node i to i + 1, the upper ones to i - 1;
-    # each is [i, 1, class, k, j]
-    below, diag, above = _class_views(bands).transpose(0, 1, 4, 2, 3)[:, :, None]
-    x = _to_classes(v, gather).transpose(0, 2, 3, 1)[..., None]  # [i, slot, class, j, 1]
+    # each is [i, 1, class, k, j], rows reversed
+    below, diag, above = _class_views(bands).transpose(0, 1, 4, 2, 3)[:, :, None, :, ::-1]
+    x = _to_classes(v, gather)[..., columns].transpose(0, 2, 3, 1)
+    x = x[..., None]  # [i, slot, class, j, 1]
     y = diag @ x
     y[:-1] += below[:-1] @ x[1:]
     y[1:] += above[1:] @ x[:-1]
-    return _from_classes(np.ascontiguousarray(y[..., 0].transpose(0, 3, 1, 2)), scatter)
+    out = np.zeros((nz, 3, 4, (N1 + 1) * (N2 + 1)), dtype=complex)  # [i, k, slot, class]
+    out[..., columns] = y[..., ::-1, 0].transpose(0, 3, 1, 2)
+    return _from_classes(out, scatter)
 
 
 # With rows and columns taken cyclically, cofactor (k, j) of a 3x3 matrix is
@@ -382,7 +429,11 @@ def _adjugate3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cancel by more than ``_CANCELLATION``.  On a matrix with two small
     singular values the expansion loses a relative cond^2 eps; there the
     determinant is instead fitted to cof(cof(a)) = det(a) a by least
-    squares, which keeps about cond eps, as LAPACK's LU does.
+    squares, which keeps about cond eps, as LAPACK's LU does.  Its two
+    9-term sums add one term at a time in [k, j] order: numpy's sum over
+    both axes takes that order on a batch of several matrices, but a
+    pairwise one on a single contiguous matrix, so a factor of one mirror
+    class would round differently from the same class among others.
     """
     cof = _cofactors3(a)
     terms = a[0] * cof[0]
@@ -390,13 +441,14 @@ def _adjugate3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cancels = abs(terms).sum(axis=0) > _CANCELLATION * abs(det)
     if cancels.any():
         w = a.conj()
-        fit = (_cofactors3(cof) * w).sum(axis=(0, 1)) / (a * w).sum(axis=(0, 1))
+        fit = (reduce(np.add, (_cofactors3(cof) * w).reshape((9,) + a.shape[2:]))
+               / reduce(np.add, (a * w).reshape((9,) + a.shape[2:])))
         det = np.where(cancels, fit, det)
     return cof.swapaxes(0, 1), det
 
 
-def block_lu_solver(bands: np.ndarray):
-    """Block-LU of every class's bands at once; returns solve(b) = A^{-1} b on free vectors.
+def block_lu_solver(bands: np.ndarray, classes: np.ndarray | None = None):
+    """Block-LU of all classes of the bands at once; returns solve(b) = A^{-1} b on free vectors.
 
     Block Thomas (Golub & Van Loan, Matrix Computations, 4.5): pivots
     P_i = D_i - L_i C_{i-1}, C_i = P_i^{-1} U_i, batched over the mirror
@@ -421,6 +473,12 @@ def block_lu_solver(bands: np.ndarray):
     (:func:`_from_classes`): every mode gets the bits of a factor of its
     own matrix.
 
+    With ``classes``, the mask the bands were assembled on, only the listed
+    classes are factored and an apply sweeps only their columns of the
+    class layout.  b must vanish in the other classes, whose columns pass
+    through unchanged as the zeros of the solution.  Without it the apply
+    sweeps the whole layout in place, with no index over the class axis.
+
     The elimination runs from the top node down.  Each pivot is then the
     Schur complement of a trailing block, the strip above a clamped node
     with the radiating top condition.  Bottom-up pivots are those of strips
@@ -432,7 +490,8 @@ def block_lu_solver(bands: np.ndarray):
     and the mesh node of the first pivot whose determinant is zero or not
     finite.
     """
-    _, c1n, c2n, nz = bands.shape[:4]
+    N1, N2, columns = _class_grid(bands, classes)
+    nz = bands.shape[-3]
     # node i of the loops below is free node nz - 1 - i, so lower and upper swap
     upper, diag, lower = _class_views(bands)
     piv = np.empty_like(diag, order="C")  # the inverted pivots, [i, k, j, class]
@@ -441,24 +500,28 @@ def block_lu_solver(bands: np.ndarray):
         for i in range(nz):
             adj, det = _adjugate3(diag[i] - (lower[i][:, :, None] * C[i - 1]).sum(axis=1))
             if not (np.isfinite(det).all() and det.all()):
-                c1, c2 = divmod(int(np.flatnonzero(~np.isfinite(det) | (det == 0))[0]), c2n)
+                k = int(np.flatnonzero(~np.isfinite(det) | (det == 0))[0])
+                c1, c2 = divmod(k if classes is None else int(columns[k]), N2 + 1)
                 raise NonConvergenceError(f"block-LU: singular pivot at mode "
                                           f"(±{c1}, ±{c2}), mesh node {nz - i} of {nz}")
             np.divide(adj, det, out=piv[i])
             (piv[i][:, :, None] * upper[i]).sum(axis=1, out=C[i])
-    gather, scatter = _mirror_maps(c1n - 1, c2n - 1, nz)
+    gather, scatter = _mirror_maps(N1, N2, nz)
     # the class blocks, broadcast over the sign slots: [i, k, j, 1, class]
     piv, lower, C = (a[:, :, :, None] for a in (piv, lower, C))
 
     def solve(v: np.ndarray) -> np.ndarray:
-        y = _to_classes(v, gather)  # [i, k, slot, class]
+        layout = _to_classes(v, gather)  # [i, k, slot, class]
+        y = layout if classes is None else layout[..., columns]
         (piv[0] * y[0]).sum(axis=1, out=y[0])  # node 0 has no node above it
         for p, low, y_i, y_above in zip(piv[1:], lower[1:], y[1:], y[:-1]):
             y_i -= (low * y_above).sum(axis=1)
             (p * y_i).sum(axis=1, out=y_i)
         for c, y_i, y_below in zip(C[-2::-1], y[-2::-1], y[:0:-1]):
             y_i -= (c * y_below).sum(axis=1)
-        return _from_classes(y, scatter)
+        if classes is not None:
+            layout[..., columns] = y
+        return _from_classes(layout, scatter)
 
     return solve
 
@@ -933,10 +996,11 @@ class SolverContext:
 
     ``symbol`` is the DtN symbol grid [k, j, m1, m2] and ``work`` the one
     :class:`~elastrip.mesh.Workspace` of the blocked stages, both built
-    here.  The flat operator's ``bands`` and their block-LU ``solve`` are
-    built at the first access, so a context made only for matvecs never
-    assembles them.  The workspace makes a context serve one thread at a
-    time.
+    here.  The flat operator's ``bands`` of every class and their block-LU
+    ``solve`` serve the rough solves only, as the GMRES preconditioner:
+    they are built at the first access, so a context that solves only flat
+    strips, or makes only matvecs, never assembles them.  The workspace
+    makes a context serve one thread at a time.
     """
 
     def __init__(self, mesh: StripMesh, params: ElasticParams):
@@ -957,19 +1021,32 @@ class SolverContext:
 def solve_field(ctx: SolverContext, rhs: np.ndarray,
                 coeffs: TransformCoefficients | None = None,
                 tol: float = 1e-9) -> tuple[DiscreteField, SolveInfo]:
-    """Solve the variational system with the block-LU of the flat operator
-    of ``ctx``: directly without a transform, as the right preconditioner
-    of :func:`gmres` with one.  The direct path checks its residual with
-    the bands.  GMRES runs its Arnoldi steps on the complex64 operator and
-    checks every round's residual with the complex128 one.
+    """Solve the variational system with the block-LU of the flat operator:
+    directly without a transform, as the right preconditioner of
+    :func:`gmres` with one.
+
+    The direct path assembles, factors and applies the bands of only the
+    mirror classes that hold a nonzero entry of ``rhs``; the modes of the
+    others are zero, as the solve of every class gives them.  It checks the
+    residual with the same bands, in the full free vector, so the field
+    and the residual have the bits of a solve of every class.  It
+    therefore examines no pivot of a class its load does not reach: a
+    singular pivot there raises nothing.  It does not touch the context's
+    ``bands`` or ``solve``.
+
+    GMRES runs its Arnoldi steps on the complex64 operator and checks
+    every round's residual with the complex128 one, preconditioned by the
+    context's block-LU of every class.
 
     Raises :class:`NonConvergenceError` when the relative residual of the
     result exceeds ``tol`` on either path, or when the block-LU meets a
     singular pivot.
     """
     if coeffs is None:
-        x = ctx.solve(rhs)
-        res, scale = _norm(banded_matvec(ctx.bands, x) - rhs), _norm(rhs)
+        reached = _reached_classes(ctx.mesh, rhs)
+        bands = assemble_flat_blocks(ctx.mesh, ctx.params, reached)
+        x = block_lu_solver(bands, reached)(rhs)
+        res, scale = _norm(banded_matvec(bands, x, reached) - rhs), _norm(rhs)
         rel = res / scale if scale > 0 else res
         if not rel <= tol:
             raise NonConvergenceError(

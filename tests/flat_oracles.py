@@ -189,14 +189,17 @@ def mode_flat_blocks(mesh: StripMesh, params: ElasticParams) -> np.ndarray:
 
 def mode_banded_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-mode bands on a free vector by batched (3, 3) @ (3, 1) matmuls:
-    (A v)_i = L_i v_{i-1} + D_i v_i + U_i v_{i+1}."""
-    lower, diag, upper = np.moveaxis(bands, 3, 1)  # each [i, m1, m2, k, j]
+    (A v)_i = L_i v_{i-1} + D_i v_i + U_i v_{i+1}.  The blocks enter with
+    their rows reversed, so numpy runs every product in its own loop, also
+    on a grid of one mode, whose contiguous blocks it would hand to BLAS."""
+    # each [i, m1, m2, k, j], rows reversed
+    lower, diag, upper = np.moveaxis(bands, 3, 1)[..., ::-1, :]
     nz, n1, n2 = diag.shape[:3]
     x = np.asarray(v).reshape(3, n1, n2, nz).swapaxes(0, 3)[..., None]  # [i, m1, m2, k, 1]
     y = diag @ x
     y[1:] += lower[1:] @ x[:-1]
     y[:-1] += upper[:-1] @ x[1:]
-    return y[..., 0].swapaxes(0, 3).ravel()
+    return y[..., ::-1, 0].swapaxes(0, 3).ravel()
 
 
 def mode_block_lu_solver(bands: np.ndarray):

@@ -189,17 +189,18 @@ def test_amplitude_sweep_zero_matches_flat():
 
 
 def test_amplitude_sweep_shares_one_context(monkeypatch):
-    """Along L_amplitude the points share one solver context, so the sweep
-    assembles the flat operator once, also past a point whose surface
-    leaves the slab, and every row keeps the bits of a run on its own.
-    Along omega every point assembles its own."""
+    """Along L_amplitude the points share one solver context, so the rough
+    points share one all-class assembly of the flat operator, also past a
+    point whose surface leaves the slab, and every row keeps the bits of a
+    run on its own.  The flat point assembles the classes its load reaches
+    for its direct solve.  Along omega every point assembles its own."""
     cfg = cfg_with(surface={"terms": [[1, 0, 0.1, 0.0], [0, 1, 0.0, 0.05]]})
     values = [0.0, 0.5, 30.0, 1.0]
     alone = [deterministic_run(harness._with_axis(cfg, "L_amplitude", v),
                                label=f"L_amplitude={v:g}")[0] for v in values if v != 30.0]
     calls = count_flat_assemblies(monkeypatch)
     rows = parameter_sweep(cfg, "L_amplitude", values)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert rows[2]["report"] is None and rows[2]["error"].startswith("ConstraintError")
     ok = [row["report"] for row in rows if row["report"] is not None]
     assert [r.csv_row() for r in ok] == [r.csv_row() for r in alone]

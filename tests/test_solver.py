@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import elastrip
 from elastrip import harness, solver
@@ -1071,3 +1071,127 @@ def test_rough_solve_is_bit_identical_across_blas_threads():
                              capture_output=True, text=True, check=True)
         out.append(run.stdout)
     assert out[0].startswith("gmres ") and "\ndirect " in out[0] and out[0] == out[1]
+
+
+def _all_class_solve(mesh, params, rhs):
+    """The direct solve over every mirror class: x and its relative residual."""
+    bands = assemble_flat_blocks(mesh, params)
+    x = block_lu_solver(bands)(rhs)
+    res, scale = solver._norm(banded_matvec(bands, x) - rhs), solver._norm(rhs)
+    return x, res / scale if scale > 0 else res
+
+
+def _spy_flat_assemblies(monkeypatch) -> list:
+    """The bands of every later solver.assemble_flat_blocks call."""
+    out, real = [], solver.assemble_flat_blocks
+
+    def spy(*args, **kwargs):
+        out.append(real(*args, **kwargs))
+        return out[-1]
+
+    monkeypatch.setattr(solver, "assemble_flat_blocks", spy)
+    return out
+
+
+harmonic = st.tuples(st.integers(0, 2), st.integers(-7, 7), st.integers(-7, 7),
+                     st.floats(0.1, 2.0), st.floats(0.0, 2 * np.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       cell=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
+       N1=st.integers(0, 4), N2=st.integers(0, 4), nz=st.integers(1, 16),
+       factors=st.lists(harmonic, min_size=1, max_size=3))
+@example(mu=0.5, lam_frac=1.0, omega=1.0, cell=(1.0, 1.0), N1=1, N2=1, nz=1,
+         factors=[(0, 1, 1, 1.0, 0.0)])  # a pivot whose determinant is fitted
+def test_reached_class_solve_has_the_bits_of_every_class(mu, lam_frac, omega, cell, N1, N2,
+                                                         nz, factors):
+    """The direct path factors only the mirror classes its load reaches, and
+    its field and residual equal those of the all-class block-LU bit for
+    bit.  Harmonics beyond +-N alias onto lattice modes or drop out; j = 0
+    axes fold a class's sign slots onto one mode."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell),
+                     bottom=-1.0, top=0.0, n_elements=nz)
+    source = BumpSource(factors=tuple(HarmonicFactor(*f) for f in factors),
+                        z0=-0.5, sigma=0.4, cell=cell)
+    rhs = assemble_rhs(mesh, source)
+    field, info = solve_field(SolverContext(mesh, params), rhs, tol=np.inf)
+    x, rel = _all_class_solve(mesh, params, rhs)
+    assert np.array_equal(field.free_vector(), x)
+    assert info.residual == rel
+    j1, j2 = mesh.grid.mode_indices()
+    m1, m2 = np.nonzero(rhs.reshape(3, mesh.grid.n1, mesh.grid.n2, nz).any(axis=(0, 3)))
+    expect = np.zeros((N1 + 1, N2 + 1), dtype=bool)
+    expect[abs(j1[m1]), abs(j2[m2])] = True
+    assert np.array_equal(solver._reached_classes(mesh, rhs), expect)
+
+
+def test_load_off_the_lattice_factors_no_class(monkeypatch):
+    """A load whose every residue misses the lattice is zero: the solve
+    returns zeros with residual 0 and assembles bands of no class."""
+    mesh = StripMesh(grid=SpectralGrid(N1=2, N2=1, cell=(3.0, 5.0)), bottom=-1.0, top=0.0,
+                     n_elements=6)
+    off = BumpSource(factors=(HarmonicFactor(2, 3, 0, 1.0, 0.4),
+                              HarmonicFactor(0, 3, -1, 0.5, 1.0)),
+                     z0=-0.5, sigma=0.4, cell=(3.0, 5.0))
+    rhs = assemble_rhs(mesh, off)
+    assert not rhs.any()
+    assembled = _spy_flat_assemblies(monkeypatch)
+    field, info = solve_field(SolverContext(mesh, P), rhs)
+    assert not field.coeff.any() and info.residual == 0.0
+    (bands,) = assembled
+    assert bands.size == 0
+
+
+def test_flat_run_factors_the_one_class_its_source_reaches(monkeypatch):
+    """At the flat_solve benchmark's shape (N = 8, n_z = 96, source j = (1, 0))
+    the load reaches class (1, 0) only: one class of 81 is assembled, 41,472
+    bytes of bands where every class takes 3,359,232."""
+    cfg = from_dict({"surface": {"delta": 0.25},
+                     "discretization": {"N1": 8, "N2": 8, "n_z": 96}})
+    assembled = _spy_flat_assemblies(monkeypatch)
+    report, _ = harness.deterministic_run(cfg)
+    assert report.diagnostics["solve_method"] == "direct"
+    (bands,) = assembled
+    assert bands.shape == (3, 1, 96, 3, 3) and bands.nbytes == 41_472
+    params, _, _, mesh, *_ = harness.build_setup(cfg)
+    assert assemble_flat_blocks(mesh, params).nbytes == 3_359_232
+
+
+def _singular_symbol_at(monkeypatch, c1, c2):
+    """Make the DtN symbol of mirror class (c1, c2) infinite in every later
+    flat assembly, upstream of its pick of the reached classes."""
+    real = solver.dtn_symbol_grid
+
+    def singular(*args):
+        M = real(*args)
+        M[:, :, c1, c2] = np.inf
+        return M
+
+    monkeypatch.setattr(solver, "dtn_symbol_grid", singular)
+
+
+def test_singular_pivot_of_a_reached_class_names_it(monkeypatch):
+    """An infinite block in a class the load reaches still raises, naming
+    that class, not its position among the reached ones; one in a class the
+    load misses is never factored, and its modes stay zero."""
+    mesh = StripMesh(grid=SpectralGrid(N1=2, N2=1, cell=CELL), bottom=0.0, top=1.0,
+                     n_elements=8)
+    src = BumpSource(factors=(HarmonicFactor(2, 0, 1, 1.0, 0.3),
+                              HarmonicFactor(0, -2, 1, 0.7, 1.1)),
+                     z0=0.5, sigma=0.3, cell=CELL)
+    ctx, rhs = SolverContext(mesh, P), assemble_rhs(mesh, src)
+    reached = solver._reached_classes(mesh, rhs)
+    assert np.array_equal(np.argwhere(reached), [[0, 1], [2, 1]])
+    with monkeypatch.context() as m:
+        _singular_symbol_at(m, 2, 1)  # the second reached class
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonConvergenceError, match=r"mode \(±2, ±1\), mesh node 8 of 8"):
+            solve_field(ctx, rhs)
+    x, _ = _all_class_solve(mesh, P, rhs)
+    _singular_symbol_at(monkeypatch, 1, 0)  # reached by no mode of the load
+    field, info = solve_field(ctx, rhs)
+    assert info.residual <= 1e-9 and np.array_equal(field.free_vector(), x)
+    j1, j2 = mesh.grid.mode_indices()
+    assert not field.coeff[:, abs(j1) == 1][:, :, abs(j2) == 0].any()
