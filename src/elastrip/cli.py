@@ -60,8 +60,6 @@ def _load(config_path: str | None, seed: int | None, omega: float | None,
     if n_samples is not None:
         cfg = replace(cfg, run=replace(cfg.run, n_samples=n_samples))
     if threads is not None:
-        # accepted for interface compatibility; execution is sequential so
-        # outputs are identical for any value
         cfg = replace(cfg, run=replace(cfg.run, threads=threads))
     return cfg
 
@@ -73,7 +71,8 @@ def _common(fn):
     fn = click.option("--out", "out_dir", type=click.Path(), default=None,
                       help="output directory")(fn)
     fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--threads", type=int, default=None)(fn)
+    fn = click.option("--threads", type=int, default=None,
+                      help="Monte Carlo worker threads [default: the usable cores]")(fn)
     return fn
 
 

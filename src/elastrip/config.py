@@ -62,7 +62,7 @@ class RunSection:
     n_samples: int = 8
     out_dir: str = "out"
     generic_C: float = 1.0
-    threads: int = 1
+    threads: int | None = None    # Monte Carlo worker threads; None: the usable cores
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,10 @@ class RunConfig:
             raise ConfigError("discretization sizes must be positive")
         if not 0 <= self.source.component <= 2:
             raise ConfigError(f"source component must be 0, 1 or 2, got {self.source.component}")
-        if self.run.n_samples < 1 or self.run.threads < 1:
-            raise ConfigError("run.n_samples and run.threads must be >= 1")
+        threads = self.run.threads
+        if self.run.n_samples < 1 or threads is not None and not (
+                isinstance(threads, int) and threads >= 1):
+            raise ConfigError("run.n_samples must be >= 1 and run.threads an integer >= 1")
         if self.run.seed < 0:
             raise ConfigError("run.seed must be nonnegative")
         # revalidate the physical quantities through the core types

@@ -9,8 +9,10 @@ the prefactor is a modelling choice.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +26,7 @@ from .geometry import (CoefficientLaw, CutoffFn, SourceSpec, SurfaceProfile,
 from .mesh import StripMesh, Workspace
 from .params import bound_constants, total_bound_stochastic
 from .solver import (DiscreteField, SolverContext, TransformCoefficients,
-                     assemble_rhs, element_blocks, energy_balance,
+                     assemble_rhs, budget_shares, element_blocks, energy_balance,
                      physical_quad_fields, poincare_slack, quad_points,
                      solve_field)
 from .sources import BumpSource
@@ -177,7 +179,7 @@ def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | N
         area = mesh.grid.cell_area
         return float(area * l2.sum()), float(area * (dz.sum() + horiz.sum()))
     sums = np.zeros(4)  # per slot: u, d1 u, d2 u, d3 u
-    for b in element_blocks(mesh):
+    for b in element_blocks(mesh, work):
         planes = coeffs.block(b, work)
         F = physical_quad_fields(mesh, field.coeff, planes, b, work)
         for c, j in np.ndindex(3, 4):  # one field at a time keeps the squares small
@@ -213,7 +215,7 @@ def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
         return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
     l2_sq = grad_sq = 0.0
     work = Workspace() if work is None else work
-    for b in element_blocks(mesh):
+    for b in element_blocks(mesh, work):
         points = quad_points(mesh, coeffs, b, work)
         wgt = coeffs.weights(b, work)
         l2_sq += float(np.sum(wgt * source.values(*points) ** 2))
@@ -312,11 +314,11 @@ def parameter_sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
 
 
 def _solve_sample(ctx: SolverContext, cutoff: CutoffFn, sample, *, tol: float):
-    """(|u|_H1^2, |g|_H1^2, report row) of one ensemble sample, solved in
-    the ensemble's context ``ctx``.
+    """The report row of one ensemble sample, with its |u|_H1^2 and
+    |g|_H1^2, solved in the context ``ctx``.
 
-    Every array of the sample is released on return, before the next
-    sample's transform is built.
+    Every array of the sample is released on return, so an ensemble on W
+    workers holds the arrays of at most W samples at a time.
     """
     field, info, rhs, _ = solve_surface(ctx, sample.surface, cutoff, sample.source,
                                         physical=False, tol=tol)
@@ -324,20 +326,85 @@ def _solve_sample(ctx: SolverContext, cutoff: CutoffFn, sample, *, tol: float):
     _, g_h1 = source_norms(sample.source, ctx.mesh, None)
     g_sq = g_h1 ** 2
     res, power = energy_balance(field, rhs, ctx)
-    return u_sq, g_sq, {"sample_id": sample.sample_id, "u_h1_sq": u_sq,
-                        "g_h1_sq": g_sq, "energy_residual": res,
-                        "radiated_power": power, "surface_L": sample.surface.L,
-                        "iterations": info.iterations}
+    return {"sample_id": sample.sample_id, "u_h1_sq": u_sq, "g_h1_sq": g_sq,
+            "energy_residual": res, "radiated_power": power,
+            "surface_L": sample.surface.L, "iterations": info.iterations}
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _wrapped_entry() -> bool:
+    """Whether ``solve_surface`` or ``solve_field``, as a sample calls
+    them, is a wrapper that names its original in ``__wrapped__``
+    (``functools.wraps``), as a tracer or profiler installs.  Such a
+    wrapper may keep one state for the process, such as one stack of open
+    calls, that two workers would mix up."""
+    return any(hasattr(fn, "__wrapped__") for fn in (solve_surface, solve_field))
+
+
+def _solve_ensemble(ctx: SolverContext, samples, solve, threads: int | None) -> list:
+    """``solve(context, sample)`` of every sample, in sample order.
+
+    The samples run on min(``threads``, usable cores, samples) worker
+    threads, ``threads`` None meaning the usable cores, and on no more than
+    :func:`~elastrip.solver.budget_shares` of the mesh: each worker solves
+    in its own :meth:`SolverContext.share` of ``ctx``, whose element blocks
+    then keep the bits of ``ctx``'s, so a sample's result does not depend
+    on the worker count or on which worker took it.  The flat factor is
+    built once, before the pool starts, for all workers.  While the pool
+    runs, every loaded OpenBLAS runs on one thread: a worker's products are
+    small, and 2 workers with 2 BLAS threads each were slower than one
+    loop.  With one worker, where no OpenBLAS thread count can be set, or
+    while a sample's entry points are wrapped (:func:`_wrapped_entry`),
+    the samples run one after another in the caller's thread in ``ctx``.
+    """
+    from .blas import openblas_controls, threads_limited
+
+    cores = _usable_cores()
+    workers = min(cores if threads is None else threads, cores, len(samples),
+                  budget_shares(ctx.mesh, ctx.work))
+    controls = openblas_controls() if workers > 1 and not _wrapped_entry() else []
+    if not controls:
+        return [solve(ctx, sample) for sample in samples]
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+
+    with contextlib.suppress(ElastripError):  # a singular pivot fails each rough sample
+        ctx.solve
+    idle = SimpleQueue()
+    for _ in range(workers):
+        idle.put(ctx.share(workers))
+
+    def task(sample):
+        own = idle.get()
+        try:
+            return solve(own, sample)
+        finally:
+            idle.put(own)
+
+    with threads_limited(controls, 1):
+        pool = ThreadPoolExecutor(workers)
+        try:
+            return list(pool.map(task, samples))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -> McReport:
     """Ensemble of transformed solves; stochastic bound ratio with L0 = M0 + L.
 
     Sources are drawn per sample on the reference strip; norms are plain
-    reference-strip H1 quantities.  All samples share one
-    :class:`SolverContext`, so the DtN symbol, the workspace and the flat
-    factor are built once for the ensemble.  Failed samples are recorded
-    and skipped, the means run over completed samples only.
+    reference-strip H1 quantities.  The samples share the DtN symbol and
+    the flat factor of one :class:`SolverContext`, built once for the
+    ensemble, and run on up to ``run.threads`` worker threads
+    (:func:`_solve_ensemble`); the rows and failures are in sample order
+    and have the same bits at any worker count.  Failed samples are
+    recorded and skipped, the means run over completed samples only.
     """
     n = cfg.run.n_samples if n is None else int(n)
     seed = cfg.run.seed if seed is None else int(seed)
@@ -348,24 +415,20 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     law = CoefficientLaw(bands=tuple(tuple(b) for b in s.law_bands))
     spec = SourceSpec(amplitude=cfg.source.amplitude)
     samples = sample_ensemble(seed, n, s.M0, law, geom, mesh.bottom, source_spec=spec)
-    ctx = SolverContext(mesh, params)
 
-    u_sqs, g_sqs, rows, failures = [], [], [], []
-    for sample in samples:
+    def solve(ctx, sample):  # the sample's row, or its failure record
         try:
-            u_sq, g_sq, row = _solve_sample(ctx, cutoff, sample,
-                                            tol=cfg.discretization.solver_tol)
+            return _solve_sample(ctx, cutoff, sample, tol=cfg.discretization.solver_tol)
         except ElastripError as exc:
-            failures.append({"sample_id": sample.sample_id,
-                             "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        u_sqs.append(u_sq)
-        g_sqs.append(g_sq)
-        rows.append(row)
+            return {"sample_id": sample.sample_id, "error": f"{type(exc).__name__}: {exc}"}
 
-    if not u_sqs:
+    outcomes = _solve_ensemble(SolverContext(mesh, params), samples, solve, cfg.run.threads)
+    rows = [out for out in outcomes if "error" not in out]
+    failures = [out for out in outcomes if "error" in out]
+    if not rows:
         raise ElastripError("all Monte Carlo samples failed")
-    u_arr, g_arr = np.array(u_sqs), np.array(g_sqs)
+    u_arr = np.array([row["u_h1_sq"] for row in rows])
+    g_arr = np.array([row["g_h1_sq"] for row in rows])
     L0 = s.M0  # the flat reference has Lipschitz constant 0
     rep = bound_constants(params, geom, L=L0, generic_C=cfg.run.generic_C)
     sbound = total_bound_stochastic(rep, geom)
@@ -374,7 +437,7 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     def se(a):
         return float(a.std(ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
 
-    return McReport(n_samples=n, n_completed=len(u_sqs), seed=seed,
+    return McReport(n_samples=n, n_completed=len(rows), seed=seed,
                     mean_u_sq=float(u_arr.mean()), mean_g_sq=float(g_arr.mean()),
                     se_u_sq=se(u_arr), se_g_sq=se(g_arr),
                     stochastic_bound=sbound, ratio=ratio,

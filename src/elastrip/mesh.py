@@ -239,10 +239,14 @@ class Workspace:
     the page faults of every regrowth again (3 us a page measured on a
     2-core VM).  A workspace serves one thread at a time; the solver's
     ``SolverContext`` owns one for all the solves on its mesh and material.
+    ``block_bytes`` is the budget of the element blocks whose buffers it
+    holds (``solver.element_blocks``); None takes the solver's default
+    (``solver.block_budget``).
     """
 
-    def __init__(self):
+    def __init__(self, block_bytes: int | None = None):
         self._buffers: dict[str, np.ndarray] = {}
+        self.block_bytes = block_bytes
 
     def take(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
         dtype = np.dtype(dtype)

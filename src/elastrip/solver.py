@@ -22,16 +22,19 @@ is the identity at the top plane.
 Everything between a forward and an adjoint transform is pointwise in z, so
 the stages that hold fields on the padded collocation x quadrature grid (the
 matvec, the load vector and the physical norms) run over blocks of vertical
-elements (loop tiling).  :func:`element_blocks` splits the elements evenly
-into the fewest blocks whose stacked fields, 3 x 4 complex values per point,
-fit in ``_BLOCK_BYTES``.  The blocks of a stage reuse the buffers of the
-:class:`~elastrip.mesh.Workspace` of its :class:`SolverContext`, so its
-working set is about 1.5 times that budget at any n_z.  Blocks are visited
-in a fixed order, so the bits depend on the mesh only.
+elements (loop tiling).  :func:`element_blocks` splits the elements into
+few blocks whose stacked fields, 3 x 4 complex values per point, fit in the
+budget of the stage's :class:`~elastrip.mesh.Workspace` (``_BLOCK_BYTES``
+unless the workspace sets another).  The blocks of a stage reuse the
+buffers of the workspace, so its working set is about 1.5 times that budget
+at any n_z.  Blocks are visited in a fixed order, and cut at whole granules
+of elements where the budget holds one, so the bits depend on the mesh
+only, and not on how the budget is shared among threads.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
@@ -84,6 +87,13 @@ _INNER_TOL = 3e-5
 # block) a matvec took 1.2 s, against 0.92 s at twice this budget and 1.0 s
 # unblocked (2-core VM).
 _BLOCK_BYTES = 6_000_000
+# Elements of a granule (see element_blocks).  A block of whole granules
+# gives the DFT products a multiple of 16 quad columns.  OpenBLAS computes a
+# product column with the same kernel and bits wherever a cut at such a
+# multiple puts it: measured with OpenBLAS 0.3.31's SkylakeX kernels,
+# complex128 columns kept their bits under cuts at multiples of 4 and
+# complex64 ones at multiples of 8, and not under other cuts.
+_BLOCK_GRANULE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -640,17 +650,46 @@ class TransformCoefficients:
         return x3.reshape(shape)
 
 
-def element_blocks(mesh: StripMesh, dtype=complex) -> list[slice]:
-    """The vertical elements as consecutive blocks, in order: the fewest
-    whose stacked fields, 3 x 4 values of ``dtype`` per quad point, take at
-    most ``_BLOCK_BYTES`` each.  Their sizes differ by at most one, the
-    larger first, so the first block sizes a :class:`Workspace` for all; a
-    complex64 block holds twice the elements in the same bytes."""
-    per_element = 3 * 4 * mesh.P1 * mesh.P2 * mesh.zq.shape[1] * np.dtype(dtype).itemsize
-    n_blocks = -(-mesh.n_elements // max(1, _BLOCK_BYTES // per_element))
-    size, larger = divmod(mesh.n_elements, n_blocks)
-    ends = list(accumulate([size + 1] * larger + [size] * (n_blocks - larger), initial=0))
+def element_blocks(mesh: StripMesh, work: Workspace, dtype=complex) -> list[slice]:
+    """The vertical elements as consecutive blocks, in order, whose stacked
+    fields, 3 x 4 values of ``dtype`` per quad point, take at most the
+    block budget of ``work`` each (:func:`block_budget`).
+
+    The blocks are the fewest of whole granules of ``_BLOCK_GRANULE``
+    elements, or of single elements when the budget holds no granule, all
+    of one size but the last, which holds the rest; the first thus sizes a
+    :class:`Workspace` for all.  When the budget holds a granule, every
+    block starts at a multiple of 16 quad columns, so the operator has the
+    same bits under any such budget: the workers of an ensemble, each with
+    a share of the budget, solve as one context does.  A complex64 block
+    holds twice the elements in the same bytes."""
+    n = mesh.n_elements
+    fit = max(1, block_budget(work) // _element_bytes(mesh, dtype))
+    unit = _BLOCK_GRANULE if fit >= _BLOCK_GRANULE else 1
+    n_blocks = -(-n // (fit - fit % unit))
+    size = unit * -(-n // (n_blocks * unit))
+    sizes = [size] * (n // size) + [n % size] * (n % size > 0)
+    ends = list(accumulate(sizes, initial=0))
     return [slice(e0, e1) for e0, e1 in zip(ends[:-1], ends[1:])]
+
+
+def block_budget(work: Workspace) -> int:
+    """Bytes of one element block's stacked fields in ``work``: its
+    ``block_bytes``, or ``_BLOCK_BYTES`` when that is None."""
+    return _BLOCK_BYTES if work.block_bytes is None else work.block_bytes
+
+
+def _element_bytes(mesh: StripMesh, dtype) -> int:
+    """Bytes of one element's stacked fields in an element block."""
+    return 3 * 4 * mesh.P1 * mesh.P2 * mesh.zq.shape[1] * np.dtype(dtype).itemsize
+
+
+def budget_shares(mesh: StripMesh, work: Workspace) -> int:
+    """The most shares of the block budget of ``work`` of which each still
+    holds a granule of complex128 elements (at least 1): the element
+    blocks of each share then give the operator the bits of the whole
+    budget's."""
+    return max(1, block_budget(work) // (_BLOCK_GRANULE * _element_bytes(mesh, complex)))
 
 
 def quad_points(mesh: StripMesh, coeffs: TransformCoefficients | None = None,
@@ -720,11 +759,11 @@ class StripOperator:
     place, weighted and pulled back through the adjoint chain rule, the
     adjoint transform, which folds the horizontal stresses back into the
     value duals, and the scatter of the block's duals onto its nodes.  The
-    stacked fields of one block take at most ``_BLOCK_BYTES``, and the
-    blocks are added in mesh order.  Under a transform each block first
-    forms its chain-rule fields and weights from the separable factors of
-    ``coeffs`` (:meth:`TransformCoefficients.block`), so the operator holds
-    no array the size of the quad grid.  All blocks and calls reuse the
+    stacked fields of one block take at most the block budget of the
+    workspace of ``ctx``, and the blocks are added in mesh order.  Under a
+    transform each block first forms its chain-rule fields and weights from
+    the separable factors of ``coeffs`` (:meth:`TransformCoefficients.block`),
+    so the operator holds no array the size of the quad grid.  All blocks and calls reuse the
     workspace of ``ctx``, and the DtN term, mode-diagonal at the top node,
     takes its symbol.  Without a transform this action coincides with the
     assembled flat blocks to roundoff.
@@ -750,7 +789,7 @@ class StripOperator:
         self._wgt_per_det = wgt.astype(self._real, copy=False)
         self._flat_mass_wgt = (-(params.omega * params.omega) * wgt).astype(self._real, copy=False)
         self._lam, self._mu = self._real.type(params.lam), self._real.type(params.mu)
-        self._blocks = element_blocks(mesh, self.dtype)
+        self._blocks = element_blocks(mesh, ctx.work, self.dtype)
         n = 3 * mesh.grid.n1 * mesh.grid.n2 * (mesh.n_nodes - 1)
         self.shape = (n, n)
 
@@ -832,7 +871,7 @@ def assemble_rhs(mesh: StripMesh, source,
         return (-g.cell_area * spectrum[..., None] * scatter).ravel()
     R = np.zeros((3, g.n1, g.n2, mesh.n_nodes), dtype=complex)
     work = Workspace() if work is None else work
-    for b in element_blocks(mesh):
+    for b in element_blocks(mesh, work):
         gvals = source.values(*quad_points(mesh, coeffs if physical else None, b, work))
         Wq = mesh.to_modes_adjoint(-gvals * coeffs.weights(b, work), ax1=1, ax2=2)
         mesh.scatter_from_quad(Wq, elements=b, out=R)
@@ -1000,7 +1039,8 @@ class SolverContext:
     ``solve`` serve the rough solves only, as the GMRES preconditioner:
     they are built at the first access, so a context that solves only flat
     strips, or makes only matvecs, never assembles them.  The workspace
-    makes a context serve one thread at a time.
+    makes a context serve one thread at a time; :meth:`share` gives each
+    of several threads its own.
     """
 
     def __init__(self, mesh: StripMesh, params: ElasticParams):
@@ -1016,6 +1056,18 @@ class SolverContext:
     @cached_property
     def solve(self):
         return block_lu_solver(self.bands)
+
+    def share(self, parts: int) -> SolverContext:
+        """A context for one of ``parts`` threads that solve on this mesh
+        and material at once: its own workspace, whose element blocks take
+        a ``parts``-th of the budget of this context's, so that the
+        threads' buffers together hold what this context's hold.  It
+        shares the symbol, and the bands and block-LU if they are built
+        already; otherwise each share builds its own at its first rough
+        solve."""
+        twin = copy.copy(self)
+        twin.work = Workspace(block_budget(self.work) // parts)
+        return twin
 
 
 def solve_field(ctx: SolverContext, rhs: np.ndarray,

@@ -1,9 +1,13 @@
 import copy
+import dataclasses
+import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from elastrip import dtn, harness, solver
+from elastrip import blas, dtn, harness, solver
 from elastrip.config import RunConfig, dump_config, from_dict, load_config
 from elastrip.errors import ConfigError, NonConvergenceError
 from elastrip.geometry import CoefficientLaw, SourceSpec, sample_ensemble
@@ -17,7 +21,8 @@ from elastrip.harness import (
     solve_surface,
 )
 from elastrip.mesh import StripMesh, Workspace
-from elastrip.solver import DiscreteField, SolverContext, block_lu_solver, energy_balance
+from elastrip.solver import (DiscreteField, SolverContext, block_lu_solver, energy_balance,
+                             solve_field)
 
 BASE = {
     "physics": {"omega": 1.0},
@@ -55,11 +60,35 @@ def count_symbol_grids(monkeypatch) -> list:
     return calls
 
 
+def replace_run(cfg: RunConfig, **changes) -> RunConfig:
+    return dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, **changes))
+
+
 def cfg_with(**changes) -> RunConfig:
     d = copy.deepcopy(BASE)
     for sec, kv in changes.items():
         d.setdefault(sec, {}).update(kv)
     return from_dict(d)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, so that an ensemble may start a pool of two
+    workers on any machine."""
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+
+
+def spy_shares(monkeypatch) -> list:
+    """The ``parts`` of every later SolverContext.share call: one entry per
+    worker of each pool an ensemble starts."""
+    parts, real = [], SolverContext.share
+
+    def spied(self, n):
+        parts.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(SolverContext, "share", spied)
+    return parts
 
 
 # -- config ------------------------------------------------------------------
@@ -88,6 +117,13 @@ def test_config_yaml_round_trip(tmp_path):
 
 def test_defaults_are_valid():
     RunConfig()  # no exception
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, "2"])
+def test_run_threads_must_be_a_positive_integer(threads):
+    assert RunConfig().run.threads is None and cfg_with(run={"threads": 3}).run.threads == 3
+    with pytest.raises(ConfigError, match="run.threads"):
+        cfg_with(run={"threads": threads})
 
 
 def test_invalid_physics_rejected():
@@ -243,17 +279,26 @@ def test_monte_carlo_sample_order_independence():
     assert small.sample_rows[1] == large.sample_rows[1]
 
 
-def test_monte_carlo_factors_the_flat_operator_once(monkeypatch):
+def test_monte_carlo_factors_the_flat_operator_once(monkeypatch, two_cores):
     """One flat assembly for the ensemble, and as many DtN symbol grids for
-    three samples as for one; rows equal those of separate solves."""
+    three samples as for one, on one worker and on two; rows equal those of
+    separate solves."""
+    for threads in (1, 2):
+        with monkeypatch.context() as mp:
+            _factors_the_flat_operator_once(mp, threads)
+
+
+def _factors_the_flat_operator_once(monkeypatch, threads):
     cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3},
-                   run={"n_samples": 3, "seed": 5})
+                   run={"n_samples": 3, "seed": 5, "threads": threads})
     symbols = count_symbol_grids(monkeypatch)
     monte_carlo(cfg, n=1)
     symbols_one = len(symbols)
     symbols.clear()
     calls = count_flat_assemblies(monkeypatch)
+    shares = spy_shares(monkeypatch)
     rep = monte_carlo(cfg)
+    assert shares == ([] if threads == 1 else [2, 2])
     assert len(calls) == 1 and rep.n_completed == 3
     assert len(symbols) == symbols_one
 
@@ -271,50 +316,78 @@ def test_monte_carlo_factors_the_flat_operator_once(monkeypatch):
     assert len(calls) == 4
 
 
-def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch):
-    """A sample whose block-LU meets a singular pivot is recorded as failed;
-    the ensemble goes on."""
-    real = harness.solve_surface
-    calls = []
+def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch, two_cores,
+                                                                tmp_path):
+    """A sample whose block-LU meets a singular pivot is recorded as failed
+    by its sample_id; the ensemble goes on.  Rows, failures and the
+    mc_samples.csv bytes are the same on one worker and on two."""
+    real = harness._solve_sample
 
-    def singular_second(ctx, *args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
+    def singular_sample_1(ctx, cutoff, sample, *, tol):
+        if sample.sample_id == 1:
             block_lu_solver(np.zeros_like(ctx.bands))
-        return real(ctx, *args, **kwargs)
+        return real(ctx, cutoff, sample, tol=tol)
 
-    monkeypatch.setattr(harness, "solve_surface", singular_second)
-    rep = monte_carlo(cfg_with(surface={"law_bands": [[1, 0, 0.05]], "M0": 0.3}), n=3, seed=2)
-    assert rep.n_completed == 2
-    assert [r["sample_id"] for r in rep.sample_rows] == [0, 2]
-    (failure,) = rep.failures
-    assert failure["sample_id"] == 1
-    assert failure["error"].startswith("NonConvergenceError: block-LU: singular pivot")
+    monkeypatch.setattr(harness, "_solve_sample", singular_sample_1)
+    shares = spy_shares(monkeypatch)
+    reports, csvs = [], []
+    for threads in (1, 2):
+        cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05]], "M0": 0.3},
+                       run={"threads": threads})
+        rep = monte_carlo(cfg, n=3, seed=2)
+        assert rep.n_completed == 2
+        assert [r["sample_id"] for r in rep.sample_rows] == [0, 2]
+        (failure,) = rep.failures
+        assert failure["sample_id"] == 1
+        assert failure["error"].startswith("NonConvergenceError: block-LU: singular pivot")
+        harness.write_mc_csv(tmp_path / f"mc_{threads}.csv", rep)
+        reports.append(rep)
+        csvs.append((tmp_path / f"mc_{threads}.csv").read_bytes())
+    assert shares == [2, 2]
+    assert reports[0] == reports[1] and csvs[0] == csvs[1]
 
 
-def test_a_failed_sample_leaves_nothing_in_the_shared_workspace(monkeypatch):
+def test_a_failed_sample_leaves_nothing_in_the_shared_workspace(monkeypatch, two_cores):
     """A sample that fails after three matvecs on scaled vectors in each
-    precision leaves the ensemble's workspace dirty, its field buffers last
+    precision leaves its context's workspace dirty, its field buffers last
     written as complex64 and as complex128 views and its transform planes
-    as float32 and float64 ones; the next sample's row keeps the bits of a
-    clean run, so no stage reads a workspace buffer before writing it.  The
-    elements are split into uneven blocks, as on large meshes."""
-    cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3})
+    as float32 and float64 ones; the other samples' rows keep the bits of a
+    clean run on one worker, so no stage reads a workspace buffer before
+    writing it.  The elements are split into uneven blocks, as on large
+    meshes.  On two workers the failing sample dirties one worker's
+    workspace, and the other samples run on either."""
+    for threads, budget_elements, n_z, blocks in (
+            (1, 3, 16, [3, 3, 3, 3, 3, 1]),
+            (2, 16, 20, [8, 8, 4])):  # each of the two workers' blocks
+        with monkeypatch.context() as mp:
+            _failed_sample_case(mp, threads, budget_elements, n_z, blocks)
+
+
+def _failed_sample_case(monkeypatch, threads, budget_elements, n_z, blocks):
+    cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3},
+                   discretization={"n_z": n_z}, run={"threads": 1})
     mesh = build_setup(cfg)[3]
-    monkeypatch.setattr(solver, "_BLOCK_BYTES", 3 * 4 * mesh.P1 * mesh.P2 * 2 * 16 * 3 + 1)
-    assert [b.stop - b.start for b in solver.element_blocks(mesh)] == [3, 3, 3, 3, 2, 2]
+    per_element = 3 * 4 * mesh.P1 * mesh.P2 * 2 * 16
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", budget_elements * per_element + 1)
+    budget = solver._BLOCK_BYTES // threads
+    assert [b.stop - b.start for b in solver.element_blocks(mesh, Workspace(budget))] == blocks
     clean = monte_carlo(cfg, n=3, seed=4)
-    real = solver.gmres
-    calls, dtypes = [], []
+    real_gmres, real_sample = solver.gmres, harness._solve_sample
+    calls, seen, current = [], {}, threading.local()
     take = Workspace.take
 
     def spied_take(self, name, shape, dtype=complex):
-        dtypes.append(np.dtype(dtype))
+        seen.setdefault(threading.get_ident(), []).append(np.dtype(dtype))
         return take(self, name, shape, dtype)
 
-    def fails_second(matvec, b, precond, tol, residual):
+    def keyed(ctx, cutoff, sample, *, tol):
+        current.sample_id = sample.sample_id
+        return real_sample(ctx, cutoff, sample, tol=tol)
+
+    def fails_sample_1(matvec, b, precond, tol, residual):
         calls.append(1)
-        if len(calls) == 2:
+        if current.sample_id == 1:
+            dtypes = seen.setdefault(threading.get_ident(), [])
             for operator, dtype in ((residual, np.complex128), (matvec, np.complex64)):
                 dtypes.clear()
                 for scale in (1e6, -3.0, 1e-6j):
@@ -324,14 +397,100 @@ def test_a_failed_sample_leaves_nothing_in_the_shared_workspace(monkeypatch):
                 assert set(dtypes) == {np.dtype(dtype), np.finfo(dtype).dtype,
                                        np.dtype(np.float64)}
             raise NonConvergenceError("failed after 3 matvecs in each precision")
-        return real(matvec, b, precond, tol, residual=residual)
+        return real_gmres(matvec, b, precond, tol, residual=residual)
 
-    monkeypatch.setattr(solver, "gmres", fails_second)
+    monkeypatch.setattr(solver, "gmres", fails_sample_1)
+    monkeypatch.setattr(harness, "_solve_sample", keyed)
     monkeypatch.setattr(Workspace, "take", spied_take)
-    rep = monte_carlo(cfg, n=3, seed=4)
+    shares = spy_shares(monkeypatch)
+    rep = monte_carlo(replace_run(cfg, threads=threads), n=3, seed=4)
+    assert shares == ([] if threads == 1 else [2, 2])
     assert [f["sample_id"] for f in rep.failures] == [1] and len(calls) == 3
     assert clean.n_completed == 3
     assert rep.sample_rows == [clean.sample_rows[0], clean.sample_rows[2]]
+
+
+def test_more_workers_than_cores_keep_the_rows_of_one(monkeypatch):
+    """Six workers on (said to be) six cores, switching threads every
+    microsecond: each worker solves in its own share and the shared flat
+    factor is read only, so the rows are those of one worker."""
+    cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3},
+                   run={"threads": 1})
+    one = monte_carlo(cfg, n=6, seed=8)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 6)
+    shares = spy_shares(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rep = monte_carlo(replace_run(cfg, threads=6), n=6, seed=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert shares == [6] * 6
+    assert rep.sample_rows == one.sample_rows and rep.as_dict() == one.as_dict()
+
+
+def _ensemble_idents(monkeypatch) -> list:
+    """The thread of every later sample solve."""
+    idents, real = [], harness._solve_sample
+
+    def spied(ctx, cutoff, sample, *, tol):
+        idents.append(threading.get_ident())
+        return real(ctx, cutoff, sample, tol=tol)
+
+    monkeypatch.setattr(harness, "_solve_sample", spied)
+    return idents
+
+
+def test_the_pool_runs_blas_on_one_thread_and_gives_the_count_back(monkeypatch, two_cores):
+    """While the workers solve, every OpenBLAS found runs on one thread;
+    after the ensemble, and after a sample that raises, each has its count
+    back."""
+    controls = blas.openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread count can be set in this process")
+    counts, real = [], harness._solve_sample
+
+    def spied(ctx, cutoff, sample, *, tol):
+        counts.append([get() for get, _ in controls])
+        if sample.sample_id == 3:
+            raise RuntimeError("not an ElastripError")
+        return real(ctx, cutoff, sample, tol=tol)
+
+    monkeypatch.setattr(harness, "_solve_sample", spied)
+    cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05]], "M0": 0.3}, run={"threads": 2})
+    with blas.threads_limited(controls, 2):
+        rep = monte_carlo(cfg, n=3, seed=1)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+        with pytest.raises(RuntimeError, match="not an ElastripError"):
+            monte_carlo(cfg, n=4, seed=1)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    assert rep.n_completed == 3 and counts[:3] == [[1] * len(controls)] * 3
+
+
+@pytest.mark.parametrize("cause", ["no OpenBLAS count", "budget below two granules",
+                                   "wrapped entry point"])
+def test_the_ensemble_runs_in_the_callers_thread_without_a_pool(monkeypatch, two_cores,
+                                                                cause):
+    """With no OpenBLAS thread count to set, an element-block budget that
+    cannot give two workers a granule each, or a wrapper (a tracer's, say)
+    around a sample's entry point, two threads run as one: the samples in
+    order in the caller's thread, with the rows of one worker."""
+    cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05]], "M0": 0.3}, run={"threads": 1})
+    one = monte_carlo(cfg, n=3, seed=6)
+    if cause == "no OpenBLAS count":
+        monkeypatch.setattr(blas, "openblas_controls", lambda: [])
+    elif cause == "wrapped entry point":
+        monkeypatch.setattr(harness, "solve_field", functools.wraps(solve_field)(
+            lambda *args, **kwargs: solve_field(*args, **kwargs)))
+    else:
+        mesh = build_setup(cfg)[3]
+        per_element = 3 * 4 * mesh.P1 * mesh.P2 * 2 * 16
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 2 * solver._BLOCK_GRANULE * per_element - 1)
+        assert solver.budget_shares(mesh, Workspace()) == 1
+    shares, idents = spy_shares(monkeypatch), _ensemble_idents(monkeypatch)
+    rep = monte_carlo(replace_run(cfg, threads=2), n=3, seed=6)
+    assert shares == [] and idents == [threading.get_ident()] * 3
+    assert rep.sample_rows == one.sample_rows
 
 
 # -- pushforward -------------------------------------------------------------

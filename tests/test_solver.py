@@ -140,7 +140,7 @@ def test_block_planes_equal_the_full_size_arrays(N1, N2, nz, cell, c, shift, ome
     work = Workspace()
     for dtype in (np.complex128, np.complex64):
         real = np.finfo(dtype).dtype
-        for b in solver.element_blocks(mesh, dtype) + [extra]:
+        for b in solver.element_blocks(mesh, work, dtype) + [extra]:
             planes = coeffs.block(b, work, real, omega)
             for name, plane in planes._asdict().items():
                 assert plane.dtype == real, name
@@ -206,7 +206,8 @@ def _rough_setup(N, nz, amplitude=0.08):
 def test_element_blocks_do_not_change_results(monkeypatch):
     """A matvec, the physical norms, the source norms and the load vector
     give the one-block results to 1e-13 when the budget splits the
-    elements into uneven blocks."""
+    elements into uneven blocks, and a matvec gives its bits when every
+    block but the last holds whole granules."""
     mesh, coeffs = _rough_setup(N=2, nz=10)
     src = bump()
     rng = np.random.default_rng(5)
@@ -221,13 +222,22 @@ def test_element_blocks_do_not_change_results(monkeypatch):
                 np.array(harness.source_norms(src, mesh, coeffs, physical=True)),
                 assemble_rhs(mesh, src, coeffs, physical=True)]
 
-    assert solver.element_blocks(mesh) == [slice(0, 10)]
+    assert solver.element_blocks(mesh, Workspace()) == [slice(0, 10)]
     one_block = stages()
+    one_block_matvecs = {dtype: StripOperator(SolverContext(mesh, P), coeffs, dtype).matvec(x)
+                         for dtype in (complex, np.complex64)}
     per_element = 3 * 4 * mesh.P1 * mesh.P2 * 2 * 16
     monkeypatch.setattr(solver, "_BLOCK_BYTES", 3 * per_element + 1)
-    assert [b.stop - b.start for b in solver.element_blocks(mesh)] == [3, 3, 2, 2]
+    assert [b.stop - b.start for b in solver.element_blocks(mesh, Workspace())] == [3, 3, 3, 1]
     for blocked, ref in zip(stages(), one_block):
         assert np.linalg.norm(blocked - ref) <= 1e-13 * np.linalg.norm(ref)
+    # a block of whole granules and the rest keep the one-block bits, in each precision
+    for dtype, budget in ((complex, 8 * per_element), (np.complex64, 4 * per_element)):
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", budget)
+        assert [b.stop - b.start
+                for b in solver.element_blocks(mesh, Workspace(), dtype)] == [8, 2]
+        blocked = StripOperator(SolverContext(mesh, P), coeffs, dtype).matvec(x)
+        assert np.array_equal(blocked, one_block_matvecs[dtype])
 
 
 def test_blocked_stages_hold_a_bounded_working_set():
