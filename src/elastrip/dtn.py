@@ -80,32 +80,45 @@ class SpectralGrid:
         return XI1, XI2, XI1**2 + XI2**2
 
 
-@dataclass
 class BoundaryTrace:
     """Complex 3-vector data on the horizontal grid at x3 = h.
 
-    ``values`` has shape (3, n1, n2); coefficients are its DFT per component,
-    normalized so values = sum_j coeff_j exp(i xi_j . x').
+    ``values`` has shape (3, n1, n2); ``coefficients`` is its DFT per
+    component, normalized so values = sum_j coeff_j exp(i xi_j . x').  A
+    trace keeps the array it was built from, values or coefficients, and
+    forms the other by one FFT at its first access.  ``modes``, the
+    FFT-order flat indices m1 n2 + m2 of some modes, says that every other
+    coefficient is zero, so the mode sums of :func:`decompose_trace` and
+    :func:`energy_flux` run over those modes only; None stands for every
+    mode.
     """
 
-    values: np.ndarray
-    grid: SpectralGrid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (3, self.grid.n1, self.grid.n2):
-            raise ConstraintError(
-                f"trace shape {self.values.shape} != (3, {self.grid.n1}, {self.grid.n2})"
-            )
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.fft.fft2(self.values, axes=(1, 2)) / (self.grid.n1 * self.grid.n2)
+    def __init__(self, values: np.ndarray, grid: SpectralGrid):
+        self.grid, self.modes = grid, None
+        self.values = self._checked(values, "trace")
 
     @classmethod
-    def from_coefficients(cls, coeff: np.ndarray, grid: SpectralGrid) -> "BoundaryTrace":
-        values = np.fft.ifft2(coeff, axes=(1, 2)) * (grid.n1 * grid.n2)
-        return cls(values=values, grid=grid)
+    def from_coefficients(cls, coeff: np.ndarray, grid: SpectralGrid,
+                          modes: np.ndarray | None = None) -> "BoundaryTrace":
+        trace = cls.__new__(cls)
+        trace.grid, trace.modes = grid, modes
+        trace.coefficients = trace._checked(coeff, "coefficient")
+        return trace
+
+    def _checked(self, arr: np.ndarray, what: str) -> np.ndarray:
+        arr = np.asarray(arr, dtype=complex)
+        if arr.shape != (3, self.grid.n1, self.grid.n2):
+            raise ConstraintError(
+                f"{what} shape {arr.shape} != (3, {self.grid.n1}, {self.grid.n2})")
+        return arr
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.fft.ifft2(self.coefficients, axes=(1, 2)) * (self.grid.n1 * self.grid.n2)
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        return np.fft.fft2(self.values, axes=(1, 2)) / (self.grid.n1 * self.grid.n2)
 
 
 @dataclass
@@ -178,16 +191,27 @@ def dtn_symbol_grid(XI1: np.ndarray, XI2: np.ndarray, params: ElasticParams) -> 
     return M / rho
 
 
+def _every(modes: np.ndarray | None):
+    """An index over a flat mode axis: ``modes``, or every mode for None."""
+    return slice(None) if modes is None else modes
+
+
 def decompose_trace(trace: BoundaryTrace, params: ElasticParams) -> ModeAmplitudes:
-    """Split a boundary trace into P and S amplitudes per lattice mode."""
+    """Split a boundary trace into P and S amplitudes per lattice mode.
+
+    Only the trace's ``modes`` are decomposed; the amplitudes of the
+    others, whose coefficients are zero, are zero."""
     grid = trace.grid
-    XI1, XI2, xi_sq = grid.frequency_mesh()
-    XI1, XI2 = np.broadcast_arrays(XI1, XI2)
-    _, D = decomposition_matrices(np.stack([XI1, XI2], axis=-1), params)  # (n1, n2, 4, 3)
-    A = np.einsum("abij,jab->iab", D, trace.coefficients)
+    n, live = grid.n1 * grid.n2, _every(trace.modes)
+    XI1, XI2, xi_sq = (np.broadcast_to(a, (grid.n1, grid.n2)).reshape(n)[live]
+                       for a in grid.frequency_mesh())
+    _, D = decomposition_matrices(np.stack([XI1, XI2], axis=-1), params)  # (m, 4, 3)
+    A = np.zeros((7, n), dtype=complex)  # A_p, A_s, A_s_tilde
+    A[:4, live] = np.einsum("mij,jm->im", D, trace.coefficients.reshape(3, n)[:, live])
     kvec = np.stack([XI1, XI2, vertical_wavenumber_grid(params.k_s, xi_sq)])
-    A_st = -np.cross(kvec, A[1:], axis=0) / params.k_s**2
-    return ModeAmplitudes(A_p=A[0], A_s=A[1:], A_s_tilde=A_st, grid=grid)
+    A[4:, live] = -np.cross(kvec, A[1:4, live], axis=0) / params.k_s**2
+    A = A.reshape(7, grid.n1, grid.n2)
+    return ModeAmplitudes(A_p=A[0], A_s=A[1:4], A_s_tilde=A[4:], grid=grid)
 
 
 def extend_field(trace: BoundaryTrace, x3: float, params: ElasticParams) -> np.ndarray:
@@ -222,14 +246,19 @@ def energy_flux(trace: BoundaryTrace, params: ElasticParams,
     Returns (flux, power): flux = Im of the cell integral of conj(u).(DtN u),
     power = w^2 * sum over propagating modes of (beta|A_p|^2 + gamma|A_s~|^2)
     times the cell area.  The two agree mode by mode.  ``symbol`` is the
-    :func:`dtn_symbol_grid` of the trace's frequency mesh.
+    :func:`dtn_symbol_grid` of the trace's frequency mesh.  The terms are
+    formed on the trace's ``modes`` and summed over every mode, zeros
+    included.
     """
     grid = trace.grid
-    coeff = trace.coefficients
-    _, _, xi_sq = grid.frequency_mesh()
-    tcoef = 1j * np.einsum("ij...,j...->i...", symbol, coeff)
-    flux = grid.cell_area * float(np.imag(np.sum(np.conj(coeff) * tcoef)))
+    n, live = grid.n1 * grid.n2, _every(trace.modes)
+    coeff = trace.coefficients.reshape(3, n)[:, live]
+    pairing = np.zeros((3, n), dtype=complex)
+    pairing[:, live] = np.conj(coeff) * (
+        1j * np.einsum("ijm,jm->im", symbol.reshape(3, 3, n)[:, :, live], coeff))
+    flux = grid.cell_area * float(np.imag(np.sum(pairing)))
     amps = decompose_trace(trace, params)
+    _, _, xi_sq = grid.frequency_mesh()
     beta = vertical_wavenumber_grid(params.k_p, xi_sq)
     gamma = vertical_wavenumber_grid(params.k_s, xi_sq)
     w2 = params.omega**2

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dtn import BoundaryTrace, SpectralGrid, dtn_symbol_grid, energy_flux
+from .dtn import BoundaryTrace, SpectralGrid, _every, dtn_symbol_grid, energy_flux
 from .errors import ConstraintError, NonConvergenceError, SingularTransformError
 from .geometry import CutoffFn, SurfaceProfile, transform_factors
 from .mesh import StripMesh, Workspace
@@ -105,11 +105,16 @@ class DiscreteField:
     """Mode-coefficient field on the strip: coeff[3, n1, n2, n_nodes].
 
     The bottom node carries the essential condition u = 0; ``free_vector``
-    flattens the remaining unknowns for the linear solver.
+    flattens the remaining unknowns for the linear solver.  ``modes``, the
+    FFT-order flat indices m1 n2 + m2 of some modes in ascending order,
+    says that the field is zero on every other mode, and lets the
+    quadratics and the boundary trace read those modes only; None stands
+    for every mode.
     """
 
     coeff: np.ndarray
     mesh: StripMesh
+    modes: np.ndarray | None = None
 
     def __post_init__(self):
         g = self.mesh.grid
@@ -123,34 +128,70 @@ class DiscreteField:
         return cls(np.zeros((3, g.n1, g.n2, mesh.n_nodes), dtype=complex), mesh)
 
     @classmethod
-    def from_free_vector(cls, vec: np.ndarray, mesh: StripMesh) -> "DiscreteField":
-        g = mesh.grid
+    def from_free_vector(cls, vec: np.ndarray, mesh: StripMesh,
+                         modes: np.ndarray | None = None) -> "DiscreteField":
+        """The field of a free vector, or with ``modes`` of its entries on
+        those modes, [k, mode, node] raveled, and zero elsewhere: the
+        coefficient array is allocated zero and only ``modes`` are written."""
         f = cls.zeros(mesh)
-        f.coeff[:, :, :, 1:] = vec.reshape(3, g.n1, g.n2, mesh.n_nodes - 1)
+        f.modes = modes
+        n_modes = mesh.grid.n1 * mesh.grid.n2 if modes is None else len(modes)
+        f._by_mode()[:, _every(modes), 1:] = np.reshape(vec, (3, n_modes, mesh.n_nodes - 1))
         return f
 
     def free_vector(self) -> np.ndarray:
         return self.coeff[:, :, :, 1:].ravel()
 
+    def _by_mode(self) -> np.ndarray:
+        """coeff as [k, mode, node], a view."""
+        g = self.mesh.grid
+        return self.coeff.reshape(3, g.n1 * g.n2, self.mesh.n_nodes)
+
     def top_trace(self) -> BoundaryTrace:
-        return BoundaryTrace.from_coefficients(self.coeff[:, :, :, -1], self.mesh.grid)
+        """The trace of the top node's coefficients, read on ``modes`` only
+        and zero on the other modes."""
+        g = self.mesh.grid
+        top = np.zeros((3, g.n1 * g.n2), dtype=complex)
+        live = _every(self.modes)
+        top[:, live] = self._by_mode()[:, live, -1]
+        return BoundaryTrace.from_coefficients(top.reshape(3, g.n1, g.n2), g, self.modes)
 
     # -- norms (exact quadrature of the piecewise-linear field) --------------
 
     def mode_quadratics(self):
-        """Per mode, summed over components: (c^H Mz c, c^H Sz c, |xi|^2 c^H Mz c)."""
-        _, _, xi_sq = self.mesh.grid.frequency_mesh()
-        c, Mz, Sz = self.coeff, self.mesh.Mz_diags, self.mesh.Sz_diags
-        # Mz is symmetric tridiagonal: c^H Mz c = sum d0 |c_n|^2
-        # + 2 Re sum d1 conj(c_n) c_{n+1} along the node axis.  Sz also has
-        # zero row sums, so c^H Sz c = sum -d1 |c_{n+1} - c_n|^2; its
-        # two-diagonal form cancels and, on a smooth field at n_z = 96, loses
-        # about 1e-12 relative.  Numpy sums, not BLAS reductions: thread-independent bits.
+        """Per mode, summed over components: (c^H Mz c, c^H Sz c, |xi|^2 c^H Mz c).
+
+        Each is formed on the field's ``modes`` only and is zero on the
+        others.  Mz is symmetric tridiagonal: c^H Mz c = sum d0 |c_n|^2
+        + 2 Re sum d1 conj(c_n) c_{n+1} along the node axis.  Sz also has
+        zero row sums, so c^H Sz c = sum -d1 |c_{n+1} - c_n|^2; its
+        two-diagonal form cancels and, on a smooth field at n_z = 96, loses
+        about 1e-12 relative.  Each sum runs over the nodes of a component
+        and mode, one numpy pairwise sum a row, and the components are then
+        added in order: the bits of numpy's sum over the component and node
+        axes of the whole coefficient array, which takes that order, with
+        no term from the other modes.  On a lattice of one mode numpy sums
+        the rows of that mode as one run, and so does this.  Numpy sums,
+        not BLAS reductions: thread-independent bits.
+        """
+        g = self.mesh.grid
+        _, _, xi_sq = g.frequency_mesh()
+        live = _every(self.modes)
+        c, Mz, Sz = self._by_mode()[:, live], self.mesh.Mz_diags, self.mesh.Sz_diags
+
+        def per_mode(terms):  # [k, mode, node] -> [mode]
+            if g.n1 * g.n2 == 1:
+                return np.add.reduce(terms, axis=(0, 2))
+            s = np.add.reduce(terms, axis=-1)
+            return (s[0] + s[1]) + s[2]
+
         cross = (np.conj(c[..., :-1]) * c[..., 1:]).real
-        l2 = (np.sum(Mz[1] * (c.real ** 2 + c.imag ** 2), axis=(0, 3))
-              + 2 * np.sum(Mz[2, :-1] * cross, axis=(0, 3)))
         jump = np.diff(c)
-        dz = np.sum(-Sz[2, :-1] * (jump.real ** 2 + jump.imag ** 2), axis=(0, 3))
+        out = np.zeros((2, g.n1 * g.n2))
+        out[0, live] = (per_mode(Mz[1] * (c.real ** 2 + c.imag ** 2))
+                        + 2 * per_mode(Mz[2, :-1] * cross))
+        out[1, live] = per_mode(-Sz[2, :-1] * (jump.real ** 2 + jump.imag ** 2))
+        l2, dz = out.reshape(2, g.n1, g.n2)
         return l2, dz, xi_sq * l2
 
     def vh_norm(self) -> float:
@@ -295,34 +336,47 @@ def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams,
 _SLOT_SIGNS = ((1, 1), (1, -1), (-1, -1), (-1, 1))
 
 
-@lru_cache(maxsize=4)
-def _mirror_maps(N1: int, N2: int, nz: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index maps between free vectors and the class layout of the flat solves.
+class ClassMaps(NamedTuple):
+    """Index maps between the free entries of some mirror classes and their
+    class layout (see :func:`_mirror_maps`)."""
 
-    Returns (gather, scatter) for :func:`_to_classes` and
-    :func:`_from_classes`.  The class layout is [i, k, slot, class]: i runs
-    over the free nodes top-down, class c1 (N2 + 1) + c2 is (|j1|, |j2|),
+    gather: np.ndarray   # entry position of every class-layout entry, [i, k, slot, class]
+    scatter: np.ndarray  # class-layout position of every entry, in entry order
+    modes: np.ndarray    # the classes' modes, FFT-order flat indices m1 n2 + m2, ascending
+
+
+@lru_cache(maxsize=4)
+def _mirror_maps(N1: int, N2: int, nz: int, columns: tuple | None = None) -> ClassMaps:
+    """Index maps between the free entries of the mirror classes ``columns``
+    (class c1 (N2 + 1) + c2, ascending; None for every class) and the class
+    layout of the flat solves.
+
+    The entries are the free-vector entries of the classes' modes, in
+    free-vector order [k, mode, node]: the whole free vector when every
+    class is listed.  The class layout is [i, k, slot, class]: i runs over
+    the free nodes top-down, class over the listed classes (|j1|, |j2|),
     and the slots hold the modes of ``_SLOT_SIGNS``.  A slot of c = 0 with
-    the minus sign holds the mode itself again.  ``gather`` is the
-    free-vector position of every class-layout entry, ``scatter`` the
-    class-layout position of every free-vector entry.  The arrays are
-    read-only and shared between calls.
+    the minus sign holds the mode itself again.  The arrays are read-only
+    and shared between calls.
     """
-    n1, n2, n_cls = 2 * N1 + 1, 2 * N2 + 1, (N1 + 1) * (N2 + 1)
-    c1, c2, k = np.arange(N1 + 1), np.arange(N2 + 1), np.arange(3)
-    mode = np.stack([((s1 * c1) % n1)[:, None] * n2 + ((s2 * c2) % n2)[None, :]
-                     for s1, s2 in _SLOT_SIGNS]).reshape(4, n_cls)  # FFT order, [slot, class]
+    n1, n2 = 2 * N1 + 1, 2 * N2 + 1
+    cls = np.arange((N1 + 1) * (N2 + 1)) if columns is None else np.array(columns, dtype=int)
+    c1, c2 = divmod(cls, N2 + 1)
+    mode = np.stack([((s1 * c1) % n1) * n2 + (s2 * c2) % n2
+                     for s1, s2 in _SLOT_SIGNS])  # FFT order, [slot, class]
+    modes = np.unique(mode)
+    k = np.arange(3)
     flip_nodes = np.arange(nz)[::-1]  # free node of layout node i, and layout node of free node
-    gather = (k[:, None, None] * (n1 * n2) + mode) * nz + flip_nodes[:, None, None, None]
-    j1, j2 = ((np.arange(n) + N) % n - N for n, N in ((n1, N1), (n2, N2)))  # FFT order
-    minus1, minus2 = (j1 < 0)[:, None], (j2 < 0)[None, :]
-    slot = np.where(minus1, np.where(minus2, 2, 3), np.where(minus2, 1, 0))  # see _SLOT_SIGNS
-    cls = abs(j1)[:, None] * (N2 + 1) + abs(j2)[None, :]
-    scatter = (((flip_nodes * 3 + k[:, None, None, None]) * 4 + slot[..., None]) * n_cls
-               + cls[..., None]).ravel()
-    for arr in (gather, scatter):
+    gather = ((k[:, None, None] * len(modes) + np.searchsorted(modes, mode)) * nz
+              + flip_nodes[:, None, None, None])
+    j1, j2 = ((m + N) % n - N for m, n, N in ((modes // n2, n1, N1), (modes % n2, n2, N2)))
+    slot = np.where(j1 < 0, np.where(j2 < 0, 2, 3), np.where(j2 < 0, 1, 0))  # see _SLOT_SIGNS
+    column = np.searchsorted(cls, abs(j1) * (N2 + 1) + abs(j2))
+    scatter = ((((flip_nodes * 3 + k[:, None, None]) * 4 + slot[:, None]) * len(cls)
+                + column[:, None]).ravel())
+    for arr in (gather, scatter, modes):
         arr.flags.writeable = False
-    return gather, scatter
+    return ClassMaps(gather, scatter, modes)
 
 
 def _flip(y: np.ndarray) -> np.ndarray:
@@ -335,7 +389,7 @@ def _flip(y: np.ndarray) -> np.ndarray:
 
 
 def _to_classes(v: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """Free vector v in the class layout of :func:`_mirror_maps`, complex128,
+    """Entries v in the class layout of :func:`_mirror_maps`, complex128,
     each slot turned into the image of its class by :func:`_flip`; one
     gather, in v's precision, then the exact upcast of a complex64 v, so
     no complex128 copy of v itself is made."""
@@ -343,8 +397,8 @@ def _to_classes(v: np.ndarray, gather: np.ndarray) -> np.ndarray:
 
 
 def _from_classes(y: np.ndarray, scatter: np.ndarray) -> np.ndarray:
-    """The free vector of class-layout y, whose slots :func:`_flip` turns
-    back into their modes in place; one gather."""
+    """The entries of class-layout y, whose slots :func:`_flip` turns back
+    into their modes in place; one gather."""
     return _flip(y).ravel()[scatter]
 
 
@@ -358,24 +412,26 @@ def _class_views(bands: np.ndarray):
     return bands.reshape(3, n_cls, nz, 3, 3)[:, :, ::-1].transpose(0, 2, 3, 4, 1)
 
 
-def _class_grid(bands: np.ndarray, classes: np.ndarray | None):
-    """(N1, N2, columns): the lattice of ``bands`` with the ``classes`` mask
-    they were assembled on (see :func:`assemble_flat_blocks`), and the
-    class-layout columns they hold, slice(None) for every class."""
+def _class_maps(bands: np.ndarray, classes: np.ndarray | None):
+    """(N2, columns, maps): the lattice's N2 and the classes of ``bands``,
+    assembled on the ``classes`` mask (see :func:`assemble_flat_blocks`),
+    and their :func:`_mirror_maps`; columns is None for every class."""
     if classes is None:
-        return bands.shape[1] - 1, bands.shape[2] - 1, slice(None)
-    return classes.shape[0] - 1, classes.shape[1] - 1, np.flatnonzero(classes)
+        N1, N2, columns = bands.shape[1] - 1, bands.shape[2] - 1, None
+    else:
+        N1, N2 = classes.shape[0] - 1, classes.shape[1] - 1
+        columns = tuple(np.flatnonzero(classes).tolist())
+    return N2, columns, _mirror_maps(N1, N2, bands.shape[-3], columns)
 
 
 def _reached_classes(mesh: StripMesh, v: np.ndarray) -> np.ndarray:
-    """The mirror classes that hold a nonzero (or NaN) entry of the free
-    vector v, as a boolean (N1 + 1, N2 + 1) mask: the classes of its entries'
-    class-layout positions (:func:`_mirror_maps`), taken from the index map
-    without gathering v."""
+    """The mirror classes (|j1|, |j2|) of the modes that hold a nonzero (or
+    NaN) entry of the free vector v, as a boolean (N1 + 1, N2 + 1) mask."""
     g = mesh.grid
-    _, scatter = _mirror_maps(g.N1, g.N2, mesh.n_nodes - 1)
+    j1, j2 = g.mode_indices()
+    m1, m2 = np.nonzero((np.asarray(v).reshape(3, g.n1, g.n2, -1) != 0).any(axis=(0, 3)))
     reached = np.zeros((g.N1 + 1, g.N2 + 1), dtype=bool)
-    reached.flat[scatter[np.asarray(v) != 0] % reached.size] = True
+    reached[abs(j1[m1]), abs(j2[m2])] = True
     return reached
 
 
@@ -395,30 +451,30 @@ def banded_matvec(bands: np.ndarray, v: np.ndarray,
     stride keeps every block out of BLAS, so the bits do not depend on how
     many classes the bands hold.
 
-    With ``classes``, the mask the bands were assembled on, only the
-    listed classes are multiplied; the result is zero in the others.
+    With ``classes``, the mask the bands were assembled on, v and the
+    result hold the free entries of the listed classes' modes only, in
+    free-vector order (the entries of :func:`_mirror_maps`): the operator
+    is zero on the other modes.
     """
-    N1, N2, columns = _class_grid(bands, classes)
-    nz = bands.shape[-3]
-    gather, scatter = _mirror_maps(N1, N2, nz)
+    maps = _class_maps(bands, classes)[2]
     # nodes top-down: the lower blocks couple node i to i + 1, the upper ones to i - 1;
     # each is [i, 1, class, k, j], rows reversed
     below, diag, above = _class_views(bands).transpose(0, 1, 4, 2, 3)[:, :, None, :, ::-1]
-    x = _to_classes(v, gather)[..., columns].transpose(0, 2, 3, 1)
+    x = _to_classes(v, maps.gather).transpose(0, 2, 3, 1)
     x = x[..., None]  # [i, slot, class, j, 1]
     y = diag @ x
     y[:-1] += below[:-1] @ x[1:]
     y[1:] += above[1:] @ x[:-1]
-    out = np.zeros((nz, 3, 4, (N1 + 1) * (N2 + 1)), dtype=complex)  # [i, k, slot, class]
-    out[..., columns] = y[..., ::-1, 0].transpose(0, 3, 1, 2)
-    return _from_classes(out, scatter)
+    out = np.ascontiguousarray(y[..., ::-1, 0].transpose(0, 3, 1, 2))  # [i, k, slot, class]
+    return _from_classes(out, maps.scatter)
 
 
 # With rows and columns taken cyclically, cofactor (k, j) of a 3x3 matrix is
 # a[k+1, j+1] a[k+2, j+2] - a[k+1, j+2] a[k+2, j+1], sign included.  One
-# gather by these indices takes the four factors of every cofactor.
+# gather by these indices takes the four factors of every cofactor, the
+# first factors of both products, then the second ones.
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
-_COFACTOR_ROWS = np.array([_NEXT, _AFTER, _NEXT, _AFTER])[:, :, None]
+_COFACTOR_ROWS = np.array([_NEXT, _NEXT, _AFTER, _AFTER])[:, :, None]
 _COFACTOR_COLS = np.array([_NEXT, _AFTER, _AFTER, _NEXT])[:, None, :]
 # Cancellation sum |a_0j cof_0j| / |det| of a row expansion above which the
 # determinant is fitted instead (see _adjugate3).  Block-LU pivots of flat
@@ -428,7 +484,15 @@ _CANCELLATION = 4.0
 
 def _cofactors3(a: np.ndarray) -> np.ndarray:
     g = a[_COFACTOR_ROWS, _COFACTOR_COLS]
-    return g[0] * g[1] - g[2] * g[3]
+    products = g[:2] * g[2:]  # both products of every cofactor in one call
+    return np.subtract(products[0], products[1], out=products[0])
+
+
+def _expansion3(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Cofactors cof[k, j, ...] of the 3x3 matrices a[k, j, ...] and the
+    terms a[0, j] cof[0, j] of their expansion along row 0, in ``out``."""
+    cof = _cofactors3(a)
+    return cof, np.multiply(a[0], cof[0], out=out)
 
 
 def _adjugate3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,10 +509,9 @@ def _adjugate3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pairwise one on a single contiguous matrix, so a factor of one mirror
     class would round differently from the same class among others.
     """
-    cof = _cofactors3(a)
-    terms = a[0] * cof[0]
+    cof, terms = _expansion3(a)
     det = terms.sum(axis=0)
-    cancels = abs(terms).sum(axis=0) > _CANCELLATION * abs(det)
+    cancels = _cancels(terms, det, axis=0)
     if cancels.any():
         w = a.conj()
         fit = (reduce(np.add, (_cofactors3(cof) * w).reshape((9,) + a.shape[2:]))
@@ -457,22 +520,65 @@ def _adjugate3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cof.swapaxes(0, 1), det
 
 
+def _cancels(terms: np.ndarray, det: np.ndarray, axis: int) -> np.ndarray:
+    """Where the expansion ``terms``, summed over ``axis`` to ``det``,
+    cancel by more than ``_CANCELLATION`` (see :func:`_adjugate3`)."""
+    return abs(terms).sum(axis=axis) > _CANCELLATION * abs(det)
+
+
+def _eliminate(diag, lower, upper, piv, Cs, det, start: int, fit: bool) -> np.ndarray:
+    """The block Thomas pivots of :func:`block_lu_solver` from node
+    ``start`` on, nodes top-down, in place: the inverted pivots ``piv``,
+    the determinants ``det`` and Cs, where Cs[i] is C of the node above
+    node i (zero above node 0), so C_i is Cs[i + 1].
+
+    Without ``fit`` every determinant is the row expansion of
+    :func:`_adjugate3`, formed without its cancellation check, and the
+    expansion terms are returned, [node, j, class], for the caller to
+    check; with ``fit`` each pivot takes :func:`_adjugate3` itself.  A
+    block product and its sum over j are one multiply into a buffer and one
+    reduction, the arithmetic of a broadcast product and its sum.
+    """
+    terms = np.empty((len(diag), 3) + diag.shape[3:], dtype=complex)
+    prod = np.empty((3, 3, 3) + diag.shape[3:], dtype=complex)  # a block product before its sum
+    for i in range(start, len(diag)):
+        a = np.subtract(diag[i], np.add.reduce(
+            np.multiply(lower[i][:, :, None], Cs[i], out=prod), axis=1))
+        if fit:
+            adj, det[i] = _adjugate3(a)
+        else:
+            cof, _ = _expansion3(a, out=terms[i])
+            adj = cof.swapaxes(0, 1)
+            np.add.reduce(terms[i], axis=0, out=det[i])
+        np.divide(adj, det[i], out=piv[i])
+        np.add.reduce(np.multiply(piv[i][:, :, None], upper[i], out=prod), axis=1, out=Cs[i + 1])
+    return terms
+
+
 def block_lu_solver(bands: np.ndarray, classes: np.ndarray | None = None):
     """Block-LU of all classes of the bands at once; returns solve(b) = A^{-1} b on free vectors.
 
     Block Thomas (Golub & Van Loan, Matrix Computations, 4.5): pivots
     P_i = D_i - L_i C_{i-1}, C_i = P_i^{-1} U_i, batched over the mirror
     classes of :func:`assemble_flat_blocks` with a Python loop over n_z
-    only.  The factor works on class-last views of the bands,
-    [node, k, j, class], reshaped and transposed without a copy; only the
-    inverted pivots and C are allocated.  This relies on the layout of
-    :func:`_assemble_bands`, whose bands hold the mode axes innermost; on
-    other strides the views read each 3x3 block's classes far apart.  Each
-    pivot is inverted in closed form, its adjugate over its determinant,
-    and every 3x3 block product is a broadcast product summed over j, so
-    neither the factor nor an apply calls LAPACK or BLAS, and the result
-    does not depend on the BLAS thread count.  No pivoting between blocks:
-    check the residual.
+    only (:func:`_eliminate`).  The factor works on class-last views of
+    the bands, [node, k, j, class], reshaped and transposed without a copy;
+    only the inverted pivots, C, the determinants and their expansion
+    terms are allocated.  This
+    relies on the layout of :func:`_assemble_bands`, whose bands hold the
+    mode axes innermost; on other strides the views read each 3x3 block's
+    classes far apart.  Each pivot is inverted in closed form, its
+    adjugate over its determinant, and every 3x3 block product is a
+    broadcast product summed over j, so neither the factor nor an apply
+    calls LAPACK or BLAS, and the result does not depend on the BLAS thread
+    count.  No pivoting between blocks: check the residual.
+
+    The loop forms every determinant by the row expansion.  The
+    cancellation check of :func:`_adjugate3` then runs once over all
+    nodes, and the elimination is repeated, with the check at each node,
+    from the first node where the expansion cancels: each pivot has the
+    bits of a check at every node.  The determinants are checked once
+    after the loop too.
 
     A mirror mode's pivots, C and solution are those of its class with the
     signs of S = diag(s1, s2, 1) on rows and columns, exactly.  An apply
@@ -484,10 +590,11 @@ def block_lu_solver(bands: np.ndarray, classes: np.ndarray | None = None):
     own matrix.
 
     With ``classes``, the mask the bands were assembled on, only the listed
-    classes are factored and an apply sweeps only their columns of the
-    class layout.  b must vanish in the other classes, whose columns pass
-    through unchanged as the zeros of the solution.  Without it the apply
-    sweeps the whole layout in place, with no index over the class axis.
+    classes are factored, and solve takes and returns the free entries of
+    their modes only, in free-vector order (the entries of
+    :func:`_mirror_maps`): an apply gathers, sweeps and scatters as many
+    entries as those modes hold, whatever the lattice.  The other modes of
+    the solution are zero.
 
     The elimination runs from the top node down.  Each pivot is then the
     Schur complement of a trailing block, the strip above a clamped node
@@ -500,38 +607,36 @@ def block_lu_solver(bands: np.ndarray, classes: np.ndarray | None = None):
     and the mesh node of the first pivot whose determinant is zero or not
     finite.
     """
-    N1, N2, columns = _class_grid(bands, classes)
-    nz = bands.shape[-3]
+    N2, columns, maps = _class_maps(bands, classes)
     # node i of the loops below is free node nz - 1 - i, so lower and upper swap
     upper, diag, lower = _class_views(bands)
+    nz = len(diag)
     piv = np.empty_like(diag, order="C")  # the inverted pivots, [i, k, j, class]
-    C = np.zeros_like(piv)  # C[-1] is still zero at i = 0
+    Cs = np.zeros((nz + 1,) + diag.shape[1:], dtype=complex)  # C of the node above (see _eliminate)
+    det = np.empty((nz,) + diag.shape[3:], dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # caught by the det check
-        for i in range(nz):
-            adj, det = _adjugate3(diag[i] - (lower[i][:, :, None] * C[i - 1]).sum(axis=1))
-            if not (np.isfinite(det).all() and det.all()):
-                k = int(np.flatnonzero(~np.isfinite(det) | (det == 0))[0])
-                c1, c2 = divmod(k if classes is None else int(columns[k]), N2 + 1)
-                raise NonConvergenceError(f"block-LU: singular pivot at mode "
-                                          f"(±{c1}, ±{c2}), mesh node {nz - i} of {nz}")
-            np.divide(adj, det, out=piv[i])
-            (piv[i][:, :, None] * upper[i]).sum(axis=1, out=C[i])
-    gather, scatter = _mirror_maps(N1, N2, nz)
+        terms = _eliminate(diag, lower, upper, piv, Cs, det, 0, fit=False)
+        cancels = _cancels(terms, det, axis=1).any(axis=1)
+        if cancels.any():
+            _eliminate(diag, lower, upper, piv, Cs, det, int(np.argmax(cancels)), fit=True)
+        bad = ~np.isfinite(det) | (det == 0)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        c1, c2 = divmod(int(k) if columns is None else columns[k], N2 + 1)
+        raise NonConvergenceError(f"block-LU: singular pivot at mode "
+                                  f"(±{c1}, ±{c2}), mesh node {nz - i} of {nz}")
     # the class blocks, broadcast over the sign slots: [i, k, j, 1, class]
-    piv, lower, C = (a[:, :, :, None] for a in (piv, lower, C))
+    piv, lower, C = (a[:, :, :, None] for a in (piv, lower, Cs[1:]))
 
     def solve(v: np.ndarray) -> np.ndarray:
-        layout = _to_classes(v, gather)  # [i, k, slot, class]
-        y = layout if classes is None else layout[..., columns]
-        (piv[0] * y[0]).sum(axis=1, out=y[0])  # node 0 has no node above it
+        y = _to_classes(v, maps.gather)  # [i, k, slot, class]
+        np.add.reduce(piv[0] * y[0], axis=1, out=y[0])  # node 0 has no node above it
         for p, low, y_i, y_above in zip(piv[1:], lower[1:], y[1:], y[:-1]):
-            y_i -= (low * y_above).sum(axis=1)
-            (p * y_i).sum(axis=1, out=y_i)
+            y_i -= np.add.reduce(low * y_above, axis=1)
+            np.add.reduce(p * y_i, axis=1, out=y_i)
         for c, y_i, y_below in zip(C[-2::-1], y[-2::-1], y[:0:-1]):
-            y_i -= (c * y_below).sum(axis=1)
-        if classes is not None:
-            layout[..., columns] = y
-        return _from_classes(layout, scatter)
+            y_i -= np.add.reduce(c * y_below, axis=1)
+        return _from_classes(y, maps.scatter)
 
     return solve
 
@@ -900,6 +1005,23 @@ def _norm(a: np.ndarray) -> float:
     return float(np.sqrt(_dot(a, a).real))
 
 
+def _dot_on(a: np.ndarray, b: np.ndarray, modes: np.ndarray | None, n_modes: int) -> complex:
+    """:func:`_dot` of two free vectors that are zero off ``modes``, given
+    as their entries there, a[k, mode, node] and b alike (every mode for
+    None).  The products fill a zero array of the free vector's length, so
+    the pairwise sum runs over the full vector's zeros too, in its order:
+    the bits of :func:`_dot` of the full vectors."""
+    if modes is None:
+        return _dot(a.ravel(), b.ravel())
+    prod = np.zeros((3, n_modes, a.shape[-1]), dtype=complex)
+    prod[:, modes] = np.conj(a) * b
+    return np.sum(prod.ravel())
+
+
+def _norm_on(a: np.ndarray, modes: np.ndarray | None, n_modes: int) -> float:
+    return float(np.sqrt(_dot_on(a, a, modes, n_modes).real))
+
+
 def gmres(matvec, b: np.ndarray, precond, tol: float,
           residual=None) -> tuple[np.ndarray, SolveInfo]:
     """Right-preconditioned GMRES for A x = b from x0 = 0, restarted as
@@ -1079,10 +1201,15 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
 
     The direct path assembles, factors and applies the bands of only the
     mirror classes that hold a nonzero entry of ``rhs``; the modes of the
-    others are zero, as the solve of every class gives them.  It checks the
-    residual with the same bands, in the full free vector, so the field
-    and the residual have the bits of a solve of every class.  It
-    therefore examines no pivot of a class its load does not reach: a
+    others are zero, as the solve of every class gives them.  After the
+    load it runs on those classes' modes alone: it gathers their entries
+    of ``rhs`` once, and the block-LU, the residual multiply with the same
+    bands and the field touch only these, so its cost follows the modes
+    its load reaches, not the lattice.  The residual's two norms sum the
+    squares over the full free vector, zeros included
+    (:func:`_norm_on`), so the field and the residual have the bits of a
+    solve of every class.  The field's ``modes`` are the reached classes'
+    modes.  It examines no pivot of a class its load does not reach: a
     singular pivot there raises nothing.  It does not touch the context's
     ``bands`` or ``solve``.
 
@@ -1094,21 +1221,24 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     result exceeds ``tol`` on either path, or when the block-LU meets a
     singular pivot.
     """
-    if coeffs is None:
-        reached = _reached_classes(ctx.mesh, rhs)
-        bands = assemble_flat_blocks(ctx.mesh, ctx.params, reached)
-        x = block_lu_solver(bands, reached)(rhs)
-        res, scale = _norm(banded_matvec(bands, x, reached) - rhs), _norm(rhs)
-        rel = res / scale if scale > 0 else res
-        if not rel <= tol:
-            raise NonConvergenceError(
-                f"direct solve failed: relative residual {rel:.3e} > {tol:.1e}",
-                residual=rel, history=[rel])
-        info = SolveInfo(rel, 1, "direct", [rel])
-    else:
+    if coeffs is not None:
         x, info = gmres(StripOperator(ctx, coeffs, np.complex64).matvec, rhs, ctx.solve, tol,
                         residual=StripOperator(ctx, coeffs).matvec)
-    return DiscreteField.from_free_vector(x, ctx.mesh), info
+        return DiscreteField.from_free_vector(x, ctx.mesh), info
+    g, nz = ctx.mesh.grid, ctx.mesh.n_nodes - 1
+    reached = _reached_classes(ctx.mesh, rhs)
+    bands = assemble_flat_blocks(ctx.mesh, ctx.params, reached)
+    modes = _class_maps(bands, reached)[2].modes
+    b = np.reshape(rhs, (3, g.n1 * g.n2, nz))[:, modes]  # [k, mode, node]
+    x = block_lu_solver(bands, reached)(b.ravel())
+    r = np.subtract(banded_matvec(bands, x, reached), b.ravel()).reshape(b.shape)
+    res, scale = _norm_on(r, modes, g.n1 * g.n2), _norm_on(b, modes, g.n1 * g.n2)
+    rel = res / scale if scale > 0 else res
+    if not rel <= tol:
+        raise NonConvergenceError(
+            f"direct solve failed: relative residual {rel:.3e} > {tol:.1e}",
+            residual=rel, history=[rel])
+    return DiscreteField.from_free_vector(x, ctx.mesh, modes), SolveInfo(rel, 1, "direct", [rel])
 
 
 # ---------------------------------------------------------------------------
@@ -1123,12 +1253,21 @@ def energy_balance(field: DiscreteField, rhs: np.ndarray, ctx: SolverContext):
     to solver residual); power is the nonnegative radiated mode sum.  The
     mismatch is normalized by the per-mode absolute boundary pairing, so
     non-radiating configurations (Im cancels exactly) stay well-scaled.
+    ``rhs`` is zero off the field's ``modes``, as a load is off the modes
+    its direct solve reaches; every term is formed on those modes only,
+    and each sum runs over the full array, zeros included.
     """
-    flux, power = energy_flux(field.top_trace(), ctx.params, ctx.symbol)
-    src_im = -float(np.imag(_dot(field.free_vector(), rhs)))
+    trace = field.top_trace()
+    flux, power = energy_flux(trace, ctx.params, ctx.symbol)
     g = field.mesh.grid
-    top = field.coeff[:, :, :, -1]
-    pair = np.einsum("kab,kjab,jab->ab", np.conj(top), 1j * ctx.symbol, top)
+    n, live = g.n1 * g.n2, _every(field.modes)
+    src = _dot_on(field._by_mode()[:, live, 1:], np.reshape(rhs, (3, n, -1))[:, live],
+                  field.modes, n)
+    src_im = -float(np.imag(src))
+    top = trace.coefficients.reshape(3, n)[:, live]
+    pair = np.zeros(n, dtype=complex)
+    pair[live] = np.einsum("km,kjm,jm->m", np.conj(top),
+                           1j * ctx.symbol.reshape(3, 3, n)[:, :, live], top)
     scale_abs = g.cell_area * float(np.sum(np.abs(pair)))
     denom = max(abs(src_im), abs(flux), scale_abs, _ENERGY_EPS)
     return abs(flux - src_im) / denom, power

@@ -226,6 +226,20 @@ def mode_block_lu_solver(bands: np.ndarray):
     return solve
 
 
+def full_mode_quadratics(field):
+    """The mode quadratics of a DiscreteField as numpy's sums over the
+    component and node axes of its whole coefficient array, every mode
+    included: (c^H Mz c, c^H Sz c, |xi|^2 c^H Mz c) per mode."""
+    _, _, xi_sq = field.mesh.grid.frequency_mesh()
+    c, Mz, Sz = field.coeff, field.mesh.Mz_diags, field.mesh.Sz_diags
+    cross = (np.conj(c[..., :-1]) * c[..., 1:]).real
+    l2 = (np.sum(Mz[1] * (c.real ** 2 + c.imag ** 2), axis=(0, 3))
+          + 2 * np.sum(Mz[2, :-1] * cross, axis=(0, 3)))
+    jump = np.diff(c)
+    dz = np.sum(-Sz[2, :-1] * (jump.real ** 2 + jump.imag ** 2), axis=(0, 3))
+    return l2, dz, xi_sq * l2
+
+
 def norms_sq(field) -> tuple[float, float, float]:
     """(||u||^2, ||dz u||^2, ||grad u||^2) of a DiscreteField over the strip,
     from its exact mode quadratics."""

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import elastrip
 from elastrip import harness, solver
 from elastrip.config import from_dict
-from elastrip.dtn import SpectralGrid, dtn_symbol_grid
+from elastrip.dtn import BoundaryTrace, SpectralGrid, dtn_symbol_grid, energy_flux
 from elastrip.errors import ConstraintError, NonConvergenceError, SingularTransformError
 from elastrip.geometry import CutoffFn, HarmonicTerm, SurfaceProfile, make_profile
 from elastrip.harness import solve_surface
@@ -36,8 +36,9 @@ from elastrip.solver import (
 )
 from elastrip.sources import BumpSource, HarmonicFactor
 from flat_oracles import (coercivity_probe, dense_1d, dense_blocks, einsum_bands,
-                          expand_mirrors, flat_mode_oracle, mode_banded_matvec,
-                          mode_block_lu_solver, mode_flat_blocks, norms_sq)
+                          expand_mirrors, flat_mode_oracle, full_mode_quadratics,
+                          mode_banded_matvec, mode_block_lu_solver, mode_flat_blocks,
+                          norms_sq)
 from geometry_oracles import full_coefficients
 from rellich_oracle import ModeFieldSmooth, rellich_identity_residual, rellich_residual
 
@@ -297,10 +298,14 @@ def test_flat_bands_are_stored_mode_last(mu, lam_frac, omega, N1, N2, nz):
        cell=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
        N1=st.integers(0, 4), N2=st.integers(0, 4), nz=st.integers(1, 16),
        seed=st.integers(0, 2**32 - 1))
+@example(mu=0.3, lam_frac=0.59, omega=3.69, cell=(1.5, 2.2), N1=1, N2=1, nz=4,
+         seed=0)  # the expansion first cancels at node 2 of 4: the factor repeats from there
 def test_mirror_classes_give_the_bits_of_every_mode(mu, lam_frac, omega, cell, N1, N2, nz, seed):
     """The class bands, expanded with their mirror signs, equal the bands
     assembled mode by mode, and the class solve and residual multiply equal
-    the per-mode block-LU and matmul multiply, all bit for bit."""
+    the per-mode block-LU and matmul multiply, all bit for bit.  The
+    per-mode factor checks the cancellation at each node, the class factor
+    once after its loop."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell),
                      bottom=-1.0, top=0.0, n_elements=nz)
@@ -1205,3 +1210,110 @@ def test_singular_pivot_of_a_reached_class_names_it(monkeypatch):
     assert info.residual <= 1e-9 and np.array_equal(field.free_vector(), x)
     j1, j2 = mesh.grid.mode_indices()
     assert not field.coeff[:, abs(j1) == 1][:, :, abs(j2) == 0].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(N1=st.integers(0, 4), N2=st.integers(0, 4), nz=st.integers(1, 20),
+       cell=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
+       live_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_mode_quadratics_on_live_modes_have_the_bits_of_every_mode(N1, N2, nz, cell,
+                                                                   live_share, seed):
+    """On a field that is zero off some modes (none, some or all), the
+    quadratics, the Poincare slack and the V_h norm equal numpy's sums over
+    the whole coefficient array bit for bit: with ``modes`` None, with the
+    nonzero modes, and with a superset of them."""
+    mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell),
+                     bottom=-0.4, top=0.6, n_elements=nz)
+    rng = np.random.default_rng(seed)
+    g = mesh.grid
+    n = g.n1 * g.n2
+    shape = (3, n, mesh.n_nodes)
+    live = np.flatnonzero(rng.random(n) < live_share)
+    coeff = np.zeros(shape, dtype=complex)
+    coeff[:, live, 1:] = (rng.standard_normal((3, len(live), nz))
+                          + 1j * rng.standard_normal((3, len(live), nz)))
+    coeff = coeff.reshape(3, g.n1, g.n2, mesh.n_nodes)
+    oracle = DiscreteField(coeff, mesh)
+    l2, dz, horiz = expect = full_mode_quadratics(oracle)
+    area, depth = g.cell_area, mesh.top - mesh.bottom
+    slack = depth * float(area * dz.sum()) - float(area * l2.sum())
+    vh = float(np.sqrt(area * (l2.sum() + dz.sum() + horiz.sum())))
+    superset = np.union1d(live, np.flatnonzero(rng.random(n) < 0.3))
+    for modes in (None, live, superset):
+        field = DiscreteField(coeff, mesh, modes)
+        got = field.mode_quadratics()
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+        assert poincare_slack(field) == slack and poincare_slack(field, got) == slack
+        assert field.vh_norm() == vh
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_modes=st.integers(1, 300), nz=st.integers(1, 100),
+       live_share=st.sampled_from([0.0, 0.02, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_dot_on_live_modes_has_the_bits_of_the_full_vectors(n_modes, nz, live_share, seed):
+    """The pairing and norm of free vectors given by their entries on some
+    modes equal numpy's pairwise sums over the full vectors, zeros included."""
+    rng = np.random.default_rng(seed)
+    live = np.flatnonzero(rng.random(n_modes) < live_share)
+    full = np.zeros((2, 3, n_modes, nz), dtype=complex)
+    full[:, :, live] = (rng.standard_normal((2, 3, len(live), nz))
+                        + 1j * rng.standard_normal((2, 3, len(live), nz)))
+    a, b = full[:, :, live]
+    dot = solver._dot(full[0].ravel(), full[1].ravel())
+    assert solver._dot_on(a, b, live, n_modes) == dot
+    assert solver._dot_on(full[0], full[1], None, n_modes) == dot
+    assert solver._norm_on(a, live, n_modes) == solver._norm(full[0].ravel())
+
+
+def test_flat_solve_and_diagnostics_allocate_under_three_free_vectors():
+    """After the load vector, a warm flat solve with its diagnostics
+    allocates for the modes its load reaches, not the lattice: at
+    N1 = N2 = 16 (1,089 modes, one reached class of 289) its tracemalloc
+    peak stays under 3 free vectors.  The field's coefficient array (about
+    one free vector, zero off the reached modes) and the zero-padded
+    products of one full-length pairing sum are the large allocations."""
+    cfg = from_dict({"surface": {"delta": 0.25},
+                     "discretization": {"N1": 16, "N2": 16, "n_z": 32}})
+    params, _, _, mesh, _, _, source = harness.build_setup(cfg)
+    ctx = SolverContext(mesh, params)
+    rhs = assemble_rhs(mesh, source)
+    free_bytes = rhs.nbytes
+
+    def solve_and_diagnose():
+        field, _ = solve_field(ctx, rhs)
+        quadratics = field.mode_quadratics()
+        harness.field_physical_norms(field, None, ctx.work, quadratics)
+        energy_balance(field, rhs, ctx)
+        poincare_slack(field, quadratics)
+        return field
+
+    field = solve_and_diagnose()  # warm: index maps and mode indices built
+    assert solver._reached_classes(mesh, rhs).sum() == 1 and len(field.modes) == 2
+    tracemalloc.start()
+    try:
+        solve_and_diagnose()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * free_bytes
+
+
+def test_trace_from_coefficients_returns_them_and_flux_reads_its_modes():
+    """A trace built from coefficients returns that array, with no FFT round
+    trip; the flux and the power of a trace that lists its live modes equal
+    those of the same trace over every mode."""
+    grid = SpectralGrid(N1=3, N2=2, cell=(2.0, 3.0))
+    rng = np.random.default_rng(8)
+    coeff = np.zeros((3, grid.n1 * grid.n2), dtype=complex)
+    live = np.array([0, 4, 9, 30])
+    coeff[:, live] = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    coeff = coeff.reshape(3, grid.n1, grid.n2)
+    trace = BoundaryTrace.from_coefficients(coeff, grid, live)
+    assert np.array_equal(trace.coefficients, coeff)
+    assert np.array_equal(trace.values, np.fft.ifft2(coeff, axes=(1, 2)) * (grid.n1 * grid.n2))
+    XI1, XI2, _ = grid.frequency_mesh()
+    symbol = dtn_symbol_grid(XI1, XI2, P)
+    flux, power = energy_flux(trace, P, symbol)
+    every = energy_flux(BoundaryTrace.from_coefficients(coeff, grid), P, symbol)
+    assert (flux, power) == pytest.approx(every, rel=1e-14, abs=1e-300)
+    assert power > 0
