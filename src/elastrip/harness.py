@@ -355,8 +355,12 @@ def _solve_ensemble(ctx: SolverContext, samples, solve, threads: int | None) -> 
     :func:`~elastrip.solver.budget_shares` of the mesh: each worker solves
     in its own :meth:`SolverContext.share` of ``ctx``, whose element blocks
     then keep the bits of ``ctx``'s, so a sample's result does not depend
-    on the worker count or on which worker took it.  The flat factor is
-    built once, before the pool starts, for all workers.  While the pool
+    on the worker count or on which worker took it.  The flat factor and
+    the samples' complex64 operator meshes (:meth:`SolverContext.inner_mesh`)
+    are built once, and each share's workspace buffers taken
+    (:meth:`SolverContext.reserve`), in the caller's thread before the pool
+    starts: with their large buffers taken in the workers, the pool's peak
+    memory varied by 7 MB from run to run.  While the pool
     runs, every loaded OpenBLAS runs on one thread: a worker's products are
     small, and 2 workers with 2 BLAS threads each were slower than one
     loop.  With one worker, where no OpenBLAS thread count can be set, or
@@ -376,9 +380,13 @@ def _solve_ensemble(ctx: SolverContext, samples, solve, threads: int | None) -> 
 
     with contextlib.suppress(ElastripError):  # a singular pivot fails each rough sample
         ctx.solve
+    for sample in samples:
+        ctx.inner_mesh(sample.surface)
     idle = SimpleQueue()
     for _ in range(workers):
-        idle.put(ctx.share(workers))
+        share = ctx.share(workers)
+        share.reserve()
+        idle.put(share)
 
     def task(sample):
         own = idle.get()

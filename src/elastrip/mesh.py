@@ -4,10 +4,16 @@ The horizontal directions use the symmetric frequency lattice of
 :class:`~elastrip.dtn.SpectralGrid`; the vertical direction uses linear finite
 elements on [bottom, h] with 2-point Gauss quadrature per element.  Variable
 coefficients are handled pseudospectrally on a padded collocation grid
-(3/2-rule dealiasing).  The transforms to and from that grid are products
-with small dense DFT matrices built once per mesh (a matrix multiplication
-transform; Boyd, Chebyshev and Fourier Spectral Methods, ch. 10), which at
-these lengths beat padding plus FFT and leave the zero padding implicit.
+(3/2-rule dealiasing; Orszag, J. Atmos. Sci. 28 (1971) 1074).  That grid
+sets the horizontal quadrature, and so the discrete problem.  A mesh may
+take other collocation sizes (``collocation``): the solver runs its
+complex64 Arnoldi operator on a coarser grid, whose aliasing that operator's
+rounding already exceeds, and keeps the 3/2-rule mesh for everything that
+defines or judges the solution.  The transforms to and from a grid are
+products with small dense DFT matrices built once per mesh (a matrix
+multiplication transform; Boyd, Chebyshev and Fourier Spectral Methods,
+ch. 10), which at these lengths beat padding plus FFT and leave the zero
+padding implicit.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ class StripMesh:
     bottom: float
     top: float
     n_elements: int
+    # collocation sizes (P1, P2); None takes the 3/2 rule
+    collocation: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.top <= self.bottom:
@@ -49,11 +57,18 @@ class StripMesh:
         self.phi = np.stack([(1 - _GAUSS_X) / 2, (1 + _GAUSS_X) / 2])       # (2, q)
         self.dphi = np.stack([-1 / dz, 1 / dz])[:, :, None] * np.ones(2)     # (2, e, q)
         self._build_1d_matrices()
-        # dealiased collocation sizes.  They set the horizontal quadrature, so
-        # they keep the 11-smooth lengths an FFT would pick although the
-        # transforms are matrix products: another rule would change the numbers.
-        self.P1 = _next_fast_len(max((3 * self.grid.n1 + 1) // 2, self.grid.n1))
-        self.P2 = _next_fast_len(max((3 * self.grid.n2 + 1) // 2, self.grid.n2))
+        # dealiased collocation sizes (3/2 rule) unless given.  They set the
+        # horizontal quadrature, so they keep the 11-smooth lengths an FFT
+        # would pick although the transforms are matrix products: another
+        # rule would change the numbers.
+        if self.collocation is None:
+            self.P1 = _next_fast_len(max((3 * self.grid.n1 + 1) // 2, self.grid.n1))
+            self.P2 = _next_fast_len(max((3 * self.grid.n2 + 1) // 2, self.grid.n2))
+        else:
+            self.P1, self.P2 = self.collocation
+            if self.P1 < self.grid.n1 or self.P2 < self.grid.n2:
+                raise ConstraintError(f"collocation sizes {self.collocation} below the "
+                                      f"lattice ({self.grid.n1}, {self.grid.n2})")
         # padded DFT matrices E[x, k] = exp(2 pi i x j_k / P), j_k in FFT order,
         # stacked with E diag(i xi) for the horizontal derivatives
         j1, j2 = self.grid.mode_indices()
@@ -94,26 +109,32 @@ class StripMesh:
     def eval_at_quad(self, U: np.ndarray, elements: slice = slice(None),
                      out: np.ndarray | None = None) -> np.ndarray:
         """Nodal field (..., n_nodes) -> values at the quad points (..., e, q)
-        of the vertical ``elements``, written into ``out`` when given."""
-        return self._at_quad(U, self.phi[:, None, :], elements, out)
+        of the vertical ``elements``, written into ``out`` when given.
+
+        The Gauss pair of an element is its nodal mean plus and minus its
+        half difference over sqrt 3, u(q+-) = (lo + hi) / 2 +- (hi - lo) /
+        (2 sqrt 3), formed in ``out`` in the precision of U."""
+        lo, hi = U[..., :-1][..., elements], U[..., 1:][..., elements]
+        if out is None:
+            out = np.empty(lo.shape + (2,), dtype=np.result_type(U.dtype, np.float32))
+        low, high = out[..., 0], out[..., 1]
+        np.subtract(hi, lo, out=low)
+        low *= float(_GAUSS_X[1] / 2)     # the half difference d over sqrt 3
+        np.add(lo, hi, out=high)
+        high *= 0.5
+        high += low                       # u(q+) = mean + d
+        low *= -2.0
+        low += high                       # u(q-) = u(q+) - 2 d
+        return out
 
     def deriv_at_quad(self, U: np.ndarray, elements: slice = slice(None),
                       out: np.ndarray | None = None) -> np.ndarray:
-        return self._at_quad(U, self.dphi, elements, out)
-
-    def _at_quad(self, U: np.ndarray, shape_fns: np.ndarray, elements: slice,
-                 out: np.ndarray | None) -> np.ndarray:
-        """sum_a U[..., e + a] shape_fns[a, e, k] over e in ``elements``; the
-        loop over Gauss points k keeps the long element axis innermost.  The
-        shape functions take the real dtype of U, so a complex64 field stays
-        complex64."""
-        fns = np.broadcast_to(shape_fns, (2,) + self.zq.shape)[:, elements]
-        fns = fns.astype(U.real.dtype, copy=False)
+        """dz of a nodal field at the quad points (..., e, q): (hi - lo) / dz,
+        the same at both Gauss points of an element."""
         lo, hi = U[..., :-1][..., elements], U[..., 1:][..., elements]
         if out is None:
-            out = np.empty(U.shape[:-1] + fns.shape[1:], dtype=np.result_type(U, fns))
-        for k in range(out.shape[-1]):
-            out[..., k] = lo * fns[0, :, k] + hi * fns[1, :, k]
+            out = np.empty(lo.shape + (2,), dtype=np.result_type(U.dtype, np.float32))
+        out[...] = ((hi - lo) / np.diff(self.nodes)[elements])[..., None]
         return out
 
     def scatter_from_quad(self, Wq: np.ndarray, Wdq: np.ndarray | None = None,
@@ -147,35 +168,47 @@ class StripMesh:
     # -- padded pseudospectral transforms ------------------------------------
 
     def to_physical(self, C: np.ndarray, ax1: int = -4, ax2: int = -3,
-                    gradient: bool = False, work: Workspace | None = None) -> np.ndarray:
+                    gradient: bool = False, work: Workspace | None = None,
+                    tail: np.ndarray | None = None) -> np.ndarray:
         """Mode coefficients -> values on the padded collocation grid.
 
         Two DFT-matrix products, along ax2 then ax1; the padded modes are
         zero implicitly.  With ``gradient`` the horizontal axes must be
         adjacent and axis ax1 - 1 lists fields (C0, C1, ...); the result
         lists (C0, d1 C0, d2 C0, C1, ...) there, the horizontal derivatives
-        coming from the stacked matrices [E; E diag(i xi)].  The gradient
-        result and the intermediate take buffers of ``work``.  The matrices
-        are those of the precision of C: a complex64 or float32 field is
-        transformed in complex64.
+        coming from the stacked matrices [E; E diag(i xi)].  ``tail``, with
+        ``gradient``, is one more field that is constant along the last axis
+        of C, given without that axis or the field axis: transformed once,
+        it is listed last, repeated along that axis.  A linear element's
+        z-derivative is such a field over the element's Gauss points.  The
+        gradient result and the intermediates take buffers of ``work``.
+        The matrices are those of the precision of C: a complex64 or float32
+        field is transformed in complex64.
         """
         ax1, ax2 = ax1 % C.ndim, ax2 % C.ndim
-        E1, E1d, E2, E2d = self._dft_of(C.dtype)[:4]
+        E1, E1d, E2, E2d = self.dft_matrices(C.dtype)[:4]
         if not gradient:
             return _along(E1, _along(E2, C, ax2), ax1)
         work = Workspace() if work is None else work
         A, s, n1, n2, R = _field_stack(C.shape, ax1, ax2)
-        P1, P2, P2R = self.P1, self.P2, self.P2 * R
-        out_shape = C.shape[:ax1 - 1] + (s + 2, P1, P2) + C.shape[ax2 + 1:]
+        P1, P2, P2R, t = self.P1, self.P2, self.P2 * R, tail is not None
+        out_shape = C.shape[:ax1 - 1] + (s + 2 + t, P1, P2) + C.shape[ax2 + 1:]
         C, dtype = C.reshape(A, s, n1, n2, R), E1.dtype
         Z = np.matmul(E2d, C[:, 0], out=work.take("scratch", (A, n1, 2 * P2, R), dtype))
         Z = Z.reshape(A, n1, 2 * P2R)  # E2 C0 | E2 i xi2 C0
-        F = work.take("fields", (A, s + 2, P1, P2R), dtype)
-        Fm = F.reshape(A, (s + 2) * P1, P2R)
+        F = work.take("fields", (A, s + 2 + t, P1, P2R), dtype)
+        Fm = F.reshape(A, (s + 2 + t) * P1, P2R)
         np.matmul(E1d, Z[:, :, :P2R], out=Fm[:, :2 * P1])
         np.matmul(E1, Z[:, :, P2R:], out=Fm[:, 2 * P1:3 * P1])
-        rest = np.matmul(E2, C[:, 1:], out=work.take("scratch", (A, s - 1, n1, P2, R), dtype))
-        np.matmul(E1, rest.reshape(A, s - 1, n1, P2R), out=F[:, 3:])
+        if s > 1:
+            rest = np.matmul(E2, C[:, 1:], out=work.take("scratch", (A, s - 1, n1, P2, R), dtype))
+            np.matmul(E1, rest.reshape(A, s - 1, n1, P2R), out=F[:, 3:s + 2])
+        if t:
+            n = tail.shape[-1]  # the columns of the tail, R / n each repeated
+            both = work.take("scratch", (A, n1 + P1, P2 * n), dtype)
+            np.matmul(E2, tail.reshape(A, n1, n2, n), out=both[:, :n1].reshape(A, n1, P2, n))
+            once = np.matmul(E1, both[:, :n1], out=both[:, n1:])
+            F[:, -1].reshape(A, P1, P2, n, R // n)[...] = once.reshape(A, P1, P2, n, 1)
         return F.reshape(out_shape)
 
     def to_modes_adjoint(self, W: np.ndarray, ax1: int = -4, ax2: int = -3,
@@ -188,7 +221,7 @@ class StripMesh:
         :meth:`to_physical`, it runs in the precision of W.
         """
         ax1, ax2 = ax1 % W.ndim, ax2 % W.ndim
-        E1H, E1dH, E2H, E2dH = self._dft_of(W.dtype)[4:]
+        E1H, E1dH, E2H, E2dH = self.dft_matrices(W.dtype)[4:]
         if not gradient:
             return _along(E2H, _along(E1H, W, ax1), ax2)
         work = Workspace() if work is None else work
@@ -201,14 +234,16 @@ class StripMesh:
         np.matmul(E1H, W[:, 2 * P1:3 * P1], out=Y[:, :, P2R:])
         out = work.take("modes", (A, s2 - 2, n1, n2, R), dtype)
         np.matmul(E2dH, Y.reshape(A, n1, 2 * P2, R), out=out[:, 0])
-        rest = np.matmul(E1H, W[:, 3 * P1:].reshape(A, s2 - 3, P1, P2R),
-                         out=work.take("scratch", (A, s2 - 3, n1, P2R), dtype))
-        np.matmul(E2H, rest.reshape(A, s2 - 3, n1, P2, R), out=out[:, 1:])
+        if s2 > 3:
+            rest = np.matmul(E1H, W[:, 3 * P1:].reshape(A, s2 - 3, P1, P2R),
+                             out=work.take("scratch", (A, s2 - 3, n1, P2R), dtype))
+            np.matmul(E2H, rest.reshape(A, s2 - 3, n1, P2, R), out=out[:, 1:])
         return out.reshape(out_shape)
 
-    def _dft_of(self, dtype) -> tuple:
+    def dft_matrices(self, dtype) -> tuple:
         """(E1, E1d, E2, E2d, E1H, E1dH, E2H, E2dH) at the complex dtype of
-        a field of ``dtype``, cast from the complex128 ones once per mesh."""
+        a field of ``dtype``, cast from the complex128 ones at the first
+        call and kept: call it before threads share the mesh."""
         key = _complex_dtype(dtype)
         if key not in self._dft:
             self._dft[key] = tuple(E.astype(key) for E in self._dft[np.dtype(complex)])

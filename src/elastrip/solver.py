@@ -13,11 +13,23 @@ the flattening transform turns the problem into a variable-coefficient one on
 the same reference strip, applied matrix-free and solved with the module's
 own GMRES, right-preconditioned by the same block-LU, with its Arnoldi
 steps in complex64 and its residual gate in complex128.  Each application is
-one transform of the values and z-derivatives to the padded collocation
-grid by DFT-matrix products that also give the horizontal derivatives, the
-symmetric stress at the quadrature points, and the adjoint products on the
-duals.  The DtN term is mode-diagonal in both cases because the transform
-is the identity at the top plane.
+one transform of the values at the Gauss pairs and of the z-derivatives,
+one per element, to the padded collocation grid by DFT-matrix products that
+also give the horizontal derivatives, the symmetric stress at the
+quadrature points, and the adjoint products on the duals.  The DtN term is
+mode-diagonal in both cases because the transform is the identity at the
+top plane.
+
+The collocation grid of the mesh, P >= 3(2N + 1)/2 points per axis (the 3/2
+rule), defines the discrete problem: the complex128 operator that gates
+every residual, the load vector, the physical norms and the |J3| check all
+use it.  The complex64 Arnoldi operator of a rough solve runs on a coarser
+grid of min(P, n + 3K) points per axis (:func:`inner_collocation`), n =
+2N + 1 and K the surface's largest harmonic index there.  Its rounds need
+only cut the residual by a fixed factor (iterative refinement; Carson &
+Higham, SIAM J. Sci. Comput. 40 (2018) A817), and the aliasing of the
+coarser grid errs by less than the complex64 rounding they already accept
+(see ``_INNER_TOL``).  The grid changes the inner operator, not the solution.
 
 Everything between a forward and an adjoint transform is pointwise in z, so
 the stages that hold fields on the padded collocation x quadrature grid (the
@@ -35,6 +47,7 @@ only, and not on how the budget is shared among threads.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
@@ -45,7 +58,7 @@ import numpy as np
 from .dtn import BoundaryTrace, SpectralGrid, _every, dtn_symbol_grid, energy_flux
 from .errors import ConstraintError, NonConvergenceError, SingularTransformError
 from .geometry import CutoffFn, SurfaceProfile, transform_factors
-from .mesh import StripMesh, Workspace
+from .mesh import StripMesh, Workspace, _next_fast_len
 from .params import ElasticParams
 
 _ENERGY_EPS = 1e-14
@@ -57,20 +70,28 @@ _GMRES_MAX_ITER = 50
 # 1e-30 and less, while a working step keeps 1e-4 and more.
 _BREAKDOWN = 1e-14
 # The same share for a round whose basis is complex64.  There what is left of
-# an exhausted space is the complex64 operator's own error: 1.4e-7 to
-# 9.3e-6 of |A M^{-1} v_k| on rough strips with N1 = N2 = 0 and n_z <= 3,
-# and up to 9e-5 on a smooth vector (see _INNER_TOL).  The working steps of
-# rough solves of the benchmark's surfaces keep 4e-2 and more (N = 2 to 12,
-# n_z = 16 to 96).  A false breakdown only ends the round early: the
-# complex128 residual still judges its correction.
+# an exhausted space is the complex64 operator's own error: 1.1e-7 to
+# 1.1e-5 of |A M^{-1} v_k| on rough strips with N1 = N2 = 0 and n_z <= 3,
+# and up to 8.4e-5 on a smooth vector (see _INNER_TOL).  The working steps of
+# rough solves of the benchmark's surfaces keep 4.2e-2 and more (321 steps of
+# rough_solve seeds 0-9 and mc_ensemble seeds 0-2, on the inner grid).  A
+# false breakdown only ends the round early: the complex128 residual still
+# judges its correction.
 _BREAKDOWN_COMPLEX64 = 1e-4
 # A refinement round of the rough solve runs Arnoldi on the complex64
 # operator until its estimate is this share of the round's starting residual
-# (see gmres).  At N=8, n_z=64 the complex64 matvec differs from the
-# complex128 one by 1.2e-7 of |A x| on a random x, and by 9e-5 on the smooth
-# first Krylov vector M^{-1} b, whose A x cancels; that error caps what one
-# round gains.  A solve to 1e-9 takes two rounds: the seed-0 rough_solve
-# runs 6 + 5 complex64 steps, its true residuals 1.2e-4, then 7.3e-10.
+# (see gmres).  At N=8, n_z=64 (seed-0 rough_solve) the complex64 matvec on
+# the inner grid (20 x 20 points against 27 x 27) differs from the
+# complex128 one by 2.9e-6 of |A x| on a random x, and by 8.4e-5 on the
+# smooth first Krylov vector M^{-1} b, whose A x cancels; that error caps what
+# one round gains.  Apart, the inner grid's aliasing errs by 2.9e-6 and
+# 5.4e-9 (the complex128 operator on it), and complex64 rounding by 2.5e-7
+# and 8.4e-5 (on the 3/2-rule grid): on the smooth vectors that matter the
+# rounding dominates, and the coarser grid costs a round nothing.  A solve
+# to 1e-9 takes two rounds: the seed-0 rough_solve runs 6 + 5 complex64
+# steps, its true residuals 1.0e-4, then 6.5e-10 (1.2e-4, then 7.3e-10 on
+# the 3/2-rule grid).  On n + K = 18 points its second round stopped at
+# 1.1e-8, and it took 12 steps and 3 rounds.
 # Complex64 steps per solve at 1e-5 -> 3e-5, each with 2 complex128
 # residuals at both (benchmark workloads, N=8, n_z=64 and N=6, n_z=32):
 #   rough_solve seeds 0-4:        11, 11, 11, 11, 11 -> 11, 11, 11, 10, 10
@@ -79,7 +100,8 @@ _BREAKDOWN_COMPLEX64 = 1e-4
 # Over seeds 0-9 of both, 23 of 90 solves took a step fewer and none more.
 # The step saved is the first round's last, which the complex64 error above
 # makes useless.  At 1e-4 and looser, solves took three rounds; at 1e-6, a
-# step more.
+# step more.  The inner grid keeps the steps and rounds of rough_solve seeds
+# 0-9 and of the 24 mc_ensemble solves of seeds 0-2.
 _INNER_TOL = 3e-5
 # Bytes of one element block's stacked fields (see element_blocks).  The
 # context's workspace holds about 1.5 times this at any n_z.  Fewer elements
@@ -316,16 +338,21 @@ def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams,
 
     ``classes``, a boolean (N1 + 1, N2 + 1) array, keeps only the classes
     it marks: shape (3, n, n_z, 3, 3) for n marked classes, in row-major
-    order.  Their densities and DtN symbols are picked from those of every
-    class, so each kept band has the bits of the full assembly.
+    order.  Their densities and DtN symbols are formed at their
+    frequencies alone, as one (n, 1) grid, by the same operations per
+    class as on the full grid: each kept band has the bits of the full
+    assembly.
     """
     g = mesh.grid
     lam, mu, w = params.lam, params.mu, params.omega
     XI1, XI2 = _class_frequencies(g)
+    if classes is not None:
+        c1, c2 = np.nonzero(classes)
+        XI1, XI2 = XI1[c1], XI2[0, c2, None]
     K = _mode_density(XI1, XI2, 2 * mu, lam, -mu, -w * w)
     Msym = dtn_symbol_grid(XI1, XI2, params)  # [k, j, c1, c2]
     if classes is not None:
-        K, Msym = K[..., classes], Msym[..., classes]
+        K, Msym = K[..., 0], Msym[..., 0]
     bands = _assemble_bands(mesh, K)
     bands[1, ..., -1, :, :] -= 1j * g.cell_area * np.moveaxis(Msym, (0, 1), (-2, -1))
     return bands
@@ -381,19 +408,18 @@ def _mirror_maps(N1: int, N2: int, nz: int, columns: tuple | None = None) -> Cla
 
 def _flip(y: np.ndarray) -> np.ndarray:
     """Negate u1 and u2 of y[i, k, slot, class] in place where the slot's
-    sign is -1, on the float view: exact, zeros included."""
-    f = y.view(float)
+    sign is -1, on the view of its real dtype: exact, zeros included."""
+    f = y.view(y.real.dtype)
     f[:, 0, 2:] *= -1.0
     f[:, 1, 1:3] *= -1.0
     return y
 
 
 def _to_classes(v: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """Entries v in the class layout of :func:`_mirror_maps`, complex128,
-    each slot turned into the image of its class by :func:`_flip`; one
-    gather, in v's precision, then the exact upcast of a complex64 v, so
-    no complex128 copy of v itself is made."""
-    return _flip(np.asarray(v)[gather].astype(complex, copy=False))
+    """Entries v in the class layout of :func:`_mirror_maps`, in v's
+    precision, each slot turned into the image of its class by
+    :func:`_flip`; one gather."""
+    return _flip(np.asarray(v)[gather])
 
 
 def _from_classes(y: np.ndarray, scatter: np.ndarray) -> np.ndarray:
@@ -555,7 +581,7 @@ def _eliminate(diag, lower, upper, piv, Cs, det, start: int, fit: bool) -> np.nd
     return terms
 
 
-def block_lu_solver(bands: np.ndarray, classes: np.ndarray | None = None):
+def block_lu_solver(bands: np.ndarray, classes: np.ndarray | None = None, dtype=complex):
     """Block-LU of all classes of the bands at once; returns solve(b) = A^{-1} b on free vectors.
 
     Block Thomas (Golub & Van Loan, Matrix Computations, 4.5): pivots
@@ -603,6 +629,11 @@ def block_lu_solver(bands: np.ndarray, classes: np.ndarray | None = None):
     on one such case (mu = 0.2, omega = 5, condition number 800) bottom-up
     elimination was accurate to 2.5e-9 relative, top-down to 9e-15.
 
+    The factor runs in complex128 and is kept at ``dtype``: complex64 for
+    the rough solve's preconditioner, whose sweeps then run in complex64
+    on a complex64 b at half the bytes.  An apply sweeps in the precision
+    of b, or of the factor if that is higher, and returns complex128.
+
     Raises :class:`NonConvergenceError` naming the class (+-|j1|, +-|j2|)
     and the mesh node of the first pivot whose determinant is zero or not
     finite.
@@ -625,18 +656,18 @@ def block_lu_solver(bands: np.ndarray, classes: np.ndarray | None = None):
         c1, c2 = divmod(int(k) if columns is None else columns[k], N2 + 1)
         raise NonConvergenceError(f"block-LU: singular pivot at mode "
                                   f"(±{c1}, ±{c2}), mesh node {nz - i} of {nz}")
-    # the class blocks, broadcast over the sign slots: [i, k, j, 1, class]
-    piv, lower, C = (a[:, :, :, None] for a in (piv, lower, Cs[1:]))
+    # the class blocks at ``dtype``, broadcast over the sign slots: [i, k, j, 1, class]
+    piv, lower, C = (a.astype(dtype, copy=False)[:, :, :, None] for a in (piv, lower, Cs[1:]))
 
     def solve(v: np.ndarray) -> np.ndarray:
-        y = _to_classes(v, maps.gather)  # [i, k, slot, class]
+        y = _to_classes(v, maps.gather).astype(np.result_type(v, piv), copy=False)
         np.add.reduce(piv[0] * y[0], axis=1, out=y[0])  # node 0 has no node above it
         for p, low, y_i, y_above in zip(piv[1:], lower[1:], y[1:], y[:-1]):
             y_i -= np.add.reduce(low * y_above, axis=1)
             np.add.reduce(p * y_i, axis=1, out=y_i)
         for c, y_i, y_below in zip(C[-2::-1], y[-2::-1], y[:0:-1]):
             y_i -= np.add.reduce(c * y_below, axis=1)
-        return _from_classes(y, maps.scatter)
+        return _from_classes(y, maps.scatter).astype(complex, copy=False)
 
     return solve
 
@@ -678,21 +709,32 @@ class TransformCoefficients:
     the raveled factors (np.einsum), whose rows are as long as the block's
     quad points.
 
-    Raises :class:`SingularTransformError` when max |J3| >= 1.
+    Raises :class:`SingularTransformError` when max |J3| >= 1 on the
+    collocation grid of ``mesh``.  :meth:`on` gives the same map on another
+    collocation grid without that check.
     """
 
-    def __init__(self, mesh: StripMesh, f: SurfaceProfile, cutoff: CutoffFn):
+    def __init__(self, mesh: StripMesh, f: SurfaceProfile, cutoff: CutoffFn,
+                 _check: bool = True):
         x1, x2 = mesh.collocation_padded()
         (self.df, self.g1, self.g2), (self.alpha, self.alpha_d) = transform_factors(
             x1[:, None], x2[None, :], mesh.zq, mesh.bottom, f, cutoff)
-        self.mesh = mesh
+        self.mesh, self.surface, self.cutoff = mesh, f, cutoff
         # rounding is monotone, so this is the largest |J3| of the planes
         j3_max = np.abs(self.alpha_d).max() * np.abs(self.df).max()
-        if j3_max >= 1:
+        if _check and j3_max >= 1:
             raise SingularTransformError(
                 f"max |J3| = {j3_max:.4f} >= 1; "
                 "surface amplitude too large for cutoff margins"
             )
+
+    def on(self, mesh: StripMesh) -> TransformCoefficients:
+        """The same map on the collocation grid of ``mesh``, a mesh of the
+        same strip; the |J3| check stays with the grid that defines the
+        problem, so a coarser grid never rejects a surface it accepts."""
+        if mesh is self.mesh:
+            return self
+        return TransformCoefficients(mesh, self.surface, self.cutoff, _check=False)
 
     def _plane_shapes(self, elements: slice) -> tuple[tuple, tuple]:
         """The shapes of a plane of the vertical ``elements``: [point, quad
@@ -827,23 +869,28 @@ def physical_quad_fields(mesh: StripMesh, U: np.ndarray,
     """Values and physical gradient of nodal modes U at the quad points of
     the vertical ``elements``.
 
-    Returns one stacked array F of shape (3, 4, P1, P2, e, q) on the padded
-    collocation x Gauss grid: F[c, 0] = u_c and F[c, 1 + j] = d_j u_c.  The
-    values and z-derivatives at the quad points are written into one buffer
-    and go through one gradient transform of DFT-matrix products, which adds
-    the horizontal derivatives; the gradient is then pulled through the
-    chain rule of the elements' ``planes`` in place.  F and the temporaries
-    take buffers of ``work``, so F stays valid until the next call with the
-    same ``work``.  Everything runs in the precision of U; ``planes``
-    should match it.
+    Returns one stacked array F of shape (3, 4, P1, P2, e, q) on the
+    collocation x Gauss grid of ``mesh``: F[c, 0] = u_c and F[c, 1 + j] =
+    d_j u_c.  The values at the Gauss pairs, formed from the nodal means and
+    differences, and the z-derivative, constant on a linear element and so
+    given once per element, go through one gradient transform of
+    DFT-matrix products, which adds the horizontal derivatives of the
+    values (the z-derivative is its ``tail``).  The gradient is then
+    pulled through the chain rule of the elements' ``planes`` in place.
+    F and the temporaries take buffers of ``work``, so F stays valid until
+    the next call with the same ``work``.  Everything runs in the precision
+    of U; ``planes`` should match it.
     """
     work = Workspace() if work is None else work
     n_e = len(range(mesh.n_elements)[elements])
-    C = work.take("modes", (3, 2) + U.shape[1:-1] + (n_e, mesh.zq.shape[1]),  # (3, 2, n1, n2, e, q)
-                  U.dtype)
+    q, m = mesh.zq.shape[1], math.prod(U.shape[1:-1]) * n_e
+    stack = work.take("modes", (3, m * (q + 1)), U.dtype)
+    C = stack[:, :m * q].reshape((3, 1) + U.shape[1:-1] + (n_e, q))  # (3, 1, n1, n2, e, q)
+    dz = stack[:, m * q:].reshape(U.shape[:-1] + (n_e,))
     mesh.eval_at_quad(U, elements, out=C[:, 0])
-    mesh.deriv_at_quad(U, elements, out=C[:, 1])
-    F = mesh.to_physical(C, ax1=2, ax2=3, gradient=True, work=work)
+    np.subtract(U[..., 1:][..., elements], U[..., :-1][..., elements], out=dz)
+    dz *= (1.0 / np.diff(mesh.nodes)[elements]).astype(dz.real.dtype)
+    F = mesh.to_physical(C, ax1=2, ax2=3, gradient=True, work=work, tail=dz)
     if planes is not None:
         # Gx[:, j] = Gy[:, j] - J_j Gx[:, 2] for j < 2, Gx[:, 2] = Gy[:, 2] / det
         F[:, 3] *= planes.inv_det
@@ -864,14 +911,24 @@ class StripOperator:
     place, weighted and pulled back through the adjoint chain rule, the
     adjoint transform, which folds the horizontal stresses back into the
     value duals, and the scatter of the block's duals onto its nodes.  The
-    stacked fields of one block take at most the block budget of the
-    workspace of ``ctx``, and the blocks are added in mesh order.  Under a
-    transform each block first forms its chain-rule fields and weights from
-    the separable factors of ``coeffs`` (:meth:`TransformCoefficients.block`),
-    so the operator holds no array the size of the quad grid.  All blocks and calls reuse the
-    workspace of ``ctx``, and the DtN term, mode-diagonal at the top node,
-    takes its symbol.  Without a transform this action coincides with the
-    assembled flat blocks to roundoff.
+    dual of an element's z-derivative, which is the difference of its Gauss
+    pair over z(q+) - z(q-), goes to the pair's value duals with the signs
+    of that difference before the adjoint transform, which so carries the
+    values' duals and their horizontal stresses only.  The stacked fields
+    of one block take at most the block budget of the workspace of
+    ``ctx``, and the blocks are added in mesh order.  Under a transform
+    each block first forms its chain-rule fields and weights from the
+    separable factors of ``coeffs`` (:meth:`TransformCoefficients.block`),
+    so the operator holds no array the size of the quad grid.  All blocks
+    and calls reuse the workspace of ``ctx``, and the DtN term,
+    mode-diagonal at the top node, takes its symbol.  Without a transform
+    this action coincides with the assembled flat blocks to roundoff.
+
+    The operator runs on the collocation grid of ``coeffs.mesh``, of
+    ``ctx.mesh`` without a transform, and cuts the elements into the
+    blocks of ``ctx.mesh`` at ``dtype`` whatever that grid: the complex64
+    operator on a coarser grid (:meth:`SolverContext.inner_mesh`) takes
+    the blocks, and so at most the buffers, of the one on the 3/2-rule grid.
 
     ``dtype`` is the complex precision of the work and of the returned
     free vector; the input vector, of any precision, is rounded to it.
@@ -886,15 +943,19 @@ class StripOperator:
     def __init__(self, ctx: SolverContext, coeffs: TransformCoefficients | None = None,
                  dtype=complex):
         self.ctx, self.coeffs, self.dtype = ctx, coeffs, np.dtype(dtype)
-        mesh, params = ctx.mesh, ctx.params
+        self.mesh = ctx.mesh if coeffs is None else coeffs.mesh
+        mesh, params = self.mesh, ctx.params
         self._real = np.finfo(self.dtype).dtype
-        # the plain quadrature weights weight the dual of dz u (wgt / det
-        # under a transform) and, without one, every dual
+        # the plain quadrature weights weight every dual without a transform;
+        # over 1 / (z(q+) - z(q-)) they weight the dual of dz u (wgt / det
+        # under a transform), whose Gauss pairs share them
         wgt = quad_weights(mesh)
-        self._wgt_per_det = wgt.astype(self._real, copy=False)
+        self._flat_wgt = wgt.astype(self._real, copy=False)
         self._flat_mass_wgt = (-(params.omega * params.omega) * wgt).astype(self._real, copy=False)
+        self._dz_wgt = (wgt[0, 0, :, 0] / np.diff(mesh.zq, axis=1)[:, 0]).astype(self._real)
         self._lam, self._mu = self._real.type(params.lam), self._real.type(params.mu)
-        self._blocks = element_blocks(mesh, ctx.work, self.dtype)
+        # the cuts of the context's mesh, whatever the collocation grid
+        self._blocks = element_blocks(ctx.mesh, ctx.work, self.dtype)
         n = 3 * mesh.grid.n1 * mesh.grid.n2 * (mesh.n_nodes - 1)
         self.shape = (n, n)
 
@@ -903,13 +964,13 @@ class StripOperator:
 
     def _matvec(self, vec: np.ndarray) -> np.ndarray:
         ctx, coeffs = self.ctx, self.coeffs
-        mesh, lam, mu = ctx.mesh, self._lam, self._mu
+        mesh, lam, mu = self.mesh, self._lam, self._mu
         U = np.zeros((3, mesh.grid.n1, mesh.grid.n2, mesh.n_nodes), dtype=self.dtype)
         U[..., 1:] = np.asarray(vec).reshape(U[..., 1:].shape)
         R, work = np.zeros_like(U), ctx.work
         for b in self._blocks:
             if coeffs is None:
-                planes, wgt = None, self._wgt_per_det[..., b, :]
+                planes, wgt = None, self._flat_wgt[..., b, :]
                 mass_wgt = self._flat_mass_wgt[..., b, :]
             else:
                 planes = coeffs.block(b, work, self._real, ctx.params.omega)
@@ -935,11 +996,17 @@ class StripOperator:
                 for j, J in ((1, planes.J1), (2, planes.J2)):
                     F[:, 3] -= np.multiply(J, F[:, j], out=prod)
             F[:, 1:3] *= wgt
-            F[:, 3] *= self._wgt_per_det[..., b, :]
+            # the dual of an element's dz u goes to its Gauss pair's values,
+            # + at q+ and - at q-, the adjoint of their difference
+            dz = np.add(F[:, 3, ..., 0], F[:, 3, ..., 1],
+                        out=work.take("scratch", F[:, 3, ..., 0].shape, F.dtype))
+            dz *= self._dz_wgt[b]
+            F[:, 0, ..., 1] += dz
+            F[:, 0, ..., 0] -= dz
 
-            # duals of the values (mass + pulled-back horizontal stresses) and of dz
-            W = mesh.to_modes_adjoint(F, ax1=2, ax2=3, gradient=True, work=work)
-            mesh.scatter_from_quad(W[:, 0], W[:, 1], b, out=R)
+            # duals of the values: mass, pulled-back horizontal stresses and dz
+            W = mesh.to_modes_adjoint(F[:, :3], ax1=2, ax2=3, gradient=True, work=work)
+            mesh.scatter_from_quad(W[:, 0], elements=b, out=R)
 
         # DtN boundary term at the top node
         top = U[:, :, :, -1]
@@ -1005,21 +1072,24 @@ def _norm(a: np.ndarray) -> float:
     return float(np.sqrt(_dot(a, a).real))
 
 
-def _dot_on(a: np.ndarray, b: np.ndarray, modes: np.ndarray | None, n_modes: int) -> complex:
+def _dot_on(a: np.ndarray, b: np.ndarray, modes: np.ndarray | None, n_modes: int,
+            work: Workspace | None = None) -> complex:
     """:func:`_dot` of two free vectors that are zero off ``modes``, given
     as their entries there, a[k, mode, node] and b alike (every mode for
-    None).  The products fill a zero array of the free vector's length, so
-    the pairwise sum runs over the full vector's zeros too, in its order:
-    the bits of :func:`_dot` of the full vectors."""
+    None).  The products fill a zeroed buffer of ``work`` of the free
+    vector's length, so the pairwise sum runs over the full vector's zeros
+    too, in its order: the bits of :func:`_dot` of the full vectors."""
     if modes is None:
         return _dot(a.ravel(), b.ravel())
-    prod = np.zeros((3, n_modes, a.shape[-1]), dtype=complex)
+    prod = (Workspace() if work is None else work).take("pairing", (3, n_modes, a.shape[-1]))
+    prod[...] = 0
     prod[:, modes] = np.conj(a) * b
     return np.sum(prod.ravel())
 
 
-def _norm_on(a: np.ndarray, modes: np.ndarray | None, n_modes: int) -> float:
-    return float(np.sqrt(_dot_on(a, a, modes, n_modes).real))
+def _norm_on(a: np.ndarray, modes: np.ndarray | None, n_modes: int,
+             work: Workspace | None = None) -> float:
+    return float(np.sqrt(_dot_on(a, a, modes, n_modes, work).real))
 
 
 def gmres(matvec, b: np.ndarray, precond, tol: float,
@@ -1047,11 +1117,11 @@ def gmres(matvec, b: np.ndarray, precond, tol: float,
     residual hands the remaining rounds to ``residual``.  Without
     ``residual`` every round runs on ``matvec`` to ``tol``.
 
-    A round's basis, its Gram-Schmidt sums and its correction V y take
-    the precision of its matvec's output: complex64 on the complex64
-    operator, half the bytes.  x, the residuals, the Hessenberg matrix and
-    the rotations stay in the precision of b and of ``residual``, whose
-    output takes b - A x in place, and ``precond`` returns that precision.
+    A round's basis and its Gram-Schmidt sums take the precision of its
+    matvec's output: complex64 on the complex64 operator, half the bytes.
+    Its correction V y, x, the residuals, the Hessenberg matrix and the
+    rotations stay in the precision of b and of ``residual``, whose output
+    takes b - A x in place, and ``precond`` returns that precision.
     Inner products and norms are numpy sums, so the result does not
     depend on the BLAS thread count.
 
@@ -1146,10 +1216,30 @@ def _gmres_cycle(matvec, r: np.ndarray, precond, target: float, max_steps: int):
     y = np.zeros(n, dtype=complex)
     for i in range(n - 1, -1, -1):  # back substitution, R[j][i] is row i of column j
         y[i] = (g[i] - sum(R[j][i] * y[j] for j in range(i + 1, n))) / R[i][i]
-    z = np.zeros_like(V[0])
-    for yi, v in zip(y.astype(z.dtype), V):  # a complex128 yi would upcast yi * v under NEP 50
+    # V y adds up in r's precision, so that the correction's preconditioner
+    # sweep runs in it: a complex64 sweep would put its rounding into x,
+    # where a Krylov step's only slows the round
+    z = np.zeros_like(r)
+    for yi, v in zip(y.astype(V[0].dtype), V):  # a complex128 yi would upcast yi * v under NEP 50
         z += yi * v
     return precond(z), estimates, stuck
+
+
+def inner_collocation(mesh: StripMesh, surface: SurfaceProfile) -> tuple[int, int]:
+    """Collocation sizes of the complex64 Arnoldi operator of a rough solve:
+    per axis min(P, next fast length of n + 3K), where n = 2N + 1 and K is
+    the largest harmonic index of ``surface`` on that axis.
+
+    The mesh's own sizes P (the 3/2 rule) define the problem: the residual
+    operator, the load and the norms use them.  The complex64 rounds only
+    need to cut the residual by a fixed factor, and aliasing at n + 3K
+    points errs by less than their complex64 rounding (see ``_INNER_TOL``).
+    """
+    terms = [t for t in surface.terms if t.c or t.s]
+    K1, K2 = (max((abs(j) for j in js), default=0)
+              for js in ([t.j1 for t in terms], [t.j2 for t in terms]))
+    return (min(mesh.P1, _next_fast_len(mesh.grid.n1 + 3 * K1)),
+            min(mesh.P2, _next_fast_len(mesh.grid.n2 + 3 * K2)))
 
 
 class SolverContext:
@@ -1160,9 +1250,12 @@ class SolverContext:
     here.  The flat operator's ``bands`` of every class and their block-LU
     ``solve`` serve the rough solves only, as the GMRES preconditioner:
     they are built at the first access, so a context that solves only flat
-    strips, or makes only matvecs, never assembles them.  The workspace
+    strips, or makes only matvecs, never assembles them.  So are the
+    meshes of the complex64 operators (:meth:`inner_mesh`).  The workspace
     makes a context serve one thread at a time; :meth:`share` gives each
-    of several threads its own.
+    of several threads its own.  ``solve`` keeps its factor in complex64
+    (:func:`block_lu_solver`): it sweeps the complex64 Krylov vectors in
+    complex64, and the corrections and complex128 rounds in complex128.
     """
 
     def __init__(self, mesh: StripMesh, params: ElasticParams):
@@ -1170,6 +1263,40 @@ class SolverContext:
         XI1, XI2, _ = mesh.grid.frequency_mesh()
         self.symbol = dtn_symbol_grid(XI1, XI2, params)
         self.work = Workspace()
+        self._inner_meshes: dict[tuple[int, int], StripMesh] = {}
+
+    def reserve(self) -> None:
+        """Take the workspace buffers that the first, largest element block
+        of a complex128 rough matvec on the context's mesh fills, at their
+        sizes.  A user of the workspace that needs fewer bytes and runs
+        first, the complex64 operator on its coarser grid, then fits in
+        them, and no buffer is replaced in a solve; a pool's worker threads
+        use the buffers their shares took in the caller's thread."""
+        mesh, work = self.mesh, self.work
+        b = element_blocks(mesh, work)[0]
+        n_e, q, n1, n2 = b.stop - b.start, mesh.zq.shape[1], mesh.grid.n1, mesh.grid.n2
+        for name in ("J1", "J2", "inv_det", "wgt", "mass_wgt"):  # TransformCoefficients.block
+            work.take(name, (mesh.P1 * mesh.P2, n_e * q), np.float64)
+        work.take("fields", (3, 4, mesh.P1, mesh.P2, n_e, q))  # physical_quad_fields
+        work.take("scratch", (3, n1, 2 * mesh.P2, n_e * q))    # the transforms
+        work.take("modes", (3, n1 * n2 * n_e * (q + 1)))       # the mode-space stack
+
+    def inner_mesh(self, surface: SurfaceProfile) -> StripMesh:
+        """The mesh on :func:`inner_collocation`'s grid for ``surface``, with
+        its complex64 DFT matrices: the context's own mesh when the sizes
+        are its own, otherwise one built at the first request of the sizes
+        and kept, for this context and its shares."""
+        sizes = inner_collocation(self.mesh, surface)
+        if sizes == (self.mesh.P1, self.mesh.P2):
+            mesh = self.mesh
+        elif sizes in self._inner_meshes:
+            return self._inner_meshes[sizes]
+        else:
+            m = self.mesh
+            mesh = self._inner_meshes[sizes] = StripMesh(m.grid, m.bottom, m.top, m.n_elements,
+                                                         collocation=sizes)
+        mesh.dft_matrices(np.complex64)
+        return mesh
 
     @cached_property
     def bands(self) -> np.ndarray:
@@ -1177,16 +1304,16 @@ class SolverContext:
 
     @cached_property
     def solve(self):
-        return block_lu_solver(self.bands)
+        return block_lu_solver(self.bands, dtype=np.complex64)
 
     def share(self, parts: int) -> SolverContext:
         """A context for one of ``parts`` threads that solve on this mesh
         and material at once: its own workspace, whose element blocks take
         a ``parts``-th of the budget of this context's, so that the
         threads' buffers together hold what this context's hold.  It
-        shares the symbol, and the bands and block-LU if they are built
-        already; otherwise each share builds its own at its first rough
-        solve."""
+        shares the symbol and the inner meshes, and the bands and block-LU
+        if they are built already; otherwise each share builds its own at
+        its first rough solve."""
         twin = copy.copy(self)
         twin.work = Workspace(block_budget(self.work) // parts)
         return twin
@@ -1213,16 +1340,22 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     singular pivot there raises nothing.  It does not touch the context's
     ``bands`` or ``solve``.
 
-    GMRES runs its Arnoldi steps on the complex64 operator and checks
-    every round's residual with the complex128 one, preconditioned by the
-    context's block-LU of every class.
+    GMRES runs its Arnoldi steps on the complex64 operator, on the
+    collocation grid of :meth:`SolverContext.inner_mesh`, and checks every
+    round's residual with the complex128 one on the mesh's own grid,
+    preconditioned by the context's block-LU of every class.  The
+    workspace buffers are taken at the complex128 operator's sizes first
+    (:meth:`SolverContext.reserve`), so that the smaller complex64
+    operator, which runs first, replaces none.
 
     Raises :class:`NonConvergenceError` when the relative residual of the
     result exceeds ``tol`` on either path, or when the block-LU meets a
     singular pivot.
     """
     if coeffs is not None:
-        x, info = gmres(StripOperator(ctx, coeffs, np.complex64).matvec, rhs, ctx.solve, tol,
+        ctx.reserve()
+        inner = coeffs.on(ctx.inner_mesh(coeffs.surface))
+        x, info = gmres(StripOperator(ctx, inner, np.complex64).matvec, rhs, ctx.solve, tol,
                         residual=StripOperator(ctx, coeffs).matvec)
         return DiscreteField.from_free_vector(x, ctx.mesh), info
     g, nz = ctx.mesh.grid, ctx.mesh.n_nodes - 1
@@ -1232,7 +1365,7 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     b = np.reshape(rhs, (3, g.n1 * g.n2, nz))[:, modes]  # [k, mode, node]
     x = block_lu_solver(bands, reached)(b.ravel())
     r = np.subtract(banded_matvec(bands, x, reached), b.ravel()).reshape(b.shape)
-    res, scale = _norm_on(r, modes, g.n1 * g.n2), _norm_on(b, modes, g.n1 * g.n2)
+    res, scale = (_norm_on(v, modes, g.n1 * g.n2, ctx.work) for v in (r, b))
     rel = res / scale if scale > 0 else res
     if not rel <= tol:
         raise NonConvergenceError(
@@ -1262,7 +1395,7 @@ def energy_balance(field: DiscreteField, rhs: np.ndarray, ctx: SolverContext):
     g = field.mesh.grid
     n, live = g.n1 * g.n2, _every(field.modes)
     src = _dot_on(field._by_mode()[:, live, 1:], np.reshape(rhs, (3, n, -1))[:, live],
-                  field.modes, n)
+                  field.modes, n, ctx.work)
     src_im = -float(np.imag(src))
     top = trace.coefficients.reshape(3, n)[:, live]
     pair = np.zeros(n, dtype=complex)

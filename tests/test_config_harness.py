@@ -347,6 +347,46 @@ def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch, tw
     assert reports[0] == reports[1] and csvs[0] == csvs[1]
 
 
+def test_an_ensemble_builds_its_meshes_and_buffers_before_the_pool(monkeypatch, two_cores):
+    """The samples' complex64 operator meshes, on the inner collocation
+    grid, and their complex64 DFT matrices are built in the caller's
+    thread before the pool starts; the workers only read them.  So are
+    the workers' workspace buffers but the float64 scratch plane of the
+    complex64 planes: the workers allocate no large buffer."""
+    built = []  # (what, in the main thread)
+    post_init, dft_matrices, take = StripMesh.__post_init__, StripMesh.dft_matrices, Workspace.take
+
+    def taken(self, name, shape, dtype=complex):
+        buf = self._buffers.get(name)
+        out = take(self, name, shape, dtype)
+        if self._buffers[name] is not buf and name != "plane64":
+            built.append((name, threading.current_thread() is threading.main_thread()))
+        return out
+
+    def new_mesh(self):
+        post_init(self)
+        built.append(("mesh", threading.current_thread() is threading.main_thread()))
+
+    def cast(self, dtype):
+        fresh = np.result_type(dtype, np.complex64) not in self._dft
+        out = dft_matrices(self, dtype)
+        if fresh:
+            built.append(("dft", threading.current_thread() is threading.main_thread()))
+        return out
+
+    monkeypatch.setattr(StripMesh, "__post_init__", new_mesh)
+    monkeypatch.setattr(StripMesh, "dft_matrices", cast)
+    monkeypatch.setattr(Workspace, "take", taken)
+    shares = spy_shares(monkeypatch)
+    cfg = cfg_with(discretization={"N1": 4, "N2": 4, "n_z": 16},
+                   surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3},
+                   run={"threads": 2})
+    rep = monte_carlo(cfg, n=4, seed=3)
+    assert shares == [2, 2] and rep.n_completed == 4
+    assert {("mesh", True), ("dft", True), ("fields", True), ("J1", True)} <= set(built)
+    assert all(main for _, main in built), built
+
+
 def test_a_failed_sample_leaves_nothing_in_the_shared_workspace(monkeypatch, two_cores):
     """A sample that fails after three matvecs on scaled vectors in each
     precision leaves its context's workspace dirty, its field buffers last

@@ -40,6 +40,7 @@ from flat_oracles import (coercivity_probe, dense_1d, dense_blocks, einsum_bands
                           mode_banded_matvec, mode_block_lu_solver, mode_flat_blocks,
                           norms_sq)
 from geometry_oracles import full_coefficients
+from matvec_oracle import two_point_matvec
 from rellich_oracle import ModeFieldSmooth, rellich_identity_residual, rellich_residual
 
 CELL = (2 * np.pi, 2 * np.pi)
@@ -1023,6 +1024,165 @@ def test_refined_solve_matches_a_complex128_solve(monkeypatch, physics):
     assert refined.u_vh == pytest.approx(plain.u_vh, rel=1e-8)
 
 
+@settings(max_examples=20, deadline=None)
+@given(mu=st.floats(0.3, 3.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.5, 6.0),
+       N=st.integers(1, 6), K=st.integers(1, 3), axis=st.integers(0, 1),
+       extra=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                st.floats(-0.03, 0.03), st.floats(-0.03, 0.03)), max_size=2),
+       phase=st.floats(0.0, 2 * np.pi))
+def test_refined_solve_on_the_inner_grid_matches_a_complex128_solve(
+        mu, lam_frac, omega, N, K, axis, extra, phase):
+    """Over random materials, N <= 6 and surfaces whose largest harmonic
+    index K is 1 to 3, the mixed-precision solve, whose complex64 rounds
+    run on the inner collocation grid, meets tol, and its u_vh equals that
+    of a GMRES solve all in complex128 on the 3/2-rule grid to 1e-8."""
+    j = (K, 0) if axis == 0 else (0, K)
+    terms = [[*j, 0.05 * np.cos(phase), 0.05 * np.sin(phase)]]
+    terms += [[min(max(j1, -K), K), min(max(j2, -K), K), c, s] for j1, j2, c, s in extra]
+    cfg = from_dict({"physics": {"mu": mu, "lam": -0.5 * mu + lam_frac * (5.0 + 0.5 * mu),
+                                 "omega": omega},
+                     "surface": {"terms": terms, "delta": 0.25},
+                     "discretization": {"N1": N, "N2": N, "n_z": 12}})
+    sizes = []
+    inner_mesh = SolverContext.inner_mesh
+
+    def recorded(self, surface):
+        mesh = inner_mesh(self, surface)
+        sizes.append(((mesh.P1, mesh.P2), (self.mesh.P1, self.mesh.P2)))
+        return mesh
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SolverContext, "inner_mesh", recorded)
+        refined, _ = harness.deterministic_run(cfg)
+        real = solver.gmres
+        mp.setattr(solver, "gmres", lambda matvec, b, precond, tol, residual:
+                   real(residual, b, precond, tol))
+        plain, _ = harness.deterministic_run(cfg)
+    inner, fine = sizes[0]
+    assert inner[axis] == min(fine[axis], solver._next_fast_len(2 * N + 1 + 3 * K))
+    for report in (refined, plain):
+        assert report.diagnostics["solve_residual"] <= 1e-9
+    assert refined.u_vh == pytest.approx(plain.u_vh, rel=1e-8)
+
+
+def _surface(*terms):
+    return SurfaceProfile(offset=0.0, terms=tuple(HarmonicTerm(*t) for t in terms), cell=CELL)
+
+
+@pytest.mark.parametrize("N, terms, sizes", [
+    (4, (), (9, 9)),                                        # K = 0: n points
+    (4, ((1, 0, 0.05, 0.0),), (12, 9)),                     # n + 3K on the axis of the term
+    (4, ((0, -1, 0.0, 0.05), (3, 0, 0.0, 0.0)), (9, 12)),   # a zero term has no index
+    (6, ((1, 1, 0.03, 0.01),), (16, 16)),                   # mc_ensemble: 20 -> 16
+    (8, ((1, 0, 0.06, 0.0), (1, 1, 0.0, 0.03)), (20, 20)),  # rough_solve: 27 -> 20
+    (8, ((2, 0, 0.05, 0.0),), (24, 18)),                    # next fast lengths of 23 and 17
+    (12, ((1, 1, 0.03, 0.0),), (28, 28)),                   # 40 -> 28
+])
+def test_inner_collocation_takes_n_plus_3k_points(N, terms, sizes):
+    """Per axis, the complex64 operator's grid has the next fast length of
+    n + 3K points, n = 2N + 1 and K the surface's largest harmonic index
+    on the axis; the context builds that mesh once and keeps it, with its
+    complex64 DFT matrices."""
+    mesh = flat_mesh(N=N, nz=4)
+    surface = _surface(*terms)
+    assert solver.inner_collocation(mesh, surface) == sizes
+    assert all(s < P for s, P in zip(sizes, (mesh.P1, mesh.P2)))
+    ctx = SolverContext(mesh, P)
+    inner = ctx.inner_mesh(surface)
+    assert (inner.P1, inner.P2) == sizes and inner.n_elements == mesh.n_elements
+    assert np.dtype(np.complex64) in inner._dft and ctx.inner_mesh(surface) is inner
+
+
+@pytest.mark.parametrize("N, terms", [
+    (1, ((1, 1, 0.05, 0.0),)),    # n + 3 = 6 > P = 5
+    (8, ((3, -3, 0.02, 0.0),)),   # n + 9 = 26 -> 27 = P
+    (2, ((1, 1, 0.05, 0.0),)),    # n + 3 = 8 = P
+])
+def test_inner_collocation_at_the_fine_size_builds_no_second_mesh(N, terms):
+    """Where n + 3K reaches P, the complex64 operator runs on the
+    context's own mesh."""
+    mesh = flat_mesh(N=N, nz=4)
+    surface = _surface(*terms)
+    assert solver.inner_collocation(mesh, surface) == (mesh.P1, mesh.P2)
+    ctx = SolverContext(mesh, P)
+    assert ctx.inner_mesh(surface) is mesh and not ctx._inner_meshes
+
+
+def test_the_inner_grid_does_not_reject_a_surface_the_fine_grid_accepts():
+    """|J3| is checked on the 3/2-rule grid only.  max |f - c| / (gap -
+    delta) = 1.0003 at x1 = 0.9 pi, a point of the 20-point inner grid but
+    not of the 27-point one, where |J3| stays below 1."""
+    mesh = flat_mesh(N=8, nz=8)
+    a, phase = 0.7502, np.pi / 10
+    surface = _surface((1, 0, a * np.cos(phase), -a * np.sin(phase)))
+    cutoff = CutoffFn(0.25, 1.0)
+    coeffs = TransformCoefficients(mesh, surface, cutoff)
+    inner = SolverContext(mesh, P).inner_mesh(surface)
+    assert (inner.P1, inner.P2) == (20, 18)
+    with pytest.raises(SingularTransformError):
+        TransformCoefficients(inner, surface, cutoff)
+    on_inner = coeffs.on(inner)
+    assert on_inner.df.shape == (20, 18) and coeffs.on(mesh) is coeffs
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       N=st.integers(0, 4), nz=st.integers(1, 20), rough=st.booleans(), inner=st.booleans(),
+       terms=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                                st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+                      min_size=1, max_size=3),
+       budget=st.sampled_from([None, 1]), seed=st.integers(0, 2**32 - 1))
+def test_matvec_matches_the_two_gauss_point_oracle(mu, lam_frac, omega, N, nz, rough, inner,
+                                                    terms, budget, seed):
+    """The complex128 matvec, which transforms each element's z-derivative
+    once and folds its dual into the Gauss pair's value duals, equals the
+    operator that carries the z-derivative at both Gauss points to 1e-13
+    relative: flat and rough, on the 3/2-rule grid and on the inner one,
+    in one element block or in blocks of single elements."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    mesh = flat_mesh(N=N, nz=nz)
+    ctx = SolverContext(mesh, params)
+    coeffs = None
+    if rough:
+        surface = make_profile(0.0, terms, GEOM)
+        coeffs = TransformCoefficients(mesh, surface, CutoffFn(0.25, 1.0))
+        if inner:
+            coeffs = coeffs.on(ctx.inner_mesh(surface))
+    rng = np.random.default_rng(seed)
+    n = 3 * mesh.grid.n1 * mesh.grid.n2 * nz
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = two_point_matvec(ctx, coeffs, x)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(solver, "_BLOCK_BYTES", budget)
+        got = StripOperator(ctx, coeffs).matvec(x)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_a_rough_solve_replaces_no_workspace_buffer(monkeypatch):
+    """The complex128 operator takes the buffers of its largest element
+    block before the first complex64 matvec: on a fresh context every
+    buffer is allocated once in a rough solve, none regrown, with blocks
+    of 16 elements in complex128 and 32 in complex64 on the inner grid."""
+    mesh, rhs, coeffs = rough_system(N=8, nz=64)
+    ctx = SolverContext(mesh, P)
+    ctx.solve
+    sizes = {}
+    take = Workspace.take
+
+    def spied(self, name, shape, dtype=complex):
+        buf = self._buffers.get(name)
+        out = take(self, name, shape, dtype)
+        if self._buffers[name] is not buf:
+            sizes.setdefault(name, []).append(self._buffers[name].nbytes)
+        return out
+
+    monkeypatch.setattr(Workspace, "take", spied)
+    _, info = solve_field(ctx, rhs, coeffs)
+    assert info.method == "gmres" and set(sizes) >= {"fields", "scratch", "modes", "J1"}
+    assert all(len(v) == 1 for v in sizes.values()), sizes
+
+
 def test_gmres_happy_breakdown_is_exact():
     """b an eigenvector: the first step spans an invariant space, x = b / 2 exactly."""
     A = np.diag([2.0, 3.0, 5.0]).astype(complex)
@@ -1175,13 +1335,15 @@ def test_flat_run_factors_the_one_class_its_source_reaches(monkeypatch):
 
 
 def _singular_symbol_at(monkeypatch, c1, c2):
-    """Make the DtN symbol of mirror class (c1, c2) infinite in every later
-    flat assembly, upstream of its pick of the reached classes."""
+    """Make the DtN symbol of mirror class (c1, c2), at its frequencies
+    2 pi (c1, c2) / CELL, infinite in every later flat assembly, whichever
+    frequencies the assembly forms the symbol at."""
     real = solver.dtn_symbol_grid
+    xi1, xi2 = 2 * np.pi * c1 / CELL[0], 2 * np.pi * c2 / CELL[1]
 
-    def singular(*args):
-        M = real(*args)
-        M[:, :, c1, c2] = np.inf
+    def singular(XI1, XI2, params):
+        M = real(XI1, XI2, params)
+        M[:, :, np.broadcast_to((XI1 == xi1) & (XI2 == xi2), M.shape[2:])] = np.inf
         return M
 
     monkeypatch.setattr(solver, "dtn_symbol_grid", singular)
