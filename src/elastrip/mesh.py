@@ -127,29 +127,19 @@ class StripMesh:
         low += high                       # u(q-) = u(q+) - 2 d
         return out
 
-    def deriv_at_quad(self, U: np.ndarray, elements: slice = slice(None),
-                      out: np.ndarray | None = None) -> np.ndarray:
-        """dz of a nodal field at the quad points (..., e, q): (hi - lo) / dz,
-        the same at both Gauss points of an element."""
-        lo, hi = U[..., :-1][..., elements], U[..., 1:][..., elements]
-        if out is None:
-            out = np.empty(lo.shape + (2,), dtype=np.result_type(U.dtype, np.float32))
-        out[...] = ((hi - lo) / np.diff(self.nodes)[elements])[..., None]
-        return out
-
-    def scatter_from_quad(self, Wq: np.ndarray, Wdq: np.ndarray | None = None,
-                          elements: slice = slice(None),
+    def scatter_from_quad(self, Wq: np.ndarray, elements: slice = slice(None),
                           out: np.ndarray | None = None) -> np.ndarray:
-        """Adjoint of evaluation: quad-point duals -> nodal functional values.
+        """Adjoint of :meth:`eval_at_quad`: quad-point duals -> nodal
+        functional values.
 
-        ``Wq`` pairs with shape-function values, ``Wdq`` with derivatives;
-        quadrature weights must already be folded into the inputs.  They
-        hold the vertical ``elements``, whose share is added to ``out``
-        (zeros on all nodes when None), which is returned.  Each element's
-        two nodal shares are summed before they are added, so a node on the
-        seam of two calls gets the bits of one call over both.  The shape
-        functions take the real dtype of ``Wq``, and ``out`` defaults to the
-        complex dtype of its precision.
+        ``Wq`` pairs with shape-function values; quadrature weights must
+        already be folded into it.  It holds the vertical ``elements``,
+        whose share is added to ``out`` (zeros on all nodes when None),
+        which is returned.  Each element's two nodal shares are summed
+        before they are added, so a node on the seam of two calls gets the
+        bits of one call over both.  The shape functions take the real
+        dtype of ``Wq``, and ``out`` defaults to the complex dtype of its
+        precision.
         """
         real = Wq.real.dtype
         if out is None:
@@ -157,10 +147,6 @@ class StripMesh:
         phi = self.phi.astype(real, copy=False)
         lo = Wq[..., 0] * phi[0, 0] + Wq[..., 1] * phi[0, 1]
         hi = Wq[..., 0] * phi[1, 0] + Wq[..., 1] * phi[1, 1]
-        if Wdq is not None:
-            dphi = self.dphi[:, elements].astype(real, copy=False)
-            lo += Wdq[..., 0] * dphi[0, :, 0] + Wdq[..., 1] * dphi[0, :, 1]
-            hi += Wdq[..., 0] * dphi[1, :, 0] + Wdq[..., 1] * dphi[1, :, 1]
         out[..., :-1][..., elements] += lo
         out[..., 1:][..., elements] += hi
         return out
@@ -291,6 +277,10 @@ class Workspace:
             # complex128 storage keeps every view aligned
             buf = self._buffers[name] = np.empty(-(-size * dtype.itemsize // 16), dtype=complex)
         return buf.view(dtype)[:size].reshape(shape)
+
+    def nbytes(self) -> dict[str, int]:
+        """The bytes of each named buffer."""
+        return {name: buf.nbytes for name, buf in self._buffers.items()}
 
 
 def _next_fast_len(n: int) -> int:

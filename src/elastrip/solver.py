@@ -736,13 +736,6 @@ class TransformCoefficients:
             return self
         return TransformCoefficients(mesh, self.surface, self.cutoff, _check=False)
 
-    def _plane_shapes(self, elements: slice) -> tuple[tuple, tuple]:
-        """The shapes of a plane of the vertical ``elements``: [point, quad
-        point] for the products, (P1, P2, e, q) for the caller."""
-        mesh = self.mesh
-        shape = (mesh.P1, mesh.P2, len(range(mesh.n_elements)[elements]), mesh.zq.shape[1])
-        return (shape[0] * shape[1], shape[2] * shape[3]), shape
-
     def block(self, elements: slice, work: Workspace, dtype=np.float64,
               omega: float = 0.0) -> BlockPlanes:
         """J1, J2, 1/det and the weights wgt = w_q |cell| / (P1 P2) det and
@@ -750,26 +743,25 @@ class TransformCoefficients:
         ``dtype``, in buffers of ``work``.  det = 1 + alpha' (f - c) is
         formed in float64 and then turned into the weights in place."""
         mesh, real = self.mesh, np.dtype(dtype)
-        planes, shape = self._plane_shapes(elements)
+        planes, shape = _plane_shapes(mesh, elements)
         a, wq = (v[elements].ravel() for v in (self.alpha, mesh.wq))
         cast = real != np.float64  # a float32 plane is cast from ``tmp``
         tmp = work.take("plane64", planes, np.float64) if cast else None
+        J1, J2, inv_det, wgt, mass_wgt = _plane_buffers(mesh, elements, work, real)
 
-        def outer(name, h, v):
-            out = work.take(name, planes, real)
+        def outer(out, h, v):
             np.einsum("i,j->ij", h, v, out=tmp if cast else out)
             if cast:
                 out[...] = tmp
-            return out
 
-        J1, J2 = outer("J1", self.g1.ravel(), a), outer("J2", self.g2.ravel(), a)
-        wgt = work.take("wgt", planes, real)
+        outer(J1, self.g1.ravel(), a)
+        outer(J2, self.g2.ravel(), a)
         det = self._det(elements, tmp if cast else wgt)
-        inv_det = np.divide(1.0, det, out=work.take("inv_det", planes, real))
+        np.divide(1.0, det, out=inv_det)
         wgt64 = np.multiply(det, wq * mesh.point_weight, out=det)
         if cast:
             wgt[...] = wgt64
-        mass_wgt = np.multiply(-(omega * omega), wgt64, out=work.take("mass_wgt", planes, real))
+        np.multiply(-(omega * omega), wgt64, out=mass_wgt)
         return BlockPlanes(*(p.reshape(shape) for p in (J1, J2, inv_det, wgt, mass_wgt)))
 
     def _det(self, elements: slice, out: np.ndarray) -> np.ndarray:
@@ -782,7 +774,7 @@ class TransformCoefficients:
         """The float64 ``wgt`` plane of :meth:`block` alone, with its bits,
         in the same buffer of ``work``: what the load vector and the source
         norms read, without the chain-rule planes."""
-        planes, shape = self._plane_shapes(elements)
+        planes, shape = _plane_shapes(self.mesh, elements)
         wgt = self._det(elements, work.take("wgt", planes, np.float64))
         wgt *= self.mesh.wq[elements].ravel() * self.mesh.point_weight
         return wgt.reshape(shape)
@@ -790,11 +782,26 @@ class TransformCoefficients:
     def heights(self, elements: slice, work: Workspace) -> np.ndarray:
         """The physical heights x3 = z + alpha (f - c) of the vertical
         ``elements``, float64, in a buffer of ``work``."""
-        planes, shape = self._plane_shapes(elements)
+        planes, shape = _plane_shapes(self.mesh, elements)
         x3 = np.einsum("i,j->ij", self.df.ravel(), self.alpha[elements].ravel(),
                        out=work.take("x3", planes, np.float64))
         x3 += self.mesh.zq[elements].ravel()
         return x3.reshape(shape)
+
+
+def _plane_shapes(mesh: StripMesh, elements: slice) -> tuple[tuple, tuple]:
+    """The shapes of a plane of the vertical ``elements``: [point, quad
+    point] for the products, (P1, P2, e, q) for the caller."""
+    shape = (mesh.P1, mesh.P2, len(range(mesh.n_elements)[elements]), mesh.zq.shape[1])
+    return (shape[0] * shape[1], shape[2] * shape[3]), shape
+
+
+def _plane_buffers(mesh: StripMesh, elements: slice, work: Workspace, dtype) -> list:
+    """The buffers of ``work`` that hold the :class:`BlockPlanes` of the
+    vertical ``elements``, one per field and named after it, [point, quad
+    point] each, at the real ``dtype``."""
+    planes = _plane_shapes(mesh, elements)[0]
+    return [work.take(name, planes, dtype) for name in BlockPlanes._fields]
 
 
 def element_blocks(mesh: StripMesh, work: Workspace, dtype=complex) -> list[slice]:
@@ -1264,22 +1271,21 @@ class SolverContext:
         self.symbol = dtn_symbol_grid(XI1, XI2, params)
         self.work = Workspace()
         self._inner_meshes: dict[tuple[int, int], StripMesh] = {}
+        self._reserved: Workspace | None = None
 
     def reserve(self) -> None:
-        """Take the workspace buffers that the first, largest element block
-        of a complex128 rough matvec on the context's mesh fills, at their
-        sizes.  A user of the workspace that needs fewer bytes and runs
-        first, the complex64 operator on its coarser grid, then fits in
-        them, and no buffer is replaced in a solve; a pool's worker threads
-        use the buffers their shares took in the caller's thread."""
-        mesh, work = self.mesh, self.work
-        b = element_blocks(mesh, work)[0]
-        n_e, q, n1, n2 = b.stop - b.start, mesh.zq.shape[1], mesh.grid.n1, mesh.grid.n2
-        for name in ("J1", "J2", "inv_det", "wgt", "mass_wgt"):  # TransformCoefficients.block
-            work.take(name, (mesh.P1 * mesh.P2, n_e * q), np.float64)
-        work.take("fields", (3, 4, mesh.P1, mesh.P2, n_e, q))  # physical_quad_fields
-        work.take("scratch", (3, n1, 2 * mesh.P2, n_e * q))    # the transforms
-        work.take("modes", (3, n1 * n2 * n_e * (q + 1)))       # the mode-space stack
+        """Take the workspace buffers of a complex128 rough matvec on the
+        context's mesh at the sizes of its first, largest element block
+        (:func:`_rough_buffer_bytes`), once per workspace.  A user of the
+        workspace that needs fewer bytes and runs first, the complex64
+        operator on its coarser grid, then fits in them, and no buffer is
+        replaced in a solve; a pool's worker threads use the buffers their
+        shares took in the caller's thread."""
+        if self._reserved is not self.work:
+            b = element_blocks(self.mesh, self.work)[0]
+            for name, nbytes in _rough_buffer_bytes(self.mesh, b.stop - b.start).items():
+                self.work.take(name, (nbytes,), np.uint8)
+            self._reserved = self.work
 
     def inner_mesh(self, surface: SurfaceProfile) -> StripMesh:
         """The mesh on :func:`inner_collocation`'s grid for ``surface``, with
@@ -1317,6 +1323,35 @@ class SolverContext:
         twin = copy.copy(self)
         twin.work = Workspace(block_budget(self.work) // parts)
         return twin
+
+
+_BUFFER_BYTES: dict[tuple, dict[str, int]] = {}
+
+
+def _rough_buffer_bytes(mesh: StripMesh, n_e: int) -> dict[str, int]:
+    """The bytes of each workspace buffer that a block of ``n_e`` elements
+    of a complex128 rough matvec on ``mesh`` takes.
+
+    The block's stages run on zero modes and planes in a fresh workspace:
+    the planes of :meth:`TransformCoefficients.block`,
+    :func:`physical_quad_fields` and the adjoint transform; the stress and
+    dz steps between them take no more scratch than the chain rule.  The
+    sizes are kept for the mesh's sizes, so a context of a mesh seen
+    before pays nothing for them; the stages take 5.5 ms at N = 8 and 16
+    elements on a 2-core VM, 1-2 % of a rough solve."""
+    key = (mesh.grid.n1, mesh.grid.n2, mesh.P1, mesh.P2, mesh.zq.shape[1], n_e)
+    if key not in _BUFFER_BYTES:
+        work, b = Workspace(), slice(0, n_e)
+        planes = _plane_buffers(mesh, b, work, np.float64)
+        for p in planes:
+            p.fill(0.0)
+        shape = _plane_shapes(mesh, b)[1]
+        U = np.zeros((3, mesh.grid.n1, mesh.grid.n2, n_e + 1), dtype=complex)
+        F = physical_quad_fields(mesh, U, BlockPlanes(*(p.reshape(shape) for p in planes)),
+                                 b, work)
+        mesh.to_modes_adjoint(F[:, :3], ax1=2, ax2=3, gradient=True, work=work)
+        _BUFFER_BYTES[key] = work.nbytes()
+    return _BUFFER_BYTES[key]
 
 
 def solve_field(ctx: SolverContext, rhs: np.ndarray,

@@ -400,6 +400,40 @@ def test_block_lu_matches_dense_solve(mu, lam_frac, omega, depth, cell, N, nz, s
     assert np.linalg.norm(op.matvec(x) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+@settings(max_examples=20, deadline=None)
+@given(mu=st.floats(0.3, 3.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.5, 6.0),
+       N=st.integers(0, 3), nz=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_complex64_block_lu_matches_the_complex128_factor(mu, lam_frac, omega, N, nz, seed):
+    """The factor kept in complex64, the rough preconditioner's, solves as
+    the complex128 one to complex64 accuracy, on a complex64 b (swept in
+    complex64) and on a complex128 b (swept in complex128), and returns
+    complex128 either way: the sign flips of the mirror slots act on the
+    complex64 data's float32 parts."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    bands = assemble_flat_blocks(flat_mesh(N=N, nz=nz), params)
+    rng = np.random.default_rng(seed)
+    n = 3 * (2 * N + 1) ** 2 * nz
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = block_lu_solver(bands)(b)
+    single = block_lu_solver(bands, dtype=np.complex64)
+    for v in (b.astype(np.complex64), b):
+        x = single(v)
+        assert x.dtype == np.complex128
+        assert np.linalg.norm(x - ref) <= 1e-5 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("N, nz, steps", [(2, 16, 9), (8, 64, 10)])
+def test_rough_solve_takes_no_more_steps_than_a_fine_complex128_preconditioner(N, nz, steps):
+    """The one-term rough solve meets tol in 2 rounds and at most the
+    Arnoldi steps it took with its complex64 rounds on the 3/2-rule grid
+    and a complex128 block-LU: a coarser inner grid or a complex64
+    preconditioner that lost accuracy would take more."""
+    mesh, rhs, coeffs = rough_system(N=N, nz=nz)
+    _, info = solve_field(SolverContext(mesh, P), rhs, coeffs)
+    assert info.method == "gmres" and info.residual <= 1e-9
+    assert info.iterations <= steps and len(info.history) - info.iterations == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(log_cond=st.floats(0.0, 6.0), middle=st.floats(0.0, 1.0),
        log_scale=st.floats(-4.0, 4.0), batch=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
@@ -1162,8 +1196,9 @@ def test_matvec_matches_the_two_gauss_point_oracle(mu, lam_frac, omega, N, nz, r
 def test_a_rough_solve_replaces_no_workspace_buffer(monkeypatch):
     """The complex128 operator takes the buffers of its largest element
     block before the first complex64 matvec: on a fresh context every
-    buffer is allocated once in a rough solve, none regrown, with blocks
-    of 16 elements in complex128 and 32 in complex64 on the inner grid."""
+    buffer of its workspace is allocated once in a rough solve, none
+    regrown, with blocks of 16 elements in complex128 and 32 in complex64
+    on the inner grid."""
     mesh, rhs, coeffs = rough_system(N=8, nz=64)
     ctx = SolverContext(mesh, P)
     ctx.solve
@@ -1173,7 +1208,7 @@ def test_a_rough_solve_replaces_no_workspace_buffer(monkeypatch):
     def spied(self, name, shape, dtype=complex):
         buf = self._buffers.get(name)
         out = take(self, name, shape, dtype)
-        if self._buffers[name] is not buf:
+        if self is ctx.work and self._buffers[name] is not buf:
             sizes.setdefault(name, []).append(self._buffers[name].nbytes)
         return out
 
