@@ -160,35 +160,32 @@ class StripMesh:
 
         Two DFT-matrix products, along ax2 then ax1; the padded modes are
         zero implicitly.  With ``gradient`` the horizontal axes must be
-        adjacent and axis ax1 - 1 lists fields (C0, C1, ...); the result
-        lists (C0, d1 C0, d2 C0, C1, ...) there, the horizontal derivatives
-        coming from the stacked matrices [E; E diag(i xi)].  ``tail``, with
-        ``gradient``, is one more field that is constant along the last axis
-        of C, given without that axis or the field axis: transformed once,
-        it is listed last, repeated along that axis.  A linear element's
-        z-derivative is such a field over the element's Gauss points.  The
-        gradient result and the intermediates take buffers of ``work``.
-        The matrices are those of the precision of C: a complex64 or float32
-        field is transformed in complex64.
+        adjacent and axis ax1 - 1 holds one field C0; the result lists
+        (C0, d1 C0, d2 C0) there, the horizontal derivatives coming from the
+        stacked matrices [E; E diag(i xi)].  ``tail``, with ``gradient``, is
+        one more field that is constant along the last axis of C, given
+        without that axis or the field axis: transformed once, it is listed
+        last, repeated along that axis.  A linear element's z-derivative is
+        such a field over the element's Gauss points.  The gradient result
+        and the intermediates take buffers of ``work``.  The matrices are
+        those of the precision of C: a complex64 or float32 field is
+        transformed in complex64.
         """
         ax1, ax2 = ax1 % C.ndim, ax2 % C.ndim
         E1, E1d, E2, E2d = self.dft_matrices(C.dtype)[:4]
         if not gradient:
             return _along(E1, _along(E2, C, ax2), ax1)
         work = Workspace() if work is None else work
-        A, s, n1, n2, R = _field_stack(C.shape, ax1, ax2)
+        A, n1, n2, R = _field_stack(C.shape, ax1, ax2, 1)
         P1, P2, P2R, t = self.P1, self.P2, self.P2 * R, tail is not None
-        out_shape = C.shape[:ax1 - 1] + (s + 2 + t, P1, P2) + C.shape[ax2 + 1:]
-        C, dtype = C.reshape(A, s, n1, n2, R), E1.dtype
-        Z = np.matmul(E2d, C[:, 0], out=work.take("scratch", (A, n1, 2 * P2, R), dtype))
+        out_shape = C.shape[:ax1 - 1] + (3 + t, P1, P2) + C.shape[ax2 + 1:]
+        C, dtype = C.reshape(A, n1, n2, R), E1.dtype
+        Z = np.matmul(E2d, C, out=work.take("scratch", (A, n1, 2 * P2, R), dtype))
         Z = Z.reshape(A, n1, 2 * P2R)  # E2 C0 | E2 i xi2 C0
-        F = work.take("fields", (A, s + 2 + t, P1, P2R), dtype)
-        Fm = F.reshape(A, (s + 2 + t) * P1, P2R)
+        F = work.take("fields", (A, 3 + t, P1, P2R), dtype)
+        Fm = F.reshape(A, (3 + t) * P1, P2R)
         np.matmul(E1d, Z[:, :, :P2R], out=Fm[:, :2 * P1])
         np.matmul(E1, Z[:, :, P2R:], out=Fm[:, 2 * P1:3 * P1])
-        if s > 1:
-            rest = np.matmul(E2, C[:, 1:], out=work.take("scratch", (A, s - 1, n1, P2, R), dtype))
-            np.matmul(E1, rest.reshape(A, s - 1, n1, P2R), out=F[:, 3:s + 2])
         if t:
             n = tail.shape[-1]  # the columns of the tail, R / n each repeated
             both = work.take("scratch", (A, n1 + P1, P2 * n), dtype)
@@ -202,8 +199,9 @@ class StripMesh:
         """Adjoint of :meth:`to_physical` under the plain point sum.
 
         The conjugate-transposed DFT matrices, applied in the reverse order;
-        with ``gradient`` the field axis ax1 - 1 shrinks from s + 2 back to s,
-        and the result and the intermediates take buffers of ``work``.  Like
+        with ``gradient`` the field axis ax1 - 1 holds the three fields of a
+        gradient transform without a tail, and shrinks back to one; the
+        result and the intermediates take buffers of ``work``.  Like
         :meth:`to_physical`, it runs in the precision of W.
         """
         ax1, ax2 = ax1 % W.ndim, ax2 % W.ndim
@@ -211,19 +209,15 @@ class StripMesh:
         if not gradient:
             return _along(E2H, _along(E1H, W, ax1), ax2)
         work = Workspace() if work is None else work
-        A, s2, P1, P2, R = _field_stack(W.shape, ax1, ax2)
+        A, P1, P2, R = _field_stack(W.shape, ax1, ax2, 3)
         n1, n2, P2R = self.grid.n1, self.grid.n2, P2 * R
-        out_shape = W.shape[:ax1 - 1] + (s2 - 2, n1, n2) + W.shape[ax2 + 1:]
-        W, dtype = W.reshape(A, s2 * P1, P2R), E1H.dtype
+        out_shape = W.shape[:ax1 - 1] + (1, n1, n2) + W.shape[ax2 + 1:]
+        W, dtype = W.reshape(A, 3 * P1, P2R), E1H.dtype
         Y = work.take("scratch", (A, n1, 2 * P2R), dtype)
         np.matmul(E1dH, W[:, :2 * P1], out=Y[:, :, :P2R])
-        np.matmul(E1H, W[:, 2 * P1:3 * P1], out=Y[:, :, P2R:])
-        out = work.take("modes", (A, s2 - 2, n1, n2, R), dtype)
-        np.matmul(E2dH, Y.reshape(A, n1, 2 * P2, R), out=out[:, 0])
-        if s2 > 3:
-            rest = np.matmul(E1H, W[:, 3 * P1:].reshape(A, s2 - 3, P1, P2R),
-                             out=work.take("scratch", (A, s2 - 3, n1, P2R), dtype))
-            np.matmul(E2H, rest.reshape(A, s2 - 3, n1, P2, R), out=out[:, 1:])
+        np.matmul(E1H, W[:, 2 * P1:], out=Y[:, :, P2R:])
+        out = work.take("modes", (A, n1, n2, R), dtype)
+        np.matmul(E2dH, Y.reshape(A, n1, 2 * P2, R), out=out)
         return out.reshape(out_shape)
 
     def dft_matrices(self, dtype) -> tuple:
@@ -315,10 +309,10 @@ def _along(E: np.ndarray, X: np.ndarray, ax: int) -> np.ndarray:
     return Y.reshape(shape[:ax] + (E.shape[0],) + shape[ax + 1:])
 
 
-def _field_stack(shape: tuple, ax1: int, ax2: int):
-    """(A, s, m1, m2, R): a field axis before adjacent horizontal axes, the rest merged."""
-    if ax1 < 1 or ax2 != ax1 + 1:
-        raise ConstraintError("gradient transforms need a field axis before adjacent "
-                              f"horizontal axes, got ax1={ax1}, ax2={ax2}")
-    return (math.prod(shape[:ax1 - 1]), shape[ax1 - 1], shape[ax1], shape[ax2],
-            math.prod(shape[ax2 + 1:]))
+def _field_stack(shape: tuple, ax1: int, ax2: int, fields: int):
+    """(A, m1, m2, R): ``fields`` fields on the axis before adjacent
+    horizontal axes, the axes before and after merged."""
+    if ax1 < 1 or ax2 != ax1 + 1 or shape[ax1 - 1] != fields:
+        raise ConstraintError(f"gradient transforms need {fields} field(s) on an axis before "
+                              f"adjacent horizontal axes, got shape {shape}, ax1={ax1}, ax2={ax2}")
+    return math.prod(shape[:ax1 - 1]), shape[ax1], shape[ax2], math.prod(shape[ax2 + 1:])

@@ -320,39 +320,39 @@ def _class_frequencies(grid: SpectralGrid):
     return XI1[:grid.N1 + 1], XI2[:, :grid.N2 + 1]
 
 
+def every_class(grid: SpectralGrid) -> np.ndarray:
+    """The mask of every mirror class, all True, (N1 + 1, N2 + 1)."""
+    return np.ones((grid.N1 + 1, grid.N2 + 1), dtype=bool)
+
+
 def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams,
-                         classes: np.ndarray | None = None) -> np.ndarray:
-    """Flat operator as bands, one per mirror class: shape (3, N1 + 1, N2 + 1, n_z, 3, 3).
+                         classes: np.ndarray) -> np.ndarray:
+    """Flat operator as bands, one per mirror class the boolean
+    (N1 + 1, N2 + 1) mask ``classes`` marks: shape (3, n, n_z, 3, 3) for n
+    marked classes, in row-major order (:func:`every_class` marks all).
 
-    bands[d, c1, c2, i] is the lower (d=0), diagonal (1) or upper (2) 3x3
-    block of free node i in the 1D Galerkin matrix of mode (c1, c2),
-    including the DtN boundary term on the top diagonal block.  The
-    isotropic Navier operator and the half-space DtN map are unchanged by
-    the reflections x1 -> -x1 and x2 -> -x2, so mode (s1 c1, s2 c2), s = +-1,
-    has the matrix S A S of its class (c1, c2), S = diag(s1, s2, 1): the
-    u1 rows and columns change sign with s1, the u2 ones with s2.  A sign
-    flip is exact, so those are the bits an assembly of every mode gives.
-    Only the (N1 + 1)(N2 + 1) classes, the non-negative FFT half of the
-    frequencies, are assembled; :func:`block_lu_solver` and
-    :func:`banded_matvec` apply the signs.
-
-    ``classes``, a boolean (N1 + 1, N2 + 1) array, keeps only the classes
-    it marks: shape (3, n, n_z, 3, 3) for n marked classes, in row-major
-    order.  Their densities and DtN symbols are formed at their
-    frequencies alone, as one (n, 1) grid, by the same operations per
-    class as on the full grid: each kept band has the bits of the full
-    assembly.
+    bands[d, c, i] is the lower (d=0), diagonal (1) or upper (2) 3x3 block
+    of free node i in the 1D Galerkin matrix of the c-th marked class
+    (c1, c2), including the DtN boundary term on the top diagonal block.
+    The isotropic Navier operator and the half-space DtN map are unchanged
+    by the reflections x1 -> -x1 and x2 -> -x2, so mode (s1 c1, s2 c2),
+    s = +-1, has the matrix S A S of its class (c1, c2), S = diag(s1, s2, 1):
+    the u1 rows and columns change sign with s1, the u2 ones with s2.  A
+    sign flip is exact, so those are the bits an assembly of every mode
+    gives.  Only classes, on the non-negative FFT half of the frequencies,
+    are assembled; :func:`block_lu_solver` and :func:`banded_matvec` apply
+    the signs.  The densities and DtN symbols are formed at the marked
+    classes' frequencies alone, as one (n, 1) grid, by the same operations
+    per class as on the full (N1 + 1, N2 + 1) grid: each band has the bits
+    of an assembly of every class.
     """
     g = mesh.grid
     lam, mu, w = params.lam, params.mu, params.omega
     XI1, XI2 = _class_frequencies(g)
-    if classes is not None:
-        c1, c2 = np.nonzero(classes)
-        XI1, XI2 = XI1[c1], XI2[0, c2, None]
-    K = _mode_density(XI1, XI2, 2 * mu, lam, -mu, -w * w)
-    Msym = dtn_symbol_grid(XI1, XI2, params)  # [k, j, c1, c2]
-    if classes is not None:
-        K, Msym = K[..., 0], Msym[..., 0]
+    c1, c2 = np.nonzero(classes)
+    XI1, XI2 = XI1[c1], XI2[0, c2, None]
+    K = _mode_density(XI1, XI2, 2 * mu, lam, -mu, -w * w)[..., 0]
+    Msym = dtn_symbol_grid(XI1, XI2, params)[..., 0]  # [k, j, class]
     bands = _assemble_bands(mesh, K)
     bands[1, ..., -1, :, :] -= 1j * g.cell_area * np.moveaxis(Msym, (0, 1), (-2, -1))
     return bands
@@ -373,10 +373,10 @@ class ClassMaps(NamedTuple):
 
 
 @lru_cache(maxsize=4)
-def _mirror_maps(N1: int, N2: int, nz: int, columns: tuple | None = None) -> ClassMaps:
+def _mirror_maps(N1: int, N2: int, nz: int, columns: tuple) -> ClassMaps:
     """Index maps between the free entries of the mirror classes ``columns``
-    (class c1 (N2 + 1) + c2, ascending; None for every class) and the class
-    layout of the flat solves.
+    (class c1 (N2 + 1) + c2, ascending) and the class layout of the flat
+    solves.
 
     The entries are the free-vector entries of the classes' modes, in
     free-vector order [k, mode, node]: the whole free vector when every
@@ -387,7 +387,7 @@ def _mirror_maps(N1: int, N2: int, nz: int, columns: tuple | None = None) -> Cla
     and shared between calls.
     """
     n1, n2 = 2 * N1 + 1, 2 * N2 + 1
-    cls = np.arange((N1 + 1) * (N2 + 1)) if columns is None else np.array(columns, dtype=int)
+    cls = np.array(columns, dtype=int)
     c1, c2 = divmod(cls, N2 + 1)
     mode = np.stack([((s1 * c1) % n1) * n2 + (s2 * c2) % n2
                      for s1, s2 in _SLOT_SIGNS])  # FFT order, [slot, class]
@@ -430,23 +430,18 @@ def _from_classes(y: np.ndarray, scatter: np.ndarray) -> np.ndarray:
 
 def _class_views(bands: np.ndarray):
     """Views [i, k, j, class] of the three bands of :func:`assemble_flat_blocks`,
-    all classes or those of a ``classes`` mask, nodes top-down, reshaped and
-    transposed without a copy.  Node i is free node nz - 1 - i, so the
-    returned blocks couple node i to i + 1 (the bands' lower blocks), to
-    itself and to i - 1 (upper)."""
-    nz, n_cls = bands.shape[-3], int(np.prod(bands.shape[1:-3]))
-    return bands.reshape(3, n_cls, nz, 3, 3)[:, :, ::-1].transpose(0, 2, 3, 4, 1)
+    nodes top-down, transposed without a copy.  Node i is free node
+    nz - 1 - i, so the returned blocks couple node i to i + 1 (the bands'
+    lower blocks), to itself and to i - 1 (upper)."""
+    return bands[:, :, ::-1].transpose(0, 2, 3, 4, 1)
 
 
-def _class_maps(bands: np.ndarray, classes: np.ndarray | None):
+def _class_maps(bands: np.ndarray, classes: np.ndarray):
     """(N2, columns, maps): the lattice's N2 and the classes of ``bands``,
     assembled on the ``classes`` mask (see :func:`assemble_flat_blocks`),
-    and their :func:`_mirror_maps`; columns is None for every class."""
-    if classes is None:
-        N1, N2, columns = bands.shape[1] - 1, bands.shape[2] - 1, None
-    else:
-        N1, N2 = classes.shape[0] - 1, classes.shape[1] - 1
-        columns = tuple(np.flatnonzero(classes).tolist())
+    and their :func:`_mirror_maps`."""
+    N1, N2 = classes.shape[0] - 1, classes.shape[1] - 1
+    columns = tuple(np.flatnonzero(classes).tolist())
     return N2, columns, _mirror_maps(N1, N2, bands.shape[-3], columns)
 
 
@@ -461,9 +456,11 @@ def _reached_classes(mesh: StripMesh, v: np.ndarray) -> np.ndarray:
     return reached
 
 
-def banded_matvec(bands: np.ndarray, v: np.ndarray,
-                  classes: np.ndarray | None = None) -> np.ndarray:
-    """The bands' operator on a free vector: (A v)_i = L_i v_{i-1} + D_i v_i + U_i v_{i+1}.
+def banded_matvec(bands: np.ndarray, v: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The bands' operator, assembled on the mask ``classes``, on the free
+    entries of the marked classes' modes, in free-vector order (the
+    entries of :func:`_mirror_maps`): (A v)_i = L_i v_{i-1} + D_i v_i +
+    U_i v_{i+1}.  The operator is zero on the other modes.
 
     Runs on the class layout of :func:`_mirror_maps`.  The block products
     are matmuls of [class, k, j] blocks, broadcast over the sign slots, on
@@ -476,11 +473,6 @@ def banded_matvec(bands: np.ndarray, v: np.ndarray,
     class have, to BLAS gemv, which rounds differently, and a negative row
     stride keeps every block out of BLAS, so the bits do not depend on how
     many classes the bands hold.
-
-    With ``classes``, the mask the bands were assembled on, v and the
-    result hold the free entries of the listed classes' modes only, in
-    free-vector order (the entries of :func:`_mirror_maps`): the operator
-    is zero on the other modes.
     """
     maps = _class_maps(bands, classes)[2]
     # nodes top-down: the lower blocks couple node i to i + 1, the upper ones to i - 1;
@@ -581,14 +573,15 @@ def _eliminate(diag, lower, upper, piv, Cs, det, start: int, fit: bool) -> np.nd
     return terms
 
 
-def block_lu_solver(bands: np.ndarray, classes: np.ndarray | None = None, dtype=complex):
-    """Block-LU of all classes of the bands at once; returns solve(b) = A^{-1} b on free vectors.
+def block_lu_solver(bands: np.ndarray, classes: np.ndarray, dtype=complex):
+    """Block-LU of all classes of the bands, assembled on the mask
+    ``classes``, at once; returns solve(b) = A^{-1} b.
 
     Block Thomas (Golub & Van Loan, Matrix Computations, 4.5): pivots
     P_i = D_i - L_i C_{i-1}, C_i = P_i^{-1} U_i, batched over the mirror
     classes of :func:`assemble_flat_blocks` with a Python loop over n_z
     only (:func:`_eliminate`).  The factor works on class-last views of
-    the bands, [node, k, j, class], reshaped and transposed without a copy;
+    the bands, [node, k, j, class], transposed without a copy;
     only the inverted pivots, C, the determinants and their expansion
     terms are allocated.  This
     relies on the layout of :func:`_assemble_bands`, whose bands hold the
@@ -613,11 +606,8 @@ def block_lu_solver(bands: np.ndarray, classes: np.ndarray | None = None, dtype=
     (:func:`_to_classes`), sweeps all four sign slots of a class with its
     pivots, and takes the result back the same way
     (:func:`_from_classes`): every mode gets the bits of a factor of its
-    own matrix.
-
-    With ``classes``, the mask the bands were assembled on, only the listed
-    classes are factored, and solve takes and returns the free entries of
-    their modes only, in free-vector order (the entries of
+    own matrix.  solve takes and returns the free entries of the marked
+    classes' modes only, in free-vector order (the entries of
     :func:`_mirror_maps`): an apply gathers, sweeps and scatters as many
     entries as those modes hold, whatever the lattice.  The other modes of
     the solution are zero.
@@ -653,7 +643,7 @@ def block_lu_solver(bands: np.ndarray, classes: np.ndarray | None = None, dtype=
         bad = ~np.isfinite(det) | (det == 0)
     if bad.any():
         i, k = np.argwhere(bad)[0]
-        c1, c2 = divmod(int(k) if columns is None else columns[k], N2 + 1)
+        c1, c2 = divmod(columns[k], N2 + 1)
         raise NonConvergenceError(f"block-LU: singular pivot at mode "
                                   f"(±{c1}, ±{c2}), mesh node {nz - i} of {nz}")
     # the class blocks at ``dtype``, broadcast over the sign slots: [i, k, j, 1, class]
@@ -869,8 +859,7 @@ def quad_weights(mesh: StripMesh, elements: slice = slice(None)):
     return mesh.wq[None, None, elements] * mesh.point_weight
 
 
-def physical_quad_fields(mesh: StripMesh, U: np.ndarray,
-                         planes: BlockPlanes | None = None,
+def physical_quad_fields(mesh: StripMesh, U: np.ndarray, planes: BlockPlanes,
                          elements: slice = slice(None),
                          work: Workspace | None = None) -> np.ndarray:
     """Values and physical gradient of nodal modes U at the quad points of
@@ -898,17 +887,16 @@ def physical_quad_fields(mesh: StripMesh, U: np.ndarray,
     np.subtract(U[..., 1:][..., elements], U[..., :-1][..., elements], out=dz)
     dz *= (1.0 / np.diff(mesh.nodes)[elements]).astype(dz.real.dtype)
     F = mesh.to_physical(C, ax1=2, ax2=3, gradient=True, work=work, tail=dz)
-    if planes is not None:
-        # Gx[:, j] = Gy[:, j] - J_j Gx[:, 2] for j < 2, Gx[:, 2] = Gy[:, 2] / det
-        F[:, 3] *= planes.inv_det
-        prod = work.take("scratch", F[:, 3].shape, F.dtype)
-        for j, J in ((1, planes.J1), (2, planes.J2)):
-            F[:, j] -= np.multiply(J, F[:, 3], out=prod)
+    # Gx[:, j] = Gy[:, j] - J_j Gx[:, 2] for j < 2, Gx[:, 2] = Gy[:, 2] / det
+    F[:, 3] *= planes.inv_det
+    prod = work.take("scratch", F[:, 3].shape, F.dtype)
+    for j, J in ((1, planes.J1), (2, planes.J2)):
+        F[:, j] -= np.multiply(J, F[:, 3], out=prod)
     return F
 
 
 class StripOperator:
-    """Matrix-free action of the (possibly transformed) sesquilinear form.
+    """Matrix-free action of the transformed sesquilinear form.
 
     The volume terms are evaluated pseudospectrally at quadrature points,
     one block of vertical elements (:func:`element_blocks`) at a time: one
@@ -923,19 +911,20 @@ class StripOperator:
     of that difference before the adjoint transform, which so carries the
     values' duals and their horizontal stresses only.  The stacked fields
     of one block take at most the block budget of the workspace of
-    ``ctx``, and the blocks are added in mesh order.  Under a transform
-    each block first forms its chain-rule fields and weights from the
-    separable factors of ``coeffs`` (:meth:`TransformCoefficients.block`),
-    so the operator holds no array the size of the quad grid.  All blocks
-    and calls reuse the workspace of ``ctx``, and the DtN term,
-    mode-diagonal at the top node, takes its symbol.  Without a transform
-    this action coincides with the assembled flat blocks to roundoff.
+    ``ctx``, and the blocks are added in mesh order.  Each block first
+    forms its chain-rule fields and weights from the separable factors of
+    ``coeffs`` (:meth:`TransformCoefficients.block`), so the operator holds
+    no array the size of the quad grid.  All blocks and calls reuse the
+    workspace of ``ctx``, and the DtN term, mode-diagonal at the top node,
+    takes its symbol.  A flat strip is the identity transform, f = c, the
+    mesh bottom: its action coincides with the assembled flat blocks to
+    roundoff.
 
-    The operator runs on the collocation grid of ``coeffs.mesh``, of
-    ``ctx.mesh`` without a transform, and cuts the elements into the
-    blocks of ``ctx.mesh`` at ``dtype`` whatever that grid: the complex64
-    operator on a coarser grid (:meth:`SolverContext.inner_mesh`) takes
-    the blocks, and so at most the buffers, of the one on the 3/2-rule grid.
+    The operator runs on the collocation grid of ``coeffs.mesh`` and cuts
+    the elements into the blocks of ``ctx.mesh`` at ``dtype`` whatever
+    that grid: the complex64 operator on a coarser grid
+    (:meth:`SolverContext.inner_mesh`) takes the blocks, and so at most
+    the buffers, of the one on the 3/2-rule grid.
 
     ``dtype`` is the complex precision of the work and of the returned
     free vector; the input vector, of any precision, is rounded to it.
@@ -947,20 +936,15 @@ class StripOperator:
     Krylov basis.
     """
 
-    def __init__(self, ctx: SolverContext, coeffs: TransformCoefficients | None = None,
-                 dtype=complex):
+    def __init__(self, ctx: SolverContext, coeffs: TransformCoefficients, dtype=complex):
         self.ctx, self.coeffs, self.dtype = ctx, coeffs, np.dtype(dtype)
-        self.mesh = ctx.mesh if coeffs is None else coeffs.mesh
-        mesh, params = self.mesh, ctx.params
+        self.mesh = mesh = coeffs.mesh
         self._real = np.finfo(self.dtype).dtype
-        # the plain quadrature weights weight every dual without a transform;
-        # over 1 / (z(q+) - z(q-)) they weight the dual of dz u (wgt / det
-        # under a transform), whose Gauss pairs share them
-        wgt = quad_weights(mesh)
-        self._flat_wgt = wgt.astype(self._real, copy=False)
-        self._flat_mass_wgt = (-(params.omega * params.omega) * wgt).astype(self._real, copy=False)
-        self._dz_wgt = (wgt[0, 0, :, 0] / np.diff(mesh.zq, axis=1)[:, 0]).astype(self._real)
-        self._lam, self._mu = self._real.type(params.lam), self._real.type(params.mu)
+        # the plain quadrature weights over 1 / (z(q+) - z(q-)) weight the
+        # dual of dz u (wgt / det), whose Gauss pairs share them
+        self._dz_wgt = (quad_weights(mesh)[0, 0, :, 0]
+                        / np.diff(mesh.zq, axis=1)[:, 0]).astype(self._real)
+        self._lam, self._mu = self._real.type(ctx.params.lam), self._real.type(ctx.params.mu)
         # the cuts of the context's mesh, whatever the collocation grid
         self._blocks = element_blocks(ctx.mesh, ctx.work, self.dtype)
         n = 3 * mesh.grid.n1 * mesh.grid.n2 * (mesh.n_nodes - 1)
@@ -976,12 +960,7 @@ class StripOperator:
         U[..., 1:] = np.asarray(vec).reshape(U[..., 1:].shape)
         R, work = np.zeros_like(U), ctx.work
         for b in self._blocks:
-            if coeffs is None:
-                planes, wgt = None, self._flat_wgt[..., b, :]
-                mass_wgt = self._flat_mass_wgt[..., b, :]
-            else:
-                planes = coeffs.block(b, work, self._real, ctx.params.omega)
-                wgt, mass_wgt = planes.wgt, planes.mass_wgt
+            planes = coeffs.block(b, work, self._real, ctx.params.omega)
             F = physical_quad_fields(mesh, U, planes, b, work)
 
             # F[:, 1:] <- sigma = mu (Gx + Gx^T) + lam tr(Gx) I, in place
@@ -997,12 +976,11 @@ class StripOperator:
                 G[c, c] *= 2 * mu
                 G[c, c] += lam_tr
             # weighted duals: mass in slot 0, adjoint chain rule on sigma
-            F[:, 0] *= mass_wgt
-            if planes is not None:
-                prod = work.take("scratch", F[:, 3].shape, F.dtype)
-                for j, J in ((1, planes.J1), (2, planes.J2)):
-                    F[:, 3] -= np.multiply(J, F[:, j], out=prod)
-            F[:, 1:3] *= wgt
+            F[:, 0] *= planes.mass_wgt
+            prod = work.take("scratch", F[:, 3].shape, F.dtype)
+            for j, J in ((1, planes.J1), (2, planes.J2)):
+                F[:, 3] -= np.multiply(J, F[:, j], out=prod)
+            F[:, 1:3] *= planes.wgt
             # the dual of an element's dz u goes to its Gauss pair's values,
             # + at q+ and - at q-, the adjoint of their difference
             dz = np.add(F[:, 3, ..., 0], F[:, 3, ..., 1],
@@ -1306,11 +1284,11 @@ class SolverContext:
 
     @cached_property
     def bands(self) -> np.ndarray:
-        return assemble_flat_blocks(self.mesh, self.params)
+        return assemble_flat_blocks(self.mesh, self.params, every_class(self.mesh.grid))
 
     @cached_property
     def solve(self):
-        return block_lu_solver(self.bands, dtype=np.complex64)
+        return block_lu_solver(self.bands, every_class(self.mesh.grid), np.complex64)
 
     def share(self, parts: int) -> SolverContext:
         """A context for one of ``parts`` threads that solve on this mesh
@@ -1442,12 +1420,15 @@ def energy_balance(field: DiscreteField, rhs: np.ndarray, ctx: SolverContext):
 
 
 def poincare_slack(field: DiscreteField, quadratics=None) -> float:
-    """(h - bottom) * ||d3 u||^2 - ||u||^2; nonnegative for admissible fields.
+    """(h - bottom)^2 / 2 * ||d3 u||^2 - ||u||^2; nonnegative for admissible fields.
 
-    ``quadratics`` passes on the field's mode quadratics when the caller
-    has evaluated them already.
+    A field that vanishes at the bottom c has |u(z)|^2 <= (z - c)
+    int |d3 u|^2 along each vertical line (Cauchy-Schwarz), and the
+    integral of z - c over the depth is depth^2 / 2.  ``quadratics``
+    passes on the field's mode quadratics when the caller has evaluated
+    them already.
     """
     depth = field.mesh.top - field.mesh.bottom
     l2, dz, _ = field.mode_quadratics() if quadratics is None else quadratics
     area = field.mesh.grid.cell_area
-    return depth * float(area * dz.sum()) - float(area * l2.sum())
+    return depth * depth / 2 * float(area * dz.sum()) - float(area * l2.sum())

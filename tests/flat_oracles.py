@@ -24,7 +24,7 @@ from elastrip.errors import ConstraintError
 from elastrip.mesh import StripMesh
 from elastrip.params import ElasticParams
 from elastrip.solver import (_adjugate3, _assemble_bands, _class_frequencies, _mode_density,
-                             assemble_flat_blocks)
+                             assemble_flat_blocks, every_class)
 
 
 def _band_shifts(nz: int) -> np.ndarray:
@@ -33,11 +33,13 @@ def _band_shifts(nz: int) -> np.ndarray:
 
 
 def expand_mirrors(bands: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Per-mode bands (3, n1, n2, n_z, 3, 3), FFT order, of class bands
-    (3, N1 + 1, N2 + 1, n_z, 3, 3): mode (j1, j2) takes class (|j1|, |j2|)
-    with the u1 rows and columns negated where j1 < 0 and the u2 ones where
-    j2 < 0.  The signs go on the float view, so they are exact."""
+    """Per-mode bands (3, n1, n2, n_z, 3, 3), FFT order, of the bands of
+    every class, (3, (N1 + 1)(N2 + 1), n_z, 3, 3) or (3, N1 + 1, N2 + 1,
+    n_z, 3, 3): mode (j1, j2) takes class (|j1|, |j2|) with the u1 rows and
+    columns negated where j1 < 0 and the u2 ones where j2 < 0.  The signs go
+    on the float view, so they are exact."""
     j1, j2 = grid.mode_indices()
+    bands = bands.reshape((3, grid.N1 + 1, grid.N2 + 1) + bands.shape[-3:])
     out = bands[:, abs(j1)[:, None], abs(j2)[None, :]]
     s = np.ones((grid.n1, grid.n2, 3))
     s[..., 0] = np.where(j1 < 0, -1.0, 1.0)[:, None]
@@ -151,7 +153,7 @@ def coercivity_probe(mesh: StripMesh, params: ElasticParams, n_probes: int = 200
     if n_probes <= 0:
         raise ConstraintError("n_probes must be positive")
     grid = mesh.grid
-    blocks = dense_blocks(assemble_flat_blocks(mesh, params), grid)
+    blocks = dense_blocks(assemble_flat_blocks(mesh, params, every_class(grid)), grid)
     gram = dense_blocks(_assemble_bands(mesh, _mode_density(*_class_frequencies(grid),
                                                             1.0, 0.0, 0.0, 1.0)), grid)
     rng = np.random.default_rng(seed)

@@ -172,7 +172,7 @@ def test_04_energy_balance_every_solve(nine_reports, mc_report):
 
 
 def test_05_poincare_inequality_every_solve(nine_reports):
-    """(h - m_ref) ||d3 u||^2 - ||u||^2 >= 0 for every solver output."""
+    """(h - m_ref)^2 / 2 ||d3 u||^2 - ||u||^2 >= 0 for every solver output."""
     slacks = [r.diagnostics["poincare_slack"] for r in nine_reports]
     assert min(slacks) >= -1e-12
     _pass(f"Poincare inequality: min slack {min(slacks):.3e} >= -1e-12 "

@@ -97,40 +97,45 @@ def _transform_case(N1, N2, nz, ax1, seed):
 
 @transform_cases
 def test_to_physical_matches_zero_pad_ifft(N1, N2, nz, ax1, seed):
-    """DFT-matrix products = zero padding + inverse FFT; derivative rows = i xi C0."""
+    """DFT-matrix products = zero padding + inverse FFT; derivative rows = i xi C0.
+    The gradient transform takes one field before the horizontal axes, and
+    its adjoint the three fields it gives; other field counts raise."""
     assume(N1 != N2)
-    m, C, _, _ = _transform_case(N1, N2, nz, ax1, seed)
+    m, C, W, _ = _transform_case(N1, N2, nz, ax1, seed)
     ref = _zero_pad_ifft2(m, C, ax1)
     np.testing.assert_allclose(m.to_physical(C, ax1=ax1, ax2=ax1 + 1), ref,
                                rtol=0, atol=1e-12 * np.abs(ref).max())
-    if ax1 == 0:
+    if ax1 == 0 or C.shape[ax1 - 1] != 1:  # no field axis, or two or three fields
         with pytest.raises(ConstraintError):
-            m.to_physical(C, ax1=0, ax2=1, gradient=True)
+            m.to_physical(C, ax1=ax1, ax2=ax1 + 1, gradient=True)
+    if ax1 == 0 or W.shape[ax1 - 1] != 3:
+        with pytest.raises(ConstraintError):
+            m.to_modes_adjoint(W, ax1=ax1, ax2=ax1 + 1, gradient=True)
+    if ax1 == 0:
         return
     xi = np.meshgrid(*m.grid.frequencies(), indexing="ij")
-    C0 = np.take(C, 0, axis=ax1 - 1)
-    expand = (slice(None), slice(None)) + (None,) * (C0.ndim - ax1 - 1)
-    derivs = [_zero_pad_ifft2(m, 1j * x[expand] * C0, ax1 - 1) for x in xi]
-    rest = [_zero_pad_ifft2(m, np.take(C, k, axis=ax1 - 1), ax1 - 1)
-            for k in range(1, C.shape[ax1 - 1])]
-    F = m.to_physical(C, ax1=ax1, ax2=ax1 + 1, gradient=True)
-    ref = np.stack([np.take(ref, 0, axis=ax1 - 1)] + derivs + rest, axis=ax1 - 1)
+    C0 = np.take(C, [0], axis=ax1 - 1)
+    expand = (slice(None), slice(None)) + (None,) * (C0.ndim - ax1 - 2)
+    derivs = [_zero_pad_ifft2(m, 1j * x[expand] * C0, ax1) for x in xi]
+    F = m.to_physical(C0, ax1=ax1, ax2=ax1 + 1, gradient=True)
+    ref = np.concatenate([np.take(ref, [0], axis=ax1 - 1)] + derivs, axis=ax1 - 1)
     np.testing.assert_allclose(F, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 @transform_cases
 def test_padded_transforms_are_adjoint(N1, N2, nz, ax1, seed):
-    """<W, to_physical(C)> = <to_modes_adjoint(W), C>, also for the gradient pair."""
+    """<W, to_physical(C)> = <to_modes_adjoint(W), C>, also for the gradient
+    pair on one field."""
     m, C, W, rng = _transform_case(N1, N2, nz, ax1, seed)
-    pairs = [(W, False)]
-    if ax1 > 0:  # the gradient adds two fields to axis ax1 - 1
-        pairs.append((_random(rng, W.shape[:ax1 - 1] + (W.shape[ax1 - 1] + 2,) + W.shape[ax1:]),
-                      True))
-    for Wx, gradient in pairs:
-        phys = m.to_physical(C, ax1=ax1, ax2=ax1 + 1, gradient=gradient)
+    pairs = [(C, W, False)]
+    if ax1 > 0:  # the gradient turns one field on axis ax1 - 1 into three
+        C0 = np.take(C, [0], axis=ax1 - 1)
+        pairs.append((C0, _random(rng, W.shape[:ax1 - 1] + (3,) + W.shape[ax1:]), True))
+    for Cx, Wx, gradient in pairs:
+        phys = m.to_physical(Cx, ax1=ax1, ax2=ax1 + 1, gradient=gradient)
         back = m.to_modes_adjoint(Wx, ax1=ax1, ax2=ax1 + 1, gradient=gradient)
-        assert back.shape == C.shape
-        lhs, rhs = np.vdot(Wx, phys), np.vdot(back, C)
+        assert back.shape == Cx.shape
+        lhs, rhs = np.vdot(Wx, phys), np.vdot(back, Cx)
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(Wx) * np.linalg.norm(phys)
 
 

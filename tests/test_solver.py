@@ -26,6 +26,7 @@ from elastrip.solver import (
     banded_matvec,
     block_lu_solver,
     energy_balance,
+    every_class,
     gmres,
     physical_quad_fields,
     poincare_slack,
@@ -53,6 +54,14 @@ def flat_mesh(N=1, nz=8, bottom=0.0, top=1.0):
                      bottom=bottom, top=top, n_elements=nz)
 
 
+def identity_transform(mesh):
+    """The flattening map of the flat surface f = c, the mesh bottom: the
+    identity, whose operator is the flat strip's."""
+    depth = mesh.top - mesh.bottom
+    flat = SurfaceProfile(offset=mesh.bottom, terms=(), cell=mesh.grid.cell)
+    return TransformCoefficients(mesh, flat, CutoffFn(depth / 4, depth))
+
+
 def bump(z0=0.55, sigma=0.3):
     return BumpSource(factors=(HarmonicFactor(2, 1, 0, 1.0, 0.3),),
                       z0=z0, sigma=sigma, cell=CELL)
@@ -61,8 +70,8 @@ def bump(z0=0.55, sigma=0.3):
 def test_operator_matches_flat_blocks():
     """Matrix-free application reproduces the dense expansion of the bands."""
     mesh = flat_mesh(N=2, nz=5)
-    blocks = dense_blocks(assemble_flat_blocks(mesh, P), mesh.grid)
-    op = StripOperator(SolverContext(mesh, P))
+    blocks = dense_blocks(assemble_flat_blocks(mesh, P, every_class(mesh.grid)), mesh.grid)
+    op = StripOperator(SolverContext(mesh, P), identity_transform(mesh))
     g = mesh.grid
     nfree = mesh.n_nodes - 1
     rng = np.random.default_rng(3)
@@ -267,11 +276,11 @@ def test_blocked_stages_hold_a_bounded_working_set():
 
 
 def test_flat_blocks_storage_is_linear_in_nz():
-    """Bands of shape (3, N1 + 1, N2 + 1, n_z, 3, 3), one per mirror class:
-    doubling n_z doubles the bytes."""
-    small = assemble_flat_blocks(flat_mesh(N=1, nz=32), P)
-    large = assemble_flat_blocks(flat_mesh(N=1, nz=64), P)
-    assert small.shape == (3, 2, 2, 32, 3, 3)
+    """Bands of shape (3, (N1 + 1)(N2 + 1), n_z, 3, 3), one per mirror
+    class: doubling n_z doubles the bytes."""
+    small, large = (assemble_flat_blocks(m, P, every_class(m.grid))
+                    for m in (flat_mesh(N=1, nz=32), flat_mesh(N=1, nz=64)))
+    assert small.shape == (3, 4, 32, 3, 3)
     assert large.nbytes == 2 * small.nbytes
 
 
@@ -285,9 +294,9 @@ def test_flat_bands_are_stored_mode_last(mu, lam_frac, omega, N1, N2, nz):
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=(2.0, 3.0)),
                      bottom=-0.5, top=0.5, n_elements=nz)
-    bands = assemble_flat_blocks(mesh, params)
-    assert bands.shape == (3, N1 + 1, N2 + 1, nz, 3, 3)
-    assert bands.transpose(0, 3, 4, 5, 1, 2).flags.c_contiguous
+    bands = assemble_flat_blocks(mesh, params, every_class(mesh.grid))
+    assert bands.shape == (3, (N1 + 1) * (N2 + 1), nz, 3, 3)
+    assert bands.transpose(0, 2, 3, 4, 1).flags.c_contiguous
     K = solver._mode_density(*solver._class_frequencies(mesh.grid), 2 * mu, params.lam, -mu,
                              -omega * omega)
     bands, ref = solver._assemble_bands(mesh, K), einsum_bands(mesh, K)
@@ -310,14 +319,15 @@ def test_mirror_classes_give_the_bits_of_every_mode(mu, lam_frac, omega, cell, N
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell),
                      bottom=-1.0, top=0.0, n_elements=nz)
-    bands, mode_bands = assemble_flat_blocks(mesh, params), mode_flat_blocks(mesh, params)
+    every = every_class(mesh.grid)
+    bands, mode_bands = assemble_flat_blocks(mesh, params, every), mode_flat_blocks(mesh, params)
     assert np.array_equal(expand_mirrors(bands, mesh.grid), mode_bands)
     rng = np.random.default_rng(seed)
     n = 3 * mesh.grid.n1 * mesh.grid.n2 * nz
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = block_lu_solver(bands)(rhs)
+    x = block_lu_solver(bands, every)(rhs)
     assert np.array_equal(x, mode_block_lu_solver(mode_bands)(rhs))
-    assert np.array_equal(banded_matvec(bands, x), mode_banded_matvec(mode_bands, x))
+    assert np.array_equal(banded_matvec(bands, x, every), mode_banded_matvec(mode_bands, x))
 
 
 def test_1d_matrices_match_the_element_loop():
@@ -354,11 +364,12 @@ def test_banded_matvec_matches_dense_and_operator(N1, N2, nz, seed):
     """The direct path's residual multiply: bands = dense expansion = flat operator."""
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=(2.0, 3.0)),
                      bottom=-0.5, top=0.5, n_elements=nz)
-    bands = assemble_flat_blocks(mesh, P)
-    op = StripOperator(SolverContext(mesh, P))
+    every = every_class(mesh.grid)
+    bands = assemble_flat_blocks(mesh, P, every)
+    op = StripOperator(SolverContext(mesh, P), identity_transform(mesh))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
-    y = banded_matvec(bands, x)
+    y = banded_matvec(bands, x, every)
     blocks = dense_blocks(bands, mesh.grid)
     n1, n2, n = blocks.shape[:3]
     X = np.moveaxis(x.reshape(3, n1, n2, nz), 0, 2).reshape(n1, n2, n, 1)
@@ -387,11 +398,12 @@ def test_block_lu_matches_dense_solve(mu, lam_frac, omega, depth, cell, N, nz, s
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N, N2=N, cell=cell),
                      bottom=-depth, top=0.0, n_elements=nz)
-    bands = assemble_flat_blocks(mesh, params)
-    op = StripOperator(SolverContext(mesh, params))
+    every = every_class(mesh.grid)
+    bands = assemble_flat_blocks(mesh, params, every)
+    op = StripOperator(SolverContext(mesh, params), identity_transform(mesh))
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
-    x = block_lu_solver(bands)(rhs)
+    x = block_lu_solver(bands, every)(rhs)
     blocks = dense_blocks(bands, mesh.grid)
     n1, n2, n = blocks.shape[:3]
     R = np.moveaxis(rhs.reshape(3, n1, n2, nz), 0, 2).reshape(n1, n2, n, 1)
@@ -410,12 +422,14 @@ def test_complex64_block_lu_matches_the_complex128_factor(mu, lam_frac, omega, N
     complex128 either way: the sign flips of the mirror slots act on the
     complex64 data's float32 parts."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
-    bands = assemble_flat_blocks(flat_mesh(N=N, nz=nz), params)
+    mesh = flat_mesh(N=N, nz=nz)
+    every = every_class(mesh.grid)
+    bands = assemble_flat_blocks(mesh, params, every)
     rng = np.random.default_rng(seed)
     n = 3 * (2 * N + 1) ** 2 * nz
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ref = block_lu_solver(bands)(b)
-    single = block_lu_solver(bands, dtype=np.complex64)
+    ref = block_lu_solver(bands, every)(b)
+    single = block_lu_solver(bands, every, np.complex64)
     for v in (b.astype(np.complex64), b):
         x = single(v)
         assert x.dtype == np.complex128
@@ -461,7 +475,8 @@ def test_block_lu_calls_no_lapack_or_matmul_and_copies_no_band(monkeypatch):
     mirror index maps, no band copy.  The bounds are shares of the bands of
     every mode, which the factor stored before the mirror classes."""
     mesh = flat_mesh(N=2, nz=128)
-    bands = assemble_flat_blocks(mesh, P)
+    every = every_class(mesh.grid)
+    bands = assemble_flat_blocks(mesh, P, every)
     mode_bytes = expand_mirrors(bands, mesh.grid).nbytes
     rhs = assemble_rhs(mesh, bump())
     solver._mirror_maps.cache_clear()  # the factor's peak includes the index maps
@@ -473,7 +488,7 @@ def test_block_lu_calls_no_lapack_or_matmul_and_copies_no_band(monkeypatch):
         monkeypatch.setattr(owner, name, forbidden)
     tracemalloc.start()
     try:
-        solve = block_lu_solver(bands)
+        solve = block_lu_solver(bands, every)
         factor_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
@@ -484,22 +499,23 @@ def test_block_lu_calls_no_lapack_or_matmul_and_copies_no_band(monkeypatch):
         monkeypatch.undo()
     assert factor_peak < 0.75 * mode_bytes
     assert apply_peak < 0.3 * mode_bytes
-    assert np.linalg.norm(banded_matvec(bands, x) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert np.linalg.norm(banded_matvec(bands, x, every) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_singular_pivot_raises_typed_error_naming_mode_and_node():
     """A zero or non-finite pivot determinant raises NonConvergenceError,
     without a RuntimeWarning, at the first mirror class (+-|j1|, +-|j2|)
     and node the top-down elimination meets."""
-    bands = assemble_flat_blocks(flat_mesh(N=1, nz=8), P)
+    every = every_class(flat_mesh(N=1, nz=8).grid)
+    bands = assemble_flat_blocks(flat_mesh(N=1, nz=8), P, every)
     bad = bands.copy()
-    bad[:, 1, 1, 3] = np.inf  # class (|j1|, |j2|) = (1, 1), free node 3
+    bad[:, 3, 3] = np.inf  # class (|j1|, |j2|) = (1, 1), the fourth, free node 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergenceError, match=r"mode \(±0, ±0\), mesh node 8 of 8"):
-            block_lu_solver(np.zeros_like(bands))
+            block_lu_solver(np.zeros_like(bands), every)
         with pytest.raises(NonConvergenceError, match=r"mode \(±1, ±1\), mesh node 4 of 8"):
-            block_lu_solver(bad)
+            block_lu_solver(bad, every)
 
 
 def test_zero_source_gives_zero_field():
@@ -594,7 +610,8 @@ def test_flat_physical_norms_need_no_transform(N1, N2, nz, cell, seed):
         mp.setattr(StripMesh, "to_physical", counted)
         norms = harness.field_physical_norms(field, None, Workspace())
     assert not calls
-    F = physical_quad_fields(mesh, field.coeff, None)
+    F = physical_quad_fields(mesh, field.coeff,
+                             identity_transform(mesh).block(slice(None), Workspace()))
     sums = [np.sum(quad_weights(mesh) * np.abs(F[:, j]) ** 2) for j in range(4)]
     ref = (sums[0], sum(sums[1:]))
     assert norms == pytest.approx(ref, rel=1e-13)
@@ -641,8 +658,7 @@ def test_flat_load_vector_and_source_norms_match_the_grid(case):
     pseudospectral quadrature on the collocation grid, which an identity
     transform (f = c, the mesh bottom) keeps, to 1e-13."""
     mesh, source = case
-    flat = SurfaceProfile(offset=mesh.bottom, terms=(), cell=mesh.grid.cell)
-    identity = TransformCoefficients(mesh, flat, CutoffFn(0.25, mesh.top - mesh.bottom))
+    identity = identity_transform(mesh)
     work = Workspace()
     assert np.all(identity.block(slice(None), work).inv_det == 1.0)
     assert np.array_equal(identity.heights(slice(None), work)[0, 0], mesh.zq)
@@ -663,6 +679,31 @@ def test_energy_balance_and_poincare_flat():
     assert res < 1e-10
     assert power >= 0.0
     assert poincare_slack(field) > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(N1=st.integers(0, 2), N2=st.integers(0, 2), nz=st.integers(1, 24),
+       bottom=st.floats(-5.0, 5.0), depth=st.floats(0.1, 10.0), drift=st.floats(-1.0, 1.0),
+       noise=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(N1=0, N2=0, nz=8, bottom=0.0, depth=3.1, drift=1.0, noise=0.0, seed=0)  # the ramp
+def test_poincare_slack_is_nonnegative_for_fields_zero_at_the_bottom(N1, N2, nz, bottom, depth,
+                                                                      drift, noise, seed):
+    """A P1 field that is zero at the bottom node has |u(z)|^2 <= (z - c)
+    ||d3 u||^2 on each vertical line, so ||u||^2 <= depth^2 / 2 ||d3 u||^2
+    and the Poincare slack is nonnegative at every depth.  The fields rise
+    by ``drift`` per unit height plus ``noise``: the ramp u = (z - c) on
+    every component and mode (noise 0) has slack area depth^3 / 6 per
+    component and mode, where the constant depth gave area (depth^2 -
+    depth^3 / 3), negative beyond depth 3."""
+    mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=CELL), bottom=bottom,
+                     top=bottom + depth, n_elements=nz)
+    g = mesh.grid
+    rng = np.random.default_rng(seed)
+    shape = (3, g.n1, g.n2, nz)
+    rise = drift + noise * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    coeff = np.zeros(shape[:3] + (mesh.n_nodes,), dtype=complex)
+    coeff[..., 1:] = np.cumsum(rise * np.diff(mesh.nodes), axis=-1)
+    assert poincare_slack(DiscreteField(coeff, mesh)) >= 0.0
 
 
 def test_coercivity_probe_orders():
@@ -1172,11 +1213,12 @@ def test_matvec_matches_the_two_gauss_point_oracle(mu, lam_frac, omega, N, nz, r
     once and folds its dual into the Gauss pair's value duals, equals the
     operator that carries the z-derivative at both Gauss points to 1e-13
     relative: flat and rough, on the 3/2-rule grid and on the inner one,
-    in one element block or in blocks of single elements."""
+    in one element block or in blocks of single elements.  The flat strip
+    is the identity transform."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = flat_mesh(N=N, nz=nz)
     ctx = SolverContext(mesh, params)
-    coeffs = None
+    coeffs = identity_transform(mesh)
     if rough:
         surface = make_profile(0.0, terms, GEOM)
         coeffs = TransformCoefficients(mesh, surface, CutoffFn(0.25, 1.0))
@@ -1285,9 +1327,10 @@ def test_rough_solve_is_bit_identical_across_blas_threads():
 
 def _all_class_solve(mesh, params, rhs):
     """The direct solve over every mirror class: x and its relative residual."""
-    bands = assemble_flat_blocks(mesh, params)
-    x = block_lu_solver(bands)(rhs)
-    res, scale = solver._norm(banded_matvec(bands, x) - rhs), solver._norm(rhs)
+    every = every_class(mesh.grid)
+    bands = assemble_flat_blocks(mesh, params, every)
+    x = block_lu_solver(bands, every)(rhs)
+    res, scale = solver._norm(banded_matvec(bands, x, every) - rhs), solver._norm(rhs)
     return x, res / scale if scale > 0 else res
 
 
@@ -1366,7 +1409,7 @@ def test_flat_run_factors_the_one_class_its_source_reaches(monkeypatch):
     (bands,) = assembled
     assert bands.shape == (3, 1, 96, 3, 3) and bands.nbytes == 41_472
     params, _, _, mesh, *_ = harness.build_setup(cfg)
-    assert assemble_flat_blocks(mesh, params).nbytes == 3_359_232
+    assert assemble_flat_blocks(mesh, params, every_class(mesh.grid)).nbytes == 3_359_232
 
 
 def _singular_symbol_at(monkeypatch, c1, c2):
@@ -1433,7 +1476,7 @@ def test_mode_quadratics_on_live_modes_have_the_bits_of_every_mode(N1, N2, nz, c
     oracle = DiscreteField(coeff, mesh)
     l2, dz, horiz = expect = full_mode_quadratics(oracle)
     area, depth = g.cell_area, mesh.top - mesh.bottom
-    slack = depth * float(area * dz.sum()) - float(area * l2.sum())
+    slack = depth * depth / 2 * float(area * dz.sum()) - float(area * l2.sum())
     vh = float(np.sqrt(area * (l2.sum() + dz.sum() + horiz.sum())))
     superset = np.union1d(live, np.flatnonzero(rng.random(n) < 0.3))
     for modes in (None, live, superset):
