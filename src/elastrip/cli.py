@@ -3,7 +3,11 @@
 Subcommands map one-to-one onto the library experiments; every invocation
 writes a config echo plus machine-readable reports into the output
 directory.  Exit codes: 0 success, 1 configuration error, 2 numerical
-failure, 3 diagnostic invariant violation.
+failure, 3 diagnostic invariant violation.  A usage error (an unknown,
+missing or malformed option) also exits 1, not click's 2, with nothing
+written.  A subcommand takes only the overrides it reads: ``--omega``
+all but ``verify-dtn``, ``--seed`` only ``mc`` and ``verify-dtn``, and
+``--threads`` only ``mc``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import click
@@ -22,6 +27,7 @@ from .config import RunConfig, dump_config, load_config
 from .dtn import BoundaryTrace, SpectralGrid, extend_field, verify_symbol_suite
 from .errors import (ConfigError, ConstraintError, DiagnosticError,
                      ElastripError, NonConvergenceError, SingularTransformError)
+from .geometry import make_profile
 from .params import bound_constants, stability_constants, total_bound_stochastic
 
 EXIT_OK = 0
@@ -50,8 +56,8 @@ def _classify(exc: Exception) -> int:
     return EXIT_NUMERICAL
 
 
-def _load(config_path: str | None, seed: int | None, omega: float | None,
-          n_samples: int | None, threads: int | None) -> RunConfig:
+def _load(config_path: str | None, seed: int | None = None, omega: float | None = None,
+          n_samples: int | None = None, threads: int | None = None) -> RunConfig:
     cfg = load_config(config_path) if config_path else RunConfig()
     if seed is not None:
         cfg = replace(cfg, run=replace(cfg.run, seed=seed))
@@ -65,18 +71,46 @@ def _load(config_path: str | None, seed: int | None, omega: float | None,
 
 
 def _common(fn):
-    fn = click.option("--omega", type=float, default=None)(fn)
     fn = click.option("--config", "config_path", type=click.Path(), default=None,
                       help="YAML config file")(fn)
     fn = click.option("--out", "out_dir", type=click.Path(), default=None,
                       help="output directory")(fn)
-    fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--threads", type=int, default=None,
-                      help="Monte Carlo worker threads [default: the usable cores]")(fn)
     return fn
 
 
-@click.group()
+# the config overrides, each on the subcommands that read it (see _load)
+_OMEGA = click.option("--omega", type=float, default=None)
+_SEED = click.option("--seed", type=int, default=None)
+_THREADS = click.option("--threads", type=int, default=None,
+                        help="Monte Carlo worker threads [default: the usable cores]")
+_OVERRIDES = ("seed", "omega", "n_samples", "threads")
+
+
+@contextmanager
+def _usage_exits_config():
+    """Let a click usage error exit EXIT_CONFIG: click's own 2 is
+    EXIT_NUMERICAL here."""
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG
+        raise
+
+
+class _Group(click.Group):
+    """The command group, whose usage errors, in its own arguments or in a
+    subcommand's, exit EXIT_CONFIG."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_exits_config():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_exits_config():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Elastic wave scattering above rough rigid surfaces: solver and checks."""
 
@@ -98,16 +132,18 @@ def _subcommand(name, *options, prepare=None):
     """Register ``body(cfg, out, **opts)`` as the subcommand ``name``.
 
     Every subcommand takes the :func:`_common` options ahead of its own
-    ``options``.  The config is loaded with the command-line overrides and
-    ``prepare(**opts)``, when given, turns the raw option values into the
-    body's keyword arguments; an ElastripError in either step exits 1
-    before anything is written.  The body then runs under
+    ``options``, among them the config overrides it reads (``_OMEGA``,
+    ``_SEED``, ``_THREADS``).  The config is loaded with the command-line
+    overrides and ``prepare(**opts)``, when given, turns the other option
+    values into the body's keyword arguments; an ElastripError in either
+    step exits 1 before anything is written.  The body then runs under
     :func:`_run_guarded`.
     """
     def register(body):
-        def command(config_path, out_dir, seed, threads, omega, **opts):
+        def command(config_path, out_dir, **opts):
+            overrides = {k: opts.pop(k) for k in _OVERRIDES if k in opts}
             try:
-                cfg = _load(config_path, seed, omega, opts.pop("n_samples", None), threads)
+                cfg = _load(config_path, **overrides)
                 if prepare is not None:
                     opts = prepare(**opts)
             except ElastripError as exc:
@@ -123,16 +159,13 @@ def _subcommand(name, *options, prepare=None):
     return register
 
 
-@_subcommand("constants")
+@_subcommand("constants", _OMEGA)
 def constants_cmd(cfg, out):
     """Print the stability and a priori bound constants for the config."""
     params = cfg.elastic_params()
     geom = cfg.strip_geometry()
     sc = stability_constants(params)
-    L = 0.0
-    if cfg.surface.terms:
-        from .geometry import make_profile
-        L = make_profile(cfg.surface.f0_offset, cfg.surface.terms, geom).L
+    L = make_profile(cfg.surface.f0_offset, cfg.surface.terms, geom).L
     br = bound_constants(params, geom, L=L, generic_C=cfg.run.generic_C)
     payload = {"K": sc.K, "C_K": sc.C_K, "c_K": sc.c_K, "L": L,
                **br.as_dict(),
@@ -145,7 +178,7 @@ def constants_cmd(cfg, out):
     return EXIT_OK
 
 
-@_subcommand("verify-dtn",
+@_subcommand("verify-dtn", _SEED,
              click.option("--n-xi", type=int, default=10000, help="xi samples per material"),
              click.option("--n-materials", type=int, default=10))
 def verify_dtn_cmd(cfg, out, n_xi, n_materials):
@@ -169,7 +202,7 @@ def _check_diagnostics(rep) -> None:
         raise DiagnosticError(f"Poincare slack negative: {d['poincare_slack']:.3e}")
 
 
-@_subcommand("solve")
+@_subcommand("solve", _OMEGA)
 def solve_cmd(cfg, out):
     """One deterministic solve with full diagnostics and the bound ratio."""
     rep, _ = harness.deterministic_run(cfg)
@@ -192,7 +225,7 @@ def _parse_sweep_values(axis, values):
     return {"axis": axis, "values": vals}
 
 
-@_subcommand("sweep",
+@_subcommand("sweep", _OMEGA,
              click.option("--axis", type=click.Choice(["omega", "h", "L_amplitude"]),
                           required=True),
              click.option("--values", required=True, help="comma-separated values"),
@@ -214,7 +247,8 @@ def sweep_cmd(cfg, out, axis, values):
     return EXIT_OK
 
 
-@_subcommand("mc", click.option("--n-samples", type=int, default=None))
+@_subcommand("mc", _OMEGA, _SEED, _THREADS,
+             click.option("--n-samples", type=int, default=None))
 def mc_cmd(cfg, out):
     """Monte Carlo over the configured random-surface ensemble."""
     rep = harness.monte_carlo(cfg)
@@ -230,7 +264,7 @@ def mc_cmd(cfg, out):
     return EXIT_OK
 
 
-@_subcommand("pushforward", click.option("--n-z", type=int, default=None))
+@_subcommand("pushforward", _OMEGA, click.option("--n-z", type=int, default=None))
 def pushforward_cmd(cfg, out, n_z):
     """Cross-check two flattening routes of the configured rough surface."""
     res = harness.pushforward_check(cfg, n_z=n_z)
@@ -252,7 +286,7 @@ def _read_trace(trace_path, height):
     return {"trace": trace, "height": height}
 
 
-@_subcommand("extend",
+@_subcommand("extend", _OMEGA,
              click.option("--trace", "trace_path", type=click.Path(exists=True),
                           required=True,
                           help="JSON file with a boundary trace: N1, N2, cell, "

@@ -127,8 +127,7 @@ def build_setup(cfg: RunConfig):
         raise ConfigError(
             f"reference level {s.f0_offset} outside the slab ({geom.m}, {geom.M_sup})")
     mesh = StripMesh(grid=grid, bottom=s.f0_offset, top=geom.h, n_elements=d.n_z)
-    profile = (make_profile(s.f0_offset, s.terms, geom) if s.terms
-               else SurfaceProfile(offset=s.f0_offset, terms=(), cell=geom.cell))
+    profile = make_profile(s.f0_offset, s.terms, geom)
     cutoff = CutoffFn(delta=s.delta, gamma_gap=geom.h - s.f0_offset)
     src_bottom = geom.M_sup + 0.1 * (geom.h - geom.M_sup)
     sc = cfg.source

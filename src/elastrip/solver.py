@@ -622,7 +622,9 @@ def block_lu_solver(bands: np.ndarray, classes: np.ndarray, dtype=complex):
     The factor runs in complex128 and is kept at ``dtype``: complex64 for
     the rough solve's preconditioner, whose sweeps then run in complex64
     on a complex64 b at half the bytes.  An apply sweeps in the precision
-    of b, or of the factor if that is higher, and returns complex128.
+    of b, or of the factor if that is higher, and returns that precision:
+    complex64 for a complex64 b under the complex64 factor, whose result a
+    complex64 operator reads as it is.
 
     Raises :class:`NonConvergenceError` naming the class (+-|j1|, +-|j2|)
     and the mesh node of the first pivot whose determinant is zero or not
@@ -657,7 +659,7 @@ def block_lu_solver(bands: np.ndarray, classes: np.ndarray, dtype=complex):
             np.add.reduce(p * y_i, axis=1, out=y_i)
         for c, y_i, y_below in zip(C[-2::-1], y[-2::-1], y[:0:-1]):
             y_i -= np.add.reduce(c * y_below, axis=1)
-        return _from_classes(y, maps.scatter).astype(complex, copy=False)
+        return _from_classes(y, maps.scatter)
 
     return solve
 
@@ -1106,9 +1108,15 @@ def gmres(matvec, b: np.ndarray, precond, tol: float,
     matvec's output: complex64 on the complex64 operator, half the bytes.
     Its correction V y, x, the residuals, the Hessenberg matrix and the
     rotations stay in the precision of b and of ``residual``, whose output
-    takes b - A x in place, and ``precond`` returns that precision.
-    Inner products and norms are numpy sums, so the result does not
-    depend on the BLAS thread count.
+    takes b - A x in place.  ``precond`` returns the precision of its
+    input: a complex64 basis vector goes to ``matvec`` as complex64, the
+    correction to x as complex128.  Inner products and norms are numpy
+    sums, so the result does not depend on the BLAS thread count.
+
+    No vector outlives its last use: a round's starting residual lives on
+    only as the first basis vector, the basis and the last matvec output
+    are dropped before the correction's preconditioner sweep, and the
+    previous iterate once x + d is formed.
 
     A step that finds an invariant space (a subdiagonal below
     ``_BREAKDOWN`` of the step's direction, ``_BREAKDOWN_COMPLEX64`` in a
@@ -1128,16 +1136,19 @@ def gmres(matvec, b: np.ndarray, precond, tol: float,
     while True:
         exact = matvec is residual
         target = tol if exact else max(tol, _INNER_TOL * rel)
-        d, estimates, stuck = _gmres_cycle(matvec, r, precond, target * beta,
+        r_norm = _norm(r)
+        V = [r / r_norm]  # the round's basis, which the cycle takes over
+        del r
+        d, estimates, stuck = _gmres_cycle(matvec, V, r_norm, precond, target * beta,
                                            _GMRES_MAX_ITER - steps)
         steps += len(estimates)
-        candidate = np.add(d, x, out=d)
-        r_new = residual(candidate)
-        np.subtract(b, r_new, out=r_new)  # b - A x in the matvec's own output
-        rel_new = _norm(r_new) / beta
+        x = np.add(d, x, out=d)  # the candidate; the previous iterate is dropped
+        r = residual(x)
+        np.subtract(b, r, out=r)  # b - A x in the matvec's own output
+        rel_new = _norm(r) / beta
         history += [e / beta for e in estimates] + [rel_new]
         if rel_new <= tol:
-            return candidate, SolveInfo(rel_new, steps, "gmres", history)
+            return x, SolveInfo(rel_new, steps, "gmres", history)
         if steps == _GMRES_MAX_ITER or (exact and stuck):
             raise NonConvergenceError(
                 f"gmres solve failed after {steps} iterations: "
@@ -1145,20 +1156,24 @@ def gmres(matvec, b: np.ndarray, precond, tol: float,
                 residual=rel_new, history=history)
         if not rel_new <= rel / 2:
             matvec = residual
-        x, r, rel = candidate, r_new, rel_new
+        rel = rel_new
 
 
-def _gmres_cycle(matvec, r: np.ndarray, precond, target: float, max_steps: int):
+def _gmres_cycle(matvec, V: list, r_norm: float, precond, target: float, max_steps: int):
     """One GMRES cycle for A d = r from d0 = 0 (see :func:`gmres`).
 
-    Runs until the estimate of ||r - A d|| reaches ``target``, a step finds
-    an invariant space, or ``max_steps`` steps.  A matvec that is not
-    finite ends the cycle; its step counts, with the estimate inf, and d
-    comes from the steps before it.  Returns d, the estimate of every step,
-    and whether the cycle ended by breakdown or overflow.
+    ``V`` holds r / ||r|| alone and ``r_norm`` is ||r||: the cycle takes
+    the list over as its basis, so r itself need not outlive its
+    normalization.  Runs until the estimate of ||r - A d|| reaches
+    ``target``, a step finds an invariant space, or ``max_steps`` (>= 1)
+    steps.  A matvec that is not finite ends the cycle; its step counts,
+    with the estimate inf, and d comes from the steps before it.  Returns
+    d, the estimate of every step, and whether the cycle ended by
+    breakdown or overflow.  V is emptied, and the last matvec's output
+    dropped, before the correction's preconditioner sweep, so the sweep
+    runs without the round's basis.
     """
-    r_norm = _norm(r)
-    V = [r / r_norm]    # orthonormal basis of the Krylov space of A M^{-1}, in w's precision
+    shape, dtype = V[0].shape, V[0].dtype  # r's, and so the correction's
     R = []              # columns of the rotated, upper-triangular Hessenberg matrix
     rotations = []      # Givens (c, s) of each step
     g = [r_norm]        # rotated r_norm e1; |g[-1]| is the residual norm
@@ -1176,8 +1191,8 @@ def _gmres_cycle(matvec, r: np.ndarray, precond, target: float, max_steps: int):
         h = np.zeros(k + 2, dtype=complex)
         for _ in range(2):  # classical Gram-Schmidt, then once more
             proj = [_dot(v, w) for v in V]
-            for p, v in zip(proj, V):
-                w -= p * v
+            for i, p in enumerate(proj):
+                w -= p * V[i]
             h[:k + 1] += proj
         h_next = _norm(w)
         breakdown = h_next <= tiny * w_norm
@@ -1204,9 +1219,11 @@ def _gmres_cycle(matvec, r: np.ndarray, precond, target: float, max_steps: int):
     # V y adds up in r's precision, so that the correction's preconditioner
     # sweep runs in it: a complex64 sweep would put its rounding into x,
     # where a Krylov step's only slows the round
-    z = np.zeros_like(r)
-    for yi, v in zip(y.astype(V[0].dtype), V):  # a complex128 yi would upcast yi * v under NEP 50
-        z += yi * v
+    z = np.zeros(shape, dtype)
+    for i, yi in enumerate(y.astype(V[0].dtype)):  # a complex128 yi would upcast yi * v under NEP 50
+        z += yi * V[i]
+    V.clear()
+    del w
     return precond(z), estimates, stuck
 
 
@@ -1232,15 +1249,16 @@ class SolverContext:
 
     ``symbol`` is the DtN symbol grid [k, j, m1, m2] and ``work`` the one
     :class:`~elastrip.mesh.Workspace` of the blocked stages, both built
-    here.  The flat operator's ``bands`` of every class and their block-LU
-    ``solve`` serve the rough solves only, as the GMRES preconditioner:
-    they are built at the first access, so a context that solves only flat
-    strips, or makes only matvecs, never assembles them.  So are the
-    meshes of the complex64 operators (:meth:`inner_mesh`).  The workspace
-    makes a context serve one thread at a time; :meth:`share` gives each
-    of several threads its own.  ``solve`` keeps its factor in complex64
-    (:func:`block_lu_solver`): it sweeps the complex64 Krylov vectors in
-    complex64, and the corrections and complex128 rounds in complex128.
+    here.  ``solve``, the block-LU of the flat operator of every class,
+    serves the rough solves only, as the GMRES preconditioner: it is built
+    at the first access, so a context that solves only flat strips, or
+    makes only matvecs, never assembles it.  It assembles the bands, keeps
+    their factor in complex64 (:func:`block_lu_solver`) and lets the bands
+    go.  It sweeps the complex64 Krylov vectors in complex64, and the
+    corrections and complex128 rounds in complex128.  The meshes of the
+    complex64 operators (:meth:`inner_mesh`) are built at the first
+    request too.  The workspace makes a context serve one thread at a
+    time; :meth:`share` gives each of several threads its own.
     """
 
     def __init__(self, mesh: StripMesh, params: ElasticParams):
@@ -1283,21 +1301,19 @@ class SolverContext:
         return mesh
 
     @cached_property
-    def bands(self) -> np.ndarray:
-        return assemble_flat_blocks(self.mesh, self.params, every_class(self.mesh.grid))
-
-    @cached_property
     def solve(self):
-        return block_lu_solver(self.bands, every_class(self.mesh.grid), np.complex64)
+        every = every_class(self.mesh.grid)
+        return block_lu_solver(assemble_flat_blocks(self.mesh, self.params, every), every,
+                               np.complex64)
 
     def share(self, parts: int) -> SolverContext:
         """A context for one of ``parts`` threads that solve on this mesh
         and material at once: its own workspace, whose element blocks take
         a ``parts``-th of the budget of this context's, so that the
         threads' buffers together hold what this context's hold.  It
-        shares the symbol and the inner meshes, and the bands and block-LU
-        if they are built already; otherwise each share builds its own at
-        its first rough solve."""
+        shares the symbol and the inner meshes, and the block-LU if it is
+        built already; otherwise each share builds its own at its first
+        rough solve."""
         twin = copy.copy(self)
         twin.work = Workspace(block_budget(self.work) // parts)
         return twin
@@ -1351,7 +1367,7 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     solve of every class.  The field's ``modes`` are the reached classes'
     modes.  It examines no pivot of a class its load does not reach: a
     singular pivot there raises nothing.  It does not touch the context's
-    ``bands`` or ``solve``.
+    ``solve``.
 
     GMRES runs its Arnoldi steps on the complex64 operator, on the
     collocation grid of :meth:`SolverContext.inner_mesh`, and checks every

@@ -37,7 +37,8 @@ def write_cfg(tmp_path, extra=None, name="cfg.yaml"):
 
 
 def test_constants_reference_bound(runner, tmp_path):
-    cfg = write_cfg(tmp_path, {"geometry": {"m": 0.0}})
+    # the bound takes the slab, not the reference level, which must lie inside it
+    cfg = write_cfg(tmp_path, {"geometry": {"m": 0.0}, "surface": {"f0_offset": 0.1}})
     out = tmp_path / "out"
     res = runner.invoke(main, ["constants", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 0
@@ -106,6 +107,44 @@ def test_every_subcommand_rejects_bad_config_path(runner, tmp_path, args):
         assert res.exit_code == 1
         assert message in res.output
         assert not out.exists()
+
+
+def test_options_are_offered_only_where_they_act(runner):
+    """--seed and --threads change only the config echo of solve, and
+    verify-dtn reads no physics, so their help lists none of these."""
+    for args, absent in ((["solve"], ("--seed", "--threads")), (["verify-dtn"], ("--omega",))):
+        res = runner.invoke(main, args + ["--help"])
+        assert res.exit_code == 0
+        assert not [o for o in absent if o in res.output], res.output
+    res = runner.invoke(main, ["mc", "--help"])
+    assert all(o in res.output for o in ("--seed", "--threads", "--omega"))
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--threads", "1"],
+    ["sweep", "--values", "1.0"],
+    ["nosuchcommand"],
+])
+def test_usage_errors_exit_1_with_nothing_written(runner, tmp_path, args):
+    """An unknown option or subcommand or a missing required option is a
+    configuration error, exit 1, not click's 2, which is a numerical
+    failure here."""
+    out = tmp_path / "out"
+    res = runner.invoke(main, args + ["--config", write_cfg(tmp_path), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert not out.exists()
+
+
+def test_constants_rejects_a_reference_level_outside_the_slab(runner, tmp_path):
+    """constants builds a flat profile as solve does, so a reference level
+    outside the slab exits 1 with error.json."""
+    cfg = write_cfg(tmp_path, {"surface": {"f0_offset": 0.3}})
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["constants", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 1
+    err = json.loads((out / "error.json").read_text())
+    assert (err["error"], err["exit_code"]) == ("ConstraintError", 1)
+    assert not (out / "constants.json").exists()
 
 
 def test_sweep_rejects_non_finite_values(runner, tmp_path):

@@ -21,8 +21,8 @@ from elastrip.harness import (
     solve_surface,
 )
 from elastrip.mesh import StripMesh, Workspace
-from elastrip.solver import (DiscreteField, SolverContext, block_lu_solver, energy_balance,
-                             every_class, solve_field)
+from elastrip.solver import (DiscreteField, SolverContext, assemble_flat_blocks,
+                             block_lu_solver, energy_balance, every_class, solve_field)
 
 BASE = {
     "physics": {"omega": 1.0},
@@ -325,7 +325,9 @@ def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch, tw
 
     def singular_sample_1(ctx, cutoff, sample, *, tol):
         if sample.sample_id == 1:
-            block_lu_solver(np.zeros_like(ctx.bands), every_class(ctx.mesh.grid))
+            every = every_class(ctx.mesh.grid)
+            block_lu_solver(np.zeros_like(assemble_flat_blocks(ctx.mesh, ctx.params, every)),
+                            every)
         return real(ctx, cutoff, sample, tol=tol)
 
     monkeypatch.setattr(harness, "_solve_sample", singular_sample_1)

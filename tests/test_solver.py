@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -417,10 +418,9 @@ def test_block_lu_matches_dense_solve(mu, lam_frac, omega, depth, cell, N, nz, s
        N=st.integers(0, 3), nz=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
 def test_complex64_block_lu_matches_the_complex128_factor(mu, lam_frac, omega, N, nz, seed):
     """The factor kept in complex64, the rough preconditioner's, solves as
-    the complex128 one to complex64 accuracy, on a complex64 b (swept in
-    complex64) and on a complex128 b (swept in complex128), and returns
-    complex128 either way: the sign flips of the mirror slots act on the
-    complex64 data's float32 parts."""
+    the complex128 one to complex64 accuracy, on a complex64 b and on a
+    complex128 b, and returns the precision it swept in, b's: the sign
+    flips of the mirror slots act on the complex64 data's float32 parts."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = flat_mesh(N=N, nz=nz)
     every = every_class(mesh.grid)
@@ -432,7 +432,7 @@ def test_complex64_block_lu_matches_the_complex128_factor(mu, lam_frac, omega, N
     single = block_lu_solver(bands, every, np.complex64)
     for v in (b.astype(np.complex64), b):
         x = single(v)
-        assert x.dtype == np.complex128
+        assert x.dtype == v.dtype
         assert np.linalg.norm(x - ref) <= 1e-5 * np.linalg.norm(ref)
 
 
@@ -1004,9 +1004,57 @@ def test_complex64_round_ends_when_its_krylov_space_is_exhausted(nz):
     ctx = SolverContext(mesh, P)
     rng = np.random.default_rng(nz)
     r = rng.standard_normal(3 * nz) + 1j * rng.standard_normal(3 * nz)
+    r_norm = solver._norm(r)
     d, estimates, stuck = solver._gmres_cycle(StripOperator(ctx, coeffs, np.complex64).matvec,
-                                              r, ctx.solve, 0.0, solver._GMRES_MAX_ITER)
+                                              [r / r_norm], r_norm, ctx.solve, 0.0,
+                                              solver._GMRES_MAX_ITER)
     assert stuck and len(estimates) <= 3 * nz and d.dtype == np.complex128
+
+
+def test_a_rounds_basis_is_freed_before_its_correction_sweep(monkeypatch):
+    """Every complex64 vector the preconditioner sweeps in a round, the
+    round's Krylov basis, and every complex64 matvec output of the round
+    are gone when the preconditioner is handed that round's complex128
+    correction V y: the sweep runs without them."""
+    mesh, rhs, coeffs = rough_system(N=4, nz=32)
+    ctx = SolverContext(mesh, P)
+    solve, matvec = ctx.solve, StripOperator._matvec
+    held, checked = [], []  # weakrefs of the round's complex64 vectors
+
+    def spy(v):
+        if v.dtype == np.complex64:
+            held.append(weakref.ref(v))
+        else:  # a round's first vector r / ||r||, or its correction
+            assert all(ref() is None for ref in held), sum(ref() is not None for ref in held)
+            checked.append(len(held))
+            held.clear()
+        return solve(v)
+
+    def tracked(self, v):
+        w = matvec(self, v)
+        if w.dtype == np.complex64:
+            held.append(weakref.ref(w))
+        return w
+
+    ctx.solve = spy
+    monkeypatch.setattr(StripOperator, "_matvec", tracked)
+    _, info = solve_field(ctx, rhs, coeffs)
+    assert info.residual <= 1e-9 and len(info.history) - info.iterations == 2
+    # each round's steps are its matvec outputs, and all but its first its swept vectors
+    assert sum(checked) == 2 * info.iterations - 2
+
+
+def test_the_context_keeps_the_complex64_factor_and_no_bands():
+    """After a rough solve the context holds its block-LU, not the bands it
+    was factored from, and the factor returns the precision it sweeps in:
+    complex64 for a complex64 b, complex128 for a complex128 one."""
+    mesh, rhs, coeffs = rough_system()
+    ctx = SolverContext(mesh, P)
+    solve_field(ctx, rhs, coeffs)
+    assert "bands" not in vars(ctx) and "solve" in vars(ctx)
+    b = rhs.astype(np.complex64)
+    assert ctx.solve(b).dtype == np.complex64
+    assert ctx.solve(rhs).dtype == np.complex128
 
 
 def test_warm_rough_solve_peaks_below_twelve_vectors():
