@@ -8,8 +8,8 @@ from .params import (BoundReport, ElasticParams, StabilityConstants,
                      total_bound_stochastic)
 from .dtn import (BoundaryTrace, SpectralGrid, decompose_trace, energy_flux,
                   extend_field, verify_symbol_properties, verify_symbol_suite)
-from .geometry import (CoefficientLaw, CutoffFn, HarmonicTerm, SurfaceProfile,
-                       invert_vertical, make_profile, sample_ensemble)
+from .geometry import (CutoffFn, HarmonicTerm, SurfaceProfile, invert_vertical,
+                       make_profile, sample_ensemble)
 from .sources import BumpSource
 from .mesh import StripMesh
 from .solver import (DiscreteField, SolverContext, StripOperator,

@@ -256,9 +256,7 @@ def mc_cmd(cfg, out):
     harness.write_mc_csv(os.path.join(out, "mc_samples.csv"), rep)
     click.echo(f"completed {rep.n_completed}/{rep.n_samples}  "
                f"ratio = {rep.ratio:.6e}")
-    bad = [r for r in rep.sample_rows
-           if r["energy_residual"] > harness.ENERGY_TOL
-           or r["radiated_power"] < harness.POWER_TOL]
+    bad = [r for r in rep.sample_rows if not r["energy_ok"]]
     if bad:
         raise DiagnosticError(f"{len(bad)} samples violate the energy balance")
     return EXIT_OK

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConstraintError
 from .params import StripGeometry
+from .sources import BumpSource
 
 _LIPSCHITZ_SAFETY = 1.05
 _MAX_RETRIES = 100        # surface redraws per ensemble sample
@@ -212,29 +213,12 @@ def invert_vertical(x3, y1, y2, c: float, f: SurfaceProfile, cutoff: CutoffFn):
     return c + s
 
 
-@dataclass(frozen=True)
-class CoefficientLaw:
-    """Uniform law on surface harmonics: amplitudes in [-amp_j, amp_j] per term.
-
-    ``bands`` lists (j1, j2, max_amplitude).
-    """
-
-    bands: tuple[tuple[int, int, float], ...]
-
-
-@dataclass(frozen=True)
-class SourceSpec:
-    """Random-source family parameters: the amplitude scale of its factors."""
-
-    amplitude: float = 1.0
-
-
 @dataclass
 class RandomSample:
     """One draw of the ensemble: a surface and a reference-strip source."""
 
     surface: SurfaceProfile
-    source: "object"
+    source: BumpSource
     sample_id: int
 
 
@@ -243,30 +227,31 @@ def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.Philox(key=(seed << 32) + sample_id))
 
 
-def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
-                    geom: StripGeometry, c: float,
-                    source_spec: SourceSpec | None = None) -> list[RandomSample]:
+def sample_ensemble(seed: int, n: int, M0: float, bands: tuple[tuple[int, int, float], ...],
+                    geom: StripGeometry, c: float, amplitude: float = 1.0) -> list[RandomSample]:
     """Draw n admissible samples over the flat reference level c;
     rejection-resample out-of-class surfaces.
 
-    The distance ||f - c||_{1,inf} of a candidate is sup|f - c| + sup|grad f|
-    on its own evaluation grid.  Every candidate has offset c and one term
-    per law band, so the cos and sin grids of each band are evaluated once
-    per ensemble and each candidate only sums them with its amplitudes.
+    ``bands`` lists the surface law as (j1, j2, max_amplitude) triples: each
+    candidate has offset c and one term per band, whose cos and sin
+    amplitudes are uniform in [-max_amplitude, max_amplitude].  Each sample's
+    source is :meth:`BumpSource.random` with the factor amplitude scale
+    ``amplitude``.  The distance ||f - c||_{1,inf} of a candidate is
+    sup|f - c| + sup|grad f| on its own evaluation grid.  The cos and sin
+    grids of each band are evaluated once per ensemble and each candidate
+    only sums them with its amplitudes.
     """
-    from .sources import BumpSource  # local import to avoid a cycle
-
     if n <= 0:
         raise ConstraintError("ensemble size must be positive")
     points = _grid_points(geom.cell)
-    harmonics = [_harmonic(j1, j2, geom.cell, *points) for j1, j2, _ in law.bands]
+    harmonics = [_harmonic(j1, j2, geom.cell, *points) for j1, j2, _ in bands]
     samples = []
     for sample_id in range(n):
         rng = _sample_rng(seed, sample_id)
         surface = None
         for _ in range(_MAX_RETRIES):
             terms = []
-            for j1, j2, amp in law.bands:
+            for j1, j2, amp in bands:
                 a_cos, a_sin = rng.uniform(-amp, amp, size=2)
                 terms.append(HarmonicTerm(j1, j2, a_cos, a_sin))
             # one sum of the band grids per candidate: its bounds and its distance to c
@@ -280,6 +265,6 @@ def sample_ensemble(seed: int, n: int, M0: float, law: CoefficientLaw,
             raise ConstraintError(
                 f"sample {sample_id}: no admissible surface in {_MAX_RETRIES} retries"
             )
-        source = BumpSource.random(rng, geom, spec=source_spec)
+        source = BumpSource.random(rng, geom, amplitude)
         samples.append(RandomSample(surface=surface, source=source, sample_id=sample_id))
     return samples

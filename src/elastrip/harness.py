@@ -14,15 +14,15 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import RunConfig
 from .dtn import SpectralGrid
-from .errors import ElastripError
-from .geometry import (CoefficientLaw, CutoffFn, SourceSpec, SurfaceProfile,
-                       invert_vertical, make_profile, sample_ensemble)
+from .errors import ConfigError, ElastripError
+from .geometry import (CutoffFn, SurfaceProfile, invert_vertical, make_profile,
+                       sample_ensemble)
 from .mesh import StripMesh, Workspace
 from .params import bound_constants, total_bound_stochastic
 from .solver import (DiscreteField, SolverContext, TransformCoefficients,
@@ -123,7 +123,6 @@ def build_setup(cfg: RunConfig):
     grid = SpectralGrid(N1=d.N1, N2=d.N2, cell=geom.cell)
     s = cfg.surface
     if not (geom.m < s.f0_offset < geom.M_sup):
-        from .errors import ConfigError
         raise ConfigError(
             f"reference level {s.f0_offset} outside the slab ({geom.m}, {geom.M_sup})")
     mesh = StripMesh(grid=grid, bottom=s.f0_offset, top=geom.h, n_elements=d.n_z)
@@ -187,22 +186,21 @@ def field_physical_norms(field: DiscreteField, coeffs: TransformCoefficients | N
 
 
 def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
-                 physical: bool = False, work: Workspace | None = None):
+                 work: Workspace):
     """(||g||_L2, ||g||_H1) over the strip by the solver's quadrature.
 
-    On the reference strip (no ``coeffs``, or not ``physical``) they are
-    taken in mode space: by Parseval, the point sum of g_c^2 over the P1 x P2
-    padded grid is P1 P2 sum_r |S[0, c, r]|^2 v(z)^2 for the source's folded
-    spectra S, so ||g||^2 = |cell| sum_q w_q v(z_q)^2 ||S[0]||^2, and the
-    gradient adds ||S[1]||^2 + ||S[2]||^2 against v^2 and ||S[0]||^2 against
-    v'^2.  The folding and the Gauss rule are those of the grid, so this is
-    the pseudospectral quadrature to roundoff, aliased harmonics included;
+    On the reference strip (no ``coeffs``) they are taken in mode space: by
+    Parseval, the point sum of g_c^2 over the P1 x P2 padded grid is
+    P1 P2 sum_r |S[0, c, r]|^2 v(z)^2 for the source's folded spectra S, so
+    ||g||^2 = |cell| sum_q w_q v(z_q)^2 ||S[0]||^2, and the gradient adds
+    ||S[1]||^2 + ||S[2]||^2 against v^2 and ||S[0]||^2 against v'^2.  The
+    folding and the Gauss rule are those of the grid, so this is the
+    pseudospectral quadrature to roundoff, aliased harmonics included;
     unlike the load vector, a harmonic whose residue is no lattice mode
-    still counts.  Under ``coeffs`` with ``physical`` the points move with
-    the flattening map, and the sums run at them over the solver's element
-    blocks in order, each block's weights in a buffer of ``work``.
+    still counts.  With ``coeffs`` the norms are physical: the points move
+    with the flattening map, and the sums run at them over the solver's
+    element blocks in order, each block's weights in a buffer of ``work``.
     """
-    coeffs = coeffs if physical else None
     if coeffs is None:
         S = source.folded_spectra(mesh.P1, mesh.P2)
         power = np.sum(S.real ** 2 + S.imag ** 2, axis=(1, 2, 3))  # per value, d1, d2
@@ -213,7 +211,6 @@ def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
         grad_sq = area * (v_sq * (power[1] + power[2]) + dv_sq * power[0])
         return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
     l2_sq = grad_sq = 0.0
-    work = Workspace() if work is None else work
     for b in element_blocks(mesh, work):
         points = quad_points(mesh, coeffs, b, work)
         wgt = coeffs.weights(b, work)
@@ -222,8 +219,25 @@ def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
     return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
 
 
+def energy_ok(residual: float, power: float, leeway: float, solve_residual: float) -> bool:
+    """The energy gate of one solve, from :func:`~elastrip.solver.energy_balance`'s
+    (residual, power, leeway) and the solve's relative residual.
+
+    The flux identity holds to ``ENERGY_TOL`` plus what the solve's
+    inexactness allows: a relative residual rho leaves a normalized
+    mismatch of at most rho times ``leeway``, which matters when the
+    radiated power is small against ||x|| ||b||.  A direct solve's rho is
+    at roundoff, so its allowance is too.  The power must not be negative
+    beyond ``POWER_TOL``.
+    """
+    return bool(residual <= ENERGY_TOL + solve_residual * leeway and power >= POWER_TOL)
+
+
 def _diagnose(field: DiscreteField, rhs, ctx: SolverContext, info, profile, quadratics):
-    res, power = energy_balance(field, rhs, ctx)
+    """The diagnostics of one deterministic solve: the flux identity and its
+    gate (:func:`energy_ok`), the Poincare slack, the solve's residual,
+    steps and method, and the surface's Lipschitz constant."""
+    res, power, leeway = energy_balance(field, rhs, ctx)
     diag = {
         "energy_residual": res,
         "radiated_power": power,
@@ -233,7 +247,7 @@ def _diagnose(field: DiscreteField, rhs, ctx: SolverContext, info, profile, quad
         "solve_method": info.method,
         "surface_L": profile.L,
     }
-    diag["energy_ok"] = bool(res <= ENERGY_TOL and power >= POWER_TOL)
+    diag["energy_ok"] = energy_ok(res, power, leeway, info.residual)
     diag["poincare_ok"] = bool(diag["poincare_slack"] >= -1e-12)
     return diag
 
@@ -258,10 +272,10 @@ def deterministic_run(cfg: RunConfig, label: str = "run",
     quadratics = field.mode_quadratics()
     l2_sq, grad_sq = field_physical_norms(field, coeffs, ctx.work, quadratics)
     u_vh = float(np.sqrt(l2_sq + grad_sq))
-    g_l2, g_h1 = source_norms(source, ctx.mesh, coeffs, physical=True, work=ctx.work)
+    g_l2, g_h1 = source_norms(source, ctx.mesh, coeffs, ctx.work)
     report = bound_constants(params, geom, L=profile.L, generic_C=cfg.run.generic_C)
     ratio = u_vh / (report.total_bound * g_h1) if g_h1 > 0 else 0.0
-    report = report.with_ratio(ratio)
+    report = replace(report, measured_ratio=ratio)
     diag = _diagnose(field, rhs, ctx, info, profile, quadratics)
     run = RunReport(config_echo=cfg.as_dict(), u_vh=u_vh, g_l2=g_l2, g_h1=g_h1,
                     bound=report.as_dict(), diagnostics=diag,
@@ -273,8 +287,6 @@ _SWEEP_AXES = ("omega", "h", "L_amplitude")
 
 
 def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
-    from dataclasses import replace
-
     if axis == "omega":
         return replace(cfg, physics=replace(cfg.physics, omega=float(value)))
     if axis == "h":
@@ -322,12 +334,13 @@ def _solve_sample(ctx: SolverContext, cutoff: CutoffFn, sample, *, tol: float):
     field, info, rhs, _ = solve_surface(ctx, sample.surface, cutoff, sample.source,
                                         physical=False, tol=tol)
     u_sq = field.vh_norm() ** 2
-    _, g_h1 = source_norms(sample.source, ctx.mesh, None)
+    _, g_h1 = source_norms(sample.source, ctx.mesh, None, ctx.work)
     g_sq = g_h1 ** 2
-    res, power = energy_balance(field, rhs, ctx)
+    res, power, leeway = energy_balance(field, rhs, ctx)
     return {"sample_id": sample.sample_id, "u_h1_sq": u_sq, "g_h1_sq": g_sq,
             "energy_residual": res, "radiated_power": power,
-            "surface_L": sample.surface.L, "iterations": info.iterations}
+            "surface_L": sample.surface.L, "iterations": info.iterations,
+            "energy_ok": energy_ok(res, power, leeway, info.residual)}
 
 
 def _usable_cores() -> int:
@@ -419,9 +432,8 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     s = cfg.surface
     if not s.law_bands:
         raise ElastripError("monte_carlo needs surface.law_bands in the config")
-    law = CoefficientLaw(bands=tuple(tuple(b) for b in s.law_bands))
-    spec = SourceSpec(amplitude=cfg.source.amplitude)
-    samples = sample_ensemble(seed, n, s.M0, law, geom, mesh.bottom, source_spec=spec)
+    samples = sample_ensemble(seed, n, s.M0, s.law_bands, geom, mesh.bottom,
+                              cfg.source.amplitude)
 
     def solve(ctx, sample):  # the sample's row, or its failure record
         try:
@@ -511,8 +523,10 @@ def _csv_cell(v):
 
 
 def _write_csv(path, fields, rows) -> None:
+    """The ``fields`` columns of the rows; a row's other keys, such as a
+    Monte Carlo row's ``energy_ok``, stay out of the file."""
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
+        w = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         w.writeheader()
         w.writerows({k: _csv_cell(v) for k, v in row.items()} for row in rows)
 

@@ -121,10 +121,6 @@ class BoundReport:
     generic_C: float
     measured_ratio: float | None = None
 
-    def with_ratio(self, ratio: float) -> "BoundReport":
-        return BoundReport(self.C1, self.C2, self.C3, self.C4, self.C5, self.C6,
-                           self.total_bound, self.generic_C, ratio)
-
     def as_dict(self) -> dict:
         d = {f"C{i}": getattr(self, f"C{i}") for i in range(1, 7)}
         d["total_bound"] = self.total_bound

@@ -838,32 +838,25 @@ def budget_shares(mesh: StripMesh, work: Workspace) -> int:
     return max(1, block_budget(work) // (_BLOCK_GRANULE * _element_bytes(mesh, complex)))
 
 
-def quad_points(mesh: StripMesh, coeffs: TransformCoefficients | None = None,
-                elements: slice = slice(None), work: Workspace | None = None):
+def quad_points(mesh: StripMesh, coeffs: TransformCoefficients | None, elements: slice,
+                work: Workspace):
     """Padded collocation x Gauss points (X1, X2, Z) of the vertical
     ``elements``, broadcastable.
 
-    With ``coeffs`` the heights are the physical ones, x3 = H(y)_3, in a
+    Without ``coeffs`` the heights are the reference ones, the mesh's Gauss
+    points; with ``coeffs`` they are the physical ones, x3 = H(y)_3, in a
     buffer of ``work``.
     """
     x1, x2 = mesh.collocation_padded()
     if coeffs is None:
         Z = mesh.zq[None, None, elements]
     else:
-        Z = coeffs.heights(elements, Workspace() if work is None else work)
+        Z = coeffs.heights(elements, work)
     return x1[:, None, None, None], x2[None, :, None, None], Z
 
 
-def quad_weights(mesh: StripMesh, elements: slice = slice(None)):
-    """Weights of the reference points of :func:`quad_points` of the
-    vertical ``elements``, w_q |cell| / (P1 P2); a block's planes hold them
-    times det J (``BlockPlanes.wgt``)."""
-    return mesh.wq[None, None, elements] * mesh.point_weight
-
-
 def physical_quad_fields(mesh: StripMesh, U: np.ndarray, planes: BlockPlanes,
-                         elements: slice = slice(None),
-                         work: Workspace | None = None) -> np.ndarray:
+                         elements: slice, work: Workspace) -> np.ndarray:
     """Values and physical gradient of nodal modes U at the quad points of
     the vertical ``elements``.
 
@@ -875,11 +868,11 @@ def physical_quad_fields(mesh: StripMesh, U: np.ndarray, planes: BlockPlanes,
     DFT-matrix products, which adds the horizontal derivatives of the
     values (the z-derivative is its ``tail``).  The gradient is then
     pulled through the chain rule of the elements' ``planes`` in place.
-    F and the temporaries take buffers of ``work``, so F stays valid until
-    the next call with the same ``work``.  Everything runs in the precision
+    F and the temporaries take buffers of ``work``, the workspace the caller
+    holds (its context's on the run path), so F stays valid until the next
+    call with the same ``work``.  Everything runs in the precision
     of U; ``planes`` should match it.
     """
-    work = Workspace() if work is None else work
     n_e = len(range(mesh.n_elements)[elements])
     q, m = mesh.zq.shape[1], math.prod(U.shape[1:-1]) * n_e
     stack = work.take("modes", (3, m * (q + 1)), U.dtype)
@@ -944,7 +937,7 @@ class StripOperator:
         self._real = np.finfo(self.dtype).dtype
         # the plain quadrature weights over 1 / (z(q+) - z(q-)) weight the
         # dual of dz u (wgt / det), whose Gauss pairs share them
-        self._dz_wgt = (quad_weights(mesh)[0, 0, :, 0]
+        self._dz_wgt = (mesh.wq[:, 0] * mesh.point_weight
                         / np.diff(mesh.zq, axis=1)[:, 0]).astype(self._real)
         self._lam, self._mu = self._real.type(ctx.params.lam), self._real.type(ctx.params.mu)
         # the cuts of the context's mesh, whatever the collocation grid
@@ -1060,22 +1053,23 @@ def _norm(a: np.ndarray) -> float:
 
 
 def _dot_on(a: np.ndarray, b: np.ndarray, modes: np.ndarray | None, n_modes: int,
-            work: Workspace | None = None) -> complex:
+            work: Workspace) -> complex:
     """:func:`_dot` of two free vectors that are zero off ``modes``, given
     as their entries there, a[k, mode, node] and b alike (every mode for
     None).  The products fill a zeroed buffer of ``work`` of the free
     vector's length, so the pairwise sum runs over the full vector's zeros
-    too, in its order: the bits of :func:`_dot` of the full vectors."""
+    too, in its order: the bits of :func:`_dot` of the full vectors.  With
+    every mode no buffer is needed, and ``work`` is not touched."""
     if modes is None:
         return _dot(a.ravel(), b.ravel())
-    prod = (Workspace() if work is None else work).take("pairing", (3, n_modes, a.shape[-1]))
+    prod = work.take("pairing", (3, n_modes, a.shape[-1]))
     prod[...] = 0
     prod[:, modes] = np.conj(a) * b
     return np.sum(prod.ravel())
 
 
 def _norm_on(a: np.ndarray, modes: np.ndarray | None, n_modes: int,
-             work: Workspace | None = None) -> float:
+             work: Workspace) -> float:
     return float(np.sqrt(_dot_on(a, a, modes, n_modes, work).real))
 
 
@@ -1116,7 +1110,9 @@ def gmres(matvec, b: np.ndarray, precond, tol: float,
     No vector outlives its last use: a round's starting residual lives on
     only as the first basis vector, the basis and the last matvec output
     are dropped before the correction's preconditioner sweep, and the
-    previous iterate once x + d is formed.
+    previous iterate once x + d is formed.  The first round holds no zero
+    iterate: x0 is the scalar 0.0, and d + 0.0 has the bits of d plus a
+    zero vector, the sign of a zero included.
 
     A step that finds an invariant space (a subdiagonal below
     ``_BREAKDOWN`` of the step's direction, ``_BREAKDOWN_COMPLEX64`` in a
@@ -1131,7 +1127,7 @@ def gmres(matvec, b: np.ndarray, precond, tol: float,
     if beta == 0:
         return np.zeros_like(b), SolveInfo(0.0, 0, "gmres", [0.0])
     residual = matvec if residual is None else residual
-    x, r, rel = np.zeros_like(b), b, 1.0
+    x, r, rel = 0.0, b, 1.0
     history, steps = [], 0
     while True:
         exact = matvec is residual
@@ -1410,29 +1406,34 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
 def energy_balance(field: DiscreteField, rhs: np.ndarray, ctx: SolverContext):
     """Discrete flux identity: Im of boundary flux vs Im of the source pairing.
 
-    Returns (residual, power): residual is the normalized mismatch between
-    Im int conj(u).Tu and Im int g.conj(u) (exact for a Galerkin solution up
-    to solver residual); power is the nonnegative radiated mode sum.  The
-    mismatch is normalized by the per-mode absolute boundary pairing, so
-    non-radiating configurations (Im cancels exactly) stay well-scaled.
-    ``rhs`` is zero off the field's ``modes``, as a load is off the modes
-    its direct solve reaches; every term is formed on those modes only,
-    and each sum runs over the full array, zeros included.
+    Returns (residual, power, leeway): residual is the normalized mismatch
+    between Im int conj(u).Tu and Im int g.conj(u); power is the nonnegative
+    radiated mode sum.  The mismatch is normalized by the per-mode absolute
+    boundary pairing, so non-radiating configurations (Im cancels exactly)
+    stay well-scaled.  For the field's free vector x and a residual
+    r = rhs - A x, only the DtN term of A is not Hermitian, so the
+    unnormalized mismatch is |Im(x^H r)| <= ||x|| ||r|| (Cauchy-Schwarz):
+    zero for an exact solve, at most the solve's relative residual times
+    ||x|| ||rhs|| for an inexact one.  ``leeway`` is ||x|| ||rhs|| over the
+    same normalization, so the residual times ``leeway`` bounds the
+    mismatch a solve of that residual may leave.  ``rhs`` is zero off the
+    field's ``modes``, as a load is off the modes its direct solve reaches;
+    every term is formed on those modes only, and each pairing sum runs
+    over the full array, zeros included.
     """
     trace = field.top_trace()
     flux, power = energy_flux(trace, ctx.params, ctx.symbol)
     g = field.mesh.grid
     n, live = g.n1 * g.n2, _every(field.modes)
-    src = _dot_on(field._by_mode()[:, live, 1:], np.reshape(rhs, (3, n, -1))[:, live],
-                  field.modes, n, ctx.work)
-    src_im = -float(np.imag(src))
+    x, b = field._by_mode()[:, live, 1:], np.reshape(rhs, (3, n, -1))[:, live]
+    src_im = -float(np.imag(_dot_on(x, b, field.modes, n, ctx.work)))
     top = trace.coefficients.reshape(3, n)[:, live]
     pair = np.zeros(n, dtype=complex)
     pair[live] = np.einsum("km,kjm,jm->m", np.conj(top),
                            1j * ctx.symbol.reshape(3, 3, n)[:, :, live], top)
     scale_abs = g.cell_area * float(np.sum(np.abs(pair)))
     denom = max(abs(src_im), abs(flux), scale_abs, _ENERGY_EPS)
-    return abs(flux - src_im) / denom, power
+    return abs(flux - src_im) / denom, power, _norm(x) * _norm(b) / denom
 
 
 def poincare_slack(field: DiscreteField, quadratics=None) -> float:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError
-from .geometry import SourceSpec
 from .params import StripGeometry
 
 _RANDOM_FACTORS = 2   # harmonic factors of a random source
@@ -127,13 +126,14 @@ class BumpSource:
 
     @classmethod
     def random(cls, rng: np.random.Generator, geom: StripGeometry,
-               spec: SourceSpec | None = None) -> "BumpSource":
+               amplitude: float = 1.0) -> "BumpSource":
         """Random member of the family, supported above sup f-range of the slab.
 
-        The support margin is taken against M_sup so the bump stays inside the
-        physical strip for every admissible surface of the ensemble.
+        Each factor's amplitude is ``amplitude`` times a uniform draw in
+        [0.2, 1].  The support margin is taken against M_sup so the bump
+        stays inside the physical strip for every admissible surface of the
+        ensemble.
         """
-        spec = spec or SourceSpec()
         lo = geom.M_sup + 0.05 * (geom.h - geom.M_sup)
         hi = geom.h - 0.05 * (geom.h - geom.M_sup)
         z0 = rng.uniform(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo))
@@ -144,7 +144,7 @@ class BumpSource:
                 component=int(rng.integers(0, 3)),
                 j1=int(rng.integers(-_RANDOM_MAX_MODE, _RANDOM_MAX_MODE + 1)),
                 j2=int(rng.integers(-_RANDOM_MAX_MODE, _RANDOM_MAX_MODE + 1)),
-                amplitude=float(spec.amplitude * rng.uniform(0.2, 1.0)),
+                amplitude=float(amplitude * rng.uniform(0.2, 1.0)),
                 phase=float(rng.uniform(0, 2 * np.pi)),
             ))
         return cls(factors=tuple(factors), z0=z0, sigma=sigma, cell=geom.cell)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from elastrip.geometry import CoefficientLaw, CutoffFn, SurfaceProfile
+from elastrip.geometry import CutoffFn, SurfaceProfile
 from elastrip.mesh import StripMesh
 
 
@@ -56,11 +56,12 @@ def sup_distance_1inf(f: SurfaceProfile, f0: SurfaceProfile, n: int = 256) -> fl
     return float(np.abs(fa - fb).max() + np.sqrt((g1a - g1b) ** 2 + (g2a - g2b) ** 2).max())
 
 
-def worst_case_1inf(law: CoefficientLaw, cell) -> float:
-    """The analytic worst case of ||f - c||_{1,inf} over the law's support:
+def worst_case_1inf(bands, cell) -> float:
+    """The analytic worst case of ||f - c||_{1,inf} over the support of the
+    law ``bands``, (j1, j2, max_amplitude) triples:
     sum_j 2 |a_j| (1 + 2 pi |j| / Lambda), cos and sin parts both drawn."""
     total = 0.0
-    for j1, j2, amp in law.bands:
+    for j1, j2, amp in bands:
         kmag = 2 * np.pi * math.hypot(j1 / cell[0], j2 / cell[1])
         total += 2 * amp * (1 + kmag)
     return total

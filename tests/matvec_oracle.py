@@ -13,7 +13,6 @@ for :class:`elastrip.solver.StripOperator`.
 import numpy as np
 
 from elastrip.mesh import Workspace
-from elastrip.solver import quad_weights
 
 
 def two_point_matvec(ctx, coeffs, vec):
@@ -31,7 +30,7 @@ def two_point_matvec(ctx, coeffs, vec):
     dz = mesh.to_physical(lo * dphi[0] + hi * dphi[1], ax1=1, ax2=2)
     F = np.concatenate([values, dz[:, None]], axis=1)  # (3, 4, P1, P2, e, q)
 
-    plain = quad_weights(mesh)
+    plain = mesh.wq[None, None] * mesh.point_weight
     planes = coeffs.block(slice(None), Workspace())
     wgt, J1, J2 = planes.wgt, planes.J1, planes.J2
     F[:, 3] *= planes.inv_det

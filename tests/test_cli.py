@@ -7,6 +7,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from elastrip import harness
 from elastrip.cli import main
 
 BASE_CFG = {
@@ -229,6 +230,35 @@ def test_threads_flag_does_not_change_outputs(runner, tmp_path):
         assert res.exit_code == 0
         texts.append((out / "mc_samples.csv").read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_solve_gates_the_flux_identity_by_its_residual(runner, tmp_path):
+    """A converged rough solve whose flux mismatch (7.9e-8) exceeds
+    ENERGY_TOL but lies within what its solve residual (4.8e-10) allows
+    exits 0; the gate once failed it with exit 3."""
+    cfg = write_cfg(tmp_path, {"physics": {"mu": 0.5, "lam": -0.25, "omega": 15.0},
+                               "discretization": {"N1": 1, "N2": 1, "n_z": 8},
+                               "surface": {"terms": [[0, 1, 0.0, 0.03125]]},
+                               "source": {"j1": 0, "component": 0}})
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    diag = json.loads((out / "report.json").read_text())["diagnostics"]
+    assert diag["energy_ok"] is True and diag["energy_residual"] > 1e-8
+    assert diag["solve_residual"] <= 1e-9
+
+
+def test_mc_exits_3_on_the_samples_the_energy_gate_fails(runner, tmp_path, monkeypatch):
+    """mc reads each sample row's gate verdict, and the CSV keeps its columns."""
+    monkeypatch.setattr(harness, "energy_ok", lambda *args: False)
+    cfg = write_cfg(tmp_path, {"surface": {"law_bands": [[1, 0, 0.05]], "M0": 0.3}})
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["mc", "--config", cfg, "--out", str(out), "--n-samples", "2"])
+    assert res.exit_code == 3
+    assert "2 samples violate the energy balance" in res.output
+    header = (out / "mc_samples.csv").read_text().splitlines()[0]
+    assert header == ("sample_id,u_h1_sq,g_h1_sq,energy_residual,radiated_power,"
+                      "surface_L,iterations")
 
 
 def test_pushforward_command(runner, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from elastrip import blas, dtn, harness, solver
 from elastrip.config import RunConfig, dump_config, from_dict, load_config
 from elastrip.errors import ConfigError, NonConvergenceError
-from elastrip.geometry import CoefficientLaw, SourceSpec, sample_ensemble
+from elastrip.geometry import sample_ensemble
 from elastrip.harness import (
     RunReport,
     build_setup,
@@ -303,9 +303,8 @@ def _factors_the_flat_operator_once(monkeypatch, threads):
     assert len(symbols) == symbols_one
 
     params, geom, _, mesh, _, cutoff, _ = build_setup(cfg)
-    law = CoefficientLaw(bands=((1, 0, 0.05), (0, 1, 0.04)))
-    samples = sample_ensemble(5, 3, 0.3, law, geom, mesh.bottom,
-                              source_spec=SourceSpec(amplitude=cfg.source.amplitude))
+    samples = sample_ensemble(5, 3, 0.3, ((1, 0, 0.05), (0, 1, 0.04)), geom, mesh.bottom,
+                              cfg.source.amplitude)
     for sample, row in zip(samples, rep.sample_rows):
         ctx = SolverContext(mesh, params)
         field, info, rhs, _ = solve_surface(ctx, sample.surface, cutoff, sample.source,

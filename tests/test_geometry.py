@@ -6,10 +6,9 @@ import pytest
 from elastrip import geometry
 from elastrip.dtn import SpectralGrid
 from elastrip.errors import ConstraintError, SingularTransformError
-from elastrip.geometry import (CoefficientLaw, CutoffFn, HarmonicTerm,
-                               SourceSpec, SurfaceProfile, _distance_1inf, _grid_points,
-                               _harmonic, _series_fields, _series_grid, invert_vertical,
-                               make_profile, sample_ensemble, transform_fields)
+from elastrip.geometry import (CutoffFn, HarmonicTerm, SurfaceProfile, _distance_1inf,
+                               _grid_points, _harmonic, _series_fields, _series_grid,
+                               invert_vertical, make_profile, sample_ensemble, transform_fields)
 from elastrip.mesh import StripMesh
 from elastrip.params import StripGeometry
 from elastrip.solver import TransformCoefficients
@@ -159,7 +158,7 @@ def test_invert_vertical_roundtrip():
 
 
 def test_ensemble_deterministic_and_admissible():
-    law = CoefficientLaw(bands=((1, 0, 0.05), (0, 1, 0.05)))
+    law = ((1, 0, 0.05), (0, 1, 0.05))
     a = sample_ensemble(123, 6, 0.3, law, GEOM, 0.0)
     b = sample_ensemble(123, 6, 0.3, law, GEOM, 0.0)
     for sa, sb in zip(a, b):
@@ -172,7 +171,7 @@ def test_ensemble_deterministic_and_admissible():
 
 def test_ensemble_counter_based_streams():
     """Sample k is identical no matter how many samples are drawn around it."""
-    law = CoefficientLaw(bands=((1, 1, 0.04),))
+    law = ((1, 1, 0.04),)
     few = sample_ensemble(9, 3, 0.3, law, GEOM, 0.0)
     many = sample_ensemble(9, 8, 0.3, law, GEOM, 0.0)
     for k in range(3):
@@ -192,10 +191,10 @@ ENSEMBLE_DIGESTS = {
 @pytest.mark.parametrize("M0", sorted(ENSEMBLE_DIGESTS))
 def test_ensemble_draws_are_pinned(M0):
     """Evaluating each candidate's grid once draws the same terms and sources."""
-    law = CoefficientLaw(bands=((1, 0, 0.05), (0, 1, 0.05), (1, 1, 0.03)))
+    law = ((1, 0, 0.05), (0, 1, 0.05), (1, 1, 0.03))
     draws = []
     for seed in range(10):
-        for s in sample_ensemble(seed, 8, M0, law, GEOM, 0.0, SourceSpec()):
+        for s in sample_ensemble(seed, 8, M0, law, GEOM, 0.0):
             surf, src = s.surface, s.source
             draws.append((s.sample_id, [(t.j1, t.j2, float(t.c), float(t.s)) for t in surf.terms],
                           surf.L, surf.f_min, surf.f_max,
@@ -221,41 +220,41 @@ def test_ensemble_evaluates_each_band_harmonic_once(monkeypatch):
     """The band grids summed per candidate give the bits of the candidate's
     own grid, and one ensemble evaluates each band's cos and sin once, also
     when it rejects candidates."""
-    law = CoefficientLaw(bands=((1, 0, 0.05), (0, 1, 0.05), (1, 1, 0.03)))
+    law = ((1, 0, 0.05), (0, 1, 0.05), (1, 1, 0.03))
     points = _grid_points(CELL)
-    harmonics = [_harmonic(j1, j2, CELL, *points) for j1, j2, _ in law.bands]
+    harmonics = [_harmonic(j1, j2, CELL, *points) for j1, j2, _ in law]
     rng = np.random.default_rng(5)
     for offset in (0.0, 0.07):
         for _ in range(5):
-            terms = [HarmonicTerm(j1, j2, *rng.uniform(-a, a, size=2)) for j1, j2, a in law.bands]
+            terms = [HarmonicTerm(j1, j2, *rng.uniform(-a, a, size=2)) for j1, j2, a in law]
             got = _series_fields(offset, terms, CELL, *points, harmonics)
             assert all(np.array_equal(a, b) for a, b in zip(got, _series_grid(offset, terms, CELL)))
     calls = []
     real = geometry._harmonic
     monkeypatch.setattr(geometry, "_harmonic", lambda *a: calls.append(a[:2]) or real(*a))
     samples = sample_ensemble(0, 8, 0.2, law, GEOM, 0.0)
-    assert calls == [(j1, j2) for j1, j2, _ in law.bands]
+    assert calls == [(j1, j2) for j1, j2, _ in law]
     for s in samples:
         ref = SurfaceProfile(offset=0.0, terms=s.surface.terms, cell=CELL)
         assert (s.surface.f_min, s.surface.f_max, s.surface.L) == (ref.f_min, ref.f_max, ref.L)
 
 
 def test_law_worst_case_dominates_samples():
-    law = CoefficientLaw(bands=((1, 0, 0.05), (2, 1, 0.03)))
+    law = ((1, 0, 0.05), (2, 1, 0.03))
     bound = worst_case_1inf(law, CELL)
     for s in sample_ensemble(4, 10, bound, law, GEOM, 0.0):
         assert sup_distance_1inf(s.surface, flat()) <= bound + 1e-12
 
 
 def test_source_spec_support_above_slab():
-    law = CoefficientLaw(bands=((1, 0, 0.04),))
-    for s in sample_ensemble(1, 5, 0.3, law, GEOM, 0.0, source_spec=SourceSpec()):
+    law = ((1, 0, 0.04),)
+    for s in sample_ensemble(1, 5, 0.3, law, GEOM, 0.0, amplitude=1.0):
         lo, hi = s.source.support()
         assert lo >= GEOM.M_sup
         assert hi <= GEOM.h
 
 
 def test_ensemble_rejects_bad_sizes():
-    law = CoefficientLaw(bands=((1, 0, 0.04),))
+    law = ((1, 0, 0.04),)
     with pytest.raises(ConstraintError):
         sample_ensemble(0, 0, 0.3, law, GEOM, 0.0)

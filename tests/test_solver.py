@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import elastrip
 from elastrip import harness, solver
@@ -31,7 +31,6 @@ from elastrip.solver import (
     gmres,
     physical_quad_fields,
     poincare_slack,
-    quad_weights,
     solve_field,
     SolverContext,
     TransformCoefficients,
@@ -108,7 +107,8 @@ def test_rough_operator_matches_its_form(mu, lam_frac, omega, terms, N, nz, seed
         return np.stack([G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]])
 
     planes = coeffs.block(slice(None), Workspace())
-    Fx, Fy = (physical_quad_fields(mesh, f.coeff, planes) for f in (fx, fy))
+    Fx, Fy = (physical_quad_fields(mesh, f.coeff, planes, slice(None), Workspace())
+              for f in (fx, fy))
     (ux, Gx), (uy, Gy) = ((F[:, 0], F[:, 1:]) for F in (Fx, Fy))
     density = (2 * mu * np.sum(Gx * np.conj(Gy), axis=(0, 1))
                + params.lam * np.trace(Gx) * np.conj(np.trace(Gy))
@@ -231,7 +231,7 @@ def test_element_blocks_do_not_change_results(monkeypatch):
         ctx = SolverContext(mesh, P)
         return [StripOperator(ctx, coeffs).matvec(x),
                 np.array(harness.field_physical_norms(field, coeffs, ctx.work)),
-                np.array(harness.source_norms(src, mesh, coeffs, physical=True)),
+                np.array(harness.source_norms(src, mesh, coeffs, ctx.work)),
                 assemble_rhs(mesh, src, coeffs, physical=True)]
 
     assert solver.element_blocks(mesh, Workspace()) == [slice(0, 10)]
@@ -611,8 +611,10 @@ def test_flat_physical_norms_need_no_transform(N1, N2, nz, cell, seed):
         norms = harness.field_physical_norms(field, None, Workspace())
     assert not calls
     F = physical_quad_fields(mesh, field.coeff,
-                             identity_transform(mesh).block(slice(None), Workspace()))
-    sums = [np.sum(quad_weights(mesh) * np.abs(F[:, j]) ** 2) for j in range(4)]
+                             identity_transform(mesh).block(slice(None), Workspace()),
+                             slice(None), Workspace())
+    plain = mesh.wq[None, None] * mesh.point_weight
+    sums = [np.sum(plain * np.abs(F[:, j]) ** 2) for j in range(4)]
     ref = (sums[0], sum(sums[1:]))
     assert norms == pytest.approx(ref, rel=1e-13)
 
@@ -665,8 +667,8 @@ def test_flat_load_vector_and_source_norms_match_the_grid(case):
     rhs = assemble_rhs(mesh, source)
     ref = assemble_rhs(mesh, source, identity, physical=True)
     assert np.linalg.norm(rhs - ref) <= 1e-13 * np.linalg.norm(ref)
-    norms = harness.source_norms(source, mesh, None)
-    ref_norms = harness.source_norms(source, mesh, identity, physical=True)
+    norms = harness.source_norms(source, mesh, None, work)
+    ref_norms = harness.source_norms(source, mesh, identity, work)
     assert norms == pytest.approx(ref_norms, rel=1e-13, abs=0.0)
 
 
@@ -675,7 +677,7 @@ def test_energy_balance_and_poincare_flat():
     rhs = assemble_rhs(mesh, bump())
     ctx = SolverContext(mesh, P)
     field, _ = solve_field(ctx, rhs)
-    res, power = energy_balance(field, rhs, ctx)
+    res, power, _ = energy_balance(field, rhs, ctx)
     assert res < 1e-10
     assert power >= 0.0
     assert poincare_slack(field) > 0.0
@@ -777,7 +779,7 @@ def test_solve_surface_flags_mode_coupling():
         field, info, rhs, coeffs = surface_solve(ctx, surface)
         assert (coeffs is None) == direct
         assert info.method == ("direct" if direct else "gmres")
-        res, power = energy_balance(field, rhs, ctx)
+        res, power, _ = energy_balance(field, rhs, ctx)
         assert info.residual < 1e-9 and res < 1e-8 and power >= 0.0
 
 
@@ -788,7 +790,7 @@ def test_rough_solve_energy_balance():
     field, info, rhs, _ = surface_solve(ctx, f)
     assert info.method == "gmres"
     assert info.residual < 1e-9
-    res, power = energy_balance(field, rhs, ctx)
+    res, power, _ = energy_balance(field, rhs, ctx)
     assert res < 1e-8
     assert power >= 0.0
 
@@ -831,8 +833,76 @@ def test_direct_solve_keeps_the_flux_identity(mu, lam_frac, omega, N, nz, z0):
     rhs = assemble_rhs(mesh, bump(z0=z0))
     ctx = SolverContext(mesh, params)
     field, _ = solve_field(ctx, rhs)
-    res, power = energy_balance(field, rhs, ctx)
+    res, power, _ = energy_balance(field, rhs, ctx)
     assert res <= harness.ENERGY_TOL and power >= 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       terms=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                                st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+                      min_size=1, max_size=3),
+       N=st.integers(1, 2), nz=st.integers(1, 12), z0=st.floats(0.45, 0.8))
+@example(mu=0.25, lam_frac=0.0, omega=11.0, terms=[(1, 1, 0.0, 0.03125)], N=1, nz=4, z0=0.5)
+def test_rough_solve_keeps_the_flux_identity(mu, lam_frac, omega, terms, N, nz, z0):
+    """A converged solve on a random rough surface passes the energy gate
+    for any material.  The example's mismatch, 2.2e-7, exceeds
+    ``ENERGY_TOL`` but lies within what its solve residual allows.  A solve
+    that spends the ``_GMRES_MAX_ITER`` steps ends in NonConvergenceError,
+    the typed error of that failure, and the gate has no field to judge; at
+    small mu and large omega some surfaces do (see
+    :func:`test_rough_refinement_converges_where_one_complex128_cycle_does`).
+    """
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    ctx = SolverContext(flat_mesh(N=N, nz=nz), params)
+    f = make_profile(0.0, terms, GEOM)
+    tol = 1e-9
+    try:
+        field, info, rhs, _ = solve_surface(ctx, f, CutoffFn(0.25, 1.0), bump(z0=z0),
+                                            physical=True, tol=tol)
+    except NonConvergenceError as err:
+        assert f"after {solver._GMRES_MAX_ITER} iterations" in str(err)
+        reject()
+    res, power, leeway = energy_balance(field, rhs, ctx)
+    assert info.residual <= tol
+    assert harness.energy_ok(res, power, leeway, info.residual)
+    assert power >= harness.POWER_TOL
+
+
+@pytest.mark.xfail(raises=NonConvergenceError, strict=True,
+                   reason="each refinement round restarts the Krylov space")
+def test_rough_refinement_converges_where_one_complex128_cycle_does():
+    """At mu = 0.22, omega = 12 (k_s = 25.7) one complex128 GMRES cycle,
+    preconditioned by the flat block-LU, meets tol in 45 steps, under the
+    cap of 50.  The mixed-precision refinement meets its first round's
+    target in 23 complex64 steps, restarts from that residual, 2.3e-5, and
+    reaches only 2.9e-8 in the 27 steps left, so it raises
+    NonConvergenceError."""
+    mu = 0.21875
+    ctx = SolverContext(flat_mesh(N=2, nz=8), ElasticParams(lam=-0.5 * mu, mu=mu, omega=12.0))
+    f = make_profile(0.0, [(0, 1, 0.0, 0.03125), (1, 1, 0.0, 0.03125)], GEOM)
+    coeffs = TransformCoefficients(ctx.mesh, f, CutoffFn(0.25, 1.0))
+    rhs = assemble_rhs(ctx.mesh, bump(z0=0.5), coeffs, physical=True, work=ctx.work)
+    _, one_cycle = gmres(StripOperator(ctx, coeffs).matvec, rhs, ctx.solve, 1e-9)
+    assert one_cycle.iterations <= solver._GMRES_MAX_ITER
+    field, info = solve_field(ctx, rhs, coeffs, tol=1e-9)
+    assert harness.energy_ok(*energy_balance(field, rhs, ctx), info.residual)
+
+
+def test_energy_gate_fails_a_perturbed_rough_solution():
+    """The allowance for the solve residual passes no wrong solution: a
+    converged rough field moved by 1e-6 relative fails the gate at the
+    solve's own residual, in every random direction tried."""
+    ctx = SolverContext(flat_mesh(N=2, nz=16), P)
+    field, info, rhs, _ = surface_solve(ctx, make_profile(0.0, ((1, 0, 0.08, 0.0),), GEOM))
+    assert harness.energy_ok(*energy_balance(field, rhs, ctx), info.residual)
+    x = field.free_vector()
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        d = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        moved = DiscreteField.from_free_vector(
+            x + 1e-6 * np.linalg.norm(x) / np.linalg.norm(d) * d, ctx.mesh)
+        assert not harness.energy_ok(*energy_balance(moved, rhs, ctx), info.residual)
 
 
 def test_values_at_points_match_mode_sum():
@@ -1535,6 +1605,23 @@ def test_mode_quadratics_on_live_modes_have_the_bits_of_every_mode(N1, N2, nz, c
         assert field.vh_norm() == vh
 
 
+def test_gmres_holds_no_zero_iterate(monkeypatch):
+    """A nonzero solve starts from the scalar x0 = 0 and makes no zero
+    vector of b's shape to hold it."""
+    rng = np.random.default_rng(2)
+    n = 40
+    A = np.eye(n) * 4 + (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    on_b = []
+    real = np.zeros_like
+    monkeypatch.setattr(np, "zeros_like", lambda a, *args, **kwargs:
+                        on_b.append(a is b) or real(a, *args, **kwargs))
+    x, info = gmres(lambda v: A @ v, b, lambda v: v, 1e-10)
+    assert info.residual <= 1e-10
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert not any(on_b)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n_modes=st.integers(1, 300), nz=st.integers(1, 100),
        live_share=st.sampled_from([0.0, 0.02, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
@@ -1548,9 +1635,10 @@ def test_dot_on_live_modes_has_the_bits_of_the_full_vectors(n_modes, nz, live_sh
                         + 1j * rng.standard_normal((2, 3, len(live), nz)))
     a, b = full[:, :, live]
     dot = solver._dot(full[0].ravel(), full[1].ravel())
-    assert solver._dot_on(a, b, live, n_modes) == dot
-    assert solver._dot_on(full[0], full[1], None, n_modes) == dot
-    assert solver._norm_on(a, live, n_modes) == solver._norm(full[0].ravel())
+    work = Workspace()
+    assert solver._dot_on(a, b, live, n_modes, work) == dot
+    assert solver._dot_on(full[0], full[1], None, n_modes, work) == dot
+    assert solver._norm_on(a, live, n_modes, work) == solver._norm(full[0].ravel())
 
 
 def test_flat_solve_and_diagnostics_allocate_under_three_free_vectors():
