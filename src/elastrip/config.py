@@ -7,6 +7,7 @@ exactly for the config echo embedded in every report.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, asdict
 
 from .errors import ConfigError
@@ -75,16 +76,25 @@ class RunConfig:
     run: RunSection = field(default_factory=RunSection)
 
     def __post_init__(self):
-        d = self.discretization
+        d, s, r = self.discretization, self.source, self.run
+        ints = [("discretization.N1", d.N1), ("discretization.N2", d.N2),
+                ("discretization.n_z", d.n_z), ("source.j1", s.j1), ("source.j2", s.j2),
+                ("source.component", s.component), ("run.seed", r.seed),
+                ("run.n_samples", r.n_samples),
+                ("run.threads", 1 if r.threads is None else r.threads)]
+        for key in ("terms", "law_bands"):
+            ints += [(f"surface.{key} j1, j2", j)
+                     for t in getattr(self.surface, key) for j in t[:2]]
+        for key, value in ints:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if d.N1 < 0 or d.N2 < 0 or d.n_z < 1:
             raise ConfigError("discretization sizes must be positive")
-        if not 0 <= self.source.component <= 2:
-            raise ConfigError(f"source component must be 0, 1 or 2, got {self.source.component}")
-        threads = self.run.threads
-        if self.run.n_samples < 1 or threads is not None and not (
-                isinstance(threads, int) and threads >= 1):
+        if not 0 <= s.component <= 2:
+            raise ConfigError(f"source component must be 0, 1 or 2, got {s.component}")
+        if r.n_samples < 1 or r.threads is not None and r.threads < 1:
             raise ConfigError("run.n_samples must be >= 1 and run.threads an integer >= 1")
-        if self.run.seed < 0:
+        if r.seed < 0:
             raise ConfigError("run.seed must be nonnegative")
         # revalidate the physical quantities through the core types
         self.elastic_params()

@@ -77,7 +77,9 @@ class StripMesh:
         E2, E2d = _dft_matrices(j2, xi2, self.P2)
         forward = (E1, E1d, E2, E2d)
         # per complex dtype: (E1, E1d, E2, E2d) and their conjugate transposes
-        self._dft = {np.dtype(complex): forward + tuple(E.conj().T.copy() for E in forward)}
+        double = forward + tuple(E.conj().T.copy() for E in forward)
+        self._dft = {np.dtype(complex): double,
+                     np.dtype(np.complex64): tuple(E.astype(np.complex64) for E in double)}
 
     # -- vertical FEM pieces -------------------------------------------------
 
@@ -222,12 +224,9 @@ class StripMesh:
 
     def dft_matrices(self, dtype) -> tuple:
         """(E1, E1d, E2, E2d, E1H, E1dH, E2H, E2dH) at the complex dtype of
-        a field of ``dtype``, cast from the complex128 ones at the first
-        call and kept: call it before threads share the mesh."""
-        key = _complex_dtype(dtype)
-        if key not in self._dft:
-            self._dft[key] = tuple(E.astype(key) for E in self._dft[np.dtype(complex)])
-        return self._dft[key]
+        a field of ``dtype``; the complex64 ones are the complex128 ones
+        cast."""
+        return self._dft[_complex_dtype(dtype)]
 
     def collocation_padded(self):
         x1 = self.grid.cell[0] * np.arange(self.P1) / self.P1

@@ -8,6 +8,9 @@ the zero solution, so the direct solve assembles and factors, in one
 batched block-LU, only the classes its load reaches: a few for a source
 of a few harmonics.  The block-LU runs on class-last views of the bands and
 inverts its 3x3 pivots in closed form, so it makes no LAPACK or BLAS call.
+Where a pivot's determinant cancels in its row expansion, the whole
+elimination runs again from the top node, fitting each determinant that
+cancels.
 Rough surface:
 the flattening transform turns the problem into a variable-coefficient one on
 the same reference strip, applied matrix-free and solved with the module's
@@ -49,7 +52,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -320,19 +323,20 @@ def _class_frequencies(grid: SpectralGrid):
     return XI1[:grid.N1 + 1], XI2[:, :grid.N2 + 1]
 
 
-def every_class(grid: SpectralGrid) -> np.ndarray:
-    """The mask of every mirror class, all True, (N1 + 1, N2 + 1)."""
-    return np.ones((grid.N1 + 1, grid.N2 + 1), dtype=bool)
+def every_class(mesh: StripMesh) -> ClassMaps:
+    """The :class:`ClassMaps` of every mirror class of the mesh's lattice."""
+    g = mesh.grid
+    return mirror_classes(np.ones((g.N1 + 1, g.N2 + 1), dtype=bool), mesh.n_nodes - 1)
 
 
 def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams,
-                         classes: np.ndarray) -> np.ndarray:
-    """Flat operator as bands, one per mirror class the boolean
-    (N1 + 1, N2 + 1) mask ``classes`` marks: shape (3, n, n_z, 3, 3) for n
-    marked classes, in row-major order (:func:`every_class` marks all).
+                         classes: ClassMaps) -> np.ndarray:
+    """Flat operator as bands, one per mirror class of ``classes``: shape
+    (3, n, n_z, 3, 3) for n listed classes, in their order
+    (:func:`every_class` lists all).
 
     bands[d, c, i] is the lower (d=0), diagonal (1) or upper (2) 3x3 block
-    of free node i in the 1D Galerkin matrix of the c-th marked class
+    of free node i in the 1D Galerkin matrix of the c-th listed class
     (c1, c2), including the DtN boundary term on the top diagonal block.
     The isotropic Navier operator and the half-space DtN map are unchanged
     by the reflections x1 -> -x1 and x2 -> -x2, so mode (s1 c1, s2 c2),
@@ -341,7 +345,7 @@ def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams,
     sign flip is exact, so those are the bits an assembly of every mode
     gives.  Only classes, on the non-negative FFT half of the frequencies,
     are assembled; :func:`block_lu_solver` and :func:`banded_matvec` apply
-    the signs.  The densities and DtN symbols are formed at the marked
+    the signs.  The densities and DtN symbols are formed at the listed
     classes' frequencies alone, as one (n, 1) grid, by the same operations
     per class as on the full (N1 + 1, N2 + 1) grid: each band has the bits
     of an assembly of every class.
@@ -349,8 +353,7 @@ def assemble_flat_blocks(mesh: StripMesh, params: ElasticParams,
     g = mesh.grid
     lam, mu, w = params.lam, params.mu, params.omega
     XI1, XI2 = _class_frequencies(g)
-    c1, c2 = np.nonzero(classes)
-    XI1, XI2 = XI1[c1], XI2[0, c2, None]
+    XI1, XI2 = XI1[classes.c1], XI2[0, classes.c2, None]
     K = _mode_density(XI1, XI2, 2 * mu, lam, -mu, -w * w)[..., 0]
     Msym = dtn_symbol_grid(XI1, XI2, params)[..., 0]  # [k, j, class]
     bands = _assemble_bands(mesh, K)
@@ -364,33 +367,34 @@ _SLOT_SIGNS = ((1, 1), (1, -1), (-1, -1), (-1, 1))
 
 
 class ClassMaps(NamedTuple):
-    """Index maps between the free entries of some mirror classes and their
-    class layout (see :func:`_mirror_maps`)."""
+    """Some mirror classes (|j1|, |j2|) of a flat operator and the index
+    maps between the free entries of their modes and their class layout
+    (see :func:`mirror_classes`)."""
 
+    c1: np.ndarray       # |j1| of every class, row-major
+    c2: np.ndarray       # |j2| of every class
     gather: np.ndarray   # entry position of every class-layout entry, [i, k, slot, class]
     scatter: np.ndarray  # class-layout position of every entry, in entry order
     modes: np.ndarray    # the classes' modes, FFT-order flat indices m1 n2 + m2, ascending
 
 
-@lru_cache(maxsize=4)
-def _mirror_maps(N1: int, N2: int, nz: int, columns: tuple) -> ClassMaps:
-    """Index maps between the free entries of the mirror classes ``columns``
-    (class c1 (N2 + 1) + c2, ascending) and the class layout of the flat
-    solves.
+def mirror_classes(mask: np.ndarray, nz: int) -> ClassMaps:
+    """The mirror classes the boolean (N1 + 1, N2 + 1) ``mask`` marks, in
+    row-major order, on ``nz`` free nodes, with the index maps of the flat
+    solves' class layout.
 
     The entries are the free-vector entries of the classes' modes, in
     free-vector order [k, mode, node]: the whole free vector when every
-    class is listed.  The class layout is [i, k, slot, class]: i runs over
-    the free nodes top-down, class over the listed classes (|j1|, |j2|),
-    and the slots hold the modes of ``_SLOT_SIGNS``.  A slot of c = 0 with
-    the minus sign holds the mode itself again.  The arrays are read-only
-    and shared between calls.
+    class is marked.  The class layout is [i, k, slot, class]: i runs over
+    the free nodes top-down, class over the marked classes, and the slots
+    hold the modes of ``_SLOT_SIGNS``.  A slot of c = 0 with the minus sign
+    holds the mode itself again.
     """
+    N1, N2 = mask.shape[0] - 1, mask.shape[1] - 1
     n1, n2 = 2 * N1 + 1, 2 * N2 + 1
-    cls = np.array(columns, dtype=int)
-    c1, c2 = divmod(cls, N2 + 1)
-    mode = np.stack([((s1 * c1) % n1) * n2 + (s2 * c2) % n2
-                     for s1, s2 in _SLOT_SIGNS])  # FFT order, [slot, class]
+    c1, c2 = np.nonzero(mask)
+    s1, s2 = np.array(_SLOT_SIGNS).T[:, :, None]  # [slot, 1] each
+    mode = ((s1 * c1) % n1) * n2 + (s2 * c2) % n2  # FFT order, [slot, class]
     modes = np.unique(mode)
     k = np.arange(3)
     flip_nodes = np.arange(nz)[::-1]  # free node of layout node i, and layout node of free node
@@ -398,12 +402,10 @@ def _mirror_maps(N1: int, N2: int, nz: int, columns: tuple) -> ClassMaps:
               + flip_nodes[:, None, None, None])
     j1, j2 = ((m + N) % n - N for m, n, N in ((modes // n2, n1, N1), (modes % n2, n2, N2)))
     slot = np.where(j1 < 0, np.where(j2 < 0, 2, 3), np.where(j2 < 0, 1, 0))  # see _SLOT_SIGNS
-    column = np.searchsorted(cls, abs(j1) * (N2 + 1) + abs(j2))
-    scatter = ((((flip_nodes * 3 + k[:, None, None]) * 4 + slot[:, None]) * len(cls)
+    column = (np.cumsum(mask) - 1).reshape(mask.shape)[abs(j1), abs(j2)]  # class of each mode
+    scatter = ((((flip_nodes * 3 + k[:, None, None]) * 4 + slot[:, None]) * len(c1)
                 + column[:, None]).ravel())
-    for arr in (gather, scatter, modes):
-        arr.flags.writeable = False
-    return ClassMaps(gather, scatter, modes)
+    return ClassMaps(c1, c2, gather, scatter, modes)
 
 
 def _flip(y: np.ndarray) -> np.ndarray:
@@ -416,7 +418,7 @@ def _flip(y: np.ndarray) -> np.ndarray:
 
 
 def _to_classes(v: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """Entries v in the class layout of :func:`_mirror_maps`, in v's
+    """Entries v in the class layout of :func:`mirror_classes`, in v's
     precision, each slot turned into the image of its class by
     :func:`_flip`; one gather."""
     return _flip(np.asarray(v)[gather])
@@ -436,15 +438,6 @@ def _class_views(bands: np.ndarray):
     return bands[:, :, ::-1].transpose(0, 2, 3, 4, 1)
 
 
-def _class_maps(bands: np.ndarray, classes: np.ndarray):
-    """(N2, columns, maps): the lattice's N2 and the classes of ``bands``,
-    assembled on the ``classes`` mask (see :func:`assemble_flat_blocks`),
-    and their :func:`_mirror_maps`."""
-    N1, N2 = classes.shape[0] - 1, classes.shape[1] - 1
-    columns = tuple(np.flatnonzero(classes).tolist())
-    return N2, columns, _mirror_maps(N1, N2, bands.shape[-3], columns)
-
-
 def _reached_classes(mesh: StripMesh, v: np.ndarray) -> np.ndarray:
     """The mirror classes (|j1|, |j2|) of the modes that hold a nonzero (or
     NaN) entry of the free vector v, as a boolean (N1 + 1, N2 + 1) mask."""
@@ -456,13 +449,13 @@ def _reached_classes(mesh: StripMesh, v: np.ndarray) -> np.ndarray:
     return reached
 
 
-def banded_matvec(bands: np.ndarray, v: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """The bands' operator, assembled on the mask ``classes``, on the free
-    entries of the marked classes' modes, in free-vector order (the
-    entries of :func:`_mirror_maps`): (A v)_i = L_i v_{i-1} + D_i v_i +
-    U_i v_{i+1}.  The operator is zero on the other modes.
+def banded_matvec(bands: np.ndarray, v: np.ndarray, classes: ClassMaps) -> np.ndarray:
+    """The bands' operator, assembled on ``classes``, on the free entries
+    of the classes' modes, in free-vector order (the entries of
+    :func:`mirror_classes`): (A v)_i = L_i v_{i-1} + D_i v_i + U_i v_{i+1}.
+    The operator is zero on the other modes.
 
-    Runs on the class layout of :func:`_mirror_maps`.  The block products
+    Runs on the class layout of :func:`mirror_classes`.  The block products
     are matmuls of [class, k, j] blocks, broadcast over the sign slots, on
     [slot, class, j, 1] vectors, in numpy's own loop: one running sum over
     j an entry, added in the order above.  Those are the bits of the same
@@ -474,17 +467,16 @@ def banded_matvec(bands: np.ndarray, v: np.ndarray, classes: np.ndarray) -> np.n
     stride keeps every block out of BLAS, so the bits do not depend on how
     many classes the bands hold.
     """
-    maps = _class_maps(bands, classes)[2]
     # nodes top-down: the lower blocks couple node i to i + 1, the upper ones to i - 1;
     # each is [i, 1, class, k, j], rows reversed
     below, diag, above = _class_views(bands).transpose(0, 1, 4, 2, 3)[:, :, None, :, ::-1]
-    x = _to_classes(v, maps.gather).transpose(0, 2, 3, 1)
+    x = _to_classes(v, classes.gather).transpose(0, 2, 3, 1)
     x = x[..., None]  # [i, slot, class, j, 1]
     y = diag @ x
     y[:-1] += below[:-1] @ x[1:]
     y[1:] += above[1:] @ x[:-1]
     out = np.ascontiguousarray(y[..., ::-1, 0].transpose(0, 3, 1, 2))  # [i, k, slot, class]
-    return _from_classes(out, maps.scatter)
+    return _from_classes(out, classes.scatter)
 
 
 # With rows and columns taken cyclically, cofactor (k, j) of a 3x3 matrix is
@@ -496,7 +488,8 @@ _COFACTOR_ROWS = np.array([_NEXT, _NEXT, _AFTER, _AFTER])[:, :, None]
 _COFACTOR_COLS = np.array([_NEXT, _AFTER, _AFTER, _NEXT])[:, None, :]
 # Cancellation sum |a_0j cof_0j| / |det| of a row expansion above which the
 # determinant is fitted instead (see _adjugate3).  Block-LU pivots of flat
-# strips over random materials, depths and modes measured up to 3.6.
+# strips over random materials, depths and modes reach above it: 4.1 at node
+# 2 of class (1, 1) on lam 2.8885, mu 0.3, omega 3.69, cell (1.5, 2.2), n_z 4.
 _CANCELLATION = 4.0
 
 
@@ -513,11 +506,13 @@ def _expansion3(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarra
     return cof, np.multiply(a[0], cof[0], out=out)
 
 
-def _adjugate3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _adjugate3(a: np.ndarray, fit: bool = True,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Adjugates and determinants of the 3x3 matrices a[k, j, ...], batched
     over the trailing axes by elementwise products: a^{-1} = adj / det.
+    The terms of the expansion along row 0 go to ``out``.
 
-    The determinant is the expansion along row 0, except where its terms
+    The determinant is the expansion, except, with ``fit``, where its terms
     cancel by more than ``_CANCELLATION``.  On a matrix with two small
     singular values the expansion loses a relative cond^2 eps; there the
     determinant is instead fitted to cof(cof(a)) = det(a) a by least
@@ -527,14 +522,15 @@ def _adjugate3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pairwise one on a single contiguous matrix, so a factor of one mirror
     class would round differently from the same class among others.
     """
-    cof, terms = _expansion3(a)
+    cof, terms = _expansion3(a, out=out)
     det = terms.sum(axis=0)
-    cancels = _cancels(terms, det, axis=0)
-    if cancels.any():
-        w = a.conj()
-        fit = (reduce(np.add, (_cofactors3(cof) * w).reshape((9,) + a.shape[2:]))
-               / reduce(np.add, (a * w).reshape((9,) + a.shape[2:])))
-        det = np.where(cancels, fit, det)
+    if fit:
+        cancels = _cancels(terms, det, axis=0)
+        if cancels.any():
+            w = a.conj()
+            fitted = (reduce(np.add, (_cofactors3(cof) * w).reshape((9,) + a.shape[2:]))
+                      / reduce(np.add, (a * w).reshape((9,) + a.shape[2:])))
+            det = np.where(cancels, fitted, det)
     return cof.swapaxes(0, 1), det
 
 
@@ -544,71 +540,67 @@ def _cancels(terms: np.ndarray, det: np.ndarray, axis: int) -> np.ndarray:
     return abs(terms).sum(axis=axis) > _CANCELLATION * abs(det)
 
 
-def _eliminate(diag, lower, upper, piv, Cs, det, start: int, fit: bool) -> np.ndarray:
-    """The block Thomas pivots of :func:`block_lu_solver` from node
-    ``start`` on, nodes top-down, in place: the inverted pivots ``piv``,
-    the determinants ``det`` and Cs, where Cs[i] is C of the node above
-    node i (zero above node 0), so C_i is Cs[i + 1].
-
-    Without ``fit`` every determinant is the row expansion of
-    :func:`_adjugate3`, formed without its cancellation check, and the
-    expansion terms are returned, [node, j, class], for the caller to
-    check; with ``fit`` each pivot takes :func:`_adjugate3` itself.  A
-    block product and its sum over j are one multiply into a buffer and one
-    reduction, the arithmetic of a broadcast product and its sum.
+def _eliminate(diag, lower, upper, fit: bool):
+    """The block Thomas pivots of :func:`block_lu_solver`, nodes top-down:
+    the inverted pivots piv[i, k, j, class], Cs, where Cs[i] is C of the
+    node above node i (zero above node 0), so C_i is Cs[i + 1], the
+    determinants det[i, class] and their expansion terms[i, j, class] (see
+    :func:`_adjugate3`, which forms each pivot's, with its cancellation
+    check when ``fit``).  A block product and its sum over j are one
+    multiply into a buffer and one reduction, the arithmetic of a
+    broadcast product and its sum.
     """
-    terms = np.empty((len(diag), 3) + diag.shape[3:], dtype=complex)
-    prod = np.empty((3, 3, 3) + diag.shape[3:], dtype=complex)  # a block product before its sum
-    for i in range(start, len(diag)):
+    nz, batch = len(diag), diag.shape[3:]  # batch: the class axis
+    piv = np.empty_like(diag, order="C")
+    Cs = np.zeros((nz + 1,) + diag.shape[1:], dtype=complex)
+    det = np.empty((nz,) + batch, dtype=complex)
+    terms = np.empty((nz, 3) + batch, dtype=complex)
+    prod = np.empty((3, 3, 3) + batch, dtype=complex)  # a block product before its sum
+    for i in range(nz):
         a = np.subtract(diag[i], np.add.reduce(
             np.multiply(lower[i][:, :, None], Cs[i], out=prod), axis=1))
-        if fit:
-            adj, det[i] = _adjugate3(a)
-        else:
-            cof, _ = _expansion3(a, out=terms[i])
-            adj = cof.swapaxes(0, 1)
-            np.add.reduce(terms[i], axis=0, out=det[i])
+        adj, det[i] = _adjugate3(a, fit, out=terms[i])
         np.divide(adj, det[i], out=piv[i])
         np.add.reduce(np.multiply(piv[i][:, :, None], upper[i], out=prod), axis=1, out=Cs[i + 1])
-    return terms
+    return piv, Cs, det, terms
 
 
-def block_lu_solver(bands: np.ndarray, classes: np.ndarray, dtype=complex):
-    """Block-LU of all classes of the bands, assembled on the mask
-    ``classes``, at once; returns solve(b) = A^{-1} b.
+def block_lu_solver(bands: np.ndarray, classes: ClassMaps, dtype=complex):
+    """Block-LU of all classes of the bands, assembled on ``classes``, at
+    once; returns solve(b) = A^{-1} b.
 
     Block Thomas (Golub & Van Loan, Matrix Computations, 4.5): pivots
     P_i = D_i - L_i C_{i-1}, C_i = P_i^{-1} U_i, batched over the mirror
     classes of :func:`assemble_flat_blocks` with a Python loop over n_z
     only (:func:`_eliminate`).  The factor works on class-last views of
-    the bands, [node, k, j, class], transposed without a copy;
-    only the inverted pivots, C, the determinants and their expansion
-    terms are allocated.  This
-    relies on the layout of :func:`_assemble_bands`, whose bands hold the
-    mode axes innermost; on other strides the views read each 3x3 block's
-    classes far apart.  Each pivot is inverted in closed form, its
+    the bands, [node, k, j, class], transposed without a copy; only the
+    inverted pivots, C, the determinants and their expansion terms are
+    allocated.  This relies on the layout of :func:`_assemble_bands`, whose
+    bands hold the mode axes innermost; on other strides the views read
+    each 3x3 block's classes far apart.  Each pivot is inverted in closed form, its
     adjugate over its determinant, and every 3x3 block product is a
     broadcast product summed over j, so neither the factor nor an apply
     calls LAPACK or BLAS, and the result does not depend on the BLAS thread
     count.  No pivoting between blocks: check the residual.
 
-    The loop forms every determinant by the row expansion.  The
-    cancellation check of :func:`_adjugate3` then runs once over all
-    nodes, and the elimination is repeated, with the check at each node,
-    from the first node where the expansion cancels: each pivot has the
-    bits of a check at every node.  The determinants are checked once
-    after the loop too.
+    One restart rule: the loop forms every determinant by the row
+    expansion, and the cancellation check of :func:`_adjugate3` then runs
+    once over all nodes.  If the expansion cancels at any node, the whole
+    elimination runs again from the top node with the check at every node.
+    The check keeps the expansion wherever it does not cancel, so each
+    pivot has the bits of a check at every node.  The determinants are
+    checked once after the loop too.
 
     A mirror mode's pivots, C and solution are those of its class with the
     signs of S = diag(s1, s2, 1) on rows and columns, exactly.  An apply
-    therefore takes b into the class layout of :func:`_mirror_maps` by one
+    therefore takes b into the class layout of :func:`mirror_classes` by one
     gather, negating u1 and u2 of the mirror slots in place
     (:func:`_to_classes`), sweeps all four sign slots of a class with its
     pivots, and takes the result back the same way
     (:func:`_from_classes`): every mode gets the bits of a factor of its
-    own matrix.  solve takes and returns the free entries of the marked
-    classes' modes only, in free-vector order (the entries of
-    :func:`_mirror_maps`): an apply gathers, sweeps and scatters as many
+    own matrix.  solve takes and returns the free entries of the classes'
+    modes only, in free-vector order (the entries of
+    :func:`mirror_classes`): an apply gathers, sweeps and scatters as many
     entries as those modes hold, whatever the lattice.  The other modes of
     the solution are zero.
 
@@ -630,36 +622,31 @@ def block_lu_solver(bands: np.ndarray, classes: np.ndarray, dtype=complex):
     and the mesh node of the first pivot whose determinant is zero or not
     finite.
     """
-    N2, columns, maps = _class_maps(bands, classes)
     # node i of the loops below is free node nz - 1 - i, so lower and upper swap
     upper, diag, lower = _class_views(bands)
     nz = len(diag)
-    piv = np.empty_like(diag, order="C")  # the inverted pivots, [i, k, j, class]
-    Cs = np.zeros((nz + 1,) + diag.shape[1:], dtype=complex)  # C of the node above (see _eliminate)
-    det = np.empty((nz,) + diag.shape[3:], dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # caught by the det check
-        terms = _eliminate(diag, lower, upper, piv, Cs, det, 0, fit=False)
-        cancels = _cancels(terms, det, axis=1).any(axis=1)
-        if cancels.any():
-            _eliminate(diag, lower, upper, piv, Cs, det, int(np.argmax(cancels)), fit=True)
+        piv, Cs, det, terms = _eliminate(diag, lower, upper, fit=False)
+        if _cancels(terms, det, axis=1).any():
+            piv, Cs, det, terms = _eliminate(diag, lower, upper, fit=True)
         bad = ~np.isfinite(det) | (det == 0)
     if bad.any():
         i, k = np.argwhere(bad)[0]
-        c1, c2 = divmod(columns[k], N2 + 1)
         raise NonConvergenceError(f"block-LU: singular pivot at mode "
-                                  f"(±{c1}, ±{c2}), mesh node {nz - i} of {nz}")
+                                  f"(±{classes.c1[k]}, ±{classes.c2[k]}), "
+                                  f"mesh node {nz - i} of {nz}")
     # the class blocks at ``dtype``, broadcast over the sign slots: [i, k, j, 1, class]
     piv, lower, C = (a.astype(dtype, copy=False)[:, :, :, None] for a in (piv, lower, Cs[1:]))
 
     def solve(v: np.ndarray) -> np.ndarray:
-        y = _to_classes(v, maps.gather).astype(np.result_type(v, piv), copy=False)
+        y = _to_classes(v, classes.gather).astype(np.result_type(v, piv), copy=False)
         np.add.reduce(piv[0] * y[0], axis=1, out=y[0])  # node 0 has no node above it
         for p, low, y_i, y_above in zip(piv[1:], lower[1:], y[1:], y[:-1]):
             y_i -= np.add.reduce(low * y_above, axis=1)
             np.add.reduce(p * y_i, axis=1, out=y_i)
         for c, y_i, y_below in zip(C[-2::-1], y[-2::-1], y[:0:-1]):
             y_i -= np.add.reduce(c * y_below, axis=1)
-        return _from_classes(y, maps.scatter)
+        return _from_classes(y, classes.scatter)
 
     return solve
 
@@ -1280,25 +1267,22 @@ class SolverContext:
             self._reserved = self.work
 
     def inner_mesh(self, surface: SurfaceProfile) -> StripMesh:
-        """The mesh on :func:`inner_collocation`'s grid for ``surface``, with
-        its complex64 DFT matrices: the context's own mesh when the sizes
-        are its own, otherwise one built at the first request of the sizes
-        and kept, for this context and its shares."""
+        """The mesh on :func:`inner_collocation`'s grid for ``surface``: the
+        context's own mesh when the sizes are its own, otherwise one built
+        at the first request of the sizes and kept, for this context and
+        its shares."""
         sizes = inner_collocation(self.mesh, surface)
         if sizes == (self.mesh.P1, self.mesh.P2):
-            mesh = self.mesh
-        elif sizes in self._inner_meshes:
-            return self._inner_meshes[sizes]
-        else:
+            return self.mesh
+        if sizes not in self._inner_meshes:
             m = self.mesh
-            mesh = self._inner_meshes[sizes] = StripMesh(m.grid, m.bottom, m.top, m.n_elements,
-                                                         collocation=sizes)
-        mesh.dft_matrices(np.complex64)
-        return mesh
+            self._inner_meshes[sizes] = StripMesh(m.grid, m.bottom, m.top, m.n_elements,
+                                                  collocation=sizes)
+        return self._inner_meshes[sizes]
 
     @cached_property
     def solve(self):
-        every = every_class(self.mesh.grid)
+        every = every_class(self.mesh)
         return block_lu_solver(assemble_flat_blocks(self.mesh, self.params, every), every,
                                np.complex64)
 
@@ -1352,7 +1336,8 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     :func:`gmres` with one.
 
     The direct path assembles, factors and applies the bands of only the
-    mirror classes that hold a nonzero entry of ``rhs``; the modes of the
+    mirror classes that hold a nonzero entry of ``rhs``, whose
+    :class:`ClassMaps` it builds once for all three; the modes of the
     others are zero, as the solve of every class gives them.  After the
     load it runs on those classes' modes alone: it gathers their entries
     of ``rhs`` once, and the block-LU, the residual multiply with the same
@@ -1384,9 +1369,8 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
                         residual=StripOperator(ctx, coeffs).matvec)
         return DiscreteField.from_free_vector(x, ctx.mesh), info
     g, nz = ctx.mesh.grid, ctx.mesh.n_nodes - 1
-    reached = _reached_classes(ctx.mesh, rhs)
-    bands = assemble_flat_blocks(ctx.mesh, ctx.params, reached)
-    modes = _class_maps(bands, reached)[2].modes
+    reached = mirror_classes(_reached_classes(ctx.mesh, rhs), nz)
+    bands, modes = assemble_flat_blocks(ctx.mesh, ctx.params, reached), reached.modes
     b = np.reshape(rhs, (3, g.n1 * g.n2, nz))[:, modes]  # [k, mode, node]
     x = block_lu_solver(bands, reached)(b.ravel())
     r = np.subtract(banded_matvec(bands, x, reached), b.ravel()).reshape(b.shape)

@@ -153,7 +153,7 @@ def coercivity_probe(mesh: StripMesh, params: ElasticParams, n_probes: int = 200
     if n_probes <= 0:
         raise ConstraintError("n_probes must be positive")
     grid = mesh.grid
-    blocks = dense_blocks(assemble_flat_blocks(mesh, params, every_class(grid)), grid)
+    blocks = dense_blocks(assemble_flat_blocks(mesh, params, every_class(mesh)), grid)
     gram = dense_blocks(_assemble_bands(mesh, _mode_density(*_class_frequencies(grid),
                                                             1.0, 0.0, 0.0, 1.0)), grid)
     rng = np.random.default_rng(seed)

@@ -79,6 +79,25 @@ def test_unknown_config_key_exits_1(runner, tmp_path):
     assert "omga" in res.output
 
 
+@pytest.mark.parametrize("extra", [
+    {"discretization": {"N1": 2.0}}, {"discretization": {"N1": True}},
+    {"discretization": {"n_z": 8.5}}, {"source": {"j1": 1.5}},
+    {"source": {"component": 1.0}}, {"run": {"threads": True}},
+    {"run": {"n_samples": 2.5}}, {"run": {"seed": 0.5}},
+    {"surface": {"terms": [[1, 0, 0.05, 0.0], [1.0, 0, 0.05, 0.0]]}},
+    {"surface": {"law_bands": [[0, False, 0.05]]}},
+])
+def test_integer_config_keys_take_integers_only(runner, tmp_path, extra):
+    """A float or a boolean where the config takes an integer is a
+    configuration error: exit 1 with nothing written."""
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, extra),
+                               "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "error: " in res.output and "must be an integer" in res.output
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(runner, tmp_path):
     res = runner.invoke(main, ["solve", "--config", str(tmp_path / "nope.yaml"),
                                "--out", str(tmp_path / "out")])

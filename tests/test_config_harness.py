@@ -119,7 +119,7 @@ def test_defaults_are_valid():
     RunConfig()  # no exception
 
 
-@pytest.mark.parametrize("threads", [0, -1, 1.5, "2"])
+@pytest.mark.parametrize("threads", [0, -1, 1.5, "2", True])
 def test_run_threads_must_be_a_positive_integer(threads):
     assert RunConfig().run.threads is None and cfg_with(run={"threads": 3}).run.threads == 3
     with pytest.raises(ConfigError, match="run.threads"):
@@ -324,7 +324,7 @@ def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch, tw
 
     def singular_sample_1(ctx, cutoff, sample, *, tol):
         if sample.sample_id == 1:
-            every = every_class(ctx.mesh.grid)
+            every = every_class(ctx.mesh)
             block_lu_solver(np.zeros_like(assemble_flat_blocks(ctx.mesh, ctx.params, every)),
                             every)
         return real(ctx, cutoff, sample, tol=tol)
@@ -350,12 +350,12 @@ def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch, tw
 
 def test_an_ensemble_builds_its_meshes_and_buffers_before_the_pool(monkeypatch, two_cores):
     """The samples' complex64 operator meshes, on the inner collocation
-    grid, and their complex64 DFT matrices are built in the caller's
-    thread before the pool starts; the workers only read them.  So are
-    the workers' workspace buffers but the float64 scratch plane of the
-    complex64 planes: the workers allocate no large buffer."""
+    grid, are built with their DFT matrices of both precisions in the
+    caller's thread before the pool starts; the workers only read them.
+    So are the workers' workspace buffers but the float64 scratch plane of
+    the complex64 planes: the workers allocate no large buffer."""
     built = []  # (what, in the main thread)
-    post_init, dft_matrices, take = StripMesh.__post_init__, StripMesh.dft_matrices, Workspace.take
+    post_init, take = StripMesh.__post_init__, Workspace.take
 
     def taken(self, name, shape, dtype=complex):
         buf = self._buffers.get(name)
@@ -368,15 +368,7 @@ def test_an_ensemble_builds_its_meshes_and_buffers_before_the_pool(monkeypatch, 
         post_init(self)
         built.append(("mesh", threading.current_thread() is threading.main_thread()))
 
-    def cast(self, dtype):
-        fresh = np.result_type(dtype, np.complex64) not in self._dft
-        out = dft_matrices(self, dtype)
-        if fresh:
-            built.append(("dft", threading.current_thread() is threading.main_thread()))
-        return out
-
     monkeypatch.setattr(StripMesh, "__post_init__", new_mesh)
-    monkeypatch.setattr(StripMesh, "dft_matrices", cast)
     monkeypatch.setattr(Workspace, "take", taken)
     shares = spy_shares(monkeypatch)
     cfg = cfg_with(discretization={"N1": 4, "N2": 4, "n_z": 16},
@@ -384,7 +376,7 @@ def test_an_ensemble_builds_its_meshes_and_buffers_before_the_pool(monkeypatch, 
                    run={"threads": 2})
     rep = monte_carlo(cfg, n=4, seed=3)
     assert shares == [2, 2] and rep.n_completed == 4
-    assert {("mesh", True), ("dft", True), ("fields", True), ("J1", True)} <= set(built)
+    assert {("mesh", True), ("fields", True), ("J1", True)} <= set(built)
     assert all(main for _, main in built), built
 
 

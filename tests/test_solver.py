@@ -70,7 +70,7 @@ def bump(z0=0.55, sigma=0.3):
 def test_operator_matches_flat_blocks():
     """Matrix-free application reproduces the dense expansion of the bands."""
     mesh = flat_mesh(N=2, nz=5)
-    blocks = dense_blocks(assemble_flat_blocks(mesh, P, every_class(mesh.grid)), mesh.grid)
+    blocks = dense_blocks(assemble_flat_blocks(mesh, P, every_class(mesh)), mesh.grid)
     op = StripOperator(SolverContext(mesh, P), identity_transform(mesh))
     g = mesh.grid
     nfree = mesh.n_nodes - 1
@@ -279,7 +279,7 @@ def test_blocked_stages_hold_a_bounded_working_set():
 def test_flat_blocks_storage_is_linear_in_nz():
     """Bands of shape (3, (N1 + 1)(N2 + 1), n_z, 3, 3), one per mirror
     class: doubling n_z doubles the bytes."""
-    small, large = (assemble_flat_blocks(m, P, every_class(m.grid))
+    small, large = (assemble_flat_blocks(m, P, every_class(m))
                     for m in (flat_mesh(N=1, nz=32), flat_mesh(N=1, nz=64)))
     assert small.shape == (3, 4, 32, 3, 3)
     assert large.nbytes == 2 * small.nbytes
@@ -295,7 +295,7 @@ def test_flat_bands_are_stored_mode_last(mu, lam_frac, omega, N1, N2, nz):
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=(2.0, 3.0)),
                      bottom=-0.5, top=0.5, n_elements=nz)
-    bands = assemble_flat_blocks(mesh, params, every_class(mesh.grid))
+    bands = assemble_flat_blocks(mesh, params, every_class(mesh))
     assert bands.shape == (3, (N1 + 1) * (N2 + 1), nz, 3, 3)
     assert bands.transpose(0, 2, 3, 4, 1).flags.c_contiguous
     K = solver._mode_density(*solver._class_frequencies(mesh.grid), 2 * mu, params.lam, -mu,
@@ -310,17 +310,17 @@ def test_flat_bands_are_stored_mode_last(mu, lam_frac, omega, N1, N2, nz):
        N1=st.integers(0, 4), N2=st.integers(0, 4), nz=st.integers(1, 16),
        seed=st.integers(0, 2**32 - 1))
 @example(mu=0.3, lam_frac=0.59, omega=3.69, cell=(1.5, 2.2), N1=1, N2=1, nz=4,
-         seed=0)  # the expansion first cancels at node 2 of 4: the factor repeats from there
+         seed=0)  # the expansion cancels at node 2 of 4: the factor runs again from the top
 def test_mirror_classes_give_the_bits_of_every_mode(mu, lam_frac, omega, cell, N1, N2, nz, seed):
     """The class bands, expanded with their mirror signs, equal the bands
     assembled mode by mode, and the class solve and residual multiply equal
     the per-mode block-LU and matmul multiply, all bit for bit.  The
     per-mode factor checks the cancellation at each node, the class factor
-    once after its loop."""
+    once after its loop, and again at each node if it cancels anywhere."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell),
                      bottom=-1.0, top=0.0, n_elements=nz)
-    every = every_class(mesh.grid)
+    every = every_class(mesh)
     bands, mode_bands = assemble_flat_blocks(mesh, params, every), mode_flat_blocks(mesh, params)
     assert np.array_equal(expand_mirrors(bands, mesh.grid), mode_bands)
     rng = np.random.default_rng(seed)
@@ -365,7 +365,7 @@ def test_banded_matvec_matches_dense_and_operator(N1, N2, nz, seed):
     """The direct path's residual multiply: bands = dense expansion = flat operator."""
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=(2.0, 3.0)),
                      bottom=-0.5, top=0.5, n_elements=nz)
-    every = every_class(mesh.grid)
+    every = every_class(mesh)
     bands = assemble_flat_blocks(mesh, P, every)
     op = StripOperator(SolverContext(mesh, P), identity_transform(mesh))
     rng = np.random.default_rng(seed)
@@ -399,7 +399,7 @@ def test_block_lu_matches_dense_solve(mu, lam_frac, omega, depth, cell, N, nz, s
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N, N2=N, cell=cell),
                      bottom=-depth, top=0.0, n_elements=nz)
-    every = every_class(mesh.grid)
+    every = every_class(mesh)
     bands = assemble_flat_blocks(mesh, params, every)
     op = StripOperator(SolverContext(mesh, params), identity_transform(mesh))
     rng = np.random.default_rng(seed)
@@ -423,7 +423,7 @@ def test_complex64_block_lu_matches_the_complex128_factor(mu, lam_frac, omega, N
     flips of the mirror slots act on the complex64 data's float32 parts."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = flat_mesh(N=N, nz=nz)
-    every = every_class(mesh.grid)
+    every = every_class(mesh)
     bands = assemble_flat_blocks(mesh, params, every)
     rng = np.random.default_rng(seed)
     n = 3 * (2 * N + 1) ** 2 * nz
@@ -471,15 +471,15 @@ def test_closed_form_pivot_inverse_matches_lapack(log_cond, middle, log_scale, b
 
 def test_block_lu_calls_no_lapack_or_matmul_and_copies_no_band(monkeypatch):
     """Factor and apply run with np.linalg.inv/solve and np.matmul disabled;
-    the factor allocates the pivots and C (2/3 of the class bands) and the
-    mirror index maps, no band copy.  The bounds are shares of the bands of
-    every mode, which the factor stored before the mirror classes."""
+    the factor allocates the pivots and C (2/3 of the class bands), the
+    determinants and their expansion terms, no band copy.  The bounds are
+    shares of the bands of every mode, which the factor stored before the
+    mirror classes."""
     mesh = flat_mesh(N=2, nz=128)
-    every = every_class(mesh.grid)
+    every = every_class(mesh)
     bands = assemble_flat_blocks(mesh, P, every)
     mode_bytes = expand_mirrors(bands, mesh.grid).nbytes
     rhs = assemble_rhs(mesh, bump())
-    solver._mirror_maps.cache_clear()  # the factor's peak includes the index maps
 
     def forbidden(*args, **kwargs):
         raise AssertionError("LAPACK or matmul call in the block-LU")
@@ -506,7 +506,7 @@ def test_singular_pivot_raises_typed_error_naming_mode_and_node():
     """A zero or non-finite pivot determinant raises NonConvergenceError,
     without a RuntimeWarning, at the first mirror class (+-|j1|, +-|j2|)
     and node the top-down elimination meets."""
-    every = every_class(flat_mesh(N=1, nz=8).grid)
+    every = every_class(flat_mesh(N=1, nz=8))
     bands = assemble_flat_blocks(flat_mesh(N=1, nz=8), P, every)
     bad = bands.copy()
     bad[:, 3, 3] = np.inf  # class (|j1|, |j2|) = (1, 1), the fourth, free node 3
@@ -1445,7 +1445,7 @@ def test_rough_solve_is_bit_identical_across_blas_threads():
 
 def _all_class_solve(mesh, params, rhs):
     """The direct solve over every mirror class: x and its relative residual."""
-    every = every_class(mesh.grid)
+    every = every_class(mesh)
     bands = assemble_flat_blocks(mesh, params, every)
     x = block_lu_solver(bands, every)(rhs)
     res, scale = solver._norm(banded_matvec(bands, x, every) - rhs), solver._norm(rhs)
@@ -1498,6 +1498,22 @@ def test_reached_class_solve_has_the_bits_of_every_class(mu, lam_frac, omega, ce
     assert np.array_equal(solver._reached_classes(mesh, rhs), expect)
 
 
+def test_direct_solve_builds_its_classes_once(monkeypatch):
+    """The direct path builds the ClassMaps of its reached classes once and
+    hands that value to the assembly, the factor and the residual multiply."""
+    built, real = [], solver.mirror_classes
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "mirror_classes", spy)
+    mesh = flat_mesh(N=2, nz=8)
+    _, info = solve_field(SolverContext(mesh, P), assemble_rhs(mesh, bump()))
+    assert info.method == "direct" and len(built) == 1
+    assert built[0].c1.tolist() == [1] and built[0].c2.tolist() == [0]
+
+
 def test_load_off_the_lattice_factors_no_class(monkeypatch):
     """A load whose every residue misses the lattice is zero: the solve
     returns zeros with residual 0 and assembles bands of no class."""
@@ -1527,7 +1543,7 @@ def test_flat_run_factors_the_one_class_its_source_reaches(monkeypatch):
     (bands,) = assembled
     assert bands.shape == (3, 1, 96, 3, 3) and bands.nbytes == 41_472
     params, _, _, mesh, *_ = harness.build_setup(cfg)
-    assert assemble_flat_blocks(mesh, params, every_class(mesh.grid)).nbytes == 3_359_232
+    assert assemble_flat_blocks(mesh, params, every_class(mesh)).nbytes == 3_359_232
 
 
 def _singular_symbol_at(monkeypatch, c1, c2):
