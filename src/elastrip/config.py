@@ -8,7 +8,7 @@ exactly for the config echo embedded in every report.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .params import ElasticParams, StripGeometry
@@ -82,9 +82,12 @@ class RunConfig:
                 ("source.component", s.component), ("run.seed", r.seed),
                 ("run.n_samples", r.n_samples),
                 ("run.threads", 1 if r.threads is None else r.threads)]
-        for key in ("terms", "law_bands"):
-            ints += [(f"surface.{key} j1, j2", j)
-                     for t in getattr(self.surface, key) for j in t[:2]]
+        for key, width in (("terms", 4), ("law_bands", 3)):
+            for t in getattr(self.surface, key):
+                if len(t) != width or not all(isinstance(x, numbers.Real) for x in t[2:]):
+                    raise ConfigError(f"surface.{key} entries must be {width} numbers "
+                                      f"[j1, j2, ...], got {list(t)!r}")
+                ints += [(f"surface.{key} j1, j2", j) for j in t[:2]]
         for key, value in ints:
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -109,7 +112,7 @@ class RunConfig:
         return StripGeometry(m=g.m, M_sup=g.M_sup, h=g.h, cell=tuple(g.cell))
 
     def as_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: dict(vars(getattr(self, f.name))) for f in fields(self)}
         d["geometry"]["cell"] = list(d["geometry"]["cell"])
         d["surface"]["terms"] = [list(t) for t in d["surface"]["terms"]]
         d["surface"]["law_bands"] = [list(t) for t in d["surface"]["law_bands"]]
@@ -148,10 +151,10 @@ def from_dict(data: dict) -> RunConfig:
         if bad:
             raise ConfigError(f"unknown key(s) in '{name}': {sorted(bad)}")
         coerced = dict(section)
-        for (sec, key), conv in _TUPLE_KEYS.items():
-            if sec == name and key in coerced:
-                coerced[key] = conv(coerced[key])
         try:
+            for (sec, key), conv in _TUPLE_KEYS.items():
+                if sec == name and key in coerced:
+                    coerced[key] = conv(coerced[key])
             kwargs[name] = cls(**coerced)
         except TypeError as exc:
             raise ConfigError(f"bad section '{name}': {exc}") from exc

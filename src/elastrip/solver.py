@@ -628,6 +628,7 @@ def block_lu_solver(bands: np.ndarray, classes: ClassMaps, dtype=complex):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # caught by the det check
         piv, Cs, det, terms = _eliminate(diag, lower, upper, fit=False)
         if _cancels(terms, det, axis=1).any():
+            del piv, Cs, det, terms  # the rerun's arrays replace these, not join them
             piv, Cs, det, terms = _eliminate(diag, lower, upper, fit=True)
         bad = ~np.isfinite(det) | (det == 0)
     if bad.any():

@@ -98,6 +98,21 @@ def test_integer_config_keys_take_integers_only(runner, tmp_path, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("surface", [
+    {"terms": [[1]]}, {"terms": [5]}, {"terms": [[1, 0, "0.05", 0.0]]},
+    {"terms": [[1, 0, 0.05, 0.0, 0.0]]}, {"law_bands": [[1, 0]]},
+])
+def test_malformed_surface_entries_are_config_errors(runner, tmp_path, surface):
+    """A surface term that is not [j1, j2, cos, sin], or a law band that is
+    not [j1, j2, max_amp], of numbers: exit 1 with nothing written."""
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["mc", "--config", write_cfg(tmp_path, {"surface": surface}),
+                               "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "error: " in res.output and "surface" in res.output
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(runner, tmp_path):
     res = runner.invoke(main, ["solve", "--config", str(tmp_path / "nope.yaml"),
                                "--out", str(tmp_path / "out")])

@@ -502,6 +502,42 @@ def test_block_lu_calls_no_lapack_or_matmul_and_copies_no_band(monkeypatch):
     assert np.linalg.norm(banded_matvec(bands, x, every) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
+def test_a_factor_that_runs_again_holds_one_set_of_pivots(monkeypatch):
+    """On the pinned example of test_mirror_classes_give_the_bits_of_every_mode
+    the expansion cancels, and the elimination runs a second time; the
+    first run's pivots, C, determinants and terms are freed before the
+    second allocates its own.  The factor's tracemalloc peak stays within
+    1.3 of the same factor's with the check never firing (1.13 measured;
+    1.49 when both runs' arrays are held)."""
+    mu, lam_frac = 0.3, 0.59
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=3.69)
+    mesh = StripMesh(grid=SpectralGrid(N1=1, N2=1, cell=(1.5, 2.2)),
+                     bottom=-1.0, top=0.0, n_elements=4)
+    every = every_class(mesh)
+    bands = assemble_flat_blocks(mesh, params, every)
+    fits, eliminate = [], solver._eliminate
+
+    def spy(*args, fit):
+        fits.append(fit)
+        return eliminate(*args, fit=fit)
+
+    monkeypatch.setattr(solver, "_eliminate", spy)
+    peaks = []
+    for cancellation in (np.inf, solver._CANCELLATION):
+        monkeypatch.setattr(solver, "_CANCELLATION", cancellation)
+        block_lu_solver(bands, every)  # warm
+        fits.clear()
+        tracemalloc.start()
+        try:
+            block_lu_solver(bands, every)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert fits == [False, True]
+    once, twice = peaks
+    assert twice < 1.3 * once, peaks
+
+
 def test_singular_pivot_raises_typed_error_naming_mode_and_node():
     """A zero or non-finite pivot determinant raises NonConvergenceError,
     without a RuntimeWarning, at the first mirror class (+-|j1|, +-|j2|)
