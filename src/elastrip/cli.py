@@ -5,9 +5,12 @@ writes a config echo plus machine-readable reports into the output
 directory.  Exit codes: 0 success, 1 configuration error, 2 numerical
 failure, 3 diagnostic invariant violation.  A usage error (an unknown,
 missing or malformed option) also exits 1, not click's 2, with nothing
-written.  A subcommand takes only the overrides it reads: ``--omega``
-all but ``verify-dtn``, ``--seed`` only ``mc`` and ``verify-dtn``, and
-``--threads`` only ``mc``.
+written.  A subcommand takes only the config overrides it reads:
+``--omega`` all but ``verify-dtn``, ``--seed`` only ``mc`` and
+``verify-dtn``, ``--threads`` and ``--n-samples`` only ``mc``, and
+``--n-z`` only ``pushforward``.  Each override is applied to the config,
+validated with it before anything is written, and echoed in
+``config.yaml``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .dtn import BoundaryTrace, SpectralGrid, extend_field, verify_symbol_suite
 from .errors import (ConfigError, ConstraintError, DiagnosticError,
                      ElastripError, NonConvergenceError, SingularTransformError)
 from .geometry import make_profile
-from .params import bound_constants, stability_constants, total_bound_stochastic
+from .params import bound_constants, stability_constants
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -56,17 +59,18 @@ def _classify(exc: Exception) -> int:
     return EXIT_NUMERICAL
 
 
-def _load(config_path: str | None, seed: int | None = None, omega: float | None = None,
-          n_samples: int | None = None, threads: int | None = None) -> RunConfig:
+# the config overrides: option name -> the config section of the field it sets
+_OVERRIDES = {"omega": "physics", "seed": "run", "n_samples": "run",
+              "threads": "run", "n_z": "discretization"}
+
+
+def _load(config_path: str | None, overrides: dict) -> RunConfig:
+    """The config with each given override applied; ``RunConfig`` validates it."""
     cfg = load_config(config_path) if config_path else RunConfig()
-    if seed is not None:
-        cfg = replace(cfg, run=replace(cfg.run, seed=seed))
-    if omega is not None:
-        cfg = replace(cfg, physics=replace(cfg.physics, omega=omega))
-    if n_samples is not None:
-        cfg = replace(cfg, run=replace(cfg.run, n_samples=n_samples))
-    if threads is not None:
-        cfg = replace(cfg, run=replace(cfg.run, threads=threads))
+    for key, value in overrides.items():
+        if value is not None:
+            section = getattr(cfg, _OVERRIDES[key])
+            cfg = replace(cfg, **{_OVERRIDES[key]: replace(section, **{key: value})})
     return cfg
 
 
@@ -78,12 +82,9 @@ def _common(fn):
     return fn
 
 
-# the config overrides, each on the subcommands that read it (see _load)
+# the config overrides taken by more than one subcommand (see _OVERRIDES)
 _OMEGA = click.option("--omega", type=float, default=None)
 _SEED = click.option("--seed", type=int, default=None)
-_THREADS = click.option("--threads", type=int, default=None,
-                        help="Monte Carlo worker threads [default: the usable cores]")
-_OVERRIDES = ("seed", "omega", "n_samples", "threads")
 
 
 @contextmanager
@@ -132,18 +133,18 @@ def _subcommand(name, *options, prepare=None):
     """Register ``body(cfg, out, **opts)`` as the subcommand ``name``.
 
     Every subcommand takes the :func:`_common` options ahead of its own
-    ``options``, among them the config overrides it reads (``_OMEGA``,
-    ``_SEED``, ``_THREADS``).  The config is loaded with the command-line
-    overrides and ``prepare(**opts)``, when given, turns the other option
-    values into the body's keyword arguments; an ElastripError in either
-    step exits 1 before anything is written.  The body then runs under
-    :func:`_run_guarded`.
+    ``options``, among them the config overrides it reads (``_OVERRIDES``).
+    The config is loaded with those overrides applied, which ``RunConfig``
+    validates and ``config.yaml`` echoes, and ``prepare(**opts)``, when
+    given, turns the other option values into the body's keyword
+    arguments; an ElastripError in either step exits 1 before anything is
+    written.  The body then runs under :func:`_run_guarded`.
     """
     def register(body):
         def command(config_path, out_dir, **opts):
             overrides = {k: opts.pop(k) for k in _OVERRIDES if k in opts}
             try:
-                cfg = _load(config_path, **overrides)
+                cfg = _load(config_path, overrides)
                 if prepare is not None:
                     opts = prepare(**opts)
             except ElastripError as exc:
@@ -168,10 +169,7 @@ def constants_cmd(cfg, out):
     L = make_profile(cfg.surface.f0_offset, cfg.surface.terms, geom).L
     br = bound_constants(params, geom, L=L, generic_C=cfg.run.generic_C)
     payload = {"K": sc.K, "C_K": sc.C_K, "c_K": sc.c_K, "L": L,
-               **br.as_dict(),
-               "stochastic_bound": total_bound_stochastic(
-                   bound_constants(params, geom, L=cfg.surface.M0 + L,
-                                   generic_C=cfg.run.generic_C), geom)}
+               **br.as_dict(), "stochastic_bound": harness.stochastic_bound(cfg)}
     for k, v in payload.items():
         click.echo(f"{k} = {v:.12g}")
     harness.write_json(os.path.join(out, "constants.json"), payload)
@@ -226,8 +224,7 @@ def _parse_sweep_values(axis, values):
 
 
 @_subcommand("sweep", _OMEGA,
-             click.option("--axis", type=click.Choice(["omega", "h", "L_amplitude"]),
-                          required=True),
+             click.option("--axis", type=click.Choice(harness.SWEEP_AXES), required=True),
              click.option("--values", required=True, help="comma-separated values"),
              prepare=_parse_sweep_values)
 def sweep_cmd(cfg, out, axis, values):
@@ -247,7 +244,9 @@ def sweep_cmd(cfg, out, axis, values):
     return EXIT_OK
 
 
-@_subcommand("mc", _OMEGA, _SEED, _THREADS,
+@_subcommand("mc", _OMEGA, _SEED,
+             click.option("--threads", type=int, default=None,
+                          help="Monte Carlo worker threads [default: the usable cores]"),
              click.option("--n-samples", type=int, default=None))
 def mc_cmd(cfg, out):
     """Monte Carlo over the configured random-surface ensemble."""
@@ -263,9 +262,9 @@ def mc_cmd(cfg, out):
 
 
 @_subcommand("pushforward", _OMEGA, click.option("--n-z", type=int, default=None))
-def pushforward_cmd(cfg, out, n_z):
+def pushforward_cmd(cfg, out):
     """Cross-check two flattening routes of the configured rough surface."""
-    res = harness.pushforward_check(cfg, n_z=n_z)
+    res = harness.pushforward_check(cfg)
     harness.write_json(os.path.join(out, "pushforward.json"), res)
     click.echo(f"rel_l2 = {res['rel_l2']:.6e}  rel_vh = {res['rel_vh']:.6e}")
     return EXIT_OK

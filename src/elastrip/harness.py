@@ -90,7 +90,7 @@ class McReport:
     mean_g_sq: float
     se_u_sq: float
     se_g_sq: float
-    stochastic_bound: float          # (h-m+2)^2 (C4+C5+C6)^2 with L0 = M0 + L
+    stochastic_bound: float          # stochastic_bound(cfg): L0 = M0
     ratio: float                     # mean_u_sq / (stochastic_bound * mean_g_sq)
     failures: list = field(default_factory=list)
     sample_rows: list = field(default_factory=list)
@@ -283,7 +283,7 @@ def deterministic_run(cfg: RunConfig, label: str = "run",
     return run, field
 
 
-_SWEEP_AXES = ("omega", "h", "L_amplitude")
+SWEEP_AXES = ("omega", "h", "L_amplitude")
 
 
 def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
@@ -294,7 +294,7 @@ def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "L_amplitude":
         terms = tuple((j1, j2, value * c, value * s) for j1, j2, c, s in cfg.surface.terms)
         return replace(cfg, surface=replace(cfg.surface, terms=terms))
-    raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
+    raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
 def parameter_sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
@@ -415,8 +415,20 @@ def _solve_ensemble(ctx: SolverContext, samples, solve, threads: int | None) -> 
             pool.shutdown(cancel_futures=True)
 
 
+def stochastic_bound(cfg: RunConfig) -> float:
+    """(h-m+2)^2 (C4+C5+C6)^2, the factor of the random-surface bound, with
+    the enlarged Lipschitz level L0 = M0 + L(c) = M0: the ensemble is drawn
+    within ||f - c||_{1,inf} <= M0 of the flat level c, whose Lipschitz
+    constant is 0.  The config's deterministic ``terms`` do not enter."""
+    geom = cfg.strip_geometry()
+    rep = bound_constants(cfg.elastic_params(), geom, L=cfg.surface.M0,
+                          generic_C=cfg.run.generic_C)
+    return total_bound_stochastic(rep, geom)
+
+
 def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -> McReport:
-    """Ensemble of transformed solves; stochastic bound ratio with L0 = M0 + L.
+    """Ensemble of transformed solves; stochastic bound ratio against
+    :func:`stochastic_bound`, L0 = M0.
 
     Sources are drawn per sample on the reference strip; norms are plain
     reference-strip H1 quantities.  The samples share the DtN symbol and
@@ -448,9 +460,7 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
         raise ElastripError("all Monte Carlo samples failed")
     u_arr = np.array([row["u_h1_sq"] for row in rows])
     g_arr = np.array([row["g_h1_sq"] for row in rows])
-    L0 = s.M0  # the flat reference has Lipschitz constant 0
-    rep = bound_constants(params, geom, L=L0, generic_C=cfg.run.generic_C)
-    sbound = total_bound_stochastic(rep, geom)
+    sbound = stochastic_bound(cfg)
     ratio = float(u_arr.mean() / (sbound * g_arr.mean()))
 
     def se(a):
@@ -463,7 +473,7 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
                     failures=failures, sample_rows=rows)
 
 
-def pushforward_check(cfg: RunConfig, n_z: int | None = None) -> dict:
+def pushforward_check(cfg: RunConfig) -> dict:
     """Cross-check two flattening routes of the same physical problem.
 
     The same rough surface is solved through two different transforms (the
@@ -474,8 +484,6 @@ def pushforward_check(cfg: RunConfig, n_z: int | None = None) -> dict:
     comparison of the two reference-strip fields.
     """
     params, geom, grid, mesh, profile, cutoff_a, source = build_setup(cfg)
-    if n_z is not None:
-        mesh = StripMesh(grid=grid, bottom=mesh.bottom, top=mesh.top, n_elements=n_z)
     gap = geom.h - cfg.surface.f0_offset
     cutoff_b = CutoffFn(delta=0.5 * cutoff_a.delta, gamma_gap=gap)
 

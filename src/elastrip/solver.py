@@ -1062,7 +1062,7 @@ def _norm_on(a: np.ndarray, modes: np.ndarray | None, n_modes: int,
 
 
 def gmres(matvec, b: np.ndarray, precond, tol: float,
-          residual=None) -> tuple[np.ndarray, SolveInfo]:
+          residual) -> tuple[np.ndarray, SolveInfo]:
     """Right-preconditioned GMRES for A x = b from x0 = 0, restarted as
     iterative refinement.
 
@@ -1077,14 +1077,15 @@ def gmres(matvec, b: np.ndarray, precond, tol: float,
     true relative residual ||b - A x|| / ||b||.  That check is the gate; if
     it misses, the next round starts from that residual.
 
-    ``residual`` is the exact operator A.  When it is given, ``matvec`` may
-    be a cheaper approximation of it, the complex64 operator of a rough
-    solve: GMRES-based iterative refinement (Carson & Higham, SIAM J. Sci.
+    ``residual`` is the exact operator A, and ``matvec`` may be a cheaper
+    approximation of it, the complex64 operator of a rough solve:
+    GMRES-based iterative refinement (Carson & Higham, SIAM J. Sci.
     Comput. 40 (2018) A817).  A round on the approximation stops when its
     estimate reaches ``_INNER_TOL`` times the residual it started from, or
     ``tol`` when that is larger.  A round that does not halve the true
-    residual hands the remaining rounds to ``residual``.  Without
-    ``residual`` every round runs on ``matvec`` to ``tol``.
+    residual hands the remaining rounds to ``residual``.  A round is exact
+    when ``matvec == residual``, so two accesses of one operator's bound
+    ``matvec`` are one operator; every exact round runs to ``tol``.
 
     A round's basis and its Gram-Schmidt sums take the precision of its
     matvec's output: complex64 on the complex64 operator, half the bytes.
@@ -1114,11 +1115,10 @@ def gmres(matvec, b: np.ndarray, precond, tol: float,
     beta = _norm(b)
     if beta == 0:
         return np.zeros_like(b), SolveInfo(0.0, 0, "gmres", [0.0])
-    residual = matvec if residual is None else residual
     x, r, rel = 0.0, b, 1.0
     history, steps = [], 0
     while True:
-        exact = matvec is residual
+        exact = matvec == residual
         target = tol if exact else max(tol, _INNER_TOL * rel)
         r_norm = _norm(r)
         V = [r / r_norm]  # the round's basis, which the cycle takes over

@@ -302,6 +302,68 @@ def test_pushforward_command(runner, tmp_path):
     assert payload["rel_l2"] < 0.01
 
 
+# the config of the CI's small runs: a rough surface and an ensemble law
+SMALL = {"discretization": {"N1": 2, "N2": 2, "n_z": 8},
+         "surface": {"terms": [[1, 0, 0.05, 0.0]], "law_bands": [[1, 0, 0.05]], "M0": 0.3}}
+
+
+@pytest.mark.parametrize("args, key, value", [
+    (["solve", "--omega", "2.5"], ("physics", "omega"), 2.5),
+    (["mc", "--seed", "3"], ("run", "seed"), 3),
+    (["mc", "--threads", "1"], ("run", "threads"), 1),
+    (["mc", "--n-samples", "3"], ("run", "n_samples"), 3),
+    (["pushforward", "--n-z", "4"], ("discretization", "n_z"), 4),
+    (["solve", "--omega", "0"], None, None),
+    (["mc", "--seed", "-1"], None, None),
+    (["mc", "--threads", "0"], None, None),
+    (["mc", "--n-samples", "0"], None, None),
+    (["pushforward", "--n-z", "0"], None, None),
+])
+def test_overrides_are_validated_and_echoed(runner, tmp_path, args, key, value):
+    """Each override shows up in config.yaml; an invalid one exits 1 with
+    nothing written.  --n-z once solved on its own mesh while config.yaml
+    echoed the config's n_z, and --n-z 0 wrote config.yaml and error.json."""
+    out = tmp_path / "out"
+    res = runner.invoke(main, args + ["--config", write_cfg(tmp_path, SMALL),
+                                      "--out", str(out)])
+    if key is None:
+        assert res.exit_code == 1, res.output
+        assert not out.exists()
+        return
+    assert res.exit_code == 0, res.output
+    section, field = key
+    assert yaml.safe_load((out / "config.yaml").read_text())[section][field] == value
+
+
+def test_pushforward_n_z_solves_the_echoed_config(runner, tmp_path):
+    """pushforward --n-z 16 on an n_z 32 config writes the bytes of an n_z 16 config."""
+    outputs = []
+    for n_z, extra in ((32, ["--n-z", "16"]), (16, [])):
+        cfg = write_cfg(tmp_path, {"surface": {"terms": [[1, 0, 0.05, 0.0]]},
+                                   "discretization": {"n_z": n_z}}, name=f"nz{n_z}.yaml")
+        out = tmp_path / f"out{n_z}"
+        res = runner.invoke(main, ["pushforward", "--config", cfg, "--out", str(out)] + extra)
+        assert res.exit_code == 0, res.output
+        outputs.append([(out / name).read_bytes()
+                        for name in ("config.yaml", "pushforward.json")])
+    assert outputs[0] == outputs[1]
+
+
+def test_constants_and_mc_report_one_stochastic_bound(runner, tmp_path):
+    """Both take L0 = M0: the ensemble is drawn around the flat level, so the
+    config's terms do not enter.  Before, constants took L0 = M0 + L(terms)
+    and reported 216781.2 on this config where mc used 206781.0."""
+    cfg = write_cfg(tmp_path, SMALL)
+    bounds = []
+    for args, name in ((["constants"], "constants.json"),
+                       (["mc", "--n-samples", "2"], "mc.json")):
+        out = tmp_path / args[0]
+        res = runner.invoke(main, args + ["--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        bounds.append(json.loads((out / name).read_text())["stochastic_bound"])
+    assert bounds[0] == bounds[1] == pytest.approx(206781.0, rel=1e-6)
+
+
 def test_extend_command(runner, tmp_path):
     out = tmp_path / "out"
     res = runner.invoke(main, ["extend", "--trace", write_trace(tmp_path),

@@ -529,7 +529,7 @@ def test_the_ensemble_runs_in_the_callers_thread_without_a_pool(monkeypatch, two
 # -- pushforward -------------------------------------------------------------
 
 def test_pushforward_flat_surface_trivial():
-    out = pushforward_check(cfg_with(), n_z=16)
+    out = pushforward_check(cfg_with(discretization={"n_z": 16}))
     # both cutoffs take the same direct solve, so the two fields coincide
     assert out["rel_l2"] == pytest.approx(0.0, abs=1e-12)
     assert out["rel_vh"] == pytest.approx(0.0, abs=1e-12)

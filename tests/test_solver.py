@@ -919,7 +919,8 @@ def test_rough_refinement_converges_where_one_complex128_cycle_does():
     f = make_profile(0.0, [(0, 1, 0.0, 0.03125), (1, 1, 0.0, 0.03125)], GEOM)
     coeffs = TransformCoefficients(ctx.mesh, f, CutoffFn(0.25, 1.0))
     rhs = assemble_rhs(ctx.mesh, bump(z0=0.5), coeffs, physical=True, work=ctx.work)
-    _, one_cycle = gmres(StripOperator(ctx, coeffs).matvec, rhs, ctx.solve, 1e-9)
+    exact = StripOperator(ctx, coeffs).matvec
+    _, one_cycle = gmres(exact, rhs, ctx.solve, 1e-9, exact)
     assert one_cycle.iterations <= solver._GMRES_MAX_ITER
     field, info = solve_field(ctx, rhs, coeffs, tol=1e-9)
     assert harness.energy_ok(*energy_balance(field, rhs, ctx), info.residual)
@@ -1224,7 +1225,8 @@ def test_a_wrong_complex64_operator_cannot_pass_the_gate(monkeypatch, name, wron
     assert fresh == info.residual == info.history[-1] <= 1e-9
     exact_rounds = len(info.history) - info.iterations
     assert calls.count(np.complex128) > exact_rounds  # Arnoldi steps ran in complex128
-    direct, _ = gmres(StripOperator(ctx, coeffs).matvec, rhs, ctx.solve, 1e-9)
+    exact = StripOperator(ctx, coeffs).matvec
+    direct, _ = gmres(exact, rhs, ctx.solve, 1e-9, exact)
     assert np.linalg.norm(x - direct) <= 1e-6 * np.linalg.norm(direct)
 
 
@@ -1245,7 +1247,7 @@ def test_refined_solve_matches_a_complex128_solve(monkeypatch, physics):
     calls.clear()
     real = solver.gmres
     monkeypatch.setattr(solver, "gmres", lambda matvec, b, precond, tol, residual:
-                        real(residual, b, precond, tol))
+                        real(residual, b, precond, tol, residual))
     plain, _ = harness.deterministic_run(cfg)
     assert set(calls) == {np.dtype(np.complex128)}
     for report in (refined, plain):
@@ -1285,7 +1287,7 @@ def test_refined_solve_on_the_inner_grid_matches_a_complex128_solve(
         refined, _ = harness.deterministic_run(cfg)
         real = solver.gmres
         mp.setattr(solver, "gmres", lambda matvec, b, precond, tol, residual:
-                   real(residual, b, precond, tol))
+                   real(residual, b, precond, tol, residual))
         plain, _ = harness.deterministic_run(cfg)
     inner, fine = sizes[0]
     assert inner[axis] == min(fine[axis], solver._next_fast_len(2 * N + 1 + 3 * K))
@@ -1418,7 +1420,7 @@ def test_gmres_happy_breakdown_is_exact():
     """b an eigenvector: the first step spans an invariant space, x = b / 2 exactly."""
     A = np.diag([2.0, 3.0, 5.0]).astype(complex)
     b = np.array([1.0, 0.0, 0.0], dtype=complex)
-    x, info = gmres(lambda v: A @ v, b, lambda v: v, 1e-12)
+    x, info = gmres(A.dot, b, lambda v: v, 1e-12, A.dot)
     assert np.array_equal(x, b / 2)
     assert (info.iterations, info.residual, info.history) == (1, 0.0, [0.0, 0.0])
 
@@ -1428,7 +1430,7 @@ def test_gmres_raises_when_the_krylov_space_is_exhausted():
     A = np.diag([3.0, 7.0]).astype(complex)
     b = np.array([1.0, 1.0], dtype=complex) / 3
     with pytest.raises(NonConvergenceError) as err:
-        gmres(lambda v: A @ v, b, lambda v: v, 0.0)
+        gmres(A.dot, b, lambda v: v, 0.0, A.dot)
     assert len(err.value.history) == 3 and err.value.history[1] < 1e-30
 
 
@@ -1440,7 +1442,7 @@ def test_gmres_matches_dense_solve(n, seed):
     A = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
     Minv = np.linalg.inv(A + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n))
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x, info = gmres(lambda v: A @ v, b, lambda v: Minv @ v, 1e-10)
+    x, info = gmres(A.dot, b, Minv.dot, 1e-10, A.dot)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert info.residual == info.history[-1] <= 1e-10 and info.iterations <= n
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-7, atol=1e-9 * np.linalg.norm(x))
@@ -1668,7 +1670,7 @@ def test_gmres_holds_no_zero_iterate(monkeypatch):
     real = np.zeros_like
     monkeypatch.setattr(np, "zeros_like", lambda a, *args, **kwargs:
                         on_b.append(a is b) or real(a, *args, **kwargs))
-    x, info = gmres(lambda v: A @ v, b, lambda v: v, 1e-10)
+    x, info = gmres(A.dot, b, lambda v: v, 1e-10, A.dot)
     assert info.residual <= 1e-10
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert not any(on_b)
