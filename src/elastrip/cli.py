@@ -2,7 +2,9 @@
 
 Subcommands map one-to-one onto the library experiments; every invocation
 writes a config echo plus machine-readable reports into the output
-directory.  Exit codes: 0 success, 1 configuration error, 2 numerical
+directory.  ``extend`` solves the config and extends that solution's top
+trace by ``--height``, so it extends on the grid and cell of the echoed
+config.  Exit codes: 0 success, 1 configuration error, 2 numerical
 failure, 3 diagnostic invariant violation.  A usage error (an unknown,
 missing or malformed option) also exits 1, not click's 2, with nothing
 written.  A subcommand takes only the config overrides it reads:
@@ -15,7 +17,6 @@ validated with it before anything is written, and echoed in
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import harness
 from .config import RunConfig, dump_config, load_config
-from .dtn import BoundaryTrace, SpectralGrid, extend_field, verify_symbol_suite
+from .dtn import extend_field, verify_symbol_suite
 from .errors import (ConfigError, ConstraintError, DiagnosticError,
                      ElastripError, NonConvergenceError, SingularTransformError)
 from .geometry import make_profile
@@ -177,8 +178,9 @@ def constants_cmd(cfg, out):
 
 
 @_subcommand("verify-dtn", _SEED,
-             click.option("--n-xi", type=int, default=10000, help="xi samples per material"),
-             click.option("--n-materials", type=int, default=10))
+             click.option("--n-xi", type=click.IntRange(min=1), default=10000,
+                          help="xi samples per material"),
+             click.option("--n-materials", type=click.IntRange(min=1), default=10))
 def verify_dtn_cmd(cfg, out, n_xi, n_materials):
     """Sample the boundary-symbol sign and bound properties over parameters."""
     report = verify_symbol_suite(seed=cfg.run.seed, n_materials=n_materials, n_xi=n_xi)
@@ -270,35 +272,20 @@ def pushforward_cmd(cfg, out):
     return EXIT_OK
 
 
-def _read_trace(trace_path, height):
-    try:
-        with open(trace_path) as fh:
-            data = json.load(fh)
-        grid = SpectralGrid(N1=int(data["N1"]), N2=int(data["N2"]),
-                            cell=tuple(data["cell"]))
-        vals = np.array(data["values_re"]) + 1j * np.array(data["values_im"])
-        trace = BoundaryTrace(values=vals, grid=grid)
-    except (KeyError, TypeError, ValueError, OSError) as exc:
-        raise ConfigError(f"bad trace file: {exc}") from None
-    return {"trace": trace, "height": height}
-
-
 @_subcommand("extend", _OMEGA,
-             click.option("--trace", "trace_path", type=click.Path(exists=True),
-                          required=True,
-                          help="JSON file with a boundary trace: N1, N2, cell, "
-                               "values (3 x n1 x n2, re/im)"),
              click.option("--height", type=float, default=0.5,
-                          help="offset above the plane"),
-             prepare=_read_trace)
-def extend_cmd(cfg, out, trace, height):
-    """Propagate a stored boundary trace upward by the angular spectrum."""
-    ext = extend_field(trace, height, cfg.elastic_params())
+                          help="offset above the plane"))
+def extend_cmd(cfg, out, height):
+    """Solve the config and propagate its solution's top trace upward by the
+    angular spectrum."""
+    rep, field = harness.deterministic_run(cfg)
+    ext = extend_field(field.top_trace(), height, cfg.elastic_params())
     harness.write_json(os.path.join(out, "extend.json"), {
         "height": height,
         "values_re": ext.real.tolist(),
         "values_im": ext.imag.tolist()})
     click.echo(f"extended trace written (max |u| = {np.abs(ext).max():.6e})")
+    _check_diagnostics(rep)
     return EXIT_OK
 
 

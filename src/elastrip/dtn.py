@@ -83,42 +83,27 @@ class SpectralGrid:
 class BoundaryTrace:
     """Complex 3-vector data on the horizontal grid at x3 = h.
 
-    ``values`` has shape (3, n1, n2); ``coefficients`` is its DFT per
-    component, normalized so values = sum_j coeff_j exp(i xi_j . x').  A
-    trace keeps the array it was built from, values or coefficients, and
-    forms the other by one FFT at its first access.  ``modes``, the
+    ``coefficients`` has shape (3, n1, n2), the lattice coefficients per
+    component, so that values = sum_j coeff_j exp(i xi_j . x').  A trace
+    is built from its coefficients, as a solve leaves them, and forms
+    ``values`` by one inverse FFT at its first access.  ``modes``, the
     FFT-order flat indices m1 n2 + m2 of some modes, says that every other
     coefficient is zero, so the mode sums of :func:`decompose_trace` and
     :func:`energy_flux` run over those modes only; None stands for every
     mode.
     """
 
-    def __init__(self, values: np.ndarray, grid: SpectralGrid):
-        self.grid, self.modes = grid, None
-        self.values = self._checked(values, "trace")
-
-    @classmethod
-    def from_coefficients(cls, coeff: np.ndarray, grid: SpectralGrid,
-                          modes: np.ndarray | None = None) -> "BoundaryTrace":
-        trace = cls.__new__(cls)
-        trace.grid, trace.modes = grid, modes
-        trace.coefficients = trace._checked(coeff, "coefficient")
-        return trace
-
-    def _checked(self, arr: np.ndarray, what: str) -> np.ndarray:
-        arr = np.asarray(arr, dtype=complex)
-        if arr.shape != (3, self.grid.n1, self.grid.n2):
+    def __init__(self, coefficients: np.ndarray, grid: SpectralGrid,
+                 modes: np.ndarray | None = None):
+        coefficients = np.asarray(coefficients, dtype=complex)
+        if coefficients.shape != (3, grid.n1, grid.n2):
             raise ConstraintError(
-                f"{what} shape {arr.shape} != (3, {self.grid.n1}, {self.grid.n2})")
-        return arr
+                f"coefficient shape {coefficients.shape} != (3, {grid.n1}, {grid.n2})")
+        self.coefficients, self.grid, self.modes = coefficients, grid, modes
 
     @cached_property
     def values(self) -> np.ndarray:
         return np.fft.ifft2(self.coefficients, axes=(1, 2)) * (self.grid.n1 * self.grid.n2)
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        return np.fft.fft2(self.values, axes=(1, 2)) / (self.grid.n1 * self.grid.n2)
 
 
 @dataclass
@@ -236,7 +221,7 @@ def extend_field(trace: BoundaryTrace, x3: float, params: ElasticParams) -> np.n
     p = ((np.exp(1j * beta * x3) - e_s) * (XI1 * c[0] + XI2 * c[1] + gamma * c[2])
          / (xi_sq + beta * gamma))
     out = e_s * c + a * p
-    return BoundaryTrace.from_coefficients(out, trace.grid).values
+    return BoundaryTrace(out, trace.grid).values
 
 
 def energy_flux(trace: BoundaryTrace, params: ElasticParams,

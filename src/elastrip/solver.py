@@ -179,7 +179,7 @@ class DiscreteField:
         top = np.zeros((3, g.n1 * g.n2), dtype=complex)
         live = _every(self.modes)
         top[:, live] = self._by_mode()[:, live, -1]
-        return BoundaryTrace.from_coefficients(top.reshape(3, g.n1, g.n2), g, self.modes)
+        return BoundaryTrace(top.reshape(3, g.n1, g.n2), g, self.modes)
 
     # -- norms (exact quadrature of the piecewise-linear field) --------------
 

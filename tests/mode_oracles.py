@@ -50,4 +50,4 @@ def reconstruct_trace(amps: ModeAmplitudes, params: ElasticParams) -> BoundaryTr
     coeff[0] = amps.A_p * xi1[:, None] + amps.A_s[0]
     coeff[1] = amps.A_p * xi2[None, :] + amps.A_s[1]
     coeff[2] = amps.A_p * beta + amps.A_s[2]
-    return BoundaryTrace.from_coefficients(coeff, grid)
+    return BoundaryTrace(coeff, grid)

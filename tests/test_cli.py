@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from elastrip import harness
 from elastrip.cli import main
+from elastrip.config import load_config
 
 BASE_CFG = {
     "physics": {"omega": 1.0},
@@ -119,22 +120,12 @@ def test_missing_config_file_exits_1(runner, tmp_path):
     assert res.exit_code == 1
 
 
-def write_trace(tmp_path):
-    vals = np.random.default_rng(0).standard_normal((3, 3, 3))
-    trace = {"N1": 1, "N2": 1, "cell": [2 * np.pi, 2 * np.pi],
-             "values_re": vals.tolist(), "values_im": (0 * vals).tolist()}
-    path = tmp_path / "trace.json"
-    path.write_text(json.dumps(trace))
-    return str(path)
-
-
 @pytest.mark.parametrize("args", [
     ["constants"], ["verify-dtn"], ["solve"],
     ["sweep", "--axis", "omega", "--values", "1.0"], ["mc"], ["pushforward"],
-    ["extend", "--trace", None],
+    ["extend"],
 ])
 def test_every_subcommand_rejects_bad_config_path(runner, tmp_path, args):
-    args = [a if a is not None else write_trace(tmp_path) for a in args]
     out = tmp_path / "out"
     for config, message in ((tmp_path / "nope.yaml", "error: config file not found"),
                             (tmp_path, "error: cannot read config")):
@@ -159,6 +150,8 @@ def test_options_are_offered_only_where_they_act(runner):
     ["solve", "--threads", "1"],
     ["sweep", "--values", "1.0"],
     ["nosuchcommand"],
+    ["verify-dtn", "--n-xi", "0"],
+    ["verify-dtn", "--n-materials", "-2"],
 ])
 def test_usage_errors_exit_1_with_nothing_written(runner, tmp_path, args):
     """An unknown option or subcommand or a missing required option is a
@@ -195,31 +188,16 @@ def test_sweep_rejects_non_finite_values(runner, tmp_path):
 
 @pytest.mark.parametrize("height", ["nan", "inf"])
 def test_extend_rejects_non_finite_height(runner, tmp_path, height):
+    """The height is checked where the extension reads it, after the solve:
+    exit 1 with error.json next to the config echo and no extend.json."""
     out = tmp_path / "out"
-    res = runner.invoke(main, ["extend", "--trace", write_trace(tmp_path),
+    res = runner.invoke(main, ["extend", "--config", write_cfg(tmp_path),
                                "--height", height, "--out", str(out)])
     assert res.exit_code == 1
     err = json.loads((out / "error.json").read_text())
     assert (err["error"], err["exit_code"]) == ("ConstraintError", 1)
+    assert (out / "config.yaml").exists()
     assert not (out / "extend.json").exists()
-
-
-@pytest.mark.parametrize("edit", [
-    lambda t: {**t, "cell": [0.0, 1.0]},
-    lambda t: {**t, "cell": [float("inf"), 1.0]},
-    lambda t: {**t, "cell": 5.0},
-    lambda t: [t],
-], ids=["zero_cell", "infinite_cell", "scalar_cell", "top_level_list"])
-def test_extend_rejects_malformed_trace(runner, tmp_path, edit):
-    """A trace file that does not describe a grid is a read error, not a traceback."""
-    path = Path(write_trace(tmp_path))
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    out = tmp_path / "out"
-    res = runner.invoke(main, ["extend", "--trace", str(path), "--out", str(out)])
-    assert res.exit_code == 1
-    assert isinstance(res.exception, SystemExit)
-    assert any(line.startswith("error:") for line in res.output.splitlines())
-    assert not out.exists()
 
 
 def test_sweep_csv(runner, tmp_path):
@@ -365,14 +343,23 @@ def test_constants_and_mc_report_one_stochastic_bound(runner, tmp_path):
 
 
 def test_extend_command(runner, tmp_path):
-    out = tmp_path / "out"
-    res = runner.invoke(main, ["extend", "--trace", write_trace(tmp_path),
-                               "--height", "0.3", "--out", str(out)])
-    assert res.exit_code == 0
-    payload = json.loads((out / "extend.json").read_text())
-    ext = np.array(payload["values_re"]) + 1j * np.array(payload["values_im"])
-    assert ext.shape == (3, 3, 3)
-    assert np.isfinite(ext).all()
+    """extend solves its config and extends that solution's top trace on the
+    config's grid; at height 0 it writes the trace's values themselves."""
+    cfg = write_cfg(tmp_path, {"discretization": {"N1": 2, "N2": 1}})
+    ext = {}
+    for height in ("0.3", "0"):
+        out = tmp_path / height
+        res = runner.invoke(main, ["extend", "--config", cfg, "--height", height,
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads((out / "extend.json").read_text())
+        ext[height] = np.array(payload["values_re"]) + 1j * np.array(payload["values_im"])
+        assert ext[height].shape == (3, 5, 3)
+        assert np.isfinite(ext[height]).all()
+        echo = yaml.safe_load((out / "config.yaml").read_text())["discretization"]
+        assert (echo["N1"], echo["N2"]) == (2, 1)
+    top = harness.deterministic_run(load_config(cfg))[1].top_trace()
+    assert np.array_equal(ext["0"], top.values)
 
 
 def schema_columns():

@@ -246,6 +246,30 @@ def test_amplitude_sweep_shares_one_context(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("surface", [{}, {"terms": ((1, 0, 0.05, 0.0),), "delta": 0.25}],
+                         ids=["flat", "rough"])
+def test_omega_sweep_across_the_rayleigh_wood_anomaly(surface):
+    """On the default cell and material the modes (+-1, 0) lie on |xi| = k_s
+    at omega = 1, where their vertical wavenumber turns from imaginary to
+    real.  Across it every point passes the energy gate, the radiated
+    power does not fall as omega grows (on the flat strip it is zero up to
+    the anomaly and positive above), and u_vh is continuous with the
+    square-root modulus of that wavenumber: |u_vh(omega) - u_vh(1)| <=
+    0.6 sqrt|omega - 1|."""
+    cfg = RunConfig()
+    cfg = dataclasses.replace(cfg, surface=dataclasses.replace(cfg.surface, **surface))
+    omegas = [0.98, 0.99, 0.995, 0.999, 1.0, 1.001, 1.005, 1.01, 1.02]
+    reps = [row["report"] for row in parameter_sweep(cfg, "omega", omegas)]
+    assert all(rep.diagnostics["energy_ok"] for rep in reps)
+    power = [rep.diagnostics["radiated_power"] for rep in reps]
+    assert power == sorted(power)
+    if not surface:
+        assert all((p > 0) == (w > 1.0) for w, p in zip(omegas, power))
+    at_anomaly = reps[omegas.index(1.0)].u_vh
+    for w, rep in zip(omegas, reps):
+        assert abs(rep.u_vh - at_anomaly) <= 0.6 * np.sqrt(abs(w - 1.0))
+
+
 def test_unknown_sweep_axis_rejected():
     with pytest.raises(Exception):
         parameter_sweep(cfg_with(), "bogus", [1.0])

@@ -905,6 +905,46 @@ def test_rough_solve_keeps_the_flux_identity(mu, lam_frac, omega, terms, N, nz, 
     assert power >= harness.POWER_TOL
 
 
+def mode_reflection(mesh):
+    """The free-vector permutation R of the mode reflection j -> -j:
+    (R x)[k, j, node] = x[k, -j, node]."""
+    g = mesh.grid
+    idx = np.arange(3 * g.n1 * g.n2 * (mesh.n_nodes - 1)).reshape(3, g.n1, g.n2, -1)
+    return idx[:, -np.arange(g.n1) % g.n1][:, :, -np.arange(g.n2) % g.n2].ravel()
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       terms=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                                st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+                      min_size=1, max_size=3),
+       N=st.integers(1, 3), nz=st.integers(4, 8), seed=st.integers(0, 2**32 - 1))
+def test_operators_are_reciprocal_under_the_mode_reflection(mu, lam_frac, omega, terms,
+                                                            N, nz, seed):
+    """(R y)^T A x = (R x)^T A y for the reflection R: j -> -j.  The
+    sesquilinear form is a symmetric bilinear form with its second argument
+    conjugated, the conjugate of mode j is mode -j on any collocation grid,
+    and the DtN symbol has M(-xi)^T = M(xi).  It holds for the rough
+    operator at complex128, at complex64 on the mesh's grid and on the
+    inner grid of a rough solve's Arnoldi steps, and for the flat bands,
+    to the rounding of each."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    ctx = SolverContext(flat_mesh(N=N, nz=nz), params)
+    coeffs = TransformCoefficients(ctx.mesh, make_profile(0.0, terms, GEOM), CutoffFn(0.25, 1.0))
+    inner = coeffs.on(ctx.inner_mesh(coeffs.surface))
+    every = every_class(ctx.mesh)
+    bands = assemble_flat_blocks(ctx.mesh, params, every)
+    R = mode_reflection(ctx.mesh)
+    rng = np.random.default_rng(seed)
+    x, y = (rng.standard_normal(R.size) + 1j * rng.standard_normal(R.size) for _ in range(2))
+    for apply, tol in ((StripOperator(ctx, coeffs).matvec, 1e-13),
+                       (StripOperator(ctx, coeffs, np.complex64).matvec, 1e-6),
+                       (StripOperator(ctx, inner, np.complex64).matvec, 1e-6),
+                       (lambda v: banded_matvec(bands, v, every), 1e-13)):
+        Ax, Ay = (apply(v).astype(complex) for v in (x, y))
+        assert abs(y[R] @ Ax - x[R] @ Ay) <= tol * np.linalg.norm(y) * np.linalg.norm(Ax)
+
+
 @pytest.mark.xfail(raises=NonConvergenceError, strict=True,
                    reason="each refinement round restarts the Krylov space")
 def test_rough_refinement_converges_where_one_complex128_cycle_does():
@@ -1738,12 +1778,12 @@ def test_trace_from_coefficients_returns_them_and_flux_reads_its_modes():
     live = np.array([0, 4, 9, 30])
     coeff[:, live] = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     coeff = coeff.reshape(3, grid.n1, grid.n2)
-    trace = BoundaryTrace.from_coefficients(coeff, grid, live)
+    trace = BoundaryTrace(coeff, grid, live)
     assert np.array_equal(trace.coefficients, coeff)
     assert np.array_equal(trace.values, np.fft.ifft2(coeff, axes=(1, 2)) * (grid.n1 * grid.n2))
     XI1, XI2, _ = grid.frequency_mesh()
     symbol = dtn_symbol_grid(XI1, XI2, P)
     flux, power = energy_flux(trace, P, symbol)
-    every = energy_flux(BoundaryTrace.from_coefficients(coeff, grid), P, symbol)
+    every = energy_flux(BoundaryTrace(coeff, grid), P, symbol)
     assert (flux, power) == pytest.approx(every, rel=1e-14, abs=1e-300)
     assert power > 0
