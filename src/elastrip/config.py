@@ -1,14 +1,26 @@
 """Run configuration: nested YAML sections validated into frozen dataclasses.
 
-All quantities are dimensionless (unit mass density).  Unknown keys are
+All quantities are dimensionless (unit mass density).  The section
+dataclasses are the schema: every config built, from YAML, by
+``dataclasses.replace`` or directly, has each field checked against its
+annotation.  An ``int`` is an integer and not a boolean; a ``float`` is a
+real number within the float range, finite, and not a boolean; a ``str``
+is a string; ``X | None`` is null or an X; and a ``tuple`` is a list (a
+tuple in Python) of the annotated length, any length for ``...``, checked
+entry by entry.  A field of the wrong type is a ConfigError that names its
+dotted key and shows the value as JSON writes it: a string quoted, so that
+``1e-9``, which YAML reads as a string, shows as one.  Unknown keys are
 rejected so typos fail loudly, and ``as_dict``/``from_dict`` round-trip
 exactly for the config echo embedded in every report.
 """
 
 from __future__ import annotations
 
+import json
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .params import ElasticParams, StripGeometry
@@ -76,21 +88,10 @@ class RunConfig:
     run: RunSection = field(default_factory=RunSection)
 
     def __post_init__(self):
+        for name, hints in _HINTS.items():
+            for key, annotation in hints.items():
+                _check(getattr(getattr(self, name), key), annotation, f"{name}.{key}")
         d, s, r = self.discretization, self.source, self.run
-        ints = [("discretization.N1", d.N1), ("discretization.N2", d.N2),
-                ("discretization.n_z", d.n_z), ("source.j1", s.j1), ("source.j2", s.j2),
-                ("source.component", s.component), ("run.seed", r.seed),
-                ("run.n_samples", r.n_samples),
-                ("run.threads", 1 if r.threads is None else r.threads)]
-        for key, width in (("terms", 4), ("law_bands", 3)):
-            for t in getattr(self.surface, key):
-                if len(t) != width or not all(isinstance(x, numbers.Real) for x in t[2:]):
-                    raise ConfigError(f"surface.{key} entries must be {width} numbers "
-                                      f"[j1, j2, ...], got {list(t)!r}")
-                ints += [(f"surface.{key} j1, j2", j) for j in t[:2]]
-        for key, value in ints:
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if d.N1 < 0 or d.N2 < 0 or d.n_z < 1:
             raise ConfigError("discretization sizes must be positive")
         if not 0 <= s.component <= 2:
@@ -109,30 +110,51 @@ class RunConfig:
 
     def strip_geometry(self) -> StripGeometry:
         g = self.geometry
-        return StripGeometry(m=g.m, M_sup=g.M_sup, h=g.h, cell=tuple(g.cell))
+        return StripGeometry(m=g.m, M_sup=g.M_sup, h=g.h, cell=g.cell)
 
     def as_dict(self) -> dict:
-        d = {f.name: dict(vars(getattr(self, f.name))) for f in fields(self)}
-        d["geometry"]["cell"] = list(d["geometry"]["cell"])
-        d["surface"]["terms"] = [list(t) for t in d["surface"]["terms"]]
-        d["surface"]["law_bands"] = [list(t) for t in d["surface"]["law_bands"]]
-        return d
+        return {name: {k: _lists(v) if type(v) is tuple else v
+                       for k, v in vars(getattr(self, name)).items()} for name in _SECTIONS}
 
 
-_SECTIONS = {
-    "physics": PhysicsConfig,
-    "geometry": GeometryConfig,
-    "surface": SurfaceConfig,
-    "discretization": DiscretizationConfig,
-    "source": SourceConfig,
-    "run": RunSection,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
+_HINTS = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
-_TUPLE_KEYS = {
-    ("geometry", "cell"): tuple,
-    ("surface", "terms"): lambda v: tuple(tuple(t) for t in v),
-    ("surface", "law_bands"): lambda v: tuple(tuple(t) for t in v),
-}
+# the annotated scalar types: how a message names each, and the class of its values
+_SCALARS = {int: ("an integer", numbers.Integral), float: ("a finite number", numbers.Real),
+            str: ("a string", str)}
+
+
+def _check(value, annotation, key: str) -> None:
+    """Raise a ConfigError naming ``key`` unless ``value`` is of the
+    annotated type (see the module docstring); a tuple's entries are
+    checked as ``key[i]``."""
+    args = get_args(annotation)
+    if get_origin(annotation) is tuple:
+        n = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, tuple) or n not in (None, len(value)):
+            raise ConfigError(f"{key} must be a list{'' if n is None else f' of {n} entries'}"
+                              f", got {json.dumps(value, default=repr)}")
+        for i, v in enumerate(value):
+            _check(v, args[0 if n is None else i], f"{key}[{i}]")
+    elif args:  # X | None
+        if value is not None:
+            _check(value, args[0], key)
+    else:
+        what, kind = _SCALARS[annotation]
+        if (not isinstance(value, kind) or isinstance(value, bool)
+                or kind is numbers.Real and not abs(value) <= sys.float_info.max):
+            raise ConfigError(f"{key} must be {what}, got {json.dumps(value, default=repr)}")
+
+
+def _tuples(value):
+    """``value`` with its lists, at every depth, made tuples."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _lists(items: tuple) -> list:
+    """``items`` as a list, with its tuples, at every depth, made lists."""
+    return [_lists(v) if type(v) is tuple else v for v in items]
 
 
 def from_dict(data: dict) -> RunConfig:
@@ -146,18 +168,10 @@ def from_dict(data: dict) -> RunConfig:
         section = data.get(name, {})
         if not isinstance(section, dict):
             raise ConfigError(f"section '{name}' must be a mapping")
-        valid = set(cls.__dataclass_fields__)
-        bad = set(section) - valid
+        bad = set(section) - set(_HINTS[name])
         if bad:
             raise ConfigError(f"unknown key(s) in '{name}': {sorted(bad)}")
-        coerced = dict(section)
-        try:
-            for (sec, key), conv in _TUPLE_KEYS.items():
-                if sec == name and key in coerced:
-                    coerced[key] = conv(coerced[key])
-            kwargs[name] = cls(**coerced)
-        except TypeError as exc:
-            raise ConfigError(f"bad section '{name}': {exc}") from exc
+        kwargs[name] = cls(**{k: _tuples(v) for k, v in section.items()})
     return RunConfig(**kwargs)
 
 

@@ -113,10 +113,11 @@ class McReport:
 # ---------------------------------------------------------------------------
 
 def build_setup(cfg: RunConfig):
-    """Instantiate typed objects for one run: (params, geom, grid, mesh,
-    profile, cutoff, source).  The mesh bottom is the flat reference level
-    c = ``surface.f0_offset``; a config without terms gives the flat
-    profile f = c."""
+    """Instantiate typed objects for one run: (params, geom, mesh, cutoff,
+    source).  The mesh bottom is the flat reference level
+    c = ``surface.f0_offset``.  The configured surface is not built here:
+    a deterministic run builds it with :func:`make_profile`, and the
+    Monte Carlo ensemble draws its own."""
     params = cfg.elastic_params()
     geom = cfg.strip_geometry()
     d = cfg.discretization
@@ -126,14 +127,13 @@ def build_setup(cfg: RunConfig):
         raise ConfigError(
             f"reference level {s.f0_offset} outside the slab ({geom.m}, {geom.M_sup})")
     mesh = StripMesh(grid=grid, bottom=s.f0_offset, top=geom.h, n_elements=d.n_z)
-    profile = make_profile(s.f0_offset, s.terms, geom)
     cutoff = CutoffFn(delta=s.delta, gamma_gap=geom.h - s.f0_offset)
     src_bottom = geom.M_sup + 0.1 * (geom.h - geom.M_sup)
     sc = cfg.source
     source = BumpSource.centered(geom, src_bottom, amplitude=sc.amplitude,
                                  component=sc.component, j1=sc.j1, j2=sc.j2,
                                  phase=sc.phase)
-    return params, geom, grid, mesh, profile, cutoff, source
+    return params, geom, mesh, cutoff, source
 
 
 def solve_surface(ctx: SolverContext, surface: SurfaceProfile,
@@ -264,7 +264,8 @@ def deterministic_run(cfg: RunConfig, label: str = "run",
     (:func:`parameter_sweep` shares one); without it one is built here.
     """
     t0 = time.perf_counter()
-    params, geom, grid, mesh, profile, cutoff, source = build_setup(cfg)
+    params, geom, mesh, cutoff, source = build_setup(cfg)
+    profile = make_profile(cfg.surface.f0_offset, cfg.surface.terms, geom)
     ctx = SolverContext(mesh, params) if ctx is None else ctx
     field, info, rhs, coeffs = solve_surface(ctx, profile, cutoff, source, physical=True,
                                              tol=cfg.discretization.solver_tol)
@@ -314,7 +315,7 @@ def parameter_sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
         try:
             point_cfg = _with_axis(cfg, axis, v)
             if axis == "L_amplitude" and ctx is None:
-                params, _, _, mesh, *_ = build_setup(point_cfg)
+                params, _, mesh, *_ = build_setup(point_cfg)
                 ctx = SolverContext(mesh, params)
             rep, _ = deterministic_run(point_cfg, label=f"{axis}={v:g}", ctx=ctx)
             rows.append({"axis": axis, "value": v, "report": rep, "error": None})
@@ -440,7 +441,7 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     """
     n = cfg.run.n_samples if n is None else int(n)
     seed = cfg.run.seed if seed is None else int(seed)
-    params, geom, grid, mesh, _, cutoff, _ = build_setup(cfg)
+    params, geom, mesh, cutoff, _ = build_setup(cfg)
     s = cfg.surface
     if not s.law_bands:
         raise ElastripError("monte_carlo needs surface.law_bands in the config")
@@ -483,9 +484,9 @@ def pushforward_check(cfg: RunConfig) -> dict:
     L2 discrepancy over those points is returned together with a V_h-norm
     comparison of the two reference-strip fields.
     """
-    params, geom, grid, mesh, profile, cutoff_a, source = build_setup(cfg)
-    gap = geom.h - cfg.surface.f0_offset
-    cutoff_b = CutoffFn(delta=0.5 * cutoff_a.delta, gamma_gap=gap)
+    params, geom, mesh, cutoff_a, source = build_setup(cfg)
+    profile = make_profile(cfg.surface.f0_offset, cfg.surface.terms, geom)
+    cutoff_b = replace(cutoff_a, delta=0.5 * cutoff_a.delta)
 
     fields = []
     ctx = SolverContext(mesh, params)  # the two routes share mesh and material
@@ -518,7 +519,7 @@ def pushforward_check(cfg: RunConfig) -> dict:
     dv = DiscreteField(fields[0][0].coeff - fields[1][0].coeff, mesh)
     rel_vh = dv.vh_norm() / max(fields[0][0].vh_norm(), fields[1][0].vh_norm())
     return {"rel_l2": rel_l2, "rel_vh": float(rel_vh), "n_z": mesh.n_elements,
-            "n_modes": (grid.n1, grid.n2)}
+            "n_modes": (mesh.grid.n1, mesh.grid.n2)}
 
 
 # ---------------------------------------------------------------------------

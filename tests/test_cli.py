@@ -114,6 +114,36 @@ def test_malformed_surface_entries_are_config_errors(runner, tmp_path, surface):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, key", [
+    ({"physics": {"omega": "abc"}}, "physics.omega"),
+    ({"geometry": {"h": "2"}}, "geometry.h"),
+    # written bare, as 1e-9, which YAML reads as a string
+    ({"discretization": {"solver_tol": "1e-9"}}, "discretization.solver_tol"),
+    ({"surface": {"delta": [0.2]}}, "surface.delta"),
+    ({"run": {"generic_C": "x"}}, "run.generic_C"),
+    ({"source": {"amplitude": "1"}}, "source.amplitude"),
+    ({"physics": {"omega": True}}, "physics.omega"),
+    ({"run": {"out_dir": 5}}, "run.out_dir"),
+    ({"geometry": {"cell": [1, 2, 3]}}, "geometry.cell"),
+    ({"physics": {"omega": float("nan")}}, "physics.omega"),
+    ({"discretization": {"solver_tol": float("nan")}}, "discretization.solver_tol"),
+    ({"surface": {"terms": [[1, 0, float("nan"), 0.0]]}}, "surface.terms"),
+    ({"run": {"generic_C": float("inf")}}, "run.generic_C"),
+    ({"physics": {"omega": 10 ** 400}}, "physics.omega"),   # beyond the float range
+])
+def test_malformed_config_values_are_config_errors(runner, tmp_path, extra, key):
+    """A value not of the type its field is annotated with, or a number
+    that is not finite, exits 1 naming the dotted key, with nothing written.
+    These once ended in a traceback, in exit 2 after writing the reports'
+    start, or in a run at omega = 1 for omega: true."""
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, extra),
+                               "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert f"error: {key}" in res.output
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(runner, tmp_path):
     res = runner.invoke(main, ["solve", "--config", str(tmp_path / "nope.yaml"),
                                "--out", str(tmp_path / "out")])
@@ -220,6 +250,18 @@ def test_mc_without_law_exits_2(runner, tmp_path):
     assert err["exit_code"] == 2
 
 
+def test_mc_does_not_build_the_configured_surface(runner, tmp_path):
+    """mc draws its own surfaces, so terms that leave the slab stop solve
+    but not mc, which once exited 1 on them."""
+    cfg = write_cfg(tmp_path, {"surface": {"terms": [[1, 0, 0.3, 0.0]],
+                                           "law_bands": [[1, 0, 0.05]], "M0": 0.3}})
+    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "solve")])
+    assert res.exit_code == 1 and "profile leaves the slab" in res.output
+    res = runner.invoke(main, ["mc", "--config", cfg, "--out", str(tmp_path / "mc"),
+                               "--n-samples", "2"])
+    assert res.exit_code == 0, res.output
+
+
 def test_mc_deterministic_outputs(runner, tmp_path):
     cfg = write_cfg(tmp_path, {"surface": {"law_bands": [[1, 0, 0.05]], "M0": 0.3}})
     texts = []
@@ -296,6 +338,7 @@ SMALL = {"discretization": {"N1": 2, "N2": 2, "n_z": 8},
     (["mc", "--threads", "0"], None, None),
     (["mc", "--n-samples", "0"], None, None),
     (["pushforward", "--n-z", "0"], None, None),
+    (["solve", "--omega", "nan"], None, None),
 ])
 def test_overrides_are_validated_and_echoed(runner, tmp_path, args, key, value):
     """Each override shows up in config.yaml; an invalid one exits 1 with

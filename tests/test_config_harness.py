@@ -107,12 +107,27 @@ def test_quadrature_order_pinned():
 
 
 def test_config_yaml_round_trip(tmp_path):
-    cfg = cfg_with(surface={"terms": [[1, 0, 0.05, 0.0]]})
+    """Every field at a value other than its default comes back from
+    config.yaml as it went in, an integer cell entry an integer."""
+    cfg = from_dict({
+        "physics": {"lam": 1.5, "mu": 0.75, "omega": 2.5},
+        "geometry": {"m": -0.3, "M_sup": 0.2, "h": 1.5, "cell": [6, 7]},
+        "surface": {"f0_offset": 0.05, "terms": [[1, 0, 0.05, 0.0], [0, -1, 0.01, 0.02]],
+                    "law_bands": [[1, 0, 0.05], [1, 1, 0.03]], "M0": 0.3, "delta": 0.25},
+        "discretization": {"N1": 2, "N2": 3, "n_z": 8, "solver_tol": 1.0e-10},
+        "source": {"amplitude": 2.0, "component": 1, "j1": 0, "j2": 1, "phase": 0.5},
+        "run": {"seed": 7, "n_samples": 3, "out_dir": "elsewhere", "generic_C": 2.0,
+                "threads": 2},
+    })
+    defaults = RunConfig().as_dict()
+    assert all(value != defaults[name][key]
+               for name, section in cfg.as_dict().items() for key, value in section.items())
     path = tmp_path / "cfg.yaml"
     dump_config(cfg, str(path))
     again = load_config(str(path))
     assert again == cfg
     assert again.as_dict() == cfg.as_dict()
+    assert again.geometry.cell == (6, 7) and type(again.geometry.cell[0]) is int
 
 
 def test_defaults_are_valid():
@@ -326,7 +341,7 @@ def _factors_the_flat_operator_once(monkeypatch, threads):
     assert len(calls) == 1 and rep.n_completed == 3
     assert len(symbols) == symbols_one
 
-    params, geom, _, mesh, _, cutoff, _ = build_setup(cfg)
+    params, geom, mesh, cutoff, _ = build_setup(cfg)
     samples = sample_ensemble(5, 3, 0.3, ((1, 0, 0.05), (0, 1, 0.04)), geom, mesh.bottom,
                               cfg.source.amplitude)
     for sample, row in zip(samples, rep.sample_rows):
@@ -423,7 +438,7 @@ def test_a_failed_sample_leaves_nothing_in_the_shared_workspace(monkeypatch, two
 def _failed_sample_case(monkeypatch, threads, budget_elements, n_z, blocks):
     cfg = cfg_with(surface={"law_bands": [[1, 0, 0.05], [0, 1, 0.04]], "M0": 0.3},
                    discretization={"n_z": n_z}, run={"threads": 1})
-    mesh = build_setup(cfg)[3]
+    mesh = build_setup(cfg)[2]
     per_element = 3 * 4 * mesh.P1 * mesh.P2 * 2 * 16
     monkeypatch.setattr(solver, "_BLOCK_BYTES", budget_elements * per_element + 1)
     budget = solver._BLOCK_BYTES // threads
@@ -540,7 +555,7 @@ def test_the_ensemble_runs_in_the_callers_thread_without_a_pool(monkeypatch, two
         monkeypatch.setattr(harness, "solve_field", functools.wraps(solve_field)(
             lambda *args, **kwargs: solve_field(*args, **kwargs)))
     else:
-        mesh = build_setup(cfg)[3]
+        mesh = build_setup(cfg)[2]
         per_element = 3 * 4 * mesh.P1 * mesh.P2 * 2 * 16
         monkeypatch.setattr(solver, "_BLOCK_BYTES", 2 * solver._BLOCK_GRANULE * per_element - 1)
         assert solver.budget_shares(mesh, Workspace()) == 1

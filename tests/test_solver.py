@@ -1620,7 +1620,7 @@ def test_flat_run_factors_the_one_class_its_source_reaches(monkeypatch):
     assert report.diagnostics["solve_method"] == "direct"
     (bands,) = assembled
     assert bands.shape == (3, 1, 96, 3, 3) and bands.nbytes == 41_472
-    params, _, _, mesh, *_ = harness.build_setup(cfg)
+    params, _, mesh, *_ = harness.build_setup(cfg)
     assert assemble_flat_blocks(mesh, params, every_class(mesh)).nbytes == 3_359_232
 
 
@@ -1744,7 +1744,7 @@ def test_flat_solve_and_diagnostics_allocate_under_three_free_vectors():
     products of one full-length pairing sum are the large allocations."""
     cfg = from_dict({"surface": {"delta": 0.25},
                      "discretization": {"N1": 16, "N2": 16, "n_z": 32}})
-    params, _, _, mesh, _, _, source = harness.build_setup(cfg)
+    params, _, mesh, _, source = harness.build_setup(cfg)
     ctx = SolverContext(mesh, params)
     rhs = assemble_rhs(mesh, source)
     free_bytes = rhs.nbytes
