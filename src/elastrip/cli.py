@@ -169,8 +169,8 @@ def constants_cmd(cfg, out):
     sc = stability_constants(params)
     L = make_profile(cfg.surface.f0_offset, cfg.surface.terms, geom).L
     br = bound_constants(params, geom, L=L, generic_C=cfg.run.generic_C)
-    payload = {"K": sc.K, "C_K": sc.C_K, "c_K": sc.c_K, "L": L,
-               **br.as_dict(), "stochastic_bound": harness.stochastic_bound(cfg)}
+    payload = {**vars(sc), "L": L, **br.as_dict(),
+               "stochastic_bound": harness.stochastic_bound(cfg)}
     for k, v in payload.items():
         click.echo(f"{k} = {v:.12g}")
     harness.write_json(os.path.join(out, "constants.json"), payload)

@@ -162,7 +162,7 @@ def from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
     unknown = set(data) - set(_SECTIONS)
     if unknown:
-        raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown config section(s): {sorted(unknown, key=str)}")
     kwargs = {}
     for name, cls in _SECTIONS.items():
         section = data.get(name, {})
@@ -170,7 +170,7 @@ def from_dict(data: dict) -> RunConfig:
             raise ConfigError(f"section '{name}' must be a mapping")
         bad = set(section) - set(_HINTS[name])
         if bad:
-            raise ConfigError(f"unknown key(s) in '{name}': {sorted(bad)}")
+            raise ConfigError(f"unknown key(s) in '{name}': {sorted(bad, key=str)}")
         kwargs[name] = cls(**{k: _tuples(v) for k, v in section.items()})
     return RunConfig(**kwargs)
 

@@ -36,31 +36,44 @@ class HarmonicTerm:
 class SurfaceProfile:
     """Periodized Lipschitz graph built from a finite trigonometric series.
 
-    ``grid`` passes in :meth:`_grid_fields` when the caller has evaluated it
-    already; the bounds are taken from it and it is not kept.  A flat
-    profile needs no grid: f_min = f_max = offset and L = 0 are the values
-    its grid gives.
+    Terms of zero amplitude are dropped.  f_min, f_max and sup_grad, the
+    sup of |grad f|, are taken on the evaluation grid (:meth:`_grid_fields`).
+    ``grid`` passes that grid in when the caller has evaluated it already;
+    it is not kept.  A flat profile needs no grid: f_min = f_max = offset
+    and sup_grad = 0 are the values its grid gives.
     """
 
     offset: float
     terms: tuple[HarmonicTerm, ...]
     cell: tuple[float, float]
     grid: InitVar[tuple | None] = None
-    L: float = field(init=False)
     f_min: float = field(init=False)
     f_max: float = field(init=False)
+    sup_grad: float = field(init=False)
 
     def __post_init__(self, grid):
-        self.terms = tuple(self.terms)
+        self.terms = tuple(t for t in self.terms if t.c or t.s)
         if grid is None and self.is_flat():
             self.f_min = self.f_max = float(self.offset)
-            self.L = 0.0
+            self.sup_grad = 0.0
             return
         f, g1, g2 = self._grid_fields() if grid is None else grid
         self.f_min = float(f.min())
         self.f_max = float(f.max())
-        sup_grad = float(np.sqrt(g1**2 + g2**2).max())
-        self.L = _LIPSCHITZ_SAFETY * sup_grad if sup_grad > 0 else 0.0
+        self.sup_grad = float(np.sqrt(g1**2 + g2**2).max())
+
+    @property
+    def L(self) -> float:
+        """The Lipschitz constant: sup_grad with a margin for the grid's sampling."""
+        return _LIPSCHITZ_SAFETY * self.sup_grad
+
+    def in_slab(self, geom: StripGeometry) -> bool:
+        """m < f < M_sup on the evaluation grid."""
+        return geom.m < self.f_min and self.f_max < geom.M_sup
+
+    def distance_to_level(self, c: float) -> float:
+        """||f - c||_{1,inf} = sup|f - c| + sup|grad f| on the evaluation grid."""
+        return max(self.f_max - c, c - self.f_min) + self.sup_grad
 
     def values(self, x1, x2):
         return self._fields(x1, x2)[0]
@@ -76,7 +89,7 @@ class SurfaceProfile:
         return _series_grid(self.offset, self.terms, self.cell, n)
 
     def is_flat(self) -> bool:
-        return all(t.c == 0 and t.s == 0 for t in self.terms)
+        return not self.terms
 
 
 def _harmonic(j1: int, j2: int, cell, x1, x2):
@@ -115,23 +128,13 @@ def _series_grid(offset, terms, cell, n: int = 256):
     return _series_fields(offset, terms, cell, *_grid_points(cell, n))
 
 
-def _distance_1inf(a, b) -> float:
-    """sup|f - f0| + sup|grad f - grad f0| of two (f, df/dx1, df/dx2) grids;
-    either may hold scalars that broadcast, as a flat surface does."""
-    fa, g1a, g2a = a
-    fb, g1b, g2b = b
-    dv = np.abs(fa - fb).max()
-    dg = np.sqrt((g1a - g1b) ** 2 + (g2a - g2b) ** 2).max()
-    return float(dv + dg)
-
-
 def make_profile(offset: float, terms, geom: StripGeometry) -> SurfaceProfile:
     """Build a profile and verify slab containment on its evaluation grid."""
     prof = SurfaceProfile(offset=float(offset),
                           terms=tuple(HarmonicTerm(*t) if not isinstance(t, HarmonicTerm) else t
                                       for t in terms),
                           cell=geom.cell)
-    if prof.f_min <= geom.m or prof.f_max >= geom.M_sup:
+    if not prof.in_slab(geom):
         # evaluated again only to name the point furthest outside the slab
         f = prof._grid_fields()[0]
         k = np.unravel_index(int(np.argmax(np.maximum(geom.m - f, f - geom.M_sup))), f.shape)
@@ -236,8 +239,8 @@ def sample_ensemble(seed: int, n: int, M0: float, bands: tuple[tuple[int, int, f
     candidate has offset c and one term per band, whose cos and sin
     amplitudes are uniform in [-max_amplitude, max_amplitude].  Each sample's
     source is :meth:`BumpSource.random` with the factor amplitude scale
-    ``amplitude``.  The distance ||f - c||_{1,inf} of a candidate is
-    sup|f - c| + sup|grad f| on its own evaluation grid.  The cos and sin
+    ``amplitude``.  A candidate is admissible when it lies in the slab and
+    its :meth:`~SurfaceProfile.distance_to_level` c is at most M0.  The cos and sin
     grids of each band are evaluated once per ensemble and each candidate
     only sums them with its amplitudes.
     """
@@ -254,11 +257,10 @@ def sample_ensemble(seed: int, n: int, M0: float, bands: tuple[tuple[int, int, f
             for j1, j2, amp in bands:
                 a_cos, a_sin = rng.uniform(-amp, amp, size=2)
                 terms.append(HarmonicTerm(j1, j2, a_cos, a_sin))
-            # one sum of the band grids per candidate: its bounds and its distance to c
+            # one sum of the band grids per candidate gives its bounds
             grid = _series_fields(c, terms, geom.cell, *points, harmonics)
             cand = SurfaceProfile(offset=c, terms=tuple(terms), cell=geom.cell, grid=grid)
-            in_slab = geom.m < cand.f_min and cand.f_max < geom.M_sup
-            if in_slab and _distance_1inf(grid, (c, 0.0, 0.0)) <= M0:
+            if cand.in_slab(geom) and cand.distance_to_level(c) <= M0:
                 surface = cand
                 break
         if surface is None:

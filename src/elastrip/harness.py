@@ -42,7 +42,10 @@ _PUSHFORWARD_POINTS = 12   # sample points per axis of the pushforward compariso
 
 @dataclass
 class RunReport:
-    config_echo: dict
+    """One deterministic run; ``as_dict``, the fields, is ``report.json``.
+    ``csv_row`` is the row of ``runs.csv`` (``docs/csv_schema.md``)."""
+
+    config: dict                     # RunConfig.as_dict(), the config echo
     u_vh: float
     g_l2: float
     g_h1: float
@@ -59,8 +62,8 @@ class RunReport:
     def csv_row(self) -> dict:
         return {
             "label": self.label,
-            "omega": self.config_echo["physics"]["omega"],
-            "h": self.config_echo["geometry"]["h"],
+            "omega": self.config["physics"]["omega"],
+            "h": self.config["geometry"]["h"],
             "L": self.diagnostics["surface_L"],
             "u_vh": self.u_vh,
             "g_l2": self.g_l2,
@@ -75,14 +78,14 @@ class RunReport:
         }
 
     def as_dict(self) -> dict:
-        return {"config": self.config_echo, "label": self.label,
-                "u_vh": self.u_vh, "g_l2": self.g_l2, "g_h1": self.g_h1,
-                "bound": self.bound, "diagnostics": self.diagnostics,
-                "wall_time": self.wall_time}
+        return dict(vars(self))
 
 
 @dataclass
 class McReport:
+    """A Monte Carlo run; ``as_dict``, the fields and ``completeness``, is
+    ``mc.json``, and ``sample_rows`` go to ``mc_samples.csv`` instead."""
+
     n_samples: int
     n_completed: int
     seed: int
@@ -100,12 +103,8 @@ class McReport:
         return self.n_completed / self.n_samples
 
     def as_dict(self) -> dict:
-        return {"n_samples": self.n_samples, "n_completed": self.n_completed,
-                "completeness": self.completeness, "seed": self.seed,
-                "mean_u_sq": self.mean_u_sq, "mean_g_sq": self.mean_g_sq,
-                "se_u_sq": self.se_u_sq, "se_g_sq": self.se_g_sq,
-                "stochastic_bound": self.stochastic_bound, "ratio": self.ratio,
-                "failures": self.failures}
+        d = {k: v for k, v in vars(self).items() if k != "sample_rows"}
+        return {**d, "completeness": self.completeness}
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +277,7 @@ def deterministic_run(cfg: RunConfig, label: str = "run",
     ratio = u_vh / (report.total_bound * g_h1) if g_h1 > 0 else 0.0
     report = replace(report, measured_ratio=ratio)
     diag = _diagnose(field, rhs, ctx, info, profile, quadratics)
-    run = RunReport(config_echo=cfg.as_dict(), u_vh=u_vh, g_l2=g_l2, g_h1=g_h1,
+    run = RunReport(config=cfg.as_dict(), u_vh=u_vh, g_l2=g_l2, g_h1=g_h1,
                     bound=report.as_dict(), diagnostics=diag,
                     wall_time=time.perf_counter() - t0, label=label)
     return run, field
@@ -545,15 +544,11 @@ def write_run_csv(path, reports) -> None:
 
 
 def write_sweep_csv(path, rows) -> None:
+    """A point's run columns are its ``runs.csv`` cells; a failed point's are empty."""
     def cells(row):
         rep = row["report"]
-        if rep is None:
-            return {"axis": row["axis"], "value": row["value"], "status": row["error"]}
-        return {"axis": row["axis"], "value": row["value"], "status": "ok",
-                "u_vh": rep.u_vh, "g_h1": rep.g_h1,
-                "total_bound": rep.bound["total_bound"],
-                "measured_ratio": rep.bound["measured_ratio"],
-                "energy_residual": rep.diagnostics["energy_residual"]}
+        run = {"status": "ok", **rep.csv_row()} if rep else {"status": row["error"]}
+        return {"axis": row["axis"], "value": row["value"], **run}
 
     _write_csv(path, ("axis", "value", "status", "u_vh", "g_h1", "total_bound",
                       "measured_ratio", "energy_residual"), map(cells, rows))

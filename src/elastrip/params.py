@@ -122,12 +122,8 @@ class BoundReport:
     measured_ratio: float | None = None
 
     def as_dict(self) -> dict:
-        d = {f"C{i}": getattr(self, f"C{i}") for i in range(1, 7)}
-        d["total_bound"] = self.total_bound
-        d["generic_C"] = self.generic_C
-        if self.measured_ratio is not None:
-            d["measured_ratio"] = self.measured_ratio
-        return d
+        """The fields, ``measured_ratio`` only once it is set."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def bound_constants(params: ElasticParams, geom: StripGeometry, L: float,

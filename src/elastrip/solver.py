@@ -1221,9 +1221,8 @@ def inner_collocation(mesh: StripMesh, surface: SurfaceProfile) -> tuple[int, in
     need to cut the residual by a fixed factor, and aliasing at n + 3K
     points errs by less than their complex64 rounding (see ``_INNER_TOL``).
     """
-    terms = [t for t in surface.terms if t.c or t.s]
-    K1, K2 = (max((abs(j) for j in js), default=0)
-              for js in ([t.j1 for t in terms], [t.j2 for t in terms]))
+    K1 = max((abs(t.j1) for t in surface.terms), default=0)
+    K2 = max((abs(t.j2) for t in surface.terms), default=0)
     return (min(mesh.P1, _next_fast_len(mesh.grid.n1 + 3 * K1)),
             min(mesh.P2, _next_fast_len(mesh.grid.n2 + 3 * K2)))
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 from elastrip import harness
 from elastrip.cli import main
 from elastrip.config import load_config
+from elastrip.params import BoundReport, StabilityConstants
 
 BASE_CFG = {
     "physics": {"omega": 1.0},
@@ -22,6 +24,7 @@ BASE_CFG = {
 
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "csv_schema.md"
+JSON_SCHEMA = SCHEMA.with_name("json_schema.md")
 
 
 @pytest.fixture
@@ -78,6 +81,21 @@ def test_unknown_config_key_exits_1(runner, tmp_path):
                                "--out", str(tmp_path / "out")])
     assert res.exit_code == 1
     assert "omga" in res.output
+
+
+@pytest.mark.parametrize("text", ["physics: {1: 2, omga: 3}\n", "{1: {}, foo: {}}\n"],
+                         ids=["section", "root"])
+def test_non_string_config_keys_are_config_errors(runner, tmp_path, text):
+    """An integer key next to a string one, in a section or at the root,
+    exits 1 naming the unknown keys, with nothing written; sorting the
+    keys for the message once raised TypeError and a traceback."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["solve", "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "error: unknown" in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [
@@ -440,3 +458,94 @@ def test_csv_cells_are_plain_numbers_under_schema_headers(runner, tmp_path):
                     assert np.isfinite(float(cell)), (name, column, cell)
                 if kind == "int":
                     int(cell)
+
+
+def field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def json_outputs(runner, tmp_path, cfg, runs) -> dict:
+    """{file name: its parsed JSON} of each (args, file name, exit code) run on ``cfg``."""
+    payloads = {}
+    for args, name, code in runs:
+        out = tmp_path / "_".join(args[:3])
+        res = runner.invoke(main, args + ["--config", cfg, "--out", str(out)])
+        assert res.exit_code == code, res.output
+        payloads[name] = json.loads((out / name).read_text())
+    return payloads
+
+
+def test_json_reports_are_their_dataclass_fields(runner, tmp_path):
+    """report.json is RunReport's fields, mc.json McReport's without the
+    sample rows and with completeness, and constants.json the stability
+    constants, L, the bound constants and the stochastic bound."""
+    payloads = json_outputs(runner, tmp_path, write_cfg(tmp_path, SMALL), [
+        (["solve"], "report.json", 0), (["mc", "--n-samples", "2"], "mc.json", 0),
+        (["constants"], "constants.json", 0)])
+    report = payloads["report.json"]
+    assert set(report) == field_names(harness.RunReport)
+    assert set(report["bound"]) == field_names(BoundReport)
+    assert set(payloads["mc.json"]) == (field_names(harness.McReport) - {"sample_rows"}
+                                        | {"completeness"})
+    assert set(payloads["constants.json"]) == (
+        field_names(StabilityConstants) | {"L", "stochastic_bound"}
+        | field_names(BoundReport) - {"measured_ratio"})
+
+
+def json_schema_keys() -> dict:
+    """{object: {key, ...}} read from the tables of docs/json_schema.md,
+    each table named by the first word of its heading."""
+    tables, name = {}, None
+    for line in JSON_SCHEMA.read_text().splitlines():
+        if line.startswith("#"):
+            name = line.lstrip("#").split()[0]
+        elif line.startswith("|") and not set(line) <= set("|- "):
+            key = line.strip("|").split("|")[0].strip()
+            if key != "key":
+                tables.setdefault(name, set()).add(key)
+    return tables
+
+
+def test_json_keys_are_the_documented_ones(runner, tmp_path):
+    """Every JSON object a subcommand writes has the keys of its table in
+    docs/json_schema.md."""
+    cfg = write_cfg(tmp_path, SMALL)
+    payloads = json_outputs(runner, tmp_path, cfg, [
+        (["solve"], "report.json", 0), (["mc", "--n-samples", "2"], "mc.json", 0),
+        (["constants"], "constants.json", 0), (["pushforward"], "pushforward.json", 0),
+        (["sweep", "--axis", "L_amplitude", "--values", "1,40"], "sweep.json", 0),
+        (["extend"], "extend.json", 0)])
+    # mc without a surface law fails after writing config.yaml: exit 2 and error.json
+    payloads |= json_outputs(runner, tmp_path, write_cfg(tmp_path, name="flat.yaml"),
+                             [(["mc"], "error.json", 2)])
+    payloads["report.json/bound"] = payloads["report.json"]["bound"]
+    payloads["report.json/diagnostics"] = payloads["report.json"]["diagnostics"]
+    points = payloads["sweep.json"]["points"]
+    assert set(points[0]) == set(points[1]) and points[1]["report"] is None
+    payloads["sweep.json/points"] = points[0]
+    assert points[0]["report"].keys() == payloads["report.json"].keys()
+    assert {name: set(p) for name, p in payloads.items()} == json_schema_keys()
+
+
+@pytest.mark.parametrize("sweep, solve, row", [
+    (["--axis", "L_amplitude", "--values", "0,1,40"], [], 1),
+    (["--axis", "omega", "--values", "0.5"], ["--omega", "0.5"], 0),
+])
+def test_sweep_rows_are_the_run_rows_of_their_points(runner, tmp_path, sweep, solve, row):
+    """A sweep point's run cells are the runs.csv cells of solve on that
+    point's config; a failed point states its error and leaves them empty."""
+    cfg = write_cfg(tmp_path, SMALL)
+    runs = {}
+    for args, name in ((["sweep"] + sweep, "sweep.csv"), (["solve"] + solve, "runs.csv")):
+        out = tmp_path / args[0]
+        res = runner.invoke(main, args + ["--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        with open(out / name, newline="") as fh:
+            runs[name] = list(csv.DictReader(fh))
+    point, run = runs["sweep.csv"][row], runs["runs.csv"][0]
+    assert point["status"] == "ok"
+    columns = [c for c in point if c not in ("axis", "value", "status")]
+    assert columns and all(point[c] == run[c] for c in columns)
+    for failed in runs["sweep.csv"][2:]:
+        assert failed["status"].startswith("ConstraintError: profile leaves the slab")
+        assert all(failed[c] == "" for c in columns)

@@ -6,9 +6,9 @@ import pytest
 from elastrip import geometry
 from elastrip.dtn import SpectralGrid
 from elastrip.errors import ConstraintError, SingularTransformError
-from elastrip.geometry import (CutoffFn, HarmonicTerm, SurfaceProfile, _distance_1inf,
-                               _grid_points, _harmonic, _series_fields, _series_grid,
-                               invert_vertical, make_profile, sample_ensemble, transform_fields)
+from elastrip.geometry import (CutoffFn, HarmonicTerm, SurfaceProfile, _grid_points, _harmonic,
+                               _series_fields, _series_grid, invert_vertical, make_profile,
+                               sample_ensemble, transform_fields)
 from elastrip.mesh import StripMesh
 from elastrip.params import StripGeometry
 from elastrip.solver import TransformCoefficients
@@ -205,15 +205,16 @@ def test_ensemble_draws_are_pinned(M0):
 
 @pytest.mark.parametrize("offset", [0.0, 0.07, -0.13])
 def test_distance_to_a_flat_f0_needs_no_f0_grid(offset):
-    """Against flat f0 = c the candidate's own grid gives the distance with
-    the bits of the comparison against f0's 256^2 grid."""
+    """A profile's distance to a flat level c, from its own bounds and
+    sup|grad f|, has the bits of the comparison of its 256^2 grid against
+    the grid of flat f0 = c, at its own offset and off it."""
     rng = np.random.default_rng(3)
     law = ((1, 0, 0.05), (0, 1, 0.05), (1, 1, 0.03), (2, 1, 0.02))
-    f0_grid = flat(offset)._grid_fields()
     for _ in range(20):
         terms = [HarmonicTerm(j1, j2, *rng.uniform(-a, a, size=2)) for j1, j2, a in law]
-        grid = _series_grid(offset, terms, CELL)
-        assert _distance_1inf(grid, (offset, 0.0, 0.0)) == _distance_1inf(grid, f0_grid)
+        prof = SurfaceProfile(offset=offset, terms=tuple(terms), cell=CELL)
+        for c in (offset, offset + 0.01, offset - 0.2):
+            assert prof.distance_to_level(c) == sup_distance_1inf(prof, flat(c))
 
 
 def test_ensemble_evaluates_each_band_harmonic_once(monkeypatch):
