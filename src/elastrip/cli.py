@@ -272,9 +272,18 @@ def pushforward_cmd(cfg, out):
     return EXIT_OK
 
 
+def _check_height(height):
+    """The offset of ``extend``, checked before the solve; ``extend_field``
+    repeats the check for library callers."""
+    if not (math.isfinite(height) and height >= 0):
+        raise ConfigError(f"--height must be finite and >= 0, got {height}")
+    return {"height": height}
+
+
 @_subcommand("extend", _OMEGA,
              click.option("--height", type=float, default=0.5,
-                          help="offset above the plane"))
+                          help="offset above the plane"),
+             prepare=_check_height)
 def extend_cmd(cfg, out, height):
     """Solve the config and propagate its solution's top trace upward by the
     angular spectrum."""

@@ -9,7 +9,6 @@ the prefactor is a modelling choice.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import os
@@ -212,7 +211,7 @@ def source_norms(source, mesh: StripMesh, coeffs: TransformCoefficients | None,
     l2_sq = grad_sq = 0.0
     for b in element_blocks(mesh, work):
         points = quad_points(mesh, coeffs, b, work)
-        wgt = coeffs.weights(b, work)
+        wgt = coeffs.block(b, work).wgt
         l2_sq += float(np.sum(wgt * source.values(*points) ** 2))
         grad_sq += float(np.sum(wgt * source.gradients(*points) ** 2))
     return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
@@ -367,17 +366,16 @@ def _solve_ensemble(ctx: SolverContext, samples, solve, threads: int | None) -> 
     :func:`~elastrip.solver.budget_shares` of the mesh: each worker solves
     in its own :meth:`SolverContext.share` of ``ctx``, whose element blocks
     then keep the bits of ``ctx``'s, so a sample's result does not depend
-    on the worker count or on which worker took it.  The flat factor and
-    the samples' complex64 operator meshes (:meth:`SolverContext.inner_mesh`)
-    are built once, and each share's workspace buffers taken
-    (:meth:`SolverContext.reserve`), in the caller's thread before the pool
-    starts: with their large buffers taken in the workers, the pool's peak
-    memory varied by 7 MB from run to run.  While the pool
-    runs, every loaded OpenBLAS runs on one thread: a worker's products are
-    small, and 2 workers with 2 BLAS threads each were slower than one
-    loop.  With one worker, where no OpenBLAS thread count can be set, or
-    while a sample's entry points are wrapped (:func:`_wrapped_entry`),
-    the samples run one after another in the caller's thread in ``ctx``.
+    on the worker count or on which worker took it.  The shares, with the
+    flat factor they read and their workspace buffers, are made in the
+    caller's thread before the pool starts.  While the pool runs, every
+    loaded OpenBLAS runs on one thread: a worker's products are small, and
+    2 workers with 2 BLAS threads each were slower than one loop.  Each
+    sample builds its own complex64 operator mesh in its worker
+    (:func:`~elastrip.solver.inner_mesh`).  With one worker, where no
+    OpenBLAS thread count can be set, or while a sample's entry points are
+    wrapped (:func:`_wrapped_entry`), the samples run one after another in
+    the caller's thread in ``ctx``.
     """
     from .blas import openblas_controls, threads_limited
 
@@ -390,15 +388,9 @@ def _solve_ensemble(ctx: SolverContext, samples, solve, threads: int | None) -> 
     from concurrent.futures import ThreadPoolExecutor
     from queue import SimpleQueue
 
-    with contextlib.suppress(ElastripError):  # a singular pivot fails each rough sample
-        ctx.solve
-    for sample in samples:
-        ctx.inner_mesh(sample.surface)
     idle = SimpleQueue()
     for _ in range(workers):
-        share = ctx.share(workers)
-        share.reserve()
-        idle.put(share)
+        idle.put(ctx.share(workers))
 
     def task(sample):
         own = idle.get()

@@ -155,72 +155,64 @@ class StripMesh:
 
     # -- padded pseudospectral transforms ------------------------------------
 
-    def to_physical(self, C: np.ndarray, ax1: int = -4, ax2: int = -3,
-                    gradient: bool = False, work: Workspace | None = None,
-                    tail: np.ndarray | None = None) -> np.ndarray:
-        """Mode coefficients -> values on the padded collocation grid.
+    def to_physical(self, C: np.ndarray, tail: np.ndarray, work: Workspace) -> np.ndarray:
+        """Values and horizontal derivatives of one field on the padded
+        collocation grid, with a second field that is constant over the
+        Gauss points: the gradient transform of the rough operator.
 
-        Two DFT-matrix products, along ax2 then ax1; the padded modes are
-        zero implicitly.  With ``gradient`` the horizontal axes must be
-        adjacent and axis ax1 - 1 holds one field C0; the result lists
-        (C0, d1 C0, d2 C0) there, the horizontal derivatives coming from the
-        stacked matrices [E; E diag(i xi)].  ``tail``, with ``gradient``, is
-        one more field that is constant along the last axis of C, given
-        without that axis or the field axis: transformed once, it is listed
-        last, repeated along that axis.  A linear element's z-derivative is
-        such a field over the element's Gauss points.  The gradient result
-        and the intermediates take buffers of ``work``.  The matrices are
-        those of the precision of C: a complex64 or float32 field is
-        transformed in complex64.
+        C holds the values (3, 1, n1, n2, e, q) and ``tail`` the other
+        field (3, n1, n2, e), given once per element; a linear element's
+        z-derivative is such a field.  The result is (3, 4, P1, P2, e, q):
+        C, d1 C and d2 C, then the tail repeated over the Gauss points.
+        Two DFT-matrix products, along n2 then n1, give each field; the
+        padded modes are zero implicitly, and the horizontal derivatives come
+        from the stacked matrices [E; E diag(i xi)].  The result and the
+        intermediates take buffers of ``work``.  The matrices are those of
+        the precision of C: a complex64 field is transformed in complex64.
         """
-        ax1, ax2 = ax1 % C.ndim, ax2 % C.ndim
         E1, E1d, E2, E2d = self.dft_matrices(C.dtype)[:4]
-        if not gradient:
-            return _along(E1, _along(E2, C, ax2), ax1)
-        work = Workspace() if work is None else work
-        A, n1, n2, R = _field_stack(C.shape, ax1, ax2, 1)
-        P1, P2, P2R, t = self.P1, self.P2, self.P2 * R, tail is not None
-        out_shape = C.shape[:ax1 - 1] + (3 + t, P1, P2) + C.shape[ax2 + 1:]
-        C, dtype = C.reshape(A, n1, n2, R), E1.dtype
-        Z = np.matmul(E2d, C, out=work.take("scratch", (A, n1, 2 * P2, R), dtype))
-        Z = Z.reshape(A, n1, 2 * P2R)  # E2 C0 | E2 i xi2 C0
-        F = work.take("fields", (A, 3 + t, P1, P2R), dtype)
-        Fm = F.reshape(A, (3 + t) * P1, P2R)
+        A, _, n1, n2, n, q = C.shape
+        P1, P2, P2R = self.P1, self.P2, self.P2 * n * q
+        dtype = E1.dtype
+        Z = np.matmul(E2d, C.reshape(A, n1, n2, n * q),
+                      out=work.take("scratch", (A, n1, 2 * P2, n * q), dtype))
+        Z = Z.reshape(A, n1, 2 * P2R)  # E2 C | E2 i xi2 C
+        F = work.take("fields", (A, 4, P1, P2R), dtype)
+        Fm = F.reshape(A, 4 * P1, P2R)
         np.matmul(E1d, Z[:, :, :P2R], out=Fm[:, :2 * P1])
         np.matmul(E1, Z[:, :, P2R:], out=Fm[:, 2 * P1:3 * P1])
-        if t:
-            n = tail.shape[-1]  # the columns of the tail, R / n each repeated
-            both = work.take("scratch", (A, n1 + P1, P2 * n), dtype)
-            np.matmul(E2, tail.reshape(A, n1, n2, n), out=both[:, :n1].reshape(A, n1, P2, n))
-            once = np.matmul(E1, both[:, :n1], out=both[:, n1:])
-            F[:, -1].reshape(A, P1, P2, n, R // n)[...] = once.reshape(A, P1, P2, n, 1)
-        return F.reshape(out_shape)
+        both = work.take("scratch", (A, n1 + P1, P2 * n), dtype)
+        np.matmul(E2, tail.reshape(A, n1, n2, n), out=both[:, :n1].reshape(A, n1, P2, n))
+        once = np.matmul(E1, both[:, :n1], out=both[:, n1:])
+        F[:, 3].reshape(A, P1, P2, n, q)[...] = once.reshape(A, P1, P2, n, 1)
+        return F.reshape(A, 4, P1, P2, n, q)
 
-    def to_modes_adjoint(self, W: np.ndarray, ax1: int = -4, ax2: int = -3,
-                         gradient: bool = False, work: Workspace | None = None) -> np.ndarray:
-        """Adjoint of :meth:`to_physical` under the plain point sum.
+    def to_modes_adjoint(self, W: np.ndarray, gradient: bool = False,
+                         work: Workspace | None = None) -> np.ndarray:
+        """Adjoint of the padded transform under the plain point sum.
 
-        The conjugate-transposed DFT matrices, applied in the reverse order;
-        with ``gradient`` the field axis ax1 - 1 holds the three fields of a
-        gradient transform without a tail, and shrinks back to one; the
-        result and the intermediates take buffers of ``work``.  Like
+        The horizontal axes of W are the two before its (element, Gauss
+        point) axes, (..., P1, P2, e, q), and become (n1, n2).  The
+        conjugate-transposed DFT matrices are applied in the reverse order.
+        With ``gradient``, W is (3, 3, P1, P2, e, q), the duals of the
+        first three fields of :meth:`to_physical`, and the result (3, 1, n1,
+        n2, e, q) and the intermediates take buffers of ``work``.  Like
         :meth:`to_physical`, it runs in the precision of W.
         """
-        ax1, ax2 = ax1 % W.ndim, ax2 % W.ndim
         E1H, E1dH, E2H, E2dH = self.dft_matrices(W.dtype)[4:]
         if not gradient:
-            return _along(E2H, _along(E1H, W, ax1), ax2)
+            ax1 = W.ndim - 4
+            return _along(E2H, _along(E1H, W, ax1), ax1 + 1)
         work = Workspace() if work is None else work
-        A, P1, P2, R = _field_stack(W.shape, ax1, ax2, 3)
-        n1, n2, P2R = self.grid.n1, self.grid.n2, P2 * R
-        out_shape = W.shape[:ax1 - 1] + (1, n1, n2) + W.shape[ax2 + 1:]
+        A, _, P1, P2, n, q = W.shape
+        n1, n2, P2R = self.grid.n1, self.grid.n2, P2 * n * q
         W, dtype = W.reshape(A, 3 * P1, P2R), E1H.dtype
         Y = work.take("scratch", (A, n1, 2 * P2R), dtype)
         np.matmul(E1dH, W[:, :2 * P1], out=Y[:, :, :P2R])
         np.matmul(E1H, W[:, 2 * P1:], out=Y[:, :, P2R:])
-        out = work.take("modes", (A, n1, n2, R), dtype)
-        np.matmul(E2dH, Y.reshape(A, n1, 2 * P2, R), out=out)
-        return out.reshape(out_shape)
+        out = work.take("modes", (A, n1, n2, n * q), dtype)
+        np.matmul(E2dH, Y.reshape(A, n1, 2 * P2, n * q), out=out)
+        return out.reshape(A, 1, n1, n2, n, q)
 
     def dft_matrices(self, dtype) -> tuple:
         """(E1, E1d, E2, E2d, E1H, E1dH, E2H, E2dH) at the complex dtype of
@@ -307,11 +299,3 @@ def _along(E: np.ndarray, X: np.ndarray, ax: int) -> np.ndarray:
     Y = np.matmul(E, X.reshape(math.prod(shape[:ax]), shape[ax], math.prod(shape[ax + 1:])))
     return Y.reshape(shape[:ax] + (E.shape[0],) + shape[ax + 1:])
 
-
-def _field_stack(shape: tuple, ax1: int, ax2: int, fields: int):
-    """(A, m1, m2, R): ``fields`` fields on the axis before adjacent
-    horizontal axes, the axes before and after merged."""
-    if ax1 < 1 or ax2 != ax1 + 1 or shape[ax1 - 1] != fields:
-        raise ConstraintError(f"gradient transforms need {fields} field(s) on an axis before "
-                              f"adjacent horizontal axes, got shape {shape}, ax1={ax1}, ax2={ax2}")
-    return math.prod(shape[:ax1 - 1]), shape[ax1], shape[ax2], math.prod(shape[ax2 + 1:])

@@ -27,7 +27,7 @@ The collocation grid of the mesh, P >= 3(2N + 1)/2 points per axis (the 3/2
 rule), defines the discrete problem: the complex128 operator that gates
 every residual, the load vector, the physical norms and the |J3| check all
 use it.  The complex64 Arnoldi operator of a rough solve runs on a coarser
-grid of min(P, n + 3K) points per axis (:func:`inner_collocation`), n =
+grid of min(P, n + 3K) points per axis (:func:`inner_mesh`), n =
 2N + 1 and K the surface's largest harmonic index there.  Its rounds need
 only cut the residual by a fixed factor (iterative refinement; Carson &
 Higham, SIAM J. Sci. Comput. 40 (2018) A817), and the aliasing of the
@@ -49,6 +49,7 @@ only, and not on how the budget is shared among threads.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
 from dataclasses import dataclass
@@ -736,28 +737,15 @@ class TransformCoefficients:
 
         outer(J1, self.g1.ravel(), a)
         outer(J2, self.g2.ravel(), a)
-        det = self._det(elements, tmp if cast else wgt)
+        det = np.einsum("i,j->ij", self.df.ravel(), self.alpha_d[elements].ravel(),
+                        out=tmp if cast else wgt)
+        det += 1.0
         np.divide(1.0, det, out=inv_det)
         wgt64 = np.multiply(det, wq * mesh.point_weight, out=det)
         if cast:
             wgt[...] = wgt64
         np.multiply(-(omega * omega), wgt64, out=mass_wgt)
         return BlockPlanes(*(p.reshape(shape) for p in (J1, J2, inv_det, wgt, mass_wgt)))
-
-    def _det(self, elements: slice, out: np.ndarray) -> np.ndarray:
-        """det = 1 + alpha' (f - c) of the vertical ``elements``, float64, in ``out``."""
-        det = np.einsum("i,j->ij", self.df.ravel(), self.alpha_d[elements].ravel(), out=out)
-        det += 1.0
-        return det
-
-    def weights(self, elements: slice, work: Workspace) -> np.ndarray:
-        """The float64 ``wgt`` plane of :meth:`block` alone, with its bits,
-        in the same buffer of ``work``: what the load vector and the source
-        norms read, without the chain-rule planes."""
-        planes, shape = _plane_shapes(self.mesh, elements)
-        wgt = self._det(elements, work.take("wgt", planes, np.float64))
-        wgt *= self.mesh.wq[elements].ravel() * self.mesh.point_weight
-        return wgt.reshape(shape)
 
     def heights(self, elements: slice, work: Workspace) -> np.ndarray:
         """The physical heights x3 = z + alpha (f - c) of the vertical
@@ -869,7 +857,7 @@ def physical_quad_fields(mesh: StripMesh, U: np.ndarray, planes: BlockPlanes,
     mesh.eval_at_quad(U, elements, out=C[:, 0])
     np.subtract(U[..., 1:][..., elements], U[..., :-1][..., elements], out=dz)
     dz *= (1.0 / np.diff(mesh.nodes)[elements]).astype(dz.real.dtype)
-    F = mesh.to_physical(C, ax1=2, ax2=3, gradient=True, work=work, tail=dz)
+    F = mesh.to_physical(C, dz, work)
     # Gx[:, j] = Gy[:, j] - J_j Gx[:, 2] for j < 2, Gx[:, 2] = Gy[:, 2] / det
     F[:, 3] *= planes.inv_det
     prod = work.take("scratch", F[:, 3].shape, F.dtype)
@@ -906,7 +894,7 @@ class StripOperator:
     The operator runs on the collocation grid of ``coeffs.mesh`` and cuts
     the elements into the blocks of ``ctx.mesh`` at ``dtype`` whatever
     that grid: the complex64 operator on a coarser grid
-    (:meth:`SolverContext.inner_mesh`) takes the blocks, and so at most
+    (:func:`inner_mesh`) takes the blocks, and so at most
     the buffers, of the one on the 3/2-rule grid.
 
     ``dtype`` is the complex precision of the work and of the returned
@@ -973,7 +961,7 @@ class StripOperator:
             F[:, 0, ..., 0] -= dz
 
             # duals of the values: mass, pulled-back horizontal stresses and dz
-            W = mesh.to_modes_adjoint(F[:, :3], ax1=2, ax2=3, gradient=True, work=work)
+            W = mesh.to_modes_adjoint(F[:, :3], gradient=True, work=work)
             mesh.scatter_from_quad(W[:, 0], elements=b, out=R)
 
         # DtN boundary term at the top node
@@ -1013,7 +1001,7 @@ def assemble_rhs(mesh: StripMesh, source,
     work = Workspace() if work is None else work
     for b in element_blocks(mesh, work):
         gvals = source.values(*quad_points(mesh, coeffs if physical else None, b, work))
-        Wq = mesh.to_modes_adjoint(-gvals * coeffs.weights(b, work), ax1=1, ax2=2)
+        Wq = mesh.to_modes_adjoint(-gvals * coeffs.block(b, work).wgt)
         mesh.scatter_from_quad(Wq, elements=b, out=R)
     return R[:, :, :, 1:].ravel()
 
@@ -1211,20 +1199,26 @@ def _gmres_cycle(matvec, V: list, r_norm: float, precond, target: float, max_ste
     return precond(z), estimates, stuck
 
 
-def inner_collocation(mesh: StripMesh, surface: SurfaceProfile) -> tuple[int, int]:
-    """Collocation sizes of the complex64 Arnoldi operator of a rough solve:
-    per axis min(P, next fast length of n + 3K), where n = 2N + 1 and K is
-    the largest harmonic index of ``surface`` on that axis.
+def inner_mesh(mesh: StripMesh, surface: SurfaceProfile) -> StripMesh:
+    """The mesh of the complex64 Arnoldi operator of a rough solve on
+    ``mesh`` for ``surface``: per axis min(P, next fast length of n + 3K)
+    collocation points, where n = 2N + 1 and K is the largest harmonic
+    index of ``surface`` on that axis.  It is ``mesh`` itself when those
+    are its own sizes, and otherwise a mesh of the same strip at them.
 
     The mesh's own sizes P (the 3/2 rule) define the problem: the residual
     operator, the load and the norms use them.  The complex64 rounds only
     need to cut the residual by a fixed factor, and aliasing at n + 3K
     points errs by less than their complex64 rounding (see ``_INNER_TOL``).
+    A rough solve builds its own, at 0.3 ms for N = 6 to 8.
     """
     K1 = max((abs(t.j1) for t in surface.terms), default=0)
     K2 = max((abs(t.j2) for t in surface.terms), default=0)
-    return (min(mesh.P1, _next_fast_len(mesh.grid.n1 + 3 * K1)),
-            min(mesh.P2, _next_fast_len(mesh.grid.n2 + 3 * K2)))
+    sizes = (min(mesh.P1, _next_fast_len(mesh.grid.n1 + 3 * K1)),
+             min(mesh.P2, _next_fast_len(mesh.grid.n2 + 3 * K2)))
+    if sizes == (mesh.P1, mesh.P2):
+        return mesh
+    return StripMesh(mesh.grid, mesh.bottom, mesh.top, mesh.n_elements, collocation=sizes)
 
 
 class SolverContext:
@@ -1238,10 +1232,9 @@ class SolverContext:
     makes only matvecs, never assembles it.  It assembles the bands, keeps
     their factor in complex64 (:func:`block_lu_solver`) and lets the bands
     go.  It sweeps the complex64 Krylov vectors in complex64, and the
-    corrections and complex128 rounds in complex128.  The meshes of the
-    complex64 operators (:meth:`inner_mesh`) are built at the first
-    request too.  The workspace makes a context serve one thread at a
-    time; :meth:`share` gives each of several threads its own.
+    corrections and complex128 rounds in complex128.  The workspace makes
+    a context serve one thread at a time; :meth:`share` gives each of
+    several threads its own.
     """
 
     def __init__(self, mesh: StripMesh, params: ElasticParams):
@@ -1249,7 +1242,6 @@ class SolverContext:
         XI1, XI2, _ = mesh.grid.frequency_mesh()
         self.symbol = dtn_symbol_grid(XI1, XI2, params)
         self.work = Workspace()
-        self._inner_meshes: dict[tuple[int, int], StripMesh] = {}
         self._reserved: Workspace | None = None
 
     def reserve(self) -> None:
@@ -1258,27 +1250,12 @@ class SolverContext:
         (:func:`_rough_buffer_bytes`), once per workspace.  A user of the
         workspace that needs fewer bytes and runs first, the complex64
         operator on its coarser grid, then fits in them, and no buffer is
-        replaced in a solve; a pool's worker threads use the buffers their
-        shares took in the caller's thread."""
+        replaced in a solve."""
         if self._reserved is not self.work:
             b = element_blocks(self.mesh, self.work)[0]
             for name, nbytes in _rough_buffer_bytes(self.mesh, b.stop - b.start).items():
                 self.work.take(name, (nbytes,), np.uint8)
             self._reserved = self.work
-
-    def inner_mesh(self, surface: SurfaceProfile) -> StripMesh:
-        """The mesh on :func:`inner_collocation`'s grid for ``surface``: the
-        context's own mesh when the sizes are its own, otherwise one built
-        at the first request of the sizes and kept, for this context and
-        its shares."""
-        sizes = inner_collocation(self.mesh, surface)
-        if sizes == (self.mesh.P1, self.mesh.P2):
-            return self.mesh
-        if sizes not in self._inner_meshes:
-            m = self.mesh
-            self._inner_meshes[sizes] = StripMesh(m.grid, m.bottom, m.top, m.n_elements,
-                                                  collocation=sizes)
-        return self._inner_meshes[sizes]
 
     @cached_property
     def solve(self):
@@ -1287,15 +1264,24 @@ class SolverContext:
                                np.complex64)
 
     def share(self, parts: int) -> SolverContext:
-        """A context for one of ``parts`` threads that solve on this mesh
-        and material at once: its own workspace, whose element blocks take
-        a ``parts``-th of the budget of this context's, so that the
-        threads' buffers together hold what this context's hold.  It
-        shares the symbol and the inner meshes, and the block-LU if it is
-        built already; otherwise each share builds its own at its first
-        rough solve."""
+        """A context, ready to solve, for one of ``parts`` threads that
+        solve on this mesh and material at once.
+
+        This context's block-LU is built first, so the shares read one
+        factor; a singular pivot there raises nothing here and fails each
+        rough solve of a share, which builds its own.  The share keeps the
+        symbol and gets its own workspace, whose element blocks take a
+        ``parts``-th of the budget of this context's, so that the threads'
+        buffers together hold what this context's hold.  Its buffers are
+        taken here (:meth:`reserve`), in the caller's thread: with its
+        large buffers taken in the workers, a pool's peak memory varied by
+        7 MB from run to run.
+        """
+        with contextlib.suppress(NonConvergenceError):
+            self.solve
         twin = copy.copy(self)
         twin.work = Workspace(block_budget(self.work) // parts)
+        twin.reserve()
         return twin
 
 
@@ -1323,7 +1309,7 @@ def _rough_buffer_bytes(mesh: StripMesh, n_e: int) -> dict[str, int]:
         U = np.zeros((3, mesh.grid.n1, mesh.grid.n2, n_e + 1), dtype=complex)
         F = physical_quad_fields(mesh, U, BlockPlanes(*(p.reshape(shape) for p in planes)),
                                  b, work)
-        mesh.to_modes_adjoint(F[:, :3], ax1=2, ax2=3, gradient=True, work=work)
+        mesh.to_modes_adjoint(F[:, :3], gradient=True, work=work)
         _BUFFER_BYTES[key] = work.nbytes()
     return _BUFFER_BYTES[key]
 
@@ -1351,7 +1337,7 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     ``solve``.
 
     GMRES runs its Arnoldi steps on the complex64 operator, on the
-    collocation grid of :meth:`SolverContext.inner_mesh`, and checks every
+    collocation grid of :func:`inner_mesh`, and checks every
     round's residual with the complex128 one on the mesh's own grid,
     preconditioned by the context's block-LU of every class.  The
     workspace buffers are taken at the complex128 operator's sizes first
@@ -1364,7 +1350,7 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     """
     if coeffs is not None:
         ctx.reserve()
-        inner = coeffs.on(ctx.inner_mesh(coeffs.surface))
+        inner = coeffs.on(inner_mesh(ctx.mesh, coeffs.surface))
         x, info = gmres(StripOperator(ctx, inner, np.complex64).matvec, rhs, ctx.solve, tol,
                         residual=StripOperator(ctx, coeffs).matvec)
         return DiscreteField.from_free_vector(x, ctx.mesh), info

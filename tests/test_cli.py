@@ -234,18 +234,17 @@ def test_sweep_rejects_non_finite_values(runner, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("height", ["nan", "inf"])
+@pytest.mark.parametrize("height", ["nan", "inf", "-1"])
 def test_extend_rejects_non_finite_height(runner, tmp_path, height):
-    """The height is checked where the extension reads it, after the solve:
-    exit 1 with error.json next to the config echo and no extend.json."""
+    """The height must be finite and >= 0; it is checked with the options,
+    before the solve: exit 1 with an error line and nothing written."""
     out = tmp_path / "out"
     res = runner.invoke(main, ["extend", "--config", write_cfg(tmp_path),
                                "--height", height, "--out", str(out)])
     assert res.exit_code == 1
-    err = json.loads((out / "error.json").read_text())
-    assert (err["error"], err["exit_code"]) == ("ConstraintError", 1)
-    assert (out / "config.yaml").exists()
-    assert not (out / "extend.json").exists()
+    assert isinstance(res.exception, SystemExit)
+    assert any(line.startswith("error: --height") for line in res.output.splitlines())
+    assert not out.exists()
 
 
 def test_sweep_csv(runner, tmp_path):

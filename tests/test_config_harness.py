@@ -387,14 +387,12 @@ def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch, tw
     assert reports[0] == reports[1] and csvs[0] == csvs[1]
 
 
-def test_an_ensemble_builds_its_meshes_and_buffers_before_the_pool(monkeypatch, two_cores):
-    """The samples' complex64 operator meshes, on the inner collocation
-    grid, are built with their DFT matrices of both precisions in the
-    caller's thread before the pool starts; the workers only read them.
-    So are the workers' workspace buffers but the float64 scratch plane of
-    the complex64 planes: the workers allocate no large buffer."""
-    built = []  # (what, in the main thread)
-    post_init, take = StripMesh.__post_init__, Workspace.take
+def test_an_ensemble_takes_its_buffers_before_the_pool(monkeypatch, two_cores):
+    """The workers' workspace buffers but the float64 scratch plane of the
+    complex64 planes are taken in the caller's thread before the pool
+    starts, by SolverContext.share: the workers allocate no large buffer."""
+    built = []  # (buffer name, in the main thread)
+    take = Workspace.take
 
     def taken(self, name, shape, dtype=complex):
         buf = self._buffers.get(name)
@@ -403,11 +401,6 @@ def test_an_ensemble_builds_its_meshes_and_buffers_before_the_pool(monkeypatch, 
             built.append((name, threading.current_thread() is threading.main_thread()))
         return out
 
-    def new_mesh(self):
-        post_init(self)
-        built.append(("mesh", threading.current_thread() is threading.main_thread()))
-
-    monkeypatch.setattr(StripMesh, "__post_init__", new_mesh)
     monkeypatch.setattr(Workspace, "take", taken)
     shares = spy_shares(monkeypatch)
     cfg = cfg_with(discretization={"N1": 4, "N2": 4, "n_z": 16},
@@ -415,7 +408,7 @@ def test_an_ensemble_builds_its_meshes_and_buffers_before_the_pool(monkeypatch, 
                    run={"threads": 2})
     rep = monte_carlo(cfg, n=4, seed=3)
     assert shares == [2, 2] and rep.n_completed == 4
-    assert {("mesh", True), ("fields", True), ("J1", True)} <= set(built)
+    assert {("fields", True), ("J1", True)} <= set(built)
     assert all(main for _, main in built), built
 
 

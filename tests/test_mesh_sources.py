@@ -3,13 +3,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from elastrip.dtn import SpectralGrid
-from elastrip.errors import ConstraintError
 from elastrip.geometry import CutoffFn, make_profile
-from elastrip.mesh import StripMesh
+from elastrip.mesh import StripMesh, Workspace
 from elastrip.params import ElasticParams, StripGeometry
 from elastrip.solver import SolverContext, StripOperator, TransformCoefficients
 from elastrip.sources import BumpSource, HarmonicFactor
 from flat_oracles import dense_1d
+from matvec_oracle import i_xi, zero_pad_ifft2
 
 CELL = (2 * np.pi, 2 * np.pi)
 
@@ -43,100 +43,89 @@ def test_1d_matrices_exact_on_linears():
     assert u @ Dz @ v == pytest.approx(-1.3, rel=1e-13)
 
 
-def test_padded_transform_adjoint_pair():
-    """<to_physical(C), W> = <C, to_modes_adjoint(W)> exactly."""
-    m = mesh(nz=4, N=2)
-    rng = np.random.default_rng(0)
-    g = m.grid
-    C = rng.standard_normal((3, g.n1, g.n2, 2, 2)) + 1j * rng.standard_normal((3, g.n1, g.n2, 2, 2))
-    W = rng.standard_normal((3, m.P1, m.P2, 2, 2)) + 1j * rng.standard_normal((3, m.P1, m.P2, 2, 2))
-    lhs = np.vdot(W, m.to_physical(C, ax1=1, ax2=2))
-    rhs = np.vdot(m.to_modes_adjoint(W, ax1=1, ax2=2), C)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_physical_roundtrip_recovers_lattice_modes():
-    m = mesh(nz=3, N=2)
-    g = m.grid
-    rng = np.random.default_rng(1)
-    C = rng.standard_normal((g.n1, g.n2, 3, 2)) + 1j * rng.standard_normal((g.n1, g.n2, 3, 2))
-    phys = m.to_physical(C, ax1=0, ax2=1)
-    back = m.to_modes_adjoint(phys, ax1=0, ax2=1) / (m.P1 * m.P2)
-    np.testing.assert_allclose(back, C, atol=1e-12)
-
-
 def _random(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _zero_pad_ifft2(m, C, ax1):
-    """Oracle of to_physical: modes into a zeroed padded spectrum, then np.fft.ifft2."""
-    j1, j2 = m.grid.mode_indices()
-    X = np.moveaxis(C, (ax1, ax1 + 1), (0, 1))
-    padded = np.zeros((m.P1, m.P2) + X.shape[2:], dtype=complex)
-    padded[np.ix_(j1 % m.P1, j2 % m.P2)] = X
-    phys = np.fft.ifft2(padded, axes=(0, 1)) * (m.P1 * m.P2)
-    return np.moveaxis(phys, (0, 1), (ax1, ax1 + 1))
+def _values_and_tail(m, rng, dtype=complex):
+    """Random values C (3, 1, n1, n2, e, q) and tail (3, n1, n2, e) on mesh m."""
+    g = m.grid
+    C = _random(rng, (3, 1, g.n1, g.n2, m.n_elements, 2)).astype(dtype)
+    tail = _random(rng, (3, g.n1, g.n2, m.n_elements)).astype(dtype)
+    return C, tail
 
 
-transform_cases = settings(max_examples=40, deadline=None)(given(
-    N1=st.integers(0, 4), N2=st.integers(0, 4), nz=st.integers(1, 8),
-    ax1=st.sampled_from([0, 1, 2]), seed=st.integers(0, 2**32 - 1)))
+def test_padded_transform_adjoint_pair():
+    """<to_physical(C, tail), W> = <C, gradient adjoint of W's first three
+    fields> + <tail, plain adjoint of W's last, summed over the Gauss points>."""
+    m = mesh(nz=4, N=2)
+    rng = np.random.default_rng(0)
+    C, tail = _values_and_tail(m, rng)
+    W = _random(rng, (3, 4, m.P1, m.P2, m.n_elements, 2))
+    lhs = np.vdot(W, m.to_physical(C, tail, Workspace()))
+    rhs = (np.vdot(m.to_modes_adjoint(W[:, :3], gradient=True), C)
+           + np.vdot(m.to_modes_adjoint(W[:, 3]).sum(axis=-1), tail))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def _transform_case(N1, N2, nz, ax1, seed):
-    """Mesh, random modes C with horizontal axes (ax1, ax1 + 1), matching W."""
-    m = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=(2.0, 3.0)),
-                  bottom=0.0, top=1.0, n_elements=nz)
-    lead = (3, 2)[:ax1]
-    rng = np.random.default_rng(seed)
-    C = _random(rng, lead + (m.grid.n1, m.grid.n2, nz, 2))
-    W = _random(rng, lead + (m.P1, m.P2, nz, 2))
-    return m, C, W, rng
+def test_physical_roundtrip_recovers_lattice_modes():
+    """The plain adjoint over P1 P2 inverts the transform of the values and of the tail."""
+    m = mesh(nz=3, N=2)
+    C, tail = _values_and_tail(m, np.random.default_rng(1))
+    F = m.to_physical(C, tail, Workspace())
+    back = m.to_modes_adjoint(F[:, [0, 3]]) / (m.P1 * m.P2)
+    np.testing.assert_allclose(back[:, 0], C[:, 0], atol=1e-12)
+    np.testing.assert_allclose(back[:, 1], np.repeat(tail[..., None], 2, axis=-1), atol=1e-12)
 
 
-@transform_cases
-def test_to_physical_matches_zero_pad_ifft(N1, N2, nz, ax1, seed):
-    """DFT-matrix products = zero padding + inverse FFT; derivative rows = i xi C0.
-    The gradient transform takes one field before the horizontal axes, and
-    its adjoint the three fields it gives; other field counts raise."""
+def _transform_mesh(N1, N2, nz):
+    return StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=(2.0, 3.0)),
+                     bottom=0.0, top=1.0, n_elements=nz)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N1=st.integers(0, 4), N2=st.integers(0, 4), nz=st.integers(1, 8),
+       dtype=st.sampled_from([np.complex128, np.complex64]), seed=st.integers(0, 2**32 - 1))
+def test_to_physical_matches_zero_pad_ifft(N1, N2, nz, dtype, seed):
+    """All four outputs of the transform equal zero padding + inverse FFT
+    of C, i xi1 C, i xi2 C and the tail, each Gauss point of an element
+    taking the element's tail: to 1e-12 of the largest value in complex128,
+    and within the rounding bound of the two products, (n1 + n2 + 2) eps
+    times the sum of the terms' moduli, in complex64."""
     assume(N1 != N2)
-    m, C, W, _ = _transform_case(N1, N2, nz, ax1, seed)
-    ref = _zero_pad_ifft2(m, C, ax1)
-    np.testing.assert_allclose(m.to_physical(C, ax1=ax1, ax2=ax1 + 1), ref,
-                               rtol=0, atol=1e-12 * np.abs(ref).max())
-    if ax1 == 0 or C.shape[ax1 - 1] != 1:  # no field axis, or two or three fields
-        with pytest.raises(ConstraintError):
-            m.to_physical(C, ax1=ax1, ax2=ax1 + 1, gradient=True)
-    if ax1 == 0 or W.shape[ax1 - 1] != 3:
-        with pytest.raises(ConstraintError):
-            m.to_modes_adjoint(W, ax1=ax1, ax2=ax1 + 1, gradient=True)
-    if ax1 == 0:
-        return
-    xi = np.meshgrid(*m.grid.frequencies(), indexing="ij")
-    C0 = np.take(C, [0], axis=ax1 - 1)
-    expand = (slice(None), slice(None)) + (None,) * (C0.ndim - ax1 - 2)
-    derivs = [_zero_pad_ifft2(m, 1j * x[expand] * C0, ax1) for x in xi]
-    F = m.to_physical(C0, ax1=ax1, ax2=ax1 + 1, gradient=True)
-    ref = np.concatenate([np.take(ref, [0], axis=ax1 - 1)] + derivs, axis=ax1 - 1)
-    np.testing.assert_allclose(F, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    m = _transform_mesh(N1, N2, nz)
+    C, tail = _values_and_tail(m, np.random.default_rng(seed), dtype)
+    F = m.to_physical(C, tail, Workspace())
+    assert F.dtype == dtype and F.shape == (3, 4, m.P1, m.P2, nz, 2)
+    d1, d2 = i_xi(m)
+    C0, repeated = C[:, 0].astype(complex), np.repeat(tail[..., None], 2, axis=-1)
+    for j, X in enumerate((C0, d1 * C0, d2 * C0, repeated.astype(complex))):
+        ref = zero_pad_ifft2(m, X)
+        if dtype == np.complex128:
+            atol = 1e-12 * np.abs(ref).max()
+        else:
+            terms = np.abs(X).sum(axis=(1, 2)).max()
+            atol = 2 * (m.grid.n1 + m.grid.n2 + 2) * np.finfo(np.float32).eps * terms
+        np.testing.assert_allclose(F[:, j], ref, rtol=0, atol=atol, err_msg=f"field {j}")
 
 
-@transform_cases
-def test_padded_transforms_are_adjoint(N1, N2, nz, ax1, seed):
-    """<W, to_physical(C)> = <to_modes_adjoint(W), C>, also for the gradient
-    pair on one field."""
-    m, C, W, rng = _transform_case(N1, N2, nz, ax1, seed)
-    pairs = [(C, W, False)]
-    if ax1 > 0:  # the gradient turns one field on axis ax1 - 1 into three
-        C0 = np.take(C, [0], axis=ax1 - 1)
-        pairs.append((C0, _random(rng, W.shape[:ax1 - 1] + (3,) + W.shape[ax1:]), True))
-    for Cx, Wx, gradient in pairs:
-        phys = m.to_physical(Cx, ax1=ax1, ax2=ax1 + 1, gradient=gradient)
-        back = m.to_modes_adjoint(Wx, ax1=ax1, ax2=ax1 + 1, gradient=gradient)
-        assert back.shape == Cx.shape
-        lhs, rhs = np.vdot(Wx, phys), np.vdot(back, Cx)
-        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(Wx) * np.linalg.norm(phys)
+@settings(max_examples=40, deadline=None)
+@given(N1=st.integers(0, 4), N2=st.integers(0, 4), nz=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_padded_transforms_are_adjoint(N1, N2, nz, seed):
+    """<W, to_physical(C, tail)> = <to_modes_adjoint(W), (C, tail)>: the
+    gradient pair on the first three fields and the plain adjoint, summed
+    over each element's Gauss points, on the tail."""
+    m = _transform_mesh(N1, N2, nz)
+    rng = np.random.default_rng(seed)
+    C, tail = _values_and_tail(m, rng)
+    W = _random(rng, (3, 4, m.P1, m.P2, nz, 2))
+    phys = m.to_physical(C, tail, Workspace())
+    back = m.to_modes_adjoint(W[:, :3], gradient=True)
+    back_tail = m.to_modes_adjoint(W[:, 3]).sum(axis=-1)
+    assert back.shape == C.shape and back_tail.shape == tail.shape
+    lhs, rhs = np.vdot(W, phys), np.vdot(back, C) + np.vdot(back_tail, tail)
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(W) * np.linalg.norm(phys)
 
 
 @settings(max_examples=40, deadline=None)

@@ -134,9 +134,7 @@ def test_block_planes_equal_the_full_size_arrays(N1, N2, nz, cell, c, shift, ome
     """Every plane of TransformCoefficients.block, at float64 and float32,
     and the heights equal (np.array_equal) the full-size array of the
     general map over the flat reference f0 = c, sliced to the block; a
-    float32 plane is the cast of that array.  The weights-only
-    TransformCoefficients.weights has the bits of the float64 ``wgt`` plane.
-    The cutoff kink falls between the two Gauss points of an element, and
+    float32 plane is the cast of that array.  The cutoff kink falls between the two Gauss points of an element, and
     the blocks of both precisions and one arbitrary slice share one
     workspace."""
     kink = data.draw(st.integers(0, nz // 2 - 1)) + data.draw(st.floats(0.25, 0.75))
@@ -157,9 +155,6 @@ def test_block_planes_equal_the_full_size_arrays(N1, N2, nz, cell, c, shift, ome
             for name, plane in planes._asdict().items():
                 assert plane.dtype == real, name
                 assert np.array_equal(plane, full[name][..., b, :].astype(real)), name
-            if real == np.float64:
-                wgt = planes.wgt.copy()
-                assert np.array_equal(coeffs.weights(b, work), wgt)
             x3 = coeffs.heights(b, work)
             assert x3.dtype == np.float64 and np.array_equal(x3, full["x3"][..., b, :])
 
@@ -931,7 +926,7 @@ def test_operators_are_reciprocal_under_the_mode_reflection(mu, lam_frac, omega,
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     ctx = SolverContext(flat_mesh(N=N, nz=nz), params)
     coeffs = TransformCoefficients(ctx.mesh, make_profile(0.0, terms, GEOM), CutoffFn(0.25, 1.0))
-    inner = coeffs.on(ctx.inner_mesh(coeffs.surface))
+    inner = coeffs.on(solver.inner_mesh(ctx.mesh, coeffs.surface))
     every = every_class(ctx.mesh)
     bands = assemble_flat_blocks(ctx.mesh, params, every)
     R = mode_reflection(ctx.mesh)
@@ -1315,15 +1310,15 @@ def test_refined_solve_on_the_inner_grid_matches_a_complex128_solve(
                      "surface": {"terms": terms, "delta": 0.25},
                      "discretization": {"N1": N, "N2": N, "n_z": 12}})
     sizes = []
-    inner_mesh = SolverContext.inner_mesh
+    inner_mesh = solver.inner_mesh
 
-    def recorded(self, surface):
-        mesh = inner_mesh(self, surface)
-        sizes.append(((mesh.P1, mesh.P2), (self.mesh.P1, self.mesh.P2)))
-        return mesh
+    def recorded(mesh, surface):
+        inner = inner_mesh(mesh, surface)
+        sizes.append(((inner.P1, inner.P2), (mesh.P1, mesh.P2)))
+        return inner
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SolverContext, "inner_mesh", recorded)
+        mp.setattr(solver, "inner_mesh", recorded)
         refined, _ = harness.deterministic_run(cfg)
         real = solver.gmres
         mp.setattr(solver, "gmres", lambda matvec, b, precond, tol, residual:
@@ -1352,16 +1347,13 @@ def _surface(*terms):
 def test_inner_collocation_takes_n_plus_3k_points(N, terms, sizes):
     """Per axis, the complex64 operator's grid has the next fast length of
     n + 3K points, n = 2N + 1 and K the surface's largest harmonic index
-    on the axis; the context builds that mesh once and keeps it, with its
-    complex64 DFT matrices."""
+    on the axis; the mesh at those sizes has its complex64 DFT matrices."""
     mesh = flat_mesh(N=N, nz=4)
     surface = _surface(*terms)
-    assert solver.inner_collocation(mesh, surface) == sizes
     assert all(s < P for s, P in zip(sizes, (mesh.P1, mesh.P2)))
-    ctx = SolverContext(mesh, P)
-    inner = ctx.inner_mesh(surface)
+    inner = solver.inner_mesh(mesh, surface)
     assert (inner.P1, inner.P2) == sizes and inner.n_elements == mesh.n_elements
-    assert np.dtype(np.complex64) in inner._dft and ctx.inner_mesh(surface) is inner
+    assert np.dtype(np.complex64) in inner._dft
 
 
 @pytest.mark.parametrize("N, terms", [
@@ -1371,12 +1363,9 @@ def test_inner_collocation_takes_n_plus_3k_points(N, terms, sizes):
 ])
 def test_inner_collocation_at_the_fine_size_builds_no_second_mesh(N, terms):
     """Where n + 3K reaches P, the complex64 operator runs on the
-    context's own mesh."""
+    solve's own mesh."""
     mesh = flat_mesh(N=N, nz=4)
-    surface = _surface(*terms)
-    assert solver.inner_collocation(mesh, surface) == (mesh.P1, mesh.P2)
-    ctx = SolverContext(mesh, P)
-    assert ctx.inner_mesh(surface) is mesh and not ctx._inner_meshes
+    assert solver.inner_mesh(mesh, _surface(*terms)) is mesh
 
 
 def test_the_inner_grid_does_not_reject_a_surface_the_fine_grid_accepts():
@@ -1388,7 +1377,7 @@ def test_the_inner_grid_does_not_reject_a_surface_the_fine_grid_accepts():
     surface = _surface((1, 0, a * np.cos(phase), -a * np.sin(phase)))
     cutoff = CutoffFn(0.25, 1.0)
     coeffs = TransformCoefficients(mesh, surface, cutoff)
-    inner = SolverContext(mesh, P).inner_mesh(surface)
+    inner = solver.inner_mesh(mesh, surface)
     assert (inner.P1, inner.P2) == (20, 18)
     with pytest.raises(SingularTransformError):
         TransformCoefficients(inner, surface, cutoff)
@@ -1419,7 +1408,7 @@ def test_matvec_matches_the_two_gauss_point_oracle(mu, lam_frac, omega, N, nz, r
         surface = make_profile(0.0, terms, GEOM)
         coeffs = TransformCoefficients(mesh, surface, CutoffFn(0.25, 1.0))
         if inner:
-            coeffs = coeffs.on(ctx.inner_mesh(surface))
+            coeffs = coeffs.on(solver.inner_mesh(mesh, surface))
     rng = np.random.default_rng(seed)
     n = 3 * mesh.grid.n1 * mesh.grid.n2 * nz
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
