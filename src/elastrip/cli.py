@@ -29,8 +29,7 @@ import numpy as np
 from . import harness
 from .config import RunConfig, dump_config, load_config
 from .dtn import extend_field, verify_symbol_suite
-from .errors import (ConfigError, ConstraintError, DiagnosticError,
-                     ElastripError, NonConvergenceError, SingularTransformError)
+from .errors import ConfigError, ConstraintError, DiagnosticError, ElastripError
 from .geometry import make_profile
 from .params import bound_constants, stability_constants
 
@@ -53,8 +52,6 @@ def _write_error(out_dir: str, exc: Exception, code: int) -> None:
 def _classify(exc: Exception) -> int:
     if isinstance(exc, (ConfigError, ConstraintError)):
         return EXIT_CONFIG
-    if isinstance(exc, (NonConvergenceError, SingularTransformError)):
-        return EXIT_NUMERICAL
     if isinstance(exc, DiagnosticError):
         return EXIT_DIAGNOSTIC
     return EXIT_NUMERICAL
@@ -73,14 +70,6 @@ def _load(config_path: str | None, overrides: dict) -> RunConfig:
             section = getattr(cfg, _OVERRIDES[key])
             cfg = replace(cfg, **{_OVERRIDES[key]: replace(section, **{key: value})})
     return cfg
-
-
-def _common(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
-                      help="YAML config file")(fn)
-    fn = click.option("--out", "out_dir", type=click.Path(), default=None,
-                      help="output directory")(fn)
-    return fn
 
 
 # the config overrides taken by more than one subcommand (see _OVERRIDES)
@@ -133,7 +122,7 @@ def _run_guarded(cfg: RunConfig, out_dir: str, body, opts: dict) -> int:
 def _subcommand(name, *options, prepare=None):
     """Register ``body(cfg, out, **opts)`` as the subcommand ``name``.
 
-    Every subcommand takes the :func:`_common` options ahead of its own
+    Every subcommand takes ``--out`` and ``--config`` ahead of its own
     ``options``, among them the config overrides it reads (``_OVERRIDES``).
     The config is loaded with those overrides applied, which ``RunConfig``
     validates and ``config.yaml`` echoes, and ``prepare(**opts)``, when
@@ -156,7 +145,11 @@ def _subcommand(name, *options, prepare=None):
         command.__doc__ = body.__doc__
         for option in reversed(options):
             command = option(command)
-        return main.command(name)(_common(command))
+        command = click.option("--config", "config_path", type=click.Path(), default=None,
+                               help="YAML config file")(command)
+        command = click.option("--out", "out_dir", type=click.Path(), default=None,
+                               help="output directory")(command)
+        return main.command(name)(command)
 
     return register
 

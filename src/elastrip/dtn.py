@@ -269,6 +269,9 @@ def verify_symbol_properties(params: ElasticParams, n_samples: int = 10_000,
     rng = np.random.default_rng(seed)
     violations = []
 
+    def flag(name, x1, x2, values, idx):  # the violation at sample idx
+        violations.append((name, (float(x1[idx]), float(x2[idx])), float(values[idx])))
+
     def sample_xi(r_lo, r_hi, n):
         r = np.sqrt(rng.uniform(r_lo**2, r_hi**2, size=n))
         th = rng.uniform(0, 2 * np.pi, size=n)
@@ -282,8 +285,7 @@ def verify_symbol_properties(params: ElasticParams, n_samples: int = 10_000,
     eigs = np.linalg.eigvalsh(ReNeg)
     min_eig = float(eigs[..., 0].min())
     if min_eig <= -slack:
-        idx = int(np.argmin(eigs[..., 0]))
-        violations.append(("high_band_definiteness", (float(x1[idx]), float(x2[idx])), min_eig))
+        flag("high_band_definiteness", x1, x2, eigs[..., 0], int(np.argmin(eigs[..., 0])))
 
     # Low band: entry bound
     x1, x2, _ = sample_xi(0.0, sc.K * w, n_samples)
@@ -291,8 +293,7 @@ def verify_symbol_properties(params: ElasticParams, n_samples: int = 10_000,
     entry_max = np.abs(M).max(axis=(0, 1))
     max_ratio = float(entry_max.max() / (sc.C_K * w))
     if max_ratio > 1 + slack:
-        idx = int(np.argmax(entry_max))
-        violations.append(("low_band_entry_bound", (float(x1[idx]), float(x2[idx])), max_ratio))
+        flag("low_band_entry_bound", x1, x2, entry_max / (sc.C_K * w), int(np.argmax(entry_max)))
 
     # rho band bounds and |gamma - beta|
     x1, x2, r = sample_xi(0.0, sc.K * w, n_samples)
@@ -305,12 +306,10 @@ def verify_symbol_properties(params: ElasticParams, n_samples: int = 10_000,
     hi = np.where(r <= kp, kp * ks, ks**2)
     bad = (rho < lo * (1 - 1e-12)) | (rho > hi * (1 + 1e-12))
     if bad.any():
-        idx = int(np.argmax(bad))
-        violations.append(("rho_band", (float(x1[idx]), float(x2[idx])), float(rho[idx])))
+        flag("rho_band", x1, x2, rho, int(np.argmax(bad)))
     gb = np.abs(gamma - beta)
     if (gb > math.sqrt(ks**2 - kp**2) * (1 + 1e-12)).any():
-        idx = int(np.argmax(gb))
-        violations.append(("gamma_minus_beta", (float(x1[idx]), float(x2[idx])), float(gb[idx])))
+        flag("gamma_minus_beta", x1, x2, gb, int(np.argmax(gb)))
 
     return {
         "n_samples": n_samples,

@@ -78,15 +78,12 @@ class SurfaceProfile:
     def values(self, x1, x2):
         return self._fields(x1, x2)[0]
 
-    def gradients(self, x1, x2):
-        return self._fields(x1, x2)[1:]
-
     def _fields(self, x1, x2):
         return _series_fields(self.offset, self.terms, self.cell, x1, x2)
 
     def _grid_fields(self, n: int = 256):
         """:meth:`_fields` on the n x n evaluation grid of the cell."""
-        return _series_grid(self.offset, self.terms, self.cell, n)
+        return self._fields(*_grid_points(self.cell, n))
 
     def is_flat(self) -> bool:
         return not self.terms
@@ -121,11 +118,6 @@ def _series_fields(offset, terms, cell, x1, x2, harmonics=None):
 def _grid_points(cell, n: int = 256):
     """The n x n evaluation grid of the cell, (X1, X2) indexed [i1, i2]."""
     return np.meshgrid(cell[0] * np.arange(n) / n, cell[1] * np.arange(n) / n, indexing="ij")
-
-
-def _series_grid(offset, terms, cell, n: int = 256):
-    """:func:`_series_fields` on the n x n evaluation grid of the cell."""
-    return _series_fields(offset, terms, cell, *_grid_points(cell, n))
 
 
 def make_profile(offset: float, terms, geom: StripGeometry) -> SurfaceProfile:
@@ -178,23 +170,16 @@ class CutoffFn:
 def transform_factors(y1, y2, y3, c: float, f: SurfaceProfile, cutoff: CutoffFn):
     """The separable factors of the flattening map over the flat reference
     level c: ((f - c, d1 f, d2 f) at the horizontal points (y1, y2),
-    (alpha, alpha') of y3 - c at the heights y3)."""
+    (alpha, alpha') of y3 - c at the heights y3).
+
+    H(y) = y + alpha(y3 - c) (f(y') - c) e3, so x3 = y3 + alpha (f - c);
+    the Jacobian is I + e3 (J1, J2, J3) with det = 1 + J3, and each entry
+    is a horizontal factor times a vertical one: J1 = alpha d1 f,
+    J2 = alpha d2 f, J3 = alpha' (f - c).
+    """
     fv, g1, g2 = f._fields(y1, y2)
     arg = np.asarray(y3) - c
     return (fv - c, g1, g2), (cutoff(arg), cutoff.derivative(arg))
-
-
-def transform_fields(y1, y2, y3, c: float, f: SurfaceProfile, cutoff: CutoffFn):
-    """Vectorized transform over the flat reference level c: x3 and the
-    J-row (J1, J2, J3) at broadcastable points.
-
-    H(y) = y + alpha(y3 - c) * (f(y') - c) * e3; the Jacobian is
-    I + e3 (J1, J2, J3) with det = 1 + J3, and each entry is a horizontal
-    factor times a vertical one: J1 = alpha d1 f, J2 = alpha d2 f,
-    J3 = alpha' (f - c).
-    """
-    (df, g1, g2), (a, ap) = transform_factors(y1, y2, y3, c, f, cutoff)
-    return np.asarray(y3) + a * df, a * g1, a * g2, ap * df
 
 
 def invert_vertical(x3, y1, y2, c: float, f: SurfaceProfile, cutoff: CutoffFn):

@@ -200,12 +200,14 @@ class StripMesh:
         :meth:`to_physical`, it runs in the precision of W.
         """
         E1H, E1dH, E2H, E2dH = self.dft_matrices(W.dtype)[4:]
+        n1, n2 = self.grid.n1, self.grid.n2
         if not gradient:
-            ax1 = W.ndim - 4
-            return _along(E2H, _along(E1H, W, ax1), ax1 + 1)
+            lead, (P1, P2, n, q) = W.shape[:-4], W.shape[-4:]
+            Y = np.matmul(E1H, W.reshape(math.prod(lead), P1, P2 * n * q))
+            return np.matmul(E2H, Y.reshape(-1, P2, n * q)).reshape(lead + (n1, n2, n, q))
         work = Workspace() if work is None else work
         A, _, P1, P2, n, q = W.shape
-        n1, n2, P2R = self.grid.n1, self.grid.n2, P2 * n * q
+        P2R = P2 * n * q
         W, dtype = W.reshape(A, 3 * P1, P2R), E1H.dtype
         Y = work.take("scratch", (A, n1, 2 * P2R), dtype)
         np.matmul(E1dH, W[:, :2 * P1], out=Y[:, :, :P2R])
@@ -291,11 +293,4 @@ def _dft_matrices(j: np.ndarray, xi: np.ndarray, P: int):
     """E[x, k] = exp(2 pi i x j_k / P) on the P padded points, and [E; E diag(i xi)]."""
     E = np.exp(2j * np.pi * (np.outer(np.arange(P), j) % P) / P)
     return E, np.concatenate([E, E * (1j * xi)])
-
-
-def _along(E: np.ndarray, X: np.ndarray, ax: int) -> np.ndarray:
-    """The matrix E (rows, n) applied along axis ``ax`` of X, as one batched matmul."""
-    shape = X.shape
-    Y = np.matmul(E, X.reshape(math.prod(shape[:ax]), shape[ax], math.prod(shape[ax + 1:])))
-    return Y.reshape(shape[:ax] + (E.shape[0],) + shape[ax + 1:])
 

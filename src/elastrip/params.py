@@ -149,7 +149,7 @@ def bound_constants(params: ElasticParams, geom: StripGeometry, L: float,
     w = params.omega
     h, m = geom.h, geom.m
     C = generic_C
-    Hm = h + 1 - m
+    Hm = geom.H - m
     C1 = C * w**3 * math.sqrt(1 + L * L) * (h - m + 1)
     C2 = C * (1 + L * L) ** 0.25 * math.sqrt(Hm) * (1 + w * Hm)
     C3 = C * Hm * (1 + w * Hm) ** 2 / w

@@ -500,13 +500,6 @@ def _cofactors3(a: np.ndarray) -> np.ndarray:
     return np.subtract(products[0], products[1], out=products[0])
 
 
-def _expansion3(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Cofactors cof[k, j, ...] of the 3x3 matrices a[k, j, ...] and the
-    terms a[0, j] cof[0, j] of their expansion along row 0, in ``out``."""
-    cof = _cofactors3(a)
-    return cof, np.multiply(a[0], cof[0], out=out)
-
-
 def _adjugate3(a: np.ndarray, fit: bool = True,
                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Adjugates and determinants of the 3x3 matrices a[k, j, ...], batched
@@ -523,7 +516,8 @@ def _adjugate3(a: np.ndarray, fit: bool = True,
     pairwise one on a single contiguous matrix, so a factor of one mirror
     class would round differently from the same class among others.
     """
-    cof, terms = _expansion3(a, out=out)
+    cof = _cofactors3(a)
+    terms = np.multiply(a[0], cof[0], out=out)
     det = terms.sum(axis=0)
     if fit:
         cancels = _cancels(terms, det, axis=0)
@@ -681,9 +675,9 @@ class TransformCoefficients:
     ``alpha`` and ``alpha_d`` = alpha' at the quad points, (n_z, 2) each.
     :meth:`block` and :meth:`heights` form the planes of one element block
     at a time, in buffers of a workspace that the next call overwrites.
-    Each plane is formed in float64 by the operations of
-    :func:`~elastrip.geometry.transform_fields` and of the quadrature
-    weights, in their order, and a float32 plane is cast from that
+    Each plane is formed in float64, a horizontal factor of
+    :func:`~elastrip.geometry.transform_factors` times a vertical one as
+    above, and the weights from it, and a float32 plane is cast from that
     product: a plane equals the same points of full-size arrays bit for
     bit, but for the sign of a zero, which no sum or product with a nonzero
     number shows.  A horizontal x vertical product is one outer product of
@@ -721,14 +715,16 @@ class TransformCoefficients:
               omega: float = 0.0) -> BlockPlanes:
         """J1, J2, 1/det and the weights wgt = w_q |cell| / (P1 P2) det and
         mass_wgt = -omega^2 wgt of the vertical ``elements``, at the real
-        ``dtype``, in buffers of ``work``.  det = 1 + alpha' (f - c) is
-        formed in float64 and then turned into the weights in place."""
+        ``dtype``, in buffers of ``work`` named after the fields of
+        :class:`BlockPlanes`.  det = 1 + alpha' (f - c) is formed in float64
+        and then turned into the weights in place."""
         mesh, real = self.mesh, np.dtype(dtype)
         planes, shape = _plane_shapes(mesh, elements)
         a, wq = (v[elements].ravel() for v in (self.alpha, mesh.wq))
         cast = real != np.float64  # a float32 plane is cast from ``tmp``
         tmp = work.take("plane64", planes, np.float64) if cast else None
-        J1, J2, inv_det, wgt, mass_wgt = _plane_buffers(mesh, elements, work, real)
+        J1, J2, inv_det, wgt, mass_wgt = (work.take(name, planes, real)
+                                          for name in BlockPlanes._fields)
 
         def outer(out, h, v):
             np.einsum("i,j->ij", h, v, out=tmp if cast else out)
@@ -762,14 +758,6 @@ def _plane_shapes(mesh: StripMesh, elements: slice) -> tuple[tuple, tuple]:
     point] for the products, (P1, P2, e, q) for the caller."""
     shape = (mesh.P1, mesh.P2, len(range(mesh.n_elements)[elements]), mesh.zq.shape[1])
     return (shape[0] * shape[1], shape[2] * shape[3]), shape
-
-
-def _plane_buffers(mesh: StripMesh, elements: slice, work: Workspace, dtype) -> list:
-    """The buffers of ``work`` that hold the :class:`BlockPlanes` of the
-    vertical ``elements``, one per field and named after it, [point, quad
-    point] each, at the real ``dtype``."""
-    planes = _plane_shapes(mesh, elements)[0]
-    return [work.take(name, planes, dtype) for name in BlockPlanes._fields]
 
 
 def element_blocks(mesh: StripMesh, work: Workspace, dtype=complex) -> list[slice]:
@@ -882,7 +870,9 @@ class StripOperator:
     of that difference before the adjoint transform, which so carries the
     values' duals and their horizontal stresses only.  The stacked fields
     of one block take at most the block budget of the workspace of
-    ``ctx``, and the blocks are added in mesh order.  Each block first
+    ``ctx``, and the blocks are added in mesh order, one
+    :meth:`_block` each; :func:`_rough_buffer_bytes` runs that same
+    block once to size the workspace.  Each block first
     forms its chain-rule fields and weights from the separable factors of
     ``coeffs`` (:meth:`TransformCoefficients.block`), so the operator holds
     no array the size of the quad grid.  All blocks and calls reuse the
@@ -925,49 +915,54 @@ class StripOperator:
         return self._matvec(vec)
 
     def _matvec(self, vec: np.ndarray) -> np.ndarray:
-        ctx, coeffs = self.ctx, self.coeffs
-        mesh, lam, mu = self.mesh, self._lam, self._mu
+        ctx, mesh = self.ctx, self.mesh
         U = np.zeros((3, mesh.grid.n1, mesh.grid.n2, mesh.n_nodes), dtype=self.dtype)
         U[..., 1:] = np.asarray(vec).reshape(U[..., 1:].shape)
-        R, work = np.zeros_like(U), ctx.work
+        R = np.zeros_like(U)
         for b in self._blocks:
-            planes = coeffs.block(b, work, self._real, ctx.params.omega)
-            F = physical_quad_fields(mesh, U, planes, b, work)
-
-            # F[:, 1:] <- sigma = mu (Gx + Gx^T) + lam tr(Gx) I, in place
-            G = F[:, 1:]
-            lam_tr = np.add(G[0, 0], G[1, 1], out=work.take("scratch", G[0, 0].shape, G.dtype))
-            lam_tr += G[2, 2]
-            lam_tr *= lam
-            for c in range(3):
-                for j in range(c + 1, 3):
-                    G[c, j] += G[j, c]
-                    G[c, j] *= mu
-                    G[j, c] = G[c, j]
-                G[c, c] *= 2 * mu
-                G[c, c] += lam_tr
-            # weighted duals: mass in slot 0, adjoint chain rule on sigma
-            F[:, 0] *= planes.mass_wgt
-            prod = work.take("scratch", F[:, 3].shape, F.dtype)
-            for j, J in ((1, planes.J1), (2, planes.J2)):
-                F[:, 3] -= np.multiply(J, F[:, j], out=prod)
-            F[:, 1:3] *= planes.wgt
-            # the dual of an element's dz u goes to its Gauss pair's values,
-            # + at q+ and - at q-, the adjoint of their difference
-            dz = np.add(F[:, 3, ..., 0], F[:, 3, ..., 1],
-                        out=work.take("scratch", F[:, 3, ..., 0].shape, F.dtype))
-            dz *= self._dz_wgt[b]
-            F[:, 0, ..., 1] += dz
-            F[:, 0, ..., 0] -= dz
-
-            # duals of the values: mass, pulled-back horizontal stresses and dz
-            W = mesh.to_modes_adjoint(F[:, :3], gradient=True, work=work)
-            mesh.scatter_from_quad(W[:, 0], elements=b, out=R)
-
+            self._block(U, R, b)
         # DtN boundary term at the top node
         top = U[:, :, :, -1]
         R[:, :, :, -1] -= mesh.grid.cell_area * 1j * np.einsum("kjab,jab->kab", ctx.symbol, top)
         return R[:, :, :, 1:].ravel()
+
+    def _block(self, U: np.ndarray, R: np.ndarray, b: slice) -> None:
+        """Add the volume terms of the vertical elements ``b`` of the nodal
+        modes U to their nodal duals R, in buffers of the context's
+        workspace."""
+        mesh, lam, mu, work = self.mesh, self._lam, self._mu, self.ctx.work
+        planes = self.coeffs.block(b, work, self._real, self.ctx.params.omega)
+        F = physical_quad_fields(mesh, U, planes, b, work)
+
+        # F[:, 1:] <- sigma = mu (Gx + Gx^T) + lam tr(Gx) I, in place
+        G = F[:, 1:]
+        lam_tr = np.add(G[0, 0], G[1, 1], out=work.take("scratch", G[0, 0].shape, G.dtype))
+        lam_tr += G[2, 2]
+        lam_tr *= lam
+        for c in range(3):
+            for j in range(c + 1, 3):
+                G[c, j] += G[j, c]
+                G[c, j] *= mu
+                G[j, c] = G[c, j]
+            G[c, c] *= 2 * mu
+            G[c, c] += lam_tr
+        # weighted duals: mass in slot 0, adjoint chain rule on sigma
+        F[:, 0] *= planes.mass_wgt
+        prod = work.take("scratch", F[:, 3].shape, F.dtype)
+        for j, J in ((1, planes.J1), (2, planes.J2)):
+            F[:, 3] -= np.multiply(J, F[:, j], out=prod)
+        F[:, 1:3] *= planes.wgt
+        # the dual of an element's dz u goes to its Gauss pair's values,
+        # + at q+ and - at q-, the adjoint of their difference
+        dz = np.add(F[:, 3, ..., 0], F[:, 3, ..., 1],
+                    out=work.take("scratch", F[:, 3, ..., 0].shape, F.dtype))
+        dz *= self._dz_wgt[b]
+        F[:, 0, ..., 1] += dz
+        F[:, 0, ..., 0] -= dz
+
+        # duals of the values: mass, pulled-back horizontal stresses and dz
+        W = mesh.to_modes_adjoint(F[:, :3], gradient=True, work=work)
+        mesh.scatter_from_quad(W[:, 0], elements=b, out=R)
 
 
 def assemble_rhs(mesh: StripMesh, source,
@@ -1242,20 +1237,18 @@ class SolverContext:
         XI1, XI2, _ = mesh.grid.frequency_mesh()
         self.symbol = dtn_symbol_grid(XI1, XI2, params)
         self.work = Workspace()
-        self._reserved: Workspace | None = None
 
     def reserve(self) -> None:
         """Take the workspace buffers of a complex128 rough matvec on the
         context's mesh at the sizes of its first, largest element block
-        (:func:`_rough_buffer_bytes`), once per workspace.  A user of the
-        workspace that needs fewer bytes and runs first, the complex64
-        operator on its coarser grid, then fits in them, and no buffer is
-        replaced in a solve."""
-        if self._reserved is not self.work:
-            b = element_blocks(self.mesh, self.work)[0]
-            for name, nbytes in _rough_buffer_bytes(self.mesh, b.stop - b.start).items():
-                self.work.take(name, (nbytes,), np.uint8)
-            self._reserved = self.work
+        (:func:`_rough_buffer_bytes`).  A user of the workspace that needs
+        fewer bytes and runs first, the complex64 operator on its coarser
+        grid, then fits in them, and no buffer is replaced in a solve.
+        :meth:`~elastrip.mesh.Workspace.take` only grows a buffer, so a
+        call on a workspace that holds them already changes nothing."""
+        b = element_blocks(self.mesh, self.work)[0]
+        for name, nbytes in _rough_buffer_bytes(self, b.stop - b.start).items():
+            self.work.take(name, (nbytes,), np.uint8)
 
     @cached_property
     def solve(self):
@@ -1288,29 +1281,27 @@ class SolverContext:
 _BUFFER_BYTES: dict[tuple, dict[str, int]] = {}
 
 
-def _rough_buffer_bytes(mesh: StripMesh, n_e: int) -> dict[str, int]:
+def _rough_buffer_bytes(ctx: SolverContext, n_e: int) -> dict[str, int]:
     """The bytes of each workspace buffer that a block of ``n_e`` elements
-    of a complex128 rough matvec on ``mesh`` takes.
+    of a complex128 rough matvec on the mesh of ``ctx`` takes.
 
-    The block's stages run on zero modes and planes in a fresh workspace:
-    the planes of :meth:`TransformCoefficients.block`,
-    :func:`physical_quad_fields` and the adjoint transform; the stress and
-    dz steps between them take no more scratch than the chain rule.  The
-    sizes are kept for the mesh's sizes, so a context of a mesh seen
-    before pays nothing for them; the stages take 5.5 ms at N = 8 and 16
-    elements on a 2-core VM, 1-2 % of a rough solve."""
+    The operator's own block (:meth:`StripOperator._block`) runs once on
+    zero modes, in a copy of ``ctx`` with a fresh workspace, under the
+    identity map: a flat surface at the mesh bottom.  The sizes are kept
+    for the mesh's sizes, so a context of a mesh seen before pays nothing
+    for them; the block takes 6-15 ms at N = 8 and 16 elements on a 2-core
+    VM, once per process and mesh size."""
+    mesh = ctx.mesh
     key = (mesh.grid.n1, mesh.grid.n2, mesh.P1, mesh.P2, mesh.zq.shape[1], n_e)
     if key not in _BUFFER_BYTES:
-        work, b = Workspace(), slice(0, n_e)
-        planes = _plane_buffers(mesh, b, work, np.float64)
-        for p in planes:
-            p.fill(0.0)
-        shape = _plane_shapes(mesh, b)[1]
+        probe = copy.copy(ctx)
+        probe.work = Workspace()
+        gap = mesh.top - mesh.bottom
+        identity = TransformCoefficients(mesh, SurfaceProfile(mesh.bottom, (), mesh.grid.cell),
+                                         CutoffFn(gap / 4, gap))
         U = np.zeros((3, mesh.grid.n1, mesh.grid.n2, n_e + 1), dtype=complex)
-        F = physical_quad_fields(mesh, U, BlockPlanes(*(p.reshape(shape) for p in planes)),
-                                 b, work)
-        mesh.to_modes_adjoint(F[:, :3], gradient=True, work=work)
-        _BUFFER_BYTES[key] = work.nbytes()
+        StripOperator(probe, identity)._block(U, np.zeros_like(U), slice(0, n_e))
+        _BUFFER_BYTES[key] = probe.work.nbytes()
     return _BUFFER_BYTES[key]
 
 

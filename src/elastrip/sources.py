@@ -28,11 +28,10 @@ def _bump(w):
 
 
 def _bump_derivative(w):
+    """d/dw of :func:`_bump`: bump(w) (-2 w) / (1 - w^2)^2, 0 outside."""
     w = np.asarray(w, dtype=float)
-    inside = np.abs(w) < 1
-    ws = np.where(inside, w, 0.0)
-    val = np.where(inside, np.exp(1 - 1 / (1 - ws**2)) * (-2 * ws) / (1 - ws**2) ** 2, 0.0)
-    return val
+    ws = np.where(np.abs(w) < 1, w, 0.0)
+    return _bump(w) * (-2 * ws) / (1 - ws**2) ** 2
 
 
 @dataclass(frozen=True)

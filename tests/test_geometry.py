@@ -7,8 +7,8 @@ from elastrip import geometry
 from elastrip.dtn import SpectralGrid
 from elastrip.errors import ConstraintError, SingularTransformError
 from elastrip.geometry import (CutoffFn, HarmonicTerm, SurfaceProfile, _grid_points, _harmonic,
-                               _series_fields, _series_grid, invert_vertical, make_profile,
-                               sample_ensemble, transform_fields)
+                               _series_fields, invert_vertical, make_profile, sample_ensemble,
+                               transform_factors)
 from elastrip.mesh import StripMesh
 from elastrip.params import StripGeometry
 from elastrip.solver import TransformCoefficients
@@ -16,6 +16,13 @@ from geometry_oracles import sup_distance_1inf, worst_case_1inf
 
 CELL = (2 * np.pi, 2 * np.pi)
 GEOM = StripGeometry(m=-0.2, M_sup=0.25, h=1.0, cell=CELL)
+
+
+def flattening(y1, y2, y3, c, f, cut):
+    """x3 = y3 + alpha (f - c) and the J-row (J1, J2, J3) = (alpha d1 f,
+    alpha d2 f, alpha' (f - c)), composed from the factors the solver uses."""
+    (df, g1, g2), (a, ap) = transform_factors(y1, y2, y3, c, f, cut)
+    return np.asarray(y3) + a * df, a * g1, a * g2, ap * df
 
 
 def flat(offset=0.0):
@@ -56,7 +63,7 @@ def test_profile_fields_bit_identical_to_separate_passes():
         d = -t.c * np.sin(ph) + t.s * np.cos(ph)
         g1 = g1 + d * 2 * np.pi * t.j1 / 2.0
         g2 = g2 + d * 2 * np.pi * t.j2 / 3.5
-    for got in (prof._grid_fields(n), (prof.values(X1, X2),) + prof.gradients(X1, X2)):
+    for got in (prof._grid_fields(n), prof._fields(X1, X2)):
         assert all(np.array_equal(a, b) for a, b in zip(got, (f, g1, g2)))
 
 
@@ -69,7 +76,7 @@ def test_flat_profile_bounds_need_no_grid(monkeypatch, offset, terms):
     with monkeypatch.context() as m:
         m.setattr(geometry, "_series_fields", lambda *a, **k: pytest.fail("grid evaluated"))
         prof = SurfaceProfile(offset=offset, terms=terms, cell=(2.0, 3.5))
-    f, g1, g2 = _series_grid(offset, terms, (2.0, 3.5))
+    f, g1, g2 = _series_fields(offset, terms, (2.0, 3.5), *_grid_points((2.0, 3.5)))
     assert np.array_equal(prof.f_min, f.min()) and np.array_equal(prof.f_max, f.max())
     assert np.array_equal(prof.L, np.sqrt(g1**2 + g2**2).max()) and prof.L == 0.0
 
@@ -97,15 +104,15 @@ def test_transform_surface_and_top():
     f = wavy()
     cut = CutoffFn(delta=0.2, gamma_gap=1.0)
     y1, y2 = 1.3, 2.1
-    x3, _, _, _ = transform_fields(y1, y2, 0.0, 0.0, f, cut)
+    x3, _, _, _ = flattening(y1, y2, 0.0, 0.0, f, cut)
     assert float(x3) == pytest.approx(float(f.values(y1, y2)), abs=1e-14)
-    x3_top, J1, J2, J3 = transform_fields(y1, y2, 1.0, 0.0, f, cut)
+    x3_top, J1, J2, J3 = flattening(y1, y2, 1.0, 0.0, f, cut)
     assert float(x3_top) == pytest.approx(1.0)
     assert J1 == J2 == J3 == 0.0
 
 
 def test_transform_jacobian_matches_finite_differences():
-    """(J1, J2, 1 + J3) of transform_fields are the y1, y2, y3 derivatives of
+    """(J1, J2, 1 + J3) of the flattening map are the y1, y2, y3 derivatives of
     x3, over a flat reference at a nonzero level c."""
     c = 0.07
     f = SurfaceProfile(offset=c + 0.01, terms=(HarmonicTerm(1, 0, 0.08, 0.0),
@@ -115,14 +122,14 @@ def test_transform_jacobian_matches_finite_differences():
     # heights on the plateau and on the slope of the cutoff, away from its kinks
     y3 = c + np.concatenate([rng.uniform(-0.1, 0.1, 10), rng.uniform(0.3, 0.9, 10)])
     y = [rng.uniform(0, CELL[0], 20), rng.uniform(0, CELL[1], 20), y3]
-    _, J1, J2, J3 = transform_fields(*y, c, f, cut)
+    _, J1, J2, J3 = flattening(*y, c, f, cut)
     assert np.all(J3[:10] == 0.0) and np.all(J3[10:] != 0.0)
     eps = 1e-6
     for k, expect in enumerate((J1, J2, 1 + J3)):
         up, dn = list(y), list(y)
         up[k], dn[k] = y[k] + eps, y[k] - eps
-        fd = (transform_fields(*up, c, f, cut)[0]
-              - transform_fields(*dn, c, f, cut)[0]) / (2 * eps)
+        fd = (flattening(*up, c, f, cut)[0]
+              - flattening(*dn, c, f, cut)[0]) / (2 * eps)
         np.testing.assert_allclose(fd, expect, rtol=1e-6, atol=1e-9)
 
 
@@ -150,7 +157,7 @@ def test_invert_vertical_roundtrip():
                                  rng.uniform(cut.delta, cut.gamma_gap, n),
                                  rng.uniform(cut.gamma_gap, cut.gamma_gap + 0.3, n),
                                  np.resize([0.0, cut.delta, cut.gamma_gap], n)])
-        x3, _, _, J3 = transform_fields(y1, y2, y3, c, f, cut)
+        x3, _, _, J3 = flattening(y1, y2, y3, c, f, cut)
         assert np.all(J3[:n] == 0.0) and np.all(J3[n:2 * n] != 0.0)
         assert np.array_equal(x3[2 * n:3 * n], y3[2 * n:3 * n])
         back = invert_vertical(x3, y1, y2, c, f, cut)
@@ -229,7 +236,8 @@ def test_ensemble_evaluates_each_band_harmonic_once(monkeypatch):
         for _ in range(5):
             terms = [HarmonicTerm(j1, j2, *rng.uniform(-a, a, size=2)) for j1, j2, a in law]
             got = _series_fields(offset, terms, CELL, *points, harmonics)
-            assert all(np.array_equal(a, b) for a, b in zip(got, _series_grid(offset, terms, CELL)))
+            own = _series_fields(offset, terms, CELL, *_grid_points(CELL))
+            assert all(np.array_equal(a, b) for a, b in zip(got, own))
     calls = []
     real = geometry._harmonic
     monkeypatch.setattr(geometry, "_harmonic", lambda *a: calls.append(a[:2]) or real(*a))
