@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the library experiments; every invocation
 writes a config echo plus machine-readable reports into the output
 directory.  ``extend`` solves the config and extends that solution's top
 trace by ``--height``, so it extends on the grid and cell of the echoed
-config.  Exit codes: 0 success, 1 configuration error, 2 numerical
+config.  Exit codes: 0 success; an error exits with its type's
+``exit_code`` (``errors.py``): 1 configuration error, 2 numerical
 failure, 3 diagnostic invariant violation.  A usage error (an unknown,
 missing or malformed option) also exits 1, not click's 2, with nothing
 written.  A subcommand takes only the config overrides it reads:
@@ -29,32 +30,22 @@ import numpy as np
 from . import harness
 from .config import RunConfig, dump_config, load_config
 from .dtn import extend_field, verify_symbol_suite
-from .errors import ConfigError, ConstraintError, DiagnosticError, ElastripError
+from .errors import ConfigError, DiagnosticError, ElastripError
 from .geometry import make_profile
 from .params import bound_constants, stability_constants
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_NUMERICAL = 2
-EXIT_DIAGNOSTIC = 3
 
 
-def _write_error(out_dir: str, exc: Exception, code: int) -> None:
+def _write_error(out_dir: str, exc: ElastripError) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
         harness.write_json(os.path.join(out_dir, "error.json"),
                            {"error": type(exc).__name__, "message": str(exc),
-                            "exit_code": code})
+                            "exit_code": exc.exit_code})
     except OSError:
         pass
-
-
-def _classify(exc: Exception) -> int:
-    if isinstance(exc, (ConfigError, ConstraintError)):
-        return EXIT_CONFIG
-    if isinstance(exc, DiagnosticError):
-        return EXIT_DIAGNOSTIC
-    return EXIT_NUMERICAL
 
 
 # the config overrides: option name -> the config section of the field it sets
@@ -79,8 +70,8 @@ _SEED = click.option("--seed", type=int, default=None)
 
 @contextmanager
 def _usage_exits_config():
-    """Let a click usage error exit EXIT_CONFIG: click's own 2 is
-    EXIT_NUMERICAL here."""
+    """Let a click usage error exit EXIT_CONFIG: click's own 2 is a
+    numerical failure's code here."""
     try:
         yield
     except click.UsageError as exc:
@@ -107,16 +98,16 @@ def main():
 
 
 def _run_guarded(cfg: RunConfig, out_dir: str, body, opts: dict) -> int:
-    """Write the config echo, run the body; map ElastripErrors to exit codes."""
+    """Write the config echo, run the body; an ElastripError exits with its
+    ``exit_code``."""
     try:
         os.makedirs(out_dir, exist_ok=True)
         dump_config(cfg, os.path.join(out_dir, "config.yaml"))
         return body(cfg, out_dir, **opts)
     except ElastripError as exc:
-        code = _classify(exc)
         click.echo(f"error: {exc}", err=True)
-        _write_error(out_dir, exc, code)
-        return code
+        _write_error(out_dir, exc)
+        return exc.exit_code
 
 
 def _subcommand(name, *options, prepare=None):

@@ -120,6 +120,14 @@ class ModeAmplitudes:
     grid: SpectralGrid
 
 
+def _wavenumbers(params: ElasticParams, xi_sq):
+    """The vertical wavenumbers beta (P) and gamma (S) at |xi|^2 = ``xi_sq``
+    and rho = |xi|^2 + beta gamma: (beta, gamma, rho)."""
+    beta = vertical_wavenumber_grid(params.k_p, xi_sq)
+    gamma = vertical_wavenumber_grid(params.k_s, xi_sq)
+    return beta, gamma, xi_sq + beta * gamma
+
+
 def decomposition_matrices(xi, params: ElasticParams):
     """The 4x4 system matrix D_tilde and its restricted inverse D (4x3).
 
@@ -131,14 +139,12 @@ def decomposition_matrices(xi, params: ElasticParams):
     """
     xi = np.asarray(xi, dtype=float)
     xi1, xi2 = xi[..., 0], xi[..., 1]
-    xi_sq = xi1**2 + xi2**2
-    beta = vertical_wavenumber_grid(params.k_p, xi_sq)
-    gamma = vertical_wavenumber_grid(params.k_s, xi_sq)
+    beta, gamma, rho = _wavenumbers(params, xi1**2 + xi2**2)
     D_tilde = np.zeros(xi.shape[:-1] + (4, 4), dtype=complex)
     for row, col, val in ((0, 0, xi1), (0, 1, 1), (1, 0, xi2), (1, 2, 1), (2, 0, beta),
                           (2, 3, 1), (3, 1, xi1), (3, 2, xi2), (3, 3, gamma)):
         D_tilde[..., row, col] = val
-    singular = np.abs(xi_sq + beta * gamma) < 1e-14 * max(1.0, params.k_s**2)
+    singular = np.abs(rho) < 1e-14 * max(1.0, params.k_s**2)
     if singular.any():
         bad = xi.reshape(-1, 2)[np.argmax(singular.ravel())]
         raise ElastripError(f"decomposition matrix singular at xi={tuple(map(float, bad))}")
@@ -156,9 +162,7 @@ def dtn_symbol_grid(XI1: np.ndarray, XI2: np.ndarray, params: ElasticParams) -> 
     """
     mu, w = params.mu, params.omega
     xi_sq = XI1**2 + XI2**2
-    beta = vertical_wavenumber_grid(params.k_p, xi_sq)
-    gamma = vertical_wavenumber_grid(params.k_s, xi_sq)
-    rho = xi_sq + beta * gamma
+    beta, gamma, rho = _wavenumbers(params, xi_sq)
     ks2 = params.k_s**2
     gmb = gamma - beta
     c = 2 * mu * xi_sq - w * w + 2 * mu * beta * gamma
@@ -193,7 +197,7 @@ def decompose_trace(trace: BoundaryTrace, params: ElasticParams) -> ModeAmplitud
     _, D = decomposition_matrices(np.stack([XI1, XI2], axis=-1), params)  # (m, 4, 3)
     A = np.zeros((7, n), dtype=complex)  # A_p, A_s, A_s_tilde
     A[:4, live] = np.einsum("mij,jm->im", D, trace.coefficients.reshape(3, n)[:, live])
-    kvec = np.stack([XI1, XI2, vertical_wavenumber_grid(params.k_s, xi_sq)])
+    kvec = np.stack([XI1, XI2, _wavenumbers(params, xi_sq)[1]])
     A[4:, live] = -np.cross(kvec, A[1:4, live], axis=0) / params.k_s**2
     A = A.reshape(7, grid.n1, grid.n2)
     return ModeAmplitudes(A_p=A[0], A_s=A[1:4], A_s_tilde=A[4:], grid=grid)
@@ -213,13 +217,11 @@ def extend_field(trace: BoundaryTrace, x3: float, params: ElasticParams) -> np.n
     if not (math.isfinite(x3) and x3 >= 0):
         raise ConstraintError(f"extension needs a finite offset >= 0 above the plane, got {x3}")
     XI1, XI2, xi_sq = trace.grid.frequency_mesh()
-    beta = vertical_wavenumber_grid(params.k_p, xi_sq)
-    gamma = vertical_wavenumber_grid(params.k_s, xi_sq)
+    beta, gamma, rho = _wavenumbers(params, xi_sq)
     a = np.stack(np.broadcast_arrays(XI1, XI2, beta))
     c = trace.coefficients
     e_s = np.exp(1j * gamma * x3)
-    p = ((np.exp(1j * beta * x3) - e_s) * (XI1 * c[0] + XI2 * c[1] + gamma * c[2])
-         / (xi_sq + beta * gamma))
+    p = (np.exp(1j * beta * x3) - e_s) * (XI1 * c[0] + XI2 * c[1] + gamma * c[2]) / rho
     out = e_s * c + a * p
     return BoundaryTrace(out, trace.grid).values
 
@@ -244,8 +246,7 @@ def energy_flux(trace: BoundaryTrace, params: ElasticParams,
     flux = grid.cell_area * float(np.imag(np.sum(pairing)))
     amps = decompose_trace(trace, params)
     _, _, xi_sq = grid.frequency_mesh()
-    beta = vertical_wavenumber_grid(params.k_p, xi_sq)
-    gamma = vertical_wavenumber_grid(params.k_s, xi_sq)
+    beta, gamma, _ = _wavenumbers(params, xi_sq)
     w2 = params.omega**2
     p_term = np.where(xi_sq < params.k_p**2, np.real(beta) * np.abs(amps.A_p) ** 2, 0.0)
     s_term = np.where(xi_sq < params.k_s**2,
@@ -297,10 +298,8 @@ def verify_symbol_properties(params: ElasticParams, n_samples: int = 10_000,
 
     # rho band bounds and |gamma - beta|
     x1, x2, r = sample_xi(0.0, sc.K * w, n_samples)
-    xi_sq = x1**2 + x2**2
-    beta = vertical_wavenumber_grid(params.k_p, xi_sq)
-    gamma = vertical_wavenumber_grid(params.k_s, xi_sq)
-    rho = np.abs(xi_sq + beta * gamma)
+    beta, gamma, rho = _wavenumbers(params, x1**2 + x2**2)
+    rho = np.abs(rho)
     kp, ks = params.k_p, params.k_s
     lo = np.where(r <= ks, kp**2, sc.c_K * w**2)
     hi = np.where(r <= kp, kp * ks, ks**2)

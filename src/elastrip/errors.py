@@ -1,16 +1,28 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each error type carries the exit code of the command line, ``exit_code``,
+as click's ``ClickException`` does: 1 for a configuration or constraint
+error, 2 for a numerical failure (the base class's code), 3 for a
+diagnostic invariant violation.
+"""
 
 
 class ElastripError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 2
+
 
 class ConstraintError(ElastripError):
     """A physical or geometric constraint is violated; the message names it."""
 
+    exit_code = 1
+
 
 class ConfigError(ElastripError):
     """Invalid or incomplete run configuration."""
+
+    exit_code = 1
 
 
 class SingularTransformError(ElastripError):
@@ -28,3 +40,5 @@ class NonConvergenceError(ElastripError):
 
 class DiagnosticError(ElastripError):
     """A solution-level invariant (energy balance, Poincare, ...) failed."""
+
+    exit_code = 3

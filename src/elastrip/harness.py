@@ -59,22 +59,12 @@ class RunReport:
                   "solve_iterations")
 
     def csv_row(self) -> dict:
-        return {
-            "label": self.label,
-            "omega": self.config["physics"]["omega"],
-            "h": self.config["geometry"]["h"],
-            "L": self.diagnostics["surface_L"],
-            "u_vh": self.u_vh,
-            "g_l2": self.g_l2,
-            "g_h1": self.g_h1,
-            "total_bound": self.bound["total_bound"],
-            "measured_ratio": self.bound["measured_ratio"],
-            "energy_residual": self.diagnostics["energy_residual"],
-            "radiated_power": self.diagnostics["radiated_power"],
-            "poincare_slack": self.diagnostics["poincare_slack"],
-            "solve_residual": self.diagnostics["solve_residual"],
-            "solve_iterations": self.diagnostics["solve_iterations"],
-        }
+        """The ``CSV_FIELDS`` cells of the fields, the bound and the diagnostics;
+        ``L``, ``omega`` and ``h`` are the renamed and nested ones."""
+        cells = {**vars(self), **self.bound, **self.diagnostics,
+                 "L": self.diagnostics["surface_L"],
+                 "omega": self.config["physics"]["omega"], "h": self.config["geometry"]["h"]}
+        return {k: cells[k] for k in self.CSV_FIELDS}
 
     def as_dict(self) -> dict:
         return dict(vars(self))

@@ -8,7 +8,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from elastrip import harness
+from elastrip import errors, harness
 from elastrip.cli import main
 from elastrip.config import load_config
 from elastrip.params import BoundReport, StabilityConstants
@@ -265,6 +265,24 @@ def test_mc_without_law_exits_2(runner, tmp_path):
     assert res.exit_code == 2
     err = json.loads((out / "error.json").read_text())
     assert err["exit_code"] == 2
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.ConfigError, 1), (errors.ConstraintError, 1), (errors.DiagnosticError, 3),
+    (errors.NonConvergenceError, 2), (errors.SingularTransformError, 2),
+    (errors.ElastripError, 2)])
+def test_every_error_type_exits_with_its_code(runner, tmp_path, monkeypatch, error, code):
+    """An error raised in the run exits with its type's code, and error.json
+    names the type and the code."""
+    def fail(cfg):
+        raise error("injected")
+
+    monkeypatch.setattr(harness, "deterministic_run", fail)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path), "--out", str(out)])
+    assert res.exit_code == code, res.output
+    err = json.loads((out / "error.json").read_text())
+    assert (err["error"], err["exit_code"]) == (error.__name__, code)
 
 
 def test_mc_does_not_build_the_configured_surface(runner, tmp_path):

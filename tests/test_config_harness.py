@@ -209,6 +209,30 @@ def test_runs_are_deterministic():
     assert "wall_time" not in RunReport.CSV_FIELDS
 
 
+@pytest.mark.parametrize("surface", [{}, {"terms": [[1, 0, 0.05, 0.0]]}])
+def test_csv_row_is_the_report_cell_by_cell(surface):
+    """Each runs.csv cell is the report value of its name; comparing two
+    rows with each other would pass a wrong key."""
+    rep, _ = deterministic_run(cfg_with(surface=surface))
+    d = rep.diagnostics
+    assert rep.csv_row() == {
+        "label": rep.label,
+        "omega": rep.config["physics"]["omega"],
+        "h": rep.config["geometry"]["h"],
+        "L": d["surface_L"],
+        "u_vh": rep.u_vh,
+        "g_l2": rep.g_l2,
+        "g_h1": rep.g_h1,
+        "total_bound": rep.bound["total_bound"],
+        "measured_ratio": rep.bound["measured_ratio"],
+        "energy_residual": d["energy_residual"],
+        "radiated_power": d["radiated_power"],
+        "poincare_slack": d["poincare_slack"],
+        "solve_residual": d["solve_residual"],
+        "solve_iterations": d["solve_iterations"],
+    }
+
+
 def test_rough_run_satisfies_bound():
     rep, _ = deterministic_run(cfg_with(surface={"terms": [[1, 0, 0.08, 0.0]]}))
     assert rep.diagnostics["energy_residual"] < 1e-8
