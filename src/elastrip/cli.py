@@ -116,10 +116,11 @@ def _subcommand(name, *options, prepare=None):
     Every subcommand takes ``--out`` and ``--config`` ahead of its own
     ``options``, among them the config overrides it reads (``_OVERRIDES``).
     The config is loaded with those overrides applied, which ``RunConfig``
-    validates and ``config.yaml`` echoes, and ``prepare(**opts)``, when
-    given, turns the other option values into the body's keyword
-    arguments; an ElastripError in either step exits 1 before anything is
-    written.  The body then runs under :func:`_run_guarded`.
+    validates and ``config.yaml`` echoes, and ``prepare(cfg, **opts)``,
+    when given, checks what the body needs of the config and turns the
+    other option values into the body's keyword arguments; an
+    ElastripError in either step exits 1 before anything is written.  The
+    body then runs under :func:`_run_guarded`.
     """
     def register(body):
         def command(config_path, out_dir, **opts):
@@ -127,7 +128,7 @@ def _subcommand(name, *options, prepare=None):
             try:
                 cfg = _load(config_path, overrides)
                 if prepare is not None:
-                    opts = prepare(**opts)
+                    opts = prepare(cfg, **opts)
             except ElastripError as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(EXIT_CONFIG)
@@ -198,7 +199,7 @@ def solve_cmd(cfg, out):
     return EXIT_OK
 
 
-def _parse_sweep_values(axis, values):
+def _parse_sweep_values(cfg, axis, values):
     try:
         vals = [float(v) for v in values.split(",")]
     except ValueError as exc:
@@ -230,10 +231,17 @@ def sweep_cmd(cfg, out, axis, values):
     return EXIT_OK
 
 
+def _check_law(cfg):
+    """The ensemble law ``mc`` draws from, checked before anything is written."""
+    harness.ensemble_law(cfg)
+    return {}
+
+
 @_subcommand("mc", _OMEGA, _SEED,
              click.option("--threads", type=int, default=None,
                           help="Monte Carlo worker threads [default: the usable cores]"),
-             click.option("--n-samples", type=int, default=None))
+             click.option("--n-samples", type=int, default=None),
+             prepare=_check_law)
 def mc_cmd(cfg, out):
     """Monte Carlo over the configured random-surface ensemble."""
     rep = harness.monte_carlo(cfg)
@@ -256,7 +264,7 @@ def pushforward_cmd(cfg, out):
     return EXIT_OK
 
 
-def _check_height(height):
+def _check_height(cfg, height):
     """The offset of ``extend``, checked before the solve; ``extend_field``
     repeats the check for library callers."""
     if not (math.isfinite(height) and height >= 0):

@@ -408,6 +408,14 @@ def stochastic_bound(cfg: RunConfig) -> float:
     return total_bound_stochastic(rep, geom)
 
 
+def ensemble_law(cfg: RunConfig) -> tuple[tuple[int, int, float], ...]:
+    """The surface law the Monte Carlo ensemble draws from,
+    ``surface.law_bands``; a :class:`ConfigError` when the config has none."""
+    if not cfg.surface.law_bands:
+        raise ConfigError("monte_carlo needs surface.law_bands in the config")
+    return cfg.surface.law_bands
+
+
 def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -> McReport:
     """Ensemble of transformed solves; stochastic bound ratio against
     :func:`stochastic_bound`, L0 = M0.
@@ -420,13 +428,11 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
     and have the same bits at any worker count.  Failed samples are
     recorded and skipped, the means run over completed samples only.
     """
+    law = ensemble_law(cfg)
     n = cfg.run.n_samples if n is None else int(n)
     seed = cfg.run.seed if seed is None else int(seed)
     params, geom, mesh, cutoff, _ = build_setup(cfg)
-    s = cfg.surface
-    if not s.law_bands:
-        raise ElastripError("monte_carlo needs surface.law_bands in the config")
-    samples = sample_ensemble(seed, n, s.M0, s.law_bands, geom, mesh.bottom,
+    samples = sample_ensemble(seed, n, cfg.surface.M0, law, geom, mesh.bottom,
                               cfg.source.amplitude)
 
     def solve(ctx, sample):  # the sample's row, or its failure record

@@ -4,13 +4,22 @@ Flat reference surface: Fourier modes decouple, each mode is a 3x3-block
 tridiagonal 1D system.  The modes (+-j1, +-j2) share one matrix up to the
 signs of the u1 and u2 rows and columns, so the bands are stored and
 factored once per mirror class (|j1|, |j2|).  A mode with zero load has
-the zero solution, so the direct solve assembles and factors, in one
-batched block-LU, only the classes its load reaches: a few for a source
-of a few harmonics.  The block-LU runs on class-last views of the bands and
-inverts its 3x3 pivots in closed form, so it makes no LAPACK or BLAS call.
-Where a pivot's determinant cancels in its row expansion, the whole
-elimination runs again from the top node, fitting each determinant that
-cancels.
+the zero solution, so the direct solve (:func:`solve_flat`) assembles and
+solves, batched over classes, only the classes its load reaches: a few
+for a source of a few harmonics.  Two eliminations serve the flat
+operator, both on class-last views of the bands, both inverting their
+3x3 pivots in closed form, so neither makes a LAPACK or BLAS call.  The
+direct solve runs block cyclic reduction (:func:`_cyclic_reduction`),
+about log2 n_z batched levels.  Its pivots are sub-strips clamped at both
+ends, which can resonate, so a class whose reduction fails a pivot check
+or misses the residual is solved again by the top-down block-LU
+(:func:`block_lu_solver`), whose pivots are strips closed by the
+radiating top.  The block-LU is also the rough solves' preconditioner,
+which factors every class once and applies the factor to many vectors;
+there its loop over the n_z nodes costs less than the reduction's wider
+levels.  Where a block-LU pivot's determinant cancels in its row
+expansion, the whole elimination runs again from the top node, fitting
+each determinant that cancels.
 Rough surface:
 the flattening transform turns the problem into a variable-coefficient one on
 the same reference strip, applied matrix-free and solved with the module's
@@ -604,7 +613,14 @@ def block_lu_solver(bands: np.ndarray, classes: ClassMaps, dtype=complex):
     with the radiating top condition.  Bottom-up pivots are those of strips
     clamped at both ends, which pass near resonances of propagating modes:
     on one such case (mu = 0.2, omega = 5, condition number 800) bottom-up
-    elimination was accurate to 2.5e-9 relative, top-down to 9e-15.
+    elimination was accurate to 2.5e-9 relative, top-down to 9e-15.  The
+    reduced pivots of :func:`_cyclic_reduction` are clamped at both ends
+    too, so this factor is the direct solve's fallback for the classes
+    whose reduction refuses (:func:`solve_flat`).  It stays the rough
+    solves' preconditioner: at N = 8 and n_z = 96 a factor of all 81
+    classes and one sweep took 6.8 ms against 14.0 ms by cyclic
+    reduction (one class: 2.2 ms against 0.8 ms; 2-core VM), whose levels
+    widen with the classes while this loop's per-node overhead does not.
 
     The factor runs in complex128 and is kept at ``dtype``: complex64 for
     the rough solve's preconditioner, whose sweeps then run in complex64
@@ -645,6 +661,100 @@ def block_lu_solver(bands: np.ndarray, classes: ClassMaps, dtype=complex):
         return _from_classes(y, classes.scatter)
 
     return solve
+
+
+# The columns of a node in cyclic reduction, [node, k, column, class]: its
+# blocks to the node above and to the node below, its load's four sign
+# slots, and its diagonal block.  A pivot's solve keeps the first three.
+_ABOVE, _BELOW, _LOAD, _DIAG = slice(0, 3), slice(3, 6), slice(6, 10), slice(10, 13)
+
+
+def _block_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[m, k, j, class] b[m, j, l, class], summed over j: one broadcast
+    multiply and one reduction, as in :func:`_eliminate`."""
+    return np.add.reduce(a[:, :, :, None] * b[:, None], axis=2)
+
+
+def _pivot_solve(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P^{-1} [above | below | load] of nodes[m, k, column, class], P the
+    diagonal block inverted in closed form (:func:`_adjugate3` without
+    fit), and the classes where a pivot's determinant is zero or not
+    finite or its row expansion cancels (:func:`_cancels`)."""
+    pivots = np.moveaxis(nodes[:, :, _DIAG], 0, 2)  # [k, j, m, class]
+    terms = np.empty((3,) + pivots.shape[2:], dtype=complex)
+    adj, det = _adjugate3(pivots, fit=False, out=terms)
+    bad = ~np.isfinite(det) | (det == 0) | _cancels(terms, det, axis=0)
+    inverse = np.moveaxis(adj / det, 2, 0)
+    return _block_products(inverse, nodes[:, :, :_DIAG.start]), bad.any(axis=0)
+
+
+def _cyclic_reduction(bands: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer.
+    Anal. 7 (1970) 627) of the bands of :func:`assemble_flat_blocks` for
+    the load y[i, k, slot, class] in the class layout of
+    :func:`mirror_classes`; returns the solution in that layout and the
+    classes whose reduction refuses.
+
+    Each level solves the odd nodes that remain for their neighbours, all
+    at once (:func:`_pivot_solve`), and puts them into the even nodes'
+    blocks and loads, which form the next level; the last level is the top
+    node.  Back-substitution then runs level by level.  A level is a few
+    dozen numpy calls whatever its nodes, so the n_z nodes take about
+    log2 n_z levels where the block-LU's loop takes n_z steps.  Every
+    product is a broadcast product summed over j, elementwise in the class
+    axis, so a class has the same bits in any batch.
+
+    A class refuses where a pivot at any level has a zero or non-finite
+    determinant, or a row expansion that cancels.  The reduced pivots are
+    interior sub-strips clamped at both ends (Heller, SIAM J. Numer. Anal.
+    13 (1976) 484, on the stability), which resonate: over 2,655 flat
+    strips (N = 2, n_z 1 to 96, omega 0.5 to 15) the plain reduction left
+    a median relative residual of 4.3e-15 but 14 above 1e-9 and 4 not
+    finite.  A refused class's solution is not finite or not accurate;
+    the caller solves it again.
+    """
+    below, diag, above = _class_views(bands)
+    level = np.empty(y.shape[:2] + (_DIAG.stop,) + y.shape[3:], dtype=complex)
+    for columns, blocks in ((_ABOVE, above), (_BELOW, below), (_LOAD, y), (_DIAG, diag)):
+        level[:, :, columns] = blocks
+    refused = np.zeros(y.shape[3:], dtype=bool)
+    solved_odd = []  # per level, P^{-1} [above | below | load] of its odd nodes
+    while len(level) > 1:
+        solved, bad = _pivot_solve(level[1::2])
+        refused |= bad
+        solved_odd.append(solved)
+        level = _reduce(level[::2], solved)
+    top, bad = _pivot_solve(level)
+    x = top[:, :, _LOAD]
+    for solved in reversed(solved_odd):
+        n_odd, n_even = len(solved), len(x)
+        odd = solved[:, :, _LOAD] - _block_products(solved[:, :, _ABOVE], x[:n_odd])
+        odd[:n_even - 1] -= _block_products(solved[:n_even - 1, :, _BELOW], x[1:])
+        nodes = np.empty((n_even + n_odd,) + x.shape[1:], dtype=complex)
+        nodes[::2], nodes[1::2] = x, odd
+        x = nodes
+    return x, refused | bad
+
+
+def _reduce(even: np.ndarray, solved: np.ndarray) -> np.ndarray:
+    """The next level of :func:`_cyclic_reduction`: the even nodes, even[t]
+    between odd nodes t - 1 above and t below, with those odd nodes put in
+    by their ``solved`` rows x_o = g - G x_above - H x_below."""
+    n_even, n_odd = len(even), len(solved)
+    # A_e [G | H | g] of the odd node above and C_e [G | H | g] of the one below
+    up = _block_products(even[1:, :, _ABOVE], solved[:n_even - 1])
+    down = _block_products(even[:n_odd, :, _BELOW], solved)
+    level = np.empty(even.shape, dtype=complex)
+    level[:, :, _LOAD.start:] = even[:, :, _LOAD.start:]
+    level[0, :, _ABOVE] = 0
+    np.negative(up[:, :, _ABOVE], out=level[1:, :, _ABOVE])
+    np.negative(down[:, :, _BELOW], out=level[:n_odd, :, _BELOW])
+    level[n_odd:, :, _BELOW] = 0
+    level[1:, :, _DIAG] -= up[:, :, _BELOW]
+    level[1:, :, _LOAD] -= up[:, :, _LOAD]
+    level[:n_odd, :, _DIAG] -= down[:, :, _ABOVE]
+    level[:n_odd, :, _LOAD] -= down[:, :, _LOAD]
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -1308,24 +1418,21 @@ def _rough_buffer_bytes(ctx: SolverContext, n_e: int) -> dict[str, int]:
 def solve_field(ctx: SolverContext, rhs: np.ndarray,
                 coeffs: TransformCoefficients | None = None,
                 tol: float = 1e-9) -> tuple[DiscreteField, SolveInfo]:
-    """Solve the variational system with the block-LU of the flat operator:
-    directly without a transform, as the right preconditioner of
-    :func:`gmres` with one.
+    """Solve the variational system: without a transform directly
+    (:func:`solve_flat`), with one by :func:`gmres`, right-preconditioned
+    by the block-LU of the flat operator.
 
-    The direct path assembles, factors and applies the bands of only the
-    mirror classes that hold a nonzero entry of ``rhs``, whose
-    :class:`ClassMaps` it builds once for all three; the modes of the
-    others are zero, as the solve of every class gives them.  After the
-    load it runs on those classes' modes alone: it gathers their entries
-    of ``rhs`` once, and the block-LU, the residual multiply with the same
-    bands and the field touch only these, so its cost follows the modes
-    its load reaches, not the lattice.  The residual's two norms sum the
-    squares over the full free vector, zeros included
-    (:func:`_norm_on`), so the field and the residual have the bits of a
-    solve of every class.  The field's ``modes`` are the reached classes'
-    modes.  It examines no pivot of a class its load does not reach: a
-    singular pivot there raises nothing.  It does not touch the context's
-    ``solve``.
+    The direct path solves only the mirror classes that hold a nonzero
+    entry of ``rhs``, whose :class:`ClassMaps` it builds once; the modes
+    of the others are zero, as the solve of every class gives them.  After
+    the load it runs on those classes' modes alone: it gathers their
+    entries of ``rhs`` once, and the solve, the residual multiply and the
+    field touch only these, so its cost follows the modes its load
+    reaches, not the lattice.  The field and the residual have the bits of
+    a solve of every class.  The field's ``modes`` are the reached
+    classes' modes.  It examines no pivot of a class its load does not
+    reach: a singular pivot there raises nothing.  It does not touch the
+    context's ``solve``.
 
     GMRES runs its Arnoldi steps on the complex64 operator, on the
     collocation grid of :func:`inner_mesh`, and checks every
@@ -1337,7 +1444,8 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
 
     Raises :class:`NonConvergenceError` when the relative residual of the
     result exceeds ``tol`` on either path, or when the block-LU meets a
-    singular pivot.
+    singular pivot (on the direct path, in a class the cyclic reduction
+    refused).
     """
     if coeffs is not None:
         ctx.reserve()
@@ -1347,17 +1455,68 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
         return DiscreteField.from_free_vector(x, ctx.mesh), info
     g, nz = ctx.mesh.grid, ctx.mesh.n_nodes - 1
     reached = mirror_classes(_reached_classes(ctx.mesh, rhs), nz)
-    bands, modes = assemble_flat_blocks(ctx.mesh, ctx.params, reached), reached.modes
-    b = np.reshape(rhs, (3, g.n1 * g.n2, nz))[:, modes]  # [k, mode, node]
-    x = block_lu_solver(bands, reached)(b.ravel())
-    r = np.subtract(banded_matvec(bands, x, reached), b.ravel()).reshape(b.shape)
-    res, scale = (_norm_on(v, modes, g.n1 * g.n2, ctx.work) for v in (r, b))
-    rel = res / scale if scale > 0 else res
+    b = np.reshape(rhs, (3, g.n1 * g.n2, nz))[:, reached.modes]  # [k, mode, node]
+    x, rel = solve_flat(ctx, reached, b.ravel(), tol)
     if not rel <= tol:
         raise NonConvergenceError(
             f"direct solve failed: relative residual {rel:.3e} > {tol:.1e}",
             residual=rel, history=[rel])
-    return DiscreteField.from_free_vector(x, ctx.mesh, modes), SolveInfo(rel, 1, "direct", [rel])
+    return (DiscreteField.from_free_vector(x, ctx.mesh, reached.modes),
+            SolveInfo(rel, 1, "direct", [rel]))
+
+
+def solve_flat(ctx: SolverContext, classes: ClassMaps, b: np.ndarray,
+               tol: float) -> tuple[np.ndarray, float]:
+    """The direct solve of the flat operator of the mirror ``classes`` for
+    the load b, the free entries of their modes (the entries of
+    :func:`mirror_classes`); returns x on the same entries and its
+    relative residual ||A x - b|| / ||b|| (||A x|| for b = 0).
+
+    Assembles the classes' bands once, for the solve and for the residual
+    multiply (:func:`banded_matvec`), and solves all classes by block
+    cyclic reduction (:func:`_cyclic_reduction`).  A class refuses where
+    its reduction does, or where its own relative residual, summed over
+    its four sign slots, misses ``tol``; every class that meets ``tol``
+    makes the whole meet it.  The refused classes are solved again by the
+    top-down block-LU (:func:`_solve_top_down`), and the residual is
+    taken again.  Each decision is the class's own, so a class has the
+    same bits in any batch of classes: the cyclic reduction's where it
+    does not refuse, the block-LU's where it does.  The residual's two
+    norms sum the squares over the full free vector of the context's
+    lattice, zeros included (:func:`_norm_on`), so they have the bits of
+    a solve of every class.
+    """
+    bands = assemble_flat_blocks(ctx.mesh, ctx.params, classes)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a failure refuses
+        y, refused = _cyclic_reduction(bands, _to_classes(b, classes.gather))
+    y[..., refused] = 0
+    x = _from_classes(y, classes.scatter)
+    r = np.subtract(banded_matvec(bands, x, classes), b)
+    res, scale = (np.add.reduce(abs(v[classes.gather]) ** 2, axis=(0, 1, 2)) for v in (r, b))
+    refused |= ~(res <= tol * tol * np.where(scale > 0, scale, 1.0))
+    if refused.any():
+        _solve_top_down(bands, classes, refused, ctx.mesh.grid, b, x)
+        r = np.subtract(banded_matvec(bands, x, classes), b)
+    g, shape = ctx.mesh.grid, (3, len(classes.modes), bands.shape[2])
+    res, scale = (_norm_on(v.reshape(shape), classes.modes, g.n1 * g.n2, ctx.work)
+                  for v in (r, b))
+    return x, res / scale if scale > 0 else res
+
+
+def _solve_top_down(bands: np.ndarray, classes: ClassMaps, refused: np.ndarray,
+                    grid: SpectralGrid, b: np.ndarray, x: np.ndarray) -> None:
+    """Write into x the block-LU solution (:func:`block_lu_solver`) of the
+    ``refused`` classes, factored on their bands alone, class-last as
+    assembled; raises its :class:`NonConvergenceError` naming class and
+    node."""
+    mask = np.zeros((grid.N1 + 1, grid.N2 + 1), dtype=bool)
+    mask[classes.c1[refused], classes.c2[refused]] = True
+    nz = bands.shape[2]
+    sub = mirror_classes(mask, nz)
+    at = np.searchsorted(classes.modes, sub.modes)
+    sub_bands = np.moveaxis(np.moveaxis(bands, 1, -1)[..., refused], -1, 1)
+    solve = block_lu_solver(sub_bands, sub)
+    x.reshape(3, -1, nz)[:, at] = solve(b.reshape(3, -1, nz)[:, at].ravel()).reshape(3, -1, nz)
 
 
 # ---------------------------------------------------------------------------

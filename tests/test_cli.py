@@ -258,13 +258,15 @@ def test_sweep_csv(runner, tmp_path):
     assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
 
-def test_mc_without_law_exits_2(runner, tmp_path):
+def test_mc_without_law_exits_1(runner, tmp_path):
+    """A config without surface.law_bands is a configuration error of mc,
+    found before anything is written."""
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
     res = runner.invoke(main, ["mc", "--config", cfg, "--out", str(out)])
-    assert res.exit_code == 2
-    err = json.loads((out / "error.json").read_text())
-    assert err["exit_code"] == 2
+    assert res.exit_code == 1
+    assert "surface.law_bands" in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error, code", [
@@ -532,9 +534,9 @@ def test_json_keys_are_the_documented_ones(runner, tmp_path):
         (["constants"], "constants.json", 0), (["pushforward"], "pushforward.json", 0),
         (["sweep", "--axis", "L_amplitude", "--values", "1,40"], "sweep.json", 0),
         (["extend"], "extend.json", 0)])
-    # mc without a surface law fails after writing config.yaml: exit 2 and error.json
-    payloads |= json_outputs(runner, tmp_path, write_cfg(tmp_path, name="flat.yaml"),
-                             [(["mc"], "error.json", 2)])
+    # a solve that cannot meet its tolerance fails after writing config.yaml: exit 2, error.json
+    tight = write_cfg(tmp_path, {"discretization": {"solver_tol": 1e-30}}, name="tight.yaml")
+    payloads |= json_outputs(runner, tmp_path, tight, [(["solve"], "error.json", 2)])
     payloads["report.json/bound"] = payloads["report.json"]["bound"]
     payloads["report.json/diagnostics"] = payloads["report.json"]["diagnostics"]
     points = payloads["sweep.json"]["points"]

@@ -329,7 +329,7 @@ def test_monte_carlo_reproducible_and_bounded():
 
 
 def test_monte_carlo_requires_ensemble_law():
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError, match="surface.law_bands"):
         monte_carlo(cfg_with(), n=2)
 
 

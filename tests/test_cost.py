@@ -6,6 +6,8 @@ benchmark sizes, written out with the numbers of ``bench/workloads.py``;
 its peak by 3 %.  After one warm-up call, one more call is counted:
 
 - the matvecs of the rough operator, per precision;
+- the runs of the direct path's cyclic reduction, and its fallbacks to
+  the block-LU;
 - the runs of the block-LU elimination;
 - the block-LU applies, per precision of their input.
 
@@ -64,7 +66,7 @@ PINS = {
                         "apply complex64": 8, "apply complex128": 4}, 16_966_763),
     (rough_solve, 7): ({"matvec complex64": 11, "matvec complex128": 2, "eliminate": 1,
                         "apply complex64": 9, "apply complex128": 4}, 16_966_251),
-    (flat_solve, 0): ({"eliminate": 1, "apply complex128": 1}, 4_475_183),
+    (flat_solve, 0): ({"reduction": 1}, 4_475_183),
     # 8 solves
     (mc_ensemble, 0): ({"matvec complex64": 73, "matvec complex128": 16, "eliminate": 1,
                         "apply complex64": 57, "apply complex128": 32}, 12_742_479),
@@ -76,6 +78,7 @@ def count_work(monkeypatch) -> Counter:
     counts = Counter()
     matvec, eliminate = solver.StripOperator._matvec, solver._eliminate
     factor = solver.block_lu_solver
+    reduction, fallback = solver._cyclic_reduction, solver._solve_top_down
 
     def counted_matvec(self, vec):
         counts[f"matvec {self.dtype}"] += 1
@@ -84,6 +87,14 @@ def count_work(monkeypatch) -> Counter:
     def counted_eliminate(*args, **kwargs):
         counts["eliminate"] += 1
         return eliminate(*args, **kwargs)
+
+    def counted_reduction(*args, **kwargs):
+        counts["reduction"] += 1
+        return reduction(*args, **kwargs)
+
+    def counted_fallback(*args, **kwargs):
+        counts["fallback"] += 1
+        return fallback(*args, **kwargs)
 
     def counted_factor(*args, **kwargs):
         solve = factor(*args, **kwargs)
@@ -97,6 +108,8 @@ def count_work(monkeypatch) -> Counter:
     monkeypatch.setattr(solver.StripOperator, "_matvec", counted_matvec)
     monkeypatch.setattr(solver, "_eliminate", counted_eliminate)
     monkeypatch.setattr(solver, "block_lu_solver", counted_factor)
+    monkeypatch.setattr(solver, "_cyclic_reduction", counted_reduction)
+    monkeypatch.setattr(solver, "_solve_top_down", counted_fallback)
     return counts
 
 

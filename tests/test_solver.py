@@ -408,6 +408,98 @@ def test_block_lu_matches_dense_solve(mu, lam_frac, omega, depth, cell, N, nz, s
     assert np.linalg.norm(op.matvec(x) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(0.2, 4.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.1, 15.0),
+       depth=st.floats(0.2, 3.0), cell=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
+       N=st.integers(0, 2), nz=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_cyclic_reduction_matches_dense_solve(mu, lam_frac, omega, depth, cell, N, nz, seed):
+    """Every class the cyclic reduction does not refuse has the dense
+    solve of its expanded bands to 1e-9 relative, slots summed (4.7e-12 at
+    worst over 3,000 examples of these strategies)."""
+    params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
+    mesh = StripMesh(grid=SpectralGrid(N1=N, N2=N, cell=cell),
+                     bottom=-depth, top=0.0, n_elements=nz)
+    every = every_class(mesh)
+    bands = assemble_flat_blocks(mesh, params, every)
+    rng = np.random.default_rng(seed)
+    n = 3 * mesh.grid.n1 * mesh.grid.n2 * nz
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x, refused = solver._cyclic_reduction(bands, solver._to_classes(rhs, every.gather))
+    blocks = dense_blocks(bands, mesh.grid)
+    n1, n2, n = blocks.shape[:3]
+    R = np.moveaxis(rhs.reshape(3, n1, n2, nz), 0, 2).reshape(n1, n2, n, 1)
+    ref = np.moveaxis(np.linalg.solve(blocks, R).reshape(n1, n2, 3, nz), 2, 0).ravel()
+    ref = solver._to_classes(ref, every.gather)  # [node, k, slot, class], as x
+    err, size = (np.sqrt(np.sum(abs(v) ** 2, axis=(0, 1, 2))) for v in (x - ref, ref))
+    assert np.all(err[~refused] <= 1e-9 * size[~refused])
+
+
+# (mu, lam, depth, omega, n_z) at N = 2 and cell 2 pi where the plain cyclic
+# reduction fails: a reduced pivot is singular (the first four), or the
+# field of two classes is 1e15 times too large (the last)
+RESONANT = [(0.5, 1.0, 2.0, 2.0, 2), (1.0, 1.0, 1.2, 5.0, 2), (1.0, 1.0, 1.2, 7.5, 3),
+            (4.0, 2.0, 0.5, 14.0, 2), (0.5, 1.0, 2.0, 4.0, 3)]
+
+
+@pytest.mark.parametrize("mu, lam, depth, omega, nz", RESONANT)
+def test_resonant_reductions_fall_back_to_the_block_lu(mu, lam, depth, omega, nz):
+    """On a strip whose reduced pivots resonate, the direct solve of every
+    class meets tol; the classes whose reduction refuses, and only those,
+    are solved by the block-LU and have its bits, and the others have the
+    reduction's."""
+    params = ElasticParams(lam=lam, mu=mu, omega=omega)
+    mesh = StripMesh(grid=SpectralGrid(N1=2, N2=2, cell=CELL), bottom=-depth, top=0.0,
+                     n_elements=nz)
+    every = every_class(mesh)
+    bands = assemble_flat_blocks(mesh, params, every)
+    rng = np.random.default_rng(0)
+    n = 3 * mesh.grid.n1 * mesh.grid.n2 * nz
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        reduced, refused = solver._cyclic_reduction(bands, solver._to_classes(rhs, every.gather))
+    assert refused.any()
+    x, rel = _all_class_solve(mesh, params, rhs)
+    assert rel <= 1e-9
+    got = solver._to_classes(x, every.gather)
+    lu = solver._to_classes(block_lu_solver(bands, every)(rhs), every.gather)
+    assert np.array_equal(got[..., refused], lu[..., refused])
+    assert np.array_equal(got[..., ~refused], reduced[..., ~refused])
+
+
+def test_a_class_whose_residual_misses_tol_falls_back(monkeypatch):
+    """A class whose reduction passes its pivot checks but whose own
+    relative residual misses tol, here a reduction spoiled by 1e-6 in class
+    (1, 0), is solved again by the block-LU, alone: the other classes keep
+    the reduction's bits.  Kept at tol = inf, the spoiled solve's residual
+    lies between 1e-9 and 1e-4."""
+    mesh = flat_mesh(N=1, nz=8)
+    every = every_class(mesh)
+    rng = np.random.default_rng(3)
+    n = 3 * mesh.grid.n1 * mesh.grid.n2 * 8
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    clean, spoilt = _all_class_solve(mesh, P, rhs)[0], 2  # class (1, 0) is the third
+    reduction = solver._cyclic_reduction
+
+    def spoil(*args):
+        y, refused = reduction(*args)
+        y[..., spoilt] *= 1 + 1e-6
+        return y, refused
+
+    monkeypatch.setattr(solver, "_cyclic_reduction", spoil)
+    x, rel = _all_class_solve(mesh, P, rhs)
+    assert rel <= 1e-9
+    got, before = (solver._to_classes(v, every.gather) for v in (x, clean))
+    lu = solver._to_classes(block_lu_solver(assemble_flat_blocks(mesh, P, every), every)(rhs),
+                            every.gather)
+    assert (every.c1[spoilt], every.c2[spoilt]) == (1, 0)
+    assert np.array_equal(got[..., spoilt], lu[..., spoilt])
+    others = np.arange(len(every.c1)) != spoilt
+    assert np.array_equal(got[..., others], before[..., others])
+    _, spoilt_rel = _all_class_solve(mesh, P, rhs, tol=np.inf)
+    assert 1e-9 < spoilt_rel <= 1e-4
+
+
 @settings(max_examples=20, deadline=None)
 @given(mu=st.floats(0.3, 3.0), lam_frac=st.floats(0.0, 1.0), omega=st.floats(0.5, 6.0),
        N=st.integers(0, 3), nz=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
@@ -465,11 +557,11 @@ def test_closed_form_pivot_inverse_matches_lapack(log_cond, middle, log_scale, b
 
 
 def test_block_lu_calls_no_lapack_or_matmul_and_copies_no_band(monkeypatch):
-    """Factor and apply run with np.linalg.inv/solve and np.matmul disabled;
-    the factor allocates the pivots and C (2/3 of the class bands), the
-    determinants and their expansion terms, no band copy.  The bounds are
-    shares of the bands of every mode, which the factor stored before the
-    mirror classes."""
+    """Factor and apply run with np.linalg.inv/solve and np.matmul disabled,
+    and so does the direct path's cyclic reduction; the factor allocates
+    the pivots and C (2/3 of the class bands), the determinants and their
+    expansion terms, no band copy.  The bounds are shares of the bands of
+    every mode, which the factor stored before the mirror classes."""
     mesh = flat_mesh(N=2, nz=128)
     every = every_class(mesh)
     bands = assemble_flat_blocks(mesh, P, every)
@@ -489,12 +581,15 @@ def test_block_lu_calls_no_lapack_or_matmul_and_copies_no_band(monkeypatch):
         held = tracemalloc.get_traced_memory()[0]
         x = solve(rhs)
         apply_peak = tracemalloc.get_traced_memory()[1] - held
+        reduced, refused = solver._cyclic_reduction(bands, solver._to_classes(rhs, every.gather))
     finally:
         tracemalloc.stop()
         monkeypatch.undo()
     assert factor_peak < 0.75 * mode_bytes
     assert apply_peak < 0.3 * mode_bytes
-    assert np.linalg.norm(banded_matvec(bands, x, every) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert not refused.any()
+    for y in (x, solver._from_classes(reduced, every.scatter)):
+        assert np.linalg.norm(banded_matvec(bands, y, every) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_a_factor_that_runs_again_holds_one_set_of_pivots(monkeypatch):
@@ -1510,13 +1605,9 @@ def test_rough_solve_is_bit_identical_across_blas_threads():
     assert out[0].startswith("gmres ") and "\ndirect " in out[0] and out[0] == out[1]
 
 
-def _all_class_solve(mesh, params, rhs):
-    """The direct solve over every mirror class: x and its relative residual."""
-    every = every_class(mesh)
-    bands = assemble_flat_blocks(mesh, params, every)
-    x = block_lu_solver(bands, every)(rhs)
-    res, scale = solver._norm(banded_matvec(bands, x, every) - rhs), solver._norm(rhs)
-    return x, res / scale if scale > 0 else res
+def _all_class_solve(mesh, params, rhs, tol=1e-9):
+    """The direct path's solve over every mirror class: x and its relative residual."""
+    return solver.solve_flat(SolverContext(mesh, params), every_class(mesh), rhs, tol)
 
 
 def _spy_flat_assemblies(monkeypatch) -> list:
@@ -1541,13 +1632,14 @@ harmonic = st.tuples(st.integers(0, 2), st.integers(-7, 7), st.integers(-7, 7),
        N1=st.integers(0, 4), N2=st.integers(0, 4), nz=st.integers(1, 16),
        factors=st.lists(harmonic, min_size=1, max_size=3))
 @example(mu=0.5, lam_frac=1.0, omega=1.0, cell=(1.0, 1.0), N1=1, N2=1, nz=1,
-         factors=[(0, 1, 1, 1.0, 0.0)])  # a pivot whose determinant is fitted
+         factors=[(0, 1, 1, 1.0, 0.0)])  # refused; the block-LU fallback fits a determinant
 def test_reached_class_solve_has_the_bits_of_every_class(mu, lam_frac, omega, cell, N1, N2,
                                                          nz, factors):
-    """The direct path factors only the mirror classes its load reaches, and
-    its field and residual equal those of the all-class block-LU bit for
-    bit.  Harmonics beyond +-N alias onto lattice modes or drop out; j = 0
-    axes fold a class's sign slots onto one mode."""
+    """The direct path solves only the mirror classes its load reaches, and
+    its field and residual equal those of its solve of every class bit for
+    bit: each class takes the cyclic reduction or the block-LU fallback on
+    its own.  Harmonics beyond +-N alias onto lattice modes or drop out;
+    j = 0 axes fold a class's sign slots onto one mode."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell),
                      bottom=-1.0, top=0.0, n_elements=nz)
@@ -1555,7 +1647,7 @@ def test_reached_class_solve_has_the_bits_of_every_class(mu, lam_frac, omega, ce
                         z0=-0.5, sigma=0.4, cell=cell)
     rhs = assemble_rhs(mesh, source)
     field, info = solve_field(SolverContext(mesh, params), rhs, tol=np.inf)
-    x, rel = _all_class_solve(mesh, params, rhs)
+    x, rel = _all_class_solve(mesh, params, rhs, tol=np.inf)
     assert np.array_equal(field.free_vector(), x)
     assert info.residual == rel
     j1, j2 = mesh.grid.mode_indices()
