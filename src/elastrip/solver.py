@@ -18,8 +18,7 @@ radiating top.  The block-LU is also the rough solves' preconditioner,
 which factors every class once and applies the factor to many vectors;
 there its loop over the n_z nodes costs less than the reduction's wider
 levels.  Where a block-LU pivot's determinant cancels in its row
-expansion, the whole elimination runs again from the top node, fitting
-each determinant that cancels.
+expansion, it is fitted instead, at that node, in the one pass.
 Rough surface:
 the flattening transform turns the problem into a variable-coefficient one on
 the same reference strip, applied matrix-free and solved with the module's
@@ -509,64 +508,32 @@ def _cofactors3(a: np.ndarray) -> np.ndarray:
     return np.subtract(products[0], products[1], out=products[0])
 
 
-def _adjugate3(a: np.ndarray, fit: bool = True,
-               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _adjugate3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adjugates and determinants of the 3x3 matrices a[k, j, ...], batched
-    over the trailing axes by elementwise products: a^{-1} = adj / det.
-    The terms of the expansion along row 0 go to ``out``.
+    over the trailing axes by elementwise products, a^{-1} = adj / det, and
+    ``cancels``, where the terms of the expansion along row 0 cancel by
+    more than ``_CANCELLATION``.
 
-    The determinant is the expansion, except, with ``fit``, where its terms
-    cancel by more than ``_CANCELLATION``.  On a matrix with two small
-    singular values the expansion loses a relative cond^2 eps; there the
-    determinant is instead fitted to cof(cof(a)) = det(a) a by least
-    squares, which keeps about cond eps, as LAPACK's LU does.  Its two
-    9-term sums add one term at a time in [k, j] order: numpy's sum over
-    both axes takes that order on a batch of several matrices, but a
-    pairwise one on a single contiguous matrix, so a factor of one mirror
-    class would round differently from the same class among others.
+    The determinant is the expansion, except where it cancels.  On a
+    matrix with two small singular values the expansion loses a relative
+    cond^2 eps; there the determinant is instead fitted to cof(cof(a)) =
+    det(a) a by least squares, which keeps about cond eps, as LAPACK's LU
+    does.  Its two 9-term sums add one term at a time in [k, j] order:
+    numpy's sum over both axes takes that order on a batch of several
+    matrices, but a pairwise one on a single contiguous matrix, so a
+    factor of one mirror class would round differently from the same class
+    among others.
     """
     cof = _cofactors3(a)
-    terms = np.multiply(a[0], cof[0], out=out)
+    terms = a[0] * cof[0]
     det = terms.sum(axis=0)
-    if fit:
-        cancels = _cancels(terms, det, axis=0)
-        if cancels.any():
-            w = a.conj()
-            fitted = (reduce(np.add, (_cofactors3(cof) * w).reshape((9,) + a.shape[2:]))
-                      / reduce(np.add, (a * w).reshape((9,) + a.shape[2:])))
-            det = np.where(cancels, fitted, det)
-    return cof.swapaxes(0, 1), det
-
-
-def _cancels(terms: np.ndarray, det: np.ndarray, axis: int) -> np.ndarray:
-    """Where the expansion ``terms``, summed over ``axis`` to ``det``,
-    cancel by more than ``_CANCELLATION`` (see :func:`_adjugate3`)."""
-    return abs(terms).sum(axis=axis) > _CANCELLATION * abs(det)
-
-
-def _eliminate(diag, lower, upper, fit: bool):
-    """The block Thomas pivots of :func:`block_lu_solver`, nodes top-down:
-    the inverted pivots piv[i, k, j, class], Cs, where Cs[i] is C of the
-    node above node i (zero above node 0), so C_i is Cs[i + 1], the
-    determinants det[i, class] and their expansion terms[i, j, class] (see
-    :func:`_adjugate3`, which forms each pivot's, with its cancellation
-    check when ``fit``).  A block product and its sum over j are one
-    multiply into a buffer and one reduction, the arithmetic of a
-    broadcast product and its sum.
-    """
-    nz, batch = len(diag), diag.shape[3:]  # batch: the class axis
-    piv = np.empty_like(diag, order="C")
-    Cs = np.zeros((nz + 1,) + diag.shape[1:], dtype=complex)
-    det = np.empty((nz,) + batch, dtype=complex)
-    terms = np.empty((nz, 3) + batch, dtype=complex)
-    prod = np.empty((3, 3, 3) + batch, dtype=complex)  # a block product before its sum
-    for i in range(nz):
-        a = np.subtract(diag[i], np.add.reduce(
-            np.multiply(lower[i][:, :, None], Cs[i], out=prod), axis=1))
-        adj, det[i] = _adjugate3(a, fit, out=terms[i])
-        np.divide(adj, det[i], out=piv[i])
-        np.add.reduce(np.multiply(piv[i][:, :, None], upper[i], out=prod), axis=1, out=Cs[i + 1])
-    return piv, Cs, det, terms
+    cancels = abs(terms).sum(axis=0) > _CANCELLATION * abs(det)
+    if cancels.any():
+        w = a.conj()
+        fitted = (reduce(np.add, (_cofactors3(cof) * w).reshape((9,) + a.shape[2:]))
+                  / reduce(np.add, (a * w).reshape((9,) + a.shape[2:])))
+        det = np.where(cancels, fitted, det)
+    return cof.swapaxes(0, 1), det, cancels
 
 
 def block_lu_solver(bands: np.ndarray, classes: ClassMaps, dtype=complex):
@@ -576,24 +543,22 @@ def block_lu_solver(bands: np.ndarray, classes: ClassMaps, dtype=complex):
     Block Thomas (Golub & Van Loan, Matrix Computations, 4.5): pivots
     P_i = D_i - L_i C_{i-1}, C_i = P_i^{-1} U_i, batched over the mirror
     classes of :func:`assemble_flat_blocks` with a Python loop over n_z
-    only (:func:`_eliminate`).  The factor works on class-last views of
-    the bands, [node, k, j, class], transposed without a copy; only the
-    inverted pivots, C, the determinants and their expansion terms are
-    allocated.  This relies on the layout of :func:`_assemble_bands`, whose
-    bands hold the mode axes innermost; on other strides the views read
-    each 3x3 block's classes far apart.  Each pivot is inverted in closed form, its
-    adjugate over its determinant, and every 3x3 block product is a
-    broadcast product summed over j, so neither the factor nor an apply
-    calls LAPACK or BLAS, and the result does not depend on the BLAS thread
-    count.  No pivoting between blocks: check the residual.
+    only.  The factor works on class-last views of the bands, [node, k, j,
+    class], transposed without a copy; only the inverted pivots, C and the
+    determinants are allocated.  This relies on the layout of
+    :func:`_assemble_bands`, whose bands hold the mode axes innermost; on
+    other strides the views read each 3x3 block's classes far apart.  Each
+    pivot is inverted in closed form, its adjugate over its determinant,
+    and every 3x3 block product is a broadcast product summed over j, so
+    neither the factor nor an apply calls LAPACK or BLAS, and the result
+    does not depend on the BLAS thread count.  No pivoting between blocks:
+    check the residual.
 
-    One restart rule: the loop forms every determinant by the row
-    expansion, and the cancellation check of :func:`_adjugate3` then runs
-    once over all nodes.  If the expansion cancels at any node, the whole
-    elimination runs again from the top node with the check at every node.
-    The check keeps the expansion wherever it does not cancel, so each
-    pivot has the bits of a check at every node.  The determinants are
-    checked once after the loop too.
+    The loop runs once.  Each determinant is the row expansion of
+    :func:`_adjugate3`, fitted at the node where the expansion cancels, so
+    each pivot has the bits of a check at every node, and a class has the
+    same pivots in any batch of classes.  The determinants are checked
+    once after the loop.
 
     A mirror mode's pivots, C and solution are those of its class with the
     signs of S = diag(s1, s2, 1) on rows and columns, exactly.  An apply
@@ -636,11 +601,20 @@ def block_lu_solver(bands: np.ndarray, classes: ClassMaps, dtype=complex):
     # node i of the loops below is free node nz - 1 - i, so lower and upper swap
     upper, diag, lower = _class_views(bands)
     nz = len(diag)
+    # piv[i, k, j, class] and Cs, where Cs[i] is C of the node above node i (zero above node 0)
+    piv = np.empty_like(diag, order="C")
+    Cs = np.zeros((nz + 1,) + diag.shape[1:], dtype=complex)
+    det = np.empty((nz,) + diag.shape[3:], dtype=complex)
+    # a block product before its sum over j: one multiply into this and one reduction
+    prod = np.empty((3, 3, 3) + diag.shape[3:], dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # caught by the det check
-        piv, Cs, det, terms = _eliminate(diag, lower, upper, fit=False)
-        if _cancels(terms, det, axis=1).any():
-            del piv, Cs, det, terms  # the rerun's arrays replace these, not join them
-            piv, Cs, det, terms = _eliminate(diag, lower, upper, fit=True)
+        for i in range(nz):
+            a = np.subtract(diag[i], np.add.reduce(
+                np.multiply(lower[i][:, :, None], Cs[i], out=prod), axis=1))
+            adj, det[i], _ = _adjugate3(a)
+            np.divide(adj, det[i], out=piv[i])
+            np.add.reduce(np.multiply(piv[i][:, :, None], upper[i], out=prod), axis=1,
+                          out=Cs[i + 1])
         bad = ~np.isfinite(det) | (det == 0)
     if bad.any():
         i, k = np.argwhere(bad)[0]
@@ -671,19 +645,19 @@ _ABOVE, _BELOW, _LOAD, _DIAG = slice(0, 3), slice(3, 6), slice(6, 10), slice(10,
 
 def _block_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[m, k, j, class] b[m, j, l, class], summed over j: one broadcast
-    multiply and one reduction, as in :func:`_eliminate`."""
+    multiply and one reduction, as in :func:`block_lu_solver`."""
     return np.add.reduce(a[:, :, :, None] * b[:, None], axis=2)
 
 
 def _pivot_solve(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P^{-1} [above | below | load] of nodes[m, k, column, class], P the
-    diagonal block inverted in closed form (:func:`_adjugate3` without
-    fit), and the classes where a pivot's determinant is zero or not
-    finite or its row expansion cancels (:func:`_cancels`)."""
+    diagonal block inverted in closed form (:func:`_adjugate3`), and the
+    classes where a pivot's determinant is zero or not finite or its row
+    expansion cancels.  A class that cancels refuses, so the determinant
+    fitted there is never used."""
     pivots = np.moveaxis(nodes[:, :, _DIAG], 0, 2)  # [k, j, m, class]
-    terms = np.empty((3,) + pivots.shape[2:], dtype=complex)
-    adj, det = _adjugate3(pivots, fit=False, out=terms)
-    bad = ~np.isfinite(det) | (det == 0) | _cancels(terms, det, axis=0)
+    adj, det, cancels = _adjugate3(pivots)
+    bad = ~np.isfinite(det) | (det == 0) | cancels
     inverse = np.moveaxis(adj / det, 2, 0)
     return _block_products(inverse, nodes[:, :, :_DIAG.start]), bad.any(axis=0)
 
@@ -1444,8 +1418,8 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
 
     Raises :class:`NonConvergenceError` when the relative residual of the
     result exceeds ``tol`` on either path, or when the block-LU meets a
-    singular pivot (on the direct path, in a class the cyclic reduction
-    refused).
+    singular pivot (on the direct path, in a reached class, when some
+    class refuses the cyclic reduction).
     """
     if coeffs is not None:
         ctx.reserve()
@@ -1477,11 +1451,17 @@ def solve_flat(ctx: SolverContext, classes: ClassMaps, b: np.ndarray,
     cyclic reduction (:func:`_cyclic_reduction`).  A class refuses where
     its reduction does, or where its own relative residual, summed over
     its four sign slots, misses ``tol``; every class that meets ``tol``
-    makes the whole meet it.  The refused classes are solved again by the
-    top-down block-LU (:func:`_solve_top_down`), and the residual is
-    taken again.  Each decision is the class's own, so a class has the
-    same bits in any batch of classes: the cyclic reduction's where it
-    does not refuse, the block-LU's where it does.  The residual's two
+    makes the whole meet it.  When any class refuses, the top-down
+    block-LU (:func:`block_lu_solver`) factors every class on the same
+    bands and maps, the refused classes take its solution, picked by a
+    class mask read through the layout's ``scatter``, and the residual is
+    taken again.  Each decision is the class's own, and the block-LU's
+    bits of a class do not depend on the batch, so a class has the same
+    bits in any batch of classes: the cyclic reduction's where it does not
+    refuse, the block-LU's where it does.  A fallback thus examines the
+    top-down pivots of the classes that pass too; on finite bands no class
+    was seen to pass the reduction and meet a singular top-down pivot, and
+    an infinite block refuses both.  The residual's two
     norms sum the squares over the full free vector of the context's
     lattice, zeros included (:func:`_norm_on`), so they have the bits of
     a solve of every class.
@@ -1495,28 +1475,13 @@ def solve_flat(ctx: SolverContext, classes: ClassMaps, b: np.ndarray,
     res, scale = (np.add.reduce(abs(v[classes.gather]) ** 2, axis=(0, 1, 2)) for v in (r, b))
     refused |= ~(res <= tol * tol * np.where(scale > 0, scale, 1.0))
     if refused.any():
-        _solve_top_down(bands, classes, refused, ctx.mesh.grid, b, x)
+        top_down = np.broadcast_to(refused, y.shape).ravel()[classes.scatter]
+        x[top_down] = block_lu_solver(bands, classes)(b)[top_down]
         r = np.subtract(banded_matvec(bands, x, classes), b)
     g, shape = ctx.mesh.grid, (3, len(classes.modes), bands.shape[2])
     res, scale = (_norm_on(v.reshape(shape), classes.modes, g.n1 * g.n2, ctx.work)
                   for v in (r, b))
     return x, res / scale if scale > 0 else res
-
-
-def _solve_top_down(bands: np.ndarray, classes: ClassMaps, refused: np.ndarray,
-                    grid: SpectralGrid, b: np.ndarray, x: np.ndarray) -> None:
-    """Write into x the block-LU solution (:func:`block_lu_solver`) of the
-    ``refused`` classes, factored on their bands alone, class-last as
-    assembled; raises its :class:`NonConvergenceError` naming class and
-    node."""
-    mask = np.zeros((grid.N1 + 1, grid.N2 + 1), dtype=bool)
-    mask[classes.c1[refused], classes.c2[refused]] = True
-    nz = bands.shape[2]
-    sub = mirror_classes(mask, nz)
-    at = np.searchsorted(classes.modes, sub.modes)
-    sub_bands = np.moveaxis(np.moveaxis(bands, 1, -1)[..., refused], -1, 1)
-    solve = block_lu_solver(sub_bands, sub)
-    x.reshape(3, -1, nz)[:, at] = solve(b.reshape(3, -1, nz)[:, at].ravel()).reshape(3, -1, nz)
 
 
 # ---------------------------------------------------------------------------

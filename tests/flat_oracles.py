@@ -212,7 +212,7 @@ def mode_block_lu_solver(bands: np.ndarray):
     piv = np.empty_like(diag, order="C")  # [i, k, j, mode]
     C = np.zeros_like(piv)
     for i in range(nz):
-        adj, det = _adjugate3(diag[i] - (lower[i][:, :, None] * C[i - 1]).sum(axis=1))
+        adj, det, _ = _adjugate3(diag[i] - (lower[i][:, :, None] * C[i - 1]).sum(axis=1))
         np.divide(adj, det, out=piv[i])
         (piv[i][:, :, None] * upper[i]).sum(axis=1, out=C[i])
 

@@ -6,10 +6,12 @@ benchmark sizes, written out with the numbers of ``bench/workloads.py``;
 its peak by 3 %.  After one warm-up call, one more call is counted:
 
 - the matvecs of the rough operator, per precision;
-- the runs of the direct path's cyclic reduction, and its fallbacks to
-  the block-LU;
-- the runs of the block-LU elimination;
+- the runs of the direct path's cyclic reduction;
+- the block-LU factors, each one elimination;
 - the block-LU applies, per precision of their input.
+
+A fallback of the direct path to the block-LU would show as one
+elimination and one complex128 apply.
 
 The counts are pinned exactly.  Every GMRES round of these calls stops at
 least 13 % away from its target (the closest, a ratio of 1.13, is a round
@@ -76,27 +78,19 @@ PEAK_SLACK = 0.02
 
 def count_work(monkeypatch) -> Counter:
     counts = Counter()
-    matvec, eliminate = solver.StripOperator._matvec, solver._eliminate
-    factor = solver.block_lu_solver
-    reduction, fallback = solver._cyclic_reduction, solver._solve_top_down
+    matvec, factor, reduction = (solver.StripOperator._matvec, solver.block_lu_solver,
+                                 solver._cyclic_reduction)
 
     def counted_matvec(self, vec):
         counts[f"matvec {self.dtype}"] += 1
         return matvec(self, vec)
 
-    def counted_eliminate(*args, **kwargs):
-        counts["eliminate"] += 1
-        return eliminate(*args, **kwargs)
-
     def counted_reduction(*args, **kwargs):
         counts["reduction"] += 1
         return reduction(*args, **kwargs)
 
-    def counted_fallback(*args, **kwargs):
-        counts["fallback"] += 1
-        return fallback(*args, **kwargs)
-
     def counted_factor(*args, **kwargs):
+        counts["eliminate"] += 1
         solve = factor(*args, **kwargs)
 
         def counted_solve(v):
@@ -106,10 +100,8 @@ def count_work(monkeypatch) -> Counter:
         return counted_solve
 
     monkeypatch.setattr(solver.StripOperator, "_matvec", counted_matvec)
-    monkeypatch.setattr(solver, "_eliminate", counted_eliminate)
     monkeypatch.setattr(solver, "block_lu_solver", counted_factor)
     monkeypatch.setattr(solver, "_cyclic_reduction", counted_reduction)
-    monkeypatch.setattr(solver, "_solve_top_down", counted_fallback)
     return counts
 
 
