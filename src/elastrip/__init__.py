@@ -14,7 +14,7 @@ from .sources import BumpSource
 from .mesh import StripMesh
 from .solver import (DiscreteField, SolverContext, StripOperator,
                      TransformCoefficients, assemble_flat_blocks, assemble_rhs,
-                     energy_balance, poincare_slack, solve_field)
+                     energy_balance, flat_load, poincare_slack, solve_field)
 from .config import RunConfig, from_dict, load_config
 from .harness import (McReport, RunReport, deterministic_run, monte_carlo,
                       parameter_sweep, pushforward_check, solve_surface)

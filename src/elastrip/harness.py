@@ -26,7 +26,7 @@ from .mesh import StripMesh, Workspace
 from .params import bound_constants, total_bound_stochastic
 from .solver import (DiscreteField, SolverContext, TransformCoefficients,
                      assemble_rhs, budget_shares, element_blocks, energy_balance,
-                     physical_quad_fields, poincare_slack, quad_points,
+                     flat_load, physical_quad_fields, poincare_slack, quad_points,
                      solve_field)
 from .sources import BumpSource
 
@@ -126,19 +126,24 @@ def build_setup(cfg: RunConfig):
 
 def solve_surface(ctx: SolverContext, surface: SurfaceProfile,
                   cutoff: CutoffFn, source, *, physical: bool, tol: float):
-    """Transform, load vector and solve for one surface on the mesh and
-    material of ``ctx``: (field, info, rhs, coeffs).
+    """Transform, load and solve for one surface on the mesh and material
+    of ``ctx``: (field, info, rhs, coeffs).
 
     This is the one place that decides whether a surface needs the
     flattening transform.  The reference is the flat mesh bottom c, and
     ``coeffs`` is None exactly when surface - c is identically zero (offset
-    c, no nonzero term); the solve is then the direct per-mode one.
-    ``physical`` evaluates the source at the physical heights of the
-    transformed strip.
+    c, no nonzero term); the solve is then the direct per-mode one, and
+    the load is formed on the mirror classes its source reaches only
+    (:func:`~elastrip.solver.flat_load`): ``rhs`` is its entries on the
+    field's ``modes``, which :func:`~elastrip.solver.energy_balance` takes.
+    With a transform ``rhs`` is the free vector.  ``physical`` evaluates
+    the source at the physical heights of the transformed strip.
     """
-    coeffs = None
-    if not (surface.offset == ctx.mesh.bottom and surface.is_flat()):
-        coeffs = TransformCoefficients(ctx.mesh, surface, cutoff)
+    if surface.offset == ctx.mesh.bottom and surface.is_flat():
+        classes, rhs = flat_load(ctx.mesh, source)
+        field, info = solve_field(ctx, rhs, tol=tol, classes=classes)
+        return field, info, rhs, None
+    coeffs = TransformCoefficients(ctx.mesh, surface, cutoff)
     rhs = assemble_rhs(ctx.mesh, source, coeffs, physical=physical, work=ctx.work)
     field, info = solve_field(ctx, rhs, coeffs, tol=tol)
     return field, info, rhs, coeffs

@@ -10,16 +10,17 @@ take other collocation sizes (``collocation``): the solver runs its
 complex64 Arnoldi operator on a coarser grid, whose aliasing that operator's
 rounding already exceeds, and keeps the 3/2-rule mesh for everything that
 defines or judges the solution.  The transforms to and from a grid are
-products with small dense DFT matrices built once per mesh (a matrix
-multiplication transform; Boyd, Chebyshev and Fourier Spectral Methods,
-ch. 10), which at these lengths beat padding plus FFT and leave the zero
-padding implicit.
+products with small dense DFT matrices built once per mesh, at its first
+transform (a matrix multiplication transform; Boyd, Chebyshev and Fourier
+Spectral Methods, ch. 10), which at these lengths beat padding plus FFT
+and leave the zero padding implicit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,17 +70,6 @@ class StripMesh:
             if self.P1 < self.grid.n1 or self.P2 < self.grid.n2:
                 raise ConstraintError(f"collocation sizes {self.collocation} below the "
                                       f"lattice ({self.grid.n1}, {self.grid.n2})")
-        # padded DFT matrices E[x, k] = exp(2 pi i x j_k / P), j_k in FFT order,
-        # stacked with E diag(i xi) for the horizontal derivatives
-        j1, j2 = self.grid.mode_indices()
-        xi1, xi2 = self.grid.frequencies()
-        E1, E1d = _dft_matrices(j1, xi1, self.P1)
-        E2, E2d = _dft_matrices(j2, xi2, self.P2)
-        forward = (E1, E1d, E2, E2d)
-        # per complex dtype: (E1, E1d, E2, E2d) and their conjugate transposes
-        double = forward + tuple(E.conj().T.copy() for E in forward)
-        self._dft = {np.dtype(complex): double,
-                     np.dtype(np.complex64): tuple(E.astype(np.complex64) for E in double)}
 
     # -- vertical FEM pieces -------------------------------------------------
 
@@ -219,8 +209,23 @@ class StripMesh:
     def dft_matrices(self, dtype) -> tuple:
         """(E1, E1d, E2, E2d, E1H, E1dH, E2H, E2dH) at the complex dtype of
         a field of ``dtype``; the complex64 ones are the complex128 ones
-        cast."""
+        cast.  Both sets are built at the first call, so a mesh that only
+        serves flat solves builds none."""
         return self._dft[_complex_dtype(dtype)]
+
+    @cached_property
+    def _dft(self) -> dict:
+        # padded DFT matrices E[x, k] = exp(2 pi i x j_k / P), j_k in FFT order,
+        # stacked with E diag(i xi) for the horizontal derivatives
+        j1, j2 = self.grid.mode_indices()
+        xi1, xi2 = self.grid.frequencies()
+        E1, E1d = _dft_matrices(j1, xi1, self.P1)
+        E2, E2d = _dft_matrices(j2, xi2, self.P2)
+        forward = (E1, E1d, E2, E2d)
+        # per complex dtype: (E1, E1d, E2, E2d) and their conjugate transposes
+        double = forward + tuple(E.conj().T.copy() for E in forward)
+        return {np.dtype(complex): double,
+                np.dtype(np.complex64): tuple(E.astype(np.complex64) for E in double)}
 
     def collocation_padded(self):
         x1 = self.grid.cell[0] * np.arange(self.P1) / self.P1

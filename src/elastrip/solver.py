@@ -6,15 +6,17 @@ signs of the u1 and u2 rows and columns, so the bands are stored and
 factored once per mirror class (|j1|, |j2|).  A mode with zero load has
 the zero solution, so the direct solve (:func:`solve_flat`) assembles and
 solves, batched over classes, only the classes its load reaches: a few
-for a source of a few harmonics.  Two eliminations serve the flat
-operator, both on class-last views of the bands, both inverting their
-3x3 pivots in closed form, so neither makes a LAPACK or BLAS call.  The
-direct solve runs block cyclic reduction (:func:`_cyclic_reduction`),
-about log2 n_z batched levels.  Its pivots are sub-strips clamped at both
-ends, which can resonate, so a class whose reduction fails a pivot check
-or misses the residual is solved again by the top-down block-LU
-(:func:`block_lu_solver`), whose pivots are strips closed by the
-radiating top.  The block-LU is also the rough solves' preconditioner,
+for a source of a few harmonics.  A flat run forms its load on those
+classes alone (:func:`flat_load`) and carries their entries through the
+solve and the energy balance, with no vector of every mode.  Two
+eliminations serve the flat operator, both on class-last views of the
+bands, both inverting their 3x3 pivots in closed form, so neither makes
+a LAPACK or BLAS call.  The direct solve runs block cyclic reduction
+(:func:`_cyclic_reduction`), about log2 n_z batched levels.  Its pivots
+are sub-strips clamped at both ends, which can resonate, so a class whose
+reduction fails a pivot check or misses the residual is solved again by
+the top-down block-LU (:func:`block_lu_solver`), whose pivots are strips
+closed by the radiating top.  The block-LU is also the rough solves' preconditioner,
 which factors every class once and applies the factor to many vectors;
 there its loop over the n_z nodes costs less than the reduction's wider
 levels.  Where a block-LU pivot's determinant cancels in its row
@@ -447,14 +449,17 @@ def _class_views(bands: np.ndarray):
     return bands[:, :, ::-1].transpose(0, 2, 3, 4, 1)
 
 
-def _reached_classes(mesh: StripMesh, v: np.ndarray) -> np.ndarray:
+def _reached_classes(mesh: StripMesh, v: np.ndarray,
+                     modes: np.ndarray | None = None) -> np.ndarray:
     """The mirror classes (|j1|, |j2|) of the modes that hold a nonzero (or
-    NaN) entry of the free vector v, as a boolean (N1 + 1, N2 + 1) mask."""
+    NaN) entry of v, the free vector or, with ``modes``, its entries
+    [k, mode, node] on those modes, as a boolean (N1 + 1, N2 + 1) mask."""
     g = mesh.grid
     j1, j2 = g.mode_indices()
-    m1, m2 = np.nonzero((np.asarray(v).reshape(3, g.n1, g.n2, -1) != 0).any(axis=(0, 3)))
+    hit = (np.reshape(v, (3, -1, mesh.n_nodes - 1)) != 0).any(axis=(0, 2))
+    m = np.flatnonzero(hit) if modes is None else modes[hit]
     reached = np.zeros((g.N1 + 1, g.N2 + 1), dtype=bool)
-    reached[abs(j1[m1]), abs(j2[m2])] = True
+    reached[abs(j1[m // g.n2]), abs(j2[m % g.n2])] = True
     return reached
 
 
@@ -1049,19 +1054,46 @@ class StripOperator:
         mesh.scatter_from_quad(W[:, 0], elements=b, out=R)
 
 
+def flat_load(mesh: StripMesh, source) -> tuple[ClassMaps, np.ndarray]:
+    """The load of a flat strip on the mirror classes its source reaches:
+    their :class:`ClassMaps` and the load's entries on their modes,
+    b[k, mode, node] over the free nodes.
+
+    The load is formed in mode space: the source's folded spectrum at a
+    lattice mode times the nodal scatter of v(z_q) w_q, times -|cell|.
+    That is, to roundoff, the pseudospectral quadrature that
+    :func:`assemble_rhs` runs under a transform: the adjoint transform of
+    the point values of cos(xi_t . x' + phi_t) on P points per axis keeps
+    exactly the residues of +-j_t mod P that are lattice modes, with the
+    same Gauss rule in z.  A harmonic aliased onto a lattice mode counts
+    there, one whose residue is no lattice mode drops out, on both routes.
+    Entries are formed only on the modes whose folded spectrum is nonzero;
+    a mode is reached where one of its entries is nonzero (or NaN), as
+    :func:`_reached_classes` reads a free vector, and a mode of a reached
+    class that the source misses holds zeros.  A source that reaches no
+    mode gives no class.
+    """
+    g = mesh.grid
+    j1, j2 = g.mode_indices()
+    lattice = np.ix_(range(3), j1 % mesh.P1, j2 % mesh.P2)
+    spectrum = source.folded_spectra(mesh.P1, mesh.P2)[0][lattice].reshape(3, -1)  # [k, mode]
+    live = np.flatnonzero((spectrum != 0).any(axis=0))
+    scatter = mesh.scatter_from_quad(source.vertical(mesh.zq) * mesh.wq)[1:]
+    entries = -g.cell_area * spectrum[:, live, None] * scatter
+    classes = mirror_classes(_reached_classes(mesh, entries, live), len(scatter))
+    on = np.isin(live, classes.modes)  # a mode whose entries are all zero may be in no class
+    b = np.zeros((3, len(classes.modes), len(scatter)), dtype=complex)
+    b[:, np.searchsorted(classes.modes, live[on])] = entries[:, on]
+    return classes, b
+
+
 def assemble_rhs(mesh: StripMesh, source,
                  coeffs: TransformCoefficients | None = None,
                  physical: bool = False, work: Workspace | None = None) -> np.ndarray:
     """Load vector of G(v) = -int g . conj(v) detJ over free DOFs.
 
-    Without ``coeffs`` (a flat strip) it is formed in mode space: the
-    source's folded spectrum at the lattice modes times the nodal scatter
-    of v(z_q) w_q, times -|cell|.  That is the pseudospectral quadrature
-    below to roundoff: the adjoint transform of the point values of
-    cos(xi_t . x' + phi_t) on P points per axis keeps exactly the residues
-    of +-j_t mod P that are lattice modes, with the same Gauss rule in z.
-    A harmonic aliased onto a lattice mode counts there, one whose residue
-    is no lattice mode drops out, on both routes.
+    Without ``coeffs`` (a flat strip) it is the entries of
+    :func:`flat_load` on its classes' modes, zero on every other mode.
 
     With ``coeffs`` the source is evaluated, weighted by det J and
     transformed one element block at a time, the block's weights in a buffer
@@ -1071,11 +1103,10 @@ def assemble_rhs(mesh: StripMesh, source,
     """
     g = mesh.grid
     if coeffs is None:
-        j1, j2 = g.mode_indices()
-        lattice = np.ix_(range(3), j1 % mesh.P1, j2 % mesh.P2)  # C order: ravel copies nothing
-        spectrum = source.folded_spectra(mesh.P1, mesh.P2)[0][lattice]
-        scatter = mesh.scatter_from_quad(source.vertical(mesh.zq) * mesh.wq)[1:]
-        return (-g.cell_area * spectrum[..., None] * scatter).ravel()
+        classes, b = flat_load(mesh, source)
+        R = np.zeros((3, g.n1 * g.n2, mesh.n_nodes - 1), dtype=complex)
+        R[:, classes.modes] = b
+        return R.ravel()
     R = np.zeros((3, g.n1, g.n2, mesh.n_nodes), dtype=complex)
     work = Workspace() if work is None else work
     for b in element_blocks(mesh, work):
@@ -1344,8 +1375,9 @@ class SolverContext:
         """A context, ready to solve, for one of ``parts`` threads that
         solve on this mesh and material at once.
 
-        This context's block-LU is built first, so the shares read one
-        factor; a singular pivot there raises nothing here and fails each
+        The DFT matrices of this context's mesh and its block-LU are built
+        first, so the shares read one set of matrices and one factor; a
+        singular pivot in the factor raises nothing here and fails each
         rough solve of a share, which builds its own.  The share keeps the
         symbol and gets its own workspace, whose element blocks take a
         ``parts``-th of the budget of this context's, so that the threads'
@@ -1354,6 +1386,7 @@ class SolverContext:
         large buffers taken in the workers, a pool's peak memory varied by
         7 MB from run to run.
         """
+        self.mesh.dft_matrices(complex)
         with contextlib.suppress(NonConvergenceError):
             self.solve
         twin = copy.copy(self)
@@ -1391,22 +1424,24 @@ def _rough_buffer_bytes(ctx: SolverContext, n_e: int) -> dict[str, int]:
 
 def solve_field(ctx: SolverContext, rhs: np.ndarray,
                 coeffs: TransformCoefficients | None = None,
-                tol: float = 1e-9) -> tuple[DiscreteField, SolveInfo]:
+                tol: float = 1e-9,
+                classes: ClassMaps | None = None) -> tuple[DiscreteField, SolveInfo]:
     """Solve the variational system: without a transform directly
     (:func:`solve_flat`), with one by :func:`gmres`, right-preconditioned
     by the block-LU of the flat operator.
 
-    The direct path solves only the mirror classes that hold a nonzero
-    entry of ``rhs``, whose :class:`ClassMaps` it builds once; the modes
-    of the others are zero, as the solve of every class gives them.  After
-    the load it runs on those classes' modes alone: it gathers their
-    entries of ``rhs`` once, and the solve, the residual multiply and the
-    field touch only these, so its cost follows the modes its load
-    reaches, not the lattice.  The field and the residual have the bits of
-    a solve of every class.  The field's ``modes`` are the reached
-    classes' modes.  It examines no pivot of a class its load does not
-    reach: a singular pivot there raises nothing.  It does not touch the
-    context's ``solve``.
+    The direct path solves only the mirror classes its load reaches; the
+    modes of the others are zero, as the solve of every class gives them.
+    With ``classes``, ``rhs`` is the load's entries on their modes
+    (:func:`flat_load`); without, ``rhs`` is the free vector, and the
+    path builds the :class:`ClassMaps` of the classes that hold a nonzero
+    entry of it once and gathers their entries once.  The solve, the
+    residual multiply and the field touch only these entries, so its cost
+    follows the modes its load reaches, not the lattice.  The field and
+    the residual have the bits of a solve of every class.  The field's
+    ``modes`` are the reached classes' modes.  It examines no pivot of a
+    class its load does not reach: a singular pivot there raises nothing.
+    It does not touch the context's ``solve``.
 
     GMRES runs its Arnoldi steps on the complex64 operator, on the
     collocation grid of :func:`inner_mesh`, and checks every
@@ -1427,15 +1462,16 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
         x, info = gmres(StripOperator(ctx, inner, np.complex64).matvec, rhs, ctx.solve, tol,
                         residual=StripOperator(ctx, coeffs).matvec)
         return DiscreteField.from_free_vector(x, ctx.mesh), info
-    g, nz = ctx.mesh.grid, ctx.mesh.n_nodes - 1
-    reached = mirror_classes(_reached_classes(ctx.mesh, rhs), nz)
-    b = np.reshape(rhs, (3, g.n1 * g.n2, nz))[:, reached.modes]  # [k, mode, node]
-    x, rel = solve_flat(ctx, reached, b.ravel(), tol)
+    if classes is None:
+        g, nz = ctx.mesh.grid, ctx.mesh.n_nodes - 1
+        classes = mirror_classes(_reached_classes(ctx.mesh, rhs), nz)
+        rhs = np.reshape(rhs, (3, g.n1 * g.n2, nz))[:, classes.modes]  # [k, mode, node]
+    x, rel = solve_flat(ctx, classes, np.ravel(rhs), tol)
     if not rel <= tol:
         raise NonConvergenceError(
             f"direct solve failed: relative residual {rel:.3e} > {tol:.1e}",
             residual=rel, history=[rel])
-    return (DiscreteField.from_free_vector(x, ctx.mesh, reached.modes),
+    return (DiscreteField.from_free_vector(x, ctx.mesh, classes.modes),
             SolveInfo(rel, 1, "direct", [rel]))
 
 
@@ -1501,16 +1537,20 @@ def energy_balance(field: DiscreteField, rhs: np.ndarray, ctx: SolverContext):
     zero for an exact solve, at most the solve's relative residual times
     ||x|| ||rhs|| for an inexact one.  ``leeway`` is ||x|| ||rhs|| over the
     same normalization, so the residual times ``leeway`` bounds the
-    mismatch a solve of that residual may leave.  ``rhs`` is zero off the
-    field's ``modes``, as a load is off the modes its direct solve reaches;
-    every term is formed on those modes only, and each pairing sum runs
-    over the full array, zeros included.
+    mismatch a solve of that residual may leave.  ``rhs`` is the load's
+    entries on the field's ``modes``, [k, mode, node] raveled or not (the
+    free vector when ``modes`` is None), as a direct solve's load is zero
+    off the modes it reaches; a caller that holds the free vector of a
+    load and a field of some modes gathers those first.  Every term is
+    formed on those modes only, and each pairing sum runs over the full
+    array, zeros included.
     """
     trace = field.top_trace()
     flux, power = energy_flux(trace, ctx.params, ctx.symbol)
     g = field.mesh.grid
     n, live = g.n1 * g.n2, _every(field.modes)
-    x, b = field._by_mode()[:, live, 1:], np.reshape(rhs, (3, n, -1))[:, live]
+    x = field._by_mode()[:, live, 1:]
+    b = np.reshape(rhs, x.shape)
     src_im = -float(np.imag(_dot_on(x, b, field.modes, n, ctx.work)))
     top = trace.coefficients.reshape(3, n)[:, live]
     pair = np.zeros(n, dtype=complex)

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+import elastrip.mesh
 from elastrip import blas, dtn, harness, solver
 from elastrip.config import RunConfig, dump_config, from_dict, load_config
 from elastrip.errors import ConfigError, NonConvergenceError
@@ -414,9 +415,14 @@ def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch, tw
 def test_an_ensemble_takes_its_buffers_before_the_pool(monkeypatch, two_cores):
     """The workers' workspace buffers but the float64 scratch plane of the
     complex64 planes are taken in the caller's thread before the pool
-    starts, by SolverContext.share: the workers allocate no large buffer."""
+    starts, by SolverContext.share: the workers allocate no large buffer.
+    The shared mesh's DFT matrices (14 points per axis) are built there
+    too; a worker builds only those of its samples' coarser meshes."""
     built = []  # (buffer name, in the main thread)
     take = Workspace.take
+    dft_built, dft = [], elastrip.mesh._dft_matrices
+    monkeypatch.setattr(elastrip.mesh, "_dft_matrices", lambda j, xi, P: dft_built.append(
+        (P, threading.current_thread() is threading.main_thread())) or dft(j, xi, P))
 
     def taken(self, name, shape, dtype=complex):
         buf = self._buffers.get(name)
@@ -434,6 +440,7 @@ def test_an_ensemble_takes_its_buffers_before_the_pool(monkeypatch, two_cores):
     assert shares == [2, 2] and rep.n_completed == 4
     assert {("fields", True), ("J1", True)} <= set(built)
     assert all(main for _, main in built), built
+    assert dft_built.count((14, True)) == 2 and (14, False) not in dft_built
 
 
 def test_a_failed_sample_leaves_nothing_in_the_shared_workspace(monkeypatch, two_cores):

@@ -68,7 +68,7 @@ PINS = {
                         "apply complex64": 8, "apply complex128": 4}, 16_966_763),
     (rough_solve, 7): ({"matvec complex64": 11, "matvec complex128": 2, "eliminate": 1,
                         "apply complex64": 9, "apply complex128": 4}, 16_966_251),
-    (flat_solve, 0): ({"reduction": 1}, 4_475_183),
+    (flat_solve, 0): ({"reduction": 1}, 3_021_773),
     # 8 solves
     (mc_ensemble, 0): ({"matvec complex64": 73, "matvec complex128": 16, "eliminate": 1,
                         "apply complex64": 57, "apply complex128": 32}, 12_742_479),

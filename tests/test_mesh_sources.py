@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import elastrip.mesh
+from elastrip import harness
+from elastrip.config import from_dict
 from elastrip.dtn import SpectralGrid
 from elastrip.geometry import CutoffFn, make_profile
 from elastrip.mesh import StripMesh, Workspace
@@ -157,6 +160,29 @@ def test_rough_matvec_repeats_bit_for_bit(N1, N2, nz, seed):
     op = StripOperator(SolverContext(mesh, ElasticParams(lam=1.0, mu=1.0, omega=2.0)), coeffs)
     x = _random(np.random.default_rng(seed), op.shape[0])
     assert np.array_equal(op.matvec(x), op.matvec(x))
+
+
+def test_dft_matrices_are_built_at_first_use_once_per_mesh(monkeypatch):
+    """A flat run builds no DFT matrix.  A rough run builds those of its
+    mesh (14 x 14 points at N = 4) and of its complex64 operator's coarser
+    mesh (12 x 9 for a (1, 0) term) once each, whatever the number of
+    its transforms."""
+    built, real = [], elastrip.mesh._dft_matrices
+
+    def spy(j, xi, P):
+        built.append(P)
+        return real(j, xi, P)
+
+    monkeypatch.setattr(elastrip.mesh, "_dft_matrices", spy)
+    disc = {"N1": 4, "N2": 4, "n_z": 8}
+    report, _ = harness.deterministic_run(from_dict({"surface": {"delta": 0.25},
+                                                     "discretization": disc}))
+    assert report.diagnostics["solve_method"] == "direct" and built == []
+    report, _ = harness.deterministic_run(from_dict(
+        {"surface": {"delta": 0.25, "terms": [[1, 0, 0.05, 0.0]]}, "discretization": disc}))
+    assert report.diagnostics["solve_method"] == "gmres"
+    assert report.diagnostics["solve_iterations"] > 1
+    assert sorted(built) == [9, 12, 14, 14]
 
 
 def test_quadrature_eval_and_scatter_adjoint():

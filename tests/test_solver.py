@@ -28,6 +28,7 @@ from elastrip.solver import (
     block_lu_solver,
     energy_balance,
     every_class,
+    flat_load,
     gmres,
     physical_quad_fields,
     poincare_slack,
@@ -808,9 +809,9 @@ def test_flat_load_vector_and_source_norms_match_the_grid(case):
 
 def test_energy_balance_and_poincare_flat():
     mesh = flat_mesh(N=1, nz=24)
-    rhs = assemble_rhs(mesh, bump())
+    classes, rhs = flat_load(mesh, bump())
     ctx = SolverContext(mesh, P)
-    field, _ = solve_field(ctx, rhs)
+    field, _ = solve_field(ctx, rhs, classes=classes)
     res, power, _ = energy_balance(field, rhs, ctx)
     assert res < 1e-10
     assert power >= 0.0
@@ -979,9 +980,9 @@ def test_direct_solve_keeps_the_flux_identity(mu, lam_frac, omega, N, nz, z0):
     """The discrete flux identity holds to the harness's tolerance for any material."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = flat_mesh(N=N, nz=nz)
-    rhs = assemble_rhs(mesh, bump(z0=z0))
+    classes, rhs = flat_load(mesh, bump(z0=z0))
     ctx = SolverContext(mesh, params)
-    field, _ = solve_field(ctx, rhs)
+    field, _ = solve_field(ctx, rhs, classes=classes)
     res, power, _ = energy_balance(field, rhs, ctx)
     assert res <= harness.ENERGY_TOL and power >= 0.0
 
@@ -1662,7 +1663,9 @@ def test_reached_class_solve_has_the_bits_of_every_class(mu, lam_frac, omega, ce
     its field and residual equal those of its solve of every class bit for
     bit: each class takes the cyclic reduction or the block-LU fallback on
     its own.  Harmonics beyond +-N alias onto lattice modes or drop out;
-    j = 0 axes fold a class's sign slots onto one mode."""
+    j = 0 axes fold a class's sign slots onto one mode.  The load formed on
+    the reached classes alone has the classes and the entries of the free
+    vector, and its solve and energy balance have their bits."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell),
                      bottom=-1.0, top=0.0, n_elements=nz)
@@ -1678,22 +1681,41 @@ def test_reached_class_solve_has_the_bits_of_every_class(mu, lam_frac, omega, ce
     expect = np.zeros((N1 + 1, N2 + 1), dtype=bool)
     expect[abs(j1[m1]), abs(j2[m2])] = True
     assert np.array_equal(solver._reached_classes(mesh, rhs), expect)
+    # the load formed on the reached classes: the full vector's classes and entries
+    classes, b = flat_load(mesh, source)
+    assert all(map(np.array_equal, classes, solver.mirror_classes(expect, nz)))
+    gathered = rhs.reshape(3, -1, nz)[:, classes.modes]
+    assert np.array_equal(b, gathered)
+    ctx = SolverContext(mesh, params)
+    own, own_info = solve_field(ctx, b, tol=np.inf, classes=classes)
+    assert np.array_equal(own.coeff, field.coeff) and own_info.residual == rel
+    balance = energy_balance(own, b, ctx)
+    assert balance == energy_balance(own, gathered.ravel(), ctx)
+    # on every mode the pairing keeps its bits; ||x|| ||b|| of the leeway
+    # then sums the zeros too, in another order
+    every = energy_balance(DiscreteField(own.coeff, mesh), rhs, ctx)
+    assert balance[:2] == every[:2]
+    assert balance[2] == pytest.approx(every[2], rel=1e-14, abs=0.0)
 
 
 def test_direct_solve_builds_its_classes_once(monkeypatch):
-    """The direct path builds the ClassMaps of its reached classes once and
-    hands that value to the assembly, the factor and the residual multiply."""
+    """A flat run builds the ClassMaps of its reached classes once, with
+    its load, and hands that value to the assembly, the factor and the
+    residual multiply; a solve of a free vector builds them once too."""
     built, real = [], solver.mirror_classes
 
     def spy(*args):
         built.append(real(*args))
         return built[-1]
 
-    monkeypatch.setattr(solver, "mirror_classes", spy)
     mesh = flat_mesh(N=2, nz=8)
-    _, info = solve_field(SolverContext(mesh, P), assemble_rhs(mesh, bump()))
+    ctx, rhs = SolverContext(mesh, P), assemble_rhs(mesh, bump())
+    monkeypatch.setattr(solver, "mirror_classes", spy)
+    _, info, _, _ = surface_solve(ctx, make_profile(0.0, (), GEOM))
     assert info.method == "direct" and len(built) == 1
     assert built[0].c1.tolist() == [1] and built[0].c2.tolist() == [0]
+    solve_field(ctx, rhs)
+    assert len(built) == 2 and all(map(np.array_equal, built[1], built[0]))
 
 
 def test_load_off_the_lattice_factors_no_class(monkeypatch):
@@ -1840,32 +1862,23 @@ def test_dot_on_live_modes_has_the_bits_of_the_full_vectors(n_modes, nz, live_sh
 
 
 def test_flat_solve_and_diagnostics_allocate_under_three_free_vectors():
-    """After the load vector, a warm flat solve with its diagnostics
-    allocates for the modes its load reaches, not the lattice: at
-    N1 = N2 = 16 (1,089 modes, one reached class of 289) its tracemalloc
-    peak stays under 3 free vectors.  The field's coefficient array (about
-    one free vector, zero off the reached modes) and the zero-padded
-    products of one full-length pairing sum are the large allocations."""
+    """A warm flat run, from its config to its report, allocates for the
+    modes its load reaches, not the lattice: at N1 = N2 = 16 (1,089 modes,
+    one reached class of 289) its tracemalloc peak stays under 3 free
+    vectors.  The load is formed on the reached modes only.  The field's
+    coefficient array (about one free vector, zero off the reached modes)
+    and the zero-padded products of one full-length pairing sum are the
+    large allocations."""
     cfg = from_dict({"surface": {"delta": 0.25},
                      "discretization": {"N1": 16, "N2": 16, "n_z": 32}})
     params, _, mesh, _, source = harness.build_setup(cfg)
-    ctx = SolverContext(mesh, params)
-    rhs = assemble_rhs(mesh, source)
-    free_bytes = rhs.nbytes
-
-    def solve_and_diagnose():
-        field, _ = solve_field(ctx, rhs)
-        quadratics = field.mode_quadratics()
-        harness.field_physical_norms(field, None, ctx.work, quadratics)
-        energy_balance(field, rhs, ctx)
-        poincare_slack(field, quadratics)
-        return field
-
-    field = solve_and_diagnose()  # warm: index maps and mode indices built
-    assert solver._reached_classes(mesh, rhs).sum() == 1 and len(field.modes) == 2
+    free_bytes = 3 * mesh.grid.n1 * mesh.grid.n2 * (mesh.n_nodes - 1) * 16  # complex128
+    classes, _ = flat_load(mesh, source)
+    _, field = harness.deterministic_run(cfg)  # warm
+    assert len(classes.c1) == 1 and len(field.modes) == 2
     tracemalloc.start()
     try:
-        solve_and_diagnose()
+        harness.deterministic_run(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
