@@ -99,7 +99,10 @@ def _series_fields(offset, terms, cell, x1, x2, harmonics=None):
     """(f, df/dx1, df/dx2) of a series at the points, from one cos and one sin per term.
 
     ``harmonics`` passes in each term's :func:`_harmonic` at the points
-    when the caller has evaluated them already.
+    when the caller has evaluated them already.  The sums accumulate in
+    place, in two scratch arrays, by the operations of
+    f + c cos + s sin, d = -c sin + s cos and g + d 2 pi j / Lambda in
+    their order, so they have the bits of those expressions.
     """
     shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
     if harmonics is None:
@@ -107,11 +110,18 @@ def _series_fields(offset, terms, cell, x1, x2, harmonics=None):
     f = np.full(shape, offset, dtype=float)
     g1 = np.zeros(shape)
     g2 = np.zeros(shape)
+    d, tmp = np.empty(shape), np.empty(shape)
     for t, (cos, sin) in zip(terms, harmonics):
-        f = f + t.c * cos + t.s * sin
-        d = -t.c * sin + t.s * cos
-        g1 = g1 + d * 2 * np.pi * t.j1 / cell[0]
-        g2 = g2 + d * 2 * np.pi * t.j2 / cell[1]
+        f += np.multiply(t.c, cos, out=tmp)
+        f += np.multiply(t.s, sin, out=tmp)
+        np.multiply(-t.c, sin, out=d)
+        d += np.multiply(t.s, cos, out=tmp)
+        for g, j, length in ((g1, t.j1, cell[0]), (g2, t.j2, cell[1])):
+            np.multiply(d, 2, out=tmp)
+            tmp *= np.pi
+            tmp *= j
+            tmp /= length
+            g += tmp
     return f, g1, g2
 
 

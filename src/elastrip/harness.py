@@ -26,8 +26,8 @@ from .mesh import StripMesh, Workspace
 from .params import bound_constants, total_bound_stochastic
 from .solver import (DiscreteField, SolverContext, TransformCoefficients,
                      assemble_rhs, budget_shares, element_blocks, energy_balance,
-                     flat_load, physical_quad_fields, poincare_slack, quad_points,
-                     solve_field)
+                     flat_load, inner_mesh, physical_quad_fields, poincare_slack,
+                     quad_points, solve_field)
 from .sources import BumpSource
 
 ENERGY_TOL = 1e-8
@@ -353,8 +353,10 @@ def _wrapped_entry() -> bool:
     return any(hasattr(fn, "__wrapped__") for fn in (solve_surface, solve_field))
 
 
-def _solve_ensemble(ctx: SolverContext, samples, solve, threads: int | None) -> list:
-    """``solve(context, sample)`` of every sample, in sample order.
+def _solve_ensemble(ctx: SolverContext, inner: StripMesh, samples, solve,
+                    threads: int | None) -> list:
+    """``solve(context, sample)`` of every sample, in sample order, where
+    ``inner`` is the mesh of the samples' complex64 operators.
 
     The samples run on min(``threads``, usable cores, samples) worker
     threads, ``threads`` None meaning the usable cores, and on no more than
@@ -363,7 +365,8 @@ def _solve_ensemble(ctx: SolverContext, samples, solve, threads: int | None) -> 
     then keep the bits of ``ctx``'s, so a sample's result does not depend
     on the worker count or on which worker took it.  The shares, with the
     flat factor they read and their workspace buffers, are made in the
-    caller's thread before the pool starts.  While the pool runs, every
+    caller's thread before the pool starts, those of the complex64
+    operator on ``inner``.  While the pool runs, every
     loaded OpenBLAS runs on one thread: a worker's products are small, and
     2 workers with 2 BLAS threads each were slower than one loop.  Each
     sample builds its own complex64 operator mesh in its worker
@@ -385,7 +388,7 @@ def _solve_ensemble(ctx: SolverContext, samples, solve, threads: int | None) -> 
 
     idle = SimpleQueue()
     for _ in range(workers):
-        idle.put(ctx.share(workers))
+        idle.put(ctx.share(workers, inner))
 
     def task(sample):
         own = idle.get()
@@ -446,7 +449,11 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
         except ElastripError as exc:
             return {"sample_id": sample.sample_id, "error": f"{type(exc).__name__}: {exc}"}
 
-    outcomes = _solve_ensemble(SolverContext(mesh, params), samples, solve, cfg.run.threads)
+    # every sample has one term per band of the law, and so the complex64
+    # operator's collocation grid of the first
+    inner = inner_mesh(mesh, samples[0].surface)
+    outcomes = _solve_ensemble(SolverContext(mesh, params), inner, samples, solve,
+                               cfg.run.threads)
     rows = [out for out in outcomes if "error" not in out]
     failures = [out for out in outcomes if "error" in out]
     if not rows:

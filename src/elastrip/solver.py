@@ -49,12 +49,20 @@ the stages that hold fields on the padded collocation x quadrature grid (the
 matvec, the load vector and the physical norms) run over blocks of vertical
 elements (loop tiling).  :func:`element_blocks` splits the elements into
 few blocks whose stacked fields, 3 x 4 complex values per point, fit in the
-budget of the stage's :class:`~elastrip.mesh.Workspace` (``_BLOCK_BYTES``
-unless the workspace sets another).  The blocks of a stage reuse the
-buffers of the workspace, so its working set is about 1.5 times that budget
-at any n_z.  Blocks are visited in a fixed order, and cut at whole granules
-of elements where the budget holds one, so the bits depend on the mesh
-only, and not on how the budget is shared among threads.
+stage's share of the budget of its :class:`~elastrip.mesh.Workspace`
+(``_BLOCK_BYTES`` unless the workspace sets another): the whole budget for
+the complex64 Arnoldi operator, which runs at every step of a rough solve,
+and half of it, where that half holds a granule of elements, for the
+complex128 stages, which run once or twice a solve.  The blocks of a stage
+reuse the buffers of the workspace, so its working set does not grow with
+n_z: after a rough solve of the benchmark's surface it holds 0.83 times
+the budget at N = 8, n_z = 64 and 0.73 at N = 6, n_z = 32 (sized by the
+complex64 operator), and 1.4 to 1.7 times it from N = 12 on, where half
+the budget holds no granule.  The operator's blocks
+are visited in a fixed order, and cut at whole granules of elements where
+the budget holds one, so its bits depend on the mesh only, and not on how
+the budget is shared among threads.  The physical and source norms sum
+block by block, so their last bits follow the cut.
 """
 
 from __future__ import annotations
@@ -117,18 +125,21 @@ _BREAKDOWN_COMPLEX64 = 1e-4
 # step more.  The inner grid keeps the steps and rounds of rough_solve seeds
 # 0-9 and of the 24 mc_ensemble solves of seeds 0-2.
 _INNER_TOL = 3e-5
-# Bytes of one element block's stacked fields (see element_blocks).  The
-# context's workspace holds about 1.5 times this at any n_z.  Fewer elements
-# a block narrow the DFT-matrix products: at N=24, n_z=128 (2 elements a
-# block) a matvec took 1.2 s, against 0.92 s at twice this budget and 1.0 s
-# unblocked (2-core VM).
+# Bytes of one element block's stacked fields (see element_blocks), the
+# budget of a context's workspace; a complex128 stage takes half of it
+# where that half holds a granule.  Fewer elements a block narrow the
+# DFT-matrix products: at N=24, n_z=128 (2 elements a block) a matvec took
+# 1.2 s, against 0.92 s at twice this budget and 1.0 s unblocked (2-core VM).
 _BLOCK_BYTES = 6_000_000
 # Elements of a granule (see element_blocks).  A block of whole granules
 # gives the DFT products a multiple of 16 quad columns.  OpenBLAS computes a
 # product column with the same kernel and bits wherever a cut at such a
-# multiple puts it: measured with OpenBLAS 0.3.31's SkylakeX kernels,
-# complex128 columns kept their bits under cuts at multiples of 4 and
-# complex64 ones at multiples of 8, and not under other cuts.
+# multiple puts it.  Measured with OpenBLAS 0.3.31's SkylakeX kernels
+# (numpy 2.4.6) on the seed-0 rough_solve operator, N = 8, n_z = 64: the
+# complex128 matvec kept its bits under cuts of 4, 8, 12, 16 and 32
+# elements (8 to 64 quad columns) and not of 2, 6 or 10 (4, 12 and 20
+# columns), the complex64 one under cuts of 8 elements and more and not
+# of 4.
 _BLOCK_GRANULE = 8
 
 
@@ -400,6 +411,16 @@ def mirror_classes(mask: np.ndarray, nz: int) -> ClassMaps:
     the free nodes top-down, class over the marked classes, and the slots
     hold the modes of ``_SLOT_SIGNS``.  A slot of c = 0 with the minus sign
     holds the mode itself again.
+
+    The maps hold one index per entry each way: ``gather`` the entry of
+    every layout position, ``scatter`` the layout position of every entry,
+    0.94 MB for every class at N = 8, n_z = 64 and 6.9 MB at N = 16,
+    n_z = 128.  The free vector runs node-fastest and the layout
+    class-fastest, so numpy moves between them in one pass only by an index
+    per element: gathering by each class's four slot modes and scattering
+    by each mode's (slot, class), with broadcast indices, made a warm
+    block-LU apply at N = 8, n_z = 64 27-41 % slower in complex64 and
+    8-25 % in complex128 (2-core VM).
     """
     N1, N2 = mask.shape[0] - 1, mask.shape[1] - 1
     n1, n2 = 2 * N1 + 1, 2 * N2 + 1
@@ -852,18 +873,31 @@ def _plane_shapes(mesh: StripMesh, elements: slice) -> tuple[tuple, tuple]:
 def element_blocks(mesh: StripMesh, work: Workspace, dtype=complex) -> list[slice]:
     """The vertical elements as consecutive blocks, in order, whose stacked
     fields, 3 x 4 values of ``dtype`` per quad point, take at most the
-    block budget of ``work`` each (:func:`block_budget`).
+    stage's share of the block budget of ``work`` each
+    (:func:`block_budget`).
+
+    A complex64 stage, the Arnoldi operator that runs at every step of a
+    rough solve, takes the whole budget.  A complex128 stage (the residual
+    operator, the load, the physical and the source norms, each run once
+    or twice a solve) takes half of it wherever that half still holds a
+    granule of elements, and the whole budget elsewhere, so that a rough
+    solve's buffers are sized by the operator it runs most: at N = 8,
+    n_z = 64 the complex128 blocks' fields take 2.24 MB and, on the
+    benchmark's surface, the complex64 operator's on its coarser grid
+    2.46 MB.
 
     The blocks are the fewest of whole granules of ``_BLOCK_GRANULE``
-    elements, or of single elements when the budget holds no granule, all
+    elements, or of single elements when the share holds no granule, all
     of one size but the last, which holds the rest; the first thus sizes a
-    :class:`Workspace` for all.  When the budget holds a granule, every
+    :class:`Workspace` for all.  When the share holds a granule, every
     block starts at a multiple of 16 quad columns, so the operator has the
     same bits under any such budget: the workers of an ensemble, each with
-    a share of the budget, solve as one context does.  A complex64 block
-    holds twice the elements in the same bytes."""
-    n = mesh.n_elements
-    fit = max(1, block_budget(work) // _element_bytes(mesh, dtype))
+    a share of the budget, solve as one context does."""
+    n, per_element = mesh.n_elements, _element_bytes(mesh, dtype)
+    budget = block_budget(work)
+    if np.dtype(dtype) == np.complex128 and budget // 2 // per_element >= _BLOCK_GRANULE:
+        budget //= 2
+    fit = max(1, budget // per_element)
     unit = _BLOCK_GRANULE if fit >= _BLOCK_GRANULE else 1
     n_blocks = -(-n // (fit - fit % unit))
     size = unit * -(-n // (n_blocks * unit))
@@ -1138,27 +1172,6 @@ def _norm(a: np.ndarray) -> float:
     return float(np.sqrt(_dot(a, a).real))
 
 
-def _dot_on(a: np.ndarray, b: np.ndarray, modes: np.ndarray | None, n_modes: int,
-            work: Workspace) -> complex:
-    """:func:`_dot` of two free vectors that are zero off ``modes``, given
-    as their entries there, a[k, mode, node] and b alike (every mode for
-    None).  The products fill a zeroed buffer of ``work`` of the free
-    vector's length, so the pairwise sum runs over the full vector's zeros
-    too, in its order: the bits of :func:`_dot` of the full vectors.  With
-    every mode no buffer is needed, and ``work`` is not touched."""
-    if modes is None:
-        return _dot(a.ravel(), b.ravel())
-    prod = work.take("pairing", (3, n_modes, a.shape[-1]))
-    prod[...] = 0
-    prod[:, modes] = np.conj(a) * b
-    return np.sum(prod.ravel())
-
-
-def _norm_on(a: np.ndarray, modes: np.ndarray | None, n_modes: int,
-             work: Workspace) -> float:
-    return float(np.sqrt(_dot_on(a, a, modes, n_modes, work).real))
-
-
 def gmres(matvec, b: np.ndarray, precond, tol: float,
           residual) -> tuple[np.ndarray, SolveInfo]:
     """Right-preconditioned GMRES for A x = b from x0 = 0, restarted as
@@ -1195,11 +1208,13 @@ def gmres(matvec, b: np.ndarray, precond, tol: float,
     sums, so the result does not depend on the BLAS thread count.
 
     No vector outlives its last use: a round's starting residual lives on
-    only as the first basis vector, the basis and the last matvec output
-    are dropped before the correction's preconditioner sweep, and the
-    previous iterate once x + d is formed.  The first round holds no zero
-    iterate: x0 is the scalar 0.0, and d + 0.0 has the bits of d plus a
-    zero vector, the sign of a zero included.
+    only as the first basis vector, each step's matvec output is
+    orthogonalized and normalized in place into the next one, the basis
+    and the last matvec output are dropped before the correction's
+    preconditioner sweep, and the previous iterate once x + d is formed.
+    The first round holds no zero iterate: x0 is the scalar 0.0, and
+    d + 0.0 has the bits of d plus a zero vector, the sign of a zero
+    included.
 
     A step that finds an invariant space (a subdiagonal below
     ``_BREAKDOWN`` of the step's direction, ``_BREAKDOWN_COMPLEX64`` in a
@@ -1278,8 +1293,9 @@ def _gmres_cycle(matvec, V: list, r_norm: float, precond, target: float, max_ste
             h[:k + 1] += proj
         h_next = _norm(w)
         breakdown = h_next <= tiny * w_norm
-        if not breakdown:
-            V.append(w / h_next)
+        if not breakdown:  # w becomes the next basis vector in place
+            w /= h_next
+            V.append(w)
         h[k + 1] = h_next
         for i, (c, s) in enumerate(rotations):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], -np.conj(s) * h[i] + c * h[i + 1]
@@ -1353,16 +1369,22 @@ class SolverContext:
         self.symbol = dtn_symbol_grid(XI1, XI2, params)
         self.work = Workspace()
 
-    def reserve(self) -> None:
-        """Take the workspace buffers of a complex128 rough matvec on the
-        context's mesh at the sizes of its first, largest element block
-        (:func:`_rough_buffer_bytes`).  A user of the workspace that needs
-        fewer bytes and runs first, the complex64 operator on its coarser
-        grid, then fits in them, and no buffer is replaced in a solve.
+    def reserve(self, inner: StripMesh) -> None:
+        """Take the workspace buffers of both operators of a rough solve on
+        the context's mesh: the complex128 residual operator's on that
+        mesh and the complex64 Arnoldi operator's on ``inner``, the mesh
+        of its collocation grid (:func:`inner_mesh`), each at the sizes of
+        its first, largest element block (:func:`_rough_buffer_bytes`).
+        Each buffer takes the larger of the two operators' sizes, so
+        neither operator, nor a complex64 one on a grid no finer than
+        ``inner``, replaces a buffer in a solve.
         :meth:`~elastrip.mesh.Workspace.take` only grows a buffer, so a
         call on a workspace that holds them already changes nothing."""
-        b = element_blocks(self.mesh, self.work)[0]
-        for name, nbytes in _rough_buffer_bytes(self, b.stop - b.start).items():
+        sizes: dict[str, int] = {}
+        for mesh, dtype in ((self.mesh, np.complex128), (inner, np.complex64)):
+            for name, nbytes in _rough_buffer_bytes(self, mesh, dtype).items():
+                sizes[name] = max(sizes.get(name, 0), nbytes)
+        for name, nbytes in sizes.items():
             self.work.take(name, (nbytes,), np.uint8)
 
     @cached_property
@@ -1371,9 +1393,10 @@ class SolverContext:
         return block_lu_solver(assemble_flat_blocks(self.mesh, self.params, every), every,
                                np.complex64)
 
-    def share(self, parts: int) -> SolverContext:
+    def share(self, parts: int, inner: StripMesh) -> SolverContext:
         """A context, ready to solve, for one of ``parts`` threads that
-        solve on this mesh and material at once.
+        solve on this mesh and material at once, with their complex64
+        operators on collocation grids no finer than ``inner``'s.
 
         The DFT matrices of this context's mesh and its block-LU are built
         first, so the shares read one set of matrices and one factor; a
@@ -1382,42 +1405,45 @@ class SolverContext:
         symbol and gets its own workspace, whose element blocks take a
         ``parts``-th of the budget of this context's, so that the threads'
         buffers together hold what this context's hold.  Its buffers are
-        taken here (:meth:`reserve`), in the caller's thread: with its
-        large buffers taken in the workers, a pool's peak memory varied by
-        7 MB from run to run.
+        taken here (:meth:`reserve` with ``inner``), in the caller's
+        thread: with its large buffers taken in the workers, a pool's peak
+        memory varied by 7 MB from run to run.
         """
         self.mesh.dft_matrices(complex)
         with contextlib.suppress(NonConvergenceError):
             self.solve
         twin = copy.copy(self)
         twin.work = Workspace(block_budget(self.work) // parts)
-        twin.reserve()
+        twin.reserve(inner)
         return twin
 
 
 _BUFFER_BYTES: dict[tuple, dict[str, int]] = {}
 
 
-def _rough_buffer_bytes(ctx: SolverContext, n_e: int) -> dict[str, int]:
-    """The bytes of each workspace buffer that a block of ``n_e`` elements
-    of a complex128 rough matvec on the mesh of ``ctx`` takes.
+def _rough_buffer_bytes(ctx: SolverContext, mesh: StripMesh, dtype) -> dict[str, int]:
+    """The bytes of each workspace buffer that the first, largest element
+    block of the ``dtype`` rough operator of ``ctx`` takes on the
+    collocation grid of ``mesh``, a mesh of the same strip.
 
     The operator's own block (:meth:`StripOperator._block`) runs once on
     zero modes, in a copy of ``ctx`` with a fresh workspace, under the
     identity map: a flat surface at the mesh bottom.  The sizes are kept
-    for the mesh's sizes, so a context of a mesh seen before pays nothing
-    for them; the block takes 6-15 ms at N = 8 and 16 elements on a 2-core
-    VM, once per process and mesh size."""
-    mesh = ctx.mesh
-    key = (mesh.grid.n1, mesh.grid.n2, mesh.P1, mesh.P2, mesh.zq.shape[1], n_e)
+    for the meshes' sizes and the precision, so a context of a mesh seen
+    before pays nothing for them; the block takes 6-15 ms at N = 8 and 16
+    elements on a 2-core VM, once per process and mesh size."""
+    b = element_blocks(ctx.mesh, ctx.work, dtype)[0]
+    n_e = b.stop - b.start
+    key = (mesh.grid.n1, mesh.grid.n2, mesh.P1, mesh.P2, mesh.zq.shape[1], n_e,
+           np.dtype(dtype).str)
     if key not in _BUFFER_BYTES:
         probe = copy.copy(ctx)
         probe.work = Workspace()
         gap = mesh.top - mesh.bottom
         identity = TransformCoefficients(mesh, SurfaceProfile(mesh.bottom, (), mesh.grid.cell),
                                          CutoffFn(gap / 4, gap))
-        U = np.zeros((3, mesh.grid.n1, mesh.grid.n2, n_e + 1), dtype=complex)
-        StripOperator(probe, identity)._block(U, np.zeros_like(U), slice(0, n_e))
+        U = np.zeros((3, mesh.grid.n1, mesh.grid.n2, n_e + 1), dtype=dtype)
+        StripOperator(probe, identity, dtype)._block(U, np.zeros_like(U), slice(0, n_e))
         _BUFFER_BYTES[key] = probe.work.nbytes()
     return _BUFFER_BYTES[key]
 
@@ -1436,9 +1462,10 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     (:func:`flat_load`); without, ``rhs`` is the free vector, and the
     path builds the :class:`ClassMaps` of the classes that hold a nonzero
     entry of it once and gathers their entries once.  The solve, the
-    residual multiply and the field touch only these entries, so its cost
-    follows the modes its load reaches, not the lattice.  The field and
-    the residual have the bits of a solve of every class.  The field's
+    residual multiply, the residual's norms and the field touch only these
+    entries, so its cost follows the modes its load reaches, not the
+    lattice.  The field has the bits of a solve of every class, and the
+    residual those of its sums over the reached entries.  The field's
     ``modes`` are the reached classes' modes.  It examines no pivot of a
     class its load does not reach: a singular pivot there raises nothing.
     It does not touch the context's ``solve``.
@@ -1447,9 +1474,8 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     collocation grid of :func:`inner_mesh`, and checks every
     round's residual with the complex128 one on the mesh's own grid,
     preconditioned by the context's block-LU of every class.  The
-    workspace buffers are taken at the complex128 operator's sizes first
-    (:meth:`SolverContext.reserve`), so that the smaller complex64
-    operator, which runs first, replaces none.
+    workspace buffers are taken at the larger of the two operators' sizes
+    first (:meth:`SolverContext.reserve`), so that neither replaces one.
 
     Raises :class:`NonConvergenceError` when the relative residual of the
     result exceeds ``tol`` on either path, or when the block-LU meets a
@@ -1457,8 +1483,8 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     class refuses the cyclic reduction).
     """
     if coeffs is not None:
-        ctx.reserve()
         inner = coeffs.on(inner_mesh(ctx.mesh, coeffs.surface))
+        ctx.reserve(inner.mesh)
         x, info = gmres(StripOperator(ctx, inner, np.complex64).matvec, rhs, ctx.solve, tol,
                         residual=StripOperator(ctx, coeffs).matvec)
         return DiscreteField.from_free_vector(x, ctx.mesh), info
@@ -1498,9 +1524,10 @@ def solve_flat(ctx: SolverContext, classes: ClassMaps, b: np.ndarray,
     top-down pivots of the classes that pass too; on finite bands no class
     was seen to pass the reduction and meet a singular top-down pivot, and
     an infinite block refuses both.  The residual's two
-    norms sum the squares over the full free vector of the context's
-    lattice, zeros included (:func:`_norm_on`), so they have the bits of
-    a solve of every class.
+    norms sum the squares of the classes' entries only, so its cost, like
+    the solve's, follows the modes the load reaches; against a solve of
+    every class, whose sums run over the zeros of the other modes too,
+    they differ in the last bits only.
     """
     bands = assemble_flat_blocks(ctx.mesh, ctx.params, classes)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a failure refuses
@@ -1514,9 +1541,7 @@ def solve_flat(ctx: SolverContext, classes: ClassMaps, b: np.ndarray,
         top_down = np.broadcast_to(refused, y.shape).ravel()[classes.scatter]
         x[top_down] = block_lu_solver(bands, classes)(b)[top_down]
         r = np.subtract(banded_matvec(bands, x, classes), b)
-    g, shape = ctx.mesh.grid, (3, len(classes.modes), bands.shape[2])
-    res, scale = (_norm_on(v.reshape(shape), classes.modes, g.n1 * g.n2, ctx.work)
-                  for v in (r, b))
+    res, scale = _norm(r), _norm(b)
     return x, res / scale if scale > 0 else res
 
 
@@ -1542,8 +1567,9 @@ def energy_balance(field: DiscreteField, rhs: np.ndarray, ctx: SolverContext):
     free vector when ``modes`` is None), as a direct solve's load is zero
     off the modes it reaches; a caller that holds the free vector of a
     load and a field of some modes gathers those first.  Every term is
-    formed on those modes only, and each pairing sum runs over the full
-    array, zeros included.
+    formed and summed on those modes only, so the source pairing and the
+    leeway of a field that lists its modes differ in the last bits from
+    those of the same field over every mode.
     """
     trace = field.top_trace()
     flux, power = energy_flux(trace, ctx.params, ctx.symbol)
@@ -1551,7 +1577,7 @@ def energy_balance(field: DiscreteField, rhs: np.ndarray, ctx: SolverContext):
     n, live = g.n1 * g.n2, _every(field.modes)
     x = field._by_mode()[:, live, 1:]
     b = np.reshape(rhs, x.shape)
-    src_im = -float(np.imag(_dot_on(x, b, field.modes, n, ctx.work)))
+    src_im = -float(np.imag(_dot(x, b)))
     top = trace.coefficients.reshape(3, n)[:, live]
     pair = np.zeros(n, dtype=complex)
     pair[live] = np.einsum("km,kjm,jm->m", np.conj(top),

@@ -84,9 +84,9 @@ def spy_shares(monkeypatch) -> list:
     worker of each pool an ensemble starts."""
     parts, real = [], SolverContext.share
 
-    def spied(self, n):
+    def spied(self, n, inner):
         parts.append(n)
-        return real(self, n)
+        return real(self, n, inner)
 
     monkeypatch.setattr(SolverContext, "share", spied)
     return parts
@@ -413,11 +413,11 @@ def test_monte_carlo_records_a_singular_pivot_as_a_failed_sample(monkeypatch, tw
 
 
 def test_an_ensemble_takes_its_buffers_before_the_pool(monkeypatch, two_cores):
-    """The workers' workspace buffers but the float64 scratch plane of the
-    complex64 planes are taken in the caller's thread before the pool
-    starts, by SolverContext.share: the workers allocate no large buffer.
-    The shared mesh's DFT matrices (14 points per axis) are built there
-    too; a worker builds only those of its samples' coarser meshes."""
+    """The workers' workspace buffers, those of both operators, are taken
+    in the caller's thread before the pool starts, by SolverContext.share:
+    the workers allocate no large buffer.  The shared mesh's DFT matrices
+    (14 points per axis) are built there too; a worker builds only those
+    of its samples' coarser meshes."""
     built = []  # (buffer name, in the main thread)
     take = Workspace.take
     dft_built, dft = [], elastrip.mesh._dft_matrices
@@ -427,7 +427,7 @@ def test_an_ensemble_takes_its_buffers_before_the_pool(monkeypatch, two_cores):
     def taken(self, name, shape, dtype=complex):
         buf = self._buffers.get(name)
         out = take(self, name, shape, dtype)
-        if self._buffers[name] is not buf and name != "plane64":
+        if self._buffers[name] is not buf:
             built.append((name, threading.current_thread() is threading.main_thread()))
         return out
 
@@ -438,7 +438,7 @@ def test_an_ensemble_takes_its_buffers_before_the_pool(monkeypatch, two_cores):
                    run={"threads": 2})
     rep = monte_carlo(cfg, n=4, seed=3)
     assert shares == [2, 2] and rep.n_completed == 4
-    assert {("fields", True), ("J1", True)} <= set(built)
+    assert {("fields", True), ("J1", True), ("plane64", True)} <= set(built)
     assert all(main for _, main in built), built
     assert dft_built.count((14, True)) == 2 and (14, False) not in dft_built
 

@@ -63,15 +63,15 @@ def mc_ensemble(seed):
 # (workload, seed): the counts of one call and its traced peak in bytes
 PINS = {
     (rough_solve, 0): ({"matvec complex64": 11, "matvec complex128": 2, "eliminate": 1,
-                        "apply complex64": 9, "apply complex128": 4}, 16_968_755),
+                        "apply complex64": 9, "apply complex128": 4}, 13_623_247),
     (rough_solve, 3): ({"matvec complex64": 10, "matvec complex128": 2, "eliminate": 1,
-                        "apply complex64": 8, "apply complex128": 4}, 16_966_763),
+                        "apply complex64": 8, "apply complex128": 4}, 13_622_415),
     (rough_solve, 7): ({"matvec complex64": 11, "matvec complex128": 2, "eliminate": 1,
-                        "apply complex64": 9, "apply complex128": 4}, 16_966_251),
-    (flat_solve, 0): ({"reduction": 1}, 3_021_773),
+                        "apply complex64": 9, "apply complex128": 4}, 13_622_015),
+    (flat_solve, 0): ({"reduction": 1}, 1_688_525),
     # 8 solves
     (mc_ensemble, 0): ({"matvec complex64": 73, "matvec complex128": 16, "eliminate": 1,
-                        "apply complex64": 57, "apply complex128": 32}, 12_742_479),
+                        "apply complex64": 57, "apply complex128": 32}, 8_408_354),
 }
 PEAK_SLACK = 0.02
 

@@ -248,6 +248,25 @@ def test_element_blocks_do_not_change_results(monkeypatch):
         assert np.array_equal(blocked, one_block_matvecs[dtype])
 
 
+def test_complex128_matvec_keeps_its_bits_under_granule_cuts(monkeypatch):
+    """The complex128 operator at N = 8, n_z = 64 has the same bits
+    (array_equal) under budgets that cut its elements into blocks of 8
+    (half the default budget, its own cut), 16 (the whole default budget)
+    and 32."""
+    mesh, coeffs = _rough_setup(N=8, nz=64, amplitude=0.05)
+    rng, n = np.random.default_rng(11), 3 * mesh.grid.n1 * mesh.grid.n2 * 64
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    per_element = 3 * 4 * mesh.P1 * mesh.P2 * 2 * 16
+    assert solver.element_blocks(mesh, Workspace())[0] == slice(0, 8)
+    matvecs = []
+    for size in (8, 16, 32):
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 2 * size * per_element)
+        assert [b.stop - b.start for b in solver.element_blocks(mesh, Workspace())] == \
+            [size] * (64 // size)
+        matvecs.append(StripOperator(SolverContext(mesh, P), coeffs).matvec(x))
+    assert all(np.array_equal(y, matvecs[0]) for y in matvecs[1:])
+
+
 def test_blocked_stages_hold_a_bounded_working_set():
     """The memory a rough matvec and the physical norms allocate grows by
     less than 2x from n_z = 32 to 128 at N=8: they hold one block of
@@ -1540,11 +1559,11 @@ def test_matvec_matches_the_two_gauss_point_oracle(mu, lam_frac, omega, N, nz, r
 
 
 def test_a_rough_solve_replaces_no_workspace_buffer(monkeypatch):
-    """The complex128 operator takes the buffers of its largest element
-    block before the first complex64 matvec: on a fresh context every
-    buffer of its workspace is allocated once in a rough solve, none
-    regrown, with blocks of 16 elements in complex128 and 32 in complex64
-    on the inner grid."""
+    """Both operators' buffers are taken, at the larger of their first
+    element blocks' sizes, before the first complex64 matvec: on a fresh
+    context every buffer of its workspace is allocated once in a rough
+    solve, none regrown, with blocks of 8 elements in complex128 and 32 in
+    complex64 on the inner grid."""
     mesh, rhs, coeffs = rough_system(N=8, nz=64)
     ctx = SolverContext(mesh, P)
     ctx.solve
@@ -1562,6 +1581,9 @@ def test_a_rough_solve_replaces_no_workspace_buffer(monkeypatch):
     _, info = solve_field(ctx, rhs, coeffs)
     assert info.method == "gmres" and set(sizes) >= {"fields", "scratch", "modes", "J1"}
     assert all(len(v) == 1 for v in sizes.values()), sizes
+    # the larger of 8 complex128 elements' fields on 27 x 27 points and 32
+    # complex64 ones' on the inner grid's 20 x 18
+    assert sizes["fields"] == [max(3 * 4 * 27 * 27 * 8 * 2 * 16, 3 * 4 * 20 * 18 * 32 * 2 * 8)]
 
 
 def test_gmres_happy_breakdown_is_exact():
@@ -1675,7 +1697,9 @@ def test_reached_class_solve_has_the_bits_of_every_class(mu, lam_frac, omega, ce
     field, info = solve_field(SolverContext(mesh, params), rhs, tol=np.inf)
     x, rel = _all_class_solve(mesh, params, rhs, tol=np.inf)
     assert np.array_equal(field.free_vector(), x)
-    assert info.residual == rel
+    # the residual's norms sum the reached entries only, the all-class
+    # solve's the zeros of the other modes too
+    assert info.residual == pytest.approx(rel, rel=1e-14, abs=0.0)
     j1, j2 = mesh.grid.mode_indices()
     m1, m2 = np.nonzero(rhs.reshape(3, mesh.grid.n1, mesh.grid.n2, nz).any(axis=(0, 3)))
     expect = np.zeros((N1 + 1, N2 + 1), dtype=bool)
@@ -1688,13 +1712,17 @@ def test_reached_class_solve_has_the_bits_of_every_class(mu, lam_frac, omega, ce
     assert np.array_equal(b, gathered)
     ctx = SolverContext(mesh, params)
     own, own_info = solve_field(ctx, b, tol=np.inf, classes=classes)
-    assert np.array_equal(own.coeff, field.coeff) and own_info.residual == rel
+    assert np.array_equal(own.coeff, field.coeff) and own_info.residual == info.residual
+    entries = own._by_mode()[:, classes.modes, 1:].ravel()
+    r = banded_matvec(assemble_flat_blocks(mesh, params, classes), entries, classes) - b.ravel()
+    assert info.residual == (solver._norm(r) / solver._norm(b) if b.any() else solver._norm(r))
     balance = energy_balance(own, b, ctx)
     assert balance == energy_balance(own, gathered.ravel(), ctx)
-    # on every mode the pairing keeps its bits; ||x|| ||b|| of the leeway
-    # then sums the zeros too, in another order
+    # on every mode the power keeps its bits; the source pairing and the
+    # leeway then sum the zeros too, in another order
     every = energy_balance(DiscreteField(own.coeff, mesh), rhs, ctx)
-    assert balance[:2] == every[:2]
+    assert balance[1] == every[1]
+    assert abs(balance[0] - every[0]) <= 1e-14
     assert balance[2] == pytest.approx(every[2], rel=1e-14, abs=0.0)
 
 
@@ -1843,32 +1871,44 @@ def test_gmres_holds_no_zero_iterate(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n_modes=st.integers(1, 300), nz=st.integers(1, 100),
-       live_share=st.sampled_from([0.0, 0.02, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
-def test_dot_on_live_modes_has_the_bits_of_the_full_vectors(n_modes, nz, live_share, seed):
-    """The pairing and norm of free vectors given by their entries on some
-    modes equal numpy's pairwise sums over the full vectors, zeros included."""
-    rng = np.random.default_rng(seed)
-    live = np.flatnonzero(rng.random(n_modes) < live_share)
-    full = np.zeros((2, 3, n_modes, nz), dtype=complex)
-    full[:, :, live] = (rng.standard_normal((2, 3, len(live), nz))
-                        + 1j * rng.standard_normal((2, 3, len(live), nz)))
-    a, b = full[:, :, live]
-    dot = solver._dot(full[0].ravel(), full[1].ravel())
-    work = Workspace()
-    assert solver._dot_on(a, b, live, n_modes, work) == dot
-    assert solver._dot_on(full[0], full[1], None, n_modes, work) == dot
-    assert solver._norm_on(a, live, n_modes, work) == solver._norm(full[0].ravel())
+@given(N1=st.integers(0, 4), N2=st.integers(0, 4), nz=st.integers(1, 20),
+       live_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_energy_balance_sums_the_listed_modes_entries(N1, N2, nz, live_share, seed):
+    """The source pairing and the leeway ||x|| ||b|| of a field that lists
+    its modes are :func:`solver._dot` and :func:`solver._norm` of its
+    entries and the load's on those modes, with no term from the other
+    modes.  Over every mode the sums run over the zeros too, in another
+    order: the same residual to 1e-14, the same power bit for bit and the
+    same leeway to 1e-14 relative."""
+    mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=CELL), bottom=-1.0, top=0.0,
+                     n_elements=nz)
+    g, rng, ctx = mesh.grid, np.random.default_rng(seed), SolverContext(mesh, P)
+    n = g.n1 * g.n2
+    live = np.flatnonzero(rng.random(n) < live_share)
+    x, b = (rng.standard_normal((2, 3, len(live), nz))
+            + 1j * rng.standard_normal((2, 3, len(live), nz)))
+    field = DiscreteField.from_free_vector(x, mesh, live)
+    summed, dot = [], solver._dot  # the sizes of the arguments of every _dot call
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_dot", lambda u, v: summed.append((u.size, v.size)) or dot(u, v))
+        residual, power, leeway = energy_balance(field, b, ctx)
+    assert summed == [(x.size, b.size), (x.size, x.size), (b.size, b.size)]  # _norm's too
+    full = np.zeros((3, n, nz), dtype=complex)
+    full[:, live] = b
+    every = energy_balance(DiscreteField(field.coeff, mesh), full, ctx)
+    assert power == every[1]
+    assert abs(residual - every[0]) <= 1e-14
+    assert leeway == pytest.approx(every[2], rel=1e-14, abs=0.0)
 
 
 def test_flat_solve_and_diagnostics_allocate_under_three_free_vectors():
     """A warm flat run, from its config to its report, allocates for the
     modes its load reaches, not the lattice: at N1 = N2 = 16 (1,089 modes,
     one reached class of 289) its tracemalloc peak stays under 3 free
-    vectors.  The load is formed on the reached modes only.  The field's
+    vectors.  The load is formed, and the residual's norms and the source
+    pairing are summed, on the reached modes only.  The field's
     coefficient array (about one free vector, zero off the reached modes)
-    and the zero-padded products of one full-length pairing sum are the
-    large allocations."""
+    is the large allocation."""
     cfg = from_dict({"surface": {"delta": 0.25},
                      "discretization": {"N1": 16, "N2": 16, "n_z": 32}})
     params, _, mesh, _, source = harness.build_setup(cfg)
