@@ -132,8 +132,9 @@ def solve_surface(ctx: SolverContext, surface: SurfaceProfile,
     This is the one place that decides whether a surface needs the
     flattening transform.  The reference is the flat mesh bottom c, and
     ``coeffs`` is None exactly when surface - c is identically zero (offset
-    c, no nonzero term); the solve is then the direct per-mode one, and
-    the load is formed on the mirror classes its source reaches only
+    c, no nonzero term); the solve is then the direct one, a cyclic
+    reduction per mirror class, and the load is formed on the mirror
+    classes its source reaches only
     (:func:`~elastrip.solver.flat_load`): ``rhs`` is its entries on the
     field's ``modes``, which :func:`~elastrip.solver.energy_balance` takes.
     With a transform ``rhs`` is the free vector.  ``physical`` evaluates

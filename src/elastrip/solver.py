@@ -6,12 +6,13 @@ signs of the u1 and u2 rows and columns, so the bands are stored and
 factored once per mirror class (|j1|, |j2|).  A mode with zero load has
 the zero solution, so the direct solve (:func:`solve_flat`) assembles and
 solves, batched over classes, only the classes its load reaches: a few
-for a source of a few harmonics.  A flat run forms its load on those
-classes alone (:func:`flat_load`) and carries their entries through the
-solve and the energy balance, with no vector of every mode.  Two
-eliminations serve the flat operator, both on class-last views of the
-bands, both inverting their 3x3 pivots in closed form, so neither makes
-a LAPACK or BLAS call.  The direct solve runs block cyclic reduction
+for a source of a few harmonics.  The one flat entry forms the load on
+those classes alone (:func:`flat_load`) and passes the classes with it
+to :func:`solve_field`; their entries go through the solve and the
+energy balance, with no vector of every mode.  Two eliminations serve
+the flat operator, both on class-last views of the bands, both inverting
+their 3x3 pivots in closed form, so neither makes a LAPACK or BLAS
+call.  The direct solve runs block cyclic reduction
 (:func:`_cyclic_reduction`), about log2 n_z batched levels.  Its pivots
 are sub-strips clamped at both ends, which can resonate, so a class whose
 reduction fails a pivot check or misses the residual is solved again by
@@ -468,20 +469,6 @@ def _class_views(bands: np.ndarray):
     nz - 1 - i, so the returned blocks couple node i to i + 1 (the bands'
     lower blocks), to itself and to i - 1 (upper)."""
     return bands[:, :, ::-1].transpose(0, 2, 3, 4, 1)
-
-
-def _reached_classes(mesh: StripMesh, v: np.ndarray,
-                     modes: np.ndarray | None = None) -> np.ndarray:
-    """The mirror classes (|j1|, |j2|) of the modes that hold a nonzero (or
-    NaN) entry of v, the free vector or, with ``modes``, its entries
-    [k, mode, node] on those modes, as a boolean (N1 + 1, N2 + 1) mask."""
-    g = mesh.grid
-    j1, j2 = g.mode_indices()
-    hit = (np.reshape(v, (3, -1, mesh.n_nodes - 1)) != 0).any(axis=(0, 2))
-    m = np.flatnonzero(hit) if modes is None else modes[hit]
-    reached = np.zeros((g.N1 + 1, g.N2 + 1), dtype=bool)
-    reached[abs(j1[m // g.n2]), abs(j2[m % g.n2])] = True
-    return reached
 
 
 def banded_matvec(bands: np.ndarray, v: np.ndarray, classes: ClassMaps) -> np.ndarray:
@@ -1102,10 +1089,9 @@ def flat_load(mesh: StripMesh, source) -> tuple[ClassMaps, np.ndarray]:
     same Gauss rule in z.  A harmonic aliased onto a lattice mode counts
     there, one whose residue is no lattice mode drops out, on both routes.
     Entries are formed only on the modes whose folded spectrum is nonzero;
-    a mode is reached where one of its entries is nonzero (or NaN), as
-    :func:`_reached_classes` reads a free vector, and a mode of a reached
-    class that the source misses holds zeros.  A source that reaches no
-    mode gives no class.
+    a mode is reached where one of its entries is nonzero or NaN, and a
+    mode of a reached class that the source misses holds zeros.  A source
+    that reaches no mode gives no class.
     """
     g = mesh.grid
     j1, j2 = g.mode_indices()
@@ -1114,33 +1100,28 @@ def flat_load(mesh: StripMesh, source) -> tuple[ClassMaps, np.ndarray]:
     live = np.flatnonzero((spectrum != 0).any(axis=0))
     scatter = mesh.scatter_from_quad(source.vertical(mesh.zq) * mesh.wq)[1:]
     entries = -g.cell_area * spectrum[:, live, None] * scatter
-    classes = mirror_classes(_reached_classes(mesh, entries, live), len(scatter))
+    hit = live[(entries != 0).any(axis=(0, 2))]
+    reached = np.zeros((g.N1 + 1, g.N2 + 1), dtype=bool)
+    reached[abs(j1[hit // g.n2]), abs(j2[hit % g.n2])] = True
+    classes = mirror_classes(reached, len(scatter))
     on = np.isin(live, classes.modes)  # a mode whose entries are all zero may be in no class
     b = np.zeros((3, len(classes.modes), len(scatter)), dtype=complex)
     b[:, np.searchsorted(classes.modes, live[on])] = entries[:, on]
     return classes, b
 
 
-def assemble_rhs(mesh: StripMesh, source,
-                 coeffs: TransformCoefficients | None = None,
+def assemble_rhs(mesh: StripMesh, source, coeffs: TransformCoefficients,
                  physical: bool = False, work: Workspace | None = None) -> np.ndarray:
-    """Load vector of G(v) = -int g . conj(v) detJ over free DOFs.
+    """Load vector of G(v) = -int g . conj(v) detJ over free DOFs, under the
+    transform ``coeffs`` (a flat strip's load is :func:`flat_load`).
 
-    Without ``coeffs`` (a flat strip) it is the entries of
-    :func:`flat_load` on its classes' modes, zero on every other mode.
-
-    With ``coeffs`` the source is evaluated, weighted by det J and
-    transformed one element block at a time, the block's weights in a buffer
-    of ``work``; ``physical=True`` evaluates it at the physical heights of
-    the flattening map, so two different transforms of the same physical
+    The source is evaluated, weighted by det J and transformed one element
+    block at a time, the block's weights in a buffer of ``work``;
+    ``physical=True`` evaluates it at the physical heights of the
+    flattening map, so two different transforms of the same physical
     problem assemble consistent data.
     """
     g = mesh.grid
-    if coeffs is None:
-        classes, b = flat_load(mesh, source)
-        R = np.zeros((3, g.n1 * g.n2, mesh.n_nodes - 1), dtype=complex)
-        R[:, classes.modes] = b
-        return R.ravel()
     R = np.zeros((3, g.n1, g.n2, mesh.n_nodes), dtype=complex)
     work = Workspace() if work is None else work
     for b in element_blocks(mesh, work):
@@ -1456,14 +1437,12 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     (:func:`solve_flat`), with one by :func:`gmres`, right-preconditioned
     by the block-LU of the flat operator.
 
-    The direct path solves only the mirror classes its load reaches; the
-    modes of the others are zero, as the solve of every class gives them.
-    With ``classes``, ``rhs`` is the load's entries on their modes
-    (:func:`flat_load`); without, ``rhs`` is the free vector, and the
-    path builds the :class:`ClassMaps` of the classes that hold a nonzero
-    entry of it once and gathers their entries once.  The solve, the
-    residual multiply, the residual's norms and the field touch only these
-    entries, so its cost follows the modes its load reaches, not the
+    The direct path takes the mirror ``classes`` its load reaches and
+    ``rhs``, the load's entries on their modes, both from
+    :func:`flat_load`, and solves those classes only; the modes of the
+    others are zero, as the solve of every class gives them.  The solve,
+    the residual multiply, the residual's norms and the field touch only
+    these entries, so its cost follows the modes its load reaches, not the
     lattice.  The field has the bits of a solve of every class, and the
     residual those of its sums over the reached entries.  The field's
     ``modes`` are the reached classes' modes.  It examines no pivot of a
@@ -1488,10 +1467,6 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
         x, info = gmres(StripOperator(ctx, inner, np.complex64).matvec, rhs, ctx.solve, tol,
                         residual=StripOperator(ctx, coeffs).matvec)
         return DiscreteField.from_free_vector(x, ctx.mesh), info
-    if classes is None:
-        g, nz = ctx.mesh.grid, ctx.mesh.n_nodes - 1
-        classes = mirror_classes(_reached_classes(ctx.mesh, rhs), nz)
-        rhs = np.reshape(rhs, (3, g.n1 * g.n2, nz))[:, classes.modes]  # [k, mode, node]
     x, rel = solve_flat(ctx, classes, np.ravel(rhs), tol)
     if not rel <= tol:
         raise NonConvergenceError(
@@ -1565,11 +1540,10 @@ def energy_balance(field: DiscreteField, rhs: np.ndarray, ctx: SolverContext):
     mismatch a solve of that residual may leave.  ``rhs`` is the load's
     entries on the field's ``modes``, [k, mode, node] raveled or not (the
     free vector when ``modes`` is None), as a direct solve's load is zero
-    off the modes it reaches; a caller that holds the free vector of a
-    load and a field of some modes gathers those first.  Every term is
-    formed and summed on those modes only, so the source pairing and the
-    leeway of a field that lists its modes differ in the last bits from
-    those of the same field over every mode.
+    off the modes it reaches.  Every term is formed and summed on those
+    modes only, so the source pairing and the leeway of a field that lists
+    its modes differ in the last bits from those of the same field over
+    every mode.
     """
     trace = field.top_trace()
     flux, power = energy_flux(trace, ctx.params, ctx.symbol)

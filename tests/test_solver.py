@@ -68,6 +68,32 @@ def bump(z0=0.55, sigma=0.3):
                       z0=z0, sigma=sigma, cell=CELL)
 
 
+def direct_solve(ctx, source, tol=1e-9):
+    """The direct solve of the flat load of ``source``: (field, info)."""
+    classes, rhs = flat_load(ctx.mesh, source)
+    return solve_field(ctx, rhs, tol=tol, classes=classes)
+
+
+def free_load(mesh, source):
+    """The flat load of ``source`` as a free vector: the entries of
+    :func:`flat_load` on its classes' modes, zero on every other mode."""
+    classes, rhs = flat_load(mesh, source)
+    v = np.zeros((3, mesh.grid.n1 * mesh.grid.n2, mesh.n_nodes - 1), dtype=complex)
+    v[:, classes.modes] = rhs
+    return v.ravel()
+
+
+def classes_of_nonzero_modes(mesh, v):
+    """The mirror classes (|j1|, |j2|) of the modes that hold a nonzero
+    entry of the free vector v, as a boolean (N1 + 1, N2 + 1) mask."""
+    g = mesh.grid
+    j1, j2 = g.mode_indices()
+    m1, m2 = np.nonzero(np.reshape(v, (3, g.n1, g.n2, -1)).any(axis=(0, 3)))
+    mask = np.zeros((g.N1 + 1, g.N2 + 1), dtype=bool)
+    mask[abs(j1[m1]), abs(j2[m2])] = True
+    return mask
+
+
 def test_operator_matches_flat_blocks():
     """Matrix-free application reproduces the dense expansion of the bands."""
     mesh = flat_mesh(N=2, nz=5)
@@ -369,7 +395,7 @@ def test_direct_solve_raises_above_tolerance():
     """The direct path checks its residual like GMRES does."""
     mesh = flat_mesh(N=1, nz=8)
     with pytest.raises(NonConvergenceError):
-        solve_field(SolverContext(mesh, P), assemble_rhs(mesh, bump()), tol=1e-30)
+        direct_solve(SolverContext(mesh, P), bump(), tol=1e-30)
 
 
 @settings(max_examples=20, deadline=None)
@@ -400,7 +426,7 @@ def test_direct_solve_builds_no_operator(monkeypatch):
 
     monkeypatch.setattr("elastrip.solver.StripOperator", no_operator)
     mesh = flat_mesh(N=1, nz=8)
-    _, info = solve_field(SolverContext(mesh, P), assemble_rhs(mesh, bump()))
+    _, info = direct_solve(SolverContext(mesh, P), bump())
     assert info.method == "direct" and 0 < info.residual <= 1e-9
 
 
@@ -630,7 +656,7 @@ def test_block_lu_calls_no_lapack_or_matmul_and_copies_no_band(monkeypatch):
     every = every_class(mesh)
     bands = assemble_flat_blocks(mesh, P, every)
     mode_bytes = expand_mirrors(bands, mesh.grid).nbytes
-    rhs = assemble_rhs(mesh, bump())
+    rhs = free_load(mesh, bump())
 
     def forbidden(*args, **kwargs):
         raise AssertionError("LAPACK or matmul call in the block-LU")
@@ -672,20 +698,12 @@ def test_singular_pivot_raises_typed_error_naming_mode_and_node():
             block_lu_solver(bad, every)
 
 
-def test_zero_source_gives_zero_field():
-    mesh = flat_mesh(N=1, nz=6)
-    field, info = solve_field(SolverContext(mesh, P),
-                              np.zeros(3 * 9 * (mesh.n_nodes - 1), dtype=complex))
-    assert np.all(field.coeff == 0)
-    assert info.residual == 0.0
-
-
 def test_solution_is_linear_in_data():
     mesh = flat_mesh(N=1, nz=10)
-    rhs = assemble_rhs(mesh, bump())
+    classes, rhs = flat_load(mesh, bump())
     ctx = SolverContext(mesh, P)
-    u1, _ = solve_field(ctx, rhs)
-    u2, _ = solve_field(ctx, 2.0 * rhs)
+    u1, _ = solve_field(ctx, rhs, classes=classes)
+    u2, _ = solve_field(ctx, 2.0 * rhs, classes=classes)
     np.testing.assert_allclose(u2.coeff, 2.0 * u1.coeff, rtol=1e-10, atol=1e-13)
 
 
@@ -706,8 +724,7 @@ def test_flat_solve_matches_independent_oracle():
     errs = []
     for nz in (16, 32):
         mesh = flat_mesh(N=1, nz=nz)
-        rhs = assemble_rhs(mesh, src)
-        field, _ = solve_field(SolverContext(mesh, P), rhs)
+        field, _ = direct_solve(SolverContext(mesh, P), src)
         u_mode = field.coeff[:, 1, 0, :]            # +(1, 0) in FFT order
         u_orc = np.stack([np.interp(mesh.nodes, z_ref, u_ref[c].real)
                           + 1j * np.interp(mesh.nodes, z_ref, u_ref[c].imag)
@@ -818,7 +835,7 @@ def test_flat_load_vector_and_source_norms_match_the_grid(case):
     work = Workspace()
     assert np.all(identity.block(slice(None), work).inv_det == 1.0)
     assert np.array_equal(identity.heights(slice(None), work)[0, 0], mesh.zq)
-    rhs = assemble_rhs(mesh, source)
+    rhs = free_load(mesh, source)
     ref = assemble_rhs(mesh, source, identity, physical=True)
     assert np.linalg.norm(rhs - ref) <= 1e-13 * np.linalg.norm(ref)
     norms = harness.source_norms(source, mesh, None, work)
@@ -912,8 +929,7 @@ def test_rellich_residual_second_order_on_flat_solve():
     res = []
     for nz in (16, 32):
         mesh = flat_mesh(N=1, nz=nz)
-        rhs = assemble_rhs(mesh, src)
-        field, _ = solve_field(SolverContext(mesh, P), rhs)
+        field, _ = direct_solve(SolverContext(mesh, P), src)
         res.append(rellich_residual(field, src, P))
     assert res[1] < res[0] / 2.5
     assert res[1] < 1e-3
@@ -969,8 +985,7 @@ def test_rough_solve_reduces_to_flat_for_identical_surfaces():
     ctx = SolverContext(mesh, P)
     field_a, info, _, _ = surface_solve(ctx, make_profile(0.0, (), GEOM))
     assert info.method == "direct"
-    rhs = assemble_rhs(mesh, bump())
-    field_b, _ = solve_field(ctx, rhs)
+    field_b, _ = direct_solve(ctx, bump())
     np.testing.assert_allclose(field_a.coeff, field_b.coeff, rtol=1e-10, atol=1e-13)
 
 
@@ -982,10 +997,10 @@ def test_identity_transform_gmres_matches_direct(mu, lam_frac, omega, N, nz, z0)
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = flat_mesh(N=N, nz=nz)
     coeffs = TransformCoefficients(mesh, make_profile(0.0, (), GEOM), CutoffFn(0.25, 1.0))
-    rhs = assemble_rhs(mesh, bump(z0=z0))
+    rhs = free_load(mesh, bump(z0=z0))
     tol = 1e-9
     ctx = SolverContext(mesh, params)
-    direct, _ = solve_field(ctx, rhs, tol=tol)
+    direct, _ = direct_solve(ctx, bump(z0=z0), tol=tol)
     field, info = solve_field(ctx, rhs, coeffs, tol=tol)
     assert info.method == "gmres" and info.residual <= tol
     assert (np.linalg.norm(field.coeff - direct.coeff)
@@ -1117,8 +1132,7 @@ def test_energy_gate_fails_a_perturbed_rough_solution():
 
 def test_values_at_points_match_mode_sum():
     mesh = flat_mesh(N=1, nz=10)
-    rhs = assemble_rhs(mesh, bump())
-    field, _ = solve_field(SolverContext(mesh, P), rhs)
+    field, _ = direct_solve(SolverContext(mesh, P), bump())
     x1, x2, z = 0.7, 2.1, 0.63
     vals = field.values_at_points(x1, x2, z)[:, 0]
     xi1, xi2 = mesh.grid.frequencies()
@@ -1175,7 +1189,7 @@ def test_gmres_history_ends_with_true_residual(monkeypatch):
     x = field.free_vector()
     fresh = solver._norm(rhs - StripOperator(ctx, coeffs).matvec(x)) / solver._norm(rhs)
     assert fresh == info.residual
-    _, direct = solve_field(ctx, assemble_rhs(mesh, bump()))
+    _, direct = direct_solve(ctx, bump())
     assert direct.history == [direct.residual] and direct.iterations == 1
 
 
@@ -1685,42 +1699,33 @@ def test_reached_class_solve_has_the_bits_of_every_class(mu, lam_frac, omega, ce
     its field and residual equal those of its solve of every class bit for
     bit: each class takes the cyclic reduction or the block-LU fallback on
     its own.  Harmonics beyond +-N alias onto lattice modes or drop out;
-    j = 0 axes fold a class's sign slots onto one mode.  The load formed on
-    the reached classes alone has the classes and the entries of the free
-    vector, and its solve and energy balance have their bits."""
+    j = 0 axes fold a class's sign slots onto one mode.  The load's classes
+    are those of the nonzero modes of its free vector, and its energy
+    balance has the bits of the raveled load's."""
     params = ElasticParams(lam=-0.5 * mu + lam_frac * (5.0 + 0.5 * mu), mu=mu, omega=omega)
     mesh = StripMesh(grid=SpectralGrid(N1=N1, N2=N2, cell=cell),
                      bottom=-1.0, top=0.0, n_elements=nz)
     source = BumpSource(factors=tuple(HarmonicFactor(*f) for f in factors),
                         z0=-0.5, sigma=0.4, cell=cell)
-    rhs = assemble_rhs(mesh, source)
-    field, info = solve_field(SolverContext(mesh, params), rhs, tol=np.inf)
+    classes, b = flat_load(mesh, source)
+    rhs = free_load(mesh, source)
+    ctx = SolverContext(mesh, params)
+    field, info = solve_field(ctx, b, tol=np.inf, classes=classes)
     x, rel = _all_class_solve(mesh, params, rhs, tol=np.inf)
     assert np.array_equal(field.free_vector(), x)
     # the residual's norms sum the reached entries only, the all-class
     # solve's the zeros of the other modes too
     assert info.residual == pytest.approx(rel, rel=1e-14, abs=0.0)
-    j1, j2 = mesh.grid.mode_indices()
-    m1, m2 = np.nonzero(rhs.reshape(3, mesh.grid.n1, mesh.grid.n2, nz).any(axis=(0, 3)))
-    expect = np.zeros((N1 + 1, N2 + 1), dtype=bool)
-    expect[abs(j1[m1]), abs(j2[m2])] = True
-    assert np.array_equal(solver._reached_classes(mesh, rhs), expect)
-    # the load formed on the reached classes: the full vector's classes and entries
-    classes, b = flat_load(mesh, source)
+    expect = classes_of_nonzero_modes(mesh, rhs)
     assert all(map(np.array_equal, classes, solver.mirror_classes(expect, nz)))
-    gathered = rhs.reshape(3, -1, nz)[:, classes.modes]
-    assert np.array_equal(b, gathered)
-    ctx = SolverContext(mesh, params)
-    own, own_info = solve_field(ctx, b, tol=np.inf, classes=classes)
-    assert np.array_equal(own.coeff, field.coeff) and own_info.residual == info.residual
-    entries = own._by_mode()[:, classes.modes, 1:].ravel()
+    entries = field._by_mode()[:, classes.modes, 1:].ravel()
     r = banded_matvec(assemble_flat_blocks(mesh, params, classes), entries, classes) - b.ravel()
     assert info.residual == (solver._norm(r) / solver._norm(b) if b.any() else solver._norm(r))
-    balance = energy_balance(own, b, ctx)
-    assert balance == energy_balance(own, gathered.ravel(), ctx)
+    balance = energy_balance(field, b, ctx)
+    assert balance == energy_balance(field, b.ravel(), ctx)
     # on every mode the power keeps its bits; the source pairing and the
     # leeway then sum the zeros too, in another order
-    every = energy_balance(DiscreteField(own.coeff, mesh), rhs, ctx)
+    every = energy_balance(DiscreteField(field.coeff, mesh), rhs, ctx)
     assert balance[1] == every[1]
     assert abs(balance[0] - every[0]) <= 1e-14
     assert balance[2] == pytest.approx(every[2], rel=1e-14, abs=0.0)
@@ -1729,38 +1734,54 @@ def test_reached_class_solve_has_the_bits_of_every_class(mu, lam_frac, omega, ce
 def test_direct_solve_builds_its_classes_once(monkeypatch):
     """A flat run builds the ClassMaps of its reached classes once, with
     its load, and hands that value to the assembly, the factor and the
-    residual multiply; a solve of a free vector builds them once too."""
+    residual multiply."""
     built, real = [], solver.mirror_classes
 
     def spy(*args):
         built.append(real(*args))
         return built[-1]
 
-    mesh = flat_mesh(N=2, nz=8)
-    ctx, rhs = SolverContext(mesh, P), assemble_rhs(mesh, bump())
+    ctx = SolverContext(flat_mesh(N=2, nz=8), P)
     monkeypatch.setattr(solver, "mirror_classes", spy)
     _, info, _, _ = surface_solve(ctx, make_profile(0.0, (), GEOM))
     assert info.method == "direct" and len(built) == 1
     assert built[0].c1.tolist() == [1] and built[0].c2.tolist() == [0]
-    solve_field(ctx, rhs)
-    assert len(built) == 2 and all(map(np.array_equal, built[1], built[0]))
 
 
 def test_load_off_the_lattice_factors_no_class(monkeypatch):
-    """A load whose every residue misses the lattice is zero: the solve
-    returns zeros with residual 0 and assembles bands of no class."""
+    """A load whose every residue misses the lattice, or whose source has
+    amplitude zero, reaches no class: the solve returns zeros with
+    residual 0 and assembles bands of no class."""
     mesh = StripMesh(grid=SpectralGrid(N1=2, N2=1, cell=(3.0, 5.0)), bottom=-1.0, top=0.0,
                      n_elements=6)
     off = BumpSource(factors=(HarmonicFactor(2, 3, 0, 1.0, 0.4),
                               HarmonicFactor(0, 3, -1, 0.5, 1.0)),
                      z0=-0.5, sigma=0.4, cell=(3.0, 5.0))
-    rhs = assemble_rhs(mesh, off)
-    assert not rhs.any()
+    zero = BumpSource(factors=(HarmonicFactor(2, 1, 0, 0.0, 0.3),),
+                      z0=-0.5, sigma=0.4, cell=(3.0, 5.0))
     assembled = _spy_flat_assemblies(monkeypatch)
-    field, info = solve_field(SolverContext(mesh, P), rhs)
-    assert not field.coeff.any() and info.residual == 0.0
-    (bands,) = assembled
-    assert bands.size == 0
+    for source in (off, zero):
+        classes, rhs = flat_load(mesh, source)
+        assert len(classes.c1) == 0 and rhs.size == 0
+        field, info = solve_field(SolverContext(mesh, P), rhs, classes=classes)
+        assert not field.coeff.any() and info.residual == 0.0
+    assert [bands.size for bands in assembled] == [0, 0]
+
+
+def test_nan_load_reaches_its_class_and_the_direct_solve_refuses_it():
+    """A factor of NaN amplitude reaches its mode's class with NaN entries,
+    and the direct solve raises NonConvergenceError, with no RuntimeWarning,
+    where it could return a NaN field."""
+    mesh = flat_mesh(N=1, nz=6)
+    nan = BumpSource(factors=(HarmonicFactor(2, 1, 0, np.nan, 0.3),),
+                     z0=0.55, sigma=0.3, cell=CELL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        classes, rhs = flat_load(mesh, nan)
+        assert (classes.c1.tolist(), classes.c2.tolist()) == ([1], [0])
+        assert np.isnan(rhs).any()
+        with pytest.raises(NonConvergenceError, match="relative residual nan"):
+            solve_field(SolverContext(mesh, P), rhs, classes=classes)
 
 
 def test_flat_run_factors_the_one_class_its_source_reaches(monkeypatch):
@@ -1802,17 +1823,18 @@ def test_singular_pivot_of_a_reached_class_names_it(monkeypatch):
     src = BumpSource(factors=(HarmonicFactor(2, 0, 1, 1.0, 0.3),
                               HarmonicFactor(0, -2, 1, 0.7, 1.1)),
                      z0=0.5, sigma=0.3, cell=CELL)
-    ctx, rhs = SolverContext(mesh, P), assemble_rhs(mesh, src)
-    reached = solver._reached_classes(mesh, rhs)
+    ctx, (classes, b), rhs = SolverContext(mesh, P), flat_load(mesh, src), free_load(mesh, src)
+    reached = classes_of_nonzero_modes(mesh, rhs)
     assert np.array_equal(np.argwhere(reached), [[0, 1], [2, 1]])
+    assert all(map(np.array_equal, classes, solver.mirror_classes(reached, mesh.n_nodes - 1)))
     with monkeypatch.context() as m:
         _singular_symbol_at(m, 2, 1)  # the second reached class
         with np.errstate(invalid="ignore"), pytest.raises(
                 NonConvergenceError, match=r"mode \(±2, ±1\), mesh node 8 of 8"):
-            solve_field(ctx, rhs)
+            solve_field(ctx, b, classes=classes)
     x, _ = _all_class_solve(mesh, P, rhs)
     _singular_symbol_at(monkeypatch, 1, 0)  # reached by no mode of the load
-    field, info = solve_field(ctx, rhs)
+    field, info = solve_field(ctx, b, classes=classes)
     assert info.residual <= 1e-9 and np.array_equal(field.free_vector(), x)
     j1, j2 = mesh.grid.mode_indices()
     assert not field.coeff[:, abs(j1) == 1][:, :, abs(j2) == 0].any()
