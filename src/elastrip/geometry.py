@@ -1,11 +1,14 @@
 """Rough-surface profiles, the flattening transform and ensemble sampling.
 
 A profile is a finite real trigonometric series on the periodic cell,
-confined to the slab m < f < M_sup.  The flattening map H sends the
-reference strip, whose bottom is the flat level c, to the sampled strip
-(surface f): it shifts only the vertical coordinate, by a cutoff-weighted
-multiple of f - c, so its Jacobian is a rank-one update of the identity and
-it is the identity near the top plane.
+confined to the slab m < f < M_sup.  Its bounds, which the slab test and
+the ensemble's admissibility test read, are taken on the 256 x 256
+evaluation grid of the cell in blocks of grid rows, so that neither a
+profile nor an ensemble draw makes a whole-grid array.  The flattening map
+H sends the reference strip, whose bottom is the flat level c, to the
+sampled strip (surface f): it shifts only the vertical coordinate, by a
+cutoff-weighted multiple of f - c, so its Jacobian is a rank-one update of
+the identity and it is the identity near the top plane.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .sources import BumpSource
 
 _LIPSCHITZ_SAFETY = 1.05
 _MAX_RETRIES = 100        # surface redraws per ensemble sample
+_GRID = 256               # evaluation grid points per cell axis
+_BOUNDS_ROWS = 16         # evaluation grid rows per block of :func:`_grid_blocks`
 
 
 @dataclass(frozen=True)
@@ -37,10 +42,11 @@ class SurfaceProfile:
     """Periodized Lipschitz graph built from a finite trigonometric series.
 
     Terms of zero amplitude are dropped.  f_min, f_max and sup_grad, the
-    sup of |grad f|, are taken on the evaluation grid (:meth:`_grid_fields`).
-    ``grid`` passes that grid in when the caller has evaluated it already;
-    it is not kept.  A flat profile needs no grid: f_min = f_max = offset
-    and sup_grad = 0 are the values its grid gives.
+    sup of |grad f|, are taken on the 256 x 256 evaluation grid of the cell,
+    in blocks of its rows (:func:`_grid_bounds`).  ``grid`` passes that
+    bounds triple in when the caller has taken it already; it is not kept.
+    A flat profile needs no grid: f_min = f_max = offset and sup_grad = 0
+    are the values its grid gives.
     """
 
     offset: float
@@ -53,14 +59,10 @@ class SurfaceProfile:
 
     def __post_init__(self, grid):
         self.terms = tuple(t for t in self.terms if t.c or t.s)
-        if grid is None and self.is_flat():
-            self.f_min = self.f_max = float(self.offset)
-            self.sup_grad = 0.0
-            return
-        f, g1, g2 = self._grid_fields() if grid is None else grid
-        self.f_min = float(f.min())
-        self.f_max = float(f.max())
-        self.sup_grad = float(np.sqrt(g1**2 + g2**2).max())
+        if grid is None:
+            grid = ((self.offset, self.offset, 0.0) if self.is_flat()
+                    else _grid_bounds(self.offset, self.terms, self.cell))
+        self.f_min, self.f_max, self.sup_grad = map(float, grid)
 
     @property
     def L(self) -> float:
@@ -80,10 +82,6 @@ class SurfaceProfile:
 
     def _fields(self, x1, x2):
         return _series_fields(self.offset, self.terms, self.cell, x1, x2)
-
-    def _grid_fields(self, n: int = 256):
-        """:meth:`_fields` on the n x n evaluation grid of the cell."""
-        return self._fields(*_grid_points(self.cell, n))
 
     def is_flat(self) -> bool:
         return not self.terms
@@ -125,9 +123,33 @@ def _series_fields(offset, terms, cell, x1, x2, harmonics=None):
     return f, g1, g2
 
 
-def _grid_points(cell, n: int = 256):
-    """The n x n evaluation grid of the cell, (X1, X2) indexed [i1, i2]."""
-    return np.meshgrid(cell[0] * np.arange(n) / n, cell[1] * np.arange(n) / n, indexing="ij")
+def _grid_axes(cell):
+    """The evaluation grid's 1-D coordinates as a column x1 and a row x2,
+    which broadcast to the grid: its point [i1, i2] is (x1[i1, 0], x2[0, i2])."""
+    return (cell[0] * np.arange(_GRID) / _GRID)[:, None], (cell[1] * np.arange(_GRID) / _GRID)[None]
+
+
+def _grid_blocks(offset, terms, cell, harmonics=None):
+    """Yield (first row, (f, df/dx1, df/dx2)) of a series on each block of
+    :data:`_BOUNDS_ROWS` rows of the evaluation grid, so that no whole-grid
+    array is made.  ``harmonics`` passes in each term's :func:`_harmonic`
+    on the whole grid, whose rows each block takes.  Each point's value
+    has the bits of :func:`_series_fields` on the whole grid.
+    """
+    x1, x2 = _grid_axes(cell)
+    for r in range(0, _GRID, _BOUNDS_ROWS):
+        rows = slice(r, r + _BOUNDS_ROWS)
+        block = None if harmonics is None else [(cos[rows], sin[rows]) for cos, sin in harmonics]
+        yield r, _series_fields(offset, terms, cell, x1[rows], x2, block)
+
+
+def _grid_bounds(offset, terms, cell, harmonics=None):
+    """(min f, max f, max |grad f|) of a series on the evaluation grid, by
+    :func:`_grid_blocks`.  A min or a max is exact and sqrt is monotone,
+    so each bound has the bits of its whole-grid reduction."""
+    b = np.array([(f.min(), f.max(), np.sqrt(g1**2 + g2**2).max())
+                  for _, (f, g1, g2) in _grid_blocks(offset, terms, cell, harmonics)])
+    return b[:, 0].min(), b[:, 1].max(), b[:, 2].max()
 
 
 def make_profile(offset: float, terms, geom: StripGeometry) -> SurfaceProfile:
@@ -137,13 +159,17 @@ def make_profile(offset: float, terms, geom: StripGeometry) -> SurfaceProfile:
                                       for t in terms),
                           cell=geom.cell)
     if not prof.in_slab(geom):
-        # evaluated again only to name the point furthest outside the slab
-        f = prof._grid_fields()[0]
-        k = np.unravel_index(int(np.argmax(np.maximum(geom.m - f, f - geom.M_sup))), f.shape)
+        # evaluated again, block by block, only to name the point furthest
+        # outside the slab: the first of the blocks' worst, as a whole-grid argmax
+        worst = []
+        for r, (f, _, _) in _grid_blocks(prof.offset, prof.terms, prof.cell):
+            out = np.maximum(geom.m - f, f - geom.M_sup)
+            k = np.unravel_index(int(np.argmax(out)), f.shape)
+            worst.append((out[k], r + k[0], k[1], f[k]))
+        _, i1, i2, v = worst[int(np.argmax([w[0] for w in worst]))]
         raise ConstraintError(
             f"profile leaves the slab ({geom.m}, {geom.M_sup}): "
-            f"f({geom.cell[0] * k[0] / f.shape[0]:.4f}, "
-            f"{geom.cell[1] * k[1] / f.shape[1]:.4f}) = {f[k]:.6f}"
+            f"f({geom.cell[0] * i1 / _GRID:.4f}, {geom.cell[1] * i2 / _GRID:.4f}) = {v:.6f}"
         )
     return prof
 
@@ -236,13 +262,13 @@ def sample_ensemble(seed: int, n: int, M0: float, bands: tuple[tuple[int, int, f
     source is :meth:`BumpSource.random` with the factor amplitude scale
     ``amplitude``.  A candidate is admissible when it lies in the slab and
     its :meth:`~SurfaceProfile.distance_to_level` c is at most M0.  The cos and sin
-    grids of each band are evaluated once per ensemble and each candidate
-    only sums them with its amplitudes.
+    grids of each band are evaluated once per ensemble, from the grid's 1-D
+    coordinates, and each candidate only sums their row blocks with its
+    amplitudes (:func:`_grid_bounds`): a candidate makes no whole-grid array.
     """
     if n <= 0:
         raise ConstraintError("ensemble size must be positive")
-    points = _grid_points(geom.cell)
-    harmonics = [_harmonic(j1, j2, geom.cell, *points) for j1, j2, _ in bands]
+    harmonics = [_harmonic(j1, j2, geom.cell, *_grid_axes(geom.cell)) for j1, j2, _ in bands]
     samples = []
     for sample_id in range(n):
         rng = _sample_rng(seed, sample_id)
@@ -252,9 +278,8 @@ def sample_ensemble(seed: int, n: int, M0: float, bands: tuple[tuple[int, int, f
             for j1, j2, amp in bands:
                 a_cos, a_sin = rng.uniform(-amp, amp, size=2)
                 terms.append(HarmonicTerm(j1, j2, a_cos, a_sin))
-            # one sum of the band grids per candidate gives its bounds
-            grid = _series_fields(c, terms, geom.cell, *points, harmonics)
-            cand = SurfaceProfile(offset=c, terms=tuple(terms), cell=geom.cell, grid=grid)
+            bounds = _grid_bounds(c, terms, geom.cell, harmonics)
+            cand = SurfaceProfile(offset=c, terms=tuple(terms), cell=geom.cell, grid=bounds)
             if cand.in_slab(geom) and cand.distance_to_level(c) <= M0:
                 surface = cand
                 break

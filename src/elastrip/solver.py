@@ -1459,8 +1459,11 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     Raises :class:`NonConvergenceError` when the relative residual of the
     result exceeds ``tol`` on either path, or when the block-LU meets a
     singular pivot (on the direct path, in a reached class, when some
-    class refuses the cyclic reduction).
+    class refuses the cyclic reduction); :class:`TypeError`, before any
+    assembly, when it is given neither ``coeffs`` nor ``classes``.
     """
+    if coeffs is None and classes is None:
+        raise TypeError("a flat solve_field takes the classes and entries of flat_load")
     if coeffs is not None:
         inner = coeffs.on(inner_mesh(ctx.mesh, coeffs.surface))
         ctx.reserve(inner.mesh)

@@ -8,14 +8,16 @@ reference profile f0, f0's gradient terms included, and
 quad grid, as full-size arrays: over a flat f0 = c the block planes of
 :class:`elastrip.solver.TransformCoefficients` must equal them.
 ``sup_distance_1inf`` and ``worst_case_1inf`` check the ensemble's
-admissibility bound by routes the sampler does not use.
+admissibility bound by routes the sampler does not use.  ``grid_points``
+and ``grid_fields`` build the whole n x n evaluation grid, which the
+package walks in row blocks only.
 """
 
 import math
 
 import numpy as np
 
-from elastrip.geometry import CutoffFn, SurfaceProfile
+from elastrip.geometry import CutoffFn, SurfaceProfile, _series_fields
 from elastrip.mesh import StripMesh
 
 
@@ -50,9 +52,19 @@ def full_coefficients(mesh: StripMesh, f0: SurfaceProfile, f: SurfaceProfile,
             "wgt": mesh.wq[None, None] * mesh.point_weight * det}
 
 
+def grid_points(cell, n: int = 256):
+    """The n x n evaluation grid of the cell, (X1, X2) indexed [i1, i2]."""
+    return np.meshgrid(cell[0] * np.arange(n) / n, cell[1] * np.arange(n) / n, indexing="ij")
+
+
+def grid_fields(f: SurfaceProfile, n: int = 256):
+    """(f, df/dx1, df/dx2) of the profile on the whole n x n evaluation grid."""
+    return _series_fields(f.offset, f.terms, f.cell, *grid_points(f.cell, n))
+
+
 def sup_distance_1inf(f: SurfaceProfile, f0: SurfaceProfile, n: int = 256) -> float:
     """sup|f - f0| + sup|grad f - grad f0| on the n x n evaluation grid."""
-    (fa, g1a, g2a), (fb, g1b, g2b) = f._grid_fields(n), f0._grid_fields(n)
+    (fa, g1a, g2a), (fb, g1b, g2b) = grid_fields(f, n), grid_fields(f0, n)
     return float(np.abs(fa - fb).max() + np.sqrt((g1a - g1b) ** 2 + (g2a - g2b) ** 2).max())
 
 

@@ -71,7 +71,7 @@ PINS = {
     (flat_solve, 0): ({"reduction": 1}, 1_688_525),
     # 8 solves
     (mc_ensemble, 0): ({"matvec complex64": 73, "matvec complex128": 16, "eliminate": 1,
-                        "apply complex64": 57, "apply complex128": 32}, 8_408_354),
+                        "apply complex64": 57, "apply complex128": 32}, 7_240_259),
 }
 PEAK_SLACK = 0.02
 

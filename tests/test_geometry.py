@@ -1,18 +1,20 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elastrip import geometry
 from elastrip.dtn import SpectralGrid
 from elastrip.errors import ConstraintError, SingularTransformError
-from elastrip.geometry import (CutoffFn, HarmonicTerm, SurfaceProfile, _grid_points, _harmonic,
+from elastrip.geometry import (CutoffFn, HarmonicTerm, SurfaceProfile, _grid_bounds, _harmonic,
                                _series_fields, invert_vertical, make_profile, sample_ensemble,
                                transform_factors)
 from elastrip.mesh import StripMesh
 from elastrip.params import StripGeometry
 from elastrip.solver import TransformCoefficients
-from geometry_oracles import sup_distance_1inf, worst_case_1inf
+from geometry_oracles import grid_fields, grid_points, sup_distance_1inf, worst_case_1inf
 
 CELL = (2 * np.pi, 2 * np.pi)
 GEOM = StripGeometry(m=-0.2, M_sup=0.25, h=1.0, cell=CELL)
@@ -63,7 +65,7 @@ def test_profile_fields_bit_identical_to_separate_passes():
         d = -t.c * np.sin(ph) + t.s * np.cos(ph)
         g1 = g1 + d * 2 * np.pi * t.j1 / 2.0
         g2 = g2 + d * 2 * np.pi * t.j2 / 3.5
-    for got in (prof._grid_fields(n), prof._fields(X1, X2)):
+    for got in (grid_fields(prof, n), prof._fields(X1, X2)):
         assert all(np.array_equal(a, b) for a, b in zip(got, (f, g1, g2)))
 
 
@@ -76,7 +78,7 @@ def test_flat_profile_bounds_need_no_grid(monkeypatch, offset, terms):
     with monkeypatch.context() as m:
         m.setattr(geometry, "_series_fields", lambda *a, **k: pytest.fail("grid evaluated"))
         prof = SurfaceProfile(offset=offset, terms=terms, cell=(2.0, 3.5))
-    f, g1, g2 = _series_fields(offset, terms, (2.0, 3.5), *_grid_points((2.0, 3.5)))
+    f, g1, g2 = _series_fields(offset, terms, (2.0, 3.5), *grid_points((2.0, 3.5)))
     assert np.array_equal(prof.f_min, f.min()) and np.array_equal(prof.f_max, f.max())
     assert np.array_equal(prof.L, np.sqrt(g1**2 + g2**2).max()) and prof.L == 0.0
 
@@ -84,6 +86,51 @@ def test_flat_profile_bounds_need_no_grid(monkeypatch, offset, terms):
 def test_make_profile_slab_violation_names_point():
     with pytest.raises(ConstraintError, match=r"f\("):
         make_profile(0.0, [(1, 0, 0.5, 0.0)], GEOM)
+
+
+@pytest.mark.parametrize("terms", [[(1, 0, 0.5, 0.0)], [(1, 0, -0.5, 0.0)],
+                                   [(1, 0, 0.1, 0.2), (2, -1, 0.0, 0.3), (0, 3, 0.05, 0.0)]])
+def test_slab_violation_names_the_first_worst_point_of_the_whole_grid(terms):
+    """The row-block search names the point of the whole grid's first
+    argmax of the distance outside the slab, ties taken in row order."""
+    f = grid_fields(SurfaceProfile(0.0, tuple(HarmonicTerm(*t) for t in terms), CELL))[0]
+    k = np.unravel_index(int(np.argmax(np.maximum(GEOM.m - f, f - GEOM.M_sup))), f.shape)
+    point = f"f({CELL[0] * k[0] / 256:.4f}, {CELL[1] * k[1] / 256:.4f}) = {f[k]:.6f}"
+    with pytest.raises(ConstraintError) as err:
+        make_profile(0.0, terms, GEOM)
+    assert str(err.value).endswith(point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+                      min_size=1, max_size=3),
+       offset=st.sampled_from([0.0, 0.07, -0.13]),
+       cell=st.sampled_from([CELL, (2.0, 3.5)]),
+       bands=st.booleans())
+def test_row_block_bounds_have_the_bits_of_the_whole_grid(terms, offset, cell, bands):
+    """min f, max f and max |grad f| over the row blocks, with and without
+    the ensemble's band grids, are the whole grid's reductions bit for bit."""
+    terms = [HarmonicTerm(*t) for t in terms]
+    X1, X2 = grid_points(cell)
+    f, g1, g2 = _series_fields(offset, terms, cell, X1, X2)
+    harmonics = [_harmonic(t.j1, t.j2, cell, X1[:, :1], X2[:1]) for t in terms] if bands else None
+    got = _grid_bounds(offset, terms, cell, harmonics)
+    want = (f.min(), f.max(), np.sqrt(g1**2 + g2**2).max())
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_make_profile_makes_no_whole_grid_array():
+    """A profile's bounds and slab test trace less than one 256^2 float64 array."""
+    terms = [(1, 0, 0.05, 0.02), (0, 1, -0.03, 0.04), (1, 1, 0.01, 0.02)]
+    make_profile(0.0, terms, GEOM)
+    tracemalloc.start()
+    try:
+        make_profile(0.0, terms, GEOM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 8, peak
 
 
 def test_cutoff_shape():
@@ -229,14 +276,14 @@ def test_ensemble_evaluates_each_band_harmonic_once(monkeypatch):
     own grid, and one ensemble evaluates each band's cos and sin once, also
     when it rejects candidates."""
     law = ((1, 0, 0.05), (0, 1, 0.05), (1, 1, 0.03))
-    points = _grid_points(CELL)
+    points = grid_points(CELL)
     harmonics = [_harmonic(j1, j2, CELL, *points) for j1, j2, _ in law]
     rng = np.random.default_rng(5)
     for offset in (0.0, 0.07):
         for _ in range(5):
             terms = [HarmonicTerm(j1, j2, *rng.uniform(-a, a, size=2)) for j1, j2, a in law]
             got = _series_fields(offset, terms, CELL, *points, harmonics)
-            own = _series_fields(offset, terms, CELL, *_grid_points(CELL))
+            own = _series_fields(offset, terms, CELL, *grid_points(CELL))
             assert all(np.array_equal(a, b) for a, b in zip(got, own))
     calls = []
     real = geometry._harmonic

@@ -710,6 +710,18 @@ def test_zero_source_gives_zero_field():
     assert info.residual == 0.0
 
 
+def test_flat_solve_without_classes_names_flat_load(monkeypatch):
+    """A flat solve_field given neither coeffs nor classes, such as the free
+    vector of a flat load, raises a TypeError that names flat_load, and
+    assembles nothing first."""
+    mesh = flat_mesh(N=1, nz=4)
+    ctx = SolverContext(mesh, P)
+    monkeypatch.setattr(solver, "assemble_flat_blocks",
+                        lambda *a, **k: pytest.fail("flat blocks assembled"))
+    with pytest.raises(TypeError, match="flat_load"):
+        solve_field(ctx, free_load(mesh, bump()))
+
+
 def test_solution_is_linear_in_data():
     mesh = flat_mesh(N=1, nz=10)
     classes, rhs = flat_load(mesh, bump())
