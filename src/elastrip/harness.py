@@ -26,7 +26,7 @@ from .mesh import StripMesh, Workspace
 from .params import bound_constants, total_bound_stochastic
 from .solver import (DiscreteField, SolverContext, TransformCoefficients,
                      assemble_rhs, budget_shares, element_blocks, energy_balance,
-                     flat_load, inner_mesh, physical_quad_fields, poincare_slack,
+                     flat_load, physical_quad_fields, poincare_slack,
                      quad_points, solve_field)
 from .sources import BumpSource
 
@@ -354,10 +354,10 @@ def _wrapped_entry() -> bool:
     return any(hasattr(fn, "__wrapped__") for fn in (solve_surface, solve_field))
 
 
-def _solve_ensemble(ctx: SolverContext, inner: StripMesh, samples, solve,
+def _solve_ensemble(ctx: SolverContext, surface: SurfaceProfile, samples, solve,
                     threads: int | None) -> list:
     """``solve(context, sample)`` of every sample, in sample order, where
-    ``inner`` is the mesh of the samples' complex64 operators.
+    no sample's surface has higher harmonics than ``surface``.
 
     The samples run on min(``threads``, usable cores, samples) worker
     threads, ``threads`` None meaning the usable cores, and on no more than
@@ -367,11 +367,12 @@ def _solve_ensemble(ctx: SolverContext, inner: StripMesh, samples, solve,
     on the worker count or on which worker took it.  The shares, with the
     flat factor they read and their workspace buffers, are made in the
     caller's thread before the pool starts, those of the complex64
-    operator on ``inner``.  While the pool runs, every
+    operator on the mesh that :meth:`SolverContext.reserve` gives for
+    ``surface``.  While the pool runs, every
     loaded OpenBLAS runs on one thread: a worker's products are small, and
     2 workers with 2 BLAS threads each were slower than one loop.  Each
-    sample builds its own complex64 operator mesh in its worker
-    (:func:`~elastrip.solver.inner_mesh`).  With one worker, where no
+    sample's solve takes its own complex64 operator mesh in its worker.
+    With one worker, where no
     OpenBLAS thread count can be set, or while a sample's entry points are
     wrapped (:func:`_wrapped_entry`), the samples run one after another in
     the caller's thread in ``ctx``.
@@ -389,7 +390,7 @@ def _solve_ensemble(ctx: SolverContext, inner: StripMesh, samples, solve,
 
     idle = SimpleQueue()
     for _ in range(workers):
-        idle.put(ctx.share(workers, inner))
+        idle.put(ctx.share(workers, surface))
 
     def task(sample):
         own = idle.get()
@@ -450,10 +451,8 @@ def monte_carlo(cfg: RunConfig, n: int | None = None, seed: int | None = None) -
         except ElastripError as exc:
             return {"sample_id": sample.sample_id, "error": f"{type(exc).__name__}: {exc}"}
 
-    # every sample has one term per band of the law, and so the complex64
-    # operator's collocation grid of the first
-    inner = inner_mesh(mesh, samples[0].surface)
-    outcomes = _solve_ensemble(SolverContext(mesh, params), inner, samples, solve,
+    # every sample has one term per band of the law, and so the harmonics of the first
+    outcomes = _solve_ensemble(SolverContext(mesh, params), samples[0].surface, samples, solve,
                                cfg.run.threads)
     rows = [out for out in outcomes if "error" not in out]
     failures = [out for out in outcomes if "error" in out]
@@ -482,7 +481,8 @@ def pushforward_check(cfg: RunConfig) -> dict:
     by the physical source.  Each discrete solution is pulled back to shared
     physical sample points by inverting its own vertical map; the relative
     L2 discrepancy over those points is returned together with a V_h-norm
-    comparison of the two reference-strip fields.
+    comparison of the two reference-strip fields.  Each is 0.0 where both
+    fields are zero, as when the source reaches no lattice mode.
     """
     params, geom, mesh, cutoff_a, source = build_setup(cfg)
     profile = make_profile(cfg.surface.f0_offset, cfg.surface.terms, geom)
@@ -517,8 +517,9 @@ def pushforward_check(cfg: RunConfig) -> dict:
     rel_l2 = float(diff / ref) if ref > 0 else 0.0
 
     dv = DiscreteField(fields[0][0].coeff - fields[1][0].coeff, mesh)
-    rel_vh = dv.vh_norm() / max(fields[0][0].vh_norm(), fields[1][0].vh_norm())
-    return {"rel_l2": rel_l2, "rel_vh": float(rel_vh), "n_z": mesh.n_elements,
+    ref_vh = max(fields[0][0].vh_norm(), fields[1][0].vh_norm())
+    rel_vh = float(dv.vh_norm() / ref_vh) if ref_vh > 0 else 0.0
+    return {"rel_l2": rel_l2, "rel_vh": rel_vh, "n_z": mesh.n_elements,
             "n_modes": (mesh.grid.n1, mesh.grid.n2)}
 
 

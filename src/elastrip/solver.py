@@ -280,16 +280,15 @@ def _mode_density(XI1: np.ndarray, XI2: np.ndarray, grad: float, div: float, cur
     a/b index (value, z-derivative) of test/trial, k/j the vector component.
     The integrand is grad grad:grad + div div div + curl curl.curl + mass u.v,
     with horizontal derivatives i*xi; the elastic form takes (2 mu, lam, -mu,
-    -w^2), the energy norm (1, 0, 0, 1).
+    -w^2), the energy norm (1, 0, 0, 1).  The mass term is ``mass`` on the
+    value-value diagonal K[0, k, 0, k], added in place.
     """
     n1, n2 = np.broadcast_shapes(np.shape(XI1), np.shape(XI2))
     G = np.zeros((2, 3, 3, 3, n1, n2), dtype=complex)  # [a, j, comp, dim, m1, m2]
-    U = np.zeros((2, 3, 3), dtype=complex)
     for j in range(3):
         G[0, j, j, 0] = 1j * XI1
         G[0, j, j, 1] = 1j * XI2
         G[1, j, j, 2] = 1.0
-        U[0, j, j] = 1.0
     tr = G[:, :, 0, 0] + G[:, :, 1, 1] + G[:, :, 2, 2]
     crl = np.stack([
         G[:, :, 2, 1] - G[:, :, 1, 2],
@@ -299,7 +298,8 @@ def _mode_density(XI1: np.ndarray, XI2: np.ndarray, grad: float, div: float, cur
     K = (grad * np.einsum("bjcdmn,akcdmn->akbjmn", G, np.conj(G))
          + div * np.einsum("bjmn,akmn->akbjmn", tr, np.conj(tr))
          + curl * np.einsum("bjimn,akimn->akbjmn", crl, np.conj(crl)))
-    K = K + mass * np.einsum("bjc,akc->akbj", U, np.conj(U))[..., None, None]
+    for k in range(3):
+        K[0, k, 0, k] += mass
     return K
 
 
@@ -558,7 +558,8 @@ def block_lu_solver(bands: np.ndarray, classes: ClassMaps, dtype=complex):
     classes of :func:`assemble_flat_blocks` with a Python loop over n_z
     only.  The factor works on class-last views of the bands, [node, k, j,
     class], transposed without a copy; only the inverted pivots, C and the
-    determinants are allocated.  This relies on the layout of
+    determinants outlive the loop, and each node's block products are
+    temporaries of one node's size.  This relies on the layout of
     :func:`_assemble_bands`, whose bands hold the mode axes innermost; on
     other strides the views read each 3x3 block's classes far apart.  Each
     pivot is inverted in closed form, its adjugate over its determinant,
@@ -618,16 +619,12 @@ def block_lu_solver(bands: np.ndarray, classes: ClassMaps, dtype=complex):
     piv = np.empty_like(diag, order="C")
     Cs = np.zeros((nz + 1,) + diag.shape[1:], dtype=complex)
     det = np.empty((nz,) + diag.shape[3:], dtype=complex)
-    # a block product before its sum over j: one multiply into this and one reduction
-    prod = np.empty((3, 3, 3) + diag.shape[3:], dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # caught by the det check
         for i in range(nz):
-            a = np.subtract(diag[i], np.add.reduce(
-                np.multiply(lower[i][:, :, None], Cs[i], out=prod), axis=1))
+            a = diag[i] - np.add.reduce(lower[i][:, :, None] * Cs[i], axis=1)
             adj, det[i], _ = _adjugate3(a)
             np.divide(adj, det[i], out=piv[i])
-            np.add.reduce(np.multiply(piv[i][:, :, None], upper[i], out=prod), axis=1,
-                          out=Cs[i + 1])
+            np.add.reduce(piv[i][:, :, None] * upper[i], axis=1, out=Cs[i + 1])
         bad = ~np.isfinite(det) | (det == 0)
     if bad.any():
         i, k = np.argwhere(bad)[0]
@@ -1350,23 +1347,26 @@ class SolverContext:
         self.symbol = dtn_symbol_grid(XI1, XI2, params)
         self.work = Workspace()
 
-    def reserve(self, inner: StripMesh) -> None:
-        """Take the workspace buffers of both operators of a rough solve on
-        the context's mesh: the complex128 residual operator's on that
-        mesh and the complex64 Arnoldi operator's on ``inner``, the mesh
-        of its collocation grid (:func:`inner_mesh`), each at the sizes of
-        its first, largest element block (:func:`_rough_buffer_bytes`).
-        Each buffer takes the larger of the two operators' sizes, so
-        neither operator, nor a complex64 one on a grid no finer than
-        ``inner``, replaces a buffer in a solve.
+    def reserve(self, surface: SurfaceProfile) -> StripMesh:
+        """The mesh of the complex64 Arnoldi operator of a rough solve on
+        the context's mesh for ``surface`` (:func:`inner_mesh`), after
+        taking the workspace buffers of both operators of that solve: the
+        complex128 residual operator's on the context's mesh and the
+        complex64 one's on the returned mesh, each at the sizes of its
+        first, largest element block (:func:`_rough_buffer_bytes`).  Each
+        buffer takes the larger of the two operators' sizes, so neither
+        operator, nor a complex64 one for a surface of no higher harmonics,
+        replaces a buffer in a solve.
         :meth:`~elastrip.mesh.Workspace.take` only grows a buffer, so a
         call on a workspace that holds them already changes nothing."""
+        inner = inner_mesh(self.mesh, surface)
         sizes: dict[str, int] = {}
         for mesh, dtype in ((self.mesh, np.complex128), (inner, np.complex64)):
             for name, nbytes in _rough_buffer_bytes(self, mesh, dtype).items():
                 sizes[name] = max(sizes.get(name, 0), nbytes)
         for name, nbytes in sizes.items():
             self.work.take(name, (nbytes,), np.uint8)
+        return inner
 
     @cached_property
     def solve(self):
@@ -1374,10 +1374,10 @@ class SolverContext:
         return block_lu_solver(assemble_flat_blocks(self.mesh, self.params, every), every,
                                np.complex64)
 
-    def share(self, parts: int, inner: StripMesh) -> SolverContext:
+    def share(self, parts: int, surface: SurfaceProfile) -> SolverContext:
         """A context, ready to solve, for one of ``parts`` threads that
-        solve on this mesh and material at once, with their complex64
-        operators on collocation grids no finer than ``inner``'s.
+        solve on this mesh and material at once, for surfaces of no higher
+        harmonics than ``surface``.
 
         The DFT matrices of this context's mesh and its block-LU are built
         first, so the shares read one set of matrices and one factor; a
@@ -1386,7 +1386,7 @@ class SolverContext:
         symbol and gets its own workspace, whose element blocks take a
         ``parts``-th of the budget of this context's, so that the threads'
         buffers together hold what this context's hold.  Its buffers are
-        taken here (:meth:`reserve` with ``inner``), in the caller's
+        taken here (:meth:`reserve` with ``surface``), in the caller's
         thread: with its large buffers taken in the workers, a pool's peak
         memory varied by 7 MB from run to run.
         """
@@ -1395,7 +1395,7 @@ class SolverContext:
             self.solve
         twin = copy.copy(self)
         twin.work = Workspace(block_budget(self.work) // parts)
-        twin.reserve(inner)
+        twin.reserve(surface)
         return twin
 
 
@@ -1452,9 +1452,10 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     GMRES runs its Arnoldi steps on the complex64 operator, on the
     collocation grid of :func:`inner_mesh`, and checks every
     round's residual with the complex128 one on the mesh's own grid,
-    preconditioned by the context's block-LU of every class.  The
-    workspace buffers are taken at the larger of the two operators' sizes
-    first (:meth:`SolverContext.reserve`), so that neither replaces one.
+    preconditioned by the context's block-LU of every class.
+    :meth:`SolverContext.reserve` gives the complex64 operator's mesh,
+    having taken the workspace buffers at the larger of the two
+    operators' sizes, so that neither replaces one.
 
     Raises :class:`NonConvergenceError` when the relative residual of the
     result exceeds ``tol`` on either path, or when the block-LU meets a
@@ -1465,8 +1466,7 @@ def solve_field(ctx: SolverContext, rhs: np.ndarray,
     if coeffs is None and classes is None:
         raise TypeError("a flat solve_field takes the classes and entries of flat_load")
     if coeffs is not None:
-        inner = coeffs.on(inner_mesh(ctx.mesh, coeffs.surface))
-        ctx.reserve(inner.mesh)
+        inner = coeffs.on(ctx.reserve(coeffs.surface))
         x, info = gmres(StripOperator(ctx, inner, np.complex64).matvec, rhs, ctx.solve, tol,
                         residual=StripOperator(ctx, coeffs).matvec)
         return DiscreteField.from_free_vector(x, ctx.mesh), info

@@ -8,7 +8,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from elastrip import errors, harness
+from elastrip import dtn, errors, harness
 from elastrip.cli import main
 from elastrip.config import load_config
 from elastrip.params import BoundReport, StabilityConstants
@@ -61,6 +61,27 @@ def test_verify_dtn_clean(runner, tmp_path):
     assert "0 violations" in res.output
     report = json.loads((out / "verify_dtn.json").read_text())
     assert report["n_violations"] == 0
+
+
+def test_verify_dtn_exits_3_on_a_violation(runner, tmp_path, monkeypatch):
+    """With C_K a thousandth of its value every material's entry bound
+    fails (the seed-0 materials' largest entry ratios are 0.10 and 0.013);
+    the report is written and the run exits 3."""
+    real = dtn.stability_constants
+
+    def lowered(params):
+        sc = real(params)
+        return dataclasses.replace(sc, C_K=sc.C_K / 1000)
+
+    monkeypatch.setattr(dtn, "stability_constants", lowered)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["verify-dtn", "--out", str(out),
+                               "--n-xi", "200", "--n-materials", "2"])
+    assert res.exit_code == 3, res.output
+    assert "2 violations in 8 checks" in res.output
+    report = json.loads((out / "verify_dtn.json").read_text())
+    assert [v[0] for rep in report["reports"] for v in rep["violations"]] == \
+        ["low_band_entry_bound"] * 2
 
 
 def test_solve_writes_reports(runner, tmp_path):
@@ -357,6 +378,17 @@ def test_pushforward_command(runner, tmp_path):
     assert res.exit_code == 0
     payload = json.loads((out / "pushforward.json").read_text())
     assert payload["rel_l2"] < 0.01
+
+
+def test_pushforward_of_a_source_no_mode_reaches_exits_0(runner, tmp_path):
+    """At N1 = N2 = 0 the source's j = (1, 0) gives two zero fields; the run
+    once ended in a ZeroDivisionError traceback with no error.json."""
+    cfg = write_cfg(tmp_path, {"discretization": {"N1": 0, "N2": 0, "n_z": 8}})
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["pushforward", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    payload = json.loads((out / "pushforward.json").read_text())
+    assert (payload["rel_l2"], payload["rel_vh"]) == (0.0, 0.0)
 
 
 # the config of the CI's small runs: a rough surface and an ensemble law

@@ -84,9 +84,9 @@ def spy_shares(monkeypatch) -> list:
     worker of each pool an ensemble starts."""
     parts, real = [], SolverContext.share
 
-    def spied(self, n, inner):
+    def spied(self, n, surface):
         parts.append(n)
-        return real(self, n, inner)
+        return real(self, n, surface)
 
     monkeypatch.setattr(SolverContext, "share", spied)
     return parts
@@ -596,6 +596,15 @@ def test_pushforward_flat_surface_trivial():
     # both cutoffs take the same direct solve, so the two fields coincide
     assert out["rel_l2"] == pytest.approx(0.0, abs=1e-12)
     assert out["rel_vh"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_pushforward_of_zero_fields_is_zero():
+    """At N1 = N2 = 0 the source's j = (1, 0) reaches no lattice mode, so
+    both fields are zero; each discrepancy is 0.0, not a division by zero."""
+    cfg = cfg_with(discretization={"N1": 0, "N2": 0, "n_z": 8})
+    assert (cfg.source.j1, cfg.source.j2) == (1, 0)
+    out = pushforward_check(cfg)
+    assert (out["rel_l2"], out["rel_vh"]) == (0.0, 0.0)
 
 
 def test_pushforward_small_for_gentle_surface(monkeypatch):

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from elastrip import dtn
 from elastrip.dtn import (BoundaryTrace, SpectralGrid,
                           decompose_trace, decomposition_matrices,
                           dtn_symbol_grid, energy_flux, extend_field,
@@ -218,6 +221,106 @@ def test_symbol_suite_runs_clean():
     rep = verify_symbol_suite(seed=3, n_materials=3, n_xi=500)
     assert rep["n_violations"] == 0
     assert rep["n_checks"] == 12
+
+
+TOL = dtn._SYMBOL_TOL
+
+
+def _violations():
+    return [v[0] for v in verify_symbol_properties(P, n_samples=500, seed=2)["violations"]]
+
+
+@pytest.mark.parametrize("past", [False, True])
+def test_definiteness_is_flagged_past_the_tolerance(monkeypatch, past):
+    """Re(-iM) shifted so that its smallest sampled eigenvalue is -2 TOL is
+    flagged by name, at -TOL / 2 it is not."""
+    min_eig = verify_symbol_properties(P, n_samples=500, seed=2)["min_eig_high_band"]
+    target = -2 * TOL if past else -TOL / 2
+    real, K = dtn.dtn_symbol_grid, dtn.stability_constants(P).K
+
+    def shifted(XI1, XI2, params):  # -i (M + i t) = -iM + t: every eigenvalue moves by t
+        M = real(XI1, XI2, params)
+        if np.min(XI1**2 + XI2**2) > (K * params.omega) ** 2:  # the high band's samples
+            M = M + 1j * (target - min_eig) * np.eye(3)[:, :, None]
+        return M
+
+    monkeypatch.setattr(dtn, "dtn_symbol_grid", shifted)
+    assert _violations() == (["high_band_definiteness"] if past else [])
+
+
+@pytest.mark.parametrize("past", [False, True])
+def test_entry_bound_is_flagged_past_the_tolerance(monkeypatch, past):
+    """C_K lowered so that the largest sampled entry ratio is 1 + 2 TOL is
+    flagged by name, at 1 + TOL / 2 it is not."""
+    ratio = verify_symbol_properties(P, n_samples=500, seed=2)["max_entry_ratio_low_band"]
+    sc = dtn.stability_constants(P)
+    lowered = dataclasses.replace(sc, C_K=sc.C_K * ratio / (1 + (2 if past else 0.5) * TOL))
+    monkeypatch.setattr(dtn, "stability_constants", lambda params: lowered)
+    assert _violations() == (["low_band_entry_bound"] if past else [])
+
+
+def _pushed_wavenumbers(monkeypatch, push):
+    """_wavenumbers as verify_symbol_properties reads it, with sample 0's
+    (beta, gamma, rho) replaced by push(|xi|, beta, gamma, rho); the
+    symbol's own reads are untouched."""
+    real = dtn._wavenumbers
+
+    def pushed(params, xi_sq):
+        beta, gamma, rho = real(params, xi_sq)
+        if sys._getframe(1).f_code.co_name == "verify_symbol_properties":
+            beta, gamma, rho = beta.copy(), gamma.copy(), rho.copy()
+            beta[0], gamma[0], rho[0] = push(math.sqrt(xi_sq[0]), beta[0], gamma[0], rho[0])
+        return beta, gamma, rho
+
+    monkeypatch.setattr(dtn, "_wavenumbers", pushed)
+
+
+@pytest.mark.parametrize("side, past", [("above", False), ("above", True),
+                                        ("below", False), ("below", True)])
+def test_rho_band_is_flagged_past_the_tolerance(monkeypatch, side, past):
+    """|rho| of one sample at 2 TOL above its upper band bound or below its
+    lower one is flagged by name, at TOL / 2 it is not."""
+    kp, ks, c_K = P.k_p, P.k_s, dtn.stability_constants(P).c_K
+    step = (2 if past else 0.5) * TOL
+
+    def push(r, beta, gamma, rho):
+        if side == "above":
+            return beta, gamma, (kp * ks if r <= kp else ks**2) * (1 + step)
+        return beta, gamma, (kp**2 if r <= ks else c_K * P.omega**2) * (1 - step)
+
+    _pushed_wavenumbers(monkeypatch, push)
+    assert _violations() == (["rho_band"] if past else [])
+
+
+@pytest.mark.parametrize("past", [False, True])
+def test_gamma_minus_beta_is_flagged_past_the_tolerance(monkeypatch, past):
+    """|gamma - beta| of one sample at 2 TOL above sqrt(k_s^2 - k_p^2) is
+    flagged by name, at TOL / 2 it is not."""
+    bound = math.sqrt(P.k_s**2 - P.k_p**2)
+    step = (2 if past else 0.5) * TOL
+    _pushed_wavenumbers(monkeypatch, lambda r, beta, gamma, rho:
+                        (0.0, bound * (1 + step), rho))
+    assert _violations() == (["gamma_minus_beta"] if past else [])
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="rho = |xi|^2 + beta gamma cancels where both waves are evanescent "
+                          "(ROADMAP item 8(c))")
+@pytest.mark.parametrize("omega", [1e-4, 1e-6])
+def test_rho_keeps_its_digits_at_low_frequency(omega):
+    """Where |xi| > k_s, rho = |xi|^2 - |beta| |gamma| equals
+    (|xi|^2 (k_p^2 + k_s^2) - k_p^2 k_s^2) / (|xi|^2 + |beta| |gamma|), a
+    form that does not cancel.  On the N = 8 lattice of the default cell
+    the direct form's largest relative error is 2.3e-14 at omega = 1, and
+    4.2e-6 and 2.3e-2 at omega = 1e-4 and 1e-6."""
+    params = ElasticParams(lam=1.0, mu=1.0, omega=omega)
+    _, _, xi_sq = SpectralGrid(N1=8, N2=8, cell=CELL).frequency_mesh()
+    beta, gamma, rho = dtn._wavenumbers(params, xi_sq)
+    kp2, ks2 = params.k_p**2, params.k_s**2
+    evanescent = xi_sq > ks2
+    exact = (xi_sq * (kp2 + ks2) - kp2 * ks2) / (xi_sq + np.abs(beta) * np.abs(gamma))
+    assert evanescent.sum() == 288
+    np.testing.assert_allclose(rho[evanescent], exact[evanescent], rtol=1e-12, atol=0)
 
 
 def test_mode_indices_are_built_once_per_grid(monkeypatch):
